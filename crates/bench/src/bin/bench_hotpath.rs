@@ -570,10 +570,10 @@ fn bench_ingress(quick: bool) -> Json {
 /// `route_compile` is the per-replication setup every topo-sweep cell
 /// pays (build BA(64), BFS route derivation, compile one DIR-24-8 FIB
 /// per node), and `mesh_4x4_net` is wall-clock end-to-end packets per
-/// second through a healthy 4×4-mesh co-simulation of 16 embedded
-/// routers — the sweep's unit of work.
+/// second through a healthy 4×4-mesh network of 16 routers — the
+/// sweep's unit of work.
 fn bench_topo(quick: bool) -> Json {
-    use dra_core::handle::ArchKind;
+    use dra_core::health::ArchKind;
     use dra_topo::engine::build_network;
     use dra_topo::link::LinkConfig;
     use dra_topo::routes::{compile_fibs, RouteTables};
@@ -692,7 +692,7 @@ fn bench_topo(quick: bool) -> Json {
 /// on a single-core runner the windowed engine pays its barrier cost
 /// for nothing and the ratio sits at or below 1.
 fn bench_pdes(quick: bool) -> Json {
-    use dra_core::handle::ArchKind;
+    use dra_core::health::ArchKind;
     use dra_topo::engine::build_network;
     use dra_topo::link::LinkConfig;
     use dra_topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};

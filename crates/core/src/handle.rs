@@ -1,12 +1,13 @@
-//! A steppable per-router simulation handle for network-of-routers
-//! co-simulation.
+//! A steppable per-router simulation handle: the reference oracle for
+//! [`NodeHealth`](crate::health::NodeHealth).
 //!
 //! The single-router simulators ([`BdrRouter`], [`DraRouter`]) own a
 //! whole [`Simulation`] and are normally driven to completion by one
-//! caller. The network layer (`dra-topo`) instead needs N routers that
-//! advance *together* on a shared clock: each hop of an end-to-end
-//! packet consults the transit router's current health, which in turn
-//! depends on that router's private fault timeline.
+//! caller. A network of routers needs each router's health as its
+//! private fault timeline unfolds. The network layer (`dra-topo`) gets
+//! it from the compact [`NodeHealth`](crate::health::NodeHealth); this
+//! handle derives the same answers from a full embedded simulation, and
+//! `dra-topo`'s `health_differential` test compares the two.
 //!
 //! [`RouterHandle`] wraps either architecture behind one interface:
 //!
@@ -32,34 +33,15 @@
 //! their own: the handle then models *health dynamics only* and the
 //! network layer supplies all packets.
 
+use crate::health::ArchKind;
 use crate::scenario::{Action, Scenario};
 use crate::sim::{DraConfig, DraRouter};
 use dra_des::sim::Simulation;
 use dra_router::bdr::{BdrConfig, BdrRouter};
-use dra_router::metrics::RouterMetrics;
-
-/// Which architecture a handle wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArchKind {
-    /// Basic distributed router (baseline).
-    Bdr,
-    /// Dependable router architecture (EIB coverage).
-    Dra,
-}
-
-impl ArchKind {
-    /// Stable lowercase label (used in artifacts).
-    pub fn label(self) -> &'static str {
-        match self {
-            ArchKind::Bdr => "bdr",
-            ArchKind::Dra => "dra",
-        }
-    }
-}
 
 // The variants differ in size (DRA carries the EIB state on top of
-// the BDR core), but handles live in per-node `Vec`s where a uniform
-// footprint beats a box-per-node indirection.
+// the BDR core); handles are built one at a time as a test oracle, so
+// boxing would buy nothing.
 #[allow(clippy::large_enum_variant)]
 enum Inner {
     Bdr(Simulation<BdrRouter>),
@@ -140,14 +122,6 @@ impl RouterHandle {
         match &self.inner {
             Inner::Bdr(sim) => sim.events_processed(),
             Inner::Dra(sim) => sim.events_processed(),
-        }
-    }
-
-    /// The embedded router's own metrics (internal traffic, if any).
-    pub fn metrics(&self) -> &RouterMetrics {
-        match &self.inner {
-            Inner::Bdr(sim) => &sim.model().metrics,
-            Inner::Dra(sim) => &sim.model().metrics,
         }
     }
 

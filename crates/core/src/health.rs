@@ -1,0 +1,327 @@
+//! Per-router health state for network-of-routers simulation.
+//!
+//! The network layer (`dra-topo`) asks each transit router three
+//! questions per hop: can this linecard pass traffic, is it doing so
+//! through EIB coverage, and is the fabric up? With the router's own
+//! traffic and live fault injector switched off, the answers change
+//! only when a fault [`Action`] applies — exactly the view the paper's
+//! Fig-5 model takes of a linecard (its health state, not its packet
+//! pipeline).
+//!
+//! [`NodeHealth`] is that state and nothing else: per linecard the
+//! unit health and failed-PIU-port count, the EIB flag and the failed
+//! fabric-plane count, plus per-linecard `serviceable` / `covered`
+//! flags recomputed whenever an action applies. The rules are the
+//! single-router simulators' own: BDR needs a card standalone-healthy
+//! ([`LcComponents::operational_standalone`]); DRA also accepts cards
+//! the §3.2 coverage rules rescue ([`lc_serviceable_with`]). Queries
+//! are field reads, and [`NodeHealth::advance_to`] is a cursor step
+//! over the attached fault timeline.
+//!
+//! The full simulators wrapped by
+//! [`RouterHandle`](crate::handle::RouterHandle) remain the reference:
+//! `dra-topo`'s `health_differential` test replays the same timelines
+//! through both and compares every answer.
+
+use crate::coverage::{lc_serviceable_with, LcView};
+use crate::scenario::{Action, Scenario};
+use dra_net::protocol::ProtocolKind;
+use dra_router::bdr::BdrConfig;
+use dra_router::components::{ComponentKind, Health, LcComponents};
+
+/// Which router architecture a node runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ArchKind {
+    /// Basic distributed router (baseline).
+    Bdr,
+    /// Dependable router architecture (EIB coverage).
+    Dra,
+}
+
+impl ArchKind {
+    /// Stable lowercase label (used in artifacts).
+    pub fn label(self) -> &'static str {
+        match self {
+            ArchKind::Bdr => "bdr",
+            ArchKind::Dra => "dra",
+        }
+    }
+}
+
+/// One linecard's health plus its cached verdicts.
+#[derive(Debug, Clone, Copy)]
+struct LcHealth {
+    components: LcComponents,
+    protocol: ProtocolKind,
+    /// Ports whose PIU has failed (`components.piu` reads failed once
+    /// every port is gone, as in `Linecard::fail_piu_port`).
+    piu_failed_ports: u16,
+    serviceable: bool,
+    covered: bool,
+}
+
+/// The health state of one router, driven by a fault timeline.
+#[derive(Debug, Clone)]
+pub struct NodeHealth {
+    arch: ArchKind,
+    lcs: Vec<LcHealth>,
+    ports_per_lc: u16,
+    /// Spare capacity each card lends (the planner's ψ); carried into
+    /// the coverage views exactly as the DRA simulator builds them.
+    spare_bps: f64,
+    eib_healthy: bool,
+    planes_total: usize,
+    planes_failed: usize,
+    /// Time-ordered fault actions; everything before `cursor` applied.
+    schedule: Vec<(f64, Action)>,
+    cursor: usize,
+    applied: u64,
+}
+
+impl NodeHealth {
+    /// A fully healthy `arch` router shaped by `config`: its linecard
+    /// count, per-card protocols and ports, and fabric plane count.
+    /// Traffic and fault-injection settings are ignored — the state
+    /// changes only through [`apply`](Self::apply) and the attached
+    /// schedule.
+    pub fn new(arch: ArchKind, config: &BdrConfig) -> Self {
+        assert!(config.ports_per_lc > 0, "linecards need a port");
+        if arch == ArchKind::Dra {
+            assert!(config.n_lcs >= 3, "DRA needs N >= 3");
+        }
+        let lcs = (0..config.n_lcs)
+            .map(|i| LcHealth {
+                components: LcComponents::healthy(),
+                protocol: config.protocol_of(i),
+                piu_failed_ports: 0,
+                serviceable: true,
+                covered: false,
+            })
+            .collect();
+        NodeHealth {
+            arch,
+            lcs,
+            ports_per_lc: config.ports_per_lc,
+            spare_bps: config.port_rate_bps * (1.0 - config.load),
+            eib_healthy: true,
+            planes_total: config.fabric_planes_total,
+            planes_failed: 0,
+            schedule: Vec::new(),
+            cursor: 0,
+            applied: 0,
+        }
+    }
+
+    /// The router's architecture.
+    pub fn arch(&self) -> ArchKind {
+        self.arch
+    }
+
+    /// Number of linecards.
+    pub fn n_lcs(&self) -> usize {
+        self.lcs.len()
+    }
+
+    /// Fault actions applied so far (scheduled and injected).
+    pub fn events_processed(&self) -> u64 {
+        self.applied
+    }
+
+    /// Attach a fault timeline, replacing any previous one. Actions
+    /// apply in time order (ties in insertion order) as the state
+    /// advances; times already past apply on the next advance.
+    pub fn set_fault_schedule(&mut self, scenario: &Scenario) {
+        let mut ev: Vec<(f64, Action)> = scenario.events().to_vec();
+        ev.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        self.schedule = ev;
+        self.cursor = 0;
+    }
+
+    /// The attached timeline, time-ordered.
+    pub fn schedule(&self) -> &[(f64, Action)] {
+        &self.schedule
+    }
+
+    /// Remaining (not yet applied) scheduled actions.
+    pub fn pending_actions(&self) -> usize {
+        self.schedule.len() - self.cursor
+    }
+
+    /// Apply every scheduled action whose time is ≤ `t`.
+    #[inline]
+    pub fn advance_to(&mut self, t: f64) {
+        while let Some((at, action)) = self.schedule.get(self.cursor) {
+            if *at > t {
+                break;
+            }
+            let action = action.clone();
+            self.cursor += 1;
+            self.apply(&action);
+        }
+    }
+
+    /// Apply one action now (the hook for unscheduled faults). EIB
+    /// actions are no-ops on BDR, and route updates never change
+    /// health, as in `Scenario::run_bdr` / `run_dra`.
+    pub fn apply(&mut self, action: &Action) {
+        self.applied += 1;
+        match *action {
+            Action::FailComponent(lc, kind) => {
+                let card = &mut self.lcs[lc as usize];
+                if kind == ComponentKind::Piu {
+                    card.piu_failed_ports = (card.piu_failed_ports + 1).min(self.ports_per_lc);
+                    if card.piu_failed_ports == self.ports_per_lc {
+                        card.components.piu = Health::Failed;
+                    }
+                } else {
+                    card.components.set(kind, Health::Failed);
+                }
+            }
+            Action::RepairLc(lc) => {
+                let card = &mut self.lcs[lc as usize];
+                card.components.repair_all();
+                card.piu_failed_ports = 0;
+            }
+            Action::FailEib | Action::RepairEib if self.arch == ArchKind::Bdr => return,
+            Action::FailEib => self.eib_healthy = false,
+            Action::RepairEib => self.eib_healthy = true,
+            Action::FailFabricPlane => {
+                self.planes_failed = (self.planes_failed + 1).min(self.planes_total);
+                return;
+            }
+            Action::RepairFabricPlane => {
+                self.planes_failed = self.planes_failed.saturating_sub(1);
+                return;
+            }
+            Action::AnnounceRoute(..) | Action::WithdrawRoute(_) => return,
+        }
+        self.refresh();
+    }
+
+    /// Can linecard `lc` pass traffic right now (BDR: standalone
+    /// healthy; DRA: standalone or EIB-covered)?
+    #[inline]
+    pub fn lc_serviceable(&self, lc: u16) -> bool {
+        self.lcs[lc as usize].serviceable
+    }
+
+    /// Is linecard `lc` serviceable only through EIB coverage? Always
+    /// false on BDR.
+    #[inline]
+    pub fn lc_covered(&self, lc: u16) -> bool {
+        self.lcs[lc as usize].covered
+    }
+
+    /// Is the switching fabric operational (any plane left)?
+    #[inline]
+    pub fn fabric_operational(&self) -> bool {
+        self.planes_failed < self.planes_total
+    }
+
+    /// Recompute every card's cached verdicts. Under DRA one card's
+    /// health decides whether it can help the others, so all of them
+    /// are re-derived; faults are rare next to hops, so this stays off
+    /// the hot path.
+    fn refresh(&mut self) {
+        let n = self.lcs.len();
+        for i in 0..n {
+            let standalone = self.lcs[i].components.operational_standalone();
+            let serviceable = match self.arch {
+                ArchKind::Bdr => standalone,
+                ArchKind::Dra => {
+                    let (lcs, spare_bps) = (&self.lcs, self.spare_bps);
+                    lc_serviceable_with(
+                        |j| LcView {
+                            protocol: lcs[j].protocol,
+                            components: lcs[j].components,
+                            spare_bps,
+                        },
+                        n,
+                        i as u16,
+                        None,
+                        self.eib_healthy,
+                    )
+                }
+            };
+            let card = &mut self.lcs[i];
+            card.serviceable = serviceable;
+            card.covered = serviceable && !standalone;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn health(arch: ArchKind, n: usize) -> NodeHealth {
+        NodeHealth::new(
+            arch,
+            &BdrConfig {
+                n_lcs: n,
+                ..BdrConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn schedule_applies_at_exact_times() {
+        let sc = Scenario::new(1.0)
+            .at(0.75, Action::RepairLc(1))
+            .at(0.25, Action::FailComponent(1, ComponentKind::Sru));
+        for arch in [ArchKind::Bdr, ArchKind::Dra] {
+            let mut h = health(arch, 4);
+            h.set_fault_schedule(&sc);
+            h.advance_to(0.2);
+            assert!(h.lc_serviceable(1), "{arch:?}: healthy before failure");
+            h.advance_to(0.25);
+            assert_eq!(h.lc_serviceable(1), arch == ArchKind::Dra, "{arch:?}");
+            assert_eq!(h.lc_covered(1), arch == ArchKind::Dra, "{arch:?}");
+            h.advance_to(1.0);
+            assert!(h.lc_serviceable(1) && !h.lc_covered(1), "{arch:?}");
+            assert_eq!((h.pending_actions(), h.events_processed()), (0, 2));
+        }
+    }
+
+    #[test]
+    fn eib_failure_withdraws_coverage_on_dra_only() {
+        for arch in [ArchKind::Bdr, ArchKind::Dra] {
+            let mut h = health(arch, 4);
+            h.apply(&Action::FailComponent(0, ComponentKind::Lfe));
+            h.apply(&Action::FailEib);
+            assert!(!h.lc_serviceable(0), "{arch:?}: no EIB, no coverage");
+            h.apply(&Action::RepairEib);
+            assert_eq!(h.lc_covered(0), arch == ArchKind::Dra, "{arch:?}");
+        }
+    }
+
+    #[test]
+    fn piu_ports_and_fabric_planes_saturate() {
+        let mut h = NodeHealth::new(
+            ArchKind::Dra,
+            &BdrConfig {
+                n_lcs: 3,
+                ports_per_lc: 2,
+                ..BdrConfig::default()
+            },
+        );
+        h.apply(&Action::FailComponent(2, ComponentKind::Piu));
+        assert!(h.lc_serviceable(2), "one of two ports left");
+        h.apply(&Action::FailComponent(2, ComponentKind::Piu));
+        assert!(
+            !h.lc_serviceable(2) && !h.lc_covered(2),
+            "PIU loss is uncoverable"
+        );
+        h.apply(&Action::RepairLc(2));
+        assert!(h.lc_serviceable(2));
+        for _ in 0..6 {
+            h.apply(&Action::FailFabricPlane);
+        }
+        assert!(!h.fabric_operational());
+        h.apply(&Action::RepairFabricPlane);
+        assert!(
+            h.fabric_operational(),
+            "failures saturate at the plane count"
+        );
+    }
+}

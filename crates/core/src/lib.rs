@@ -24,10 +24,12 @@
 //!   (the paper had no such cross-check).
 //! * [`scenario`] — declarative fault timelines that run identically
 //!   against both architectures, for apples-to-apples comparisons.
+//! * [`health`] — a router as its health state: per-linecard unit
+//!   health and cached serviceability driven by a fault timeline, the
+//!   per-node state of the network-of-routers layer (`dra-topo`).
 //! * [`handle`] — a steppable per-router simulation handle (lazy time
-//!   advance, fault-schedule injection, serviceability queries) so the
-//!   network-of-routers layer (`dra-topo`) can co-simulate N routers
-//!   on one shared clock.
+//!   advance, fault-schedule injection, serviceability queries): the
+//!   full-simulation reference [`health`] is tested against.
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,7 @@ pub mod analysis;
 pub mod coverage;
 pub mod eib;
 pub mod handle;
+pub mod health;
 pub mod montecarlo;
 pub mod rareevent;
 pub mod scenario;
@@ -42,5 +45,6 @@ pub mod sim;
 
 pub use coverage::{CoveragePlanner, CoverageRoute, LcView};
 pub use eib::bandwidth::promised_bandwidth;
-pub use handle::{ArchKind, RouterHandle};
+pub use handle::RouterHandle;
+pub use health::{ArchKind, NodeHealth};
 pub use sim::{DraConfig, DraRouter};

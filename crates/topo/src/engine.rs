@@ -206,6 +206,9 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
 
 /// `k` indices spread evenly over `0..n` (deterministic fault-target
 /// selection: same targets for both architectures of a twin pair).
+/// Distinct for every `k ≤ n`; larger `k` repeats targets, which is why
+/// [`TopoSpec::validate`] rejects `FailRouters` with more routers than
+/// the topology has.
 pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
     (0..k as usize)
         .map(|i| (i * n / k as usize) as u32)
@@ -255,7 +258,7 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
         });
     }
     let n_nodes = topo.n_nodes();
-    let mut net = NetworkSim::new(topo, cell.arch, cfg, flows, sim_seed);
+    let mut net = NetworkSim::new(topo, cell.arch, cfg, flows);
     match cell.faults {
         TopoFaultSpec::None => {}
         TopoFaultSpec::FailRouters { k, at_s } => {
@@ -556,7 +559,7 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::spec::FlowSpec;
     use crate::topology::TopologyKind;
-    use dra_core::handle::ArchKind;
+    use dra_core::health::ArchKind;
 
     fn tiny_spec() -> TopoSpec {
         let cell = |id: &str, arch, group| TopoCellSpec {
@@ -717,5 +720,19 @@ mod tests {
         assert_eq!(spread_targets(20, 4), vec![0, 5, 10, 15]);
         assert_eq!(spread_targets(16, 1), vec![0]);
         assert!(spread_targets(9, 3).iter().all(|&t| t < 9));
+    }
+
+    #[test]
+    fn spread_targets_are_distinct_for_every_k_up_to_n() {
+        for n in 1..=130usize {
+            for k in 1..=n as u32 {
+                let t = spread_targets(n, k);
+                assert_eq!(t.len(), k as usize);
+                assert!(
+                    t.windows(2).all(|w| w[0] < w[1]) && t[k as usize - 1] < n as u32,
+                    "n={n} k={k}: {t:?}"
+                );
+            }
+        }
     }
 }

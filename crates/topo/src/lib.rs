@@ -12,10 +12,10 @@
 //!   node.
 //! * [`link`] — fixed-latency, fluid-FIFO serialization links with
 //!   backlog tail drop and whole-cable failures.
-//! * [`net`] — the co-simulation model: N
-//!   [`RouterHandle`](dra_core::handle::RouterHandle)-wrapped BDR/DRA
-//!   routers advanced lazily on one shared DES clock, multi-hop flows,
-//!   per-node fault timelines, and composed drop accounting.
+//! * [`net`] — the network model: N BDR/DRA routers, each held as its
+//!   [`NodeHealth`](dra_core::health::NodeHealth) and stepped lazily
+//!   along its fault timeline, on one shared DES clock; multi-hop
+//!   flows and composed drop accounting.
 //! * [`pdes`] — conservative parallel execution of the same model:
 //!   per-router logical processes on barrier windows (lookahead = the
 //!   minimum attached link latency), byte-identical to the serial
@@ -24,8 +24,8 @@
 //!   the parallel engine's tie ordering (zero allocations per hop).
 //! * [`stats`] — network metrics: packet conservation, end-to-end
 //!   delivery ratio, per-flow availability.
-//! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping N
-//!   co-simulated routers' randomness pairwise disjoint.
+//! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping the
+//!   N routers' sampled fault timelines pairwise disjoint.
 //! * [`spec`] / [`engine`] / [`registry`] — declarative sweeps over
 //!   topology × faults × architecture, executed on the campaign worker
 //!   pool into byte-reproducible `dra-topo/v1` artifacts.

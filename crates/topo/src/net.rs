@@ -1,11 +1,11 @@
 //! The network-of-routers DES model.
 //!
-//! [`NetworkSim`] co-simulates N routers — each a
-//! [`RouterHandle`]-wrapped BDR or DRA simulation — on one shared
-//! [`dra_des`] clock. End-to-end packets hop router → link → router:
-//! at every transit the owning router is lazily advanced to "now", its
-//! current linecard serviceability consulted (so faults in a router's
-//! private timeline shape network forwarding), the node's
+//! [`NetworkSim`] simulates N BDR or DRA routers — each held as its
+//! [`NodeHealth`] — on one shared [`dra_des`] clock. End-to-end packets
+//! hop router → link → router: at every transit the owning router's
+//! fault timeline is stepped to "now", its current linecard
+//! serviceability consulted (so faults in a router's private timeline
+//! shape network forwarding), the node's
 //! topology-derived DIR-24-8 FIB resolves the egress port, and the
 //! link model charges serialization + propagation.
 //!
@@ -21,15 +21,15 @@
 //!   on serialization backlog.
 //!
 //! Determinism: the only RNG draws are flow inter-arrival times on the
-//! network simulation's own seeded RNG; embedded routers draw from
-//! private [`node_seed`](crate::seeds::node_seed) streams; everything
-//! else is pure state. One seed ⇒ one event history.
+//! network simulation's own seeded RNG; router health is pure state
+//! driven by fault timelines fixed before the run. One seed ⇒ one
+//! event history.
 
 use crate::link::{LinkArena, LinkConfig, LinkOffer};
 use crate::routes::{compile_fibs, node_addr, RouteTables};
 use crate::stats::{NetDropCause, NetStats};
 use crate::topology::Topology;
-use dra_core::handle::{ArchKind, RouterHandle};
+use dra_core::health::{ArchKind, NodeHealth};
 use dra_core::scenario::{Action, Scenario};
 use dra_des::random::exponential;
 use dra_des::sim::{Ctx, Model, Simulation};
@@ -263,31 +263,48 @@ pub(crate) enum CompiledNetAction {
     },
 }
 
+/// Panic unless `node` exists and `action` names one of its linecards
+/// — at attach time, instead of as a bare index error at the action's
+/// time mid-run.
+fn check_router_action(topo: &Topology, node: u32, action: &Action) {
+    let n_nodes = topo.n_nodes();
+    assert!(
+        (node as usize) < n_nodes,
+        "no node {node} (network has {n_nodes} nodes)"
+    );
+    if let Action::FailComponent(lc, _) | Action::RepairLc(lc) = *action {
+        let n_lcs = topo.n_lcs(node);
+        assert!(
+            (lc as usize) < n_lcs,
+            "node {node} has no lc {lc} ({n_lcs} linecards)"
+        );
+    }
+}
+
 /// Resolve one [`NetAction`] against the topology (see
 /// [`CompiledNetAction`]).
+///
+/// # Panics
+/// Panics when the action names a node, linecard or link the topology
+/// does not have.
 fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
     let port_between = |a: u32, b: u32| -> u16 {
-        topo.adj[a as usize]
-            .binary_search(&b)
-            .unwrap_or_else(|_| panic!("no link {a}-{b}")) as u16
+        topo.adj
+            .get(a as usize)
+            .and_then(|adj| adj.binary_search(&b).ok())
+            .unwrap_or_else(|| panic!("no link {a}-{b}")) as u16
+    };
+    let router = |node: u32, action: Action| {
+        check_router_action(topo, node, &action);
+        CompiledNetAction::Router { node, action }
     };
     match action {
-        NetAction::FailComponent { node, lc, kind } => CompiledNetAction::Router {
-            node,
-            action: Action::FailComponent(lc, kind),
-        },
-        NetAction::RepairLc { node, lc } => CompiledNetAction::Router {
-            node,
-            action: Action::RepairLc(lc),
-        },
-        NetAction::FailEib { node } => CompiledNetAction::Router {
-            node,
-            action: Action::FailEib,
-        },
-        NetAction::RepairEib { node } => CompiledNetAction::Router {
-            node,
-            action: Action::RepairEib,
-        },
+        NetAction::FailComponent { node, lc, kind } => {
+            router(node, Action::FailComponent(lc, kind))
+        }
+        NetAction::RepairLc { node, lc } => router(node, Action::RepairLc(lc)),
+        NetAction::FailEib { node } => router(node, Action::FailEib),
+        NetAction::RepairEib { node } => router(node, Action::RepairEib),
         NetAction::FailLink { a, b } => CompiledNetAction::Cable {
             a,
             pa: port_between(a, b),
@@ -305,7 +322,7 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
     }
 }
 
-/// The co-simulated network.
+/// The simulated network.
 ///
 /// Interior fields are `pub(crate)` so [`crate::pdes`] can decompose a
 /// built network into per-router logical processes and reassemble it.
@@ -314,8 +331,8 @@ pub struct NetworkSim {
     pub topo: Topology,
     /// Per-node topology-derived FIBs.
     pub(crate) fibs: Vec<Dir248Fib>,
-    /// Per-node router handles.
-    pub(crate) nodes: Vec<RouterHandle>,
+    /// Per-node router health.
+    pub(crate) nodes: Vec<NodeHealth>,
     /// Every directed link, flat, indexed by `(node, port)`.
     pub(crate) links: LinkArena,
     /// Per-node EIB coverage budget (fluid queue drain time).
@@ -339,19 +356,12 @@ pub struct NetworkSim {
 }
 
 impl NetworkSim {
-    /// Build a network of `arch` routers on `topo`.
+    /// Build a network of healthy `arch` routers on `topo`.
     ///
     /// Each node's router gets `degree + 1` linecards (one per link
-    /// plus the host port, minimum 3), no internal traffic, and a
-    /// private seed from [`node_seed`](crate::seeds::node_seed)
-    /// `(router_seed_base, node)`.
-    pub fn new(
-        topo: Topology,
-        arch: ArchKind,
-        cfg: NetConfig,
-        flows: Vec<Flow>,
-        router_seed_base: u64,
-    ) -> NetworkSim {
+    /// plus the host port, minimum 3), shaped otherwise by
+    /// [`BdrConfig::default`].
+    pub fn new(topo: Topology, arch: ArchKind, cfg: NetConfig, flows: Vec<Flow>) -> NetworkSim {
         for f in &flows {
             assert!(f.src != f.dst, "flow src == dst");
             assert!((f.src as usize) < topo.n_nodes() && (f.dst as usize) < topo.n_nodes());
@@ -359,17 +369,11 @@ impl NetworkSim {
         }
         let routes = RouteTables::derive(&topo);
         let fibs = compile_fibs(&topo, &routes);
+        let mut base = BdrConfig::default();
         let nodes = (0..topo.n_nodes() as u32)
             .map(|n| {
-                let base = BdrConfig {
-                    n_lcs: topo.n_lcs(n),
-                    ..BdrConfig::default()
-                };
-                RouterHandle::quiescent(
-                    arch,
-                    base,
-                    crate::seeds::node_seed(router_seed_base, n as u64),
-                )
+                base.n_lcs = topo.n_lcs(n);
+                NodeHealth::new(arch, &base)
             })
             .collect();
         let links = LinkArena::from_degrees(topo.adj.iter().map(Vec::len), cfg.link.latency_s);
@@ -395,6 +399,10 @@ impl NetworkSim {
     /// Attach the network fault timeline (replaces any previous one),
     /// compiling every action's topology lookups — link endpoints to
     /// `(node, port)` pairs — once, here, instead of per application.
+    ///
+    /// # Panics
+    /// Panics when an action names a node, linecard or link the
+    /// topology does not have.
     pub fn set_scenario(&mut self, scenario: &NetScenario) {
         self.scenario = scenario.ordered();
         self.compiled = self
@@ -423,13 +431,26 @@ impl NetworkSim {
     /// Attach a per-router fault timeline (e.g. sampled from a
     /// [`FaultProcess`](dra_core::scenario::FaultProcess) on the
     /// node's private seed stream) to `node`.
+    ///
+    /// # Panics
+    /// Panics when `node` does not exist or an action names a linecard
+    /// the node does not have.
     pub fn set_node_fault_schedule(&mut self, node: u32, timeline: &Scenario) {
+        for (_, action) in timeline.events() {
+            check_router_action(&self.topo, node, action);
+        }
         self.nodes[node as usize].set_fault_schedule(timeline);
     }
 
-    /// Immutable access to a node's router handle.
-    pub fn node(&self, node: u32) -> &RouterHandle {
+    /// A node's router health.
+    pub fn node(&self, node: u32) -> &NodeHealth {
         &self.nodes[node as usize]
+    }
+
+    /// The attached network fault timeline, time-ordered (see
+    /// [`NetworkSim::set_scenario`]).
+    pub fn scenario(&self) -> &[(f64, NetAction)] {
+        &self.scenario
     }
 
     /// The flows driving this network.
@@ -575,8 +596,8 @@ pub(crate) enum HopOutcome {
 }
 
 /// The per-hop core shared verbatim by the serial model and the
-/// parallel per-router logical processes: advance the router to `now`,
-/// run health checks and the FIB lookup, charge the EIB coverage
+/// parallel per-router logical processes: step the router's health to
+/// `now`, run health checks and the FIB lookup, charge the EIB coverage
 /// budget, and decide the packet's fate. Mutates `pkt` (hop count,
 /// TTL) and the router/coverage state exactly as the serial path
 /// always has — the operation *order* here is load-bearing for
@@ -585,7 +606,7 @@ pub(crate) enum HopOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hop(
     node: u32,
-    router: &mut RouterHandle,
+    router: &mut NodeHealth,
     fib: &Dir248Fib,
     covered_busy: &mut f64,
     cfg: &NetConfig,
@@ -778,7 +799,7 @@ mod tests {
                 rate_pps: 20_000.0,
             },
         ];
-        NetworkSim::new(topo, arch, cfg, flows, 0xBEEF)
+        NetworkSim::new(topo, arch, cfg, flows)
     }
 
     #[test]
@@ -928,5 +949,42 @@ mod tests {
         assert!(s.conserved());
         // Flow 0's egress host port at node 8 is dead: egress drops.
         assert!(s.drops[NetDropCause::EgressDown.index()] > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no node 9 (network has 9 nodes)")]
+    fn scenario_rejects_an_unknown_node() {
+        let sc = NetScenario::new().at(1e-3, NetAction::FailEib { node: 9 });
+        small_net(ArchKind::Dra).set_scenario(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4 has no lc 5 (5 linecards)")]
+    fn scenario_rejects_an_unknown_linecard() {
+        // The mesh centre has four links plus the host port.
+        let sc = NetScenario::new().at(
+            1e-3,
+            NetAction::FailComponent {
+                node: 4,
+                lc: 5,
+                kind: ComponentKind::Sru,
+            },
+        );
+        small_net(ArchKind::Bdr).set_scenario(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "no node 12 (network has 9 nodes)")]
+    fn node_schedule_rejects_an_unknown_node() {
+        let timeline = Scenario::new(1e-2).at(1e-3, Action::FailEib);
+        small_net(ArchKind::Dra).set_node_fault_schedule(12, &timeline);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 has no lc 3 (3 linecards)")]
+    fn node_schedule_rejects_an_unknown_linecard() {
+        // A mesh corner has two links plus the host port.
+        let timeline = Scenario::new(1e-2).at(1e-3, Action::RepairLc(3));
+        small_net(ArchKind::Dra).set_node_fault_schedule(0, &timeline);
     }
 }

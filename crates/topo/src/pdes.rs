@@ -5,7 +5,7 @@
 //! ## Decomposition
 //!
 //! Everything a packet touches at one hop is owned by one router:
-//! its [`RouterHandle`], FIB, EIB coverage budget, and the *outgoing*
+//! its [`NodeHealth`], FIB, EIB coverage budget, and the *outgoing*
 //! directions of its links. The only interaction between routers is a
 //! `Forward` → link → `Transit`-at-peer handoff, and the link model
 //! charges at least that link's propagation latency on every such
@@ -87,7 +87,7 @@ use crate::chain::{chain_cmp_recent_first, ChainArena, NIL};
 use crate::link::{LinkArena, LinkOffer, LinkState};
 use crate::net::{hop, CompiledNetAction, Flow, HopOutcome, NetConfig, NetPacket, NetworkSim};
 use crate::stats::{NetDropCause, NetStats};
-use dra_core::handle::RouterHandle;
+use dra_core::health::NodeHealth;
 use dra_core::scenario::Action;
 use dra_des::calendar::CalendarQueue;
 use dra_des::pdes::{run_windows, LogicalProcess, Outbox, WindowReport};
@@ -264,7 +264,7 @@ struct NetCross {
 struct NodeLp {
     node: u32,
     cfg: NetConfig,
-    router: RouterHandle,
+    router: NodeHealth,
     fib: Dir248Fib,
     /// Outgoing directed links, by port.
     links: Vec<LinkState>,

@@ -3,7 +3,7 @@
 use crate::link::LinkConfig;
 use crate::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec, TopoSpec};
 use crate::topology::TopologyKind;
-use dra_core::handle::ArchKind;
+use dra_core::health::ArchKind;
 
 /// Names `spec_by_name` accepts.
 pub const NAMES: [&str; 4] = ["resilience", "smoke", "scale", "scale2"];

@@ -3,9 +3,9 @@
 //! The campaign layer already derives per-(cell, replication, stream)
 //! seeds with SplitMix64 ([`dra_campaign::seed`]). The network layer
 //! adds one more coordinate — the **node id** — so that N routers
-//! co-simulated inside one cell never share randomness: each node's
-//! embedded router RNG and sampled fault timeline draw from a private
-//! SplitMix64 stream.
+//! simulated inside one cell never share randomness: each node's
+//! sampled fault timeline draws from a private SplitMix64 stream, and
+//! flow placement draws from the same family under a reserved tag.
 //!
 //! Why streams stay disjoint: [`splitmix64`] advances its state by a
 //! fixed odd increment γ and outputs a bijective mix of the state, so

@@ -17,7 +17,7 @@
 use crate::link::LinkConfig;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
-use dra_core::handle::ArchKind;
+use dra_core::health::ArchKind;
 
 /// Network-level fault model of one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,6 +242,10 @@ impl TopoSpec {
                     c.id
                 );
             }
+            if let TopoFaultSpec::FailRouters { k, .. } = c.faults {
+                let n = c.topology.n_nodes();
+                assert!(k as usize <= n, "{}: cannot fail {k} of {n} routers", c.id);
+            }
             if let TopoFaultSpec::Renewal {
                 delay_scale,
                 repair_h,
@@ -291,6 +295,20 @@ mod tests {
         assert_eq!(spec2.digest(), d1, "digest is a pure function");
         spec2.cells[0].flows.rate_pps = 2e4;
         assert_ne!(spec2.digest(), d1, "digest sees traffic changes");
+    }
+
+    #[test]
+    #[should_panic(expected = "a: cannot fail 10 of 9 routers")]
+    fn failing_more_routers_than_exist_rejected() {
+        let mut c = cell("a");
+        c.faults = TopoFaultSpec::FailRouters { k: 10, at_s: 1e-3 };
+        TopoSpec {
+            name: "t".into(),
+            description: "d".into(),
+            master_seed: 1,
+            cells: vec![c],
+        }
+        .validate();
     }
 
     #[test]

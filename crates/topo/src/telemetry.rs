@@ -592,7 +592,7 @@ mod tests {
     use super::*;
     use crate::net::{Flow, NetConfig, NetScenario, NetworkSim};
     use crate::topology::{Topology, TopologyKind};
-    use dra_core::handle::ArchKind;
+    use dra_core::health::ArchKind;
 
     fn mesh_net(sim_threads: usize) -> NetworkSim {
         let topo = Topology::build(TopologyKind::Mesh2D { rows: 3, cols: 3 });
@@ -613,7 +613,7 @@ mod tests {
                 rate_pps: 30_000.0,
             },
         ];
-        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0xBEEF);
+        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows);
         net.set_scenario(&NetScenario::new().at(2e-3, NetAction::FailLink { a: 0, b: 1 }));
         net
     }
@@ -716,7 +716,7 @@ mod tests {
             dst: 1,
             rate_pps: 50_000.0,
         }];
-        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0x5EED);
+        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows);
         net.set_scenario(
             &NetScenario::new()
                 .at(2e-3, NetAction::FailLink { a: 0, b: 1 })

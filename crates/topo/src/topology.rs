@@ -56,6 +56,16 @@ impl TopologyKind {
             TopologyKind::BarabasiAlbert { n, m, .. } => format!("ba-n{n}-m{m}"),
         }
     }
+
+    /// Number of router nodes the topology will have (closed form, no
+    /// graph built).
+    pub fn n_nodes(&self) -> usize {
+        match *self {
+            TopologyKind::FatTree { k } => 5 * (k as usize).pow(2) / 4,
+            TopologyKind::Mesh2D { rows, cols } => rows as usize * cols as usize,
+            TopologyKind::BarabasiAlbert { n, .. } => n as usize,
+        }
+    }
 }
 
 /// A generated topology: sorted adjacency plus derived port tables.
@@ -313,6 +323,23 @@ mod tests {
             seed: 8,
         });
         assert_ne!(a.adj, c.adj, "different seed, different graph");
+    }
+
+    #[test]
+    fn closed_form_node_counts_match_the_built_graphs() {
+        for kind in [
+            TopologyKind::FatTree { k: 2 },
+            TopologyKind::FatTree { k: 4 },
+            TopologyKind::FatTree { k: 6 },
+            TopologyKind::Mesh2D { rows: 3, cols: 5 },
+            TopologyKind::BarabasiAlbert {
+                n: 40,
+                m: 3,
+                seed: 1,
+            },
+        ] {
+            assert_eq!(kind.n_nodes(), Topology::build(kind).n_nodes(), "{kind:?}");
+        }
     }
 
     #[test]

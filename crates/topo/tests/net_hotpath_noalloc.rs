@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dra_core::handle::ArchKind;
+use dra_core::health::ArchKind;
 use dra_topo::topology::{Topology, TopologyKind};
 use dra_topo::{Flow, NetConfig, NetworkSim};
 
@@ -81,7 +81,7 @@ fn mesh_net(sim_threads: usize, traffic_stop_s: f64) -> NetworkSim {
             rate_pps: 40_000.0,
         },
     ];
-    NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0xA110C)
+    NetworkSim::new(topo, ArchKind::Dra, cfg, flows)
 }
 
 /// Total hop count a finished run observed (delivered packets only —

@@ -10,7 +10,7 @@
 #![cfg(feature = "telemetry")]
 
 use dra_campaign::json::{parse, Json};
-use dra_core::handle::ArchKind;
+use dra_core::health::ArchKind;
 use dra_telemetry::{
     EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
     NET_DROP_CAUSES,

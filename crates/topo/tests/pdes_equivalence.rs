@@ -10,7 +10,7 @@
 //! engine, and compares every statistic. Thread counts above the node
 //! count exercise the executor's clamp.
 
-use dra_core::handle::ArchKind;
+use dra_core::health::ArchKind;
 use dra_des::stats::Welford;
 use dra_topo::link::LinkConfig;
 use dra_topo::net::{NetAction, NetScenario, NetworkSim};
@@ -130,7 +130,7 @@ fn parallel_matches_serial_through_link_repair() {
                 rate_pps: 40_000.0,
             },
         ];
-        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0xBEEF);
+        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows);
         let sc = NetScenario::new()
             .at(2e-3, NetAction::FailLink { a: 0, b: 1 })
             .at(2e-3, NetAction::FailLink { a: 0, b: 3 })
@@ -183,7 +183,7 @@ fn parallel_matches_serial_with_heterogeneous_latencies() {
                 rate_pps: 20_000.0,
             },
         ];
-        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0xFADE);
+        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows);
         // Default is 10 µs everywhere; stretch 5-6 to 80 µs (a slow
         // edge on every 0→15 shortest path family) and shrink 9-10 to
         // 2 µs, which becomes the conservative lookahead.

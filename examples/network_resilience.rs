@@ -13,7 +13,7 @@
 //! them at all: identical topology, identical flows, identical fault
 //! instants — only the architecture differs.
 
-use dra::core::handle::ArchKind;
+use dra::core::health::ArchKind;
 use dra::topo::engine::build_network;
 use dra::topo::link::LinkConfig;
 use dra::topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};

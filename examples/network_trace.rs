@@ -29,7 +29,7 @@
 //! section is byte-identical at any `--sim-threads`, and the
 //! simulation results are byte-identical with collection off.
 
-use dra::core::handle::ArchKind;
+use dra::core::health::ArchKind;
 use dra::router::components::ComponentKind;
 use dra::telemetry as tm;
 use dra::topo::{Flow, NetAction, NetConfig, NetScenario, NetworkSim, Topology, TopologyKind};
@@ -60,7 +60,7 @@ fn build() -> NetworkSim {
             rate_pps: 25_000.0,
         },
     ];
-    let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows, 0xFA7);
+    let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows);
     let scenario = NetScenario::new()
         .at(
             2e-3,

@@ -3,7 +3,7 @@
 //! healthy or faulted. Extends the `proptest_invariants.rs` pattern
 //! one level up — from a single router to a network of them.
 
-use dra::core::handle::ArchKind;
+use dra::core::health::ArchKind;
 use dra::topo::engine::build_network;
 use dra::topo::link::LinkConfig;
 use dra::topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};
