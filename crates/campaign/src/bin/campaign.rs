@@ -9,13 +9,16 @@
 //! ```
 //!
 //! Artifacts land under `results/<spec>.json` by default, next to a
-//! `.partial.jsonl` checkpoint while a campaign is underway. Re-running
-//! the same spec resumes from the checkpoint; `--fresh` discards it.
+//! `.partial.jsonl` checkpoint while a campaign (packet or rare-event)
+//! is underway. Re-running the same spec resumes from the checkpoint;
+//! `--fresh` discards it.
 
-use dra_campaign::engine::{self, RunOptions};
-use dra_campaign::rareevent;
+use dra_campaign::json::{parse, Json};
+use dra_campaign::rareevent::{self, RareCampaignSpec};
 use dra_campaign::registry;
 use dra_campaign::report::{artifact_table, print_csv, print_table};
+use dra_campaign::sweep::{self, Outcome, RunOptions, Sweep};
+use dra_campaign::{engine, CampaignSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -125,9 +128,69 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// Drive a rare-event campaign with the subset of CLI knobs that apply
-/// to it (`--seed`, `--workers`, `--out`/`--no-out`, `--dry-run`).
-fn run_rare_campaign(mut spec: rareevent::RareCampaignSpec, cli: &Cli) -> ExitCode {
+/// Run `spec` with the CLI's run options, report progress, and print
+/// the finished artifact with `print`.
+fn execute<S: Sweep>(
+    spec: &S,
+    cli: &Cli,
+    run: impl FnOnce(&S, &RunOptions) -> std::io::Result<Outcome>,
+    print: impl FnOnce(&Json),
+) -> ExitCode {
+    let out = if cli.no_out {
+        None
+    } else {
+        Some(
+            cli.out
+                .clone()
+                .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name()))),
+        )
+    };
+    let opts = RunOptions {
+        workers: cli.workers,
+        out,
+        cell_budget: cli.cell_budget,
+        fresh: cli.fresh,
+        quiet: false,
+        progress: cli.progress,
+        telemetry: cli.telemetry,
+        telemetry_out: cli.telemetry_out.clone(),
+        trace_out: cli.trace.clone(),
+    };
+    eprintln!(
+        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
+        spec.name(),
+        spec.n_cells(),
+        spec.master_seed(),
+        spec.digest(),
+        opts.workers
+    );
+    let outcome = match run(spec, &opts) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("campaign failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    eprintln!(
+        "completed {} cells ({} resumed from checkpoint, {} failed), {} remaining",
+        outcome.completed, outcome.resumed, outcome.failed, outcome.remaining
+    );
+    let Some(artifact) = &outcome.artifact else {
+        eprintln!("cell budget exhausted; re-run to resume");
+        return ExitCode::SUCCESS;
+    };
+    print(artifact);
+    if let Some(path) = &outcome.artifact_path {
+        eprintln!("artifact: {}", path.display());
+    }
+    if outcome.failed > 0 {
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Drive a rare-event campaign (`--replications` does not apply).
+fn run_rare_campaign(mut spec: RareCampaignSpec, cli: &Cli) -> ExitCode {
     if let Some(seed) = cli.seed {
         spec.master_seed = seed;
     }
@@ -158,45 +221,7 @@ fn run_rare_campaign(mut spec: rareevent::RareCampaignSpec, cli: &Cli) -> ExitCo
         );
         return ExitCode::SUCCESS;
     }
-    let out = if cli.no_out {
-        None
-    } else {
-        Some(
-            cli.out
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name))),
-        )
-    };
-    eprintln!(
-        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
-        spec.name,
-        spec.cells.len(),
-        spec.master_seed,
-        spec.digest(),
-        cli.workers
-    );
-    let outcome = match rareevent::run(
-        &spec,
-        &rareevent::RareRunOptions {
-            workers: cli.workers,
-            out,
-            quiet: false,
-        },
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    rareevent::print_rare_table(&outcome.artifact);
-    if let Some(path) = &outcome.artifact_path {
-        eprintln!("artifact: {}", path.display());
-    }
-    if outcome.failed > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    execute(&spec, cli, rareevent::run, rareevent::print_rare_table)
 }
 
 fn main() -> ExitCode {
@@ -227,48 +252,13 @@ fn main() -> ExitCode {
         };
         // Dispatch on the artifact's own format field, so one --check
         // flag covers both campaign kinds.
-        let format = dra_campaign::json::parse(&text).ok().and_then(|doc| {
-            doc.get("format")
-                .and_then(dra_campaign::json::Json::as_str)
-                .map(String::from)
-        });
-        if format.as_deref() == Some(rareevent::RARE_ARTIFACT_FORMAT) {
-            return match rareevent::validate_rare_artifact(&text) {
-                Ok((cells, misses)) => {
-                    println!(
-                        "{}: valid {} artifact, {cells} cells, {misses} CI misses",
-                        path.display(),
-                        rareevent::RARE_ARTIFACT_FORMAT
-                    );
-                    if misses > 0 {
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{}: INVALID artifact: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        return match engine::validate_artifact(&text) {
-            Ok((cells, errors)) => {
-                println!(
-                    "{}: valid {} artifact, {cells} cells, {errors} error cells",
-                    path.display(),
-                    engine::ARTIFACT_FORMAT
-                );
-                if errors > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID artifact: {e}", path.display());
-                ExitCode::FAILURE
-            }
+        let format = parse(&text)
+            .ok()
+            .and_then(|doc| doc.get("format").and_then(Json::as_str).map(String::from));
+        return if format.as_deref() == Some(RareCampaignSpec::FORMAT) {
+            sweep::check::<RareCampaignSpec>(path, &text)
+        } else {
+            sweep::check::<CampaignSpec>(path, &text)
         };
     }
 
@@ -332,64 +322,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let out = if cli.no_out {
-        None
-    } else {
-        Some(
-            cli.out
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name))),
-        )
-    };
-    let opts = RunOptions {
-        workers: cli.workers,
-        out,
-        cell_budget: cli.cell_budget,
-        fresh: cli.fresh,
-        quiet: false,
-        progress: cli.progress,
-        telemetry: cli.telemetry,
-        telemetry_out: cli.telemetry_out.clone(),
-        trace_out: cli.trace.clone(),
-    };
-
-    eprintln!(
-        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
-        spec.name,
-        spec.cells.len(),
-        spec.master_seed,
-        spec.digest(),
-        opts.workers
-    );
-    let outcome = match engine::run(&spec, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            return ExitCode::FAILURE;
+    execute(&spec, &cli, engine::run, |artifact| {
+        let (headers, rows) = artifact_table(artifact);
+        if cli.csv {
+            print_csv(&headers, &rows);
+        } else {
+            print_table(&format!("campaign {}", spec.name), &headers, &rows);
         }
-    };
-
-    eprintln!(
-        "completed {} cells ({} resumed from checkpoint, {} failed), {} remaining",
-        outcome.completed, outcome.resumed, outcome.failed, outcome.remaining
-    );
-    if outcome.remaining > 0 {
-        eprintln!("cell budget exhausted; re-run to resume");
-        return ExitCode::SUCCESS;
-    }
-
-    let artifact = outcome.artifact.expect("complete run has an artifact");
-    let (headers, rows) = artifact_table(&artifact);
-    if cli.csv {
-        print_csv(&headers, &rows);
-    } else {
-        print_table(&format!("campaign {}", spec.name), &headers, &rows);
-    }
-    if let Some(path) = &outcome.artifact_path {
-        eprintln!("artifact: {}", path.display());
-    }
-    if outcome.failed > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    })
 }

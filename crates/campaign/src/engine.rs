@@ -1,412 +1,118 @@
-//! Campaign execution: cells → worker pool → aggregates → artifact.
+//! Campaign execution: the packet-simulation cells of a
+//! [`CampaignSpec`] run through the [`crate::sweep`] envelope
+//! (worker pool, checkpoint/resume, validated atomic artifact).
 //!
-//! Determinism contract: the artifact produced for a given spec is a
-//! pure function of the spec (master seed included). Worker count,
-//! scheduling order, resume boundaries, and cell budgets change only
-//! *when* cells run, never what they compute:
-//!
-//! * every replication draws its RNG streams from
-//!   [`crate::seed::derive_seed`], not from any shared RNG;
-//! * cell results render to JSON as they finish, and the final
-//!   artifact sorts them by cell index;
-//! * resumed cells are spliced in from the checkpoint verbatim (the
-//!   JSON round-trips `f64` exactly), so a resumed artifact is
-//!   byte-identical to a fresh one.
-//!
-//! Crash safety: finished cells append to a `<artifact>.partial.jsonl`
-//! checkpoint (stamped with the spec digest); the artifact itself is
-//! written to a temp file and atomically renamed, so readers never see
-//! a torn artifact and an interrupted campaign resumes by skipping the
-//! checkpointed cells.
+//! Every replication draws its RNG streams from
+//! [`crate::seed::derive_seed`], not from any shared RNG, so a cell's
+//! record is a pure function of the spec and the artifact is
+//! byte-identical at any worker count and across interrupt/resume.
 
-use crate::json::{parse, Json};
-use crate::pool::WorkerPool;
+use crate::json::Json;
 use crate::seed::{derive_seed, Stream};
 use crate::spec::{Arch, CampaignSpec, ScenarioTemplate};
+use crate::sweep::{self, welford_json};
 use dra_core::scenario::{Scenario, WindowedMetrics};
 use dra_core::sim::DraConfig;
 use dra_des::stats::Welford;
 use dra_router::metrics::{DropCause, RouterMetrics};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-/// The artifact format identifier; bump when the JSON layout changes.
-pub const ARTIFACT_FORMAT: &str = "dra-campaign/v1";
-/// The checkpoint format identifier.
-pub const CHECKPOINT_FORMAT: &str = "dra-campaign-checkpoint/v1";
+pub use crate::sweep::{Outcome as CampaignOutcome, RunOptions};
 
-/// Knobs for one engine invocation (not part of the spec: none of
-/// these may affect results).
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Worker threads (1 ⇒ fully serial in the calling thread).
-    pub workers: usize,
-    /// Artifact path. `None` runs in memory: no checkpoint, no file.
-    pub out: Option<PathBuf>,
-    /// Stop after completing this many *new* cells (checkpointing
-    /// them); `None` runs the whole grid. Used to bound invocation
-    /// time and to test resume.
-    pub cell_budget: Option<usize>,
-    /// Ignore (and overwrite) any existing checkpoint.
-    pub fresh: bool,
-    /// Suppress progress lines on stderr.
-    pub quiet: bool,
-    /// Opt-in heartbeat on stderr as cells complete (done count,
-    /// elapsed wall time, ETA). Writes only to stderr, so it cannot
-    /// change the artifact.
-    pub progress: bool,
-    /// Embed the merged `dra-telemetry/v1` snapshot as a `telemetry`
-    /// section in the artifact. Requires the `telemetry` feature.
-    pub telemetry: bool,
-    /// Write the merged `dra-telemetry/v1` snapshot to this path as a
-    /// standalone file, leaving the artifact byte-identical to a run
-    /// without telemetry. Requires the `telemetry` feature.
-    pub telemetry_out: Option<PathBuf>,
-    /// Write a Chrome `trace_event` JSON (Perfetto-loadable) of the
-    /// sampled packet lifecycles to this path. Requires the
-    /// `telemetry` feature.
-    pub trace_out: Option<PathBuf>,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            workers: crate::pool::default_workers(),
-            out: None,
-            cell_budget: None,
-            fresh: false,
-            quiet: true,
-            progress: false,
-            telemetry: false,
-            telemetry_out: None,
-            trace_out: None,
-        }
-    }
-}
-
-/// What one engine invocation accomplished.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// The complete artifact, present only when every cell finished.
-    pub artifact: Option<Json>,
-    /// Where the artifact was written (when complete and `out` set).
-    pub artifact_path: Option<PathBuf>,
-    /// Cells computed by *this* invocation.
-    pub completed: usize,
-    /// Cells skipped because the checkpoint already had them.
-    pub resumed: usize,
-    /// Cells still missing (> 0 ⇔ budget exhausted, artifact absent).
-    pub remaining: usize,
-    /// Cells that failed with a panic (included in the artifact as
-    /// error records).
-    pub failed: usize,
-}
+/// One cell's collected telemetry: its snapshot and trace events.
+#[cfg(feature = "telemetry")]
+type CellTele = Option<(dra_telemetry::Snapshot, Vec<dra_telemetry::TraceEvent>)>;
+#[cfg(not(feature = "telemetry"))]
+type CellTele = ();
 
 /// Execute a campaign.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOutcome> {
-    spec.validate();
-    let digest = spec.digest();
-
-    let collect = opts.telemetry || opts.telemetry_out.is_some() || opts.trace_out.is_some();
     #[cfg(not(feature = "telemetry"))]
-    if collect {
+    if opts.collects_telemetry() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "telemetry output requested, but dra-campaign was built without \
              the `telemetry` cargo feature (rebuild with --features telemetry)",
         ));
     }
+    sweep::run(
+        spec,
+        opts,
+        |i| observed_cell(spec, i, opts),
+        |tele| telemetry_section(tele, opts),
+    )
+}
 
-    // Load checkpointed cells, if any.
-    let ckpt_path = opts.out.as_ref().map(|p| checkpoint_path(p));
-    let mut done: BTreeMap<u64, Json> = BTreeMap::new();
-    if let Some(path) = &ckpt_path {
-        if opts.fresh {
-            let _ = fs::remove_file(path);
-        } else {
-            done = load_checkpoint(path, &digest, opts.quiet)?;
-        }
-    }
-    let resumed = done.len();
+/// Validate a `dra-campaign/v1` artifact (used by `--check` and the CI
+/// smoke job). Returns `(cells, error_cells)`.
+pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
+    sweep::validate::<CampaignSpec>(text)
+}
 
-    let mut pending: Vec<usize> = (0..spec.cells.len())
-        .filter(|i| !done.contains_key(&(*i as u64)))
-        .collect();
-    let total_pending = pending.len();
-    if let Some(budget) = opts.cell_budget {
-        pending.truncate(budget);
-    }
-
-    // Open the checkpoint for appending before any work starts, so a
-    // kill mid-run loses at most the in-flight cells.
-    let ckpt: Option<Mutex<fs::File>> = match &ckpt_path {
-        Some(path) if !pending.is_empty() => {
-            if let Some(dir) = path.parent() {
-                fs::create_dir_all(dir)?;
-            }
-            let fresh_file = !path.exists();
-            let mut f = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?;
-            if fresh_file || done.is_empty() {
-                // (Re)stamp the header when starting a new checkpoint.
-                if done.is_empty() {
-                    f = fs::File::create(path)?;
-                }
-                let header = Json::obj(vec![
-                    ("format", Json::Str(CHECKPOINT_FORMAT.into())),
-                    ("campaign", Json::Str(spec.name.clone())),
-                    ("digest", Json::Str(digest.clone())),
-                ]);
-                writeln!(f, "{}", header.to_string_compact())?;
-                f.flush()?;
-            }
-            Some(Mutex::new(f))
-        }
-        _ => None,
-    };
-
-    let pool = WorkerPool::new(opts.workers);
-    let quiet = opts.quiet;
-    let progress = opts.progress;
-    let heartbeat_total = pending.len();
-    let heartbeat_done = std::sync::atomic::AtomicUsize::new(0);
-    let heartbeat_start = std::time::Instant::now();
+/// Run one cell, capturing its telemetry when the run collects it.
+fn observed_cell(spec: &CampaignSpec, index: usize, opts: &RunOptions) -> (Json, CellTele) {
     #[cfg(feature = "telemetry")]
-    let collected: Mutex<
-        Vec<(
-            usize,
-            dra_telemetry::Snapshot,
-            Vec<dra_telemetry::TraceEvent>,
-        )>,
-    > = Mutex::new(Vec::new());
-    #[cfg(feature = "telemetry")]
-    let want_trace = opts.trace_out.is_some();
-    let outcomes = pool.try_map(pending.clone(), |&i| {
+    if opts.collects_telemetry() {
         // A fresh hub per cell: per-cell snapshots merge in cell-index
         // order afterwards, so worker count and scheduling cannot
         // change the merged section. enable() also discards any state
         // a panicked previous cell left on this worker thread.
-        #[cfg(feature = "telemetry")]
-        if collect {
-            dra_telemetry::enable(dra_telemetry::Config {
-                collect_trace: want_trace,
-                ..Default::default()
-            });
-        }
-        let cell_json = run_cell(spec, i);
-        #[cfg(feature = "telemetry")]
-        if collect {
-            if let Some(snap) = dra_telemetry::snapshot() {
-                let trace = dra_telemetry::take_trace_events();
-                collected
-                    .lock()
-                    .expect("telemetry lock")
-                    .push((i, snap, trace));
-            }
-            dra_telemetry::disable();
-        }
-        if let Some(f) = &ckpt {
-            let mut f = f.lock().expect("checkpoint lock");
-            writeln!(f, "{}", cell_json.to_string_compact()).expect("checkpoint write");
-            f.flush().expect("checkpoint flush");
-        }
-        if !quiet {
-            eprintln!("  cell {i} ({}) done", spec.cells[i].id);
-        }
-        if progress {
-            let done = heartbeat_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let elapsed = heartbeat_start.elapsed().as_secs_f64();
-            let eta = elapsed / done as f64 * (heartbeat_total - done) as f64;
-            eprintln!(
-                "[campaign] {done}/{heartbeat_total} cells, \
-                 {elapsed:.1}s elapsed, eta {eta:.1}s"
-            );
-        }
-        cell_json
-    });
-
-    let mut failed = 0;
-    for (idx, outcome) in pending.iter().zip(outcomes) {
-        let cell_json = match outcome {
-            Ok(j) => j,
-            Err(p) => {
-                // The whole cell panicked before it could checkpoint;
-                // record the failure so the artifact stays complete.
-                // Key by the cell index the panic itself carries —
-                // `pending[p.index]` — not the zip position, so the
-                // attribution holds even if result order ever changes.
-                failed += 1;
-                debug_assert_eq!(pending[p.index], *idx);
-                let j = error_cell(spec, pending[p.index], &p.message);
-                if let Some(f) = &ckpt {
-                    let mut f = f.lock().expect("checkpoint lock");
-                    writeln!(f, "{}", j.to_string_compact())?;
-                    f.flush()?;
-                }
-                j
-            }
-        };
-        done.insert(*idx as u64, cell_json);
-    }
-
-    let remaining = spec.cells.len() - done.len();
-    if remaining > 0 {
-        return Ok(CampaignOutcome {
-            artifact: None,
-            artifact_path: None,
-            completed: total_pending - remaining,
-            resumed,
-            remaining,
-            failed,
+        dra_telemetry::enable(dra_telemetry::Config {
+            collect_trace: opts.trace_out.is_some(),
+            ..Default::default()
         });
+        let record = run_cell(spec, index);
+        let tele = dra_telemetry::snapshot().map(|s| (s, dra_telemetry::take_trace_events()));
+        dra_telemetry::disable();
+        return (record, tele);
     }
+    #[cfg(not(feature = "telemetry"))]
+    let _ = opts;
+    (run_cell(spec, index), Default::default())
+}
 
-    // Merged telemetry: fold per-cell snapshots in cell-index order
-    // (Snapshot::merge is commutative and associative, so any order
-    // gives the same bytes; sorting makes that self-evident) and
-    // route the result to the requested exporters.
-    #[cfg(feature = "telemetry")]
-    let telemetry_section: Option<Json> = if collect {
-        let mut cells_collected = collected.into_inner().expect("telemetry lock");
-        cells_collected.sort_by_key(|&(i, _, _)| i);
-        let n_merged = cells_collected.len();
-        let mut merged: Option<dra_telemetry::Snapshot> = None;
-        let mut trace_events = Vec::new();
-        for (_, snap, trace) in cells_collected {
-            match &mut merged {
-                Some(m) => m.merge(&snap),
-                None => merged = Some(snap),
-            }
-            trace_events.extend(trace);
+/// Merge the per-cell snapshots (in cell-index order, so the bytes
+/// cannot depend on scheduling), route them to the requested
+/// exporters, and return the section to embed when `opts.telemetry`.
+#[cfg(feature = "telemetry")]
+fn telemetry_section(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<Option<Json>> {
+    let mut merged: Option<dra_telemetry::Snapshot> = None;
+    let mut trace_events = Vec::new();
+    let mut n_merged = 0;
+    for (snap, trace) in tele.into_iter().flatten() {
+        match &mut merged {
+            Some(m) => m.merge(&snap),
+            None => merged = Some(snap),
         }
-        if let Some(path) = &opts.trace_out {
-            write_atomic(path, &dra_telemetry::chrome_trace_json(&trace_events))?;
+        trace_events.extend(trace);
+        n_merged += 1;
+    }
+    if let Some(path) = &opts.trace_out {
+        sweep::write_atomic(path, &dra_telemetry::chrome_trace_json(&trace_events))?;
+    }
+    let mut section = match merged {
+        Some(s) => {
+            crate::json::parse(&s.to_json_string()).expect("telemetry snapshot emits valid JSON")
         }
-        let mut section = match merged {
-            Some(s) => parse(&s.to_json_string()).expect("telemetry snapshot emits valid JSON"),
-            // Nothing ran this invocation (everything resumed): an
-            // empty but schema-valid section.
-            None => Json::obj(vec![
-                ("format", Json::Str(dra_telemetry::SNAPSHOT_FORMAT.into())),
-                ("counters", Json::Obj(Vec::new())),
-            ]),
-        };
-        if let Json::Obj(pairs) = &mut section {
-            pairs.push(("cells_merged".to_string(), Json::Num(n_merged as f64)));
-        }
-        if let Some(path) = &opts.telemetry_out {
-            write_atomic(path, &section.to_string_pretty())?;
-        }
-        Some(section)
-    } else {
-        None
+        // No cell produced a snapshot: an empty but schema-valid section.
+        None => Json::obj(vec![
+            ("format", Json::Str(dra_telemetry::SNAPSHOT_FORMAT.into())),
+            ("counters", Json::Obj(Vec::new())),
+        ]),
     };
-
-    // All cells present: assemble, write atomically, drop checkpoint.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-    let mut fields = vec![
-        ("format", Json::Str(ARTIFACT_FORMAT.into())),
-        ("digest", Json::Str(digest)),
-        ("spec", spec.manifest()),
-        ("cells", Json::Arr(done.into_values().collect())),
-    ];
-    #[cfg(feature = "telemetry")]
-    if opts.telemetry {
-        if let Some(section) = telemetry_section {
-            fields.push(("telemetry", section));
-        }
+    if let Json::Obj(pairs) = &mut section {
+        pairs.push(("cells_merged".to_string(), Json::Num(n_merged as f64)));
     }
-    let artifact = Json::obj(fields);
-    let mut artifact_path = None;
-    if let Some(out) = &opts.out {
-        write_atomic(out, &artifact.to_string_pretty())?;
-        if let Some(path) = &ckpt_path {
-            let _ = fs::remove_file(path);
-        }
-        artifact_path = Some(out.clone());
+    if let Some(path) = &opts.telemetry_out {
+        sweep::write_atomic(path, &section.to_string_pretty())?;
     }
-    Ok(CampaignOutcome {
-        artifact: Some(artifact),
-        artifact_path,
-        completed: total_pending,
-        resumed,
-        remaining: 0,
-        failed,
-    })
+    Ok(opts.telemetry.then_some(section))
 }
 
-/// The checkpoint path for an artifact path.
-pub fn checkpoint_path(artifact: &Path) -> PathBuf {
-    let mut name = artifact.file_name().unwrap_or_default().to_os_string();
-    name.push(".partial.jsonl");
-    artifact.with_file_name(name)
-}
-
-fn load_checkpoint(path: &Path, digest: &str, quiet: bool) -> std::io::Result<BTreeMap<u64, Json>> {
-    let mut done = BTreeMap::new();
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(done),
-        Err(e) => return Err(e),
-    };
-    let mut lines = text.lines();
-    let header = match lines.next().and_then(|l| parse(l).ok()) {
-        Some(h) => h,
-        None => return Ok(done), // unreadable checkpoint: start over
-    };
-    let matches = header.get("format").and_then(Json::as_str) == Some(CHECKPOINT_FORMAT)
-        && header.get("digest").and_then(Json::as_str) == Some(digest);
-    if !matches {
-        if !quiet {
-            eprintln!(
-                "  checkpoint at {} is for a different spec; ignoring",
-                path.display()
-            );
-        }
-        return Ok(done);
-    }
-    for line in lines {
-        // A truncated last line (crash mid-write) parses as an error
-        // and is simply re-run.
-        if let Ok(cell) = parse(line) {
-            if let Some(idx) = cell.get("cell").and_then(Json::as_u64) {
-                done.insert(idx, cell);
-            }
-        }
-    }
-    Ok(done)
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-fn error_cell(spec: &CampaignSpec, index: usize, message: &str) -> Json {
-    Json::obj(vec![
-        ("cell", Json::Num(index as f64)),
-        ("id", Json::Str(spec.cells[index].id.clone())),
-        ("error", Json::Str(message.to_string())),
-    ])
+#[cfg(not(feature = "telemetry"))]
+fn telemetry_section(_: Vec<CellTele>, _: &RunOptions) -> std::io::Result<Option<Json>> {
+    Ok(None)
 }
 
 /// Run every replication of one cell and reduce to its JSON record.
@@ -527,98 +233,6 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
     ])
 }
 
-fn welford_json(w: &Welford) -> Json {
-    if w.count() == 0 {
-        return Json::obj(vec![("n", Json::Num(0.0))]);
-    }
-    let ci = if w.count() >= 2 {
-        w.ci_half_width(1.96)
-    } else {
-        0.0
-    };
-    Json::obj(vec![
-        ("n", Json::Num(w.count() as f64)),
-        ("mean", Json::Num(w.mean())),
-        ("ci95", Json::Num(ci)),
-        ("min", Json::Num(w.min())),
-        ("max", Json::Num(w.max())),
-    ])
-}
-
-/// Structural validation of an artifact document (used by `--check`
-/// and the CI smoke job). Returns `(cells, error_cells)`.
-pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    if doc.get("format").and_then(Json::as_str) != Some(ARTIFACT_FORMAT) {
-        return Err(format!(
-            "format is {:?}, expected {ARTIFACT_FORMAT:?}",
-            doc.get("format")
-        ));
-    }
-    doc.get("digest")
-        .and_then(Json::as_str)
-        .filter(|d| d.len() == 16)
-        .ok_or("missing/malformed digest")?;
-    let spec = doc.get("spec").ok_or("missing spec manifest")?;
-    let spec_cells = spec
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("spec manifest has no cells")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.len() != spec_cells.len() {
-        return Err(format!(
-            "artifact has {} cells but the spec declares {}",
-            cells.len(),
-            spec_cells.len()
-        ));
-    }
-    let mut errors = 0;
-    for (i, cell) in cells.iter().enumerate() {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        cell.get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if cell.get("error").is_some() {
-            errors += 1;
-            continue;
-        }
-        let mean = cell
-            .get("delivery")
-            .and_then(|d| d.get("mean"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("cell {i}: missing delivery.mean"))?;
-        if !(0.0..=1.0).contains(&mean) {
-            return Err(format!("cell {i}: delivery.mean {mean} outside [0,1]"));
-        }
-    }
-    // The telemetry section is optional, but must be well-formed
-    // whenever present.
-    if let Some(t) = doc.get("telemetry") {
-        let fmt = t.get("format").and_then(Json::as_str);
-        if fmt != Some("dra-telemetry/v1") {
-            return Err(format!(
-                "telemetry section format is {fmt:?}, expected \"dra-telemetry/v1\""
-            ));
-        }
-        if !matches!(t.get("counters"), Some(Json::Obj(_))) {
-            return Err("telemetry section missing counters object".into());
-        }
-        t.get("cells_merged")
-            .and_then(Json::as_u64)
-            .ok_or("telemetry section missing cells_merged")?;
-    }
-    Ok((cells.len(), errors))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,7 +335,7 @@ mod tests {
         .unwrap();
         let text = out.artifact.unwrap().to_string_pretty();
         validate_artifact(&text).unwrap();
-        let doc = parse(&text).unwrap();
+        let doc = crate::json::parse(&text).unwrap();
         let t = doc.get("telemetry").expect("telemetry section present");
         assert_eq!(
             t.get("format").and_then(Json::as_str),
@@ -777,9 +391,9 @@ mod tests {
             traced.artifact.unwrap().to_string_pretty(),
             "--telemetry-out must not touch the artifact"
         );
-        let snap = fs::read_to_string(&snap_path).expect("snapshot file written");
-        let _ = fs::remove_file(&snap_path);
-        let doc = parse(&snap).unwrap();
+        let snap = std::fs::read_to_string(&snap_path).expect("snapshot file written");
+        let _ = std::fs::remove_file(&snap_path);
+        let doc = crate::json::parse(&snap).unwrap();
         assert_eq!(
             doc.get("format").and_then(Json::as_str),
             Some("dra-telemetry/v1")
@@ -787,14 +401,22 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_path_is_sibling() {
-        let p = checkpoint_path(Path::new("results/faceoff.json"));
-        assert_eq!(p, Path::new("results/faceoff.json.partial.jsonl"));
-    }
-
-    #[test]
     fn validate_artifact_rejects_garbage() {
         assert!(validate_artifact("not json").is_err());
         assert!(validate_artifact("{\"format\":\"something-else\"}").is_err());
+    }
+
+    #[test]
+    fn validate_artifact_recomputes_the_digest() {
+        let text = run(&spec(2, 1), &RunOptions::default())
+            .unwrap()
+            .artifact_text;
+        assert!(validate_artifact(&text).is_ok());
+        // Hand-edit one manifest field: the stamped digest no longer
+        // matches the embedded spec, so the artifact is rejected.
+        let edited = text.replacen("\"replications\": 1", "\"replications\": 2", 1);
+        assert_ne!(edited, text);
+        let err = validate_artifact(&edited).unwrap_err();
+        assert!(err.contains("does not match"), "{err}");
     }
 }

@@ -18,19 +18,24 @@
 //! * [`pool`] — the workspace's worker pool (scoped threads, shared
 //!   work queue, per-item panic isolation). `dra-bench::parallel_map`
 //!   is now a re-export of [`pool::parallel_map`].
-//! * [`engine`] — runs cells on the pool, aggregates per-cell stats
-//!   ([`dra_des::stats::Welford`] delivery CI, drop-cause breakdown,
-//!   EIB counters, windowed per-LC bytes), checkpoints finished cells
-//!   to a `.partial.jsonl`, and atomically writes a versioned JSON
-//!   artifact. Interrupted campaigns resume by skipping checkpointed
-//!   cells — and still produce byte-identical artifacts.
+//! * [`sweep`] — the envelope every sweep kind shares: the [`Sweep`]
+//!   trait (manifest, FNV-1a digest, per-record check), the run loop
+//!   (pool, error cells, index-ordered assembly, `.partial.jsonl`
+//!   checkpoint/resume, validate-before-write, atomic write), and the
+//!   artifact validator behind `--check`. Interrupted sweeps resume by
+//!   skipping checkpointed cells — and still produce byte-identical
+//!   artifacts.
+//! * [`engine`] — the packet campaign's cells: aggregates per-cell
+//!   stats ([`dra_des::stats::Welford`] delivery CI, drop-cause
+//!   breakdown, EIB counters, windowed per-LC bytes) and folds
+//!   per-cell telemetry.
 //! * [`registry`] — built-in specs (`faceoff`, `fig8`) with `--quick`
 //!   CI reductions.
 //! * [`rareevent`] — a second campaign kind: grids of
 //!   [`dra_core::rareevent`] estimator runs (importance splitting,
 //!   likelihood-ratio failure biasing, brute force) with a per-cell
 //!   exact-Markov cross-check, emitted as `dra-rareevent/v1`
-//!   artifacts under the same determinism contract.
+//!   artifacts through the same envelope.
 //! * [`json`] / [`report`] — the hand-rolled JSON layer (the build
 //!   environment has no serde) and shared table/CSV printers.
 //!
@@ -47,7 +52,9 @@ pub mod registry;
 pub mod report;
 pub mod seed;
 pub mod spec;
+pub mod sweep;
 
 pub use engine::{run, CampaignOutcome, RunOptions};
 pub use pool::{parallel_map, WorkerPool};
 pub use spec::{Arch, CampaignSpec, CellSpec, ScenarioTemplate};
+pub use sweep::Sweep;

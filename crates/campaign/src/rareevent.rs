@@ -2,15 +2,14 @@
 //! [`dra_core::rareevent`] estimator runs with a built-in exact-Markov
 //! cross-check per cell.
 //!
-//! A [`RareCampaignSpec`] is deliberately parallel to
-//! [`crate::spec::CampaignSpec`]: a named grid of cells plus one master
-//! seed, a canonical JSON manifest, and an FNV-1a digest stamped into
-//! the artifact. Cells run on the same [`crate::pool::WorkerPool`] and
-//! draw their RNG seed from [`crate::seed::derive_seed`] keyed by cell
-//! index, so the `dra-rareevent/v1` artifact is byte-identical for any
-//! worker count — including the splitting estimator, whose clone
-//! trajectories derive *their* seeds structurally inside the core
-//! estimator.
+//! A [`RareCampaignSpec`] is a [`Sweep`] like
+//! [`crate::spec::CampaignSpec`], so it runs through the same
+//! [`crate::sweep`] envelope (worker pool, checkpoint/resume, digest,
+//! validated atomic artifact). Cells draw their RNG seed from
+//! [`crate::seed::derive_seed`] keyed by cell index, so the
+//! `dra-rareevent/v1` artifact is byte-identical for any worker count
+//! — including the splitting estimator, whose clone trajectories
+//! derive *their* seeds structurally inside the core estimator.
 //!
 //! What makes this campaign kind different from the packet campaigns:
 //! every cell also solves the **exact** component-level Markov model
@@ -19,20 +18,13 @@
 //! is therefore self-validating: `campaign --check` fails if any cell's
 //! CI misses truth, no external baseline needed.
 
-use crate::json::{parse, Json};
-use crate::pool::WorkerPool;
+use crate::json::Json;
 use crate::report::print_table;
 use crate::seed::{derive_seed, Stream};
+use crate::sweep::{self, Outcome, RunOptions, Sweep};
 use dra_core::analysis::nines::{format_nines_interval, nines_interval};
 use dra_core::rareevent::{estimate, markov_oracle, RareConfig, RareMethod};
 use dra_router::components::FailureRates;
-use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-/// The rare-event artifact format identifier.
-pub const RARE_ARTIFACT_FORMAT: &str = "dra-rareevent/v1";
 
 /// One grid point: a configuration and the estimator to run on it.
 #[derive(Debug, Clone)]
@@ -55,23 +47,25 @@ pub struct RareCellSpec {
 }
 
 impl RareCellSpec {
-    fn validate(&self, index: usize) {
-        assert!(self.n >= 3, "cell {index}: n < 3");
-        assert!(
-            (2..=self.n).contains(&self.m),
-            "cell {index}: m outside 2..=n"
-        );
-        assert!(self.mu > 0.0, "cell {index}: non-positive repair rate");
-        assert!(self.cycles >= 1, "cell {index}: no cycles");
-        if let RareMethod::FailureBiasing { bias } = self.method {
-            assert!(
-                (0.0..1.0).contains(&bias) && bias > 0.0,
-                "cell {index}: bias outside (0,1)"
-            );
-        }
-        if let RareMethod::Splitting { clones } = self.method {
-            assert!(clones >= 1, "cell {index}: zero clones");
-        }
+    fn validate(&self, index: usize) -> Result<(), String> {
+        let fault = if self.n < 3 {
+            "n < 3"
+        } else if !(2..=self.n).contains(&self.m) {
+            "m outside 2..=n"
+        } else if self.mu.is_nan() || self.mu <= 0.0 {
+            "non-positive repair rate"
+        } else if self.cycles < 1 {
+            "no cycles"
+        } else {
+            match self.method {
+                RareMethod::FailureBiasing { bias } if !(bias > 0.0 && bias < 1.0) => {
+                    "bias outside (0,1)"
+                }
+                RareMethod::Splitting { clones: 0 } => "zero clones",
+                _ => return Ok(()),
+            }
+        };
+        Err(format!("cell {index}: {fault}"))
     }
 
     /// Canonical JSON description (everything that affects results).
@@ -122,140 +116,77 @@ pub struct RareCampaignSpec {
     pub cells: Vec<RareCellSpec>,
 }
 
-impl RareCampaignSpec {
-    /// Panic on malformed specs (empty grid, duplicate ids, bad cells).
-    pub fn validate(&self) {
-        assert!(!self.cells.is_empty(), "campaign {:?} empty", self.name);
+impl Sweep for RareCampaignSpec {
+    const FORMAT: &'static str = "dra-rareevent/v1";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn description(&self) -> &str {
+        &self.description
+    }
+
+    fn master_seed(&self) -> u64 {
+        self.master_seed
+    }
+
+    fn n_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn cell_id(&self, i: usize) -> &str {
+        &self.cells[i].id
+    }
+
+    fn cell_manifest(&self, i: usize) -> Json {
+        self.cells[i].manifest()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.cells.is_empty() {
+            return Err(format!("campaign {:?} empty", self.name));
+        }
         let mut ids = std::collections::HashSet::new();
         for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i);
-            assert!(
-                ids.insert(cell.id.as_str()),
-                "duplicate cell id {:?}",
-                cell.id
-            );
-        }
-    }
-
-    /// Canonical JSON manifest: name, seed, and every cell.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(|c| c.manifest()).collect()),
-            ),
-        ])
-    }
-
-    /// FNV-1a digest of the compact manifest (same scheme as
-    /// [`crate::spec::CampaignSpec::digest`]).
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
-    }
-}
-
-/// Knobs for one rare-engine invocation (none may affect results).
-#[derive(Debug, Clone, Default)]
-pub struct RareRunOptions {
-    /// Worker threads (0 ⇒ pool default, 1 ⇒ serial).
-    pub workers: usize,
-    /// Artifact path; `None` runs in memory.
-    pub out: Option<PathBuf>,
-    /// Suppress progress lines on stderr.
-    pub quiet: bool,
-}
-
-/// What one rare-engine invocation produced.
-#[derive(Debug)]
-pub struct RareOutcome {
-    /// The complete artifact.
-    pub artifact: Json,
-    /// Where it was written (when `out` was set).
-    pub artifact_path: Option<PathBuf>,
-    /// Cells whose estimator panicked (recorded as error cells).
-    pub failed: usize,
-}
-
-/// Execute a rare-event campaign. Cells are embarrassingly parallel
-/// and fast (minutes at worst), so there is no checkpoint/resume — the
-/// artifact is assembled in memory and written atomically.
-pub fn run(spec: &RareCampaignSpec, opts: &RareRunOptions) -> std::io::Result<RareOutcome> {
-    spec.validate();
-    let workers = if opts.workers == 0 {
-        crate::pool::default_workers()
-    } else {
-        opts.workers
-    };
-    let pool = WorkerPool::new(workers);
-    let indices: Vec<usize> = (0..spec.cells.len()).collect();
-    let quiet = opts.quiet;
-    let outcomes = pool.try_map(indices.clone(), |&i| {
-        let cell_json = run_cell(spec, i);
-        if !quiet {
-            eprintln!("  cell {i} ({}) done", spec.cells[i].id);
-        }
-        cell_json
-    });
-
-    let mut failed = 0;
-    let mut done: BTreeMap<usize, Json> = BTreeMap::new();
-    for (idx, outcome) in indices.iter().zip(outcomes) {
-        let cell_json = match outcome {
-            Ok(j) => j,
-            Err(p) => {
-                failed += 1;
-                Json::obj(vec![
-                    ("cell", Json::Num(indices[p.index] as f64)),
-                    ("id", Json::Str(spec.cells[indices[p.index]].id.clone())),
-                    ("error", Json::Str(p.message.clone())),
-                ])
+            cell.validate(i)?;
+            if !ids.insert(cell.id.as_str()) {
+                return Err(format!("duplicate cell id {:?}", cell.id));
             }
-        };
-        done.insert(*idx, cell_json);
+        }
+        Ok(())
     }
 
-    let artifact = Json::obj(vec![
-        ("format", Json::Str(RARE_ARTIFACT_FORMAT.into())),
-        ("digest", Json::Str(spec.digest())),
-        ("spec", spec.manifest()),
-        ("cells", Json::Arr(done.into_values().collect())),
-    ]);
-    let mut artifact_path = None;
-    if let Some(out) = &opts.out {
-        write_atomic(out, &artifact.to_string_pretty())?;
-        artifact_path = Some(out.clone());
-    }
-    Ok(RareOutcome {
-        artifact,
-        artifact_path,
-        failed,
-    })
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
+    /// Both unavailabilities are probabilities; the record is flagged
+    /// when the estimate's CI misses the exact Markov answer.
+    fn check_record(record: &Json) -> Result<bool, String> {
+        let u = record
+            .get("estimate")
+            .and_then(|e| e.get("unavailability"))
+            .and_then(Json::as_f64)
+            .ok_or("missing estimate.unavailability")?;
+        if !(0.0..=1.0).contains(&u) {
+            return Err(format!("unavailability {u} outside [0,1]"));
+        }
+        let exact = record
+            .get("markov")
+            .and_then(|m| m.get("unavailability"))
+            .and_then(Json::as_f64)
+            .ok_or("missing markov.unavailability")?;
+        if !(0.0..=1.0).contains(&exact) {
+            return Err("exact unavailability out of range".into());
+        }
+        match record.get("markov").and_then(|m| m.get("within_ci")) {
+            Some(Json::Bool(covered)) => Ok(*covered),
+            _ => Err("missing markov.within_ci".into()),
         }
     }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
+}
+
+/// Execute a rare-event campaign through the [`crate::sweep`] envelope
+/// (so an interrupted run with `opts.out` resumes from its checkpoint).
+pub fn run(spec: &RareCampaignSpec, opts: &RunOptions) -> std::io::Result<Outcome> {
+    sweep::run(spec, opts, |i| (run_cell(spec, i), ()), |_| Ok(None))
 }
 
 /// `Num` for finite values, `Null` otherwise (a brute-force cell at
@@ -335,79 +266,6 @@ fn run_cell(spec: &RareCampaignSpec, index: usize) -> Json {
             ]),
         ),
     ])
-}
-
-/// Structural + statistical validation of a `dra-rareevent/v1`
-/// artifact. Returns `(cells, misses)` where `misses` counts cells
-/// whose CI failed to cover the exact Markov answer (plus error
-/// cells). Used by `campaign --check` and the CI smoke job.
-pub fn validate_rare_artifact(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    if doc.get("format").and_then(Json::as_str) != Some(RARE_ARTIFACT_FORMAT) {
-        return Err(format!(
-            "format is {:?}, expected {RARE_ARTIFACT_FORMAT:?}",
-            doc.get("format")
-        ));
-    }
-    doc.get("digest")
-        .and_then(Json::as_str)
-        .filter(|d| d.len() == 16)
-        .ok_or("missing/malformed digest")?;
-    let spec_cells = doc
-        .get("spec")
-        .and_then(|s| s.get("cells"))
-        .and_then(Json::as_arr)
-        .ok_or("spec manifest has no cells")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.len() != spec_cells.len() {
-        return Err(format!(
-            "artifact has {} cells but the spec declares {}",
-            cells.len(),
-            spec_cells.len()
-        ));
-    }
-    let mut misses = 0;
-    for (i, cell) in cells.iter().enumerate() {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        cell.get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if cell.get("error").is_some() {
-            misses += 1;
-            continue;
-        }
-        let u = cell
-            .get("estimate")
-            .and_then(|e| e.get("unavailability"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("cell {i}: missing estimate.unavailability"))?;
-        if !(0.0..=1.0).contains(&u) {
-            return Err(format!("cell {i}: unavailability {u} outside [0,1]"));
-        }
-        let exact = cell
-            .get("markov")
-            .and_then(|m| m.get("unavailability"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("cell {i}: missing markov.unavailability"))?;
-        if !(0.0..=1.0).contains(&exact) {
-            return Err(format!("cell {i}: exact unavailability out of range"));
-        }
-        match cell.get("markov").and_then(|m| m.get("within_ci")) {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => misses += 1,
-            _ => return Err(format!("cell {i}: missing markov.within_ci")),
-        }
-    }
-    Ok((cells.len(), misses))
 }
 
 /// Registry of built-in rare-event specs (the `--spec` names the
@@ -574,10 +432,10 @@ mod tests {
 
     #[test]
     fn run_produces_valid_artifact_and_cis_cover() {
-        let out = run(&tiny_spec(), &RareRunOptions::default()).unwrap();
+        let out = run(&tiny_spec(), &RunOptions::default()).unwrap();
         assert_eq!(out.failed, 0);
-        let text = out.artifact.to_string_pretty();
-        let (cells, misses) = validate_rare_artifact(&text).unwrap();
+        let text = out.artifact_text;
+        let (cells, misses) = sweep::validate::<RareCampaignSpec>(&text).unwrap();
         assert_eq!(cells, 3);
         assert_eq!(misses, 0, "a CI missed the exact answer:\n{text}");
     }
@@ -588,14 +446,13 @@ mod tests {
         let at = |workers| {
             run(
                 &spec,
-                &RareRunOptions {
+                &RunOptions {
                     workers,
                     ..Default::default()
                 },
             )
             .unwrap()
-            .artifact
-            .to_string_pretty()
+            .artifact_text
         };
         assert_eq!(at(1), at(4));
     }
@@ -604,7 +461,7 @@ mod tests {
     fn registry_builds_and_validates() {
         for entry in RARE_ENTRIES {
             let spec = build(entry.name, false).expect(entry.name);
-            spec.validate();
+            spec.validate().unwrap();
             assert!(!spec.cells.is_empty());
         }
         assert!(
@@ -616,7 +473,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_wrong_format() {
-        assert!(validate_rare_artifact("{\"format\":\"dra-campaign/v1\"}").is_err());
-        assert!(validate_rare_artifact("nope").is_err());
+        let validate = sweep::validate::<RareCampaignSpec>;
+        assert!(validate("{\"format\":\"dra-campaign/v1\"}").is_err());
+        assert!(validate("nope").is_err());
     }
 }

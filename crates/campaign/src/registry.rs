@@ -171,13 +171,14 @@ fn fig8(quick: bool) -> CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Sweep;
 
     #[test]
     fn every_entry_builds_and_validates() {
         for entry in ENTRIES {
             for quick in [false, true] {
                 let spec = build(entry.name, quick).expect(entry.name);
-                spec.validate();
+                spec.validate().unwrap();
                 assert_eq!(spec.name, entry.name);
                 assert!(!spec.cells.is_empty());
             }

@@ -8,11 +8,12 @@
 //! `(master_seed, seed_group, replication)` via [`crate::seed`], so a
 //! spec pins its results bit-for-bit regardless of worker count.
 //!
-//! The spec also renders a canonical JSON *manifest* of itself; its
-//! FNV-1a digest stamps checkpoints and artifacts so a resume against
-//! an edited spec is rejected instead of producing a franken-artifact.
+//! The spec is a [`Sweep`]: its canonical JSON *manifest* and FNV-1a
+//! digest stamp checkpoints and artifacts, so a resume against an
+//! edited spec is rejected instead of producing a franken-artifact.
 
 use crate::json::Json;
+use crate::sweep::Sweep;
 use dra_core::scenario::{Action, FaultProcess, Scenario};
 use dra_router::bdr::BdrConfig;
 
@@ -91,21 +92,25 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    fn validate(&self, index: usize) {
-        assert!(self.replications >= 1, "cell {index}: replications < 1");
-        assert!(
-            self.config.faults.is_none(),
-            "cell {index} ({}): set faults via the scenario template, \
-             not BdrConfig::faults",
-            self.id
-        );
+    fn validate(&self, index: usize) -> Result<(), String> {
+        if self.replications < 1 {
+            return Err(format!("cell {index}: replications < 1"));
+        }
+        if self.config.faults.is_some() {
+            return Err(format!(
+                "cell {index} ({}): set faults via the scenario template, \
+                 not BdrConfig::faults",
+                self.id
+            ));
+        }
         let horizon = self.scenario.horizon_s();
-        assert!(
-            (0.0..=horizon).contains(&self.measure_from_s),
-            "cell {index} ({}): measure_from {} outside [0, {horizon}]",
-            self.id,
-            self.measure_from_s
-        );
+        if !(0.0..=horizon).contains(&self.measure_from_s) {
+            return Err(format!(
+                "cell {index} ({}): measure_from {} outside [0, {horizon}]",
+                self.id, self.measure_from_s
+            ));
+        }
+        Ok(())
     }
 
     /// Canonical JSON description (everything that affects results).
@@ -218,51 +223,58 @@ pub struct CampaignSpec {
     pub cells: Vec<CellSpec>,
 }
 
-impl CampaignSpec {
-    /// Panic on malformed specs (empty grid, duplicate ids, faulty
-    /// cells). Called by the engine before execution.
-    pub fn validate(&self) {
-        assert!(
-            !self.cells.is_empty(),
-            "campaign {:?} has no cells",
-            self.name
-        );
+impl Sweep for CampaignSpec {
+    const FORMAT: &'static str = "dra-campaign/v1";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn description(&self) -> &str {
+        &self.description
+    }
+
+    fn master_seed(&self) -> u64 {
+        self.master_seed
+    }
+
+    fn n_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn cell_id(&self, i: usize) -> &str {
+        &self.cells[i].id
+    }
+
+    fn cell_manifest(&self, i: usize) -> Json {
+        self.cells[i].manifest()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.cells.is_empty() {
+            return Err(format!("campaign {:?} has no cells", self.name));
+        }
         let mut ids = std::collections::HashSet::new();
         for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i);
-            assert!(
-                ids.insert(cell.id.as_str()),
-                "duplicate cell id {:?}",
-                cell.id
-            );
+            cell.validate(i)?;
+            if !ids.insert(cell.id.as_str()) {
+                return Err(format!("duplicate cell id {:?}", cell.id));
+            }
         }
+        Ok(())
     }
 
-    /// Canonical JSON manifest: name, seed, and every cell.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(|c| c.manifest()).collect()),
-            ),
-        ])
-    }
-
-    /// FNV-1a digest of the compact manifest, rendered as fixed-width
-    /// hex. Stamped into checkpoints and artifacts; a resume whose
-    /// digest differs from the checkpoint's is running a different
-    /// experiment and is refused.
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// A [`crate::engine`] record's `delivery.mean` lies in `[0, 1]`.
+    fn check_record(record: &Json) -> Result<bool, String> {
+        let mean = record
+            .get("delivery")
+            .and_then(|d| d.get("mean"))
+            .and_then(Json::as_f64)
+            .ok_or("missing delivery.mean")?;
+        if !(0.0..=1.0).contains(&mean) {
+            return Err(format!("delivery.mean {mean} outside [0,1]"));
         }
-        format!("{h:016x}")
+        Ok(true)
     }
 }
 
@@ -322,20 +334,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate cell id")]
     fn duplicate_ids_rejected() {
         let mut spec = tiny_spec();
         let dup = spec.cells[0].clone();
         spec.cells.push(dup);
-        spec.validate();
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("duplicate cell id"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "not BdrConfig::faults")]
     fn live_fault_injector_rejected() {
         use dra_router::faults::{FaultGranularity, FaultInjector};
         let mut spec = tiny_spec();
         spec.cells[0].config.faults = Some(FaultInjector::new(3.0, FaultGranularity::WholeLc));
-        spec.validate();
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("not BdrConfig::faults"), "{err}");
     }
 }

@@ -9,12 +9,14 @@
 //! ```
 //!
 //! Artifacts land under `results/topo_<spec>.json` by default and are
-//! byte-identical at every worker count.
+//! byte-identical at every worker count. An interrupted sweep resumes
+//! from the `.partial.jsonl` checkpoint next to the artifact.
 
 use dra_campaign::json::Json;
 use dra_campaign::report::{print_csv, print_table};
+use dra_campaign::sweep::{self, Sweep};
 use dra_topo::engine::{self, TopoRunOptions};
-use dra_topo::registry;
+use dra_topo::{registry, TopoSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -44,6 +46,7 @@ fn usage() -> ! {
          \n\
          Runs a named topo sweep (default: resilience) and writes a\n\
          dra-topo/v1 JSON artifact to results/topo_<spec>.json.\n\
+         Interrupted runs resume from the .partial.jsonl checkpoint.\n\
          \n\
          --sim-threads  threads per network simulation (default 1 = the\n\
          \x20            serial kernel; N > 1 runs the conservative\n\
@@ -59,8 +62,8 @@ fn usage() -> ! {
          \x20         https://ui.perfetto.dev); same feature gate\n\
          --dry-run   print the expanded grid (cells, axes, totals)\n\
          \x20         and exit without simulating\n\
-         --check     validate an existing artifact (format, ordering,\n\
-         \x20         per-cell packet conservation)"
+         --check     validate an existing artifact (format, digest,\n\
+         \x20         ordering, per-cell packet conservation)"
     );
     std::process::exit(2);
 }
@@ -196,24 +199,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        return match engine::validate_artifact(&text) {
-            Ok((cells, errors)) => {
-                println!(
-                    "{}: valid {} artifact, {cells} cells, {errors} error cells",
-                    path.display(),
-                    engine::ARTIFACT_FORMAT
-                );
-                if errors > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID artifact: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
+        return sweep::check::<TopoSpec>(path, &text);
     }
 
     let mut spec = match registry::spec_by_name(&cli.spec, cli.quick) {
@@ -282,7 +268,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let artifact = dra_campaign::json::parse(&outcome.artifact_text).expect("validated");
+    let artifact = outcome.artifact.expect("topo sweeps have no cell budget");
     let headers = ["id", "injected", "delivery", "flow_avail", "latency_us"];
     let rows = artifact_rows(&artifact);
     if cli.csv {
@@ -290,7 +276,7 @@ fn main() -> ExitCode {
     } else {
         print_table(&format!("topo sweep {}", spec.name), &headers, &rows);
     }
-    if let Some(path) = &outcome.path {
+    if let Some(path) = &outcome.artifact_path {
         eprintln!("artifact: {}", path.display());
     }
     if outcome.failed > 0 {

@@ -1,36 +1,32 @@
-//! Topo-sweep execution: the grid → worker pool → `dra-topo/v1`
-//! artifact pipeline.
+//! Topo-sweep execution: the cells of a [`TopoSpec`] run through the
+//! [`dra_campaign::sweep`] envelope (worker pool, checkpoint/resume,
+//! validated atomic `dra-topo/v1` artifact).
 //!
-//! Mirrors [`dra_campaign::engine`] one level up. The same determinism
-//! machinery applies: per-cell seeds derive from `(master_seed,
-//! seed_group, replication, stream)` via SplitMix64 — with the extra
-//! per-node coordinate of [`crate::seeds::node_seed`] inside each
-//! cell — cells are computed in any order on any number of workers,
-//! then assembled sorted by cell index, so the artifact is
-//! byte-identical at every worker count (the CI `topo-smoke` job pins
-//! workers 1 vs 4).
+//! Per-cell seeds derive from `(master_seed, seed_group, replication,
+//! stream)` via SplitMix64 — with the extra per-node coordinate of
+//! [`crate::seeds::node_seed`] inside each cell — so the artifact is
+//! byte-identical at every worker count and every `sim_threads` (the
+//! CI `topo-smoke` job pins workers 1 vs 4 and sim-threads 1 vs 2 vs 4).
 
 use crate::net::{Flow, NetAction, NetConfig, NetScenario, NetworkSim};
 use crate::seeds::{node_seed, NodeSeedStream};
 use crate::spec::{TopoCellSpec, TopoFaultSpec, TopoSpec};
 use crate::stats::NetDropCause;
 use crate::topology::Topology;
-use dra_campaign::json::{parse, Json};
-use dra_campaign::pool::WorkerPool;
+use dra_campaign::json::Json;
+use dra_campaign::pool::default_workers;
 use dra_campaign::seed::{derive_seed, Stream};
+use dra_campaign::sweep::{self, welford_json, RunOptions, Sweep};
 use dra_core::scenario::FaultProcess;
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
 use dra_router::faults::{FaultGranularity, FaultInjector};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Artifact format tag.
-pub const ARTIFACT_FORMAT: &str = "dra-topo/v1";
+/// Result of a sweep (`artifact_text` is the document as written).
+pub type TopoOutcome = sweep::Outcome;
 
 /// Seed-stream tag for flow-placement draws (outside the u32 node-id
 /// space, so it can never alias a router's stream).
@@ -45,7 +41,8 @@ pub struct TopoRunOptions {
     /// serial kernel). Any value produces byte-identical artifacts;
     /// N > 1 runs [`crate::pdes`] inside each worker.
     pub sim_threads: Option<usize>,
-    /// Artifact path (None = don't write, return text only).
+    /// Artifact path (None = don't write, return text only). When set,
+    /// finished cells checkpoint next to it and a re-run resumes.
     pub out: Option<PathBuf>,
     /// Suppress progress output.
     pub quiet: bool,
@@ -60,22 +57,8 @@ pub struct TopoRunOptions {
     pub trace_out: Option<PathBuf>,
 }
 
-/// Result of a sweep.
-#[derive(Debug)]
-pub struct TopoOutcome {
-    /// The artifact document, exactly as (or as would be) written.
-    pub artifact_text: String,
-    /// Where it was written, if anywhere.
-    pub path: Option<PathBuf>,
-    /// Cells computed.
-    pub cells: usize,
-    /// Cells that panicked (recorded as error cells).
-    pub failed: usize,
-}
-
 /// Execute a topo sweep and assemble its artifact.
 pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcome> {
-    spec.validate();
     let collect = opts.telemetry_out.is_some() || opts.trace_out.is_some();
     #[cfg(not(feature = "telemetry"))]
     if collect {
@@ -85,129 +68,90 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
              cargo feature (rebuild with `--features telemetry`)",
         ));
     }
-    let digest = spec.digest();
-    let pool = match opts.workers {
-        Some(w) => WorkerPool::new(w),
-        None => WorkerPool::auto(),
+    let run_opts = RunOptions {
+        workers: opts.workers.unwrap_or_else(default_workers),
+        out: opts.out.clone(),
+        quiet: opts.quiet,
+        telemetry_out: opts.telemetry_out.clone(),
+        trace_out: opts.trace_out.clone(),
+        ..RunOptions::default()
     };
     if !opts.quiet {
         println!(
-            "topo sweep `{}` [{digest}]: {} cells on {} workers",
+            "topo sweep `{}` [{}]: {} cells on {} workers",
             spec.name,
+            spec.digest(),
             spec.cells.len(),
-            pool.workers()
+            run_opts.workers
         );
     }
-    let indices: Vec<usize> = (0..spec.cells.len()).collect();
     let sim_threads = opts.sim_threads.unwrap_or(1);
-    let results = pool.try_map(indices.clone(), {
-        let spec = spec.clone();
-        move |i: &usize| (*i, run_cell(&spec, *i, sim_threads, collect))
-    });
-    let mut done: BTreeMap<u64, Json> = BTreeMap::new();
-    // Per-cell telemetry, keyed by cell index: folding in index order
-    // makes the merged snapshot worker-count invariant.
-    #[cfg(feature = "telemetry")]
-    let mut teles: BTreeMap<
-        u64,
-        Box<(
-            dra_telemetry::NetScopeSnapshot,
-            Vec<dra_telemetry::TraceEvent>,
-        )>,
-    > = BTreeMap::new();
-    let mut failed = 0;
-    for res in results {
-        match res {
-            Ok((i, (cell, _tele))) => {
-                done.insert(i as u64, cell);
-                #[cfg(feature = "telemetry")]
-                if let Some(t) = _tele {
-                    teles.insert(i as u64, t);
-                }
-            }
-            Err(p) => {
-                // Key the error by the *cell index* the panicked item
-                // carried — not by the slot it occupies in the result
-                // vector, which only coincides with the cell index
-                // while the submitted work list is the identity.
-                failed += 1;
-                let cell_index = indices[p.index];
-                done.insert(
-                    cell_index as u64,
-                    Json::obj(vec![
-                        ("cell", Json::Num(cell_index as f64)),
-                        ("id", Json::Str(spec.cells[cell_index].id.clone())),
-                        ("error", Json::Str(p.message)),
-                    ]),
-                );
-            }
+    sweep::run(
+        spec,
+        &run_opts,
+        |i| run_cell(spec, i, sim_threads, collect),
+        |tele| write_telemetry(tele, opts),
+    )
+}
+
+/// Validate a `dra-topo/v1` document, including the network
+/// packet-conservation invariant per cell. Returns `(cells,
+/// error_cells)`.
+pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
+    sweep::validate::<TopoSpec>(text)
+}
+
+/// Merge the per-cell telemetry in cell-index order (so the snapshot
+/// is worker-count invariant) and write the requested exports.
+#[cfg(feature = "telemetry")]
+fn write_telemetry(tele: Vec<CellTele>, opts: &TopoRunOptions) -> std::io::Result<Option<Json>> {
+    let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
+    let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
+    for boxed in tele.into_iter().flatten() {
+        let (s, t) = *boxed;
+        match &mut snap {
+            None => snap = Some(s),
+            Some(acc) => acc.merge(&s),
         }
+        trace.extend(t);
     }
-    let artifact = Json::obj(vec![
-        ("format", Json::Str(ARTIFACT_FORMAT.into())),
-        ("digest", Json::Str(digest)),
-        ("spec", spec.manifest()),
-        ("cells", Json::Arr(done.into_values().collect())),
-    ]);
-    let text = artifact.to_string_pretty();
-    validate_artifact(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    if let Some(path) = &opts.out {
-        write_atomic(path, &text)?;
+    if let Some(path) = &opts.telemetry_out {
+        let text = snap
+            .as_ref()
+            .map(dra_telemetry::NetScopeSnapshot::to_json_string)
+            .unwrap_or_else(|| dra_telemetry::NetScopeSnapshot::default().to_json_string());
+        sweep::write_atomic(path, &text)?;
         if !opts.quiet {
-            println!("wrote {} ({} bytes)", path.display(), text.len());
+            println!(
+                "wrote telemetry snapshot {} ({} bytes)",
+                path.display(),
+                text.len()
+            );
         }
     }
-    #[cfg(feature = "telemetry")]
-    if collect {
-        let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
-        let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
-        for boxed in teles.into_values() {
-            let (s, t) = *boxed;
-            match &mut snap {
-                None => snap = Some(s),
-                Some(acc) => acc.merge(&s),
-            }
-            trace.extend(t);
-        }
-        if let Some(path) = &opts.telemetry_out {
-            let text = snap
-                .as_ref()
-                .map(dra_telemetry::NetScopeSnapshot::to_json_string)
-                .unwrap_or_else(|| dra_telemetry::NetScopeSnapshot::default().to_json_string());
-            write_atomic(path, &text)?;
-            if !opts.quiet {
-                println!(
-                    "wrote telemetry snapshot {} ({} bytes)",
-                    path.display(),
-                    text.len()
-                );
-            }
-        }
-        if let Some(path) = &opts.trace_out {
-            let text = dra_telemetry::chrome_trace_json(&trace);
-            write_atomic(path, &text)?;
-            if !opts.quiet {
-                println!(
-                    "wrote flow trace {} ({} events)",
-                    path.display(),
-                    trace.len()
-                );
-            }
+    if let Some(path) = &opts.trace_out {
+        let text = dra_telemetry::chrome_trace_json(&trace);
+        sweep::write_atomic(path, &text)?;
+        if !opts.quiet {
+            println!(
+                "wrote flow trace {} ({} events)",
+                path.display(),
+                trace.len()
+            );
         }
     }
-    Ok(TopoOutcome {
-        artifact_text: text,
-        path: opts.out.clone(),
-        cells: spec.cells.len(),
-        failed,
-    })
+    Ok(None)
+}
+
+#[cfg(not(feature = "telemetry"))]
+fn write_telemetry(_: Vec<CellTele>, _: &TopoRunOptions) -> std::io::Result<Option<Json>> {
+    Ok(None)
 }
 
 /// `k` indices spread evenly over `0..n` (deterministic fault-target
 /// selection: same targets for both architectures of a twin pair).
 /// Distinct for every `k ≤ n`; larger `k` repeats targets, which is why
-/// [`TopoSpec::validate`] rejects `FailRouters` with more routers than
+/// [`Sweep::validate`] on a [`TopoSpec`] rejects `FailRouters` with more routers than
 /// the topology has.
 pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
     (0..k as usize)
@@ -442,123 +386,14 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
     (record, ())
 }
 
-fn welford_json(w: &Welford) -> Json {
-    if w.count() == 0 {
-        return Json::obj(vec![("n", Json::Num(0.0))]);
-    }
-    let ci = if w.count() >= 2 {
-        w.ci_half_width(1.96)
-    } else {
-        0.0
-    };
-    Json::obj(vec![
-        ("n", Json::Num(w.count() as f64)),
-        ("mean", Json::Num(w.mean())),
-        ("ci95", Json::Num(ci)),
-        ("min", Json::Num(w.min())),
-        ("max", Json::Num(w.max())),
-    ])
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// Structural validation of a `dra-topo/v1` document, including the
-/// network packet-conservation invariant per cell. Returns
-/// `(cells, error_cells)`.
-pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    if doc.get("format").and_then(Json::as_str) != Some(ARTIFACT_FORMAT) {
-        return Err(format!(
-            "format is {:?}, expected {ARTIFACT_FORMAT:?}",
-            doc.get("format")
-        ));
-    }
-    doc.get("digest")
-        .and_then(Json::as_str)
-        .filter(|d| d.len() == 16)
-        .ok_or("missing/malformed digest")?;
-    let spec_cells = doc
-        .get("spec")
-        .and_then(|s| s.get("cells"))
-        .and_then(Json::as_arr)
-        .ok_or("missing spec manifest cells")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.len() != spec_cells.len() {
-        return Err(format!(
-            "artifact has {} cells but the spec declares {}",
-            cells.len(),
-            spec_cells.len()
-        ));
-    }
-    let mut errors = 0;
-    for (i, cell) in cells.iter().enumerate() {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        cell.get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if cell.get("error").is_some() {
-            errors += 1;
-            continue;
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            cell.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cell {i}: missing {key}"))
-        };
-        let injected = num("injected")?;
-        let delivered = num("delivered")?;
-        let in_flight = num("in_flight")?;
-        let dropped: u64 = match cell.get("drops") {
-            Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-            _ => return Err(format!("cell {i}: missing drops object")),
-        };
-        if injected != delivered + dropped + in_flight {
-            return Err(format!(
-                "cell {i}: conservation violated: {injected} != {delivered} + {dropped} + {in_flight}"
-            ));
-        }
-        let ratio = cell
-            .get("delivery_ratio")
-            .and_then(|d| d.get("mean"))
-            .and_then(Json::as_f64)
-            .unwrap_or(1.0);
-        if !(0.0..=1.0).contains(&ratio) {
-            return Err(format!("cell {i}: delivery ratio {ratio} outside [0,1]"));
-        }
-    }
-    Ok((cells.len(), errors))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use crate::spec::FlowSpec;
     use crate::topology::TopologyKind;
+    use dra_campaign::json::parse;
+    use dra_campaign::sweep::{checkpoint_path, CHECKPOINT_FORMAT};
     use dra_core::health::ArchKind;
 
     fn tiny_spec() -> TopoSpec {
@@ -713,6 +548,51 @@ mod tests {
             run_with(4),
             "artifact must be byte-identical at --sim-threads 4"
         );
+    }
+
+    #[test]
+    fn planted_checkpoint_resumes_to_identical_artifact() {
+        let spec = tiny_spec();
+        let dir = std::env::temp_dir().join(format!("dra-topo-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = |out: PathBuf| TopoRunOptions {
+            workers: Some(1),
+            out: Some(out),
+            quiet: true,
+            ..Default::default()
+        };
+        let full = run(&spec, &opts(dir.join("full.json"))).unwrap();
+        assert_eq!(full.resumed, 0);
+
+        // A checkpoint holding cell 0 of the full run, as an
+        // interrupted run would have left it.
+        let doc = parse(&full.artifact_text).unwrap();
+        let cell0 = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
+        let header = Json::obj(vec![
+            ("format", Json::Str(CHECKPOINT_FORMAT.into())),
+            ("digest", Json::Str(spec.digest())),
+        ]);
+        let path = dir.join("resumed.json");
+        std::fs::write(
+            checkpoint_path(&path),
+            format!(
+                "{}\n{}\n",
+                header.to_string_compact(),
+                cell0.to_string_compact()
+            ),
+        )
+        .unwrap();
+        let resumed = run(&spec, &opts(path.clone())).unwrap();
+        assert_eq!(resumed.resumed, 1, "planted cell must be skipped");
+        assert_eq!(resumed.completed, spec.cells.len() - 1);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            full.artifact_text,
+            "resumed artifact differs from a full run"
+        );
+        assert!(!checkpoint_path(&path).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

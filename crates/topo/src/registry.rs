@@ -196,13 +196,14 @@ pub fn scale2(quick: bool) -> TopoSpec {
 mod tests {
     use super::*;
     use crate::topology::Topology;
+    use dra_campaign::sweep::Sweep;
 
     #[test]
     fn named_specs_validate() {
         for name in NAMES {
             for quick in [false, true] {
                 let spec = spec_by_name(name, quick).unwrap();
-                spec.validate();
+                spec.validate().unwrap();
                 assert!(!spec.cells.is_empty());
                 // BDR/DRA twins pair up: even count, shared groups.
                 assert_eq!(spec.cells.len() % 2, 0);

@@ -2,10 +2,10 @@
 //!
 //! A [`TopoSpec`] is a grid of [`TopoCellSpec`]s — architecture ×
 //! topology × fault spec × traffic — exactly parallel to
-//! [`dra_campaign::spec::CampaignSpec`]. The manifest serializes every
-//! behavior-relevant field in a fixed order; its FNV-1a digest stamps
-//! the artifact, so two artifacts with equal digests came from equal
-//! experiments.
+//! [`dra_campaign::spec::CampaignSpec`] and, like it, a
+//! [`Sweep`]. The manifest serializes every behavior-relevant field in
+//! a fixed order; its FNV-1a digest stamps the artifact, so two
+//! artifacts with equal digests came from equal experiments.
 //!
 //! Determinism contract (same as the campaign layer, one level up):
 //! cell results are pure functions of `(master_seed, seed_group,
@@ -17,6 +17,7 @@
 use crate::link::LinkConfig;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
+use dra_campaign::sweep::Sweep;
 use dra_core::health::ArchKind;
 
 /// Network-level fault model of one cell.
@@ -189,71 +190,115 @@ pub struct TopoSpec {
     pub cells: Vec<TopoCellSpec>,
 }
 
-impl TopoSpec {
-    /// Canonical manifest: every behavior-relevant field, fixed order.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(TopoCellSpec::manifest).collect()),
-            ),
-        ])
+impl Sweep for TopoSpec {
+    const FORMAT: &'static str = "dra-topo/v1";
+
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// FNV-1a digest of the compact manifest (16 hex chars).
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+    fn description(&self) -> &str {
+        &self.description
     }
 
-    /// Sanity-check the grid.
-    ///
-    /// # Panics
-    /// Panics on duplicate cell ids or degenerate cell parameters.
-    pub fn validate(&self) {
+    fn master_seed(&self) -> u64 {
+        self.master_seed
+    }
+
+    fn n_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn cell_id(&self, i: usize) -> &str {
+        &self.cells[i].id
+    }
+
+    fn cell_manifest(&self, i: usize) -> Json {
+        self.cells[i].manifest()
+    }
+
+    /// Rejects duplicate cell ids and degenerate cell parameters.
+    fn validate(&self) -> Result<(), String> {
         let mut ids: Vec<&str> = self.cells.iter().map(|c| c.id.as_str()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), self.cells.len(), "duplicate cell ids");
+        if ids.len() != self.cells.len() {
+            return Err("duplicate cell ids".into());
+        }
         for c in &self.cells {
-            assert!(c.horizon_s > 0.0 && c.horizon_s.is_finite(), "{}", c.id);
-            assert!(
-                c.drain_s >= 0.0 && c.drain_s < c.horizon_s,
-                "{}: drain must leave an injection window",
-                c.id
-            );
-            assert!(c.replications >= 1, "{}", c.id);
-            assert!(c.flows.n_flows >= 1 && c.flows.rate_pps > 0.0, "{}", c.id);
-            assert!(c.flows.packet_bytes > 0, "{}", c.id);
+            let id = &c.id;
+            if !(c.horizon_s > 0.0 && c.horizon_s.is_finite()) {
+                return Err(format!("{id}: horizon must be positive and finite"));
+            }
+            if !(c.drain_s >= 0.0 && c.drain_s < c.horizon_s) {
+                return Err(format!("{id}: drain must leave an injection window"));
+            }
+            if c.replications < 1 {
+                return Err(format!("{id}: no replications"));
+            }
+            if !(c.flows.n_flows >= 1 && c.flows.rate_pps > 0.0) || c.flows.packet_bytes == 0 {
+                return Err(format!(
+                    "{id}: flows need a count, a positive rate and a size"
+                ));
+            }
             if let TopoFaultSpec::FailRouters { at_s, .. } | TopoFaultSpec::FailLinks { at_s, .. } =
                 c.faults
             {
-                assert!(
-                    (0.0..c.horizon_s).contains(&at_s),
-                    "{}: fault instant outside horizon",
-                    c.id
-                );
+                if !(0.0..c.horizon_s).contains(&at_s) {
+                    return Err(format!("{id}: fault instant outside horizon"));
+                }
             }
             if let TopoFaultSpec::FailRouters { k, .. } = c.faults {
                 let n = c.topology.n_nodes();
-                assert!(k as usize <= n, "{}: cannot fail {k} of {n} routers", c.id);
+                if k as usize > n {
+                    return Err(format!("{id}: cannot fail {k} of {n} routers"));
+                }
             }
             if let TopoFaultSpec::Renewal {
                 delay_scale,
                 repair_h,
             } = c.faults
             {
-                assert!(delay_scale > 0.0 && repair_h > 0.0, "{}", c.id);
+                if !(delay_scale > 0.0 && repair_h > 0.0) {
+                    return Err(format!(
+                        "{id}: renewal needs positive delay scale and repair"
+                    ));
+                }
             }
         }
+        Ok(())
+    }
+
+    /// Network packet conservation (`injected = delivered + dropped +
+    /// in_flight`) and a delivery ratio in `[0, 1]`.
+    fn check_record(record: &Json) -> Result<bool, String> {
+        let num = |key: &str| -> Result<u64, String> {
+            record
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing {key}"))
+        };
+        let injected = num("injected")?;
+        let delivered = num("delivered")?;
+        let in_flight = num("in_flight")?;
+        let dropped: u64 = match record.get("drops") {
+            Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
+            _ => return Err("missing drops object".into()),
+        };
+        if injected != delivered + dropped + in_flight {
+            return Err(format!(
+                "conservation violated: {injected} != {delivered} + {dropped} + {in_flight}"
+            ));
+        }
+        let ratio = record
+            .get("delivery_ratio")
+            .and_then(|d| d.get("mean"))
+            .and_then(Json::as_f64)
+            .unwrap_or(1.0);
+        if !(0.0..=1.0).contains(&ratio) {
+            return Err(format!("delivery ratio {ratio} outside [0,1]"));
+        }
+        Ok(true)
     }
 }
 
@@ -288,7 +333,7 @@ mod tests {
             master_seed: 1,
             cells: vec![cell("a")],
         };
-        spec.validate();
+        spec.validate().unwrap();
         let d1 = spec.digest();
         assert_eq!(d1.len(), 16);
         let mut spec2 = spec.clone();
@@ -298,28 +343,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a: cannot fail 10 of 9 routers")]
     fn failing_more_routers_than_exist_rejected() {
         let mut c = cell("a");
         c.faults = TopoFaultSpec::FailRouters { k: 10, at_s: 1e-3 };
-        TopoSpec {
+        let err = TopoSpec {
             name: "t".into(),
             description: "d".into(),
             master_seed: 1,
             cells: vec![c],
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("a: cannot fail 10 of 9 routers"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "duplicate cell ids")]
     fn duplicate_ids_rejected() {
-        TopoSpec {
+        let err = TopoSpec {
             name: "t".into(),
             description: "d".into(),
             master_seed: 1,
             cells: vec![cell("a"), cell("a")],
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("duplicate cell ids"), "{err}");
     }
 }

@@ -16,6 +16,7 @@ use dra::campaign::engine::{run, RunOptions};
 use dra::campaign::json::Json;
 use dra::campaign::registry;
 use dra::campaign::report::{artifact_table, print_table};
+use dra::campaign::Sweep;
 
 fn cell_delivery(cell: &Json) -> f64 {
     cell.get("delivery")

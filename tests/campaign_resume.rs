@@ -3,9 +3,10 @@
 //! cells and produce an artifact byte-identical to an uninterrupted
 //! run — the property that makes long campaigns safe to kill.
 
-use dra::campaign::engine::{checkpoint_path, run, validate_artifact, RunOptions};
+use dra::campaign::engine::{run, validate_artifact, RunOptions};
 use dra::campaign::registry;
 use dra::campaign::spec::CampaignSpec;
+use dra::campaign::sweep::checkpoint_path;
 use std::fs;
 use std::path::PathBuf;
 
@@ -89,15 +90,14 @@ fn interrupted_campaign_resumes_to_identical_artifact() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn stale_checkpoint_from_a_different_spec_is_ignored() {
-    let dir = temp_dir("stale");
+/// Checkpoint one cell of `stale`, then run `spec` at the same path:
+/// the digest mismatch must force a clean start, not splice foreign
+/// cells.
+fn assert_stale_checkpoint_ignored(tag: &str, stale: &CampaignSpec, spec: &CampaignSpec) {
+    let dir = temp_dir(tag);
     let out = dir.join("artifact.json");
-
-    // Checkpoint a cell of the fig8 spec...
-    let other = registry::build("fig8", true).expect("built-in spec");
     let first = run(
-        &other,
+        stale,
         &RunOptions {
             workers: 1,
             out: Some(out.clone()),
@@ -109,11 +109,8 @@ fn stale_checkpoint_from_a_different_spec_is_ignored() {
     assert_eq!(first.completed, 1);
     assert!(checkpoint_path(&out).exists());
 
-    // ...then run the faceoff spec at the same path: the digest
-    // mismatch must force a clean start, not splice foreign cells.
-    let spec = quick_spec();
     let outcome = run(
-        &spec,
+        spec,
         &RunOptions {
             workers: 1,
             out: Some(out.clone()),
@@ -121,11 +118,28 @@ fn stale_checkpoint_from_a_different_spec_is_ignored() {
         },
     )
     .expect("run over stale checkpoint");
-    assert_eq!(outcome.resumed, 0, "stale checkpoint must not resume");
+    assert_eq!(
+        outcome.resumed, 0,
+        "{tag}: stale checkpoint must not resume"
+    );
     assert_eq!(outcome.completed, spec.cells.len());
     let text = fs::read_to_string(&out).expect("artifact");
     let (cells, errors) = validate_artifact(&text).expect("valid artifact");
     assert_eq!((cells, errors), (spec.cells.len(), 0));
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_checkpoint_from_a_different_spec_is_ignored() {
+    let fig8 = registry::build("fig8", true).expect("built-in spec");
+    assert_stale_checkpoint_ignored("stale", &fig8, &quick_spec());
+
+    // Seeds 2^53 and 2^53 + 1 are one f64: the manifest must still
+    // tell them apart, or a resume would splice the other seed's cells.
+    let mut low = quick_spec();
+    low.master_seed = 1 << 53;
+    let mut high = quick_spec();
+    high.master_seed = (1 << 53) + 1;
+    assert_stale_checkpoint_ignored("stale-seed", &low, &high);
 }
