@@ -53,11 +53,11 @@
 //! `--baseline` embeds a previous artifact and adds per-entry and
 //! minimum/p50/p99 speedup factors; `--check` validates an artifact's
 //! schema (used by CI's bench-smoke job) and exits non-zero on
-//! violations. `--telemetry` (needs the `telemetry` cargo feature)
-//! runs the end-to-end cell with the flight-recorder hub enabled and
-//! embeds the resulting `dra-telemetry/v1` snapshot in the artifact —
-//! those end-to-end timings carry observation cost, so never compare
-//! a `--telemetry` artifact against a clean baseline.
+//! violations. `--telemetry` runs the end-to-end cell with the
+//! flight-recorder hub enabled and embeds the resulting
+//! `dra-telemetry/v1` snapshot in the artifact — those end-to-end
+//! timings carry observation cost, so never compare a `--telemetry`
+//! artifact against a clean baseline.
 
 use dra_campaign::json::{parse, Json};
 use dra_core::sim::{DraConfig, DraRouter};
@@ -641,13 +641,11 @@ fn bench_topo(quick: bool) -> Json {
         let mut events = 0u64;
         let mut min_ape = f64::INFINITY;
         for _ in 0..reps {
-            #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
             let mut net = build_network(&cell, 0xD8A_70B0, 0);
             // Under `--telemetry` this row measures the *live* network
             // scope (counters + sampled spans on every hop), so the
             // artifact discloses collection-on overhead next to the
             // clean baselines it must never be compared against.
-            #[cfg(feature = "telemetry")]
             if dra_telemetry::enabled() {
                 net.enable_net_telemetry(64);
             }
@@ -1290,14 +1288,6 @@ fn main() {
 
     let quick = args.iter().any(|a| a == "--quick");
     let telemetry = args.iter().any(|a| a == "--telemetry");
-    #[cfg(not(feature = "telemetry"))]
-    if telemetry {
-        eprintln!(
-            "bench-hotpath: --telemetry requires a build with the `telemetry` \
-             cargo feature (cargo run --features telemetry ...)"
-        );
-        std::process::exit(1);
-    }
     eprintln!("bench-hotpath: DES kernel ...");
     let des = bench_des_kernel(quick);
     eprintln!("bench-hotpath: iSLIP fabric (scatter) ...");
@@ -1315,12 +1305,10 @@ fn main() {
     eprintln!("bench-hotpath: rare-event estimators ...");
     let rare = bench_rareevent(quick);
     eprintln!("bench-hotpath: end-to-end faceoff cell ...");
-    #[cfg(feature = "telemetry")]
     if telemetry {
         dra_telemetry::enable(dra_telemetry::Config::default());
     }
     let e2e = bench_end_to_end(quick);
-    #[cfg(feature = "telemetry")]
     let telemetry_section = if telemetry {
         let snap = dra_telemetry::snapshot().expect("telemetry hub was enabled");
         dra_telemetry::disable();
@@ -1342,7 +1330,6 @@ fn main() {
         ("rareevent", rare),
         ("end_to_end", e2e),
     ]);
-    #[cfg(feature = "telemetry")]
     if let Some(section) = telemetry_section {
         if let Json::Obj(pairs) = &mut artifact {
             pairs.push(("telemetry".to_string(), section));

@@ -63,31 +63,41 @@ fn usage() -> ! {
          --telemetry-out  write the merged snapshot to a separate file\n\
          \x20               (artifact stays byte-identical)\n\
          --trace          write a Perfetto-loadable Chrome trace JSON\n\
-         (the last three need a build with --features telemetry)"
+         \n\
+         --out and --no-out conflict, as do --list and --check; --dry-run\n\
+         simulates nothing, so --telemetry/--telemetry-out/--trace conflict\n\
+         with it. Packet campaigns only collect telemetry; it cannot be\n\
+         combined with --cell-budget."
     );
     std::process::exit(2);
 }
 
+impl Default for Cli {
+    fn default() -> Self {
+        Cli {
+            spec: "faceoff".into(),
+            quick: false,
+            workers: dra_campaign::pool::default_workers(),
+            seed: None,
+            replications: None,
+            out: None,
+            no_out: false,
+            cell_budget: None,
+            fresh: false,
+            csv: false,
+            list: false,
+            check: None,
+            dry_run: false,
+            progress: false,
+            telemetry: false,
+            telemetry_out: None,
+            trace: None,
+        }
+    }
+}
+
 fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        spec: "faceoff".into(),
-        quick: false,
-        workers: dra_campaign::pool::default_workers(),
-        seed: None,
-        replications: None,
-        out: None,
-        no_out: false,
-        cell_budget: None,
-        fresh: false,
-        csv: false,
-        list: false,
-        check: None,
-        dry_run: false,
-        progress: false,
-        telemetry: false,
-        telemetry_out: None,
-        trace: None,
-    };
+    let mut cli = Cli::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -125,7 +135,31 @@ fn parse_cli() -> Cli {
             }
         }
     }
+    if let Some(conflict) = cli.conflict() {
+        eprintln!("{conflict}");
+        usage();
+    }
     cli
+}
+
+impl Cli {
+    /// The first contradictory flag combination, if any: these are hard
+    /// errors, not silent picks.
+    fn conflict(&self) -> Option<&'static str> {
+        let collects = self.telemetry || self.telemetry_out.is_some() || self.trace.is_some();
+        if self.out.is_some() && self.no_out {
+            Some("--out and --no-out conflict")
+        } else if self.list && self.check.is_some() {
+            Some("--list and --check conflict")
+        } else if self.dry_run && collects {
+            Some(
+                "--dry-run simulates nothing, so --telemetry/--telemetry-out/--trace \
+                 conflict with it",
+            )
+        } else {
+            None
+        }
+    }
 }
 
 /// Run `spec` with the CLI's run options, report progress, and print
@@ -330,4 +364,47 @@ fn main() -> ExitCode {
             print_table(&format!("campaign {}", spec.name), &headers, &rows);
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contradictory_flags_conflict() {
+        assert_eq!(Cli::default().conflict(), None);
+        let out_and_no_out = Cli {
+            out: Some("a.json".into()),
+            no_out: true,
+            ..Cli::default()
+        };
+        assert!(out_and_no_out.conflict().unwrap().contains("--no-out"));
+        let list_and_check = Cli {
+            list: true,
+            check: Some("a.json".into()),
+            ..Cli::default()
+        };
+        assert!(list_and_check.conflict().unwrap().contains("--check"));
+        for dry in [
+            Cli {
+                telemetry: true,
+                ..Cli::default()
+            },
+            Cli {
+                telemetry_out: Some("t.json".into()),
+                ..Cli::default()
+            },
+            Cli {
+                trace: Some("t.json".into()),
+                ..Cli::default()
+            },
+        ] {
+            assert_eq!(dry.conflict(), None);
+            let dry = Cli {
+                dry_run: true,
+                ..dry
+            };
+            assert!(dry.conflict().unwrap().contains("--dry-run"));
+        }
+    }
 }

@@ -21,21 +21,10 @@ use rand::SeedableRng;
 pub use crate::sweep::{Outcome as CampaignOutcome, RunOptions};
 
 /// One cell's collected telemetry: its snapshot and trace events.
-#[cfg(feature = "telemetry")]
 type CellTele = Option<(dra_telemetry::Snapshot, Vec<dra_telemetry::TraceEvent>)>;
-#[cfg(not(feature = "telemetry"))]
-type CellTele = ();
 
 /// Execute a campaign.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOutcome> {
-    #[cfg(not(feature = "telemetry"))]
-    if opts.collects_telemetry() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "telemetry output requested, but dra-campaign was built without \
-             the `telemetry` cargo feature (rebuild with --features telemetry)",
-        ));
-    }
     sweep::run(
         spec,
         opts,
@@ -52,7 +41,6 @@ pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
 
 /// Run one cell, capturing its telemetry when the run collects it.
 fn observed_cell(spec: &CampaignSpec, index: usize, opts: &RunOptions) -> (Json, CellTele) {
-    #[cfg(feature = "telemetry")]
     if opts.collects_telemetry() {
         // A fresh hub per cell: per-cell snapshots merge in cell-index
         // order afterwards, so worker count and scheduling cannot
@@ -67,15 +55,12 @@ fn observed_cell(spec: &CampaignSpec, index: usize, opts: &RunOptions) -> (Json,
         dra_telemetry::disable();
         return (record, tele);
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = opts;
-    (run_cell(spec, index), Default::default())
+    (run_cell(spec, index), None)
 }
 
 /// Merge the per-cell snapshots (in cell-index order, so the bytes
 /// cannot depend on scheduling), route them to the requested
 /// exporters, and return the section to embed when `opts.telemetry`.
-#[cfg(feature = "telemetry")]
 fn telemetry_section(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<Option<Json>> {
     let mut merged: Option<dra_telemetry::Snapshot> = None;
     let mut trace_events = Vec::new();
@@ -108,11 +93,6 @@ fn telemetry_section(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<
         sweep::write_atomic(path, &section.to_string_pretty())?;
     }
     Ok(opts.telemetry.then_some(section))
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn telemetry_section(_: Vec<CellTele>, _: &RunOptions) -> std::io::Result<Option<Json>> {
-    Ok(None)
 }
 
 /// Run every replication of one cell and reduce to its JSON record.
@@ -321,7 +301,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_embeds_and_validates() {
         let spec = spec(2, 1);
@@ -350,7 +329,6 @@ mod tests {
         assert!(arrivals > 0.0, "no arrivals counted");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_independent_of_worker_count() {
         let spec = spec(3, 1);
@@ -371,7 +349,6 @@ mod tests {
         assert_eq!(run_with(1), run_with(4));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn external_telemetry_leaves_artifact_identical() {
         let spec = spec(2, 1);
@@ -398,6 +375,21 @@ mod tests {
             doc.get("format").and_then(Json::as_str),
             Some("dra-telemetry/v1")
         );
+    }
+
+    #[test]
+    fn cell_budget_with_telemetry_is_rejected() {
+        let err = run(
+            &spec(2, 1),
+            &RunOptions {
+                cell_budget: Some(1),
+                telemetry_out: Some(std::env::temp_dir().join("dra-budget-tele.json")),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("cell budget"), "{err}");
     }
 
     #[test]

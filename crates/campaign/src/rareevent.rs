@@ -185,7 +185,15 @@ impl Sweep for RareCampaignSpec {
 
 /// Execute a rare-event campaign through the [`crate::sweep`] envelope
 /// (so an interrupted run with `opts.out` resumes from its checkpoint).
+/// Rare-event cells run no packet simulation, so a request for any
+/// telemetry output is an [`std::io::ErrorKind::InvalidInput`] error.
 pub fn run(spec: &RareCampaignSpec, opts: &RunOptions) -> std::io::Result<Outcome> {
+    if opts.collects_telemetry() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "rare-event sweeps collect no telemetry",
+        ));
+    }
     sweep::run(spec, opts, |i| (run_cell(spec, i), ()), |_| Ok(None))
 }
 
@@ -455,6 +463,30 @@ mod tests {
             .artifact_text
         };
         assert_eq!(at(1), at(4));
+    }
+
+    #[test]
+    fn telemetry_options_are_rejected() {
+        let spec = tiny_spec();
+        let options = [
+            RunOptions {
+                telemetry: true,
+                ..Default::default()
+            },
+            RunOptions {
+                telemetry_out: Some("snap.json".into()),
+                ..Default::default()
+            },
+            RunOptions {
+                trace_out: Some("trace.json".into()),
+                ..Default::default()
+            },
+        ];
+        for opts in &options {
+            let err = run(&spec, opts).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("collect no telemetry"), "{err}");
+        }
     }
 
     #[test]

@@ -129,14 +129,14 @@ pub struct RunOptions {
     /// change the artifact.
     pub progress: bool,
     /// Embed the merged `dra-telemetry/v1` snapshot as a `telemetry`
-    /// section in the artifact. Requires the `telemetry` feature.
+    /// section in the artifact.
     pub telemetry: bool,
     /// Write the merged telemetry snapshot to this path as a
     /// standalone file, leaving the artifact byte-identical to a run
-    /// without telemetry. Requires the `telemetry` feature.
+    /// without telemetry.
     pub telemetry_out: Option<PathBuf>,
     /// Write a Chrome `trace_event` JSON (Perfetto-loadable) of the
-    /// sampled packets to this path. Requires the `telemetry` feature.
+    /// sampled packets to this path.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -194,8 +194,10 @@ pub struct Outcome {
 /// a checkpoint, because a merged snapshot must cover every cell.
 ///
 /// A spec that fails [`Sweep::validate`] is an
-/// [`io::ErrorKind::InvalidInput`] error; an assembled artifact that
-/// fails [`validate`] is [`io::ErrorKind::InvalidData`].
+/// [`io::ErrorKind::InvalidInput`] error, and so is a `cell_budget` on
+/// a run that collects telemetry (without a checkpoint a budgeted run
+/// could never finish). An assembled artifact that fails [`validate`]
+/// is [`io::ErrorKind::InvalidData`].
 pub fn run<S: Sweep, E: Send>(
     spec: &S,
     opts: &RunOptions,
@@ -204,6 +206,13 @@ pub fn run<S: Sweep, E: Send>(
 ) -> io::Result<Outcome> {
     spec.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    if opts.cell_budget.is_some() && opts.collects_telemetry() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a cell budget cannot be combined with telemetry collection: \
+             telemetry runs write no checkpoint, so the run could never finish",
+        ));
+    }
     let manifest = spec.manifest();
     let digest = fnv1a_hex(&manifest.to_string_compact());
 

@@ -669,7 +669,6 @@ impl DraRouter {
         // The paper's B_prom scale-back realized as drops is the
         // anomaly the flight recorder is armed for: freeze the event
         // window at the first occurrence.
-        #[cfg(feature = "telemetry")]
         if cause == DropCause::EibOversubscribed {
             dra_telemetry::anomaly("first eib-oversubscribed drop");
         }
@@ -802,8 +801,7 @@ impl DraRouter {
             ctx.now(),
         );
         self.metrics.lcs[lc as usize].offer(packet.ip_bytes);
-        #[cfg(feature = "telemetry")]
-        {
+        if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(tm::ids::ARRIVALS, 1);
             tm::counter_add(tm::ids::FIB_LOOKUPS, 1);
@@ -885,8 +883,7 @@ impl DraRouter {
         }
         self.latency_by_path[meta.path.index()].push(latency);
         self.latency_hist_by_path[meta.path.index()].record(latency);
-        #[cfg(feature = "telemetry")]
-        {
+        if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(tm::ids::DELIVERED, 1);
             tm::event(
@@ -988,8 +985,7 @@ impl DraRouter {
                 if overflow {
                     self.drop(&meta, DropCause::VoqOverflow);
                 } else {
-                    #[cfg(feature = "telemetry")]
-                    {
+                    if dra_telemetry::enabled() {
                         use dra_telemetry as tm;
                         tm::counter_add(
                             tm::ids::VOQ_ENQUEUED_CELLS,
@@ -1071,8 +1067,7 @@ impl DraRouter {
         *busy = done;
         self.metrics.eib_packets += 1;
         self.metrics.eib_bytes += meta.ip_bytes as u64;
-        #[cfg(feature = "telemetry")]
-        {
+        if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(tm::ids::EIB_DETOURS, 1);
             tm::event(
@@ -1114,7 +1109,6 @@ impl DraRouter {
         match self.control.attempt(ctx.now()) {
             TxResult::Started { tx, done_at } => {
                 self.metrics.eib_control_packets += 1;
-                #[cfg(feature = "telemetry")]
                 dra_telemetry::counter_add(dra_telemetry::ids::EIB_CONTROL_ATTEMPTS, 1);
                 ctx.schedule(
                     done_at - ctx.now(),
@@ -1143,7 +1137,6 @@ impl DraRouter {
             }
             TxResult::Collided { jam_until } => {
                 self.metrics.eib_collisions += 1;
-                #[cfg(feature = "telemetry")]
                 dra_telemetry::counter_add(dra_telemetry::ids::EIB_COLLISIONS, 1);
                 let backoff = self.control.backoff_delay(ctx.rng(), attempt + 1);
                 let wait = (jam_until - ctx.now()).max(0.0) + backoff + 1e-9;
@@ -1244,8 +1237,7 @@ impl DraRouter {
             for &h in &slot {
                 let cell = self.fabric.take_cell(h);
                 let dst = cell.dst_lc;
-                #[cfg(feature = "telemetry")]
-                {
+                if dra_telemetry::enabled() {
                     use dra_telemetry as tm;
                     tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
                     tm::event(

@@ -145,7 +145,7 @@ pub struct WindowReport {
     pub cross_messages: u64,
 }
 
-/// Engine profile from one [`run_windows_profiled`] call.
+/// Engine profile from one profiled [`run_windows`] call.
 ///
 /// **Non-deterministic**: the `*_ns` fields are wall-clock, so two
 /// runs of the same model differ. The event counts are deterministic
@@ -191,35 +191,16 @@ pub struct PdesProfile {
 /// so an oversubscribed request silently runs at the widest useful
 /// width instead.
 ///
+/// With `profile`, the run also fills it with per-LP load, per-window
+/// occupancy, and barrier-stall wall-clock (replacing its previous
+/// contents). Profiling reads wall-clocks and takes one extra lock per
+/// thread per window, so a profiled run is marginally slower, but its
+/// simulation result is byte-identical to an unprofiled one.
+///
 /// # Panics
 /// Panics if `lookahead` or `horizon` is non-positive or non-finite.
 /// A panic inside any LP propagates after all threads join.
 pub fn run_windows<L: LogicalProcess>(
-    lps: &mut [L],
-    lookahead: f64,
-    horizon: f64,
-    threads: usize,
-) -> WindowReport {
-    run_windows_inner(lps, lookahead, horizon, threads, None)
-}
-
-/// [`run_windows`] plus profiling: fills `profile` with per-LP load,
-/// per-window occupancy, and barrier-stall wall-clock (replacing its
-/// previous contents). Profiling reads wall-clocks and takes one extra
-/// lock per thread per window, so the profiled run is marginally
-/// slower — but the simulation result is still byte-identical to an
-/// unprofiled run at any thread count.
-pub fn run_windows_profiled<L: LogicalProcess>(
-    lps: &mut [L],
-    lookahead: f64,
-    horizon: f64,
-    threads: usize,
-    profile: &mut PdesProfile,
-) -> WindowReport {
-    run_windows_inner(lps, lookahead, horizon, threads, Some(profile))
-}
-
-fn run_windows_inner<L: LogicalProcess>(
     lps: &mut [L],
     lookahead: f64,
     horizon: f64,
@@ -513,7 +494,7 @@ mod tests {
             // Stagger starts so several tokens circulate at once.
             lps[(tok % n as u64) as usize].push(tok as f64 * 1e-4, tok);
         }
-        let report = run_windows(&mut lps, hop, 50e-3, threads);
+        let report = run_windows(&mut lps, hop, 50e-3, threads, None);
         assert!(report.windows >= 1);
         assert!(report.cross_messages > 0);
         lps.into_iter().map(|lp| lp.log).collect()
@@ -582,7 +563,7 @@ mod tests {
                     seen: Vec::new(),
                 })
                 .collect();
-            run_windows(&mut lps, 2e-3, 10e-3, threads);
+            run_windows(&mut lps, 2e-3, 10e-3, threads, None);
             assert_eq!(lps[0].seen, vec![1, 2, 3, 4], "threads = {threads}");
         }
     }
@@ -635,7 +616,7 @@ mod tests {
                 let t = tok as f64 * 1e-4;
                 lps[(tok % 4) as usize].queue.push(t, seq, tok);
             }
-            run_windows(&mut lps, 1e-3, 30e-3, threads);
+            run_windows(&mut lps, 1e-3, 30e-3, threads, None);
             let total: u64 = lps.iter().map(|lp| lp.checked).sum();
             assert!(total > 100, "threads={threads}: only {total} checks");
         }
@@ -651,7 +632,7 @@ mod tests {
                 lps[(tok % 8) as usize].push(tok as f64 * 1e-4, tok);
             }
             let mut profile = PdesProfile::default();
-            let report = run_windows_profiled(&mut lps, hop, 50e-3, threads, &mut profile);
+            let report = run_windows(&mut lps, hop, 50e-3, threads, Some(&mut profile));
             // Profiling must not perturb the simulation.
             let logs: Vec<_> = lps.into_iter().map(|lp| lp.log).collect();
             assert_eq!(logs, oracle, "threads = {threads}");
@@ -687,19 +668,19 @@ mod tests {
             ..PdesProfile::default()
         };
         let mut none: Vec<RingNode> = Vec::new();
-        run_windows_profiled(&mut none, 1.0, 1.0, 2, &mut profile);
+        run_windows(&mut none, 1.0, 1.0, 2, Some(&mut profile));
         assert_eq!(profile, PdesProfile::default());
     }
 
     #[test]
     fn empty_and_degenerate_inputs() {
         let mut none: Vec<RingNode> = Vec::new();
-        let r = run_windows(&mut none, 1.0, 1.0, 4);
+        let r = run_windows(&mut none, 1.0, 1.0, 4, None);
         assert_eq!(r.windows, 0);
         // Horizon 0 still runs one window so t = 0 events fire.
         let mut one = vec![RingNode::new(0, 1, 1.0)];
         one[0].push(0.0, 9);
-        let r = run_windows(&mut one, 1.0, 0.0, 3);
+        let r = run_windows(&mut one, 1.0, 0.0, 3, None);
         assert_eq!(r.windows, 1);
         assert_eq!(one[0].log.len(), 1);
     }

@@ -373,8 +373,7 @@ impl Reassembler {
         if slot.count == cell.total {
             let bytes = slot.bytes;
             self.release(bucket);
-            #[cfg(feature = "telemetry")]
-            {
+            if dra_telemetry::enabled() {
                 use dra_telemetry as tm;
                 tm::counter_add(tm::ids::PACKETS_REASSEMBLED, 1);
                 tm::event(

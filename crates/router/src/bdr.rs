@@ -391,8 +391,7 @@ impl BdrRouter {
             ctx.now(),
         );
         self.metrics_of(lc).offer(packet.ip_bytes);
-        #[cfg(feature = "telemetry")]
-        {
+        if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(tm::ids::ARRIVALS, 1);
             tm::counter_add(tm::ids::FIB_LOOKUPS, 1);
@@ -479,8 +478,7 @@ impl BdrRouter {
             // Any cells already enqueued will strand in the egress
             // reassembler and be reclaimed by the periodic purge.
         } else {
-            #[cfg(feature = "telemetry")]
-            {
+            if dra_telemetry::enabled() {
                 use dra_telemetry as tm;
                 tm::counter_add(
                     tm::ids::VOQ_ENQUEUED_CELLS,
@@ -530,8 +528,7 @@ impl BdrRouter {
             for &h in &slot {
                 let cell = self.fabric.take_cell(h);
                 let egress = cell.dst_lc;
-                #[cfg(feature = "telemetry")]
-                {
+                if dra_telemetry::enabled() {
                     use dra_telemetry as tm;
                     tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
                     tm::event(
@@ -660,9 +657,7 @@ impl Model for BdrRouter {
                 let now = ctx.now();
                 self.metrics.lcs[lc as usize].deliver(ip_bytes, now - arrived_at);
                 self.metrics.lcs[ingress as usize].ingress_delivered += 1;
-                let _ = packet;
-                #[cfg(feature = "telemetry")]
-                {
+                if dra_telemetry::enabled() {
                     use dra_telemetry as tm;
                     tm::counter_add(tm::ids::DELIVERED, 1);
                     tm::event(tm::EventKind::Deliver, packet.0, lc as u32, ip_bytes);

@@ -508,8 +508,7 @@ impl Crossbar {
             let o = self.input_matched[input];
             if o != usize::MAX {
                 let h = self.pop_matched(input, o);
-                #[cfg(feature = "telemetry")]
-                {
+                if dra_telemetry::enabled() {
                     use dra_telemetry as tm;
                     tm::counter_add(tm::ids::ISLIP_GRANTS, 1);
                     tm::event(

@@ -84,14 +84,12 @@ impl DropCause {
     }
 }
 
-/// Telemetry hook for a dropped packet: records the drop in the
-/// thread-local telemetry hub when the `telemetry` feature is on and
-/// compiles to nothing otherwise. Shared by the BDR and DRA models so
-/// every drop site reports the same event shape.
+/// Telemetry hook for a dropped packet: records the drop in this
+/// thread's telemetry hub when one is enabled. Shared by the BDR and
+/// DRA models so every drop site reports the same event shape.
 #[inline]
-pub fn note_drop(_packet: dra_net::packet::PacketId, _cause: DropCause, _lc: u16) {
-    #[cfg(feature = "telemetry")]
-    dra_telemetry::packet_dropped(_packet.0, _cause.index() as u32, _lc as u32, _cause.name());
+pub fn note_drop(packet: dra_net::packet::PacketId, cause: DropCause, lc: u16) {
+    dra_telemetry::packet_dropped(packet.0, cause.index() as u32, lc as u32, cause.name());
 }
 
 impl fmt::Display for DropCause {

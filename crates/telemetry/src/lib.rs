@@ -15,10 +15,11 @@
 //! cannot change the merged bytes).
 //!
 //! Instrumented crates call the free functions in this module
-//! (`counter_add`, `event`, `mark_*`, …) behind their `telemetry`
-//! cargo feature. With the feature off the calls do not exist; with
-//! the feature on but no [`enable`] call, every function is a
-//! thread-local load + `None` check.
+//! (`counter_add`, `event`, `mark_*`, …) unconditionally: collection
+//! is a runtime switch, not a build option. On a thread without an
+//! [`enable`] call every function is one load of a destructor-free
+//! thread-local flag and a not-taken branch; the hub itself is only
+//! touched once the flag is set.
 //!
 //! ## Determinism contract
 //!
@@ -49,7 +50,7 @@ pub use snapshot::{Anomaly, Snapshot, SNAPSHOT_FORMAT};
 pub use trace::{chrome_trace_json, TraceEvent};
 
 use lifecycle::Tracker;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Once;
 
 /// Handle to a registered counter (index into the hub's table).
@@ -234,6 +235,12 @@ impl Hub {
 
 thread_local! {
     static HUB: RefCell<Option<Hub>> = const { RefCell::new(None) };
+    /// Mirror of `HUB.is_some()`, kept by [`enable`]/[`disable`]. The
+    /// hub has a destructor, so every access to it goes through the
+    /// lazy thread-local registration path and a `RefCell` borrow;
+    /// this flag has none, so the collection-off check on the hot path
+    /// is a plain thread-local load.
+    static ON: Cell<bool> = const { Cell::new(false) };
 }
 
 static PANIC_HOOK: Once = Once::new();
@@ -265,20 +272,38 @@ fn install_panic_hook() {
 pub fn enable(cfg: Config) {
     install_panic_hook();
     HUB.with(|cell| *cell.borrow_mut() = Some(Hub::new(&cfg)));
+    ON.with(|on| on.set(true));
 }
 
 /// Turn telemetry off for this thread, discarding all state.
 pub fn disable() {
+    ON.with(|on| on.set(false));
     HUB.with(|cell| *cell.borrow_mut() = None);
 }
 
 /// Is telemetry enabled on this thread?
+#[inline]
 pub fn enabled() -> bool {
-    HUB.with(|cell| cell.borrow().is_some())
+    ON.with(Cell::get)
 }
 
+/// Run `f` on this thread's hub, or return `None` without touching it
+/// when telemetry is off.
 #[inline]
 fn with_hub<R>(f: impl FnOnce(&mut Hub) -> R) -> Option<R> {
+    if enabled() {
+        with_live_hub(f)
+    } else {
+        None
+    }
+}
+
+/// The collection-on half of [`with_hub`], kept out of line so the
+/// inlined collection-off check stays one load and one branch at every
+/// hook site.
+#[cold]
+#[inline(never)]
+fn with_live_hub<R>(f: impl FnOnce(&mut Hub) -> R) -> Option<R> {
     HUB.with(|cell| cell.borrow_mut().as_mut().map(f))
 }
 

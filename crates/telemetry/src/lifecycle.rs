@@ -173,8 +173,7 @@ mod tests {
 
     /// The mixer must stay bit-identical to `dra_campaign::seed`'s
     /// SplitMix64 — these values are pinned against that
-    /// implementation (see the feature-gated cross-check in
-    /// dra-campaign).
+    /// implementation.
     #[test]
     fn sampler_constants() {
         assert_eq!(sample_hash(0), 0xe220a8397b1dcdaf);

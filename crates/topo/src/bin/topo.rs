@@ -55,15 +55,17 @@ fn usage() -> ! {
          --telemetry-out  write the merged dra-topo-telemetry/v1\n\
          \x20            network-scope snapshot (per-router counters,\n\
          \x20            fault forensics, sampled flow spans, PDES\n\
-         \x20            profile) to PATH; needs a binary built with\n\
-         \x20            `--features telemetry`\n\
+         \x20            profile) to PATH\n\
          --trace-out  write the sampled packets' multi-hop flow trace\n\
          \x20         as Chrome trace_event JSON to PATH (open at\n\
-         \x20         https://ui.perfetto.dev); same feature gate\n\
+         \x20         https://ui.perfetto.dev)\n\
          --dry-run   print the expanded grid (cells, axes, totals)\n\
          \x20         and exit without simulating\n\
          --check     validate an existing artifact (format, digest,\n\
-         \x20         ordering, per-cell packet conservation)"
+         \x20         ordering, per-cell packet conservation)\n\
+         \n\
+         --out and --no-out conflict, as do --list and --check; --dry-run\n\
+         simulates nothing, so --telemetry-out/--trace-out conflict with it."
     );
     std::process::exit(2);
 }

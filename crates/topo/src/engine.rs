@@ -47,27 +47,18 @@ pub struct TopoRunOptions {
     /// Suppress progress output.
     pub quiet: bool,
     /// Write the merged `dra-topo-telemetry/v1` network-scope snapshot
-    /// here (requires the `telemetry` cargo feature; collection turns
-    /// on iff this or `trace_out` is set). The snapshot's
-    /// `deterministic` section is byte-identical at any
+    /// here (collection turns on iff this or `trace_out` is set). The
+    /// snapshot's `deterministic` section is byte-identical at any
     /// `sim_threads`/`workers`; only its `profile` section is not.
     pub telemetry_out: Option<PathBuf>,
     /// Write the Chrome `trace_event` flow trace of the sampled
-    /// packets here (requires the `telemetry` cargo feature).
+    /// packets here.
     pub trace_out: Option<PathBuf>,
 }
 
 /// Execute a topo sweep and assemble its artifact.
 pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcome> {
     let collect = opts.telemetry_out.is_some() || opts.trace_out.is_some();
-    #[cfg(not(feature = "telemetry"))]
-    if collect {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "telemetry output requested, but dra-topo was built without the `telemetry` \
-             cargo feature (rebuild with `--features telemetry`)",
-        ));
-    }
     let run_opts = RunOptions {
         workers: opts.workers.unwrap_or_else(default_workers),
         out: opts.out.clone(),
@@ -103,7 +94,6 @@ pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
 
 /// Merge the per-cell telemetry in cell-index order (so the snapshot
 /// is worker-count invariant) and write the requested exports.
-#[cfg(feature = "telemetry")]
 fn write_telemetry(tele: Vec<CellTele>, opts: &TopoRunOptions) -> std::io::Result<Option<Json>> {
     let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
     let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
@@ -140,11 +130,6 @@ fn write_telemetry(tele: Vec<CellTele>, opts: &TopoRunOptions) -> std::io::Resul
             );
         }
     }
-    Ok(None)
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn write_telemetry(_: Vec<CellTele>, _: &TopoRunOptions) -> std::io::Result<Option<Json>> {
     Ok(None)
 }
 
@@ -261,26 +246,20 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
 /// Network-scope sampling density for CLI-driven collection: every
 /// 64th packet gets hop-resolved flow spans (counters, forensics, and
 /// the profiler are unsampled — they see everything).
-#[cfg(feature = "telemetry")]
 const TELEMETRY_SAMPLE_EVERY: u64 = 64;
 
 /// One cell's collected telemetry: the merged snapshot of its
 /// replications plus their concatenated flow-trace events.
-#[cfg(feature = "telemetry")]
 type CellTele = Option<
     Box<(
         dra_telemetry::NetScopeSnapshot,
         Vec<dra_telemetry::TraceEvent>,
     )>,
 >;
-#[cfg(not(feature = "telemetry"))]
-type CellTele = ();
 
 /// Run every replication of one cell and reduce to its JSON record
 /// (plus, when `collect` is set, its telemetry).
 fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) -> (Json, CellTele) {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = collect;
     let cell = &spec.cells[index];
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -291,12 +270,10 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
     let mut latency = Welford::new();
     let mut hops = Welford::new();
     let (mut n_nodes, mut n_links) = (0, 0);
-    #[cfg(feature = "telemetry")]
     let mut cell_tele: CellTele = None;
     for rep in 0..cell.replications {
         let mut net = build_network(cell, spec.master_seed, rep);
         net.cfg.sim_threads = sim_threads;
-        #[cfg(feature = "telemetry")]
         if collect {
             // The hub (flight-recorder ring + anomaly freeze) is
             // thread-local: arm it on whichever pool worker runs this
@@ -333,7 +310,6 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
             latency.push(s.latency.mean());
             hops.push(s.hops.mean());
         }
-        #[cfg(feature = "telemetry")]
         if collect {
             // Distinct Perfetto pid/arrow namespaces per (cell, rep):
             // pure functions of the indices, so the merged trace is
@@ -380,10 +356,7 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
         ("latency_s", welford_json(&latency)),
         ("hops", welford_json(&hops)),
     ]);
-    #[cfg(feature = "telemetry")]
-    return (record, cell_tele);
-    #[cfg(not(feature = "telemetry"))]
-    (record, ())
+    (record, cell_tele)
 }
 
 #[cfg(test)]

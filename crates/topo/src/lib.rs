@@ -29,8 +29,8 @@
 //! * [`spec`] / [`engine`] / [`registry`] — declarative sweeps over
 //!   topology × faults × architecture, executed on the campaign worker
 //!   pool into byte-reproducible `dra-topo/v1` artifacts.
-//! * [`telemetry`] (feature `telemetry`) — network-scope
-//!   observability: per-router counters, hop-resolved flow spans with
+//! * [`telemetry`] — network-scope observability, off unless a run
+//!   asks for it: per-router counters, hop-resolved flow spans with
 //!   Perfetto export, the fault-forensics ledger, and the PDES engine
 //!   profiler, exported as a `dra-topo-telemetry/v1` snapshot whose
 //!   deterministic section is byte-identical at any `sim_threads`.
@@ -50,7 +50,6 @@ pub mod routes;
 pub mod seeds;
 pub mod spec;
 pub mod stats;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod topology;
 

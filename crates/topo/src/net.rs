@@ -351,7 +351,6 @@ pub struct NetworkSim {
     /// Network-scope telemetry collector (installed by
     /// [`NetworkSim::enable_net_telemetry`]; `None` = off). Boxed so
     /// the disabled hot path pays one pointer, not the collector.
-    #[cfg(feature = "telemetry")]
     pub(crate) tele: Option<Box<crate::telemetry::NetTele>>,
 }
 
@@ -391,7 +390,6 @@ impl NetworkSim {
             cfg,
             stats: NetStats::new(n_flows),
             next_pkt_id: 0,
-            #[cfg(feature = "telemetry")]
             tele: None,
         }
     }
@@ -484,12 +482,24 @@ impl NetworkSim {
     /// double-count/leak the ledger exists to catch — freeze the
     /// flight-recorder window right there (first violation wins; the
     /// frozen window surfaces in the exported snapshot).
-    #[cfg(feature = "telemetry")]
     #[inline]
     fn conservation_guard(&self) {
         if self.stats.in_flight == 0 {
             dra_telemetry::anomaly("net: conservation ledger violation (terminate without inject)");
         }
+    }
+
+    /// Terminate a packet dropped at `node`: flight-recorder event,
+    /// ledger guard, then the drop census.
+    fn drop_at(&mut self, packet: u64, node: u32, cause: NetDropCause) {
+        dra_telemetry::event(
+            dra_telemetry::EventKind::NetDrop,
+            packet,
+            node,
+            cause.index() as u32,
+        );
+        self.conservation_guard();
+        self.stats.drop_packet(cause)
     }
 
     fn port_between(&self, a: u32, b: u32) -> u16 {
@@ -524,7 +534,6 @@ impl NetworkSim {
         in_port: u16,
         ctx: &mut Ctx<'_, NetEvent>,
     ) {
-        #[cfg(feature = "telemetry")]
         dra_telemetry::event(
             dra_telemetry::EventKind::NetTransit,
             pkt.id,
@@ -541,27 +550,11 @@ impl NetworkSim {
             &mut pkt,
             in_port,
         );
-        #[cfg(feature = "telemetry")]
-        {
-            let node_transit_s = self.cfg.node_transit_s;
-            if let Some(t) = self.tele.as_deref_mut() {
-                t.transit_outcome(ctx.now(), node, &pkt, &outcome, node_transit_s);
-            }
-            if let HopOutcome::Drop(cause) = outcome {
-                dra_telemetry::event(
-                    dra_telemetry::EventKind::NetDrop,
-                    pkt.id,
-                    node,
-                    cause.index() as u32,
-                );
-            }
+        if let Some(t) = self.tele.as_deref_mut() {
+            t.transit_outcome(ctx.now(), node, &pkt, &outcome, self.cfg.node_transit_s);
         }
         match outcome {
-            HopOutcome::Drop(cause) => {
-                #[cfg(feature = "telemetry")]
-                self.conservation_guard();
-                self.stats.drop_packet(cause)
-            }
+            HopOutcome::Drop(cause) => self.drop_at(pkt.id, node, cause),
             HopOutcome::Deliver { delay_s } => ctx.schedule(delay_s, NetEvent::Deliver { pkt }),
             HopOutcome::Forward { delay_s, out_port } => ctx.schedule(
                 delay_s,
@@ -699,38 +692,19 @@ impl Model for NetworkSim {
                     ctx.now(),
                     self.cfg.packet_bytes,
                 );
-                #[cfg(feature = "telemetry")]
-                {
-                    if let Some(t) = self.tele.as_deref_mut() {
-                        t.forward_outcome(ctx.now(), node, out_port, &pkt, &offer);
-                    }
-                    let (kind, b) = match offer {
-                        LinkOffer::Sent { .. } => {
-                            (dra_telemetry::EventKind::NetForward, out_port as u32)
-                        }
-                        LinkOffer::Down => (
-                            dra_telemetry::EventKind::NetDrop,
-                            NetDropCause::LinkDown.index() as u32,
-                        ),
-                        LinkOffer::Congested => (
-                            dra_telemetry::EventKind::NetDrop,
-                            NetDropCause::LinkCongested.index() as u32,
-                        ),
-                    };
-                    dra_telemetry::event(kind, pkt.id, node, b);
+                if let Some(t) = self.tele.as_deref_mut() {
+                    t.forward_outcome(ctx.now(), node, out_port, &pkt, &offer);
                 }
                 match offer {
-                    LinkOffer::Down => {
-                        #[cfg(feature = "telemetry")]
-                        self.conservation_guard();
-                        self.stats.drop_packet(NetDropCause::LinkDown)
-                    }
-                    LinkOffer::Congested => {
-                        #[cfg(feature = "telemetry")]
-                        self.conservation_guard();
-                        self.stats.drop_packet(NetDropCause::LinkCongested)
-                    }
+                    LinkOffer::Down => self.drop_at(pkt.id, node, NetDropCause::LinkDown),
+                    LinkOffer::Congested => self.drop_at(pkt.id, node, NetDropCause::LinkCongested),
                     LinkOffer::Sent { delay_s } => {
+                        dra_telemetry::event(
+                            dra_telemetry::EventKind::NetForward,
+                            pkt.id,
+                            node,
+                            out_port as u32,
+                        );
                         let peer = self.topo.adj[node as usize][out_port as usize];
                         let in_port = self.topo.rev_port[node as usize][out_port as usize];
                         ctx.schedule(
@@ -745,25 +719,21 @@ impl Model for NetworkSim {
                 }
             }
             NetEvent::Deliver { pkt } => {
-                #[cfg(feature = "telemetry")]
-                {
-                    dra_telemetry::event(
-                        dra_telemetry::EventKind::NetDeliver,
-                        pkt.id,
-                        pkt.dst as u32,
-                        pkt.hops as u32,
-                    );
-                    if let Some(t) = self.tele.as_deref_mut() {
-                        t.delivered(ctx.now(), pkt.dst as u32, &pkt);
-                    }
-                    self.conservation_guard();
+                dra_telemetry::event(
+                    dra_telemetry::EventKind::NetDeliver,
+                    pkt.id,
+                    pkt.dst as u32,
+                    pkt.hops as u32,
+                );
+                if let Some(t) = self.tele.as_deref_mut() {
+                    t.delivered(ctx.now(), pkt.dst as u32, &pkt);
                 }
+                self.conservation_guard();
                 self.stats
                     .deliver(pkt.flow, ctx.now() - pkt.injected_at, pkt.hops as u32);
             }
             NetEvent::Act { idx } => {
-                #[cfg(feature = "telemetry")]
-                {
+                if dra_telemetry::enabled() {
                     let node = match &self.compiled[idx as usize] {
                         CompiledNetAction::Router { node, .. } => *node,
                         CompiledNetAction::Cable { a, .. } => *a,

@@ -90,7 +90,7 @@ use crate::stats::{NetDropCause, NetStats};
 use dra_core::health::NodeHealth;
 use dra_core::scenario::Action;
 use dra_des::calendar::CalendarQueue;
-use dra_des::pdes::{run_windows, LogicalProcess, Outbox, WindowReport};
+use dra_des::pdes::{run_windows, LogicalProcess, Outbox, PdesProfile};
 use dra_des::random::exponential;
 use dra_net::fib::Dir248Fib;
 use rand::rngs::SmallRng;
@@ -299,11 +299,9 @@ struct NodeLp {
     /// delivered chains), folded into the network-scope collector in
     /// LP-id order after the run. `None` whenever collection is off,
     /// so the hot path pays one branch per event and nothing else.
-    #[cfg(feature = "telemetry")]
     tele: Option<Box<crate::telemetry::LpTele>>,
     /// Events processed, read by the engine profiler via
     /// [`LogicalProcess::events_processed`].
-    #[cfg(feature = "telemetry")]
     events: u64,
 }
 
@@ -374,10 +372,7 @@ impl LogicalProcess for NodeLp {
                 });
             }
             for (_seq, event) in batch.drain(..) {
-                #[cfg(feature = "telemetry")]
-                {
-                    self.events += 1;
-                }
+                self.events += 1;
                 match event {
                     LpEvent::Transit {
                         mut pkt,
@@ -394,7 +389,6 @@ impl LogicalProcess for NodeLp {
                             &mut pkt,
                             in_port,
                         );
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = self.tele.as_deref_mut() {
                             let node_transit_s = self.cfg.node_transit_s;
                             t.col.transit_outcome(
@@ -435,7 +429,6 @@ impl LogicalProcess for NodeLp {
                             now,
                             self.cfg.packet_bytes,
                         );
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = self.tele.as_deref_mut() {
                             t.col
                                 .forward_outcome(&mut t.nc, now, self.node, out_port, &pkt, &offer);
@@ -478,7 +471,6 @@ impl LogicalProcess for NodeLp {
                             flow: pkt.flow,
                             hops: pkt.hops,
                         });
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = self.tele.as_deref_mut() {
                             t.col.delivered(&mut t.nc, now, self.node, &pkt);
                             if t.col.is_sampled(pkt.id) {
@@ -534,7 +526,6 @@ impl LogicalProcess for NodeLp {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     fn events_processed(&self) -> u64 {
         self.events
     }
@@ -562,14 +553,10 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
         cfg,
         stats: _,
         next_pkt_id: _,
-        #[cfg(feature = "telemetry")]
-        tele,
+        mut tele,
     } = net;
     // Per-LP sampling density for the collectors installed below;
     // `None` keeps every hot-path hook a single never-taken branch.
-    #[cfg(feature = "telemetry")]
-    let mut tele = tele;
-    #[cfg(feature = "telemetry")]
     let lp_sample: Option<u64> = tele.as_ref().map(|t| t.sample_every());
     // Adaptive conservative lookahead: the minimum latency over the
     // links actually attached (uniform configs reproduce the old
@@ -620,9 +607,7 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
             deliveries: Vec::new(),
             staged: Vec::with_capacity(staged_counts[n]),
             next_staged: 0,
-            #[cfg(feature = "telemetry")]
             tele: lp_sample.map(|s| Box::new(crate::telemetry::LpTele::new(s))),
-            #[cfg(feature = "telemetry")]
             events: 0,
         })
         .collect();
@@ -665,55 +650,45 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    let _report: WindowReport = run_windows(&mut lps, lookahead, horizon, threads);
-    // With a collector installed, run the profiled variant (identical
-    // simulation result — see `run_windows_profiled`) and fold the
-    // engine profile plus the per-LP conservative-lookahead
-    // distribution into the non-deterministic `profile` section.
-    #[cfg(feature = "telemetry")]
-    match tele.as_deref_mut() {
-        None => {
-            let _report: WindowReport = run_windows(&mut lps, lookahead, horizon, threads);
-        }
-        Some(t) => {
-            let mut prof = dra_des::pdes::PdesProfile::default();
-            let _report: WindowReport = dra_des::pdes::run_windows_profiled(
-                &mut lps, lookahead, horizon, threads, &mut prof,
-            );
-            let mut ep = dra_telemetry::netscope::EngineProfile {
-                runs: 1,
-                threads: prof.threads as u64,
-                windows: prof.windows,
-                cross_messages: prof.cross_messages,
-                wall_ns: prof.wall_ns,
-                barrier_wait_ns: prof.barrier_wait_ns,
-                nonempty_windows: prof.nonempty_windows,
-                window_max_events_sum: prof.window_max_events_sum,
-                lp_events: prof.lp_events,
-                lp_busy_windows: prof.lp_busy_windows,
-                ..Default::default()
+    // With a collector installed, profile the run (identical
+    // simulation result) and fold the engine profile plus the per-LP
+    // conservative-lookahead distribution into the non-deterministic
+    // `profile` section.
+    let mut prof = tele.as_ref().map(|_| PdesProfile::default());
+    run_windows(&mut lps, lookahead, horizon, threads, prof.as_mut());
+    if let (Some(t), Some(prof)) = (tele.as_deref_mut(), prof) {
+        let mut ep = dra_telemetry::netscope::EngineProfile {
+            runs: 1,
+            threads: prof.threads as u64,
+            windows: prof.windows,
+            cross_messages: prof.cross_messages,
+            wall_ns: prof.wall_ns,
+            barrier_wait_ns: prof.barrier_wait_ns,
+            nonempty_windows: prof.nonempty_windows,
+            window_max_events_sum: prof.window_max_events_sum,
+            lp_events: prof.lp_events,
+            lp_busy_windows: prof.lp_busy_windows,
+            ..Default::default()
+        };
+        for lp in &lps {
+            // Each LP's own conservative bound: the minimum
+            // latency over its attached outgoing links.
+            let la = lp
+                .links
+                .iter()
+                .map(|l| l.latency_s)
+                .fold(f64::INFINITY, f64::min);
+            let la = if la.is_finite() {
+                la
+            } else {
+                cfg.link.latency_s
             };
-            for lp in &lps {
-                // Each LP's own conservative bound: the minimum
-                // latency over its attached outgoing links.
-                let la = lp
-                    .links
-                    .iter()
-                    .map(|l| l.latency_s)
-                    .fold(f64::INFINITY, f64::min);
-                let la = if la.is_finite() {
-                    la
-                } else {
-                    cfg.link.latency_s
-                };
-                ep.lookahead_min_s = ep.lookahead_min_s.min(la);
-                ep.lookahead_max_s = ep.lookahead_max_s.max(la);
-                ep.lookahead_sum_s += la;
-                ep.lookahead_lps += 1;
-            }
-            t.profile = Some(ep);
+            ep.lookahead_min_s = ep.lookahead_min_s.min(la);
+            ep.lookahead_max_s = ep.lookahead_max_s.max(la);
+            ep.lookahead_sum_s += la;
+            ep.lookahead_lps += 1;
         }
+        t.profile = Some(ep);
     }
 
     // Reassemble: counters sum, moments replay in delivery-time order,
@@ -738,7 +713,6 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
     // Pre-sized merge: one exact allocation, filled in node order.
     let mut deliveries: Vec<(u32, Delivery)> = Vec::with_capacity(total_deliveries);
     for (i, lp) in lps.into_iter().enumerate() {
-        #[cfg(feature = "telemetry")]
         if let Some(lpt) = lp.tele {
             if let Some(t) = tele.as_deref_mut() {
                 // LP-id order makes the fold order thread-invariant;
@@ -791,7 +765,6 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
         cfg,
         stats,
         next_pkt_id,
-        #[cfg(feature = "telemetry")]
         tele,
     }
 }

@@ -78,7 +78,12 @@ impl Collect {
 
     /// A `Transit` event resolved to `outcome` at `now` on `node`.
     /// Call with the *post-hop* packet (hop count already advanced).
-    #[inline]
+    ///
+    /// The three hooks are out of line and cold: collection is off on
+    /// most runs, and inlined they would bloat the engines' event loops
+    /// for a branch that is never taken.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn transit_outcome(
         &mut self,
         nc: &mut NodeCounters,
@@ -129,7 +134,8 @@ impl Collect {
     }
 
     /// A `Forward` event resolved against the link at `now`.
-    #[inline]
+    #[cold]
+    #[inline(never)]
     pub(crate) fn forward_outcome(
         &mut self,
         nc: &mut NodeCounters,
@@ -175,7 +181,8 @@ impl Collect {
     }
 
     /// A `Deliver` event at the destination host port.
-    #[inline]
+    #[cold]
+    #[inline(never)]
     pub(crate) fn delivered(
         &mut self,
         nc: &mut NodeCounters,

@@ -151,15 +151,13 @@ fn steady_state_network_simulation_is_allocation_free() {
          (short run: {short_allocs} allocs / {short_hops} hops)"
     );
 
-    // --- Telemetry compiled + hub armed + collector on, sampling off:
-    // the hot path still never allocates. (With the feature compiled
-    // but everything disabled, the sections above already measured the
-    // one-branch-per-hop configuration.) Counters increment in place,
+    // --- Hub armed + collector on, sampling off: the hot path still
+    // never allocates. (The sections above measured collection off,
+    // where every hook is one thread-local flag check.) Counters increment in place,
     // ring events overwrite a preallocated buffer, and outcome points
     // land in storage reserved at enable time; per-packet span
     // collection is the only sampled (and allocating) part, and
     // sampling 0 turns it off.
-    #[cfg(feature = "telemetry")]
     {
         dra_telemetry::enable(dra_telemetry::Config {
             sample_every: 0,

@@ -1,4 +1,4 @@
-//! Network-scope telemetry contracts (feature `telemetry`).
+//! Network-scope telemetry contracts.
 //!
 //! * The snapshot's `deterministic` section and the whole flow trace
 //!   are byte-identical at `--sim-threads` 1 vs 2 vs 4 — the same
@@ -7,7 +7,6 @@
 //! * `NetScopeSnapshot::merge` is commutative and associative, so the
 //!   fold over per-LP / per-cell partials is partition- and
 //!   order-invariant (proptest).
-#![cfg(feature = "telemetry")]
 
 use dra_campaign::json::{parse, Json};
 use dra_core::health::ArchKind;
@@ -140,25 +139,6 @@ fn deterministic_section_is_sim_thread_invariant() {
             .is_empty(),
         "sampled packets produce trace events"
     );
-}
-
-#[test]
-fn telemetry_out_without_feature_is_not_reachable_here() {
-    // Compiled only with the feature: the engine accepts the request.
-    // The feature-off Unsupported error is covered by the CLI (a
-    // feature-off binary refuses before simulating); here we pin that
-    // a collection run with no outputs behaves exactly as before.
-    let spec = tiny_spec();
-    let plain = engine::run(
-        &spec,
-        &TopoRunOptions {
-            workers: Some(1),
-            quiet: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(plain.failed, 0);
 }
 
 // ---- merge algebra -------------------------------------------------
