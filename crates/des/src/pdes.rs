@@ -5,31 +5,64 @@
 //! for models that decompose into **logical processes** (LPs) whose
 //! only interaction is timestamped messages with a known minimum
 //! latency (the *lookahead* `L`): advance every LP independently
-//! through fixed barrier windows of width `L / 2`, exchanging the
-//! cross-LP messages each window produced at the barrier.
+//! through barrier windows, exchanging the cross-LP messages each
+//! window produced at the barrier that ends it.
 //!
-//! Why `L / 2` and not `L`: an event emitted at local time `t` inside
-//! window `k` arrives at `t + L` at the earliest. With window width
-//! `W = L / 2` the arrival lands at least a **full window** past the
-//! end of window `k + 1`, so the safety argument needs only
-//! `arrival > window_end` with a margin of `W` — immune to `f64`
-//! rounding at the boundary — while still delivering every message
-//! one barrier before the window that could consume it.
+//! ## Windows
+//!
+//! Window `k` starts at `m_k`, the global lower bound on every time
+//! still to be processed: the minimum over every LP's earliest pending
+//! event ([`LogicalProcess::next_time`]) and every cross message still
+//! in transit. It spans the full lookahead, ending at
+//! `end_k = next_down(m_k + L)` (clamped to `horizon`, which is
+//! inclusive), and the run stops once `m_k > horizon`. Idle stretches
+//! therefore cost nothing: a gap of any length between two bursts of
+//! activity is crossed in one step (the conservative "YAWNS" window,
+//! Nicol 1993).
+//!
+//! Safety rests on `f64` rounding being monotone. Every event a window
+//! processes has time `t ≥ m`, and a cross message it emits travels
+//! over a link of latency `≥ L`, so its stamp is `≥ fl(m + L)`, which
+//! is strictly greater than `end = next_down(fl(m + L))`. No message
+//! can land inside the window that emitted it. The engine does not
+//! take this on trust: after each LP's window it asserts that the
+//! earliest stamp the LP emitted ([`Outbox::send`] records each one)
+//! is past `end`, and it asserts `end ≥ m`, so a lookahead below the
+//! rounding resolution at `m` fails loudly instead of spinning.
 //!
 //! `L` is a *global minimum*: per-LP-pair lookaheads may be larger
 //! (heterogeneous link latencies), in which case those messages are
 //! simply delivered **early** — more than one barrier before the
 //! window that could consume them. Early delivery is always safe
 //! because [`LogicalProcess::accept`] enqueues the message at its own
-//! embedded timestamp; the consuming window pops it no sooner either
-//! way.
+//! timestamp; the consuming window pops it no sooner either way.
 //!
-//! Determinism contract (the same discipline the campaign worker pool
-//! and telemetry merge already follow): thread count never changes a
-//! byte of the result. Three rules enforce it:
+//! ## One barrier per window
 //!
-//! 1. Windows are a pure function of `(lookahead, horizon)` — never of
-//!    the thread count.
+//! Each thread publishes, per window, its outgoing messages, one
+//! payload sidecar per LP (below) and its local lower bound (the
+//! minimum of its LPs' `next_time` and its emitted stamps). All three
+//! are **parity-buffered**: window `k` writes buffer `(k + 1) % 2` and
+//! reads buffer `k % 2`. A single barrier ends the window; after it
+//! every thread reduces the same published minima to the same
+//! `m_{k+1}` (so every thread takes the same stop decision) and, unless
+//! the run is over, accepts the messages addressed to its LPs. A
+//! buffer written in window `k` is not written again before window
+//! `k + 2`, which starts only after the next barrier, by which time
+//! every thread has finished reading it — so no thread writes storage
+//! another may still be reading. Messages stamped past the horizon are
+//! never accepted.
+//!
+//! ## Determinism contract
+//!
+//! The same discipline the campaign worker pool and telemetry merge
+//! already follow: thread count never changes a byte of the result.
+//! Three rules enforce it:
+//!
+//! 1. Windows are a function of the model state at each barrier
+//!    (`m_k` is an exact minimum, which no reduction order can
+//!    perturb), and that state is itself thread-invariant by
+//!    induction over rules 1–2 — never a function of the thread count.
 //! 2. Cross messages are tagged `(destination, source LP, emission
 //!    index within the source's window)` and applied sorted by that
 //!    key at the barrier, so the arrival order at any LP is
@@ -51,19 +84,20 @@
 //! if carried inline. Each LP therefore publishes one
 //! [`LogicalProcess::Payload`] value per window alongside its
 //! messages — filled through [`Outbox::payload`] during the window,
-//! readable (shared) by every receiver's `accept` at the barrier, and
-//! handed back to its owner at the next window for reuse. Steady
-//! state, the payload buffers cycle without allocating. Models that
-//! don't need the sidecar use `Payload = ()`.
+//! readable (shared) by every receiver's `accept` after the barrier,
+//! and handed back to its owner two windows later (one buffer per
+//! parity) for reuse. Steady state, the payload buffers cycle without
+//! allocating. Models that don't need the sidecar use `Payload = ()`.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 /// One logical process: a self-contained sub-simulation that can
 /// advance to a time bound and absorb timestamped cross-LP messages.
 pub trait LogicalProcess: Send {
-    /// Message type carried between LPs (must embed its own timestamp;
-    /// the executor never inspects it).
+    /// Message type carried between LPs (its timestamp travels beside
+    /// it: given to [`Outbox::send`], handed back to `accept`).
     type Cross: Send;
 
     /// Bulk data published once per LP per window alongside its
@@ -75,15 +109,22 @@ pub trait LogicalProcess: Send {
     /// time ≤ `window_end`. Messages for other LPs — which must be
     /// timestamped at least one lookahead after the emitting event —
     /// go into `out`; any bulk data they reference goes into
-    /// [`Outbox::payload`] (stale contents from this LP's previous
-    /// window — clear before use).
+    /// [`Outbox::payload`] (stale contents from this LP's window two
+    /// barriers ago — clear before use).
     fn advance_window(&mut self, window_end: f64, out: &mut Outbox<Self::Cross, Self::Payload>);
 
-    /// Absorb one cross message (enqueue it as a local future event).
-    /// Called only between windows, in deterministic `(source,
-    /// emission-index)` order; `payload` is the sending LP's sidecar
-    /// for the window that emitted `msg`.
-    fn accept(&mut self, msg: Self::Cross, payload: &Self::Payload);
+    /// Absorb one cross message stamped `time` (enqueue it as a local
+    /// future event). Called only between windows, in deterministic
+    /// `(source, emission-index)` order; `payload` is the sending LP's
+    /// sidecar for the window that emitted `msg`.
+    fn accept(&mut self, time: f64, msg: Self::Cross, payload: &Self::Payload);
+
+    /// Time of this LP's earliest pending local event, `f64::INFINITY`
+    /// when it has none. Read before the first window and after each
+    /// window to place the next one; an event earlier than the answer
+    /// must not exist, or the window that should have processed it may
+    /// already be past.
+    fn next_time(&mut self) -> f64;
 
     /// Cumulative count of local events this LP has processed, read by
     /// the engine profiler between windows to attribute load. The
@@ -96,7 +137,9 @@ pub trait LogicalProcess: Send {
 
 /// Collector for cross-LP messages emitted during one LP's window.
 pub struct Outbox<C, P> {
-    events: Vec<(u32, C)>,
+    events: Vec<(u32, f64, C)>,
+    /// Earliest stamp sent this window (`INFINITY` when none).
+    min_time: f64,
     /// The emitting LP's payload sidecar for this window (recycled
     /// storage from its own earlier windows; contents are stale until
     /// the LP resets them).
@@ -107,13 +150,15 @@ impl<C, P: Default> Outbox<C, P> {
     fn new() -> Self {
         Outbox {
             events: Vec::new(),
+            min_time: f64::INFINITY,
             payload: P::default(),
         }
     }
 
-    /// Emit `msg` toward LP `dst`.
-    pub fn send(&mut self, dst: u32, msg: C) {
-        self.events.push((dst, msg));
+    /// Emit `msg` toward LP `dst`, to be accepted there at `time`.
+    pub fn send(&mut self, dst: u32, time: f64, msg: C) {
+        self.min_time = self.min_time.min(time);
+        self.events.push((dst, time, msg));
     }
 
     /// Messages emitted so far in this window.
@@ -130,10 +175,38 @@ impl<C, P: Default> Outbox<C, P> {
 /// A cross message in transit between windows, tagged with its
 /// deterministic merge key.
 struct Tagged<C> {
+    time: f64,
     dst: u32,
     src: u32,
     idx: u32,
     msg: C,
+}
+
+/// One (sender thread, receiver thread) message queue.
+type Slot<C> = Mutex<Vec<Tagged<C>>>;
+
+/// What one thread publishes per window, read by every thread after
+/// the barrier: its local lower bound (`f64` bits) and, when
+/// profiling, its window's event sum and busiest-LP event count.
+/// `Relaxed` suffices for these and for the failure flag: every store
+/// precedes the writer's `Barrier::wait` and every load follows the
+/// reader's, and the barrier (a mutex and condvar) orders the two.
+#[derive(Default)]
+struct Bulletin {
+    min: AtomicU64,
+    events: AtomicU64,
+    max_events: AtomicU64,
+}
+
+/// One thread's totals, returned when it joins.
+#[derive(Default)]
+struct ThreadTally {
+    windows: u64,
+    published: u64,
+    wait_ns: u64,
+    nonempty_windows: u64,
+    window_max_events_sum: u64,
+    busy: Vec<u64>,
 }
 
 /// Summary of one windowed run.
@@ -164,7 +237,7 @@ pub struct PdesProfile {
     pub wall_ns: u64,
     /// Wall-clock all threads spent blocked in `Barrier::wait`,
     /// nanoseconds, summed across threads (a run with zero imbalance
-    /// still pays two waits per window for the convoy itself).
+    /// still pays one wait per window for the convoy itself).
     pub barrier_wait_ns: u64,
     /// Events processed per LP, LP-id order (via
     /// [`LogicalProcess::events_processed`]).
@@ -179,28 +252,75 @@ pub struct PdesProfile {
     pub window_max_events_sum: u64,
 }
 
-/// Advance `lps` to `horizon` on `threads` scoped threads using
-/// conservative barrier windows of width `lookahead / 2`.
+/// Worker threads a request for `requested` threads over `n_lps` LPs
+/// actually gets: at least 1, at most one per LP, and at most the
+/// host's available parallelism. Because the determinism contract
+/// makes the worker count unobservable, spawning more workers than
+/// cores would add barrier-scheduling overhead (a futex convoy per
+/// window) without any concurrency in return, so an oversubscribed
+/// request runs at the widest useful width instead. [`run_windows`]
+/// applies exactly this clamp; callers that report a thread count use
+/// it too.
+pub fn effective_threads(requested: usize, n_lps: usize) -> usize {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(usize::MAX);
+    requested.clamp(1, n_lps.max(1)).min(cores)
+}
+
+/// Advance `lps` to `horizon` on up to `threads` scoped threads using
+/// conservative barrier windows (see the module docs).
 ///
 /// The result is byte-identical at every `threads` value (see the
-/// module docs for the contract). `threads` is clamped to
-/// `[1, lps.len()]`, and — because the contract makes the worker
-/// count unobservable — also to the host's available parallelism:
-/// spawning more workers than cores adds barrier-scheduling overhead
-/// (two futex convoys per window) without any concurrency in return,
-/// so an oversubscribed request silently runs at the widest useful
-/// width instead.
+/// module docs for the contract). `threads` is clamped by
+/// [`effective_threads`].
 ///
 /// With `profile`, the run also fills it with per-LP load, per-window
 /// occupancy, and barrier-stall wall-clock (replacing its previous
-/// contents). Profiling reads wall-clocks and takes one extra lock per
-/// thread per window, so a profiled run is marginally slower, but its
+/// contents). Profiling reads wall-clocks and the LPs' event counters
+/// once per window, so a profiled run is marginally slower, but its
 /// simulation result is byte-identical to an unprofiled one.
 ///
 /// # Panics
-/// Panics if `lookahead` or `horizon` is non-positive or non-finite.
-/// A panic inside any LP propagates after all threads join.
+/// Panics if `lookahead` or `horizon` is non-positive or non-finite,
+/// if an LP emits a message stamped inside the window that emitted it
+/// (a lookahead violation), or if `lookahead` is too small to advance
+/// past some pending event time in `f64`. A panic inside any LP
+/// releases the other threads at the next barrier and propagates
+/// after all threads join.
 pub fn run_windows<L: LogicalProcess>(
+    lps: &mut [L],
+    lookahead: f64,
+    horizon: f64,
+    threads: usize,
+    profile: Option<&mut PdesProfile>,
+) -> WindowReport {
+    let threads = effective_threads(threads, lps.len());
+    execute_windows(lps, lookahead, horizon, threads, profile)
+}
+
+/// On unwind, flags the run as failed and takes this thread's place
+/// at the next barrier, so the surviving threads pass it, see the
+/// flag, and return instead of waiting forever for a thread that will
+/// never arrive.
+struct ReleaseOnPanic<'a> {
+    barrier: &'a Barrier,
+    failed: &'a AtomicBool,
+}
+
+impl Drop for ReleaseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.failed.store(true, Ordering::Relaxed);
+            self.barrier.wait();
+        }
+    }
+}
+
+/// The windowed executor behind [`run_windows`], on exactly `threads`
+/// workers (no clamp, so tests can run more threads than cores or
+/// LPs; surplus threads own empty LP ranges).
+pub(crate) fn execute_windows<L: LogicalProcess>(
     lps: &mut [L],
     lookahead: f64,
     horizon: f64,
@@ -215,6 +335,7 @@ pub fn run_windows<L: LogicalProcess>(
         horizon >= 0.0 && horizon.is_finite(),
         "run_windows: horizon must be nonnegative and finite, got {horizon}"
     );
+    assert!(threads >= 1, "run_windows: threads must be at least 1");
     if lps.is_empty() {
         if let Some(p) = profile {
             *p = PdesProfile::default();
@@ -224,210 +345,255 @@ pub fn run_windows<L: LogicalProcess>(
             cross_messages: 0,
         };
     }
-    let width = lookahead / 2.0;
-    // Enough windows that the last boundary clamps to exactly
-    // `horizon`; at least one so t = 0 events run even at horizon 0.
-    let n_windows = ((horizon / width).ceil() as u64).max(1);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(usize::MAX);
-    let threads = threads.clamp(1, lps.len()).min(cores);
     let n_lps = lps.len();
 
     // Contiguous LP ranges per thread (the shape is unobservable —
     // see the module docs — so a simple even split suffices).
     let bound = |t: usize| t * n_lps / threads;
+    let mut owner = vec![0u32; n_lps];
     let mut chunks: Vec<(usize, &mut [L])> = Vec::with_capacity(threads);
     let mut rest = &mut *lps;
     for t in 0..threads {
-        let take = bound(t + 1) - bound(t);
-        let (head, tail) = rest.split_at_mut(take);
+        owner[bound(t)..bound(t + 1)].fill(t as u32);
+        let (head, tail) = rest.split_at_mut(bound(t + 1) - bound(t));
         chunks.push((bound(t), head));
         rest = tail;
     }
 
-    let barrier = Barrier::new(threads);
-    let slots: Vec<Mutex<Vec<Tagged<L::Cross>>>> =
-        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    // One payload slot per LP: written by its owner in phase 1, read
-    // (shared, under the per-slot lock) by receivers in phase 2, and
-    // reclaimed by the owner at its next phase 1 — so each buffer
-    // cycles owner → readers → owner without ever allocating again.
-    let payloads: Vec<Mutex<L::Payload>> = (0..n_lps)
-        .map(|_| Mutex::new(L::Payload::default()))
-        .collect();
-    let crossings = Mutex::new(0u64);
-    // Profiling accumulators: shared per-window (events sum, max LP
-    // events) merged under one lock, per-LP busy-window counts, and
-    // the summed barrier-stall clock. All untouched when not
-    // profiling, so the unprofiled hot loop pays one branch per
-    // window and nothing else.
-    let profiling = profile.is_some();
-    let win_stats: Mutex<Vec<(u64, u64)>> = Mutex::new(if profiling {
-        vec![(0, 0); n_windows as usize]
-    } else {
-        Vec::new()
-    });
-    let busy: Mutex<Vec<u64>> = Mutex::new(if profiling {
-        vec![0; n_lps]
-    } else {
-        Vec::new()
-    });
-    let barrier_ns = Mutex::new(0u64);
+    let x = Exchange {
+        lookahead,
+        horizon,
+        threads,
+        profiling: profile.is_some(),
+        barrier: Barrier::new(threads),
+        failed: AtomicBool::new(false),
+        owner,
+        slots: std::array::from_fn(|_| {
+            (0..threads * threads)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect()
+        }),
+        payloads: std::array::from_fn(|_| {
+            (0..n_lps)
+                .map(|_| Mutex::new(L::Payload::default()))
+                .collect()
+        }),
+        boards: std::array::from_fn(|_| (0..threads).map(|_| Bulletin::default()).collect()),
+    };
     let wall_start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for (tid, (base, chunk)) in chunks.into_iter().enumerate() {
-            let barrier = &barrier;
-            let slots = &slots;
-            let payloads = &payloads;
-            let crossings = &crossings;
-            let win_stats = &win_stats;
-            let busy = &busy;
-            let barrier_ns = &barrier_ns;
-            scope.spawn(move || {
-                let mut outbox = Outbox::new();
-                let mut published = 0u64;
-                // Profiling locals: previous cumulative event count
-                // per chunk LP (for per-window deltas), per-LP busy
-                // windows, and this thread's barrier-stall clock.
-                let mut prev: Vec<u64> = if profiling {
-                    chunk.iter().map(|lp| lp.events_processed()).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut busy_local: Vec<u64> = vec![0; prev.len()];
-                let mut wait_ns = 0u64;
-                // Staging buffers live across windows: steady state,
-                // a window reuses the high-water capacity of earlier
-                // ones instead of reallocating per barrier.
-                let mut outgoing: Vec<Tagged<L::Cross>> = Vec::new();
-                let mut incoming: Vec<Tagged<L::Cross>> = Vec::new();
-                for k in 0..n_windows {
-                    let end = (width * (k + 1) as f64).min(horizon);
-                    // Phase 1: every LP in this chunk advances through
-                    // the window, tagging emissions with (src, idx).
-                    for (j, lp) in chunk.iter_mut().enumerate() {
-                        let g = base + j;
-                        {
-                            let mut slot = payloads[g].lock().expect("payload slot lock");
-                            outbox.payload = std::mem::take(&mut *slot);
-                        }
-                        lp.advance_window(end, &mut outbox);
-                        for (idx, (dst, msg)) in outbox.events.drain(..).enumerate() {
-                            debug_assert!((dst as usize) < n_lps, "outbox dst {dst} out of range");
-                            outgoing.push(Tagged {
-                                dst,
-                                src: g as u32,
-                                idx: idx as u32,
-                                msg,
-                            });
-                        }
-                        {
-                            let mut slot = payloads[g].lock().expect("payload slot lock");
-                            *slot = std::mem::take(&mut outbox.payload);
-                        }
-                    }
-                    if profiling {
-                        let mut sum = 0u64;
-                        let mut mx = 0u64;
-                        for (j, lp) in chunk.iter().enumerate() {
-                            let e = lp.events_processed();
-                            let d = e - prev[j];
-                            prev[j] = e;
-                            if d > 0 {
-                                busy_local[j] += 1;
-                            }
-                            sum += d;
-                            mx = mx.max(d);
-                        }
-                        if sum > 0 {
-                            let mut ws = win_stats.lock().expect("window stats lock");
-                            let slot = &mut ws[k as usize];
-                            slot.0 += sum;
-                            slot.1 = slot.1.max(mx);
-                        }
-                    }
-                    published += outgoing.len() as u64;
-                    if !outgoing.is_empty() {
-                        slots[tid]
-                            .lock()
-                            .expect("outbox slot lock")
-                            .append(&mut outgoing);
-                    }
-                    if profiling {
-                        let t0 = Instant::now();
-                        barrier.wait();
-                        wait_ns += t0.elapsed().as_nanos() as u64;
-                    } else {
-                        barrier.wait();
-                    }
-                    // Phase 2: claim the messages addressed to this
-                    // chunk and apply them in (dst, src, idx) order —
-                    // a key no thread schedule can perturb. Payload
-                    // slots are only read in this phase; owners
-                    // reclaim them after the next barrier.
-                    let lo = base as u32;
-                    let hi = (base + chunk.len()) as u32;
-                    for slot in slots.iter() {
-                        let mut guard = slot.lock().expect("outbox slot lock");
-                        let mut i = 0;
-                        while i < guard.len() {
-                            if (lo..hi).contains(&guard[i].dst) {
-                                incoming.push(guard.swap_remove(i));
-                            } else {
-                                i += 1;
-                            }
-                        }
-                    }
-                    // Unstable sort: the key is unique (one idx per
-                    // src emission), so the order is total — and the
-                    // unstable algorithm never allocates, keeping the
-                    // steady-state barrier heap-free.
-                    incoming.sort_unstable_by_key(|t| (t.dst, t.src, t.idx));
-                    for t in incoming.drain(..) {
-                        let payload = payloads[t.src as usize].lock().expect("payload slot lock");
-                        chunk[t.dst as usize - base].accept(t.msg, &payload);
-                    }
-                    // Phase 3: nobody republishes into a slot another
-                    // thread may still be scanning.
-                    if profiling {
-                        let t0 = Instant::now();
-                        barrier.wait();
-                        wait_ns += t0.elapsed().as_nanos() as u64;
-                    } else {
-                        barrier.wait();
-                    }
-                }
-                *crossings.lock().expect("crossing counter") += published;
-                if profiling {
-                    *barrier_ns.lock().expect("barrier clock") += wait_ns;
-                    let mut b = busy.lock().expect("busy windows lock");
-                    for (j, v) in busy_local.iter().enumerate() {
-                        b[base + j] = *v;
-                    }
-                }
-            });
-        }
+    let tallies: Vec<ThreadTally> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(tid, (base, chunk))| {
+                let x = &x;
+                scope.spawn(move || worker(x, tid, base, chunk))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
 
-    let cross_messages = crossings.into_inner().expect("crossing counter");
+    let windows = tallies[0].windows;
+    let cross_messages = tallies.iter().map(|t| t.published).sum();
     if let Some(p) = profile {
         p.threads = threads;
-        p.windows = n_windows;
+        p.windows = windows;
         p.cross_messages = cross_messages;
         p.wall_ns = wall_start.elapsed().as_nanos() as u64;
-        p.barrier_wait_ns = barrier_ns.into_inner().expect("barrier clock");
+        p.barrier_wait_ns = tallies.iter().map(|t| t.wait_ns).sum();
         p.lp_events = lps.iter().map(|lp| lp.events_processed()).collect();
-        p.lp_busy_windows = busy.into_inner().expect("busy windows lock");
-        let ws = win_stats.into_inner().expect("window stats lock");
-        p.nonempty_windows = ws.iter().filter(|w| w.0 > 0).count() as u64;
-        p.window_max_events_sum = ws.iter().map(|w| w.1).sum();
+        p.lp_busy_windows = tallies
+            .iter()
+            .flat_map(|t| t.busy.iter().copied())
+            .collect();
+        p.nonempty_windows = tallies[0].nonempty_windows;
+        p.window_max_events_sum = tallies[0].window_max_events_sum;
     }
 
     WindowReport {
-        windows: n_windows,
+        windows,
         cross_messages,
+    }
+}
+
+/// What the workers share: the run's parameters and the
+/// parity-buffered exchange (see the module docs), indexed `[parity]`.
+struct Exchange<C, P> {
+    lookahead: f64,
+    horizon: f64,
+    threads: usize,
+    profiling: bool,
+    barrier: Barrier,
+    /// Set by a panicking worker (see [`ReleaseOnPanic`]).
+    failed: AtomicBool,
+    /// The thread that owns each LP.
+    owner: Vec<u32>,
+    /// One queue per (sender thread, receiver thread) pair, at
+    /// `sender * threads + receiver`, so a receiver takes exactly its
+    /// own messages without scanning anyone else's.
+    slots: [Vec<Slot<C>>; 2],
+    /// One payload sidecar per LP.
+    payloads: [Vec<Mutex<P>>; 2],
+    /// One bulletin per thread.
+    boards: [Vec<Bulletin>; 2],
+}
+
+/// One worker: runs LPs `base..base + chunk.len()` through every
+/// window, crossing one barrier per window.
+fn worker<L: LogicalProcess>(
+    x: &Exchange<L::Cross, L::Payload>,
+    tid: usize,
+    base: usize,
+    chunk: &mut [L],
+) -> ThreadTally {
+    let _release = ReleaseOnPanic {
+        barrier: &x.barrier,
+        failed: &x.failed,
+    };
+    let (lookahead, horizon, threads) = (x.lookahead, x.horizon, x.threads);
+    let mut tally = ThreadTally {
+        busy: vec![0; if x.profiling { chunk.len() } else { 0 }],
+        ..ThreadTally::default()
+    };
+    let mut outbox = Outbox::new();
+    // Previous cumulative event count per chunk LP, for the profiler's
+    // per-window deltas.
+    let mut prev: Vec<u64> = if x.profiling {
+        chunk.iter().map(|lp| lp.events_processed()).collect()
+    } else {
+        Vec::new()
+    };
+    // Staging buffers live across windows: steady state, a window
+    // reuses the high-water capacity of earlier ones instead of
+    // reallocating per barrier.
+    let mut outgoing: Vec<Vec<Tagged<L::Cross>>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut incoming: Vec<Tagged<L::Cross>> = Vec::new();
+    let local_min = chunk
+        .iter_mut()
+        .map(|lp| lp.next_time())
+        .fold(f64::INFINITY, f64::min);
+    x.boards[0][tid]
+        .min
+        .store(local_min.to_bits(), Ordering::Relaxed);
+    loop {
+        let p = (tally.windows % 2) as usize;
+        if x.profiling {
+            let t0 = Instant::now();
+            x.barrier.wait();
+            tally.wait_ns += t0.elapsed().as_nanos() as u64;
+        } else {
+            x.barrier.wait();
+        }
+        if x.failed.load(Ordering::Relaxed) {
+            return tally;
+        }
+        // Occupancy of the window that just ended, folded once (by
+        // thread 0) from every thread's bulletin.
+        if x.profiling && tid == 0 && tally.windows > 0 {
+            let (mut sum, mut mx) = (0u64, 0u64);
+            for b in &x.boards[p] {
+                sum += b.events.load(Ordering::Relaxed);
+                mx = mx.max(b.max_events.load(Ordering::Relaxed));
+            }
+            tally.nonempty_windows += u64::from(sum > 0);
+            tally.window_max_events_sum += mx;
+        }
+        // Every thread reduces the same published minima, so every
+        // thread places the same window and takes the same stop
+        // decision.
+        let m = x.boards[p]
+            .iter()
+            .map(|b| f64::from_bits(b.min.load(Ordering::Relaxed)))
+            .fold(f64::INFINITY, f64::min);
+        if m > horizon {
+            return tally;
+        }
+        let end = (m + lookahead).next_down().min(horizon);
+        assert!(
+            end >= m,
+            "run_windows: lookahead {lookahead} is below the f64 rounding resolution \
+             at t = {m}; the window cannot advance"
+        );
+        // Accept the previous window's messages addressed to this
+        // chunk, in (dst, src, idx) order — a key no thread schedule
+        // can perturb. Unstable sort: the key is unique, so the order
+        // is total, and the unstable algorithm never allocates.
+        for s in 0..threads {
+            incoming.append(
+                &mut x.slots[p][s * threads + tid]
+                    .lock()
+                    .expect("message slot lock"),
+            );
+        }
+        incoming.sort_unstable_by_key(|t| (t.dst, t.src, t.idx));
+        for t in incoming.drain(..) {
+            let payload = x.payloads[p][t.src as usize]
+                .lock()
+                .expect("payload slot lock");
+            chunk[t.dst as usize - base].accept(t.time, t.msg, &payload);
+        }
+        // Advance this chunk, publishing into the other parity: nobody
+        // reads it until after the next barrier, and nobody still
+        // reads its previous contents since the last one.
+        let q = 1 - p;
+        let mut local_min = f64::INFINITY;
+        for (j, lp) in chunk.iter_mut().enumerate() {
+            let g = base + j;
+            let mut slot = x.payloads[q][g].lock().expect("payload slot lock");
+            std::mem::swap(&mut outbox.payload, &mut *slot);
+            outbox.min_time = f64::INFINITY;
+            lp.advance_window(end, &mut outbox);
+            std::mem::swap(&mut outbox.payload, &mut *slot);
+            drop(slot);
+            assert!(
+                outbox.min_time > end,
+                "run_windows: causality violation: LP {g} sent a message stamped {} \
+                 inside the window ending at {end} (lookahead {lookahead})",
+                outbox.min_time
+            );
+            local_min = local_min.min(outbox.min_time).min(lp.next_time());
+            for (idx, (dst, time, msg)) in outbox.events.drain(..).enumerate() {
+                let dest_thread = *x.owner.get(dst as usize).unwrap_or_else(|| {
+                    panic!("run_windows: LP {g} sent to LP {dst}, which does not exist")
+                });
+                outgoing[dest_thread as usize].push(Tagged {
+                    time,
+                    dst,
+                    src: g as u32,
+                    idx: idx as u32,
+                    msg,
+                });
+            }
+        }
+        if x.profiling {
+            let (mut sum, mut mx) = (0u64, 0u64);
+            for (j, lp) in chunk.iter().enumerate() {
+                let e = lp.events_processed();
+                let d = e - prev[j];
+                prev[j] = e;
+                tally.busy[j] += u64::from(d > 0);
+                sum += d;
+                mx = mx.max(d);
+            }
+            x.boards[q][tid].events.store(sum, Ordering::Relaxed);
+            x.boards[q][tid].max_events.store(mx, Ordering::Relaxed);
+        }
+        for (r, out) in outgoing.iter_mut().enumerate() {
+            if !out.is_empty() {
+                tally.published += out.len() as u64;
+                x.slots[q][tid * threads + r]
+                    .lock()
+                    .expect("message slot lock")
+                    .append(out);
+            }
+        }
+        x.boards[q][tid]
+            .min
+            .store(local_min.to_bits(), Ordering::Relaxed);
+        tally.windows += 1;
     }
 }
 
@@ -435,6 +601,10 @@ pub fn run_windows<L: LogicalProcess>(
 mod tests {
     use super::*;
     use crate::calendar::CalendarQueue;
+
+    /// Thread counts the executor is pinned at: below, at and above
+    /// the LP counts used here, and above any plausible core count.
+    const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
     /// Toy LP: a node on a ring that bounces tokens onward with a
     /// fixed per-hop delay and records every arrival it sees.
@@ -467,19 +637,23 @@ mod tests {
     }
 
     impl LogicalProcess for RingNode {
-        type Cross = (f64, u64);
+        type Cross = u64;
         type Payload = ();
 
-        fn advance_window(&mut self, window_end: f64, out: &mut Outbox<(f64, u64), ()>) {
+        fn advance_window(&mut self, window_end: f64, out: &mut Outbox<u64, ()>) {
             while let Some((t, _seq, token)) = self.queue.pop_at_or_before(window_end) {
                 let order = self.log.len() as u64;
                 self.log.push((token, t, order));
-                out.send((self.id + 1) % self.n, (t + self.hop_delay, token));
+                out.send((self.id + 1) % self.n, t + self.hop_delay, token);
             }
         }
 
-        fn accept(&mut self, (t, token): (f64, u64), _payload: &()) {
+        fn accept(&mut self, t: f64, token: u64, _payload: &()) {
             self.push(t, token);
+        }
+
+        fn next_time(&mut self) -> f64 {
+            self.queue.min_time().unwrap_or(f64::INFINITY)
         }
 
         fn events_processed(&self) -> u64 {
@@ -487,30 +661,41 @@ mod tests {
         }
     }
 
-    fn run_ring(n: u32, tokens: u64, threads: usize) -> Vec<Vec<(u64, f64, u64)>> {
-        let hop = 1e-3;
-        let mut lps: Vec<RingNode> = (0..n).map(|i| RingNode::new(i, n, hop)).collect();
+    type Logs = Vec<Vec<(u64, f64, u64)>>;
+
+    fn ring(n: u32, tokens: u64) -> Vec<RingNode> {
+        let mut lps: Vec<RingNode> = (0..n).map(|i| RingNode::new(i, n, 1e-3)).collect();
         for tok in 0..tokens {
             // Stagger starts so several tokens circulate at once.
             lps[(tok % n as u64) as usize].push(tok as f64 * 1e-4, tok);
         }
-        let report = run_windows(&mut lps, hop, 50e-3, threads, None);
+        lps
+    }
+
+    fn run_ring(n: u32, tokens: u64, threads: usize) -> (Logs, WindowReport) {
+        let mut lps = ring(n, tokens);
+        let report = execute_windows(&mut lps, 1e-3, 50e-3, threads, None);
         assert!(report.windows >= 1);
         assert!(report.cross_messages > 0);
-        lps.into_iter().map(|lp| lp.log).collect()
+        (lps.into_iter().map(|lp| lp.log).collect(), report)
     }
 
     #[test]
     fn ring_is_thread_count_invariant() {
         let oracle = run_ring(8, 5, 1);
-        for threads in [2, 3, 4, 8] {
+        for threads in THREADS {
             assert_eq!(run_ring(8, 5, threads), oracle, "threads = {threads}");
         }
+        // The public entry point clamps, and changes nothing either.
+        let mut lps = ring(8, 5);
+        let report = run_windows(&mut lps, 1e-3, 50e-3, 64, None);
+        let logs: Logs = lps.into_iter().map(|lp| lp.log).collect();
+        assert_eq!((logs, report), oracle);
     }
 
     #[test]
     fn ring_conserves_and_orders_tokens() {
-        let logs = run_ring(4, 2, 2);
+        let (logs, _) = run_ring(4, 2, 2);
         let total: usize = logs.iter().map(Vec::len).sum();
         // Each token takes one hop per ms over 50 ms.
         assert!(total >= 90, "expected ~100 arrivals, got {total}");
@@ -522,38 +707,117 @@ mod tests {
     }
 
     #[test]
-    fn same_time_messages_merge_by_source_id() {
-        // Every node fires one message at the *same* timestamp into
-        // node 0; the accept order at node 0 must be by source id
-        // regardless of thread count.
-        struct Sink {
-            id: u32,
-            queue: CalendarQueue<u32>,
-            seq: u64,
-            fired: bool,
-            seen: Vec<u32>,
+    fn windows_span_the_full_lookahead() {
+        // One token, one hop per lookahead: every window holds exactly
+        // one hop, so the run takes one window per hop up to the
+        // horizon.
+        let mut lps = ring(4, 1);
+        let report = execute_windows(&mut lps, 1e-3, 50e-3, 2, None);
+        let hops: usize = lps.iter().map(|lp| lp.log.len()).sum();
+        assert_eq!(report.windows, hops as u64);
+        assert!((50..=51).contains(&hops), "{hops} hops");
+    }
+
+    #[test]
+    fn idle_gaps_cost_no_windows() {
+        // Two bursts of tokens 1000 lookaheads apart, each circulating
+        // for a few hops: the engine must jump the gap in one step
+        // rather than march through `horizon / L` empty windows.
+        struct Burst {
+            inner: RingNode,
+            ttl: u64,
         }
-        impl LogicalProcess for Sink {
-            type Cross = (f64, u32);
+        impl LogicalProcess for Burst {
+            type Cross = u64;
             type Payload = ();
-            fn advance_window(&mut self, end: f64, out: &mut Outbox<(f64, u32), ()>) {
-                if !self.fired && end >= 0.0 {
-                    self.fired = true;
-                    if self.id != 0 {
-                        out.send(0, (5e-3, self.id));
+            fn advance_window(&mut self, end: f64, out: &mut Outbox<u64, ()>) {
+                let ring = &mut self.inner;
+                while let Some((t, _seq, token)) = ring.queue.pop_at_or_before(end) {
+                    ring.log.push((token, t, ring.log.len() as u64));
+                    if (token & 0xff) < self.ttl {
+                        out.send((ring.id + 1) % ring.n, t + ring.hop_delay, token + 1);
                     }
                 }
-                while let Some((_t, _s, src)) = self.queue.pop_at_or_before(end) {
-                    self.seen.push(src);
-                }
             }
-            fn accept(&mut self, (t, src): (f64, u32), _payload: &()) {
-                let seq = self.seq;
-                self.seq += 1;
-                self.queue.push(t, seq, src);
+            fn accept(&mut self, t: f64, token: u64, _payload: &()) {
+                self.inner.push(t, token);
+            }
+            fn next_time(&mut self) -> f64 {
+                self.inner.next_time()
             }
         }
-        for threads in [1, 2, 5] {
+        let lookahead = 1e-3;
+        let run = |threads: usize| {
+            let mut lps: Vec<Burst> = (0..4)
+                .map(|i| Burst {
+                    inner: RingNode::new(i, 4, lookahead),
+                    ttl: 6,
+                })
+                .collect();
+            lps[0].inner.push(0.0, 0);
+            lps[2].inner.push(0.0, 0x100);
+            lps[1].inner.push(1000.0 * lookahead, 0x200);
+            let report = execute_windows(&mut lps, lookahead, 2000.0 * lookahead, threads, None);
+            let logs: Logs = lps.into_iter().map(|lp| lp.inner.log).collect();
+            (logs, report)
+        };
+        let oracle = run(1);
+        let events: usize = oracle.0.iter().map(Vec::len).sum();
+        assert_eq!(events, 3 * 7, "every token makes its 7 stops");
+        assert!(
+            oracle.1.windows <= 16,
+            "{} windows for two 7-hop bursts",
+            oracle.1.windows
+        );
+        for threads in THREADS {
+            assert_eq!(run(threads), oracle, "threads = {threads}");
+        }
+    }
+
+    /// LPs that each fire one message at the *same* timestamp into
+    /// node 0 and log the sources they see.
+    struct Sink {
+        id: u32,
+        queue: CalendarQueue<u32>,
+        seq: u64,
+        fired: bool,
+        seen: Vec<u32>,
+    }
+
+    impl LogicalProcess for Sink {
+        type Cross = u32;
+        type Payload = ();
+        fn advance_window(&mut self, end: f64, out: &mut Outbox<u32, ()>) {
+            if !self.fired && end >= 0.0 {
+                self.fired = true;
+                if self.id != 0 {
+                    out.send(0, 5e-3, self.id);
+                }
+            }
+            while let Some((_t, _s, src)) = self.queue.pop_at_or_before(end) {
+                self.seen.push(src);
+            }
+        }
+        fn accept(&mut self, t: f64, src: u32, _payload: &()) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.queue.push(t, seq, src);
+        }
+        fn next_time(&mut self) -> f64 {
+            if self.fired {
+                self.queue.min_time().unwrap_or(f64::INFINITY)
+            } else {
+                0.0
+            }
+        }
+    }
+
+    #[test]
+    fn same_time_messages_merge_by_source_id() {
+        // The accept order at node 0 must be by source id regardless
+        // of thread count.
+        let mut oracle = None;
+        for threads in THREADS {
             let mut lps: Vec<Sink> = (0..5)
                 .map(|id| Sink {
                     id,
@@ -563,8 +827,9 @@ mod tests {
                     seen: Vec::new(),
                 })
                 .collect();
-            run_windows(&mut lps, 2e-3, 10e-3, threads, None);
+            let report = execute_windows(&mut lps, 2e-3, 10e-3, threads, None);
             assert_eq!(lps[0].seen, vec![1, 2, 3, 4], "threads = {threads}");
+            assert_eq!(*oracle.get_or_insert(report), report, "threads = {threads}");
         }
     }
 
@@ -573,7 +838,8 @@ mod tests {
         // Each node publishes a window payload holding the squares of
         // the tokens it forwarded; receivers check the referenced slot
         // matches the message. Exercises owner → reader → owner
-        // buffer cycling across many windows and thread counts.
+        // buffer cycling across both parities, many windows and
+        // thread counts.
         struct PayloadNode {
             id: u32,
             n: u32,
@@ -582,25 +848,29 @@ mod tests {
             checked: u64,
         }
         impl LogicalProcess for PayloadNode {
-            type Cross = (f64, u64, u32); // (time, token, payload index)
+            type Cross = (u64, u32); // (token, payload index)
             type Payload = Vec<u64>;
             fn advance_window(&mut self, end: f64, out: &mut Outbox<Self::Cross, Vec<u64>>) {
                 out.payload.clear();
                 while let Some((t, _s, token)) = self.queue.pop_at_or_before(end) {
                     let idx = out.payload.len() as u32;
                     out.payload.push(token * token);
-                    out.send((self.id + 1) % self.n, (t + 1e-3, token, idx));
+                    out.send((self.id + 1) % self.n, t + 1e-3, (token, idx));
                 }
             }
-            fn accept(&mut self, (t, token, idx): Self::Cross, payload: &Vec<u64>) {
+            fn accept(&mut self, t: f64, (token, idx): Self::Cross, payload: &Vec<u64>) {
                 assert_eq!(payload[idx as usize], token * token, "payload mismatch");
                 self.checked += 1;
                 let seq = self.seq;
                 self.seq += 1;
                 self.queue.push(t, seq, token);
             }
+            fn next_time(&mut self) -> f64 {
+                self.queue.min_time().unwrap_or(f64::INFINITY)
+            }
         }
-        for threads in [1, 2, 4] {
+        let mut oracle = None;
+        for threads in THREADS {
             let mut lps: Vec<PayloadNode> = (0..4)
                 .map(|id| PayloadNode {
                     id,
@@ -616,35 +886,40 @@ mod tests {
                 let t = tok as f64 * 1e-4;
                 lps[(tok % 4) as usize].queue.push(t, seq, tok);
             }
-            run_windows(&mut lps, 1e-3, 30e-3, threads, None);
-            let total: u64 = lps.iter().map(|lp| lp.checked).sum();
+            let report = execute_windows(&mut lps, 1e-3, 30e-3, threads, None);
+            let checked: Vec<u64> = lps.iter().map(|lp| lp.checked).collect();
+            let total: u64 = checked.iter().sum();
             assert!(total > 100, "threads={threads}: only {total} checks");
+            assert_eq!(
+                *oracle.get_or_insert((checked.clone(), report)),
+                (checked, report),
+                "threads = {threads}"
+            );
         }
     }
 
     #[test]
     fn profiled_run_matches_oracle_and_accounts_load() {
-        let oracle = run_ring(8, 5, 1);
-        for threads in [1, 2, 4] {
-            let hop = 1e-3;
-            let mut lps: Vec<RingNode> = (0..8).map(|i| RingNode::new(i, 8, hop)).collect();
-            for tok in 0..5u64 {
-                lps[(tok % 8) as usize].push(tok as f64 * 1e-4, tok);
-            }
+        let (oracle, oracle_report) = run_ring(8, 5, 1);
+        for threads in THREADS {
+            let mut lps = ring(8, 5);
             let mut profile = PdesProfile::default();
-            let report = run_windows(&mut lps, hop, 50e-3, threads, Some(&mut profile));
+            let report = execute_windows(&mut lps, 1e-3, 50e-3, threads, Some(&mut profile));
             // Profiling must not perturb the simulation.
-            let logs: Vec<_> = lps.into_iter().map(|lp| lp.log).collect();
+            let logs: Logs = lps.into_iter().map(|lp| lp.log).collect();
             assert_eq!(logs, oracle, "threads = {threads}");
+            assert_eq!(report, oracle_report, "threads = {threads}");
             // The profile restates what the LPs did.
+            assert_eq!(profile.threads, threads);
             assert_eq!(profile.windows, report.windows);
             assert_eq!(profile.cross_messages, report.cross_messages);
             assert_eq!(profile.lp_events.len(), 8);
+            assert_eq!(profile.lp_busy_windows.len(), 8);
             let total: u64 = profile.lp_events.iter().sum();
             let expected: u64 = logs.iter().map(|l| l.len() as u64).sum();
             assert_eq!(total, expected);
-            assert!(profile.nonempty_windows > 0);
-            assert!(profile.nonempty_windows <= profile.windows);
+            // Windows start at the next event, so none is empty.
+            assert_eq!(profile.nonempty_windows, profile.windows);
             // Each window's max ≥ its mean share, so the sum of maxes
             // bounds total/lps from above.
             assert!(profile.window_max_events_sum >= total / 8);
@@ -656,7 +931,6 @@ mod tests {
             let busy_total: u64 = profile.lp_busy_windows.iter().sum();
             assert!(busy_total > 0);
             assert!(profile.wall_ns > 0);
-            assert!(profile.threads <= 8);
         }
     }
 
@@ -677,11 +951,58 @@ mod tests {
         let mut none: Vec<RingNode> = Vec::new();
         let r = run_windows(&mut none, 1.0, 1.0, 4, None);
         assert_eq!(r.windows, 0);
+        // Nothing pending: no window at all.
+        let mut idle = vec![RingNode::new(0, 1, 1.0)];
+        let r = run_windows(&mut idle, 1.0, 5.0, 1, None);
+        assert_eq!(r.windows, 0);
         // Horizon 0 still runs one window so t = 0 events fire.
         let mut one = vec![RingNode::new(0, 1, 1.0)];
         one[0].push(0.0, 9);
         let r = run_windows(&mut one, 1.0, 0.0, 3, None);
         assert_eq!(r.windows, 1);
         assert_eq!(one[0].log.len(), 1);
+    }
+
+    #[test]
+    fn effective_threads_clamps_to_lps_and_cores() {
+        let cores = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+        assert_eq!(effective_threads(0, 8), 1);
+        assert_eq!(effective_threads(4, 0), 1);
+        assert_eq!(effective_threads(64, 3), 3.min(cores));
+        assert_eq!(effective_threads(usize::MAX, usize::MAX), cores);
+    }
+
+    /// An LP that breaks the lookahead promise: it forwards each token
+    /// a quarter lookahead later.
+    fn run_violator(threads: usize) {
+        let lookahead = 1e-3;
+        let mut lps: Vec<RingNode> = (0..4)
+            .map(|i| RingNode::new(i, 4, lookahead / 4.0))
+            .collect();
+        lps[0].push(0.0, 1);
+        execute_windows(&mut lps, lookahead, 10e-3, threads, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "causality violation")]
+    fn message_inside_its_window_is_rejected() {
+        run_violator(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "causality violation")]
+    fn causality_panic_releases_the_other_threads() {
+        // Only the violating LP's thread panics; the others must be
+        // let through the barrier, not left waiting for it.
+        run_violator(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rounding resolution")]
+    fn lookahead_below_rounding_resolution_is_rejected() {
+        // 0.5 + 1e-30 == 0.5 in f64: the window could never advance.
+        let mut lps = vec![RingNode::new(0, 1, 1.0)];
+        lps[0].push(0.5, 1);
+        execute_windows(&mut lps, 1e-30, 1.0, 1, None);
     }
 }

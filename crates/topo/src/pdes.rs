@@ -17,7 +17,11 @@
 //! early (always safe — see the safety note in `dra_des::pdes`). Each
 //! router becomes one [`LogicalProcess`] with its own calendar queue,
 //! and cross-router packets travel as [`NetCross`] messages merged at
-//! barrier windows.
+//! barrier windows. Each window starts at the network's next pending
+//! time — an LP reports the earlier of its queue head and its next
+//! staged arrival ([`LogicalProcess::next_time`]) — and spans one full
+//! lookahead, so a lightly loaded or draining network crosses its idle
+//! stretches without paying a barrier per lookahead.
 //!
 //! ## Replaying the serial arrival stream
 //!
@@ -247,12 +251,11 @@ impl LpEvent {
     }
 }
 
-/// A packet crossing between router LPs, timestamped with its arrival
-/// at the peer (≥ one link latency after the emitting `Forward`). The
+/// A packet crossing between router LPs, sent with its arrival time at
+/// the peer (≥ one link latency after the emitting `Forward`). The
 /// provenance chain rides the window's payload sidecar at
 /// `chain_off..chain_off + chain_len`, most recent pop first.
 struct NetCross {
-    time: f64,
     pkt: NetPacket,
     in_port: u16,
     chain_off: u32,
@@ -326,8 +329,9 @@ impl LogicalProcess for NodeLp {
     type Payload = Vec<f64>;
 
     fn advance_window(&mut self, window_end: f64, out: &mut Outbox<NetCross, Vec<f64>>) {
-        // The payload buffer is this LP's own, recycled from two
-        // barriers ago; offsets restart at zero each window.
+        // The payload buffer is this LP's own (one per window parity),
+        // recycled from two barriers ago; offsets restart at zero each
+        // window.
         out.payload.clear();
         // Feed this window's staged arrivals before draining anything:
         // their pre-assigned `(time, seq)` keys slot them into the pop
@@ -448,8 +452,8 @@ impl LogicalProcess for NodeLp {
                                 let chain_len = out.payload.len() as u32 - chain_off;
                                 out.send(
                                     self.peers[out_port as usize],
+                                    now + delay_s,
                                     NetCross {
-                                        time: now + delay_s,
                                         pkt,
                                         in_port: self.peer_in_port[out_port as usize],
                                         chain_off,
@@ -512,18 +516,26 @@ impl LogicalProcess for NodeLp {
         }
     }
 
-    fn accept(&mut self, msg: NetCross, payload: &Vec<f64>) {
+    fn accept(&mut self, time: f64, msg: NetCross, payload: &Vec<f64>) {
         let lo = msg.chain_off as usize;
         let hi = lo + msg.chain_len as usize;
         let chain = self.arena.intern_recent_first(&payload[lo..hi]);
         self.push(
-            msg.time,
+            time,
             LpEvent::Transit {
                 pkt: msg.pkt,
                 in_port: msg.in_port,
                 chain,
             },
         );
+    }
+
+    fn next_time(&mut self) -> f64 {
+        let staged = self
+            .staged
+            .get(self.next_staged)
+            .map_or(f64::INFINITY, |s| s.0);
+        self.queue.min_time().map_or(staged, |t| t.min(staged))
     }
 
     fn events_processed(&self) -> u64 {
