@@ -1,8 +1,7 @@
 //! Hot-path throughput harness: one `BENCH_*.json` artifact per PR.
 //!
-//! Unlike the criterion microbenches (statistical, human-read), this
-//! harness produces a small machine-readable artifact so successive
-//! PRs can be compared number-to-number:
+//! The harness produces a small machine-readable artifact so
+//! successive PRs can be compared number-to-number:
 //!
 //! * **DES kernel** — events/second through [`dra_des::Simulation`]
 //!   for a depth-1 chain, wide fan-outs, and a bimodal mix with

@@ -33,8 +33,8 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
     )
 }
 
-/// Validate a `dra-campaign/v1` artifact (used by `--check` and the CI
-/// smoke job). Returns `(cells, error_cells)`.
+/// Validate a `dra-campaign/v1` artifact, as `dra check` does. Returns
+/// `(cells, error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
     sweep::validate::<CampaignSpec>(text)
 }
@@ -390,6 +390,41 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("cell budget"), "{err}");
+    }
+
+    #[test]
+    fn windowed_cell_may_deliver_more_than_its_window_offers() {
+        // Full-grid fig8 cell 10 measures from the 2 ms warmup; bytes
+        // offered before the window opened land inside it, so its
+        // windowed delivery ratio is a little above 1 and still right.
+        let mut spec = crate::registry::build("fig8", false).unwrap();
+        spec.cells = vec![spec.cells.swap_remove(10)];
+        assert_eq!(spec.cells[0].id, "dra/load30/x1");
+        let out = run(&spec, &RunOptions::default()).unwrap();
+        let mean = out
+            .artifact
+            .unwrap()
+            .get("cells")
+            .and_then(Json::as_arr)
+            .unwrap()[0]
+            .get("delivery")
+            .and_then(|d| d.get("mean"))
+            .and_then(Json::as_f64)
+            .unwrap();
+        assert!(mean > 1.0, "delivery.mean {mean}");
+        assert_eq!(validate_artifact(&out.artifact_text), Ok((1, 0)));
+    }
+
+    #[test]
+    fn delivery_above_one_is_rejected_without_a_window() {
+        let text = run(&spec(1, 1), &RunOptions::default())
+            .unwrap()
+            .artifact_text;
+        let at = text.find("\"mean\": ").unwrap() + "\"mean\": ".len();
+        let end = at + text[at..].find([',', '\n']).unwrap();
+        let edited = format!("{}1.5{}", &text[..at], &text[end..]);
+        let err = validate_artifact(&edited).unwrap_err();
+        assert!(err.contains("delivery.mean 1.5 above 1"), "{err}");
     }
 
     #[test]

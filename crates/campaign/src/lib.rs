@@ -16,13 +16,12 @@
 //!   from `(master_seed, seed_group, replication, stream)`; results
 //!   never depend on thread count or scheduling order.
 //! * [`pool`] — the workspace's worker pool (scoped threads, shared
-//!   work queue, per-item panic isolation). `dra-bench::parallel_map`
-//!   is now a re-export of [`pool::parallel_map`].
+//!   work queue, per-item panic isolation) and [`pool::parallel_map`].
 //! * [`sweep`] — the envelope every sweep kind shares: the [`Sweep`]
 //!   trait (manifest, FNV-1a digest, per-record check), the run loop
 //!   (pool, error cells, index-ordered assembly, `.partial.jsonl`
 //!   checkpoint/resume, validate-before-write, atomic write), and the
-//!   artifact validator behind `--check`. Interrupted sweeps resume by
+//!   artifact validator behind `dra check`. Interrupted sweeps resume by
 //!   skipping checkpointed cells — and still produce byte-identical
 //!   artifacts.
 //! * [`engine`] — the packet campaign's cells: aggregates per-cell
@@ -39,8 +38,8 @@
 //! * [`json`] / [`report`] — the hand-rolled JSON layer (the build
 //!   environment has no serde) and shared table/CSV printers.
 //!
-//! The `campaign` binary exposes all of this on the command line; see
-//! `campaign --help`.
+//! The `dra` binary (root package) exposes every sweep kind on the
+//! command line; see `dra help`.
 
 #![warn(missing_docs)]
 

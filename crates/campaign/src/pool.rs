@@ -157,9 +157,6 @@ pub fn default_workers() -> usize {
 }
 
 /// Map `inputs` through `f` on a machine-sized pool, preserving order.
-///
-/// Drop-in for the old `dra_bench::parallel_map` (which now re-exports
-/// this function).
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,

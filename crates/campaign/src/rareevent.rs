@@ -15,11 +15,11 @@
 //! every cell also solves the **exact** component-level Markov model
 //! ([`dra_core::rareevent::markov_oracle`]) and records whether the
 //! estimate's confidence interval covers the exact answer. The artifact
-//! is therefore self-validating: `campaign --check` fails if any cell's
+//! is therefore self-validating: `dra check` fails if any cell's
 //! CI misses truth, no external baseline needed.
 
 use crate::json::Json;
-use crate::report::print_table;
+use crate::report::Table;
 use crate::seed::{derive_seed, Stream};
 use crate::sweep::{self, Outcome, RunOptions, Sweep};
 use dra_core::analysis::nines::{format_nines_interval, nines_interval};
@@ -159,7 +159,7 @@ impl Sweep for RareCampaignSpec {
 
     /// Both unavailabilities are probabilities; the record is flagged
     /// when the estimate's CI misses the exact Markov answer.
-    fn check_record(record: &Json) -> Result<bool, String> {
+    fn check_record(record: &Json, _cell: &Json) -> Result<bool, String> {
         let u = record
             .get("estimate")
             .and_then(|e| e.get("unavailability"))
@@ -180,6 +180,61 @@ impl Sweep for RareCampaignSpec {
             Some(Json::Bool(covered)) => Ok(*covered),
             _ => Err("missing markov.within_ci".into()),
         }
+    }
+
+    fn grid_table(&self) -> Table {
+        let rows = self
+            .cells
+            .iter()
+            .map(|cell| {
+                vec![
+                    cell.id.clone(),
+                    cell.method.name().into(),
+                    format!("{}", cell.n),
+                    format!("{}", cell.m),
+                    format!("{:.3}", cell.mu),
+                    format!("{}", cell.cycles),
+                ]
+            })
+            .collect();
+        (vec!["id", "method", "n", "m", "mu/h", "cycles"], rows)
+    }
+
+    fn result_table(artifact: &Json) -> Table {
+        let cells = artifact.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
+        let fmt = |v: Option<&Json>| match v.and_then(Json::as_f64) {
+            Some(x) => format!("{x:.3e}"),
+            None => "-".into(),
+        };
+        let rows = cells
+            .iter()
+            .map(|c| {
+                if let Some(err) = c.get("error").and_then(Json::as_str) {
+                    let id = c.get("id").and_then(Json::as_str).unwrap_or("?");
+                    let mut row = vec![id.to_string(), format!("ERROR: {err}")];
+                    row.resize(6, String::new());
+                    return row;
+                }
+                let est = c.get("estimate");
+                let mk = c.get("markov");
+                vec![
+                    c.get("id").and_then(Json::as_str).unwrap_or("?").into(),
+                    fmt(est.and_then(|e| e.get("unavailability"))),
+                    fmt(est.and_then(|e| e.get("ci95"))),
+                    est.and_then(|e| e.get("nines"))
+                        .and_then(Json::as_str)
+                        .unwrap_or("-")
+                        .into(),
+                    fmt(mk.and_then(|m| m.get("unavailability"))),
+                    match mk.and_then(|m| m.get("within_ci")) {
+                        Some(Json::Bool(true)) => "yes".into(),
+                        Some(Json::Bool(false)) => "MISS".into(),
+                        _ => "-".into(),
+                    },
+                ]
+            })
+            .collect();
+        (vec!["cell", "U", "ci95", "nines", "exact U", "in CI"], rows)
     }
 }
 
@@ -276,21 +331,8 @@ fn run_cell(spec: &RareCampaignSpec, index: usize) -> Json {
     ])
 }
 
-/// Registry of built-in rare-event specs (the `--spec` names the
-/// `campaign` binary falls back to after [`crate::registry`]).
-pub const RARE_ENTRIES: [crate::registry::Entry; 2] = [
-    crate::registry::Entry {
-        name: "rareevent",
-        summary: "splitting vs likelihood-ratio vs brute-force \
-                  unavailability estimates at the paper's real rates, \
-                  each cell cross-checked against the exact Markov model",
-    },
-    crate::registry::Entry {
-        name: "rareevent-quick",
-        summary: "CI reduction of the rareevent grid (2 configs, \
-                  smaller cycle budgets)",
-    },
-];
+/// Names [`build`] accepts.
+pub const NAMES: [&str; 2] = ["rareevent", "rareevent-quick"];
 
 /// Build a built-in rare-event spec by name. `quick` shrinks the grid
 /// (and `"rareevent-quick"` is an alias for `("rareevent", quick)`).
@@ -351,49 +393,6 @@ fn rareevent(quick: bool) -> RareCampaignSpec {
         master_seed: 0xDA7A_5EED,
         cells,
     }
-}
-
-/// Print the artifact as the shared ASCII table (the rare-event
-/// counterpart of [`crate::report::artifact_table`]).
-pub fn print_rare_table(artifact: &Json) {
-    let cells = artifact.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
-    let fmt = |v: Option<&Json>| match v.and_then(Json::as_f64) {
-        Some(x) => format!("{x:.3e}"),
-        None => "-".into(),
-    };
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            if let Some(err) = c.get("error").and_then(Json::as_str) {
-                let id = c.get("id").and_then(Json::as_str).unwrap_or("?");
-                let mut row = vec![id.to_string(), format!("ERROR: {err}")];
-                row.resize(6, String::new());
-                return row;
-            }
-            let est = c.get("estimate");
-            let mk = c.get("markov");
-            vec![
-                c.get("id").and_then(Json::as_str).unwrap_or("?").into(),
-                fmt(est.and_then(|e| e.get("unavailability"))),
-                fmt(est.and_then(|e| e.get("ci95"))),
-                est.and_then(|e| e.get("nines"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("-")
-                    .into(),
-                fmt(mk.and_then(|m| m.get("unavailability"))),
-                match mk.and_then(|m| m.get("within_ci")) {
-                    Some(Json::Bool(true)) => "yes".into(),
-                    Some(Json::Bool(false)) => "MISS".into(),
-                    _ => "-".into(),
-                },
-            ]
-        })
-        .collect();
-    print_table(
-        "rare-event estimates vs exact Markov",
-        &["cell", "U", "ci95", "nines", "exact U", "in CI"],
-        &rows,
-    );
 }
 
 #[cfg(test)]
@@ -491,8 +490,8 @@ mod tests {
 
     #[test]
     fn registry_builds_and_validates() {
-        for entry in RARE_ENTRIES {
-            let spec = build(entry.name, false).expect(entry.name);
+        for name in NAMES {
+            let spec = build(name, false).expect(name);
             spec.validate().unwrap();
             assert!(!spec.cells.is_empty());
         }

@@ -11,28 +11,8 @@ use dra_router::bdr::BdrConfig;
 use dra_router::components::ComponentKind;
 use dra_router::faults::{FaultGranularity, FaultInjector};
 
-/// A registry entry.
-#[derive(Debug, Clone, Copy)]
-pub struct Entry {
-    /// Spec name (the `--spec` argument).
-    pub name: &'static str,
-    /// One-line summary for `--list`.
-    pub summary: &'static str,
-}
-
-/// Every built-in spec.
-pub const ENTRIES: [Entry; 2] = [
-    Entry {
-        name: "faceoff",
-        summary: "BDR vs DRA under randomized fault/repair schedules \
-                  across a load sweep (the headline comparison)",
-    },
-    Entry {
-        name: "fig8",
-        summary: "deterministic SRU-failure grid behind the Figure-8 \
-                  validation (loads x X_faulty, both architectures)",
-    },
-];
+/// Names [`build`] accepts.
+pub const NAMES: [&str; 2] = ["faceoff", "fig8"];
 
 /// Build a built-in spec by name. `quick` shrinks the grid for CI.
 pub fn build(name: &str, quick: bool) -> Option<CampaignSpec> {
@@ -121,7 +101,7 @@ pub const FIG8_HORIZON_S: f64 = 8e-3;
 /// Linecard count of the fig8 grid.
 pub const FIG8_N_LCS: usize = 6;
 
-/// The deterministic grid behind `repro-validate` part 2: fail the
+/// The deterministic grid behind `dra repro validate` part 2: fail the
 /// SRUs of the first `x` of 6 cards at warmup, measure the
 /// post-failure window. Cells come in (DRA, BDR) pairs per grid point
 /// sharing a `seed_group`, so both architectures see identical
@@ -175,11 +155,11 @@ mod tests {
 
     #[test]
     fn every_entry_builds_and_validates() {
-        for entry in ENTRIES {
+        for name in NAMES {
             for quick in [false, true] {
-                let spec = build(entry.name, quick).expect(entry.name);
+                let spec = build(name, quick).expect(name);
                 spec.validate().unwrap();
-                assert_eq!(spec.name, entry.name);
+                assert_eq!(spec.name, name);
                 assert!(!spec.cells.is_empty());
             }
         }
@@ -188,10 +168,10 @@ mod tests {
 
     #[test]
     fn quick_grids_are_smaller() {
-        for entry in ENTRIES {
-            let full = build(entry.name, false).unwrap();
-            let quick = build(entry.name, true).unwrap();
-            assert!(quick.cells.len() < full.cells.len(), "{}", entry.name);
+        for name in NAMES {
+            let full = build(name, false).unwrap();
+            let quick = build(name, true).unwrap();
+            assert!(quick.cells.len() < full.cells.len(), "{name}");
         }
     }
 

@@ -1,9 +1,12 @@
 //! Text reporting: aligned tables and grep-friendly CSV.
 //!
-//! Promoted from `dra-bench` (which now re-exports these) so the
-//! `campaign` CLI and the repro binaries share one formatter.
+//! One formatter for every table the `dra` front end prints: sweep
+//! grids and results, and the paper's figures.
 
 use crate::json::Json;
+
+/// Column headers plus one row of cells per line.
+pub type Table = (Vec<&'static str>, Vec<Vec<String>>);
 
 /// Print an aligned text table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -44,8 +47,9 @@ pub fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Render a finished artifact's cells as a summary table.
-pub fn artifact_table(artifact: &Json) -> (Vec<&'static str>, Vec<Vec<String>>) {
+/// Render a finished `dra-campaign/v1` artifact's cells as a summary
+/// table.
+pub fn artifact_table(artifact: &Json) -> Table {
     let headers = vec![
         "cell", "id", "arch", "reps", "delivery", "ci95", "drops", "eib pkts",
     ];

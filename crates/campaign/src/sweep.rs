@@ -31,6 +31,7 @@
 
 use crate::json::{parse, Json};
 use crate::pool::WorkerPool;
+use crate::report::Table;
 use dra_des::stats::Welford;
 use std::collections::BTreeMap;
 use std::fs;
@@ -63,10 +64,21 @@ pub trait Sweep: Sync {
     fn cell_manifest(&self, i: usize) -> Json;
     /// Reject a malformed spec (empty grid, duplicate ids, bad cells).
     fn validate(&self) -> Result<(), String>;
-    /// The kind's invariant on one finished (non-error) record: `Err`
-    /// for a malformed record, `Ok(false)` for a well-formed record
-    /// that fails its check (e.g. a CI that misses the exact answer).
-    fn check_record(record: &Json) -> Result<bool, String>;
+    /// The kind's invariant on one finished (non-error) record, given
+    /// the cell's manifest (see [`Sweep::cell_manifest`]): `Err` for a
+    /// malformed record, `Ok(false)` for a well-formed record that
+    /// fails its check (e.g. a CI that misses the exact answer).
+    fn check_record(record: &Json, cell: &Json) -> Result<bool, String>;
+    /// The expanded grid, one row per cell: what a dry run prints
+    /// instead of simulating.
+    fn grid_table(&self) -> Table;
+    /// A finished artifact's records, one row per cell.
+    fn result_table(artifact: &Json) -> Table;
+
+    /// File stem of the default artifact path, `results/<stem>.json`.
+    fn artifact_stem(&self) -> String {
+        self.name().to_string()
+    }
 
     /// Canonical manifest: name, description, seed, and every cell.
     fn manifest(&self) -> Json {
@@ -93,7 +105,7 @@ pub trait Sweep: Sync {
     /// FNV-1a digest of the compact manifest (16 hex digits). Stamped
     /// into checkpoints and artifacts: a resume whose digest differs
     /// from the checkpoint's runs a different experiment and starts
-    /// over, and `--check` recomputes it from the embedded manifest.
+    /// over, and `dra check` recomputes it from the embedded manifest.
     fn digest(&self) -> String {
         fnv1a_hex(&self.manifest().to_string_compact())
     }
@@ -496,7 +508,7 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
             return Err(format!("cell {i}: id {id:?} is not the manifest's"));
         }
         if cell.get("error").is_some()
-            || !S::check_record(cell).map_err(|e| format!("cell {i}: {e}"))?
+            || !S::check_record(cell, declared).map_err(|e| format!("cell {i}: {e}"))?
         {
             flagged += 1;
         }
@@ -518,7 +530,7 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
     Ok((cells.len(), flagged))
 }
 
-/// `--check PATH` for the sweep CLIs: validate `text` (read from
+/// `dra check PATH`: validate `text` (read from
 /// `path`) as an `S` artifact and print the verdict. Fails on an
 /// invalid artifact and on any flagged cell.
 pub fn check<S: Sweep>(path: &Path, text: &str) -> ExitCode {

@@ -4,8 +4,9 @@
 //!
 //! * [`addr`] — IPv4 addresses and prefixes with the arithmetic the
 //!   FIBs need.
-//! * [`fib`] — two longest-prefix-match forwarding tables behind one
-//!   trait: a path-compressed binary trie and a multibit-stride table.
+//! * [`fib`] — longest-prefix-match forwarding tables behind one
+//!   trait: the compiled DIR-24-8 table plus the trie and linear
+//!   references it is tested against.
 //!   The LFE (local forwarding engine) of every linecard holds one, and
 //!   DRA's lookup-offload path (REQ_L/REP_L) performs the same lookup
 //!   on a remote linecard.
@@ -34,6 +35,6 @@ pub mod trace;
 pub mod traffic;
 
 pub use addr::{Ipv4Addr, Ipv4Prefix};
-pub use fib::{Dir248Fib, Fib, StrideFib, TrieFib};
+pub use fib::{Dir248Fib, Fib, TrieFib};
 pub use packet::{Packet, PacketId, PortId};
 pub use protocol::{ProtocolEngine, ProtocolKind};

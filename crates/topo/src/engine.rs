@@ -16,7 +16,7 @@ use crate::topology::Topology;
 use dra_campaign::json::Json;
 use dra_campaign::pool::default_workers;
 use dra_campaign::seed::{derive_seed, Stream};
-use dra_campaign::sweep::{self, welford_json, RunOptions, Sweep};
+use dra_campaign::sweep::{self, welford_json, RunOptions};
 use dra_core::scenario::FaultProcess;
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
@@ -58,7 +58,6 @@ pub struct TopoRunOptions {
 
 /// Execute a topo sweep and assemble its artifact.
 pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcome> {
-    let collect = opts.telemetry_out.is_some() || opts.trace_out.is_some();
     let run_opts = RunOptions {
         workers: opts.workers.unwrap_or_else(default_workers),
         out: opts.out.clone(),
@@ -67,19 +66,28 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
         trace_out: opts.trace_out.clone(),
         ..RunOptions::default()
     };
-    if !opts.quiet {
-        println!(
-            "topo sweep `{}` [{}]: {} cells on {} workers",
-            spec.name,
-            spec.digest(),
-            spec.cells.len(),
-            run_opts.workers
-        );
+    run_with(spec, &run_opts, opts.sim_threads.unwrap_or(1))
+}
+
+/// Execute a topo sweep with the envelope's own options, each cell's
+/// network on `sim_threads` threads. Topo telemetry is network-scope
+/// and goes only to `telemetry_out`/`trace_out`: asking to embed it
+/// (`opts.telemetry`) is an [`std::io::ErrorKind::InvalidInput`] error.
+pub fn run_with(
+    spec: &TopoSpec,
+    opts: &RunOptions,
+    sim_threads: usize,
+) -> std::io::Result<TopoOutcome> {
+    if opts.telemetry {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "topo sweeps embed no telemetry; use a telemetry output file",
+        ));
     }
-    let sim_threads = opts.sim_threads.unwrap_or(1);
+    let collect = opts.collects_telemetry();
     sweep::run(
         spec,
-        &run_opts,
+        opts,
         |i| run_cell(spec, i, sim_threads, collect),
         |tele| write_telemetry(tele, opts),
     )
@@ -94,7 +102,7 @@ pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
 
 /// Merge the per-cell telemetry in cell-index order (so the snapshot
 /// is worker-count invariant) and write the requested exports.
-fn write_telemetry(tele: Vec<CellTele>, opts: &TopoRunOptions) -> std::io::Result<Option<Json>> {
+fn write_telemetry(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<Option<Json>> {
     let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
     let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
     for boxed in tele.into_iter().flatten() {
@@ -136,8 +144,9 @@ fn write_telemetry(tele: Vec<CellTele>, opts: &TopoRunOptions) -> std::io::Resul
 /// `k` indices spread evenly over `0..n` (deterministic fault-target
 /// selection: same targets for both architectures of a twin pair).
 /// Distinct for every `k ≤ n`; larger `k` repeats targets, which is why
-/// [`Sweep::validate`] on a [`TopoSpec`] rejects `FailRouters` with more routers than
-/// the topology has.
+/// [`Sweep::validate`](dra_campaign::sweep::Sweep::validate) on a
+/// [`TopoSpec`] rejects `FailRouters` with more routers than the
+/// topology has.
 pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
     (0..k as usize)
         .map(|i| (i * n / k as usize) as u32)
@@ -366,6 +375,7 @@ mod tests {
     use crate::spec::FlowSpec;
     use crate::topology::TopologyKind;
     use dra_campaign::json::parse;
+    use dra_campaign::sweep::Sweep;
     use dra_campaign::sweep::{checkpoint_path, CHECKPOINT_FORMAT};
     use dra_core::health::ArchKind;
 

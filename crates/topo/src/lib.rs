@@ -35,8 +35,8 @@
 //!   profiler, exported as a `dra-topo-telemetry/v1` snapshot whose
 //!   deterministic section is byte-identical at any `sim_threads`.
 //!
-//! See `examples/network_resilience.rs` and the `topo` CLI
-//! (`cargo run --release -p dra-topo --bin topo -- --help`).
+//! See `examples/network_resilience.rs` and `dra run resilience`
+//! (`cargo run --release -- help` lists every sweep flag).
 
 #![warn(missing_docs)]
 
@@ -53,7 +53,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod topology;
 
-pub use engine::{build_network, run, TopoOutcome, TopoRunOptions};
+pub use engine::{build_network, run, run_with, TopoOutcome, TopoRunOptions};
 pub use net::{Flow, NetAction, NetConfig, NetScenario, NetworkSim};
 pub use spec::{FlowSpec, TopoCellSpec, TopoFaultSpec, TopoSpec};
 pub use stats::{NetDropCause, NetStats};

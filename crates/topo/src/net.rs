@@ -26,7 +26,7 @@
 //! event history.
 
 use crate::link::{LinkArena, LinkConfig, LinkOffer};
-use crate::routes::{compile_fibs, node_addr, RouteTables};
+use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
 use crate::topology::Topology;
 use dra_core::health::{ArchKind, NodeHealth};
@@ -61,8 +61,6 @@ pub struct NetConfig {
     pub coverage_bps: f64,
     /// Backlog bound of the per-node coverage budget, seconds.
     pub coverage_backlog_s: f64,
-    /// Hop budget per packet (defensive; routes are loop-free).
-    pub ttl: u8,
     /// End-to-end packet size, bytes.
     pub packet_bytes: u32,
     /// Flow injection stops at this time (the remainder of the
@@ -83,7 +81,6 @@ impl Default for NetConfig {
             node_transit_s: 2e-6,
             coverage_bps: 20e9,
             coverage_backlog_s: 200e-6,
-            ttl: 32,
             packet_bytes: 700,
             traffic_stop_s: f64::MAX,
             sim_threads: 1,
@@ -183,7 +180,7 @@ pub struct NetPacket {
     /// Destination node (node ids fit `u16`; `node_prefix` asserts
     /// the same bound when deriving addresses).
     pub dst: u16,
-    /// Remaining hop budget.
+    /// Remaining hop budget (starts at the routed diameter).
     pub ttl: u8,
     /// Router hops taken so far.
     pub hops: u8,
@@ -345,6 +342,9 @@ pub struct NetworkSim {
     pub(crate) compiled: Vec<CompiledNetAction>,
     /// Model parameters.
     pub cfg: NetConfig,
+    /// Every packet's starting TTL: the routed diameter, so only a
+    /// routing bug can exhaust it.
+    pub(crate) hop_budget: u8,
     /// Composed metrics.
     pub stats: NetStats,
     pub(crate) next_pkt_id: u64,
@@ -367,6 +367,11 @@ impl NetworkSim {
             assert!(f.rate_pps > 0.0);
         }
         let routes = RouteTables::derive(&topo);
+        assert!(
+            routes.diameter <= MAX_DIAMETER,
+            "routed diameter {} exceeds the {MAX_DIAMETER}-hop budget of the packet's u8 hop fields",
+            routes.diameter
+        );
         let fibs = compile_fibs(&topo, &routes);
         let mut base = BdrConfig::default();
         let nodes = (0..topo.n_nodes() as u32)
@@ -388,6 +393,7 @@ impl NetworkSim {
             scenario: Vec::new(),
             compiled: Vec::new(),
             cfg,
+            hop_budget: routes.diameter as u8,
             stats: NetStats::new(n_flows),
             next_pkt_id: 0,
             tele: None,
@@ -673,7 +679,7 @@ impl Model for NetworkSim {
                     injected_at: ctx.now(),
                     flow,
                     dst: f.dst as u16,
-                    ttl: self.cfg.ttl,
+                    ttl: self.hop_budget,
                     hops: 0,
                 };
                 self.next_pkt_id += 1;
@@ -786,6 +792,40 @@ mod tests {
             assert!((s.hops.mean() - 5.0).abs() < 1e-9, "{}", s.hops.mean());
             assert!(s.latency.mean() > 4.0 * 10e-6, "4 propagation delays");
         }
+    }
+
+    #[test]
+    fn paths_longer_than_32_hops_are_delivered() {
+        // Corner to corner on a 2x40 mesh is 40 links: the hop budget
+        // is the routed diameter, not a fixed TTL.
+        let topo = Topology::build(TopologyKind::Mesh2D { rows: 2, cols: 40 });
+        let flows = vec![Flow {
+            src: 0,
+            dst: 79,
+            rate_pps: 20_000.0,
+        }];
+        let cfg = NetConfig {
+            traffic_stop_s: 5e-3,
+            ..NetConfig::default()
+        };
+        let mut sim = NetworkSim::new(topo, ArchKind::Bdr, cfg, flows).simulation(3);
+        sim.run_until(10e-3);
+        let s = &sim.model().stats;
+        assert!(s.injected > 50, "{}", s.injected);
+        assert_eq!(s.delivered, s.injected);
+        assert!((s.hops.mean() - 41.0).abs() < 1e-9, "{}", s.hops.mean());
+    }
+
+    #[test]
+    #[should_panic(expected = "hop budget")]
+    fn a_diameter_beyond_the_hop_fields_is_rejected() {
+        let topo = Topology::build(TopologyKind::Mesh2D { rows: 2, cols: 255 });
+        let flows = vec![Flow {
+            src: 0,
+            dst: 1,
+            rate_pps: 1.0,
+        }];
+        NetworkSim::new(topo, ArchKind::Bdr, NetConfig::default(), flows);
     }
 
     #[test]

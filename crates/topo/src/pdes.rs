@@ -563,6 +563,7 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
         scenario,
         compiled,
         cfg,
+        hop_budget,
         stats: _,
         next_pkt_id: _,
         mut tele,
@@ -647,7 +648,7 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
             injected_at: a.at,
             flow: a.flow,
             dst: f.dst as u16,
-            ttl: cfg.ttl,
+            ttl: hop_budget,
             hops: 0,
         };
         let in_port = topo.host_port(f.src);
@@ -775,6 +776,7 @@ pub(crate) fn run_parallel(net: NetworkSim, seed: u64, horizon: f64) -> NetworkS
         scenario,
         compiled,
         cfg,
+        hop_budget,
         stats,
         next_pkt_id,
         tele,

@@ -30,12 +30,18 @@ pub fn node_addr(node: u32, host: u64) -> Ipv4Addr {
     Ipv4Addr(node_prefix(node).addr().0 | (host as u32 & 0xff))
 }
 
+/// The longest routed path, in links, a packet can travel: its `u8`
+/// hop count covers the routers visited, one more than the links.
+pub const MAX_DIAMETER: u32 = u8::MAX as u32 - 1;
+
 /// Dense next-hop tables: `next_port[n][d]` is the egress port of
 /// node `n` for traffic to node `d` (`n`'s host port when `n == d`).
 #[derive(Debug, Clone)]
 pub struct RouteTables {
     /// Per-node, per-destination egress ports.
     pub next_port: Vec<Vec<u16>>,
+    /// Longest min-hop path between any two nodes, in links.
+    pub diameter: u32,
 }
 
 impl RouteTables {
@@ -46,6 +52,7 @@ impl RouteTables {
         let mut next_port = vec![vec![0u16; n]; n];
         let mut dist = vec![0u32; n];
         let mut queue = std::collections::VecDeque::new();
+        let mut diameter = 0;
         for dst in 0..n as u32 {
             dist.iter_mut().for_each(|d| *d = u32::MAX);
             dist[dst as usize] = 0;
@@ -59,6 +66,7 @@ impl RouteTables {
                     }
                 }
             }
+            diameter = diameter.max(dist.iter().copied().max().unwrap_or(0));
             for node in 0..n as u32 {
                 if node == dst {
                     next_port[node as usize][dst as usize] = topo.host_port(node);
@@ -78,7 +86,10 @@ impl RouteTables {
                 next_port[node as usize][dst as usize] = bp;
             }
         }
-        RouteTables { next_port }
+        RouteTables {
+            next_port,
+            diameter,
+        }
     }
 
     /// Hop count from `src` to `dst` following the tables (for tests
@@ -149,9 +160,15 @@ mod tests {
                     }
                 }
             }
+            let longest = (0..n)
+                .flat_map(|s| (0..n).map(move |d| (s, d)))
+                .map(|(s, d)| routes.hops(&topo, s, d))
+                .max();
+            assert_eq!(longest, Some(routes.diameter as usize));
             // Mesh distances are Manhattan; spot-check corners.
             if kind == (TopologyKind::Mesh2D { rows: 4, cols: 4 }) {
                 assert_eq!(routes.hops(&topo, 0, 15), 6);
+                assert_eq!(routes.diameter, 6);
             }
         }
     }

@@ -15,8 +15,11 @@
 //! flow placements, arrival processes, and fault timelines.
 
 use crate::link::LinkConfig;
+use crate::routes::MAX_DIAMETER;
+use crate::stats::NetDropCause;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
+use dra_campaign::report::Table;
 use dra_campaign::sweep::Sweep;
 use dra_core::health::ArchKind;
 
@@ -248,6 +251,17 @@ impl Sweep for TopoSpec {
                     return Err(format!("{id}: fault instant outside horizon"));
                 }
             }
+            if let TopologyKind::Mesh2D { rows, cols } = c.topology {
+                // The one family whose diameter grows linearly with N;
+                // `NetworkSim::new` checks every topology's routes.
+                let diameter = (rows as u64 + cols as u64).saturating_sub(2);
+                if diameter > MAX_DIAMETER as u64 {
+                    return Err(format!(
+                        "{id}: diameter {diameter} exceeds the {MAX_DIAMETER}-hop budget \
+                         of the packet's u8 hop fields"
+                    ));
+                }
+            }
             if let TopoFaultSpec::FailRouters { k, .. } = c.faults {
                 let n = c.topology.n_nodes();
                 if k as usize > n {
@@ -270,8 +284,10 @@ impl Sweep for TopoSpec {
     }
 
     /// Network packet conservation (`injected = delivered + dropped +
-    /// in_flight`) and a delivery ratio in `[0, 1]`.
-    fn check_record(record: &Json) -> Result<bool, String> {
+    /// in_flight`), a delivery ratio in `[0, 1]`, and no packet over
+    /// its hop budget: the budget is the routed diameter and routes
+    /// are loop-free min-hop, so a `ttl_exceeded` drop is a routing bug.
+    fn check_record(record: &Json, _cell: &Json) -> Result<bool, String> {
         let num = |key: &str| -> Result<u64, String> {
             record
                 .get(key)
@@ -281,10 +297,10 @@ impl Sweep for TopoSpec {
         let injected = num("injected")?;
         let delivered = num("delivered")?;
         let in_flight = num("in_flight")?;
-        let dropped: u64 = match record.get("drops") {
-            Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-            _ => return Err("missing drops object".into()),
+        let Some(Json::Obj(drops)) = record.get("drops") else {
+            return Err("missing drops object".into());
         };
+        let dropped: u64 = drops.iter().filter_map(|(_, v)| v.as_u64()).sum();
         if injected != delivered + dropped + in_flight {
             return Err(format!(
                 "conservation violated: {injected} != {delivered} + {dropped} + {in_flight}"
@@ -298,7 +314,83 @@ impl Sweep for TopoSpec {
         if !(0.0..=1.0).contains(&ratio) {
             return Err(format!("delivery ratio {ratio} outside [0,1]"));
         }
+        let ttl = drops
+            .iter()
+            .find(|(k, _)| k == NetDropCause::TtlExceeded.name())
+            .and_then(|(_, v)| v.as_u64())
+            .ok_or("missing drops.ttl_exceeded")?;
+        if ttl > 0 {
+            return Err(format!(
+                "{ttl} packets exceeded the routed-diameter hop budget"
+            ));
+        }
         Ok(true)
+    }
+
+    fn grid_table(&self) -> Table {
+        let rows = self
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    c.id.clone(),
+                    c.arch.label().into(),
+                    c.topology.label(),
+                    c.faults.label(),
+                    format!("{}", c.flows.n_flows),
+                    format!("{}", c.replications),
+                    format!("{}", c.seed_group),
+                ]
+            })
+            .collect();
+        (
+            vec!["id", "arch", "topology", "faults", "flows", "reps", "group"],
+            rows,
+        )
+    }
+
+    fn result_table(artifact: &Json) -> Table {
+        let mean = |c: &Json, key: &str| {
+            c.get(key)
+                .and_then(|d| d.get("mean"))
+                .and_then(Json::as_f64)
+        };
+        let rows = artifact
+            .get("cells")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .iter()
+            .map(|c| {
+                let id = c.get("id").and_then(Json::as_str).unwrap_or("?").into();
+                if let Some(err) = c.get("error").and_then(Json::as_str) {
+                    let mut row = vec![id, format!("ERROR: {err}")];
+                    row.resize(5, String::new());
+                    return row;
+                }
+                vec![
+                    id,
+                    format!("{}", c.get("injected").and_then(Json::as_u64).unwrap_or(0)),
+                    mean(c, "delivery_ratio")
+                        .map(|v| format!("{v:.6}"))
+                        .unwrap_or_default(),
+                    mean(c, "flow_availability")
+                        .map(|v| format!("{v:.4}"))
+                        .unwrap_or_default(),
+                    mean(c, "latency_s")
+                        .map(|v| format!("{:.1}", v * 1e6))
+                        .unwrap_or_default(),
+                ]
+            })
+            .collect();
+        (
+            vec!["id", "injected", "delivery", "flow_avail", "latency_us"],
+            rows,
+        )
+    }
+
+    /// Topo artifacts land under `results/topo_<name>.json`.
+    fn artifact_stem(&self) -> String {
+        format!("topo_{}", self.name)
     }
 }
 
@@ -355,6 +447,36 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("a: cannot fail 10 of 9 routers"), "{err}");
+    }
+
+    #[test]
+    fn mesh_beyond_the_hop_budget_rejected() {
+        let mut c = cell("a");
+        c.topology = TopologyKind::Mesh2D { rows: 2, cols: 255 };
+        let err = TopoSpec {
+            name: "t".into(),
+            description: "d".into(),
+            master_seed: 1,
+            cells: vec![c],
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("a: diameter 255 exceeds"), "{err}");
+    }
+
+    #[test]
+    fn a_ttl_drop_fails_the_record_check() {
+        let record = |ttl: f64| {
+            Json::obj(vec![
+                ("injected", Json::Num(10.0)),
+                ("delivered", Json::Num(10.0 - ttl)),
+                ("in_flight", Json::Num(0.0)),
+                ("drops", Json::obj(vec![("ttl_exceeded", Json::Num(ttl))])),
+            ])
+        };
+        assert_eq!(TopoSpec::check_record(&record(0.0), &Json::Null), Ok(true));
+        let err = TopoSpec::check_record(&record(3.0), &Json::Null).unwrap_err();
+        assert!(err.contains("3 packets exceeded"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,26 @@
-//! `dra-cli` — command-line front end to the DRA reproduction.
+//! `dra` — the one command-line front end to the DRA reproduction.
 //!
 //! ```text
-//! dra-cli reliability  --n 9 --m 4 --t 40000
-//! dra-cli availability --n 9 --m 4 --repair-hours 3
-//! dra-cli mttf         --n 6 --m 3
-//! dra-cli degradation  --n 6 --load 0.5 [--bus-gbps 40]
-//! dra-cli simulate     --n 6 --load 0.3 --horizon-ms 5 --fail 0:sru:1 [--bdr]
+//! dra run SPEC [flags]     run a registered sweep (`dra list`)
+//! dra check PATH           validate a sweep artifact
+//! dra list                 every registered sweep spec
+//! dra repro FIGURE         regenerate a figure of the evaluation
+//! dra reliability  --n 9 --m 4 --t 40000
+//! dra availability --n 9 --m 4 --repair-hours 3
+//! dra mttf         --n 6 --m 3
+//! dra degradation  --n 6 --load 0.5 [--bus-gbps 40]
+//! dra plan         --n 8 --target-nines 8 --repair-hours 3
+//! dra simulate     --n 6 --load 0.3 --horizon-ms 5 --fail 0:sru:1 [--bdr]
 //! ```
 //!
-//! Argument parsing is hand-rolled (`--key value` pairs only) to keep
-//! the dependency set identical to the library's.
+//! Every subcommand parses through [`args::Args`]: unknown, repeated,
+//! valueless and inapplicable flags are errors.
 
+mod args;
+mod repro;
+mod sweeps;
+
+use args::{Args, Grammar};
 use dra::core::analysis::availability::{bdr_availability, dra_availability};
 use dra::core::analysis::degradation::{figure8_series, DegradationParams};
 use dra::core::analysis::nines::format_nines;
@@ -21,50 +31,7 @@ use dra::core::sim::{DraConfig, DraRouter};
 use dra::router::bdr::{BdrConfig, BdrRouter};
 use dra::router::components::{ComponentKind, FailureRates};
 use dra::router::metrics::{DropCause, RouterMetrics};
-use std::collections::HashMap;
 use std::process::ExitCode;
-
-/// Minimal `--key value` argument map.
-#[derive(Debug)]
-struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let key = raw[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --option, got {:?}", raw[i]))?
-                .to_string();
-            if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                values.insert(key, raw[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key);
-                i += 1;
-            }
-        }
-        Ok(Args { values, flags })
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-}
 
 fn parse_component(s: &str) -> Result<ComponentKind, String> {
     match s.to_ascii_lowercase().as_str() {
@@ -93,23 +60,23 @@ fn parse_fail(spec: &str) -> Result<(u16, ComponentKind, f64), String> {
     Ok((lc, kind, at_ms))
 }
 
-fn cmd_reliability(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 9)?;
-    let m: usize = args.get("m", 4)?;
-    let t: f64 = args.get("t", 40_000.0)?;
+fn cmd_reliability(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.get("--n", 9)?;
+    let m: usize = args.get("--m", 4)?;
+    let t: f64 = args.get("--t", 40_000.0)?;
     let model = dra_model(&DraParams::new(n, m));
     let r = reliability_curve(&model.chain, model.start, model.failed, &[t])[0];
     let bdr = bdr_reliability_model(&FailureRates::PAPER, None);
     let rb = reliability_curve(&bdr.chain, bdr.start, bdr.failed, &[t])[0];
     println!("R_DRA(N={n}, M={m}, t={t}h) = {r:.6}");
     println!("R_BDR(t={t}h)              = {rb:.6}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_availability(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 9)?;
-    let m: usize = args.get("m", 4)?;
-    let hours: f64 = args.get("repair-hours", 3.0)?;
+fn cmd_availability(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.get("--n", 9)?;
+    let m: usize = args.get("--m", 4)?;
+    let hours: f64 = args.get("--repair-hours", 3.0)?;
     if hours <= 0.0 {
         return Err("--repair-hours must be positive".into());
     }
@@ -124,12 +91,12 @@ fn cmd_availability(args: &Args) -> Result<(), String> {
         "A_BDR(repair={hours}h)              = {} ({ab:.12})",
         format_nines(ab)
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_mttf(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 6)?;
-    let m: usize = args.get("m", 3)?;
+fn cmd_mttf(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.get("--n", 6)?;
+    let m: usize = args.get("--m", 3)?;
     let model = dra_model(&DraParams::new(n, m));
     let analysis = dra::markov::absorbing::analyze(&model.chain)
         .map_err(|e| format!("absorbing analysis failed: {e}"))?;
@@ -141,13 +108,13 @@ fn cmd_mttf(args: &Args) -> Result<(), String> {
         "MTTF_BDR              = {:.0} h",
         1.0 / FailureRates::PAPER.lc
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_degradation(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 6)?;
-    let load: f64 = args.get("load", 0.5)?;
-    let bus_gbps: f64 = args.get("bus-gbps", 40.0)?;
+fn cmd_degradation(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.get("--n", 6)?;
+    let load: f64 = args.get("--load", 0.5)?;
+    let bus_gbps: f64 = args.get("--bus-gbps", 40.0)?;
     if !(0.0..=1.0).contains(&load) || load == 0.0 {
         return Err("--load must be in (0, 1]".into());
     }
@@ -164,7 +131,7 @@ fn cmd_degradation(args: &Args) -> Result<(), String> {
     for (x, pct) in figure8_series(&p) {
         println!("  X_faulty={x}: {pct:.1}%");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_sim_report(m: &RouterMetrics, horizon: f64) {
@@ -194,13 +161,13 @@ fn print_sim_report(m: &RouterMetrics, horizon: f64) {
     }
 }
 
-fn cmd_plan(args: &Args) -> Result<(), String> {
+fn cmd_plan(args: &Args) -> Result<ExitCode, String> {
     use dra::core::analysis::planner::{
         max_load_for_full_coverage, max_repair_hours_for_availability, min_m_for_availability,
     };
-    let n: usize = args.get("n", 8)?;
-    let target: usize = args.get("target-nines", 8)?;
-    let hours: f64 = args.get("repair-hours", 3.0)?;
+    let n: usize = args.get("--n", 8)?;
+    let target: usize = args.get("--target-nines", 8)?;
+    let hours: f64 = args.get("--repair-hours", 3.0)?;
     if n < 3 || hours <= 0.0 || target == 0 {
         return Err("need --n >= 3, --repair-hours > 0, --target-nines >= 1".into());
     }
@@ -221,17 +188,16 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             100.0 * max_load_for_full_coverage(n, x)
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 6)?;
-    let load: f64 = args.get("load", 0.3)?;
-    let horizon_ms: f64 = args.get("horizon-ms", 5.0)?;
-    let seed: u64 = args.get("seed", 42)?;
+fn cmd_simulate(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.get("--n", 6)?;
+    let load: f64 = args.get("--load", 0.3)?;
+    let horizon_ms: f64 = args.get("--horizon-ms", 5.0)?;
+    let seed: u64 = args.get("--seed", 42)?;
     let fails: Vec<(u16, ComponentKind, f64)> = args
-        .values
-        .get("fail")
+        .value::<String>("--fail")?
         .map(|s| s.split(',').map(parse_fail).collect::<Result<_, _>>())
         .transpose()?
         .unwrap_or_default();
@@ -254,7 +220,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let mut ordered = fails.clone();
     ordered.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite times"));
 
-    if args.flag("bdr") {
+    if args.switch("--bdr") {
         let mut sim = BdrRouter::simulation(base, seed);
         for (lc, kind, at_ms) in ordered {
             sim.run_until(at_ms * 1e-3);
@@ -283,46 +249,117 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         println!("-- DRA --");
         print_sim_report(&sim.model().metrics, horizon);
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const USAGE: &str = "usage: dra-cli <command> [--options]
-commands:
-  reliability  --n N --m M --t HOURS
-  availability --n N --m M --repair-hours H
-  mttf         --n N --m M
-  degradation  --n N --load L [--bus-gbps G]
-  plan         --n N --target-nines K --repair-hours H
-  simulate     --n N --load L --horizon-ms MS [--seed S] [--bdr]
-               [--fail lc:piu|pdlu|sru|lfe|bc:at_ms[,lc:comp:ms...]]";
+const USAGE: &str = "usage: dra <command> [args]
+
+sweeps (names: dra list):
+  dra run SPEC [--quick] [--workers N] [--seed S] [--out PATH | --no-out]
+               [--cell-budget N] [--fresh] [--progress] [--csv] [--dry-run]
+               [--replications R]        campaign specs only
+               [--sim-threads N]         topo specs only
+               [--telemetry]             campaign specs only
+               [--telemetry-out PATH] [--trace-out PATH]
+                                         campaign and topo specs
+  dra check PATH
+  dra list
+figures:
+  dra repro fig5|fig6|fig7|fig8|validate|ablation|latency|all [--quick]
+analytic models and the single-router simulator:
+  dra reliability  [--n N] [--m M] [--t HOURS]
+  dra availability [--n N] [--m M] [--repair-hours H]
+  dra mttf         [--n N] [--m M]
+  dra degradation  [--n N] [--load L] [--bus-gbps G]
+  dra plan         [--n N] [--target-nines K] [--repair-hours H]
+  dra simulate     [--n N] [--load L] [--horizon-ms MS] [--seed S] [--bdr]
+                   [--fail lc:piu|pdlu|sru|lfe|bc:at_ms[,lc:comp:ms...]]
+
+`dra run` writes results/<spec>.json (topo specs: results/topo_<spec>.json)
+and resumes an interrupted run from its .partial.jsonl checkpoint; --fresh
+discards the checkpoint, --cell-budget N stops after N new cells. --dry-run
+prints the expanded grid without simulating. --progress adds a heartbeat on
+stderr. --telemetry embeds a dra-telemetry/v1 section in the artifact;
+--telemetry-out and --trace-out write the telemetry snapshot and a
+Perfetto-loadable Chrome trace to separate files, leaving the artifact
+byte-identical. --sim-threads N > 1 runs each network on the windowed
+parallel engine; artifacts are byte-identical at every value.
+`dra check` exits 1 on an invalid artifact or any flagged cell.";
+
+/// A subcommand body; `Err` is a usage error.
+type Command = fn(&Args) -> Result<ExitCode, String>;
+
+/// A grammar of valued flags only.
+const fn options(valued: &'static [&'static str]) -> Grammar {
+    Grammar {
+        operands: &[],
+        switches: &[],
+        valued,
+    }
+}
+
+/// Every subcommand with the grammar it parses.
+const COMMANDS: [(&str, Grammar, Command); 10] = [
+    ("run", sweeps::RUN, sweeps::run),
+    ("check", sweeps::CHECK, sweeps::check),
+    ("list", options(&[]), sweeps::list),
+    ("repro", repro::REPRO, repro::repro),
+    (
+        "reliability",
+        options(&["--n", "--m", "--t"]),
+        cmd_reliability,
+    ),
+    (
+        "availability",
+        options(&["--n", "--m", "--repair-hours"]),
+        cmd_availability,
+    ),
+    ("mttf", options(&["--n", "--m"]), cmd_mttf),
+    (
+        "degradation",
+        options(&["--n", "--load", "--bus-gbps"]),
+        cmd_degradation,
+    ),
+    (
+        "plan",
+        options(&["--n", "--target-nines", "--repair-hours"]),
+        cmd_plan,
+    ),
+    (
+        "simulate",
+        Grammar {
+            operands: &[],
+            switches: &["--bdr"],
+            valued: &["--n", "--load", "--horizon-ms", "--seed", "--fail"],
+        },
+        cmd_simulate,
+    ),
+];
+
+/// Parse `raw` (the arguments after the command name) for `command`.
+fn parse(command: &str, raw: &[String]) -> Result<(Command, Args), String> {
+    let (_, grammar, body) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == command)
+        .ok_or_else(|| format!("unknown command {command:?}"))?;
+    Ok((*body, Args::parse(raw, grammar)?))
+}
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = raw.first() else {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
-    let args = match Args::parse(&raw[1..]) {
-        Ok(a) => a,
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match parse(command, &raw[1..]).and_then(|(body, args)| body(&args)) {
+        Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "reliability" => cmd_reliability(&args),
-        "availability" => cmd_availability(&args),
-        "mttf" => cmd_mttf(&args),
-        "degradation" => cmd_degradation(&args),
-        "plan" => cmd_plan(&args),
-        "simulate" => cmd_simulate(&args),
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
+            eprintln!("error: {e}\n(`dra help` prints the usage)");
+            ExitCode::from(2)
         }
     }
 }
@@ -331,29 +368,102 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Args {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+    /// Parse `line` (whitespace-separated) as the arguments of `command`.
+    fn parse_for(command: &str, line: &str) -> Result<Args, String> {
+        let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(command, &raw).map(|(_, args)| args)
+    }
+
+    fn args(command: &str, line: &str) -> Args {
+        parse_for(command, line).unwrap()
+    }
+
+    /// `dra run` flag validation for `line`, without running anything.
+    fn check_run(line: &str) -> Result<(), String> {
+        sweeps::check_flags(&args("run", line)).map(|_| ())
     }
 
     #[test]
     fn parse_key_values_and_flags() {
-        let a = args(&["--n", "9", "--bdr", "--load", "0.5"]);
-        assert_eq!(a.get::<usize>("n", 0).unwrap(), 9);
-        assert_eq!(a.get::<f64>("load", 0.0).unwrap(), 0.5);
-        assert_eq!(a.get::<u64>("seed", 7).unwrap(), 7, "default applies");
-        assert!(a.flag("bdr"));
-        assert!(!a.flag("quick"));
+        let a = args("simulate", "--n 9 --bdr --load 0.5");
+        assert_eq!(a.get::<usize>("--n", 0).unwrap(), 9);
+        assert_eq!(a.get::<f64>("--load", 0.0).unwrap(), 0.5);
+        assert_eq!(a.get::<u64>("--seed", 7).unwrap(), 7, "default applies");
+        assert!(a.switch("--bdr"));
+        assert!(!a.given("--fail"));
     }
 
     #[test]
     fn parse_rejects_bare_words() {
-        assert!(Args::parse(&["n".to_string()]).is_err());
+        assert!(parse_for("mttf", "n").is_err());
+        assert!(parse_for("run", "faceoff fig8").is_err());
+        assert!(parse_for("run", "").unwrap_err().contains("SPEC"));
     }
 
     #[test]
     fn parse_rejects_bad_numbers() {
-        let a = args(&["--n", "lots"]);
-        assert!(a.get::<usize>("n", 0).is_err());
+        let a = args("mttf", "--n lots");
+        assert!(a.get::<usize>("--n", 0).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_unknown_repeated_and_valueless_flags() {
+        let typo = parse_for("availability", "--repair-hour 30").unwrap_err();
+        assert!(typo.contains("--repair-hour"), "{typo}");
+        let twice = parse_for("mttf", "--n 3 --n 4").unwrap_err();
+        assert!(twice.contains("twice"), "{twice}");
+        for line in ["--n", "--n --m 2"] {
+            let missing = parse_for("mttf", line).unwrap_err();
+            assert!(missing.contains("needs a value"), "{missing}");
+        }
+        assert!(parse_for("run", "faceoff --trace t.json").is_err());
+        assert!(parse_for("nope", "").is_err());
+    }
+
+    #[test]
+    fn contradictory_flags_conflict() {
+        assert_eq!(check_run("faceoff"), Ok(()));
+        let both = check_run("faceoff --out a.json --no-out").unwrap_err();
+        assert!(both.contains("--no-out"), "{both}");
+        for flag in [
+            "--telemetry",
+            "--telemetry-out t.json",
+            "--trace-out t.json",
+        ] {
+            assert_eq!(check_run(&format!("faceoff {flag}")), Ok(()));
+            let dry = check_run(&format!("faceoff {flag} --dry-run")).unwrap_err();
+            assert!(dry.contains("--dry-run"), "{dry}");
+        }
+        assert!(check_run("nope").unwrap_err().contains("unknown spec"));
+    }
+
+    #[test]
+    fn flags_a_kind_has_no_use_for_are_errors() {
+        for line in [
+            "faceoff --sim-threads 2",
+            "resilience --replications 3",
+            "resilience --telemetry",
+            "rareevent --replications 3",
+            "rareevent --sim-threads 2",
+            "rareevent --telemetry",
+            "rareevent --telemetry-out t.json",
+            "rareevent --trace-out t.json",
+        ] {
+            let err = check_run(line).unwrap_err();
+            let flag = line.split_whitespace().nth(1).unwrap();
+            assert!(
+                err.contains(flag) && err.contains("does not apply"),
+                "{err}"
+            );
+        }
+        for line in [
+            "fig8 --replications 3 --telemetry",
+            "scale2 --sim-threads 2 --trace-out t.json",
+            "smoke --fresh --cell-budget 1 --progress",
+            "rareevent-quick --seed 9 --csv",
+        ] {
+            assert_eq!(check_run(line), Ok(()), "{line}");
+        }
     }
 
     #[test]
@@ -376,48 +486,21 @@ mod tests {
     #[test]
     fn commands_run_end_to_end() {
         // Exercise each command body with small inputs.
-        cmd_reliability(&args(&["--n", "4", "--m", "2", "--t", "1000"])).unwrap();
-        cmd_availability(&args(&["--n", "4", "--m", "2", "--repair-hours", "3"])).unwrap();
-        cmd_mttf(&args(&["--n", "4", "--m", "2"])).unwrap();
-        cmd_degradation(&args(&["--n", "4", "--load", "0.5"])).unwrap();
-        cmd_plan(&args(&[
-            "--n",
-            "4",
-            "--target-nines",
-            "7",
-            "--repair-hours",
-            "3",
-        ]))
-        .unwrap();
-        cmd_simulate(&args(&[
-            "--n",
-            "3",
-            "--load",
-            "0.1",
-            "--horizon-ms",
-            "1",
-            "--fail",
-            "0:lfe:0.3",
-        ]))
-        .unwrap();
+        cmd_reliability(&args("reliability", "--n 4 --m 2 --t 1000")).unwrap();
+        cmd_availability(&args("availability", "--n 4 --m 2 --repair-hours 3")).unwrap();
+        cmd_mttf(&args("mttf", "--n 4 --m 2")).unwrap();
+        cmd_degradation(&args("degradation", "--n 4 --load 0.5")).unwrap();
+        cmd_plan(&args("plan", "--n 4 --target-nines 7 --repair-hours 3")).unwrap();
+        let sim = "--n 3 --load 0.1 --horizon-ms 1";
+        cmd_simulate(&args("simulate", &format!("{sim} --fail 0:lfe:0.3"))).unwrap();
         // The BDR flag routes to the baseline simulator.
-        cmd_simulate(&args(&[
-            "--n",
-            "3",
-            "--load",
-            "0.1",
-            "--horizon-ms",
-            "1",
-            "--bdr",
-            "--fail",
-            "0:sru:0.3,1:lfe:0.5",
-        ]))
-        .unwrap();
+        let bdr = format!("{sim} --bdr --fail 0:sru:0.3,1:lfe:0.5");
+        cmd_simulate(&args("simulate", &bdr)).unwrap();
     }
 
     #[test]
     fn simulate_validates_fail_specs() {
-        assert!(cmd_simulate(&args(&["--n", "3", "--fail", "9:sru:1"])).is_err());
-        assert!(cmd_simulate(&args(&["--n", "3", "--fail", "0:sru:99"])).is_err());
+        assert!(cmd_simulate(&args("simulate", "--n 3 --fail 9:sru:1")).is_err());
+        assert!(cmd_simulate(&args("simulate", "--n 3 --fail 0:sru:99")).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! scenarios a downstream user would write.
 
 use dra::net::addr::{Ipv4Addr, Ipv4Prefix};
-use dra::net::fib::{Fib, StrideFib, TrieFib};
+use dra::net::fib::{Dir248Fib, Fib, TrieFib};
 use dra::net::packet::{Packet, PacketId};
 use dra::net::protocol::ProtocolKind;
 use dra::net::sar::{segment, Reassembler};
@@ -42,20 +42,20 @@ fn cells_survive_a_trip_through_the_fabric() {
 
 #[test]
 fn fib_implementations_agree_under_the_router_route_layout() {
-    // The routers install 10.<lc>.0.0/16 per card; both production
-    // FIBs must agree with each other on that layout plus a default
-    // route and host overrides.
+    // The routers install 10.<lc>.0.0/16 per card; the compiled FIB
+    // the linecards run must agree with the trie spec on that layout
+    // plus a default route and host overrides.
     let mut trie = TrieFib::new();
-    let mut stride = StrideFib::new();
+    let mut dir = Dir248Fib::new();
     for lc in 0..12u16 {
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, lc as u8, 0, 0), 16);
         trie.insert(p, lc);
-        stride.insert(p, lc);
+        dir.insert(p, lc);
     }
     trie.insert(Ipv4Prefix::default_route(), 99);
-    stride.insert(Ipv4Prefix::default_route(), 99);
+    dir.insert(Ipv4Prefix::default_route(), 99);
     trie.insert("10.3.0.7/32".parse().unwrap(), 55);
-    stride.insert("10.3.0.7/32".parse().unwrap(), 55);
+    dir.insert("10.3.0.7/32".parse().unwrap(), 55);
 
     let probes = [
         "10.0.0.1",
@@ -66,7 +66,7 @@ fn fib_implementations_agree_under_the_router_route_layout() {
     ];
     for p in probes {
         let addr: Ipv4Addr = p.parse().unwrap();
-        assert_eq!(trie.lookup(addr), stride.lookup(addr), "disagree on {p}");
+        assert_eq!(trie.lookup(addr), dir.lookup(addr), "disagree on {p}");
     }
     assert_eq!(trie.lookup("10.3.0.7".parse().unwrap()), Some(55));
     assert_eq!(trie.lookup("192.168.1.1".parse().unwrap()), Some(99));

@@ -3,7 +3,7 @@
 //! identical conditions.
 //!
 //! Debug-build friendly: short horizons, a handful of scenarios; the
-//! full sweep lives in the `repro-validate` binary.
+//! full sweep is `dra repro validate`.
 
 use dra::core::analysis::degradation::{b_faulty_fraction, DegradationParams};
 use dra::core::sim::{DraConfig, DraRouter};
