@@ -67,15 +67,15 @@
 //!    index within the source's window)` and applied sorted by that
 //!    key at the barrier, so the arrival order at any LP is
 //!    independent of which thread ran which LP when.
-//! 3. LPs are partitioned into contiguous index ranges, but because of
-//!    rules 1–2 the partition shape is unobservable to the model.
+//! 3. LPs are assigned to threads in contiguous index ranges, but
+//!    because of rules 1–2 the assignment is unobservable to the
+//!    model.
 //!
-//! Equal-*timestamp* cross messages from **different** sources are
-//! ordered by source id rather than by a global scheduling sequence
-//! (which no longer exists); models whose distinct-provenance event
-//! times are continuous random variables — every simulation in this
-//! workspace — hit that case with probability zero. See
-//! `DESIGN.md` for the full fine print.
+//! The accept order is a function of the *LP decomposition* (source LP
+//! ids), not of the threads. A model whose result must also be
+//! independent of how it is cut into LPs carries a total order in its
+//! messages and orders its own queue by it, as the network engine does
+//! (`dra_topo::pdes`).
 //!
 //! ## Payload sidecar
 //!
@@ -319,7 +319,9 @@ impl Drop for ReleaseOnPanic<'_> {
 
 /// The windowed executor behind [`run_windows`], on exactly `threads`
 /// workers (no clamp, so tests can run more threads than cores or
-/// LPs; surplus threads own empty LP ranges).
+/// LPs; surplus threads own empty LP ranges). Worker 0 runs on the
+/// calling thread, so a one-thread run spawns nothing and keeps the
+/// caller's thread-local state (such as the telemetry hub).
 pub(crate) fn execute_windows<L: LogicalProcess>(
     lps: &mut [L],
     lookahead: f64,
@@ -382,17 +384,22 @@ pub(crate) fn execute_windows<L: LogicalProcess>(
     };
     let wall_start = Instant::now();
     let tallies: Vec<ThreadTally> = std::thread::scope(|scope| {
+        let mut chunks = chunks.into_iter();
+        let (base0, chunk0) = chunks.next().expect("threads >= 1");
         let handles: Vec<_> = chunks
-            .into_iter()
             .enumerate()
-            .map(|(tid, (base, chunk))| {
+            .map(|(i, (base, chunk))| {
                 let x = &x;
-                scope.spawn(move || worker(x, tid, base, chunk))
+                scope.spawn(move || worker(x, i + 1, base, chunk))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        let first = worker(&x, 0, base0, chunk0);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            )
             .collect()
     });
 

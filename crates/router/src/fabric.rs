@@ -24,8 +24,9 @@
 //! [`Crossbar::take_cell`].
 //!
 //! **Determinism contract**: the bitmask arbiter produces the
-//! identical (time, seq) match order to the retained scalar reference
-//! ([`crate::fabric_ref::ScalarCrossbar`]) at every port count —
+//! identical (time, seq) match order to the scalar reference
+//! (`ScalarCrossbar`, test code under `tests/support/`) at every port
+//! count —
 //! including non-multiples of 64 — and leaves identical round-robin
 //! pointer state. `tests/fabric_equivalence.rs` proves it by proptest
 //! over random request matrices and pointer states.
@@ -497,8 +498,7 @@ impl Crossbar {
     /// Pointer updates follow the iSLIP rule: only first-iteration
     /// matches advance the round-robin pointers, which is what
     /// desynchronizes them under uniform load. The match order is
-    /// bit-identical to [`crate::fabric_ref::ScalarCrossbar`] (see the
-    /// module docs).
+    /// bit-identical to the scalar reference (see the module docs).
     pub fn schedule_slot_handles(&mut self, out: &mut Vec<CellHandle>) {
         if !self.operational() || self.queued_cells == 0 {
             return;
@@ -543,111 +543,6 @@ impl Crossbar {
                 let h = self.pop_matched(input, o);
                 let cell = self.arena.take(h);
                 self.transferred.push(cell);
-            }
-        }
-        &self.transferred
-    }
-}
-
-/// An idealized output-queued fabric, for comparison with the
-/// iSLIP-scheduled [`Crossbar`].
-///
-/// Classic result: output queueing is the throughput/delay optimum but
-/// needs N× internal speedup to move every arriving cell to its output
-/// queue instantly; VOQ+iSLIP approximates it at speedup ~1–2. This
-/// implementation grants the ideal (cells land in their output queue
-/// on enqueue; each output drains one cell per slot), so benches can
-/// show how close the crossbar gets. It shares the crossbar's arena +
-/// occupancy-bitmap storage: a slot scans the non-empty-output bitmap
-/// instead of every queue, and drains into a reused buffer.
-#[derive(Debug)]
-pub struct OutputQueuedFabric {
-    n_ports: usize,
-    arena: CellArena,
-    queues: Vec<VecDeque<CellHandle>>,
-    /// Bitmap of outputs with at least one queued cell.
-    occupied: Vec<u64>,
-    capacity: usize,
-    queued: usize,
-    /// Cells drained in the most recent slot; `schedule_slot` returns
-    /// a view into this buffer.
-    transferred: Vec<Cell>,
-}
-
-impl OutputQueuedFabric {
-    /// A fabric for `n_ports` with per-output queue `capacity`.
-    pub fn new(n_ports: usize, capacity: usize) -> Self {
-        assert!(n_ports > 0 && capacity > 0);
-        let presize = capacity
-            .min((PRESIZE_BUDGET_CELLS / n_ports).max(16))
-            .max(1);
-        OutputQueuedFabric {
-            n_ports,
-            arena: CellArena::with_capacity((n_ports * presize).min(PRESIZE_BUDGET_CELLS)),
-            queues: (0..n_ports)
-                .map(|_| VecDeque::with_capacity(presize))
-                .collect(),
-            occupied: vec![0; words_for(n_ports)],
-            capacity,
-            queued: 0,
-            transferred: Vec::with_capacity(n_ports),
-        }
-    }
-
-    /// Number of ports.
-    pub fn n_ports(&self) -> usize {
-        self.n_ports
-    }
-
-    /// Cells queued across all outputs.
-    pub fn queued_cells(&self) -> usize {
-        self.queued
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queued == 0
-    }
-
-    /// Occupancy of one output queue.
-    pub fn queue_len(&self, output: usize) -> usize {
-        self.queues[output].len()
-    }
-
-    /// Enqueue straight into the destination's output queue; returns
-    /// the cell on overflow.
-    pub fn enqueue(&mut self, cell: Cell) -> Result<(), Cell> {
-        let dst = cell.dst_lc as usize;
-        if dst >= self.n_ports {
-            return Err(cell);
-        }
-        if self.queues[dst].len() >= self.capacity {
-            return Err(cell);
-        }
-        let h = self.arena.alloc(cell);
-        self.queues[dst].push_back(h);
-        set_bit(&mut self.occupied, dst);
-        self.queued += 1;
-        Ok(())
-    }
-
-    /// One slot: every non-empty output transmits its head-of-line
-    /// cell. Returns a view into a reused buffer, valid until the next
-    /// `schedule_slot` call.
-    pub fn schedule_slot(&mut self) -> &[Cell] {
-        self.transferred.clear();
-        for wi in 0..self.occupied.len() {
-            let mut bits = self.occupied[wi];
-            while bits != 0 {
-                let o = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let q = &mut self.queues[o];
-                let h = q.pop_front().expect("occupied bit implies a cell");
-                if q.is_empty() {
-                    self.occupied[wi] &= !(1u64 << (o & 63));
-                }
-                self.queued -= 1;
-                self.transferred.push(self.arena.take(h));
             }
         }
         &self.transferred
@@ -890,58 +785,5 @@ mod tests {
         let second = xb.schedule_slot().to_vec();
         assert_eq!(second[0].src_lc, 0);
         assert!(xb.is_empty());
-    }
-
-    // ---- output-queued comparison fabric ------------------------------
-
-    #[test]
-    fn oq_every_output_drains_each_slot() {
-        let mut oq = OutputQueuedFabric::new(4, 64);
-        // Three inputs all target output 0; one targets output 1.
-        oq.enqueue(cell(0, 0, 1, 0, 1)).unwrap();
-        oq.enqueue(cell(1, 0, 2, 0, 1)).unwrap();
-        oq.enqueue(cell(2, 0, 3, 0, 1)).unwrap();
-        oq.enqueue(cell(3, 1, 4, 0, 1)).unwrap();
-        let s1_len = oq.schedule_slot().len();
-        // One from output 0 plus one from output 1.
-        assert_eq!(s1_len, 2);
-        assert_eq!(oq.queued_cells(), 2);
-        assert_eq!(oq.queue_len(0), 2);
-    }
-
-    #[test]
-    fn oq_has_no_head_of_line_blocking() {
-        // Permutation traffic: with one cell per distinct output, a
-        // single slot clears everything (the crossbar would too here;
-        // the difference shows under conflicting bursts, see bench).
-        let mut oq = OutputQueuedFabric::new(8, 64);
-        for i in 0..8u16 {
-            oq.enqueue(cell(i, (i + 3) % 8, i as u64, 0, 1)).unwrap();
-        }
-        assert_eq!(oq.schedule_slot().len(), 8);
-        assert!(oq.is_empty());
-    }
-
-    #[test]
-    fn oq_overflow_returns_cell() {
-        let mut oq = OutputQueuedFabric::new(2, 1);
-        oq.enqueue(cell(0, 1, 1, 0, 1)).unwrap();
-        assert!(oq.enqueue(cell(1, 1, 2, 0, 1)).is_err());
-        assert_eq!(oq.queued_cells(), 1);
-    }
-
-    #[test]
-    fn oq_fifo_per_output() {
-        let mut oq = OutputQueuedFabric::new(2, 16);
-        for k in 0..4 {
-            oq.enqueue(cell(0, 1, k, 0, 1)).unwrap();
-        }
-        let mut seen = Vec::new();
-        while !oq.is_empty() {
-            for c in oq.schedule_slot() {
-                seen.push(c.packet.0);
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 }

@@ -12,8 +12,6 @@
 //!   tolerance).
 //! * [`arena`] — the fixed-slab cell store behind the fabric's
 //!   4-byte handles.
-//! * [`fabric_ref`] — the retained scalar iSLIP arbiter, the
-//!   executable spec for the bitmask arbiter's determinism contract.
 //! * [`linecard`] — per-linecard state: protocol engine, FIB,
 //!   reassembler, port rate.
 //! * [`ingress`] — the LFE's batched lookup front end: per-linecard
@@ -38,7 +36,6 @@ pub mod arena;
 pub mod bdr;
 pub mod components;
 pub mod fabric;
-pub mod fabric_ref;
 pub mod faults;
 pub mod ingress;
 pub mod linecard;
@@ -49,7 +46,6 @@ pub use arena::{CellArena, CellHandle};
 pub use bdr::{BdrConfig, BdrRouter};
 pub use components::{ComponentKind, FailureRates, Health, LcComponents};
 pub use fabric::Crossbar;
-pub use fabric_ref::ScalarCrossbar;
 pub use ingress::{ArrivalTrain, LOOKUP_TRAIN};
 pub use linecard::Linecard;
 pub use metrics::{DropCause, LcMetrics, RouterMetrics};

@@ -1,12 +1,12 @@
 //! Interned provenance chains: the parent-pointer arena behind the
-//! parallel engine's tie ordering.
+//! network engine's tie ordering.
 //!
-//! The serial kernel breaks exact `f64` time ties by scheduling
-//! sequence; the parallel engine recovers that order from event
+//! A serial DES kernel breaks exact `f64` time ties by scheduling
+//! sequence; the network engine recovers that order from event
 //! *provenance* — the chain of ancestor pop times, compared most
 //! recent first (see the [`crate::pdes`] module docs). Carrying that
 //! chain as a `Vec<f64>` per packet costs one heap allocation plus a
-//! clone-and-push **per hop per packet**, which dominated the parallel
+//! clone-and-push **per hop per packet**, which dominated the
 //! engine's per-event overhead.
 //!
 //! This module stores chains structurally instead: an append-only
@@ -19,8 +19,8 @@
 //! on an equal prefix is the *shorter* chain, and the walk observes
 //! that as hitting [`NIL`] first.
 //!
-//! Memory stays bounded by **epoch-based recycling**: at window
-//! barriers the owning LP asks the arena to compact, copying only the
+//! Memory stays bounded by **epoch-based recycling**: between event
+//! batches the owning group asks the arena to compact, copying only the
 //! paths reachable from still-pending events into a fresh epoch and
 //! rewriting their handles. Copying paths *by value* is semantically
 //! free — chains are compared by value, never by identity — so losing

@@ -37,9 +37,9 @@ const FLOW_TAG: u64 = 0xF10D_0000_0000_0001;
 pub struct TopoRunOptions {
     /// Worker threads (None = one per CPU).
     pub workers: Option<usize>,
-    /// Threads for each cell's network simulation (None = 1, the
-    /// serial kernel). Any value produces byte-identical artifacts;
-    /// N > 1 runs [`crate::pdes`] inside each worker.
+    /// Router groups (one thread each) for each cell's network
+    /// simulation (None = 1). Any value produces byte-identical
+    /// artifacts (see [`NetConfig::sim_threads`]).
     pub sim_threads: Option<usize>,
     /// Artifact path (None = don't write, return text only). When set,
     /// finished cells checkpoint next to it and a re-run resumes.
@@ -155,7 +155,7 @@ pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
 
 /// Build the fully-wired network for one `(cell, replication)` —
 /// topology, flows, fault timelines — ready for
-/// [`NetworkSim::simulation`]. Public so examples, benches, and the
+/// [`NetworkSim::run`]. Public so examples, benches, and the
 /// invariant tests exercise exactly the engine's construction path.
 pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) -> NetworkSim {
     let sim_seed = derive_seed(
@@ -520,14 +520,14 @@ mod tests {
             .unwrap()
             .artifact_text
         };
-        let serial = run_with(1);
+        let one_group = run_with(1);
         assert_eq!(
-            serial,
+            one_group,
             run_with(2),
             "artifact must be byte-identical at --sim-threads 2"
         );
         assert_eq!(
-            serial,
+            one_group,
             run_with(4),
             "artifact must be byte-identical at --sim-threads 4"
         );

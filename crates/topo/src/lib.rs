@@ -14,14 +14,15 @@
 //!   backlog tail drop and whole-cable failures.
 //! * [`net`] — the network model: N BDR/DRA routers, each held as its
 //!   [`NodeHealth`](dra_core::health::NodeHealth) and stepped lazily
-//!   along its fault timeline, on one shared DES clock; multi-hop
-//!   flows and composed drop accounting.
-//! * [`pdes`] — conservative parallel execution of the same model:
-//!   per-router logical processes on barrier windows (lookahead = the
-//!   minimum attached link latency), byte-identical to the serial
-//!   engine at any thread count (`NetConfig::sim_threads`).
+//!   along its fault timeline; multi-hop flows and composed drop
+//!   accounting.
+//! * [`pdes`] — the network engine: contiguous router groups as
+//!   logical processes on conservative barrier windows (lookahead =
+//!   the minimum attached link latency), one event order for every
+//!   partition, so any group count (`NetConfig::sim_threads`) gives the
+//!   same bytes. One group is the single-thread case.
 //! * [`chain`] — the interned parent-pointer provenance arena behind
-//!   the parallel engine's tie ordering (zero allocations per hop).
+//!   the engine's tie ordering (zero allocations per hop).
 //! * [`stats`] — network metrics: packet conservation, end-to-end
 //!   delivery ratio, per-flow availability.
 //! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping the
@@ -31,7 +32,7 @@
 //!   pool into byte-reproducible `dra-topo/v1` artifacts.
 //! * [`telemetry`] — network-scope observability, off unless a run
 //!   asks for it: per-router counters, hop-resolved flow spans with
-//!   Perfetto export, the fault-forensics ledger, and the PDES engine
+//!   Perfetto export, the fault-forensics ledger, and the engine
 //!   profiler, exported as a `dra-topo-telemetry/v1` snapshot whose
 //!   deterministic section is byte-identical at any `sim_threads`.
 //!
@@ -44,6 +45,8 @@ pub mod chain;
 pub mod engine;
 pub mod link;
 pub mod net;
+#[cfg(test)]
+mod oracle;
 pub mod pdes;
 pub mod registry;
 pub mod routes;

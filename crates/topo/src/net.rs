@@ -1,13 +1,13 @@
 //! The network-of-routers DES model.
 //!
 //! [`NetworkSim`] simulates N BDR or DRA routers — each held as its
-//! [`NodeHealth`] — on one shared [`dra_des`] clock. End-to-end packets
-//! hop router → link → router: at every transit the owning router's
-//! fault timeline is stepped to "now", its current linecard
-//! serviceability consulted (so faults in a router's private timeline
-//! shape network forwarding), the node's
-//! topology-derived DIR-24-8 FIB resolves the egress port, and the
-//! link model charges serialization + propagation.
+//! [`NodeHealth`] — on the conservative DES engine of [`crate::pdes`].
+//! End-to-end packets hop router → link → router: at every transit the
+//! owning router's fault timeline is stepped to "now", its current
+//! linecard serviceability consulted (so faults in a router's private
+//! timeline shape network forwarding), the node's topology-derived
+//! DIR-24-8 FIB resolves the egress port, and the link model charges
+//! serialization + propagation.
 //!
 //! Fault surfaces, composed exactly as the single-router layer defines
 //! them:
@@ -23,16 +23,15 @@
 //! Determinism: the only RNG draws are flow inter-arrival times on the
 //! network simulation's own seeded RNG; router health is pure state
 //! driven by fault timelines fixed before the run. One seed ⇒ one
-//! event history.
+//! event history, run by one engine ([`crate::pdes`]) at any
+//! [`NetConfig::sim_threads`].
 
-use crate::link::{LinkArena, LinkConfig, LinkOffer};
+use crate::link::{LinkArena, LinkConfig};
 use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
 use crate::topology::Topology;
 use dra_core::health::{ArchKind, NodeHealth};
 use dra_core::scenario::{Action, Scenario};
-use dra_des::random::exponential;
-use dra_des::sim::{Ctx, Model, Simulation};
 use dra_net::fib::{Dir248Fib, Fib};
 use dra_router::bdr::BdrConfig;
 use dra_router::components::ComponentKind;
@@ -66,10 +65,12 @@ pub struct NetConfig {
     /// Flow injection stops at this time (the remainder of the
     /// horizon drains the network).
     pub traffic_stop_s: f64,
-    /// Threads for [`NetworkSim::run`]: 1 (the default) runs the
-    /// serial kernel — the oracle — while N > 1 runs the conservative
-    /// parallel engine ([`crate::pdes`]) with per-router logical
-    /// processes. The artifact contract: every value produces the same
+    /// Router groups for [`NetworkSim::run`], one thread each: the
+    /// network splits into this many equal contiguous id ranges
+    /// (clamped to the router count and the host's cores), each a
+    /// logical process of the windowed engine ([`crate::pdes`]). 1 (the
+    /// default) is one group: no cross messages, one window to the
+    /// horizon. The artifact contract: every value produces the same
     /// bytes.
     pub sim_threads: usize,
 }
@@ -186,51 +187,8 @@ pub struct NetPacket {
     pub hops: u8,
 }
 
-// The per-event payload budget the hot-path overhaul pays for: a
-// packet is 24 bytes and no event in the serial alphabet exceeds 40.
+// The per-event payload budget the hot-path overhaul pays for.
 const _: () = assert!(std::mem::size_of::<NetPacket>() == 24);
-const _: () = assert!(std::mem::size_of::<NetEvent>() <= 40);
-
-/// Event alphabet of the network model.
-#[derive(Debug, Clone)]
-pub enum NetEvent {
-    /// Kick off flows and the fault timeline.
-    Start,
-    /// Next arrival of one flow.
-    FlowNext {
-        /// Flow index.
-        flow: u32,
-    },
-    /// A packet begins transit at `node`, having arrived on `in_port`.
-    Transit {
-        /// The packet.
-        pkt: NetPacket,
-        /// Transit router.
-        node: u32,
-        /// Arrival port (= ingress linecard).
-        in_port: u16,
-    },
-    /// A packet cleared `node`'s transit and enters the link at
-    /// `out_port`.
-    Forward {
-        /// The packet.
-        pkt: NetPacket,
-        /// Forwarding router.
-        node: u32,
-        /// Egress port.
-        out_port: u16,
-    },
-    /// A packet reaches its destination's host port.
-    Deliver {
-        /// The packet.
-        pkt: NetPacket,
-    },
-    /// Apply scripted network action `idx`.
-    Act {
-        /// Index into the ordered scenario.
-        idx: u32,
-    },
-}
 
 /// One scripted action with every topology lookup already resolved —
 /// what [`NetworkSim::set_scenario`] compiles a [`NetAction`] into, so
@@ -321,8 +279,8 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
 
 /// The simulated network.
 ///
-/// Interior fields are `pub(crate)` so [`crate::pdes`] can decompose a
-/// built network into per-router logical processes and reassemble it.
+/// Interior fields are `pub(crate)` so [`crate::pdes`] can split a
+/// built network into router groups and reassemble it.
 pub struct NetworkSim {
     /// The graph.
     pub topo: Topology,
@@ -347,7 +305,8 @@ pub struct NetworkSim {
     pub(crate) hop_budget: u8,
     /// Composed metrics.
     pub stats: NetStats,
-    pub(crate) next_pkt_id: u64,
+    /// Events the last [`NetworkSim::run`] processed.
+    pub(crate) events: u64,
     /// Network-scope telemetry collector (installed by
     /// [`NetworkSim::enable_net_telemetry`]; `None` = off). Boxed so
     /// the disabled hot path pays one pointer, not the collector.
@@ -395,7 +354,7 @@ impl NetworkSim {
             cfg,
             hop_budget: routes.diameter as u8,
             stats: NetStats::new(n_flows),
-            next_pkt_id: 0,
+            events: 0,
             tele: None,
         }
     }
@@ -462,50 +421,32 @@ impl NetworkSim {
         &self.flows
     }
 
-    /// Wrap in a seeded simulation with `Start` queued at t = 0.
-    pub fn simulation(self, seed: u64) -> Simulation<NetworkSim> {
-        let mut sim = Simulation::new(self, seed);
-        sim.schedule(0.0, NetEvent::Start);
-        sim
+    /// Events the last [`run`](NetworkSim::run) processed (0 before
+    /// any run): packet transits, link offers, deliveries and the
+    /// per-router halves of scripted actions.
+    pub fn events_processed(&self) -> u64 {
+        self.events
     }
 
-    /// Run the network to `horizon`, honoring
-    /// [`NetConfig::sim_threads`]: 1 drives the serial DES kernel,
-    /// N > 1 the conservative parallel engine. Both produce the same
-    /// final state bytes (the CI `topo-smoke` job pins 1 vs 2 vs 4).
+    /// Bind this network to `seed` behind the `run_until` /
+    /// `events_processed` / `into_model` shape of a DES
+    /// [`Simulation`](dra_des::sim::Simulation). The network has one
+    /// engine, [`NetworkSim::run`]; this handle exists so callers
+    /// written against the serial kernel's API (the benchmark's
+    /// per-layer replay) keep compiling, and it runs exactly once.
+    pub fn simulation(self, seed: u64) -> NetRun {
+        NetRun {
+            net: Some(self),
+            seed,
+            ran: false,
+        }
+    }
+
+    /// Run the network to `horizon` on the router-group engine
+    /// ([`crate::pdes`]) with [`NetConfig::sim_threads`] groups. Every
+    /// group count produces the same final state bytes.
     pub fn run(self, seed: u64, horizon: f64) -> NetworkSim {
-        if self.cfg.sim_threads > 1 {
-            crate::pdes::run_parallel(self, seed, horizon)
-        } else {
-            let mut sim = self.simulation(seed);
-            sim.run_until(horizon);
-            sim.into_model()
-        }
-    }
-
-    /// Serial-path conservation-ledger guard: a packet terminating
-    /// while the ledger believes nothing is in flight is the
-    /// double-count/leak the ledger exists to catch — freeze the
-    /// flight-recorder window right there (first violation wins; the
-    /// frozen window surfaces in the exported snapshot).
-    #[inline]
-    fn conservation_guard(&self) {
-        if self.stats.in_flight == 0 {
-            dra_telemetry::anomaly("net: conservation ledger violation (terminate without inject)");
-        }
-    }
-
-    /// Terminate a packet dropped at `node`: flight-recorder event,
-    /// ledger guard, then the drop census.
-    fn drop_at(&mut self, packet: u64, node: u32, cause: NetDropCause) {
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetDrop,
-            packet,
-            node,
-            cause.index() as u32,
-        );
-        self.conservation_guard();
-        self.stats.drop_packet(cause)
+        crate::pdes::run(self, seed, horizon)
     }
 
     fn port_between(&self, a: u32, b: u32) -> u16 {
@@ -513,64 +454,36 @@ impl NetworkSim {
             .binary_search(&b)
             .unwrap_or_else(|_| panic!("no link {a}-{b}")) as u16
     }
+}
 
-    /// Apply scripted action `idx` (precompiled — no topology searches
-    /// on the event path; cable endpoints apply `a` then `b`, the same
-    /// order the uncompiled path always used).
-    fn apply_net_action(&mut self, idx: usize, now: f64) {
-        match self.compiled[idx].clone() {
-            CompiledNetAction::Router { node, action } => {
-                let h = &mut self.nodes[node as usize];
-                h.advance_to(now);
-                h.apply(&action);
-            }
-            CompiledNetAction::Cable { a, pa, b, pb, up } => {
-                self.links.at_mut(a, pa).set_up(up);
-                self.links.at_mut(b, pb).set_up(up);
-            }
-        }
+/// A network bound to a seed (see [`NetworkSim::simulation`]).
+pub struct NetRun {
+    /// `None` only while [`NetRun::run_until`] runs it.
+    net: Option<NetworkSim>,
+    seed: u64,
+    ran: bool,
+}
+
+impl NetRun {
+    /// Run the network to `horizon` with [`NetworkSim::run`].
+    ///
+    /// # Panics
+    /// Panics on a second call: a network run does not resume.
+    pub fn run_until(&mut self, horizon: f64) {
+        assert!(!self.ran, "NetRun::run_until: a network runs once");
+        let net = self.net.take().expect("network present");
+        self.net = Some(net.run(self.seed, horizon));
+        self.ran = true;
     }
 
-    /// One router transit: health checks, FIB lookup, coverage
-    /// charge; schedules `Deliver` or `Forward`, or drops.
-    fn transit(
-        &mut self,
-        mut pkt: NetPacket,
-        node: u32,
-        in_port: u16,
-        ctx: &mut Ctx<'_, NetEvent>,
-    ) {
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetTransit,
-            pkt.id,
-            node,
-            in_port as u32,
-        );
-        let outcome = hop(
-            node,
-            &mut self.nodes[node as usize],
-            &self.fibs[node as usize],
-            &mut self.covered_busy[node as usize],
-            &self.cfg,
-            ctx.now(),
-            &mut pkt,
-            in_port,
-        );
-        if let Some(t) = self.tele.as_deref_mut() {
-            t.transit_outcome(ctx.now(), node, &pkt, &outcome, self.cfg.node_transit_s);
-        }
-        match outcome {
-            HopOutcome::Drop(cause) => self.drop_at(pkt.id, node, cause),
-            HopOutcome::Deliver { delay_s } => ctx.schedule(delay_s, NetEvent::Deliver { pkt }),
-            HopOutcome::Forward { delay_s, out_port } => ctx.schedule(
-                delay_s,
-                NetEvent::Forward {
-                    pkt,
-                    node,
-                    out_port,
-                },
-            ),
-        }
+    /// [`NetworkSim::events_processed`] of the run.
+    pub fn events_processed(&self) -> u64 {
+        self.net.as_ref().map_or(0, NetworkSim::events_processed)
+    }
+
+    /// The network, finished if [`NetRun::run_until`] ran.
+    pub fn into_model(self) -> NetworkSim {
+        self.net.expect("network present")
     }
 }
 
@@ -594,13 +507,12 @@ pub(crate) enum HopOutcome {
     },
 }
 
-/// The per-hop core shared verbatim by the serial model and the
-/// parallel per-router logical processes: step the router's health to
-/// `now`, run health checks and the FIB lookup, charge the EIB coverage
-/// budget, and decide the packet's fate. Mutates `pkt` (hop count,
-/// TTL) and the router/coverage state exactly as the serial path
-/// always has — the operation *order* here is load-bearing for
-/// byte-identical artifacts (e.g. the coverage budget is consumed
+/// The per-hop core of the network engine (and of the test-only serial
+/// oracle): step the router's health to `now`, run health checks and
+/// the FIB lookup, charge the EIB coverage budget, and decide the
+/// packet's fate. Mutates `pkt` (hop count, TTL) and the
+/// router/coverage state — the operation *order* here is load-bearing
+/// for byte-identical artifacts (e.g. the coverage budget is consumed
 /// before the TTL check).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hop(
@@ -653,105 +565,6 @@ pub(crate) fn hop(
     }
 }
 
-impl Model for NetworkSim {
-    type Event = NetEvent;
-
-    fn handle(&mut self, event: NetEvent, ctx: &mut Ctx<'_, NetEvent>) {
-        match event {
-            NetEvent::Start => {
-                for (idx, &(at, _)) in self.scenario.iter().enumerate() {
-                    ctx.schedule(at, NetEvent::Act { idx: idx as u32 });
-                }
-                for flow in 0..self.flows.len() as u32 {
-                    let dt = exponential(ctx.rng(), self.flows[flow as usize].rate_pps);
-                    ctx.schedule(dt, NetEvent::FlowNext { flow });
-                }
-            }
-            NetEvent::FlowNext { flow } => {
-                if ctx.now() >= self.cfg.traffic_stop_s {
-                    return; // injection window closed; don't reschedule
-                }
-                let f = self.flows[flow as usize];
-                let dt = exponential(ctx.rng(), f.rate_pps);
-                ctx.schedule(dt, NetEvent::FlowNext { flow });
-                let pkt = NetPacket {
-                    id: self.next_pkt_id,
-                    injected_at: ctx.now(),
-                    flow,
-                    dst: f.dst as u16,
-                    ttl: self.hop_budget,
-                    hops: 0,
-                };
-                self.next_pkt_id += 1;
-                self.stats.inject(flow);
-                let host = self.topo.host_port(f.src);
-                self.transit(pkt, f.src, host, ctx);
-            }
-            NetEvent::Transit { pkt, node, in_port } => self.transit(pkt, node, in_port, ctx),
-            NetEvent::Forward {
-                pkt,
-                node,
-                out_port,
-            } => {
-                let offer = self.links.at_mut(node, out_port).offer(
-                    &self.cfg.link,
-                    ctx.now(),
-                    self.cfg.packet_bytes,
-                );
-                if let Some(t) = self.tele.as_deref_mut() {
-                    t.forward_outcome(ctx.now(), node, out_port, &pkt, &offer);
-                }
-                match offer {
-                    LinkOffer::Down => self.drop_at(pkt.id, node, NetDropCause::LinkDown),
-                    LinkOffer::Congested => self.drop_at(pkt.id, node, NetDropCause::LinkCongested),
-                    LinkOffer::Sent { delay_s } => {
-                        dra_telemetry::event(
-                            dra_telemetry::EventKind::NetForward,
-                            pkt.id,
-                            node,
-                            out_port as u32,
-                        );
-                        let peer = self.topo.adj[node as usize][out_port as usize];
-                        let in_port = self.topo.rev_port[node as usize][out_port as usize];
-                        ctx.schedule(
-                            delay_s,
-                            NetEvent::Transit {
-                                pkt,
-                                node: peer,
-                                in_port,
-                            },
-                        );
-                    }
-                }
-            }
-            NetEvent::Deliver { pkt } => {
-                dra_telemetry::event(
-                    dra_telemetry::EventKind::NetDeliver,
-                    pkt.id,
-                    pkt.dst as u32,
-                    pkt.hops as u32,
-                );
-                if let Some(t) = self.tele.as_deref_mut() {
-                    t.delivered(ctx.now(), pkt.dst as u32, &pkt);
-                }
-                self.conservation_guard();
-                self.stats
-                    .deliver(pkt.flow, ctx.now() - pkt.injected_at, pkt.hops as u32);
-            }
-            NetEvent::Act { idx } => {
-                if dra_telemetry::enabled() {
-                    let node = match &self.compiled[idx as usize] {
-                        CompiledNetAction::Router { node, .. } => *node,
-                        CompiledNetAction::Cable { a, .. } => *a,
-                    };
-                    dra_telemetry::event(dra_telemetry::EventKind::NetAct, 0, node, idx);
-                }
-                self.apply_net_action(idx as usize, ctx.now())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,9 +594,8 @@ mod tests {
     #[test]
     fn healthy_network_delivers_everything() {
         for arch in [ArchKind::Bdr, ArchKind::Dra] {
-            let mut sim = small_net(arch).simulation(42);
-            sim.run_until(10e-3);
-            let s = &sim.model().stats;
+            let done = small_net(arch).run(42, 10e-3);
+            let s = &done.stats;
             assert!(s.injected > 50, "{arch:?}: {}", s.injected);
             assert_eq!(s.delivered, s.injected, "{arch:?}");
             assert_eq!(s.in_flight, 0, "{arch:?}");
@@ -808,9 +620,8 @@ mod tests {
             traffic_stop_s: 5e-3,
             ..NetConfig::default()
         };
-        let mut sim = NetworkSim::new(topo, ArchKind::Bdr, cfg, flows).simulation(3);
-        sim.run_until(10e-3);
-        let s = &sim.model().stats;
+        let done = NetworkSim::new(topo, ArchKind::Bdr, cfg, flows).run(3, 10e-3);
+        let s = &done.stats;
         assert!(s.injected > 50, "{}", s.injected);
         assert_eq!(s.delivered, s.injected);
         assert!((s.hops.mean() - 41.0).abs() < 1e-9, "{}", s.hops.mean());
@@ -831,9 +642,8 @@ mod tests {
     #[test]
     fn identical_seeds_identical_histories() {
         let run = || {
-            let mut sim = small_net(ArchKind::Dra).simulation(7);
-            sim.run_until(10e-3);
-            let s = &sim.model().stats;
+            let done = small_net(ArchKind::Dra).run(7, 10e-3);
+            let s = &done.stats;
             (s.injected, s.delivered, s.latency.mean())
         };
         assert_eq!(run(), run());
@@ -861,9 +671,8 @@ mod tests {
                 );
             }
             net.set_scenario(&sc);
-            let mut sim = net.simulation(7);
-            sim.run_until(10e-3);
-            let s = &sim.model().stats;
+            let done = net.run(7, 10e-3);
+            let s = &done.stats;
             assert!(s.conserved());
             results.push(s.delivery_ratio());
         }
@@ -881,9 +690,8 @@ mod tests {
             .at(1e-3, NetAction::FailLink { a: 0, b: 1 })
             .at(1e-3, NetAction::FailLink { a: 0, b: 3 });
         net.set_scenario(&sc);
-        let mut sim = net.simulation(7);
-        sim.run_until(10e-3);
-        let s = &sim.model().stats;
+        let done = net.run(7, 10e-3);
+        let s = &done.stats;
         assert!(s.conserved());
         assert!(s.drops[NetDropCause::LinkDown.index()] > 0);
         assert!(
@@ -916,9 +724,8 @@ mod tests {
                     ref other => panic!("expected a compiled cable action, got {other:?}"),
                 }
             }
-            let mut sim = net.simulation(7);
-            sim.run_until(10e-3);
-            let s = &sim.model().stats;
+            let done = net.run(7, 10e-3);
+            let s = &done.stats;
             assert!(s.conserved());
             (
                 s.injected,
@@ -936,10 +743,9 @@ mod tests {
         assert!(first.2[NetDropCause::LinkDown.index()] > 0, "{first:?}");
         let mut unhealed = small_net(ArchKind::Bdr);
         unhealed.set_scenario(&NetScenario::new().at(2e-3, NetAction::FailLink { a: 1, b: 2 }));
-        let mut sim = unhealed.simulation(7);
-        sim.run_until(10e-3);
+        let unhealed = unhealed.run(7, 10e-3);
         assert!(
-            first.1 > sim.model().stats.delivered,
+            first.1 > unhealed.stats.delivered,
             "repair must restore deliveries"
         );
     }
@@ -953,9 +759,8 @@ mod tests {
             Action::FailComponent(net.topo.host_port(8), ComponentKind::Lfe),
         );
         net.set_node_fault_schedule(8, &timeline);
-        let mut sim = net.simulation(7);
-        sim.run_until(10e-3);
-        let s = &sim.model().stats;
+        let done = net.run(7, 10e-3);
+        let s = &done.stats;
         assert!(s.conserved());
         // Flow 0's egress host port at node 8 is dead: egress drops.
         assert!(s.drops[NetDropCause::EgressDown.index()] > 0);

@@ -118,9 +118,9 @@ pub fn smoke() -> TopoSpec {
 }
 
 /// The parallel-engine scaling sweep: the composed-reliability
-/// question at N = 64, 128, and 256 routers — the sizes where serial
-/// event processing becomes the bottleneck and `--sim-threads` earns
-/// its keep. Healthy and 4-degraded twins per topology; byte-identical
+/// question at N = 64, 128, and 256 routers — the sizes where one
+/// router group becomes the bottleneck and `--sim-threads` earns its
+/// keep. Healthy and 4-degraded twins per topology; byte-identical
 /// at every thread count (CI pins 1 vs 2 vs 4 on the quick variant).
 pub fn scale(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {

@@ -72,8 +72,10 @@ impl NetDropCause {
 /// Counters and moments for one network run.
 ///
 /// Conservation invariant (checked by `tests/topo_invariants.rs` and
-/// by artifact validation): `injected == delivered + dropped_total()
-/// + in_flight` at every instant the model is quiescent.
+/// by artifact validation): `injected == delivered + dropped_total() +
+/// in_flight` at every instant the model is quiescent. The network
+/// engine counts `in_flight` from what is still pending at the
+/// horizon, never from the other counters, so the check can fail.
 #[derive(Debug, Clone)]
 pub struct NetStats {
     /// Packets handed to source routers.
@@ -221,39 +223,5 @@ mod tests {
         assert_eq!(s.flow_availability(0.5), 2.0 / 3.0);
         // No flows at all: vacuously available.
         assert_eq!(NetStats::new(0).flow_availability(1.0), 1.0);
-    }
-
-    #[test]
-    fn merged_partial_stats_stay_conserved() {
-        // The parallel engine reassembles one NetStats from per-LP
-        // partials: integer counters sum, in_flight is recomputed as
-        // injected − delivered − dropped. A merge mimicking an
-        // error-cell aggregation (one partial contributed only drops)
-        // must still satisfy the conservation ledger.
-        let mut total = NetStats::new(2);
-        let mut a = NetStats::new(2);
-        a.inject(0);
-        a.inject(0);
-        a.deliver(0, 1e-4, 3);
-        let mut b = NetStats::new(2);
-        b.inject(1);
-        b.drop_packet(NetDropCause::LinkDown);
-        for part in [&a, &b] {
-            total.injected += part.injected;
-            total.delivered += part.delivered;
-            for (acc, d) in total.drops.iter_mut().zip(part.drops) {
-                *acc += d;
-            }
-            for (acc, v) in total.flow_injected.iter_mut().zip(&part.flow_injected) {
-                *acc += v;
-            }
-            for (acc, v) in total.flow_delivered.iter_mut().zip(&part.flow_delivered) {
-                *acc += v;
-            }
-        }
-        total.in_flight = total.injected - total.delivered - total.dropped_total();
-        assert!(total.conserved());
-        assert_eq!(total.in_flight, 1);
-        assert_eq!(total.dropped_total(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! Network-scope observability for [`NetworkSim`] runs.
 //!
 //! This module is the producer side of
-//! [`dra_telemetry::NetScopeSnapshot`]: a per-run collector
-//! ([`NetTele`]) that both the serial kernel and the parallel
-//! per-router logical processes feed, and an exporter that turns the
+//! [`dra_telemetry::NetScopeSnapshot`]: a collector per router group
+//! of the network engine (`LpTele`), folded into one per-run collector
+//! (`NetTele`), and an exporter that turns the
 //! collected raw points into the snapshot's deterministic sections —
 //! per-router counters, the fault-forensics ledger, hop-resolved flow
 //! spans — plus a Perfetto (Chrome `trace_event`) trace with one
@@ -15,9 +15,9 @@
 //! The collector records *facts with sim-time stamps*, never
 //! collection-order artifacts:
 //!
-//! * per-node counters — each node's events replay identically under
-//!   the windowed engine (the byte-identity contract of
-//!   [`crate::pdes`]), so per-node sums match the serial kernel;
+//! * per-node counters — each router's events are the same in every
+//!   partition (the total order of [`crate::pdes`]), so per-node sums
+//!   are too;
 //! * packet **outcome points** `(t, packet, flow, code)` for every
 //!   terminated packet — the forensics ledger (flow up/down
 //!   transitions, per-action drop census) is *derived at export* from
@@ -27,7 +27,7 @@
 //!
 //! Scripted-action forensic entries are derived from the scenario
 //! itself, not from runtime hooks, so they cannot depend on the
-//! engine. The one intentionally non-deterministic part — the PDES
+//! partition. The one intentionally non-deterministic part — the
 //! engine profile — is kept in the snapshot's separate `profile`
 //! section (see the [`dra_telemetry::netscope`] module docs).
 
@@ -44,14 +44,14 @@ use dra_telemetry::{
 /// `code` 0 = delivered, `cause_index + 1` = dropped.
 pub(crate) type Outcome = (f64, u64, u32, u8);
 
-/// Preallocated outcome capacity: terminations up to this count do not
-/// grow the vector, keeping the steady-state hot path allocation-free
-/// for the workloads the no-alloc tests pin (growth beyond is
-/// amortized doubling, not per-event allocation).
+/// Preallocated outcome capacity of a run, shared by its groups:
+/// terminations up to this count do not grow the vectors, keeping the
+/// steady-state hot path allocation-free for the workloads the
+/// no-alloc tests pin (growth beyond is amortized doubling, not
+/// per-event allocation).
 const OUTCOMES_PREALLOC: usize = 65_536;
 
-/// Engine-agnostic event collector shared by the serial kernel (via
-/// [`NetTele`]) and each parallel logical process (via [`LpTele`]).
+/// The event collector of one router group (see [`LpTele`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Collect {
     /// Lifecycle sampling modulus for hop points (0 = spans off).
@@ -80,7 +80,7 @@ impl Collect {
     /// Call with the *post-hop* packet (hop count already advanced).
     ///
     /// The three hooks are out of line and cold: collection is off on
-    /// most runs, and inlined they would bloat the engines' event loops
+    /// most runs, and inlined they would bloat the engine's event loop
     /// for a branch that is never taken.
     #[cold]
     #[inline(never)]
@@ -206,26 +206,30 @@ impl Collect {
     }
 }
 
-/// Per-logical-process collector for the windowed parallel engine:
-/// one per router LP, folded into the run's [`NetTele`] in LP-id
-/// order at the final barrier.
+/// Per-group collector: one per router group of the network engine,
+/// folded into the run's [`NetTele`] in group order after the run.
 #[derive(Debug)]
 pub(crate) struct LpTele {
-    /// This LP's node counters.
-    pub(crate) nc: NodeCounters,
-    /// This LP's raw points.
+    /// Counters of the group's routers, by `router - base`.
+    pub(crate) nc: Vec<NodeCounters>,
+    /// This group's raw points.
     pub(crate) col: Collect,
     /// Provenance chains (pop times, most recent first) of sampled
-    /// packets delivered at this LP — the cross-check that exported
+    /// packets delivered in this group — the cross-check that exported
     /// span timelines equal the interned chains.
     pub(crate) chains: Vec<(u64, Vec<f64>)>,
 }
 
 impl LpTele {
-    pub(crate) fn new(sample_every: u64) -> LpTele {
+    /// A collector for a group of `n_routers` out of `n_groups`
+    /// (which share the outcome preallocation).
+    pub(crate) fn new(sample_every: u64, n_routers: usize, n_groups: usize) -> LpTele {
         LpTele {
-            nc: NodeCounters::default(),
-            col: Collect::new(sample_every, 1024),
+            nc: vec![NodeCounters::default(); n_routers],
+            col: Collect::new(
+                sample_every,
+                (OUTCOMES_PREALLOC / n_groups.max(1)).max(1024),
+            ),
             chains: Vec::new(),
         }
     }
@@ -237,13 +241,12 @@ impl LpTele {
 pub(crate) struct NetTele {
     /// Per-node counters, indexed by node id.
     pub(crate) nodes: Vec<NodeCounters>,
-    /// Raw points (serial: filled directly; parallel: folded from the
-    /// per-LP collectors in LP-id order).
+    /// Raw points, folded from the per-group collectors.
     pub(crate) col: Collect,
-    /// Engine profile of the parallel run (serial runs leave `None`).
+    /// Engine profile of the run.
     pub(crate) profile: Option<EngineProfile>,
-    /// Sampled delivered packets' provenance chains (parallel runs
-    /// only; feeds the span/chain equivalence test).
+    /// Sampled delivered packets' provenance chains (feeds the
+    /// span/chain equivalence test).
     pub(crate) sampled_chains: Vec<(u64, Vec<f64>)>,
 }
 
@@ -251,7 +254,7 @@ impl NetTele {
     pub(crate) fn new(n_nodes: usize, sample_every: u64) -> NetTele {
         NetTele {
             nodes: vec![NodeCounters::default(); n_nodes],
-            col: Collect::new(sample_every, OUTCOMES_PREALLOC),
+            col: Collect::new(sample_every, 0),
             profile: None,
             sampled_chains: Vec::new(),
         }
@@ -262,59 +265,17 @@ impl NetTele {
         self.col.sample_every
     }
 
-    #[inline]
-    pub(crate) fn transit_outcome(
-        &mut self,
-        now: f64,
-        node: u32,
-        pkt: &NetPacket,
-        outcome: &HopOutcome,
-        node_transit_s: f64,
-    ) {
-        self.col.transit_outcome(
-            &mut self.nodes[node as usize],
-            now,
-            node,
-            pkt,
-            outcome,
-            node_transit_s,
-        );
-    }
-
-    #[inline]
-    pub(crate) fn forward_outcome(
-        &mut self,
-        now: f64,
-        node: u32,
-        out_port: u16,
-        pkt: &NetPacket,
-        offer: &LinkOffer,
-    ) {
-        self.col.forward_outcome(
-            &mut self.nodes[node as usize],
-            now,
-            node,
-            out_port,
-            pkt,
-            offer,
-        );
-    }
-
-    #[inline]
-    pub(crate) fn delivered(&mut self, now: f64, node: u32, pkt: &NetPacket) {
-        self.col
-            .delivered(&mut self.nodes[node as usize], now, node, pkt);
-    }
-
-    /// Fold LP `node`'s collector into this run's (called in LP-id
-    /// order at the parallel engine's final merge — the fold order is
-    /// fixed, and the export sorts canonically anyway, so the merged
-    /// bytes cannot depend on the thread count).
-    pub(crate) fn fold_lp(&mut self, node: usize, lp: LpTele) {
-        self.nodes[node].add(&lp.nc);
-        self.col.outcomes.extend(lp.col.outcomes);
-        self.col.points.extend(lp.col.points);
-        self.sampled_chains.extend(lp.chains);
+    /// Fold the collector of the group whose first router is `base`
+    /// (called in group order after the run — the fold order is fixed,
+    /// and the export sorts canonically anyway, so the merged bytes
+    /// cannot depend on the partition).
+    pub(crate) fn fold_group(&mut self, base: usize, group: LpTele) {
+        for (acc, nc) in self.nodes[base..].iter_mut().zip(&group.nc) {
+            acc.add(nc);
+        }
+        self.col.outcomes.extend(group.col.outcomes);
+        self.col.points.extend(group.col.points);
+        self.sampled_chains.extend(group.chains);
     }
 
     /// Build the deterministic snapshot sections and the Perfetto
@@ -566,10 +527,10 @@ impl NetworkSim {
     ///
     /// `sample_every` is the 1-in-N lifecycle sampling modulus for
     /// hop-resolved flow spans (0 records no spans; counters, the
-    /// forensics ledger, and — on parallel runs — the engine profile
-    /// are collected regardless). Collection observes the simulation
-    /// and never steers it: results stay byte-identical with the
-    /// collector on or off, at any `sim_threads`.
+    /// forensics ledger and the engine profile are collected
+    /// regardless). Collection observes the simulation and never
+    /// steers it: results stay byte-identical with the collector on or
+    /// off, at any `sim_threads`.
     pub fn enable_net_telemetry(&mut self, sample_every: u64) {
         self.tele = Some(Box::new(NetTele::new(self.topo.n_nodes(), sample_every)));
     }
@@ -628,7 +589,7 @@ mod tests {
     const HORIZON: f64 = 8e-3;
 
     #[test]
-    fn serial_export_agrees_with_stats() {
+    fn export_agrees_with_stats() {
         let mut net = mesh_net(1);
         net.enable_net_telemetry(1); // sample every packet
         let mut done = net.run(7, HORIZON);
@@ -671,13 +632,19 @@ mod tests {
 
     #[test]
     fn parallel_spans_match_provenance_chains() {
-        let mut net = mesh_net(2);
+        for threads in [1, 2] {
+            spans_match_provenance_chains(threads);
+        }
+    }
+
+    fn spans_match_provenance_chains(threads: usize) {
+        let mut net = mesh_net(threads);
         net.enable_net_telemetry(1);
         let mut done = net.run(7, HORIZON);
         let tele = done.tele.as_ref().expect("collector survives the run");
         assert!(
             !tele.sampled_chains.is_empty(),
-            "parallel run recorded no sampled chains"
+            "run at {threads} thread(s) recorded no sampled chains"
         );
         for (pkt, chain) in &tele.sampled_chains {
             // The packet's transit/link span starts, oldest first,
@@ -701,11 +668,14 @@ mod tests {
                 "packet {pkt:#x}: span starts disagree with provenance chain"
             );
         }
-        // Engine profile came back from the windowed engine.
+        // The engine profile comes back, one entry per group.
         let report = done.export_net_telemetry(HORIZON, 0, 0).expect("collector");
-        let profile = report.snapshot.profile.expect("parallel profile");
+        let profile = report.snapshot.profile.expect("engine profile");
         assert_eq!(profile.runs, 1);
-        assert_eq!(profile.lp_events.len(), 9);
+        assert_eq!(
+            profile.lp_events.len(),
+            dra_des::pdes::effective_threads(threads, 9)
+        );
         assert!(profile.events_total() > 0);
         assert!(profile.lookahead_min_s > 0.0);
     }

@@ -1,15 +1,12 @@
 //! Proof that the network engine's steady-state per-hop event path
-//! stays off the heap — in both the serial kernel and the parallel
-//! (windowed) engine.
+//! stays off the heap, at one router group and at two.
 //!
-//! The serial measurement is direct: warm a mesh-4x4 up to steady
-//! state, then count allocations across a long measurement window.
-//! The parallel engine builds and tears down its run inside one call,
-//! so it is measured by *run-length difference*: the allocations of a
-//! long run minus those of a half-length run are (construction and
-//! teardown cancelling) the cost of the extra steady-state simulated
-//! time — which must be essentially zero per hop. Provenance-chain
-//! interning, cross-LP staging, payload sidecars, and arena recycling
+//! The engine builds and tears down its run inside one call, so it is
+//! measured by *run-length difference*: the allocations of a long run
+//! minus those of a half-length run are (construction and teardown
+//! cancelling) the cost of the extra steady-state simulated time —
+//! which must be essentially zero per hop. Provenance-chain interning,
+//! arrival staging, cross-group payload sidecars, and arena recycling
 //! all live inside that window.
 //!
 //! Everything shares one `#[test]`: `#[global_allocator]` is
@@ -91,38 +88,15 @@ fn total_hops(net: &NetworkSim) -> f64 {
     net.stats.hops.count() as f64 * net.stats.hops.mean()
 }
 
-#[test]
-fn steady_state_network_simulation_is_allocation_free() {
-    // --- Serial kernel: direct warmup-then-measure. ---
-    let mut sim = mesh_net(1, 40e-3).simulation(7);
-    sim.run_until(5e-3); // warm the calendar queue and link tables
-    let events_before = sim.events_processed();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_until(35e-3);
-    let serial_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let serial_events = sim.events_processed() - events_before;
-    assert!(
-        serial_events > 50_000,
-        "serial window too small ({serial_events} events)"
-    );
-    // Rare residual growth (a Welford table, a calendar bucket first
-    // touched in the window) is tolerated; per-event allocation is
-    // not. Observed: 0 over ~190k events.
-    assert!(
-        (serial_allocs as f64) < (serial_events as f64) / 10_000.0,
-        "serial hot path allocated {serial_allocs} times over {serial_events} events"
-    );
-
-    // --- Parallel engine (sim-threads = 2): run-length difference. ---
-    // Construction, precompute, thread spawn, and the final merge are
-    // identical between the two runs; the difference isolates the
-    // extra steady-state windows. The short run is itself run twice
-    // first so the thread-local arrival-precompute pool reaches its
-    // high-water capacity before anything is measured.
-    let short_horizon = 20e-3;
-    let long_horizon = 35e-3;
+/// Assert the extra allocations of a 35 ms run over a 20 ms run stay
+/// far below one per hop, at `groups` router groups, with the
+/// network-scope collector installed when `telemetry` is set.
+fn assert_steady_state_allocation_free(groups: usize, telemetry: bool) {
     let run = |horizon: f64| {
-        let net = mesh_net(2, horizon - 5e-3);
+        let mut net = mesh_net(groups, horizon - 5e-3);
+        if telemetry {
+            net.enable_net_telemetry(0);
+        }
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let done = net.run(7, horizon);
         (
@@ -130,86 +104,50 @@ fn steady_state_network_simulation_is_allocation_free() {
             total_hops(&done),
         )
     };
-    run(short_horizon); // pool warmup, unmeasured
-    let (short_allocs, short_hops) = run(short_horizon);
-    let (long_allocs, long_hops) = run(long_horizon);
+    // Construction, precompute, thread spawn, and the final merge are
+    // identical between the two measured runs; the difference isolates
+    // the extra steady-state events. The short run goes first, twice,
+    // so the thread-local arrival-precompute pool reaches its
+    // high-water capacity before anything is measured.
+    run(20e-3);
+    let (short_allocs, short_hops) = run(20e-3);
+    let (long_allocs, long_hops) = run(35e-3);
     let extra_hops = long_hops - short_hops;
+    let ctx = format!("{groups} group(s), telemetry {telemetry}");
     assert!(
         extra_hops > 10_000.0,
-        "parallel window too small ({extra_hops} extra hops)"
+        "{ctx}: window too small ({extra_hops} extra hops)"
     );
     let extra_allocs = long_allocs.saturating_sub(short_allocs);
     // The longer run may legitimately allocate a handful more times —
-    // doubling of the per-LP delivery ledgers and chain stores, a
-    // larger merge-sort scratch buffer — but nothing proportional to
-    // hops. One alloc per ~100 hops would already be a regression;
-    // the bound leaves an order of magnitude of headroom below the
-    // old clone-per-hop behavior (which costs ≥ 2 allocs per hop).
+    // doubling of the delivery ledgers, chain stores and outcome
+    // vectors, a larger merge-sort scratch buffer — but nothing
+    // proportional to hops. One alloc per ~100 hops would already be a
+    // regression; the bound leaves an order of magnitude of headroom
+    // below the old clone-per-hop behavior (≥ 2 allocs per hop).
     assert!(
         (extra_allocs as f64) < extra_hops / 100.0,
-        "parallel hot path allocated {extra_allocs} extra times over {extra_hops} extra hops \
+        "{ctx}: hot path allocated {extra_allocs} extra times over {extra_hops} extra hops \
          (short run: {short_allocs} allocs / {short_hops} hops)"
     );
+}
 
-    // --- Hub armed + collector on, sampling off: the hot path still
-    // never allocates. (The sections above measured collection off,
-    // where every hook is one thread-local flag check.) Counters increment in place,
-    // ring events overwrite a preallocated buffer, and outcome points
-    // land in storage reserved at enable time; per-packet span
-    // collection is the only sampled (and allocating) part, and
-    // sampling 0 turns it off.
-    {
-        dra_telemetry::enable(dra_telemetry::Config {
-            sample_every: 0,
-            ..dra_telemetry::Config::default()
-        });
-
-        // Serial kernel, direct warmup-then-measure.
-        let mut net = mesh_net(1, 40e-3);
-        net.enable_net_telemetry(0);
-        let mut sim = net.simulation(7);
-        sim.run_until(5e-3);
-        let events_before = sim.events_processed();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        sim.run_until(35e-3);
-        let tele_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        let tele_events = sim.events_processed() - events_before;
-        assert!(
-            tele_events > 50_000,
-            "telemetry serial window too small ({tele_events} events)"
-        );
-        assert!(
-            (tele_allocs as f64) < (tele_events as f64) / 10_000.0,
-            "serial hot path with telemetry enabled allocated {tele_allocs} times \
-             over {tele_events} events"
-        );
-
-        // Parallel engine (profiled run included), run-length diff.
-        let run_tele = |horizon: f64| {
-            let mut net = mesh_net(2, horizon - 5e-3);
-            net.enable_net_telemetry(0);
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let done = net.run(7, horizon);
-            (
-                ALLOCATIONS.load(Ordering::Relaxed) - before,
-                total_hops(&done),
-            )
-        };
-        run_tele(short_horizon); // warmup, unmeasured
-        let (short_allocs, short_hops) = run_tele(short_horizon);
-        let (long_allocs, long_hops) = run_tele(long_horizon);
-        let extra_hops = long_hops - short_hops;
-        assert!(
-            extra_hops > 10_000.0,
-            "telemetry parallel window too small ({extra_hops} extra hops)"
-        );
-        let extra_allocs = long_allocs.saturating_sub(short_allocs);
-        assert!(
-            (extra_allocs as f64) < extra_hops / 100.0,
-            "parallel hot path with telemetry enabled allocated {extra_allocs} extra times \
-             over {extra_hops} extra hops \
-             (short run: {short_allocs} allocs / {short_hops} hops)"
-        );
-        dra_telemetry::disable();
+#[test]
+fn steady_state_network_simulation_is_allocation_free() {
+    for groups in [1, 2] {
+        assert_steady_state_allocation_free(groups, false);
     }
+    // Hub armed + collector on, sampling off: the hot path still never
+    // allocates. Counters increment in place, ring events overwrite a
+    // preallocated buffer, and outcome points land in storage reserved
+    // at enable time; per-packet span collection is the only sampled
+    // (and allocating) part, and sampling 0 turns it off.
+    dra_telemetry::enable(dra_telemetry::Config {
+        sample_every: 0,
+        ..dra_telemetry::Config::default()
+    });
+    for groups in [1, 2] {
+        assert_steady_state_allocation_free(groups, true);
+    }
+    dra_telemetry::disable();
 }

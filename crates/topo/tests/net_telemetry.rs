@@ -1,11 +1,11 @@
 //! Network-scope telemetry contracts.
 //!
 //! * The snapshot's `deterministic` section and the whole flow trace
-//!   are byte-identical at `--sim-threads` 1 vs 2 vs 4 — the same
-//!   invariance the artifact itself carries, extended to the
-//!   observability outputs.
+//!   are byte-identical at `--sim-threads` 1 vs 2 vs 4 (one router
+//!   group vs several) — the same invariance the artifact itself
+//!   carries, extended to the observability outputs.
 //! * `NetScopeSnapshot::merge` is commutative and associative, so the
-//!   fold over per-LP / per-cell partials is partition- and
+//!   fold over per-group / per-cell partials is partition- and
 //!   order-invariant (proptest).
 
 use dra_campaign::json::{parse, Json};
@@ -99,13 +99,22 @@ fn deterministic_section_is_sim_thread_invariant() {
     assert_eq!(trace1, trace2);
     assert_eq!(trace1, trace4);
 
-    // Serial runs carry no engine profile; parallel runs must.
+    // One engine: every run carries its profile, one entry per group.
     let doc1 = parse(&snap1).unwrap();
-    assert!(matches!(doc1.get("profile"), Some(Json::Null)));
     let doc2 = parse(&snap2).unwrap();
-    let prof = doc2.get("profile").expect("parallel profile present");
-    assert!(prof.get("lp_events").and_then(Json::as_arr).is_some());
-    assert!(prof.get("barrier_wait_ns").and_then(Json::as_u64).is_some());
+    let groups = |doc: &Json| {
+        let prof = doc.get("profile").expect("engine profile present");
+        assert!(prof.get("barrier_wait_ns").and_then(Json::as_u64).is_some());
+        prof.get("lp_events")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len)
+    };
+    assert_eq!(groups(&doc1), Some(1), "sim-threads 1 is one group");
+    assert_eq!(
+        groups(&doc2),
+        Some(dra_des::pdes::effective_threads(2, 9)),
+        "sim-threads 2 is one group per core, up to two"
+    );
 
     // Snapshot shape: format tag, per-node counters, forensics with
     // the scripted SRU kills, sampled spans.

@@ -51,9 +51,7 @@ fn run_point(arch: ArchKind, k: u32) -> NetStats {
         seed_group: 0,
     };
     let net = build_network(&cell, MASTER_SEED, 0);
-    let mut sim = net.simulation(MASTER_SEED);
-    sim.run_until(HORIZON_S);
-    let stats = sim.into_model().stats;
+    let stats = net.run(MASTER_SEED, HORIZON_S).stats;
     assert!(stats.conserved(), "packet conservation violated");
     stats
 }

@@ -21,9 +21,9 @@
 //!   transitions,
 //! * a forced conservation-ledger violation demonstrating the
 //!   flight-recorder freeze riding in the snapshot, and
-//! * a second run on 2 sim threads to show the **PDES engine
-//!   profiler** (per-LP load, barrier stalls, lookahead distribution)
-//!   in the non-deterministic `profile` section.
+//! * a second run on 2 sim threads to show the **engine profiler**
+//!   (per-group load, barrier stalls, lookahead distribution) in the
+//!   non-deterministic `profile` section.
 //!
 //! Telemetry observes without steering: the deterministic snapshot
 //! section is byte-identical at any `--sim-threads`, and the
@@ -204,7 +204,7 @@ fn main() {
         .expect("collector was enabled");
     if let Some(p) = &preport.snapshot.profile {
         println!(
-            "\nPDES profiler ({} threads): {} windows ({} busy), {} cross msgs",
+            "\nengine profiler ({} threads): {} windows ({} busy), {} cross msgs",
             p.threads, p.windows, p.nonempty_windows, p.cross_messages
         );
         println!(
@@ -213,7 +213,7 @@ fn main() {
             p.barrier_wait_ns as f64 / 1e6,
             p.load_imbalance()
         );
-        println!("  per-LP events: {:?}", p.lp_events);
+        println!("  per-group events: {:?}", p.lp_events);
         println!(
             "  lookahead: min {:.1} us / mean {:.1} us / max {:.1} us",
             p.lookahead_min_s * 1e6,

@@ -282,8 +282,8 @@ prints the expanded grid without simulating. --progress adds a heartbeat on
 stderr. --telemetry embeds a dra-telemetry/v1 section in the artifact;
 --telemetry-out and --trace-out write the telemetry snapshot and a
 Perfetto-loadable Chrome trace to separate files, leaving the artifact
-byte-identical. --sim-threads N > 1 runs each network on the windowed
-parallel engine; artifacts are byte-identical at every value.
+byte-identical. --sim-threads N cuts each network into N router groups, one
+thread each; artifacts are byte-identical at every value.
 `dra check` exits 1 on an invalid artifact or any flagged cell.";
 
 /// A subcommand body; `Err` is a usage error.

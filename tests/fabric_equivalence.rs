@@ -1,7 +1,8 @@
 //! The bitmask arbiter's determinism contract, exercised head to head:
 //! `Crossbar` (u64 word bitmaps + cell arena) must transfer the
 //! *identical* cell sequence and leave *identical* round-robin pointer
-//! state as `ScalarCrossbar` (the retained O(n²) reference) for every
+//! state as `ScalarCrossbar` (the O(n²) reference in
+//! `tests/support/scalar_crossbar.rs`) for every
 //! port count — including non-multiples of 64, where the circular
 //! word-scan has to stitch a wrap across word boundaries.
 //!
@@ -13,8 +14,11 @@
 use dra::net::packet::PacketId;
 use dra::net::sar::Cell;
 use dra::router::fabric::Crossbar;
-use dra::router::fabric_ref::ScalarCrossbar;
 use proptest::prelude::*;
+use scalar_crossbar::ScalarCrossbar;
+
+#[path = "support/scalar_crossbar.rs"]
+mod scalar_crossbar;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

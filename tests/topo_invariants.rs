@@ -36,9 +36,7 @@ fn run_cell(
         seed_group,
     };
     let net = build_network(&cell, master_seed, 0);
-    let mut sim = net.simulation(master_seed ^ seed_group);
-    sim.run_until(horizon_s);
-    sim.into_model().stats
+    net.run(master_seed ^ seed_group, horizon_s).stats
 }
 
 /// The three generator families the sweeps exercise, sized for a
