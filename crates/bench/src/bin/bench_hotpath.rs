@@ -59,6 +59,7 @@
 //! artifact against a clean baseline.
 
 use dra_campaign::json::{parse, Json};
+use dra_core::scenario::{Action, Scenario, ScriptedRouter};
 use dra_core::sim::{DraConfig, DraRouter};
 use dra_des::stats::LogHistogram;
 use dra_des::{Ctx, Model, Simulation};
@@ -942,7 +943,6 @@ fn bench_rareevent(quick: bool) -> Json {
 /// One faceoff cell: 8 cards at load 0.6, an SRU failure mid-run.
 fn bench_end_to_end(quick: bool) -> Json {
     let horizon = if quick { 3e-3 } else { 30e-3 };
-    let fail_at = horizon / 3.0;
     let seed = 4242;
     let reps = if quick { 1 } else { 3 };
     let cfg = BdrConfig {
@@ -950,80 +950,71 @@ fn bench_end_to_end(quick: bool) -> Json {
         load: 0.6,
         ..BdrConfig::default()
     };
+    let dra = DraConfig {
+        router: cfg.clone(),
+        ..Default::default()
+    };
+    let scenario =
+        Scenario::new(horizon).at(horizon / 3.0, Action::FailComponent(0, ComponentKind::Sru));
+    Json::Arr(vec![
+        end_to_end_entry("bdr", &scenario, reps, || {
+            BdrRouter::simulation(cfg.clone(), seed)
+        }),
+        end_to_end_entry("dra", &scenario, reps, || {
+            DraRouter::simulation(dra.clone(), seed)
+        }),
+    ])
+}
 
-    let mut entries = Vec::new();
-    for arch in ["bdr", "dra"] {
-        let mut best = (0.0f64, 0.0f64); // (events/s, cells/s)
-        let mut events = 0u64;
-        // Delivered-packet latency distribution of the cell; the run
-        // is deterministic per seed, so every rep produces the same
-        // histogram and keeping the last suffices.
-        let mut latency = dra_router::metrics::latency_histogram();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (ev, delivered_bytes, lat) = match arch {
-                "bdr" => {
-                    let mut sim = BdrRouter::simulation(cfg.clone(), seed);
-                    sim.run_until(fail_at);
-                    let now = sim.now();
-                    sim.model_mut()
-                        .fail_component_now(0, ComponentKind::Sru, now);
-                    sim.run_until(horizon);
-                    (
-                        sim.events_processed(),
-                        sim.model().metrics.total_delivered_bytes(),
-                        sim.model().metrics.latency_hist_total(),
-                    )
-                }
-                _ => {
-                    let dcfg = DraConfig {
-                        router: cfg.clone(),
-                        ..Default::default()
-                    };
-                    let mut sim = DraRouter::simulation(dcfg, seed);
-                    sim.run_until(fail_at);
-                    let now = sim.now();
-                    sim.model_mut()
-                        .fail_component_now(0, ComponentKind::Sru, now);
-                    sim.run_until(horizon);
-                    (
-                        sim.events_processed(),
-                        sim.model().metrics.total_delivered_bytes(),
-                        sim.model().metrics.latency_hist_total(),
-                    )
-                }
-            };
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            events = ev;
-            latency = lat;
-            let cells = delivered_bytes as f64 / CELL_PAYLOAD as f64;
-            if ev as f64 / dt > best.0 {
-                best = (ev as f64 / dt, cells / dt);
-            }
+/// Time `reps` runs of `scenario` on fresh simulations from `build`
+/// (construction included) and report the best rates.
+fn end_to_end_entry<R: ScriptedRouter>(
+    arch: &str,
+    scenario: &Scenario,
+    reps: usize,
+    build: impl Fn() -> Simulation<R>,
+) -> Json {
+    let mut best = (0.0f64, 0.0f64); // (events/s, cells/s)
+    let mut events = 0u64;
+    // Delivered-packet latency distribution of the cell; the run is
+    // deterministic per seed, so every rep produces the same histogram
+    // and keeping the last suffices.
+    let mut latency = dra_router::metrics::latency_histogram();
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let mut sim = build();
+        scenario.run(&mut sim);
+        let ev = sim.events_processed();
+        let delivered_bytes = sim.model().metrics.total_delivered_bytes();
+        latency = sim.model().metrics.latency_hist_total();
+        let dt = t0.elapsed().as_secs_f64().max(1e-9);
+        events = ev;
+        let cells = delivered_bytes as f64 / CELL_PAYLOAD as f64;
+        if ev as f64 / dt > best.0 {
+            best = (ev as f64 / dt, cells / dt);
         }
-        assert!(latency.count() > 0, "{arch} cell delivered no packets");
-        // A quantile landing in the overflow bucket comes back as
-        // +inf; clamp to the layout's upper bound so the artifact
-        // stays plain JSON.
-        let q = |p: f64| {
-            let v = latency.quantile(p);
-            if v.is_finite() {
-                v
-            } else {
-                dra_router::metrics::LATENCY_HIST_HI
-            }
-        };
-        entries.push(Json::obj(vec![
-            ("arch", Json::Str(arch.to_string())),
-            ("sim_seconds", Json::Num(horizon)),
-            ("events", Json::Num(events as f64)),
-            ("events_per_sec", Json::Num(best.0)),
-            ("cells_per_sec", Json::Num(best.1)),
-            ("latency_p50_s", Json::Num(q(0.5))),
-            ("latency_p99_s", Json::Num(q(0.99))),
-        ]));
     }
-    Json::Arr(entries)
+    assert!(latency.count() > 0, "{arch} cell delivered no packets");
+    // A quantile landing in the overflow bucket comes back as
+    // +inf; clamp to the layout's upper bound so the artifact
+    // stays plain JSON.
+    let q = |p: f64| {
+        let v = latency.quantile(p);
+        if v.is_finite() {
+            v
+        } else {
+            dra_router::metrics::LATENCY_HIST_HI
+        }
+    };
+    Json::obj(vec![
+        ("arch", Json::Str(arch.to_string())),
+        ("sim_seconds", Json::Num(scenario.horizon())),
+        ("events", Json::Num(events as f64)),
+        ("events_per_sec", Json::Num(best.0)),
+        ("cells_per_sec", Json::Num(best.1)),
+        ("latency_p50_s", Json::Num(q(0.5))),
+        ("latency_p99_s", Json::Num(q(0.99))),
+    ])
 }
 
 // ------------------------------------------------------------------ speedup

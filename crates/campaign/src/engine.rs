@@ -11,10 +11,11 @@ use crate::json::Json;
 use crate::seed::{derive_seed, Stream};
 use crate::spec::{Arch, CampaignSpec, ScenarioTemplate};
 use crate::sweep::{self, welford_json};
-use dra_core::scenario::{Scenario, WindowedMetrics};
-use dra_core::sim::DraConfig;
+use dra_core::scenario::Scenario;
+use dra_core::sim::{DraConfig, DraRouter};
 use dra_des::stats::Welford;
-use dra_router::metrics::{DropCause, RouterMetrics};
+use dra_router::bdr::BdrRouter;
+use dra_router::metrics::DropCause;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -128,24 +129,23 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
                 process.sample(n, *horizon_s, &mut SmallRng::seed_from_u64(fault_seed))
             }
         };
-        let (metrics, window): (RouterMetrics, WindowedMetrics) = match cell.arch {
-            Arch::Dra => {
-                let (model, w) = scenario.run_dra_windowed(
+        let window = match cell.arch {
+            Arch::Dra => scenario.run_windowed(
+                &mut DraRouter::simulation(
                     DraConfig {
                         router: cell.config.clone(),
                         ..Default::default()
                     },
                     sim_seed,
-                    cell.measure_from_s,
-                );
-                (model.metrics, w)
-            }
-            Arch::Bdr => {
-                let (model, w) =
-                    scenario.run_bdr_windowed(cell.config.clone(), sim_seed, cell.measure_from_s);
-                (model.metrics, w)
-            }
+                ),
+                cell.measure_from_s,
+            ),
+            Arch::Bdr => scenario.run_windowed(
+                &mut BdrRouter::simulation(cell.config.clone(), sim_seed),
+                cell.measure_from_s,
+            ),
         };
+        let metrics = &window.full;
 
         delivery.push(window.window_byte_delivery_ratio());
         for lc in 0..n {

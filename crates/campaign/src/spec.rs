@@ -71,9 +71,8 @@ pub struct CellSpec {
     pub id: String,
     /// Architecture under test.
     pub arch: Arch,
-    /// Router configuration. `faults` must be `None`: campaigns drive
-    /// all fault injection through the scenario timeline so both
-    /// architectures replay identical failure histories.
+    /// Router configuration. Faults come from the scenario timeline,
+    /// so both architectures replay identical failure histories.
     pub config: BdrConfig,
     /// Fault timeline source.
     pub scenario: ScenarioTemplate,
@@ -96,13 +95,6 @@ impl CellSpec {
     fn validate(&self, index: usize) -> Result<(), String> {
         if self.replications < 1 {
             return Err(format!("cell {index}: replications < 1"));
-        }
-        if self.config.faults.is_some() {
-            return Err(format!(
-                "cell {index} ({}): set faults via the scenario template, \
-                 not BdrConfig::faults",
-                self.id
-            ));
         }
         let horizon = self.scenario.horizon_s();
         if !(0.0..=horizon).contains(&self.measure_from_s) {
@@ -388,14 +380,5 @@ mod tests {
         spec.cells.push(dup);
         let err = spec.validate().unwrap_err();
         assert!(err.contains("duplicate cell id"), "{err}");
-    }
-
-    #[test]
-    fn live_fault_injector_rejected() {
-        use dra_router::faults::{FaultGranularity, FaultInjector};
-        let mut spec = tiny_spec();
-        spec.cells[0].config.faults = Some(FaultInjector::new(3.0, FaultGranularity::WholeLc));
-        let err = spec.validate().unwrap_err();
-        assert!(err.contains("not BdrConfig::faults"), "{err}");
     }
 }

@@ -14,7 +14,7 @@
 //! * **Lazy time advance** — [`RouterHandle::advance_to`] runs the
 //!   embedded simulation exactly to the requested time, interleaving
 //!   any due actions from the attached fault schedule (the same
-//!   interleaving contract as [`Scenario::run_dra`]). Callers advance a
+//!   interleaving contract as [`Scenario::run_windowed`]). Callers advance a
 //!   router only when they touch it, so a quiescent router costs
 //!   nothing between touches.
 //! * **Fault schedule injection** — [`RouterHandle::set_fault_schedule`]
@@ -34,10 +34,11 @@
 //! network layer supplies all packets.
 
 use crate::health::ArchKind;
-use crate::scenario::{Action, Scenario};
+use crate::scenario::{Action, Scenario, ScriptedRouter};
 use crate::sim::{DraConfig, DraRouter};
 use dra_des::sim::Simulation;
 use dra_router::bdr::{BdrConfig, BdrRouter};
+use dra_router::chassis::Chassis;
 
 // The variants differ in size (DRA carries the EIB state on top of
 // the BDR core); handles are built one at a time as a test oracle, so
@@ -57,30 +58,29 @@ pub struct RouterHandle {
 }
 
 impl RouterHandle {
-    /// Wrap a BDR simulation (start event queued at t = 0).
-    pub fn bdr(config: BdrConfig, seed: u64) -> Self {
+    fn new(inner: Inner) -> Self {
         RouterHandle {
-            inner: Inner::Bdr(BdrRouter::simulation(config, seed)),
+            inner,
             schedule: Vec::new(),
             cursor: 0,
         }
+    }
+
+    /// Wrap a BDR simulation (start event queued at t = 0).
+    pub fn bdr(config: BdrConfig, seed: u64) -> Self {
+        RouterHandle::new(Inner::Bdr(BdrRouter::simulation(config, seed)))
     }
 
     /// Wrap a DRA simulation (start event queued at t = 0).
     pub fn dra(config: DraConfig, seed: u64) -> Self {
-        RouterHandle {
-            inner: Inner::Dra(DraRouter::simulation(config, seed)),
-            schedule: Vec::new(),
-            cursor: 0,
-        }
+        RouterHandle::new(Inner::Dra(DraRouter::simulation(config, seed)))
     }
 
-    /// Build a handle for `arch` from one shared base config, disabling
-    /// the router's internal traffic and live fault injector so the
-    /// handle models health dynamics only (the network-of-routers use).
+    /// Build a handle for `arch` from one shared base config, stopping
+    /// the router's internal traffic so the handle models health
+    /// dynamics only (the network-of-routers use).
     pub fn quiescent(arch: ArchKind, mut base: BdrConfig, seed: u64) -> Self {
         base.arrival_stop_s = Some(0.0);
-        base.faults = None;
         match arch {
             ArchKind::Bdr => RouterHandle::bdr(base, seed),
             ArchKind::Dra => RouterHandle::dra(
@@ -101,6 +101,13 @@ impl RouterHandle {
         }
     }
 
+    fn chassis(&self) -> &Chassis {
+        match &self.inner {
+            Inner::Bdr(sim) => sim.model(),
+            Inner::Dra(sim) => sim.model(),
+        }
+    }
+
     /// Current simulation time of the embedded router.
     pub fn now(&self) -> f64 {
         match &self.inner {
@@ -111,10 +118,7 @@ impl RouterHandle {
 
     /// Number of linecards.
     pub fn n_lcs(&self) -> usize {
-        match &self.inner {
-            Inner::Bdr(sim) => sim.model().config.n_lcs,
-            Inner::Dra(sim) => sim.model().config.router.n_lcs,
-        }
+        self.chassis().config.n_lcs
     }
 
     /// Events processed by the embedded simulation so far.
@@ -156,41 +160,16 @@ impl RouterHandle {
     }
 
     /// Apply one action at the router's current time (the injection
-    /// hook for unscheduled, externally-decided faults). EIB actions
-    /// are no-ops on BDR, as in [`Scenario::run_bdr`].
+    /// hook for unscheduled, externally-decided faults), through
+    /// [`ScriptedRouter::apply`]: EIB actions are no-ops on BDR.
     pub fn apply(&mut self, action: &Action) {
+        fn apply_now<R: ScriptedRouter>(sim: &mut Simulation<R>, action: &Action) {
+            let now = sim.now();
+            sim.model_mut().apply(action, now);
+        }
         match &mut self.inner {
-            Inner::Bdr(sim) => {
-                let now = sim.now();
-                let model = sim.model_mut();
-                match action {
-                    Action::FailComponent(lc, kind) => model.fail_component_now(*lc, *kind, now),
-                    Action::RepairLc(lc) => model.repair_lc_now(*lc, now),
-                    Action::FailEib | Action::RepairEib => {}
-                    Action::FailFabricPlane => model.fabric.fail_plane(),
-                    Action::RepairFabricPlane => model.fabric.repair_plane(),
-                    Action::AnnounceRoute(p, nh) => model.announce_route(*p, *nh),
-                    Action::WithdrawRoute(p) => {
-                        model.withdraw_route(*p);
-                    }
-                }
-            }
-            Inner::Dra(sim) => {
-                let now = sim.now();
-                let model = sim.model_mut();
-                match action {
-                    Action::FailComponent(lc, kind) => model.fail_component_now(*lc, *kind, now),
-                    Action::RepairLc(lc) => model.repair_lc_now(*lc, now),
-                    Action::FailEib => model.fail_eib_now(now),
-                    Action::RepairEib => model.repair_eib_now(now),
-                    Action::FailFabricPlane => model.fabric.fail_plane(),
-                    Action::RepairFabricPlane => model.fabric.repair_plane(),
-                    Action::AnnounceRoute(p, nh) => model.announce_route(*p, *nh),
-                    Action::WithdrawRoute(p) => {
-                        model.withdraw_route(*p);
-                    }
-                }
-            }
+            Inner::Bdr(sim) => apply_now(sim, action),
+            Inner::Dra(sim) => apply_now(sim, action),
         }
     }
 
@@ -207,39 +186,22 @@ impl RouterHandle {
     /// Is linecard `lc` currently operating *through EIB coverage*
     /// (serviceable but not standalone-healthy)? Always false on BDR.
     pub fn lc_covered(&self, lc: u16) -> bool {
-        match &self.inner {
-            Inner::Bdr(_) => false,
-            Inner::Dra(sim) => {
-                let model = sim.model();
-                model.lc_serviceable(lc)
-                    && !model.linecards[lc as usize]
-                        .components
-                        .operational_standalone()
-            }
-        }
+        self.lc_serviceable(lc) && !self.chassis().lc_operational(lc)
     }
 
     /// Is the switching fabric operational (enough healthy planes)?
     pub fn fabric_operational(&self) -> bool {
-        match &self.inner {
-            Inner::Bdr(sim) => sim.model().fabric.operational(),
-            Inner::Dra(sim) => sim.model().fabric.operational(),
-        }
+        self.chassis().fabric.operational()
     }
 
     fn run_until(&mut self, t: f64) {
-        match &mut self.inner {
-            Inner::Bdr(sim) => {
-                if t > sim.now() {
-                    sim.run_until(t);
-                }
-            }
-            Inner::Dra(sim) => {
-                if t > sim.now() {
-                    sim.run_until(t);
-                }
-            }
+        if t <= self.now() {
+            return;
         }
+        match &mut self.inner {
+            Inner::Bdr(sim) => sim.run_until(t),
+            Inner::Dra(sim) => sim.run_until(t),
+        };
     }
 }
 

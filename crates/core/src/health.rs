@@ -3,10 +3,9 @@
 //! The network layer (`dra-topo`) asks each transit router three
 //! questions per hop: can this linecard pass traffic, is it doing so
 //! through EIB coverage, and is the fabric up? With the router's own
-//! traffic and live fault injector switched off, the answers change
-//! only when a fault [`Action`] applies — exactly the view the paper's
-//! Fig-5 model takes of a linecard (its health state, not its packet
-//! pipeline).
+//! traffic switched off, the answers change only when a scripted fault
+//! [`Action`] applies — exactly the view the paper's Fig-5 model takes
+//! of a linecard (its health state, not its packet pipeline).
 //!
 //! [`NodeHealth`] is that state and nothing else: per linecard the
 //! unit health and failed-PIU-port count, the EIB flag and the failed
@@ -162,7 +161,7 @@ impl NodeHealth {
 
     /// Apply one action now (the hook for unscheduled faults). EIB
     /// actions are no-ops on BDR, and route updates never change
-    /// health, as in `Scenario::run_bdr` / `run_dra`.
+    /// health, as in `ScriptedRouter::apply`.
     pub fn apply(&mut self, action: &Action) {
         self.applied += 1;
         match *action {

@@ -13,9 +13,9 @@
 //!   Case 2 (ingress PIU/PDLU/SRU/LFE failures) and Case 3 (egress
 //!   failures), including the same-protocol constraint for PDLU
 //!   coverage and LC_inter selection.
-//! * [`sim`] — the DRA packet-level router model: a BDR pipeline
-//!   augmented with EIB coverage paths, remote lookups (REQ_L/REP_L),
-//!   and promised-bandwidth enforcement.
+//! * [`sim`] — the DRA packet-level router model: the BDR chassis
+//!   (`dra_router::chassis`) augmented with EIB coverage paths, remote
+//!   lookups (REQ_L/REP_L), and promised-bandwidth enforcement.
 //! * [`analysis`] — the paper's evaluation: the Figure-5 Markov models
 //!   (reliability and availability variants), the nines notation of
 //!   Figure 7, and the Figure-8 bandwidth-degradation model.
@@ -23,7 +23,9 @@
 //!   dependability measures, used to validate the Markov solutions
 //!   (the paper had no such cross-check).
 //! * [`scenario`] — declarative fault timelines that run identically
-//!   against both architectures, for apples-to-apples comparisons.
+//!   against both architectures, for apples-to-apples comparisons; the
+//!   one `Action` dispatch (`ScriptedRouter`) and the only way faults
+//!   reach a router simulation.
 //! * [`health`] — a router as its health state: per-linecard unit
 //!   health and cached serviceability driven by a fault timeline, the
 //!   per-node state of the network-of-routers layer (`dra-topo`).

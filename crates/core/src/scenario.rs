@@ -8,12 +8,15 @@
 //! timeline.
 
 use crate::sim::{DraConfig, DraRouter};
+use dra_des::{Model, Simulation};
 use dra_net::addr::Ipv4Prefix;
 use dra_router::bdr::{BdrConfig, BdrRouter};
+use dra_router::chassis::Chassis;
 use dra_router::components::ComponentKind;
 use dra_router::faults::FaultInjector;
 use dra_router::metrics::RouterMetrics;
 use rand::Rng;
+use std::ops::DerefMut;
 
 /// One scripted action.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +37,60 @@ pub enum Action {
     AnnounceRoute(Ipv4Prefix, u16),
     /// Withdraw a route everywhere.
     WithdrawRoute(Ipv4Prefix),
+}
+
+/// A single-router simulation a [`Scenario`] drives: either
+/// architecture, as the [`Chassis`] it dereferences to (fabric, routes,
+/// metrics) plus the health actions each answers its own way.
+/// [`ScriptedRouter::apply`] is the one dispatch of an [`Action`].
+pub trait ScriptedRouter: Model + DerefMut<Target = Chassis> {
+    /// Fail one unit of linecard `lc` at `now`.
+    fn fail_component(&mut self, lc: u16, kind: ComponentKind, now: f64);
+
+    /// Hot-swap repair linecard `lc` (all units) at `now`.
+    fn repair_lc(&mut self, lc: u16, now: f64);
+
+    /// Fail (`healthy = false`) or repair the EIB lines at `now`. BDR
+    /// has no EIB, so by default the action is a no-op.
+    fn set_eib(&mut self, _healthy: bool, _now: f64) {}
+
+    /// Apply one scripted action at `now`.
+    fn apply(&mut self, action: &Action, now: f64) {
+        match *action {
+            Action::FailComponent(lc, kind) => self.fail_component(lc, kind, now),
+            Action::RepairLc(lc) => self.repair_lc(lc, now),
+            Action::FailEib => self.set_eib(false, now),
+            Action::RepairEib => self.set_eib(true, now),
+            Action::FailFabricPlane => self.fabric.fail_plane(),
+            Action::RepairFabricPlane => self.fabric.repair_plane(),
+            Action::AnnounceRoute(p, nh) => self.announce_route(p, nh),
+            Action::WithdrawRoute(p) => self.withdraw_route(p),
+        }
+    }
+}
+
+impl ScriptedRouter for BdrRouter {
+    fn fail_component(&mut self, lc: u16, kind: ComponentKind, now: f64) {
+        self.fail_component_now(lc, kind, now);
+    }
+
+    fn repair_lc(&mut self, lc: u16, now: f64) {
+        self.repair_lc_now(lc, now);
+    }
+}
+
+impl ScriptedRouter for DraRouter {
+    fn fail_component(&mut self, lc: u16, kind: ComponentKind, now: f64) {
+        self.fail_component_now(lc, kind, now);
+    }
+
+    fn repair_lc(&mut self, lc: u16, now: f64) {
+        self.repair_lc_now(lc, now);
+    }
+
+    fn set_eib(&mut self, healthy: bool, now: f64) {
+        self.set_eib_now(healthy, now);
+    }
 }
 
 /// A timeline of actions over a fixed horizon.
@@ -94,160 +151,59 @@ impl Scenario {
         ev
     }
 
-    /// Run against the DRA architecture; returns (metrics, final model).
-    pub fn run_dra(&self, config: DraConfig, seed: u64) -> DraRouter {
-        let mut sim = DraRouter::simulation(config, seed);
+    /// Drive `sim` through the timeline to the horizon, snapshotting
+    /// the metrics at `measure_from_s` so callers can compute
+    /// post-warmup (windowed) quantities — e.g. the delivery fraction
+    /// *after* a failure, excluding the healthy warmup traffic (the
+    /// Figure-8 validation measures exactly this).
+    ///
+    /// Each action runs at its exact time, between the events due by
+    /// then and the ones after. Actions scheduled at exactly
+    /// `measure_from_s` execute before the snapshot, so "fail at t,
+    /// measure from t" windows start in the failed state.
+    pub fn run_windowed<R: ScriptedRouter>(
+        &self,
+        sim: &mut Simulation<R>,
+        measure_from_s: f64,
+    ) -> WindowedMetrics {
+        assert!((0.0..=self.horizon_s).contains(&measure_from_s));
+        let mut snapshot: Option<RouterMetrics> = None;
         for (at, action) in self.ordered() {
+            if snapshot.is_none() && at > measure_from_s {
+                sim.run_until(measure_from_s);
+                snapshot = Some(sim.model().metrics.clone());
+            }
             sim.run_until(at);
             let now = sim.now();
-            let model = sim.model_mut();
-            match action {
-                Action::FailComponent(lc, kind) => model.fail_component_now(lc, kind, now),
-                Action::RepairLc(lc) => model.repair_lc_now(lc, now),
-                Action::FailEib => model.fail_eib_now(now),
-                Action::RepairEib => model.repair_eib_now(now),
-                Action::FailFabricPlane => model.fabric.fail_plane(),
-                Action::RepairFabricPlane => model.fabric.repair_plane(),
-                Action::AnnounceRoute(p, nh) => model.announce_route(p, nh),
-                Action::WithdrawRoute(p) => {
-                    model.withdraw_route(p);
-                }
-            }
+            sim.model_mut().apply(&action, now);
+        }
+        if snapshot.is_none() {
+            sim.run_until(measure_from_s);
+            snapshot = Some(sim.model().metrics.clone());
         }
         sim.run_until(self.horizon_s);
-        sim.into_model()
+        WindowedMetrics {
+            full: sim.model().metrics.clone(),
+            at_window_start: snapshot.expect("snapshot taken"),
+        }
     }
 
-    /// Run against the BDR baseline (EIB actions are no-ops there).
-    pub fn run_bdr(&self, config: BdrConfig, seed: u64) -> BdrRouter {
-        let mut sim = BdrRouter::simulation(config, seed);
-        for (at, action) in self.ordered() {
-            sim.run_until(at);
-            let now = sim.now();
-            let model = sim.model_mut();
-            match action {
-                Action::FailComponent(lc, kind) => model.fail_component_now(lc, kind, now),
-                Action::RepairLc(lc) => model.repair_lc_now(lc, now),
-                Action::FailEib | Action::RepairEib => {}
-                Action::FailFabricPlane => model.fabric.fail_plane(),
-                Action::RepairFabricPlane => model.fabric.repair_plane(),
-                Action::AnnounceRoute(p, nh) => model.announce_route(p, nh),
-                Action::WithdrawRoute(p) => {
-                    model.withdraw_route(p);
-                }
-            }
-        }
-        sim.run_until(self.horizon_s);
-        sim.into_model()
+    /// [`Self::run_windowed`] without a window: drive `sim` through
+    /// the timeline to the horizon.
+    pub fn run<R: ScriptedRouter>(&self, sim: &mut Simulation<R>) {
+        self.run_windowed(sim, self.horizon_s);
     }
 
     /// Run the identical timeline on both architectures and return
     /// `(bdr_metrics, dra_metrics)`.
     pub fn compare(&self, base: BdrConfig, seed: u64) -> (RouterMetrics, RouterMetrics) {
-        let bdr = self.run_bdr(base.clone(), seed);
-        let dra = self.run_dra(
-            DraConfig {
-                router: base,
-                ..Default::default()
-            },
-            seed,
-        );
-        (bdr.metrics, dra.metrics)
-    }
-
-    /// Like [`Self::run_dra`], but also snapshot the metrics at
-    /// `measure_from_s` so callers can compute post-warmup (windowed)
-    /// quantities — e.g. the delivery fraction *after* a failure,
-    /// excluding the healthy warmup traffic (the Figure-8 validation
-    /// measures exactly this).
-    ///
-    /// Actions scheduled at exactly `measure_from_s` execute before
-    /// the snapshot, so "fail at t, measure from t" windows start in
-    /// the failed state.
-    pub fn run_dra_windowed(
-        &self,
-        config: DraConfig,
-        seed: u64,
-        measure_from_s: f64,
-    ) -> (DraRouter, WindowedMetrics) {
-        assert!((0.0..=self.horizon_s).contains(&measure_from_s));
-        let mut sim = DraRouter::simulation(config, seed);
-        let mut snapshot: Option<RouterMetrics> = None;
-        for (at, action) in self.ordered() {
-            if snapshot.is_none() && at > measure_from_s {
-                sim.run_until(measure_from_s);
-                snapshot = Some(sim.model().metrics.clone());
-            }
-            sim.run_until(at);
-            let now = sim.now();
-            let model = sim.model_mut();
-            match action {
-                Action::FailComponent(lc, kind) => model.fail_component_now(lc, kind, now),
-                Action::RepairLc(lc) => model.repair_lc_now(lc, now),
-                Action::FailEib => model.fail_eib_now(now),
-                Action::RepairEib => model.repair_eib_now(now),
-                Action::FailFabricPlane => model.fabric.fail_plane(),
-                Action::RepairFabricPlane => model.fabric.repair_plane(),
-                Action::AnnounceRoute(p, nh) => model.announce_route(p, nh),
-                Action::WithdrawRoute(p) => {
-                    model.withdraw_route(p);
-                }
-            }
-        }
-        if snapshot.is_none() {
-            sim.run_until(measure_from_s);
-            snapshot = Some(sim.model().metrics.clone());
-        }
-        sim.run_until(self.horizon_s);
-        let model = sim.into_model();
-        let windowed = WindowedMetrics {
-            full: model.metrics.clone(),
-            at_window_start: snapshot.expect("snapshot taken"),
+        let dra = DraConfig {
+            router: base.clone(),
+            ..Default::default()
         };
-        (model, windowed)
-    }
-
-    /// BDR counterpart of [`Self::run_dra_windowed`].
-    pub fn run_bdr_windowed(
-        &self,
-        config: BdrConfig,
-        seed: u64,
-        measure_from_s: f64,
-    ) -> (BdrRouter, WindowedMetrics) {
-        assert!((0.0..=self.horizon_s).contains(&measure_from_s));
-        let mut sim = BdrRouter::simulation(config, seed);
-        let mut snapshot: Option<RouterMetrics> = None;
-        for (at, action) in self.ordered() {
-            if snapshot.is_none() && at > measure_from_s {
-                sim.run_until(measure_from_s);
-                snapshot = Some(sim.model().metrics.clone());
-            }
-            sim.run_until(at);
-            let now = sim.now();
-            let model = sim.model_mut();
-            match action {
-                Action::FailComponent(lc, kind) => model.fail_component_now(lc, kind, now),
-                Action::RepairLc(lc) => model.repair_lc_now(lc, now),
-                Action::FailEib | Action::RepairEib => {}
-                Action::FailFabricPlane => model.fabric.fail_plane(),
-                Action::RepairFabricPlane => model.fabric.repair_plane(),
-                Action::AnnounceRoute(p, nh) => model.announce_route(p, nh),
-                Action::WithdrawRoute(p) => {
-                    model.withdraw_route(p);
-                }
-            }
-        }
-        if snapshot.is_none() {
-            sim.run_until(measure_from_s);
-            snapshot = Some(sim.model().metrics.clone());
-        }
-        sim.run_until(self.horizon_s);
-        let model = sim.into_model();
-        let windowed = WindowedMetrics {
-            full: model.metrics.clone(),
-            at_window_start: snapshot.expect("snapshot taken"),
-        };
-        (model, windowed)
+        let bdr = self.run_windowed(&mut BdrRouter::simulation(base, seed), self.horizon_s);
+        let dra = self.run_windowed(&mut DraRouter::simulation(dra, seed), self.horizon_s);
+        (bdr.full, dra.full)
     }
 }
 
@@ -293,10 +249,9 @@ impl WindowedMetrics {
 /// This generalizes the fault-level sampling of [`crate::montecarlo`]
 /// to the packet simulators: component lifetimes are drawn from a
 /// [`FaultInjector`] (exponential, at the paper's §5 rates unless
-/// overridden) and — unlike the live `BdrConfig::faults` hook, which
-/// gives each architecture its own statistically-identical stream —
-/// the sampled timeline is *data*, so BDR and DRA can replay the
-/// **identical** failure history.
+/// overridden), and the sampled timeline is *data*, so BDR and DRA
+/// replay the **identical** failure history. It is the only way
+/// stochastic faults reach a router simulation.
 #[derive(Debug, Clone)]
 pub struct FaultProcess {
     /// Lifetime/repair sampler (rates, repair time, granularity).
@@ -318,9 +273,8 @@ impl FaultProcess {
     ///
     /// Per linecard this is a renewal process: arm every unit, fire
     /// the failures that precede the hot swap, repair, re-arm. Units
-    /// armed before a repair but sampled to fail after it never fire —
-    /// mirroring the generation-counter invalidation the live
-    /// injection path uses. The EIB line gets its own renewal stream
+    /// armed before a repair but sampled to fail after it never fire:
+    /// the hot swap replaced them. The EIB line gets its own renewal stream
     /// (a no-op when replayed on BDR).
     ///
     /// Sampling order is fixed (cards in index order, then the EIB),
@@ -394,6 +348,14 @@ mod tests {
         }
     }
 
+    fn dra_sim(n: usize, load: f64, seed: u64) -> Simulation<DraRouter> {
+        let config = DraConfig {
+            router: base(n, load),
+            ..Default::default()
+        };
+        DraRouter::simulation(config, seed)
+    }
+
     #[test]
     fn builder_validates_times() {
         let s = Scenario::new(1e-3)
@@ -416,16 +378,12 @@ mod tests {
         let s = Scenario::new(3e-3)
             .at(2e-3, Action::RepairLc(0))
             .at(1e-3, Action::FailComponent(0, ComponentKind::Sru));
-        let dra = s.run_dra(
-            DraConfig {
-                router: base(4, 0.2),
-                ..Default::default()
-            },
-            5,
-        );
+        let mut dra = dra_sim(4, 0.2, 5);
+        s.run(&mut dra);
         // Coverage happened (failure preceded repair), then recovered.
-        assert!(dra.metrics.lcs[0].covered_packets > 0);
-        assert!(dra.metrics.byte_delivery_ratio() > 0.98);
+        let m = &dra.model().metrics;
+        assert!(m.lcs[0].covered_packets > 0);
+        assert!(m.byte_delivery_ratio() > 0.98);
     }
 
     #[test]
@@ -446,8 +404,9 @@ mod tests {
         let s = Scenario::new(2e-3)
             .at(0.5e-3, Action::FailEib)
             .at(1.5e-3, Action::RepairEib);
-        let bdr = s.run_bdr(base(3, 0.15), 7);
-        assert!(bdr.metrics.byte_delivery_ratio() > 0.98);
+        let mut bdr = BdrRouter::simulation(base(3, 0.15), 7);
+        s.run(&mut bdr);
+        assert!(bdr.model().metrics.byte_delivery_ratio() > 0.98);
     }
 
     #[test]
@@ -456,30 +415,19 @@ mod tests {
             .at(0.5e-3, Action::FailFabricPlane)
             .at(0.6e-3, Action::FailFabricPlane)
             .at(1.2e-3, Action::RepairFabricPlane);
-        let dra = s.run_dra(
-            DraConfig {
-                router: base(3, 0.15),
-                ..Default::default()
-            },
-            9,
-        );
-        assert_eq!(dra.fabric.planes_failed(), 1);
+        let mut dra = dra_sim(3, 0.15, 9);
+        s.run(&mut dra);
+        assert_eq!(dra.model().fabric.planes_failed(), 1);
     }
 
     #[test]
     fn windowed_run_diffs_monotone_counters() {
         let s = Scenario::new(4e-3).at(2e-3, Action::FailComponent(0, ComponentKind::Sru));
-        let (model, w) = s.run_dra_windowed(
-            DraConfig {
-                router: base(4, 0.2),
-                ..Default::default()
-            },
-            3,
-            2e-3,
-        );
+        let mut dra = dra_sim(4, 0.2, 3);
+        let w = s.run_windowed(&mut dra, 2e-3);
         // Window counters are a strict subset of the full run.
         for lc in 0..4 {
-            assert!(w.window_offered_bytes(lc) <= model.metrics.lcs[lc].offered_bytes);
+            assert!(w.window_offered_bytes(lc) <= dra.model().metrics.lcs[lc].offered_bytes);
             assert!(w.window_offered_bytes(lc) > 0, "traffic flows in window");
         }
         // Packets offered just before the window can be delivered just
@@ -494,7 +442,7 @@ mod tests {
         // "Fail at t, measure from t": the snapshot sees pre-failure
         // counters, so windowed delivery reflects the failed state.
         let s = Scenario::new(6e-3).at(2e-3, Action::FailComponent(0, ComponentKind::Sru));
-        let (_, bdr) = s.run_bdr_windowed(base(4, 0.2), 3, 2e-3);
+        let bdr = s.run_windowed(&mut BdrRouter::simulation(base(4, 0.2), 3), 2e-3);
         // A failed BDR card delivers (almost) nothing post-failure.
         let off = bdr.window_offered_bytes(0);
         let del = bdr.window_delivered_bytes(0);
@@ -508,28 +456,18 @@ mod tests {
     #[test]
     fn windowed_full_run_matches_plain_run() {
         let s = Scenario::new(3e-3).at(1e-3, Action::FailComponent(0, ComponentKind::Lfe));
-        let plain = s.run_dra(
-            DraConfig {
-                router: base(4, 0.2),
-                ..Default::default()
-            },
-            11,
-        );
-        let (windowed, _) = s.run_dra_windowed(
-            DraConfig {
-                router: base(4, 0.2),
-                ..Default::default()
-            },
-            11,
-            1.5e-3,
-        );
+        let mut plain = dra_sim(4, 0.2, 11);
+        s.run(&mut plain);
+        let mut windowed = dra_sim(4, 0.2, 11);
+        s.run_windowed(&mut windowed, 1.5e-3);
         // The snapshot must not perturb the simulation.
         for lc in 0..4 {
             assert_eq!(
-                plain.metrics.lcs[lc].delivered_bytes,
-                windowed.metrics.lcs[lc].delivered_bytes
+                plain.model().metrics.lcs[lc].delivered_bytes,
+                windowed.model().metrics.lcs[lc].delivered_bytes
             );
         }
+        assert_eq!(plain.events_processed(), windowed.events_processed());
     }
 
     #[test]
@@ -563,6 +501,35 @@ mod tests {
     }
 
     #[test]
+    fn stochastic_faults_fire_and_repair() {
+        use dra_router::faults::FaultGranularity;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        // Accelerated: MTTF (1/2e-5 = 50000 rate-units) scaled so
+        // failures land inside a 20 ms run, repairs (3 units) follow.
+        let proc = FaultProcess {
+            injector: FaultInjector::new(3.0, FaultGranularity::WholeLc),
+            delay_scale: 1e-3 / 50_000.0,
+            repair: true,
+        };
+        let sc = proc.sample(4, 20e-3, &mut SmallRng::seed_from_u64(11));
+        let mut sim = BdrRouter::simulation(base(4, 0.1), 11);
+        sc.run(&mut sim);
+        let m = &sim.model().metrics;
+        let total_ingress_drops: u64 = m.lcs.iter().map(|l| l.drops(DropCause::IngressDown)).sum();
+        assert!(total_ingress_drops > 0, "accelerated faults never fired");
+        // Availability strictly between 0 and 1 on average.
+        let now = sim.now();
+        let avg: f64 = m
+            .lcs
+            .iter()
+            .map(|l| l.availability.average(now))
+            .sum::<f64>()
+            / m.lcs.len() as f64;
+        assert!(avg > 0.0 && avg < 1.0, "avg availability {avg}");
+    }
+
+    #[test]
     fn sampled_schedule_replays_identically_on_both_archs() {
         use dra_router::faults::FaultGranularity;
         use rand::rngs::SmallRng;
@@ -590,13 +557,12 @@ mod tests {
         let s = Scenario::new(2e-3)
             .at(0.5e-3, Action::AnnounceRoute(p, 2))
             .at(1.5e-3, Action::WithdrawRoute(p));
-        let dra = s.run_dra(
-            DraConfig {
-                router: base(3, 0.15),
-                ..Default::default()
-            },
-            11,
+        let mut dra = dra_sim(3, 0.15, 11);
+        s.run(&mut dra);
+        assert_eq!(
+            dra.model().rp.route_count(),
+            3,
+            "announce+withdraw nets out"
         );
-        assert_eq!(dra.rp.route_count(), 3, "announce+withdraw nets out");
     }
 }

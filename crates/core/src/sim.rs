@@ -1,9 +1,9 @@
-//! The DRA packet-level router model.
+//! The DRA packet-level router model: the BDR [`Chassis`] plus EIB
+//! coverage.
 //!
-//! The pipeline mirrors [`dra_router::bdr::BdrRouter`] until a failure
-//! appears; then the [`crate::coverage::CoveragePlanner`] turns each
-//! packet's journey into a sequence of [`Stage`]s that may detour over
-//! the EIB:
+//! Until a failure appears a packet takes BDR's path; then the
+//! [`crate::coverage::CoveragePlanner`] turns each packet's journey
+//! into a sequence of [`Stage`]s that may detour over the EIB:
 //!
 //! * data-line hops run at the flow's promised bandwidth
 //!   (`B_prom`, recomputed whenever the set of covered flows changes),
@@ -26,18 +26,13 @@ use crate::coverage::{CoveragePlanner, EgressRoute, IngressRoute, LcView};
 use crate::eib::control::{CsmaChannel, TxResult};
 use dra_des::{Ctx, Model, Simulation};
 use dra_net::addr::Ipv4Addr;
-use dra_net::fib::Fib;
-use dra_net::packet::{Packet, PacketId, PacketIdGen};
-use dra_net::sar::{segment_cells, CELL_BYTES};
-use dra_net::traffic::PoissonGen;
+use dra_net::packet::{Packet, PacketId};
 use dra_router::bdr::BdrConfig;
+use dra_router::chassis::{Chassis, ChassisEvent};
 use dra_router::components::{ComponentKind, Health};
-use dra_router::fabric::Crossbar;
-use dra_router::faults::Generations;
-use dra_router::ingress::ArrivalTrain;
-use dra_router::linecard::Linecard;
-use dra_router::metrics::{DropCause, RouterMetrics};
+use dra_router::metrics::DropCause;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 /// EIB parameters.
 #[derive(Debug, Clone)]
@@ -248,13 +243,8 @@ pub struct FlowMeta {
 /// Events of the DRA model.
 #[derive(Debug)]
 pub enum DraEvent {
-    /// Kick-off.
-    Start,
-    /// Next packet at `lc`.
-    Arrival {
-        /// Ingress linecard.
-        lc: u16,
-    },
+    /// Kick-off, arrivals, fabric slots and the purge timer.
+    Chassis(ChassisEvent),
     /// Run stage `idx` of a packet's plan.
     StageStart {
         /// Packet bookkeeping.
@@ -292,65 +282,28 @@ pub enum DraEvent {
         /// Channel token.
         tx: u64,
     },
-    /// One fabric cell slot.
-    FabricSlot,
-    /// Component failure (generation-stamped).
-    Fail {
-        /// Affected linecard.
-        lc: u16,
-        /// Failing unit.
-        kind: ComponentKind,
-        /// Repair generation at arming time.
-        gen: u32,
-    },
-    /// The EIB passive lines fail.
-    FailEib,
-    /// Hot-swap repair of a linecard.
-    Repair {
-        /// Repaired linecard.
-        lc: u16,
-    },
-    /// EIB lines repaired.
-    RepairEib,
-    /// Periodic reassembly garbage collection.
-    PurgeReassembly,
 }
 
-/// The DRA router model.
+impl From<ChassisEvent> for DraEvent {
+    fn from(event: ChassisEvent) -> Self {
+        DraEvent::Chassis(event)
+    }
+}
+
+/// The DRA router model: a [`Chassis`] (which it dereferences to; its
+/// linecards carry meaningful PDLU health, unlike BDR's) plus the EIB.
 #[derive(Debug)]
 pub struct DraRouter {
-    /// Configuration.
-    pub config: DraConfig,
-    /// Linecards (with PDLU health meaningful, unlike BDR).
-    pub linecards: Vec<Linecard>,
-    /// The switching fabric.
-    pub fabric: Crossbar,
-    /// Metrics (EIB counters live here too).
-    pub metrics: RouterMetrics,
+    chassis: Chassis,
+    /// The Enhanced Internal Bus configuration.
+    pub eib: EibConfig,
     /// Are the EIB passive lines healthy?
     pub eib_healthy: bool,
-    /// The route processor owning the master RIB.
-    pub rp: dra_router::rp::RouteProcessor,
     control: CsmaChannel,
-    generators: Vec<PoissonGen>,
-    id_gens: Vec<PacketIdGen>,
     /// Packets inside the fabric: resumed on reassembly completion.
     in_fabric: HashMap<PacketId, (FlowMeta, StagePlan, usize)>,
-    generations: Generations,
-    repair_pending: Vec<bool>,
-    slot_time_s: f64,
-    slot_scheduled: bool,
-    capacity_credit: f64,
-    /// Reused copy of the current fabric slot's cells, so delivery can
-    /// run `&mut self` handlers without holding the fabric's borrow
-    /// (and without allocating per slot).
-    slot_handles: Vec<dra_router::CellHandle>,
     /// Per-flow data-line virtual finish time.
     eib_busy_until: HashMap<u16, f64>,
-    /// Dedicated per-LC traffic RNG streams (see `DraRouter::new`).
-    traffic_rngs: Vec<rand::rngs::SmallRng>,
-    /// Per-LC pre-resolved arrival trains (batched FIB lookups).
-    trains: Vec<ArrivalTrain>,
     /// Flows whose REQ_D/REP_D logical path is already set up.
     lp_established: std::collections::HashSet<u16>,
     /// Cached promised bandwidth per flow.
@@ -363,6 +316,20 @@ pub struct DraRouter {
     latency_by_path: [dra_des::stats::Welford; 5],
     /// Latency distributions per [`PathKind`] (log buckets, 100 ns–10 ms).
     latency_hist_by_path: Vec<dra_des::stats::LogHistogram>,
+}
+
+impl Deref for DraRouter {
+    type Target = Chassis;
+
+    fn deref(&self) -> &Chassis {
+        &self.chassis
+    }
+}
+
+impl DerefMut for DraRouter {
+    fn deref_mut(&mut self) -> &mut Chassis {
+        &mut self.chassis
+    }
 }
 
 /// Stale-view bookkeeping for one linecard.
@@ -382,76 +349,21 @@ struct GossipEibCell {
 }
 
 impl DraRouter {
-    /// Build the router. `seed` feeds the per-LC traffic RNG streams —
-    /// seeded identically to [`dra_router::bdr::BdrRouter::new`], so
-    /// both architectures see byte-identical offered traffic under the
-    /// same seed no matter how much randomness their internals consume.
+    /// Build the router. `seed` feeds the chassis's per-LC traffic RNG
+    /// streams — seeded identically to [`dra_router::bdr::BdrRouter::new`],
+    /// so both architectures see byte-identical offered traffic under
+    /// the same seed no matter how much randomness their internals
+    /// consume.
     pub fn new(config: DraConfig, seed: u64) -> Self {
-        let r = &config.router;
-        assert!(r.n_lcs >= 3, "DRA needs N >= 3");
-        assert!(r.load > 0.0 && r.load <= 1.0);
-        let mut linecards: Vec<Linecard> = (0..r.n_lcs)
-            .map(|i| {
-                Linecard::with_ports(i as u16, r.protocol_of(i), r.port_rate_bps, r.ports_per_lc)
-            })
-            .collect();
-        let mut rp = dra_router::rp::RouteProcessor::new();
-        for dst in 0..r.n_lcs {
-            rp.announce(BdrConfig::prefix_of(dst), dst as u16);
-        }
-        rp.distribute(&mut linecards);
-        let generators = (0..r.n_lcs)
-            .map(|i| {
-                let bases: Vec<Ipv4Addr> = (0..r.n_lcs)
-                    .filter(|&j| j != i)
-                    .map(BdrConfig::dst_base_of)
-                    .collect();
-                PoissonGen::new(r.load * r.port_rate_bps, &bases)
-            })
-            .collect();
-        let traffic_rngs = (0..r.n_lcs)
-            .map(|i| {
-                use rand::SeedableRng;
-                rand::rngs::SmallRng::seed_from_u64(
-                    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + 1),
-                )
-            })
-            .collect();
-        let id_gens = (0..r.n_lcs)
-            .map(|i| PacketIdGen::starting_at((i as u64) << 48))
-            .collect();
-        let fabric = Crossbar::new(
-            r.n_lcs,
-            r.voq_capacity,
-            r.islip_iterations,
-            r.fabric_planes_total,
-            r.fabric_planes_required,
-        );
-        let slot_time_s = CELL_BYTES as f64 * 8.0 / (r.port_rate_bps * r.fabric_speedup);
-        let control = CsmaChannel::new(config.eib.control_rate_bps, config.eib.prop_delay_s);
-        let metrics = RouterMetrics::new(r.n_lcs);
-        let generations = Generations::new(r.n_lcs);
-        let repair_pending = vec![false; r.n_lcs];
-
-        let trains = (0..r.n_lcs).map(|_| ArrivalTrain::new()).collect();
+        let DraConfig { router, eib } = config;
+        assert!(router.n_lcs >= 3, "DRA needs N >= 3");
+        let n_lcs = router.n_lcs;
         DraRouter {
-            linecards,
-            fabric,
-            metrics,
+            chassis: Chassis::new(router, seed),
             eib_healthy: true,
-            rp,
-            control,
-            generators,
-            traffic_rngs,
-            trains,
-            id_gens,
+            control: CsmaChannel::new(eib.control_rate_bps, eib.prop_delay_s),
+            eib,
             in_fabric: HashMap::new(),
-            generations,
-            repair_pending,
-            slot_time_s,
-            slot_scheduled: false,
-            capacity_credit: 0.0,
-            slot_handles: Vec::new(),
             eib_busy_until: HashMap::new(),
             lp_established: std::collections::HashSet::new(),
             b_prom: HashMap::new(),
@@ -460,7 +372,7 @@ impl DraRouter {
                     prev: dra_router::components::LcComponents::healthy(),
                     changed_at: f64::NEG_INFINITY,
                 };
-                config.router.n_lcs
+                n_lcs
             ],
             gossip_eib: GossipEibCell {
                 prev: true,
@@ -470,21 +382,21 @@ impl DraRouter {
             latency_hist_by_path: (0..5)
                 .map(|_| dra_router::metrics::latency_histogram())
                 .collect(),
-            config,
         }
     }
 
     /// Wrap in a seeded simulation with the start event queued.
     pub fn simulation(config: DraConfig, seed: u64) -> Simulation<DraRouter> {
         let mut sim = Simulation::new(DraRouter::new(config, seed), seed);
-        sim.schedule(0.0, DraEvent::Start);
+        sim.schedule(0.0, ChassisEvent::Start.into());
         sim
     }
 
     /// The planner's snapshot of the router.
     fn views(&self) -> Vec<LcView> {
-        let spare = self.config.router.port_rate_bps * (1.0 - self.config.router.load);
-        self.linecards
+        let spare = self.chassis.config.port_rate_bps * (1.0 - self.chassis.config.load);
+        self.chassis
+            .linecards
             .iter()
             .map(|lc| LcView {
                 protocol: lc.protocol,
@@ -500,14 +412,14 @@ impl DraRouter {
         // The per-hop form: reads linecard state in place instead of
         // materializing a `Vec<LcView>` per health check (this is the
         // network hot path — see dra-topo's `net_hotpath_noalloc`).
-        let spare = self.config.router.port_rate_bps * (1.0 - self.config.router.load);
+        let spare = self.chassis.config.port_rate_bps * (1.0 - self.chassis.config.load);
         crate::coverage::lc_serviceable_with(
             |i| LcView {
-                protocol: self.linecards[i].protocol,
-                components: self.linecards[i].components,
+                protocol: self.chassis.linecards[i].protocol,
+                components: self.chassis.linecards[i].components,
                 spare_bps: spare,
             },
-            self.linecards.len(),
+            self.chassis.linecards.len(),
             lc,
             None,
             self.eib_healthy,
@@ -518,7 +430,7 @@ impl DraRouter {
     /// health is always current; peers' health (and the EIB's) is the
     /// pre-change state until the gossip delay elapses.
     fn views_for(&self, origin: u16, now: f64) -> (Vec<LcView>, bool) {
-        let delay = self.config.eib.gossip_delay_s;
+        let delay = self.eib.gossip_delay_s;
         let mut views = self.views();
         if delay > 0.0 {
             for (i, view) in views.iter_mut().enumerate() {
@@ -539,7 +451,7 @@ impl DraRouter {
     /// called *before* mutating the true state.
     fn note_change(&mut self, lc: u16, now: f64) {
         self.gossip[lc as usize] = GossipCell {
-            prev: self.linecards[lc as usize].components,
+            prev: self.chassis.linecards[lc as usize].components,
             changed_at: now,
         };
     }
@@ -561,7 +473,7 @@ impl DraRouter {
     ///   `B_BUS`, shared proportionally (`B_prom`).
     fn recompute_bandwidth(&mut self) {
         let views = self.views();
-        let r = &self.config.router;
+        let r = &self.chassis.config;
         let covered: Vec<u16> = (0..r.n_lcs as u16)
             .filter(|&i| {
                 let c = views[i as usize].components;
@@ -585,7 +497,7 @@ impl DraRouter {
         // spare capacity (a helper must *process* that stream).
         // Equal posted requirements (every covered LC asks L·c) make
         // the weighted share an equal share.
-        let bus_share = self.config.eib.data_rate_bps / (2 * k) as f64;
+        let bus_share = self.eib.data_rate_bps / (2 * k) as f64;
         let spare_share = spare_pool / k as f64;
         let ing_rate = r.port_rate_bps.min(bus_share).min(spare_share);
         let egr_rate = r.port_rate_bps.min(bus_share);
@@ -596,9 +508,11 @@ impl DraRouter {
     }
 
     fn refresh_availability(&mut self, now: f64) {
-        for lc in 0..self.config.router.n_lcs as u16 {
+        for lc in 0..self.chassis.config.n_lcs as u16 {
             let up = if self.lc_serviceable(lc) { 1.0 } else { 0.0 };
-            self.metrics.lcs[lc as usize].availability.update(now, up);
+            self.chassis.metrics.lcs[lc as usize]
+                .availability
+                .update(now, up);
         }
     }
 
@@ -612,83 +526,44 @@ impl DraRouter {
     /// reads failed only when every port is gone.
     pub fn fail_component_now(&mut self, lc: u16, kind: ComponentKind, now: f64) {
         self.note_change(lc, now);
-        if kind == ComponentKind::Piu {
-            self.linecards[lc as usize].fail_piu_port();
-        } else {
-            self.linecards[lc as usize]
-                .components
-                .set(kind, Health::Failed);
-        }
+        self.chassis.fail_unit(lc, kind);
         self.on_health_change(now);
     }
 
     /// Deterministic repair scripting.
     pub fn repair_lc_now(&mut self, lc: u16, now: f64) {
         self.note_change(lc, now);
-        self.linecards[lc as usize].repair_all();
-        self.generations.bump(lc as usize);
-        self.repair_pending[lc as usize] = false;
+        self.chassis.linecards[lc as usize].repair_all();
         self.lp_established.remove(&lc);
         self.lp_established.remove(&(lc | EGRESS_FLOW_OFFSET));
         self.on_health_change(now);
     }
 
+    /// Deterministic EIB-line failure (`healthy = false`) or repair.
+    pub(crate) fn set_eib_now(&mut self, healthy: bool, now: f64) {
+        self.note_eib_change(now);
+        self.eib_healthy = healthy;
+        self.on_health_change(now);
+    }
+
     /// Deterministic EIB-line failure.
     pub fn fail_eib_now(&mut self, now: f64) {
-        self.note_eib_change(now);
-        self.eib_healthy = false;
-        self.on_health_change(now);
+        self.set_eib_now(false, now);
     }
 
     /// Deterministic EIB repair.
     pub fn repair_eib_now(&mut self, now: f64) {
-        self.note_eib_change(now);
-        self.eib_healthy = true;
-        self.on_health_change(now);
-    }
-
-    /// Announce a route at the RP and push it to every card's FIB.
-    pub fn announce_route(&mut self, prefix: dra_net::addr::Ipv4Prefix, next_hop: u16) {
-        self.rp.announce(prefix, next_hop);
-        for lc in &mut self.linecards {
-            lc.fib.insert(prefix, next_hop);
-        }
-    }
-
-    /// Withdraw a route everywhere.
-    pub fn withdraw_route(&mut self, prefix: dra_net::addr::Ipv4Prefix) {
-        self.rp.withdraw(prefix);
-        for lc in &mut self.linecards {
-            lc.fib.remove(prefix);
-        }
+        self.set_eib_now(true, now);
     }
 
     fn drop(&mut self, meta: &FlowMeta, cause: DropCause) {
-        self.metrics.lcs[meta.ingress as usize].drop_packet(cause, meta.ip_bytes);
-        dra_router::metrics::note_drop(meta.id, cause, meta.ingress);
+        self.chassis
+            .drop_packet(meta.id, meta.ingress, meta.ip_bytes, cause);
         // The paper's B_prom scale-back realized as drops is the
         // anomaly the flight recorder is armed for: freeze the event
         // window at the first occurrence.
         if cause == DropCause::EibOversubscribed {
             dra_telemetry::anomaly("first eib-oversubscribed drop");
-        }
-    }
-
-    fn ensure_fabric_slot(&mut self, ctx: &mut Ctx<'_, DraEvent>) {
-        if !self.slot_scheduled && !self.fabric.is_empty() {
-            self.slot_scheduled = true;
-            ctx.schedule(self.slot_time_s, DraEvent::FabricSlot);
-        }
-    }
-
-    fn arm_faults_for_lc(&mut self, lc: u16, ctx: &mut Ctx<'_, DraEvent>) {
-        let Some(injector) = self.config.router.faults.as_ref() else {
-            return;
-        };
-        let scale = self.config.router.fault_delay_scale;
-        let gen = self.generations.current(lc as usize);
-        for (kind, delay) in injector.arm_linecard(ctx.rng()) {
-            ctx.schedule(delay * scale, DraEvent::Fail { lc, kind, gen });
         }
     }
 
@@ -774,53 +649,36 @@ impl DraRouter {
         Ok((stages, path))
     }
 
-    fn handle_arrival(&mut self, lc: u16, ctx: &mut Ctx<'_, DraEvent>) {
-        // The train resolves the FIB lookup in batch; `route` is
-        // exactly what `fib.lookup(dst)` returns at this instant.
-        let (arrival, route) = self.trains[lc as usize].pop(
-            &mut self.generators[lc as usize],
-            &mut self.traffic_rngs[lc as usize],
-            &self.linecards[lc as usize].fib,
-        );
-        let next_at = ctx.now() + arrival.dt;
-        if self
-            .config
-            .router
-            .arrival_stop_s
-            .is_none_or(|stop| next_at < stop)
-        {
-            ctx.schedule(arrival.dt, DraEvent::Arrival { lc });
+    /// DRA's admission rule, in this order: the packet's ingress port
+    /// is up (PIU coin), it has a route, the egress port is up (PIU
+    /// coin), the fabric runs, and the coverage planner finds a path.
+    /// Per-port PIU losses are the one thing coverage cannot help
+    /// (§3.2); the coins draw from the simulation RNG only while ports
+    /// are down.
+    fn admit(
+        &self,
+        lc: u16,
+        route: Option<u16>,
+        ctx: &mut Ctx<'_, DraEvent>,
+    ) -> Result<(StagePlan, PathKind), DropCause> {
+        let ch = &self.chassis;
+        if ch.port_down(lc, ctx.rng()) {
+            return Err(DropCause::IngressDown);
         }
+        // The lookup target is known to the model regardless of which
+        // LFE will be charged for it; latency is charged per plan.
+        let egress = route.ok_or(DropCause::NoRoute)?;
+        if ch.port_down(egress, ctx.rng()) {
+            return Err(DropCause::EgressDown);
+        }
+        if !ch.fabric.operational() {
+            return Err(DropCause::FabricDown);
+        }
+        self.plan_stages(lc, egress, ctx.now())
+    }
 
-        let packet = Packet::new(
-            self.id_gens[lc as usize].next_id(),
-            BdrConfig::dst_base_of(lc as usize),
-            arrival.dst,
-            arrival.ip_bytes,
-            self.linecards[lc as usize].protocol,
-            ctx.now(),
-        );
-        self.metrics.lcs[lc as usize].offer(packet.ip_bytes);
-        if dra_telemetry::enabled() {
-            use dra_telemetry as tm;
-            tm::counter_add(tm::ids::ARRIVALS, 1);
-            tm::counter_add(tm::ids::FIB_LOOKUPS, 1);
-            tm::event(
-                tm::EventKind::Arrival,
-                packet.id.0,
-                lc as u32,
-                packet.ip_bytes,
-            );
-            tm::track_arrival(packet.id.0, lc as u32, packet.ip_bytes);
-            if let Some(egress) = route {
-                tm::event(
-                    tm::EventKind::FibLookup,
-                    packet.id.0,
-                    lc as u32,
-                    egress as u32,
-                );
-            }
-        }
+    fn handle_arrival(&mut self, lc: u16, ctx: &mut Ctx<'_, DraEvent>) {
+        let (packet, route) = self.chassis.arrive(lc, ctx);
         let meta = FlowMeta {
             id: packet.id,
             ip_bytes: packet.ip_bytes,
@@ -829,31 +687,7 @@ impl DraRouter {
             covered: false,
             path: PathKind::Normal,
         };
-
-        // Per-port PIU losses: arrivals on a disconnected ingress port
-        // never enter; traffic bound for a disconnected egress port has
-        // nowhere to leave. Coverage cannot help either (§3.2).
-        let ingress_loss = self.linecards[lc as usize].piu_loss_fraction();
-        if ingress_loss > 0.0 && dra_des::random::coin(ctx.rng(), ingress_loss) {
-            self.drop(&meta, DropCause::IngressDown);
-            return;
-        }
-        // The lookup target is known to the model regardless of which
-        // LFE will be charged for it; latency is charged per plan.
-        let Some(egress) = route else {
-            self.drop(&meta, DropCause::NoRoute);
-            return;
-        };
-        let egress_loss = self.linecards[egress as usize].piu_loss_fraction();
-        if egress_loss > 0.0 && dra_des::random::coin(ctx.rng(), egress_loss) {
-            self.drop(&meta, DropCause::EgressDown);
-            return;
-        }
-        if !self.fabric.operational() {
-            self.drop(&meta, DropCause::FabricDown);
-            return;
-        }
-        match self.plan_stages(lc, egress, ctx.now()) {
+        match self.admit(lc, route, ctx) {
             Err(cause) => self.drop(&meta, cause),
             Ok((stages, path)) => {
                 let meta = FlowMeta {
@@ -875,25 +709,13 @@ impl DraRouter {
 
     fn finish(&mut self, meta: &FlowMeta, now: f64) {
         let latency = now - meta.arrived_at;
-        let m = &mut self.metrics.lcs[meta.ingress as usize];
-        m.deliver(meta.ip_bytes, latency);
-        m.ingress_delivered += 1;
+        self.chassis
+            .deliver(meta.ingress, meta.ingress, meta.id, meta.ip_bytes, latency);
         if meta.covered {
-            m.covered_packets += 1;
+            self.chassis.metrics.lcs[meta.ingress as usize].covered_packets += 1;
         }
         self.latency_by_path[meta.path.index()].push(latency);
         self.latency_hist_by_path[meta.path.index()].record(latency);
-        if dra_telemetry::enabled() {
-            use dra_telemetry as tm;
-            tm::counter_add(tm::ids::DELIVERED, 1);
-            tm::event(
-                tm::EventKind::Deliver,
-                meta.id.0,
-                meta.ingress as u32,
-                meta.ip_bytes,
-            );
-            tm::finish_packet(meta.id.0);
-        }
     }
 
     /// Latency statistics of delivered packets, per [`PathKind`].
@@ -921,7 +743,7 @@ impl DraRouter {
         match stage {
             Stage::IngressProc { lc } => {
                 let p = self.as_packet(&meta);
-                let delay = self.linecards[lc as usize].ingress_delay(&p);
+                let delay = self.chassis.linecards[lc as usize].ingress_delay(&p);
                 ctx.schedule(
                     delay,
                     DraEvent::StageStart {
@@ -936,7 +758,7 @@ impl DraRouter {
                 // (gossip window) — a helper that just died can't help.
                 // An LC_inter (Case 3) additionally frames with its
                 // PDLU, which therefore must be alive.
-                let c = self.linecards[lc as usize].components;
+                let c = self.chassis.linecards[lc as usize].components;
                 let pdlu_needed = matches!(stage, Stage::InterProc { .. });
                 if !c.pi_units_healthy()
                     || c.bus_controller == Health::Failed
@@ -946,7 +768,7 @@ impl DraRouter {
                     return;
                 }
                 let p = self.as_packet(&meta);
-                let delay = self.linecards[lc as usize].ingress_delay(&p);
+                let delay = self.chassis.linecards[lc as usize].ingress_delay(&p);
                 ctx.schedule(
                     delay,
                     DraEvent::StageStart {
@@ -975,35 +797,15 @@ impl DraRouter {
             }
             Stage::Fabric { src, dst } => {
                 let p = self.as_packet(&meta);
-                let mut overflow = false;
-                for cell in segment_cells(&p, src, dst) {
-                    if self.fabric.enqueue(cell).is_err() {
-                        overflow = true;
-                        break;
-                    }
-                }
-                if overflow {
-                    self.drop(&meta, DropCause::VoqOverflow);
-                } else {
-                    if dra_telemetry::enabled() {
-                        use dra_telemetry as tm;
-                        tm::counter_add(
-                            tm::ids::VOQ_ENQUEUED_CELLS,
-                            dra_net::sar::cells_for(meta.ip_bytes) as u64,
-                        );
-                        tm::event(tm::EventKind::VoqEnqueue, meta.id.0, src as u32, dst as u32);
-                        tm::mark_lookup_done(meta.id.0);
-                        tm::mark_voq_enqueue(meta.id.0);
-                    }
+                if self.chassis.enqueue(&p, src, dst, meta.ingress, ctx) {
                     self.in_fabric.insert(meta.id, (meta, stages, idx + 1));
                 }
-                self.ensure_fabric_slot(ctx);
             }
             Stage::EgressProc { lc } => {
                 // Ground truth checks against stale plans: a fabric →
                 // egress step requires the egress SRU+PDLU; an EIB →
                 // egress step bypasses them; the PIU is always needed.
-                let c = self.linecards[lc as usize].components;
+                let c = self.chassis.linecards[lc as usize].components;
                 let via_fabric = idx > 0 && matches!(stages[idx - 1], Stage::Fabric { .. });
                 let units_ok = if via_fabric {
                     c.sru == Health::Healthy && c.pdlu == Health::Healthy
@@ -1014,7 +816,7 @@ impl DraRouter {
                     self.drop(&meta, DropCause::EgressDown);
                     return;
                 }
-                let delay = self.linecards[lc as usize].egress_delay(meta.ip_bytes);
+                let delay = self.chassis.linecards[lc as usize].egress_delay(meta.ip_bytes);
                 ctx.schedule(
                     delay,
                     DraEvent::StageStart {
@@ -1033,7 +835,7 @@ impl DraRouter {
             BdrConfig::dst_base_of(meta.ingress as usize),
             Ipv4Addr(0),
             meta.ip_bytes,
-            self.linecards[meta.ingress as usize].protocol,
+            self.chassis.linecards[meta.ingress as usize].protocol,
             meta.arrived_at,
         )
     }
@@ -1053,20 +855,20 @@ impl DraRouter {
             Some(&r) if r > 0.0 => r,
             // Health changed underneath us (e.g. repaired): fall back
             // to the full data-line rate.
-            _ => self.config.eib.data_rate_bps,
+            _ => self.eib.data_rate_bps,
         };
         let now = ctx.now();
         let busy = self.eib_busy_until.entry(flow).or_insert(now);
         let start = busy.max(now);
         let done = start + meta.ip_bytes as f64 * 8.0 / rate;
-        if done - now > self.config.eib.max_backlog_s {
+        if done - now > self.eib.max_backlog_s {
             // Promised bandwidth exceeded: shed the packet (§4).
             self.drop(&meta, DropCause::EibOversubscribed);
             return;
         }
         *busy = done;
-        self.metrics.eib_packets += 1;
-        self.metrics.eib_bytes += meta.ip_bytes as u64;
+        self.chassis.metrics.eib_packets += 1;
+        self.chassis.metrics.eib_bytes += meta.ip_bytes as u64;
         if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(tm::ids::EIB_DETOURS, 1);
@@ -1102,13 +904,13 @@ impl DraRouter {
             self.drop(&meta, DropCause::NoCoverage);
             return;
         }
-        if attempt >= self.config.eib.max_control_attempts {
+        if attempt >= self.eib.max_control_attempts {
             self.drop(&meta, DropCause::EibOversubscribed);
             return;
         }
         match self.control.attempt(ctx.now()) {
             TxResult::Started { tx, done_at } => {
-                self.metrics.eib_control_packets += 1;
+                self.chassis.metrics.eib_control_packets += 1;
                 dra_telemetry::counter_add(dra_telemetry::ids::EIB_CONTROL_ATTEMPTS, 1);
                 ctx.schedule(
                     done_at - ctx.now(),
@@ -1136,7 +938,7 @@ impl DraRouter {
                 );
             }
             TxResult::Collided { jam_until } => {
-                self.metrics.eib_collisions += 1;
+                self.chassis.metrics.eib_collisions += 1;
                 dra_telemetry::counter_add(dra_telemetry::ids::EIB_COLLISIONS, 1);
                 let backoff = self.control.backoff_delay(ctx.rng(), attempt + 1);
                 let wait = (jam_until - ctx.now()).max(0.0) + backoff + 1e-9;
@@ -1218,71 +1020,12 @@ impl DraRouter {
     }
 
     fn handle_fabric_slot(&mut self, ctx: &mut Ctx<'_, DraEvent>) {
-        self.slot_scheduled = false;
-        if !self.fabric.operational() {
-            // Slot train stops with the fabric; stale credit must not
-            // fund an above-capacity burst once planes return.
-            self.capacity_credit = 0.0;
-            return;
-        }
-        self.capacity_credit += self.fabric.capacity_fraction();
-        if self.capacity_credit >= 1.0 {
-            self.capacity_credit -= 1.0;
-            let now = ctx.now();
-            // Collect the slot's winners as 4-byte handles, then take
-            // each cell out of the arena as it is delivered: delivery
-            // needs `&mut self` for reassembly and stage dispatch.
-            let mut slot = std::mem::take(&mut self.slot_handles);
-            self.fabric.schedule_slot_handles(&mut slot);
-            for &h in &slot {
-                let cell = self.fabric.take_cell(h);
-                let dst = cell.dst_lc;
-                if dra_telemetry::enabled() {
-                    use dra_telemetry as tm;
-                    tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
-                    tm::event(
-                        tm::EventKind::FabricTransit,
-                        cell.packet.0,
-                        cell.src_lc as u32,
-                        dst as u32,
-                    );
-                    tm::mark_cell_switched(cell.packet.0);
-                }
-                match self.linecards[dst as usize].reassembler.push(&cell, now) {
-                    Ok(Some((packet_id, _bytes))) => {
-                        if let Some((meta, stages, idx)) = self.in_fabric.remove(&packet_id) {
-                            ctx.schedule(0.0, DraEvent::StageStart { meta, stages, idx });
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(_) => {}
-                }
+        let in_fabric = &mut self.in_fabric;
+        self.chassis.fabric_slot(ctx, |_, ctx, _, packet, _| {
+            if let Some((meta, stages, idx)) = in_fabric.remove(&packet) {
+                ctx.schedule(0.0, DraEvent::StageStart { meta, stages, idx });
             }
-            slot.clear();
-            self.slot_handles = slot;
-        }
-        self.ensure_fabric_slot(ctx);
-        if !self.slot_scheduled {
-            // Queue drained: forfeit fractional credit rather than
-            // banking it across the idle gap (see the BDR twin).
-            self.capacity_credit = 0.0;
-        }
-    }
-
-    fn handle_purge(&mut self, ctx: &mut Ctx<'_, DraEvent>) {
-        let cutoff = ctx.now() - self.config.router.reassembly_timeout_s;
-        for lc in 0..self.config.router.n_lcs {
-            let stale = self.linecards[lc].reassembler.purge_collect(cutoff);
-            for (_, packet_id) in stale {
-                if let Some((meta, _, _)) = self.in_fabric.remove(&packet_id) {
-                    self.drop(&meta, DropCause::ReassemblyTimeout);
-                }
-            }
-        }
-        ctx.schedule(
-            self.config.router.reassembly_timeout_s,
-            DraEvent::PurgeReassembly,
-        );
+        });
     }
 }
 
@@ -1291,30 +1034,20 @@ impl Model for DraRouter {
 
     fn handle(&mut self, event: DraEvent, ctx: &mut Ctx<'_, DraEvent>) {
         match event {
-            DraEvent::Start => {
+            DraEvent::Chassis(ChassisEvent::Start) => {
                 self.recompute_bandwidth();
-                for lc in 0..self.config.router.n_lcs as u16 {
-                    // Only `.dt` matters here: the kick-off record's
-                    // payload never becomes a packet (as before).
-                    let (first, _) = self.trains[lc as usize].pop(
-                        &mut self.generators[lc as usize],
-                        &mut self.traffic_rngs[lc as usize],
-                        &self.linecards[lc as usize].fib,
-                    );
-                    ctx.schedule(first.dt, DraEvent::Arrival { lc });
-                    self.arm_faults_for_lc(lc, ctx);
-                }
-                if let Some(injector) = self.config.router.faults.as_ref() {
-                    if let Some(d) = injector.arm_eib(ctx.rng()) {
-                        ctx.schedule(d * self.config.router.fault_delay_scale, DraEvent::FailEib);
-                    }
-                }
-                ctx.schedule(
-                    self.config.router.reassembly_timeout_s,
-                    DraEvent::PurgeReassembly,
-                );
+                self.chassis.start(ctx);
             }
-            DraEvent::Arrival { lc } => self.handle_arrival(lc, ctx),
+            DraEvent::Chassis(ChassisEvent::Arrival { lc }) => self.handle_arrival(lc, ctx),
+            DraEvent::Chassis(ChassisEvent::FabricSlot) => self.handle_fabric_slot(ctx),
+            DraEvent::Chassis(ChassisEvent::PurgeReassembly) => {
+                let in_fabric = &mut self.in_fabric;
+                self.chassis.purge(ctx, |packet| {
+                    in_fabric
+                        .remove(&packet)
+                        .map(|(meta, _, _)| (meta.ingress, meta.ip_bytes))
+                });
+            }
             DraEvent::StageStart { meta, stages, idx } => self.run_stage(meta, stages, idx, ctx),
             DraEvent::ControlRetry {
                 meta,
@@ -1331,41 +1064,6 @@ impl Model for DraRouter {
                 attempt,
                 tx,
             } => self.handle_control_done(meta, stages, idx, remaining, attempt, tx, ctx),
-            DraEvent::FabricSlot => self.handle_fabric_slot(ctx),
-            DraEvent::Fail { lc, kind, gen } => {
-                if !self.generations.is_current(lc as usize, gen) {
-                    return;
-                }
-                self.fail_component_now(lc, kind, ctx.now());
-                if !self.repair_pending[lc as usize] {
-                    self.repair_pending[lc as usize] = true;
-                    if let Some(injector) = &self.config.router.faults {
-                        let delay =
-                            injector.repair_delay_h() * self.config.router.fault_delay_scale;
-                        ctx.schedule(delay, DraEvent::Repair { lc });
-                    }
-                }
-            }
-            DraEvent::FailEib => {
-                self.fail_eib_now(ctx.now());
-                if let Some(injector) = &self.config.router.faults {
-                    let delay = injector.repair_delay_h() * self.config.router.fault_delay_scale;
-                    ctx.schedule(delay, DraEvent::RepairEib);
-                }
-            }
-            DraEvent::Repair { lc } => {
-                self.repair_lc_now(lc, ctx.now());
-                self.arm_faults_for_lc(lc, ctx);
-            }
-            DraEvent::RepairEib => {
-                self.repair_eib_now(ctx.now());
-                if let Some(injector) = self.config.router.faults.as_ref() {
-                    if let Some(d) = injector.arm_eib(ctx.rng()) {
-                        ctx.schedule(d * self.config.router.fault_delay_scale, DraEvent::FailEib);
-                    }
-                }
-            }
-            DraEvent::PurgeReassembly => self.handle_purge(ctx),
         }
     }
 }

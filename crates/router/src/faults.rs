@@ -6,9 +6,9 @@
 //! repair time irrespective of how many units failed.
 //!
 //! The injector is deliberately decoupled from the DES kernel: it
-//! *samples* failure delays; the router models turn them into events.
-//! A generation counter per linecard invalidates stale failure events
-//! scheduled before a repair.
+//! *samples* failure delays, and `dra_core::scenario::FaultProcess`
+//! turns them into a scripted fault timeline that either router
+//! replays.
 
 use crate::components::{ComponentKind, FailureRates};
 use dra_des::random;
@@ -90,38 +90,6 @@ impl FaultInjector {
     }
 }
 
-/// Generation counters that invalidate stale failure events.
-///
-/// When linecard `lc` is repaired, its generation increments; failure
-/// events stamped with an older generation are ignored on delivery.
-#[derive(Debug, Clone)]
-pub struct Generations {
-    gens: Vec<u32>,
-}
-
-impl Generations {
-    /// Counters for `n` linecards, all starting at generation 0.
-    pub fn new(n: usize) -> Self {
-        Generations { gens: vec![0; n] }
-    }
-
-    /// Current generation of a linecard.
-    pub fn current(&self, lc: usize) -> u32 {
-        self.gens[lc]
-    }
-
-    /// Bump on repair; returns the new generation.
-    pub fn bump(&mut self, lc: usize) -> u32 {
-        self.gens[lc] += 1;
-        self.gens[lc]
-    }
-
-    /// Is an event stamped `gen` for `lc` still valid?
-    pub fn is_current(&self, lc: usize, gen: u32) -> bool {
-        self.gens[lc] == gen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +154,6 @@ mod tests {
         assert!(inj.arm_eib(&mut rng).is_some());
         inj.rates.eib = 0.0;
         assert!(inj.arm_eib(&mut rng).is_none());
-    }
-
-    #[test]
-    fn generations_invalidate_stale_events() {
-        let mut g = Generations::new(2);
-        assert!(g.is_current(0, 0));
-        let ev_gen = g.current(0);
-        let new_gen = g.bump(0); // repair happened
-        assert_eq!(new_gen, 1);
-        assert!(!g.is_current(0, ev_gen), "stale event must be ignored");
-        assert!(g.is_current(0, new_gen));
-        assert!(g.is_current(1, 0), "other LC unaffected");
     }
 
     #[test]

@@ -20,20 +20,25 @@
 //!   route churn.
 //! * [`metrics`] — offered/delivered/drop accounting, latency, and
 //!   time-weighted per-linecard availability.
-//! * [`faults`] — exponential component-failure injection with a
-//!   repair process (hot-swap semantics: repair restores the whole
-//!   linecard).
+//! * [`faults`] — exponential component-failure and repair sampling
+//!   (hot-swap semantics: repair restores the whole linecard), which
+//!   the scripted fault timelines draw from.
 //! * [`rp`] — the route processor and the internal bus's maintenance
 //!   functions: versioned RIB with incremental FIB distribution, card
 //!   discovery, health polling.
-//! * [`bdr`] — the BDR router model itself: under any linecard
-//!   component failure, that linecard's traffic is lost until repair —
-//!   exactly the behaviour DRA is designed to fix.
+//! * [`chassis`] — the datapath substrate both architectures share:
+//!   construction, arrivals, the fabric-slot loop with reassembly, the
+//!   reassembly purge, and route updates.
+//! * [`bdr`] — the BDR router model itself, a chassis plus BDR's
+//!   admission rule: under any linecard component failure, that
+//!   linecard's traffic is lost until repair — exactly the behaviour
+//!   DRA is designed to fix.
 
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod bdr;
+pub mod chassis;
 pub mod components;
 pub mod fabric;
 pub mod faults;
@@ -44,6 +49,7 @@ pub mod rp;
 
 pub use arena::{CellArena, CellHandle};
 pub use bdr::{BdrConfig, BdrRouter};
+pub use chassis::{Chassis, ChassisEvent};
 pub use components::{ComponentKind, FailureRates, Health, LcComponents};
 pub use fabric::Crossbar;
 pub use ingress::{ArrivalTrain, LOOKUP_TRAIN};

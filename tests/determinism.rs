@@ -1,30 +1,49 @@
 //! Cross-run reproducibility of the full stack: identical seeds must
-//! give bit-identical results through traffic generation, fault
-//! injection, CSMA/CD backoff, fabric scheduling, and Monte Carlo —
+//! give bit-identical results through traffic generation, sampled
+//! fault timelines, CSMA/CD backoff, fabric scheduling, and Monte Carlo —
 //! the property every comparison experiment in EXPERIMENTS.md rests on.
 
 use dra::campaign::engine::{run, RunOptions};
 use dra::campaign::registry;
 use dra::core::montecarlo::{inflated_rates, run_dra_mc, McConfig, McMode, RepairDist};
+use dra::core::scenario::{FaultProcess, Scenario};
 use dra::core::sim::{DraConfig, DraRouter};
 use dra::router::bdr::{BdrConfig, BdrRouter};
 use dra::router::faults::{FaultGranularity, FaultInjector};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-fn fingerprint_bdr(seed: u64) -> (u64, u64, u64, u64) {
-    let mut cfg = BdrConfig {
+/// A fault timeline at rates inflated 1000× and compressed so several
+/// failures and repairs land inside a 10 ms run on 5 cards, sampled
+/// from its own stream of `seed`. Replayed mid-run, its actions
+/// interleave with the simulation RNG's PIU coins, CSMA/CD backoff and
+/// arbitration draws.
+fn stochastic_faults(granularity: FaultGranularity, seed: u64) -> Scenario {
+    let process = FaultProcess {
+        injector: FaultInjector {
+            rates: inflated_rates(1000.0),
+            repair_time_h: 3.0,
+            granularity,
+        },
+        delay_scale: 1e-3 / 50.0,
+        repair: true,
+    };
+    let scenario = process.sample(5, 10e-3, &mut SmallRng::seed_from_u64(seed));
+    assert!(!scenario.is_empty(), "no faults sampled for seed {seed}");
+    scenario
+}
+
+fn config() -> BdrConfig {
+    BdrConfig {
         n_lcs: 5,
         load: 0.3,
         ..BdrConfig::default()
-    };
-    // Stochastic faults exercise the RNG interleaving too.
-    cfg.faults = Some(FaultInjector {
-        rates: inflated_rates(1000.0),
-        repair_time_h: 3.0,
-        granularity: FaultGranularity::WholeLc,
-    });
-    cfg.fault_delay_scale = 1e-3 / 50.0;
-    let mut sim = BdrRouter::simulation(cfg, seed);
-    sim.run_until(10e-3);
+    }
+}
+
+fn fingerprint_bdr(seed: u64) -> (u64, u64, u64, u64) {
+    let mut sim = BdrRouter::simulation(config(), seed);
+    stochastic_faults(FaultGranularity::WholeLc, seed).run(&mut sim);
     let m = &sim.model().metrics;
     (
         m.total_offered_bytes(),
@@ -35,22 +54,12 @@ fn fingerprint_bdr(seed: u64) -> (u64, u64, u64, u64) {
 }
 
 fn fingerprint_dra(seed: u64) -> (u64, u64, u64, u64, u64) {
-    let mut cfg = DraConfig {
-        router: BdrConfig {
-            n_lcs: 5,
-            load: 0.3,
-            ..BdrConfig::default()
-        },
+    let cfg = DraConfig {
+        router: config(),
         ..Default::default()
     };
-    cfg.router.faults = Some(FaultInjector {
-        rates: inflated_rates(1000.0),
-        repair_time_h: 3.0,
-        granularity: FaultGranularity::PerComponent,
-    });
-    cfg.router.fault_delay_scale = 1e-3 / 50.0;
     let mut sim = DraRouter::simulation(cfg, seed);
-    sim.run_until(10e-3);
+    stochastic_faults(FaultGranularity::PerComponent, seed).run(&mut sim);
     let m = &sim.model().metrics;
     (
         m.total_offered_bytes(),
