@@ -52,9 +52,10 @@
 //! `--baseline` embeds a previous artifact and adds per-entry and
 //! minimum/p50/p99 speedup factors; `--check` validates an artifact's
 //! schema (used by CI's bench-smoke job) and exits non-zero on
-//! violations. `--telemetry` runs the end-to-end cell with the
-//! flight-recorder hub enabled and embeds the resulting
-//! `dra-telemetry/v1` snapshot in the artifact — those end-to-end
+//! violations. `--telemetry` arms the telemetry hub before the
+//! network-of-routers row, so that row runs the live network collector
+//! and the end-to-end cell runs the router hooks, and embeds the one
+//! `dra-telemetry/v2` document (both scopes) in the artifact — those
 //! timings carry observation cost, so never compare a `--telemetry`
 //! artifact against a clean baseline.
 
@@ -646,14 +647,17 @@ fn bench_topo(quick: bool) -> Json {
             // scope (counters + sampled spans on every hop), so the
             // artifact discloses collection-on overhead next to the
             // clean baselines it must never be compared against.
-            if dra_telemetry::enabled() {
-                net.enable_net_telemetry(64);
+            if let Some(every) = dra_telemetry::sample_every() {
+                net.enable_net_telemetry(every);
             }
             let a0 = allocs_now();
             let t0 = Instant::now();
-            let done = net.run(0xD8A_70B0, horizon);
+            let mut done = net.run(0xD8A_70B0, horizon);
             let dt = t0.elapsed().as_secs_f64().max(1e-9);
             let allocs = allocs_now() - a0;
+            if let Some(report) = done.export_net_telemetry(horizon, 0, 0) {
+                dra_telemetry::absorb(&report.snapshot, report.trace);
+            }
             let stats = &done.stats;
             assert!(stats.conserved(), "bench cell violated conservation");
             delivered = stats.delivered;
@@ -1292,23 +1296,18 @@ fn main() {
     eprintln!("bench-hotpath: ingress pipeline ...");
     let ingress = bench_ingress(quick);
     eprintln!("bench-hotpath: network-of-routers ...");
+    if telemetry {
+        dra_telemetry::enable(dra_telemetry::Config::default());
+    }
     let topo = bench_topo(quick);
     eprintln!("bench-hotpath: parallel network engine ...");
     let pdes = bench_pdes(quick);
     eprintln!("bench-hotpath: rare-event estimators ...");
     let rare = bench_rareevent(quick);
     eprintln!("bench-hotpath: end-to-end faceoff cell ...");
-    if telemetry {
-        dra_telemetry::enable(dra_telemetry::Config::default());
-    }
     let e2e = bench_end_to_end(quick);
-    let telemetry_section = if telemetry {
-        let snap = dra_telemetry::snapshot().expect("telemetry hub was enabled");
-        dra_telemetry::disable();
-        Some(parse(&snap.to_json_string()).expect("snapshot emits valid JSON"))
-    } else {
-        None
-    };
+    let telemetry_section = dra_telemetry::snapshot().map(|doc| doc.to_json());
+    dra_telemetry::disable();
 
     let mut artifact = Json::obj(vec![
         ("format", Json::Str(BENCH_FORMAT.to_string())),

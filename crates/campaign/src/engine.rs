@@ -21,79 +21,15 @@ use rand::SeedableRng;
 
 pub use crate::sweep::{Outcome as CampaignOutcome, RunOptions};
 
-/// One cell's collected telemetry: its snapshot and trace events.
-type CellTele = Option<(dra_telemetry::Snapshot, Vec<dra_telemetry::TraceEvent>)>;
-
 /// Execute a campaign.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOutcome> {
-    sweep::run(
-        spec,
-        opts,
-        |i| observed_cell(spec, i, opts),
-        |tele| telemetry_section(tele, opts),
-    )
+    sweep::run(spec, opts, |i| run_cell(spec, i))
 }
 
 /// Validate a `dra-campaign/v1` artifact, as `dra check` does. Returns
 /// `(cells, error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
     sweep::validate::<CampaignSpec>(text)
-}
-
-/// Run one cell, capturing its telemetry when the run collects it.
-fn observed_cell(spec: &CampaignSpec, index: usize, opts: &RunOptions) -> (Json, CellTele) {
-    if opts.collects_telemetry() {
-        // A fresh hub per cell: per-cell snapshots merge in cell-index
-        // order afterwards, so worker count and scheduling cannot
-        // change the merged section. enable() also discards any state
-        // a panicked previous cell left on this worker thread.
-        dra_telemetry::enable(dra_telemetry::Config {
-            collect_trace: opts.trace_out.is_some(),
-            ..Default::default()
-        });
-        let record = run_cell(spec, index);
-        let tele = dra_telemetry::snapshot().map(|s| (s, dra_telemetry::take_trace_events()));
-        dra_telemetry::disable();
-        return (record, tele);
-    }
-    (run_cell(spec, index), None)
-}
-
-/// Merge the per-cell snapshots (in cell-index order, so the bytes
-/// cannot depend on scheduling), route them to the requested
-/// exporters, and return the section to embed when `opts.telemetry`.
-fn telemetry_section(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<Option<Json>> {
-    let mut merged: Option<dra_telemetry::Snapshot> = None;
-    let mut trace_events = Vec::new();
-    let mut n_merged = 0;
-    for (snap, trace) in tele.into_iter().flatten() {
-        match &mut merged {
-            Some(m) => m.merge(&snap),
-            None => merged = Some(snap),
-        }
-        trace_events.extend(trace);
-        n_merged += 1;
-    }
-    if let Some(path) = &opts.trace_out {
-        sweep::write_atomic(path, &dra_telemetry::chrome_trace_json(&trace_events))?;
-    }
-    let mut section = match merged {
-        Some(s) => {
-            crate::json::parse(&s.to_json_string()).expect("telemetry snapshot emits valid JSON")
-        }
-        // No cell produced a snapshot: an empty but schema-valid section.
-        None => Json::obj(vec![
-            ("format", Json::Str(dra_telemetry::SNAPSHOT_FORMAT.into())),
-            ("counters", Json::Obj(Vec::new())),
-        ]),
-    };
-    if let Json::Obj(pairs) = &mut section {
-        pairs.push(("cells_merged".to_string(), Json::Num(n_merged as f64)));
-    }
-    if let Some(path) = &opts.telemetry_out {
-        sweep::write_atomic(path, &section.to_string_pretty())?;
-    }
-    Ok(opts.telemetry.then_some(section))
 }
 
 /// Run every replication of one cell and reduce to its JSON record.
@@ -318,11 +254,17 @@ mod tests {
         let t = doc.get("telemetry").expect("telemetry section present");
         assert_eq!(
             t.get("format").and_then(Json::as_str),
-            Some("dra-telemetry/v1")
+            Some("dra-telemetry/v2")
         );
         assert_eq!(t.get("cells_merged").and_then(Json::as_u64), Some(2));
+        assert_eq!(t.get("network"), Some(&Json::Null));
+        assert!(
+            t.get("profile").is_none(),
+            "embedded sections carry no profile"
+        );
         let arrivals = t
-            .get("counters")
+            .get("router")
+            .and_then(|r| r.get("counters"))
             .and_then(|c| c.get("router.arrivals"))
             .and_then(Json::as_f64)
             .expect("arrivals counter");
@@ -373,8 +315,9 @@ mod tests {
         let doc = crate::json::parse(&snap).unwrap();
         assert_eq!(
             doc.get("format").and_then(Json::as_str),
-            Some("dra-telemetry/v1")
+            Some("dra-telemetry/v2")
         );
+        assert_eq!(doc.get("cells_merged").and_then(Json::as_u64), Some(2));
     }
 
     #[test]

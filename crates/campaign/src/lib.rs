@@ -20,14 +20,13 @@
 //! * [`sweep`] — the envelope every sweep kind shares: the [`Sweep`]
 //!   trait (manifest, FNV-1a digest, per-record check), the run loop
 //!   (pool, error cells, index-ordered assembly, `.partial.jsonl`
-//!   checkpoint/resume, validate-before-write, atomic write), and the
-//!   artifact validator behind `dra check`. Interrupted sweeps resume by
-//!   skipping checkpointed cells — and still produce byte-identical
-//!   artifacts.
+//!   checkpoint/resume, validate-before-write, atomic write, per-cell
+//!   telemetry collection), and the artifact validator behind
+//!   `dra check`. Interrupted sweeps resume by skipping checkpointed
+//!   cells — and still produce byte-identical artifacts.
 //! * [`engine`] — the packet campaign's cells: aggregates per-cell
 //!   stats ([`dra_des::stats::Welford`] delivery CI, drop-cause
-//!   breakdown, EIB counters, windowed per-LC bytes) and folds
-//!   per-cell telemetry.
+//!   breakdown, EIB counters, windowed per-LC bytes).
 //! * [`registry`] — built-in specs (`faceoff`, `fig8`) with `--quick`
 //!   CI reductions.
 //! * [`rareevent`] — a second campaign kind: grids of
@@ -36,7 +35,8 @@
 //!   exact-Markov cross-check, emitted as `dra-rareevent/v1`
 //!   artifacts through the same envelope.
 //! * [`json`] / [`report`] — the hand-rolled JSON layer (the build
-//!   environment has no serde) and shared table/CSV printers.
+//!   environment has no serde; it lives in `dra-telemetry`) and shared
+//!   table/CSV printers.
 //!
 //! The `dra` binary (root package) exposes every sweep kind on the
 //! command line; see `dra help`.
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod json;
 pub mod pool;
 pub mod rareevent;
 pub mod registry;
@@ -52,6 +51,10 @@ pub mod report;
 pub mod seed;
 pub mod spec;
 pub mod sweep;
+
+/// The workspace's JSON layer, defined in `dra-telemetry` (the bottom
+/// crate) and re-exported here under its long-standing path.
+pub use dra_telemetry::json;
 
 pub use engine::{run, CampaignOutcome, RunOptions};
 pub use pool::{parallel_map, WorkerPool};

@@ -11,9 +11,14 @@
 //! { "format": <Sweep::FORMAT>, "digest": <16 hex>,
 //!   "spec":   { name, description, master seed, cells: [..] },
 //!   "cells":  [ { "cell": i, "id": .., ..record.. } in index order ],
-//!   "telemetry": { .. }   // optional, embedded dra-telemetry/v1
+//!   "telemetry": { .. }   // optional dra-telemetry/v2, no profile
 //! }
 //! ```
+//!
+//! Telemetry (the only collection path): a run that asks for any
+//! telemetry output arms a fresh hub around each cell, takes the cell's
+//! document and trace, and disarms the hub. Documents merge and traces
+//! concatenate in cell-index order into the requested outputs.
 //!
 //! Determinism contract: the artifact is a pure function of the spec
 //! (master seed included). Worker count, scheduling order, resume
@@ -33,6 +38,7 @@ use crate::json::{parse, Json};
 use crate::pool::WorkerPool;
 use crate::report::Table;
 use dra_des::stats::Welford;
+use dra_telemetry::{Snapshot, TraceEvent};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
@@ -140,10 +146,11 @@ pub struct RunOptions {
     /// elapsed wall time, ETA). Writes only to stderr, so it cannot
     /// change the artifact.
     pub progress: bool,
-    /// Embed the merged `dra-telemetry/v1` snapshot as a `telemetry`
-    /// section in the artifact.
+    /// Embed the merged `dra-telemetry/v2` document, without its
+    /// non-deterministic `profile`, as a `telemetry` section in the
+    /// artifact.
     pub telemetry: bool,
-    /// Write the merged telemetry snapshot to this path as a
+    /// Write the merged `dra-telemetry/v2` document to this path as a
     /// standalone file, leaving the artifact byte-identical to a run
     /// without telemetry.
     pub telemetry_out: Option<PathBuf>,
@@ -198,23 +205,19 @@ pub struct Outcome {
 /// Execute a sweep and assemble, validate and (with `opts.out`)
 /// atomically write its artifact.
 ///
-/// `run_cell(i)` computes cell `i`'s record plus a side output `E`
-/// (per-cell telemetry; `()` when none). `fold` receives the side
-/// outputs of the cells this invocation finished, in cell-index order,
-/// once every cell is present, and may return a `telemetry` section to
-/// embed. A run that collects telemetry neither resumes from nor writes
-/// a checkpoint, because a merged snapshot must cover every cell.
+/// `run_cell(i)` computes cell `i`'s record. A run that collects
+/// telemetry (see the module docs) neither resumes from nor writes a
+/// checkpoint, because a merged document must cover every cell.
 ///
 /// A spec that fails [`Sweep::validate`] is an
 /// [`io::ErrorKind::InvalidInput`] error, and so is a `cell_budget` on
 /// a run that collects telemetry (without a checkpoint a budgeted run
 /// could never finish). An assembled artifact that fails [`validate`]
 /// is [`io::ErrorKind::InvalidData`].
-pub fn run<S: Sweep, E: Send>(
+pub fn run<S: Sweep>(
     spec: &S,
     opts: &RunOptions,
-    run_cell: impl Fn(usize) -> (Json, E) + Sync,
-    fold: impl FnOnce(Vec<E>) -> io::Result<Option<Json>>,
+    run_cell: impl Fn(usize) -> Json + Sync,
 ) -> io::Result<Outcome> {
     spec.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -283,7 +286,7 @@ pub fn run<S: Sweep, E: Send>(
     let heartbeat_done = AtomicUsize::new(0);
     let heartbeat_start = Instant::now();
     let outcomes = WorkerPool::new(opts.workers).try_map(pending.clone(), |&i| {
-        let (record, extra) = run_cell(i);
+        let (record, tele) = observed(opts, || run_cell(i));
         checkpoint(&record).expect("checkpoint write");
         if !opts.quiet {
             eprintln!("  cell {i} ({}) done", spec.cell_id(i));
@@ -298,15 +301,18 @@ pub fn run<S: Sweep, E: Send>(
                 pending.len()
             );
         }
-        (record, extra)
+        (record, tele)
     });
 
-    let mut extras = Vec::with_capacity(outcomes.len());
+    // Slots are in cell-index order, so the trace concatenates in it.
+    let mut doc = Snapshot::default();
+    let mut trace = Vec::new();
     let mut failed = 0;
     for (slot, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            Ok((record, extra)) => {
-                extras.push(extra);
+            Ok((record, (cell_doc, cell_trace))) => {
+                doc.merge(&cell_doc);
+                trace.extend(cell_trace);
                 done.insert(pending[slot], record);
             }
             Err(p) => {
@@ -345,8 +351,21 @@ pub fn run<S: Sweep, E: Send>(
         ("spec", manifest),
         ("cells", Json::Arr(done.into_values().collect())),
     ];
-    if let Some(section) = fold(extras)? {
-        fields.push(("telemetry", section));
+    if opts.collects_telemetry() {
+        if let Some(path) = &opts.trace_out {
+            write_atomic(path, &dra_telemetry::chrome_trace_json(&trace))?;
+        }
+        let mut section = doc.to_json();
+        if let Some(path) = &opts.telemetry_out {
+            write_atomic(path, &section.to_string_pretty())?;
+        }
+        if opts.telemetry {
+            // The artifact stays a pure function of its spec.
+            if let Json::Obj(members) = &mut section {
+                members.retain(|(k, _)| k != "profile");
+            }
+            fields.push(("telemetry", section));
+        }
     }
     let artifact = Json::obj(fields);
     let text = artifact.to_string_pretty();
@@ -366,6 +385,29 @@ pub fn run<S: Sweep, E: Send>(
         remaining: 0,
         failed,
     })
+}
+
+/// Run one cell, on a fresh hub when the run collects telemetry; its
+/// document and trace events are empty otherwise.
+fn observed(opts: &RunOptions, cell: impl FnOnce() -> Json) -> (Json, (Snapshot, Vec<TraceEvent>)) {
+    if !opts.collects_telemetry() {
+        return (cell(), Default::default());
+    }
+    /// Disarms the hub however the cell ends, panics included.
+    struct Armed;
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            dra_telemetry::disable();
+        }
+    }
+    dra_telemetry::enable(dra_telemetry::Config {
+        collect_trace: opts.trace_out.is_some(),
+        ..Default::default()
+    });
+    let _armed = Armed;
+    let record = cell();
+    let doc = dra_telemetry::snapshot().expect("the hub is armed");
+    (record, (doc, dra_telemetry::take_trace_events()))
 }
 
 fn append_line(f: &mut fs::File, record: &Json) -> io::Result<()> {
@@ -515,17 +557,20 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
     }
     if let Some(t) = doc.get("telemetry") {
         let fmt = t.get("format").and_then(Json::as_str);
-        if fmt != Some("dra-telemetry/v1") {
+        if fmt != Some(dra_telemetry::SNAPSHOT_FORMAT) {
             return Err(format!(
-                "telemetry section format is {fmt:?}, expected \"dra-telemetry/v1\""
+                "telemetry section format is {fmt:?}, expected {:?}",
+                dra_telemetry::SNAPSHOT_FORMAT
             ));
-        }
-        if !matches!(t.get("counters"), Some(Json::Obj(_))) {
-            return Err("telemetry section missing counters object".into());
         }
         t.get("cells_merged")
             .and_then(Json::as_u64)
             .ok_or("telemetry section missing cells_merged")?;
+        for scope in ["router", "network", "anomaly"] {
+            if !matches!(t.get(scope), Some(Json::Null | Json::Obj(_))) {
+                return Err(format!("telemetry section missing {scope}"));
+            }
+        }
     }
     Ok((cells.len(), flagged))
 }

@@ -2,17 +2,20 @@
 //!
 //! Observability layer for the DRA reproduction: a handle-based
 //! metrics registry, a flight recorder, deterministic packet-lifecycle
-//! sampling, and exporters (`dra-telemetry/v1` JSON + Chrome
-//! `trace_event` for Perfetto).
+//! sampling, the one telemetry document ([`Snapshot`],
+//! `dra-telemetry/v2`), a Chrome `trace_event` exporter for Perfetto,
+//! and the workspace's JSON layer ([`json`]).
 //!
 //! ## Architecture
 //!
-//! All state lives in a **thread-local hub**. Campaign workers are
-//! threads, so per-worker flight recorders and registries fall out of
-//! thread locality with zero synchronization on the hot path; each
-//! worker's [`Snapshot`] merges into one section afterwards
-//! ([`Snapshot::merge`] is commutative + associative, so worker count
-//! cannot change the merged bytes).
+//! All state lives in a **thread-local hub**. The sweep envelope arms
+//! a fresh hub around each cell on whichever worker runs it, so
+//! per-cell flight recorders and registries fall out of thread
+//! locality with zero synchronization on the hot path. A network cell
+//! hands its network scope to the hub with [`absorb`]. Each cell's
+//! document merges into one afterwards ([`Snapshot::merge`] is
+//! commutative + associative, so worker count cannot change the merged
+//! bytes).
 //!
 //! Instrumented crates call the free functions in this module
 //! (`counter_add`, `event`, `mark_*`, …) unconditionally: collection
@@ -32,7 +35,7 @@
 //! `results/faceoff.json` stays byte-identical.
 
 pub mod hist;
-mod jsonw;
+pub mod json;
 pub mod lifecycle;
 pub mod netscope;
 pub mod recorder;
@@ -42,11 +45,11 @@ pub mod trace;
 pub use hist::CompactHist;
 pub use lifecycle::{is_sampled, sample_hash};
 pub use netscope::{
-    EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
-    NET_DROP_CAUSES, NET_SNAPSHOT_FORMAT,
+    EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScope, NodeCounters, SpanKind,
+    NET_DROP_CAUSES,
 };
 pub use recorder::{Event, EventKind, Ring};
-pub use snapshot::{Anomaly, Snapshot, SNAPSHOT_FORMAT};
+pub use snapshot::{Anomaly, RouterScope, Snapshot, SNAPSHOT_FORMAT};
 pub use trace::{chrome_trace_json, TraceEvent};
 
 use lifecycle::Tracker;
@@ -189,6 +192,8 @@ struct Hub {
     ring: Ring,
     tracker: Tracker,
     anomaly: Option<Anomaly>,
+    /// Scopes handed over by [`absorb`].
+    absorbed: Snapshot,
     collect_trace: bool,
     trace: Vec<TraceEvent>,
     trace_limit: usize,
@@ -209,6 +214,7 @@ impl Hub {
             ring: Ring::new(cfg.ring_capacity),
             tracker: Tracker::default(),
             anomaly: None,
+            absorbed: Snapshot::default(),
             collect_trace: cfg.collect_trace,
             trace: Vec::new(),
             trace_limit: cfg.trace_limit,
@@ -574,33 +580,55 @@ pub fn ring_dump() -> Option<String> {
     with_hub(|h| h.ring.dump())
 }
 
-/// Snapshot this thread's hub (None when disabled). The hub keeps
-/// accumulating; callers that want per-cell snapshots re-[`enable`]
-/// between cells.
+/// The lifecycle sampling modulus of this thread's hub (None when
+/// disabled): a network cell samples its flow spans at the same rate.
+pub fn sample_every() -> Option<u64> {
+    with_hub(|h| h.sample_every)
+}
+
+/// Merge a scope collected outside the hub (a network cell's
+/// per-replication export, `cells_merged` 0) into this thread's hub,
+/// and keep its trace events (uncapped: they are already sampled) when
+/// the hub collects a trace. No-op when disabled.
+pub fn absorb(part: &Snapshot, trace: Vec<TraceEvent>) {
+    with_hub(|h| {
+        h.absorbed.merge(part);
+        if h.collect_trace {
+            h.trace.extend(trace);
+        }
+    });
+}
+
+/// This thread's hub as one cell's document (None when disabled). The
+/// router scope is present once any router-scope counter moved; a
+/// network cell drives none, so its document carries only what it
+/// [`absorb`]ed. The hub keeps accumulating; callers that want
+/// per-cell documents re-[`enable`] between cells.
 pub fn snapshot() -> Option<Snapshot> {
-    with_hub(|h| Snapshot {
-        sample_every: h.sample_every,
-        sampled_packets: h.tracker.sampled(),
-        open_tracks: h.tracker.open() as u64,
-        counters: h
-            .counters
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (h.counter_name(i), v))
-            .collect(),
-        gauges: GAUGE_NAMES
-            .iter()
-            .zip(&h.gauges)
-            .map(|(&n, &v)| (n, v))
-            .collect(),
-        hists: HIST_NAMES
-            .iter()
-            .zip(&h.hists)
-            .map(|(&n, h)| (n, h.clone()))
-            .collect(),
-        ring_appended: h.ring.appended(),
-        ring_capacity: h.ring.capacity() as u64,
-        anomaly: h.anomaly.clone(),
+    with_hub(|h| {
+        let router = h.counters.iter().any(|&c| c > 0).then(|| RouterScope {
+            sample_every: h.sample_every,
+            sampled_packets: h.tracker.sampled(),
+            open_tracks: h.tracker.open() as u64,
+            counters: h
+                .counters
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (h.counter_name(i), v))
+                .collect(),
+            gauges: GAUGE_NAMES.iter().copied().zip(h.gauges.clone()).collect(),
+            hists: HIST_NAMES.iter().copied().zip(h.hists.clone()).collect(),
+            ring_appended: h.ring.appended(),
+            ring_capacity: h.ring.capacity() as u64,
+        });
+        let mut doc = Snapshot {
+            cells_merged: 1,
+            router,
+            anomaly: h.anomaly.clone(),
+            ..Snapshot::default()
+        };
+        doc.merge(&h.absorbed);
+        doc
     })
 }
 
@@ -655,7 +683,9 @@ mod tests {
         des_event(1.4, 0, 4);
         finish_packet(42);
 
-        let snap = snapshot().expect("enabled");
+        let doc = snapshot().expect("enabled");
+        assert_eq!(doc.cells_merged, 1);
+        let snap = doc.router.expect("router hooks fired");
         assert_eq!(snap.counters[ids::ARRIVALS.0 as usize].1, 1);
         assert_eq!(snap.counters[ids::DES_EVENTS.0 as usize].1, 5);
         assert_eq!(snap.sampled_packets, 1);
@@ -695,8 +725,39 @@ mod tests {
         enable(fresh(false));
         let id = register_counter("bench.iterations").unwrap();
         counter_add(id, 7);
-        let snap = snapshot().unwrap();
+        let snap = snapshot().unwrap().router.unwrap();
         assert_eq!(*snap.counters.last().unwrap(), ("bench.iterations", 7));
         disable();
+    }
+
+    #[test]
+    fn absorbed_network_scope_joins_the_cell_document() {
+        enable(fresh(true));
+        assert_eq!(sample_every(), Some(1));
+        // No router hook fired yet: nothing but the cell count.
+        let empty = snapshot().unwrap();
+        assert!(empty.router.is_none() && empty.network.is_none());
+        let part = Snapshot {
+            network: Some(NetScope::default()),
+            ..Snapshot::default()
+        };
+        let arrow = TraceEvent {
+            name: "hop",
+            ph: 's',
+            ts_us: 0.0,
+            dur_us: 0.0,
+            pid: 0,
+            tid: 0,
+            packet: 0,
+            id: 1,
+        };
+        absorb(&part, vec![arrow.clone()]);
+        absorb(&part, vec![arrow]);
+        let doc = snapshot().unwrap();
+        assert_eq!(doc.cells_merged, 1, "replication parts are not cells");
+        assert!(doc.router.is_none() && doc.network.is_some());
+        assert_eq!(take_trace_events().len(), 2);
+        disable();
+        assert_eq!(sample_every(), None);
     }
 }

@@ -1,40 +1,25 @@
 //! Network-scope telemetry: per-router counters, multi-hop flow
-//! spans, a fault-forensics ledger, and the PDES engine profile.
+//! spans, a fault-forensics ledger, and the network engine profile.
 //!
-//! The single-router [`Snapshot`](crate::Snapshot) stops at the
-//! chassis boundary; this module is its network-of-routers sibling,
-//! produced by `dra-topo` runs. One [`NetScopeSnapshot`] per
-//! simulation cell, merged across replications and cells exactly like
-//! worker snapshots.
+//! The router scope of a [`Snapshot`](crate::Snapshot) stops at the
+//! chassis boundary; [`NetScope`] is its network-of-routers sibling,
+//! produced by `dra-topo` runs, and [`EngineProfile`] fills the
+//! document's non-deterministic `profile` member.
 //!
-//! ## Determinism contract
-//!
-//! The snapshot splits into two sections with different guarantees:
-//!
-//! - **`deterministic`** — node counters, the forensics ledger, flow
-//!   spans, and the frozen flight-recorder window. Everything here is
-//!   derived from sim-time ordered data and must be byte-identical at
-//!   any `--sim-threads` and any worker count. CI enforces this.
-//! - **`profile`** — the PDES engine profile (wall-clock, barrier
-//!   stalls, per-LP load). Wall-clock measurements are inherently
-//!   non-deterministic; consumers must never diff this section.
-//!
-//! [`NetScopeSnapshot::merge`] is commutative and associative: list
-//! sections merge by concatenate-then-canonical-sort (a multiset
-//! union), counters by addition, the frozen window by earliest trip.
+//! Everything in a [`NetScope`] is derived from sim-time ordered data
+//! and is byte-identical at any `--sim-threads` and any worker count.
+//! Its lists merge by concatenate-then-canonical-sort (a multiset
+//! union) and its counters by addition. The engine profile (wall-clock,
+//! barrier stalls, per-LP load) is not deterministic.
 
-use crate::jsonw;
-use crate::snapshot::{write_anomaly, Anomaly};
-
-/// Version tag of the exported network-scope JSON document.
-pub const NET_SNAPSHOT_FORMAT: &str = "dra-topo-telemetry/v1";
+use crate::json::Json;
 
 /// Number of network drop causes (`NetDropCause` has 8 variants; the
 /// producer supplies the names so this crate stays model-agnostic).
 pub const NET_DROP_CAUSES: usize = 8;
 
 /// Per-router event counters, indexed by node id in
-/// [`NetScopeSnapshot::nodes`].
+/// [`NetScope::nodes`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Packets that entered this router (host injection or link).
@@ -191,9 +176,9 @@ impl ForensicEntry {
     }
 }
 
-/// PDES engine profile: wall-clock and load measurements from the
-/// windowed parallel runs. **Non-deterministic** — lives only in the
-/// snapshot's `profile` section, never in `deterministic`.
+/// Engine profile: wall-clock and load measurements from the
+/// network engine. **Non-deterministic** — lives only in the
+/// document's `profile` member.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
     /// Parallel runs folded into this profile.
@@ -299,6 +284,58 @@ impl EngineProfile {
     }
 }
 
+impl EngineProfile {
+    pub(crate) fn to_json(&self) -> Json {
+        let (lo, mean, hi) = if self.lookahead_lps == 0 {
+            (0.0, 0.0, 0.0)
+        } else {
+            (
+                self.lookahead_min_s,
+                self.lookahead_sum_s / self.lookahead_lps as f64,
+                self.lookahead_max_s,
+            )
+        };
+        let lp_events = self.lp_events.iter().take(LP_EVENTS_IN_JSON);
+        Json::obj(vec![
+            ("runs", Json::uint(self.runs)),
+            ("threads", Json::uint(self.threads)),
+            ("windows", Json::uint(self.windows)),
+            ("nonempty_windows", Json::uint(self.nonempty_windows)),
+            ("cross_messages", Json::uint(self.cross_messages)),
+            ("wall_ns", Json::uint(self.wall_ns)),
+            ("barrier_wait_ns", Json::uint(self.barrier_wait_ns)),
+            (
+                "window_max_events_sum",
+                Json::uint(self.window_max_events_sum),
+            ),
+            ("lp_count", Json::uint(self.lp_events.len() as u64)),
+            ("events_total", Json::uint(self.events_total())),
+            ("lp_events_max", Json::uint(self.lp_events_max())),
+            ("load_imbalance", Json::Num(self.load_imbalance())),
+            (
+                "busy_windows_total",
+                Json::uint(self.lp_busy_windows.iter().sum()),
+            ),
+            (
+                "lookahead_s",
+                Json::obj(vec![
+                    ("min", Json::Num(lo)),
+                    ("mean", Json::Num(mean)),
+                    ("max", Json::Num(hi)),
+                ]),
+            ),
+            (
+                "lp_events_truncated",
+                Json::Bool(self.lp_events.len() > LP_EVENTS_IN_JSON),
+            ),
+            (
+                "lp_events",
+                Json::Arr(lp_events.map(|&e| Json::uint(e)).collect()),
+            ),
+        ])
+    }
+}
+
 /// Per-LP event counts serialized into JSON before truncation.
 const LP_EVENTS_IN_JSON: usize = 256;
 
@@ -306,12 +343,10 @@ const LP_EVENTS_IN_JSON: usize = 256;
 /// stays available in the struct and feeds the Perfetto exporter).
 const SPANS_IN_JSON: usize = 2048;
 
-/// Mergeable network-scope snapshot of one (or many, after merging)
-/// `dra-topo` simulation cells.
+/// The network scope of a [`Snapshot`](crate::Snapshot): what the
+/// `dra-topo` cells merged into it saw, router by router.
 #[derive(Debug, Clone, Default)]
-pub struct NetScopeSnapshot {
-    /// Cells folded into this snapshot.
-    pub cells_merged: u64,
+pub struct NetScope {
     /// `NetDropCause` names, drop-index order (producer-supplied).
     pub drop_causes: Vec<&'static str>,
     /// Per-router counters, indexed by node id.
@@ -320,30 +355,19 @@ pub struct NetScopeSnapshot {
     pub forensics: Vec<ForensicEntry>,
     /// Hop-resolved spans of sampled packets, canonical order.
     pub spans: Vec<FlowSpan>,
-    /// Flight-recorder window frozen by the first conservation-ledger
-    /// violation (earliest trip wins across merges).
-    pub frozen: Option<Anomaly>,
-    /// PDES engine profile — **non-deterministic**, `None` for serial
-    /// runs or when profiling was not requested.
-    pub profile: Option<EngineProfile>,
 }
 
-impl NetScopeSnapshot {
-    /// Merge another cell's snapshot into this one. Commutative and
-    /// associative: byte-identical merged output at any worker count
-    /// or LP partition.
-    ///
+impl NetScope {
     /// # Panics
-    /// Panics if both snapshots name drop causes and the names differ
-    /// (snapshots must come from the same build).
-    pub fn merge(&mut self, other: &NetScopeSnapshot) {
-        self.cells_merged += other.cells_merged;
+    /// Panics if both scopes name drop causes and the names differ
+    /// (scopes must come from the same build).
+    pub(crate) fn merge(&mut self, other: &NetScope) {
         if self.drop_causes.is_empty() {
             self.drop_causes = other.drop_causes.clone();
         } else if !other.drop_causes.is_empty() {
             assert_eq!(
                 self.drop_causes, other.drop_causes,
-                "NetScopeSnapshot::merge: drop-cause registries differ"
+                "Snapshot::merge: drop-cause registries differ"
             );
         }
         if self.nodes.len() < other.nodes.len() {
@@ -360,289 +384,84 @@ impl NetScopeSnapshot {
             .sort_unstable_by(ForensicEntry::cmp_canonical);
         self.spans.extend(other.spans.iter().copied());
         self.spans.sort_unstable_by(FlowSpan::cmp_canonical);
-        // Earliest frozen window wins; ties break on reason then size
-        // so the choice is total (merge-order independent).
-        let other_wins = match (&self.frozen, &other.frozen) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some(a), Some(b)) => {
-                b.t.total_cmp(&a.t)
-                    .then(b.reason.cmp(&a.reason))
-                    .then(b.events.len().cmp(&a.events.len()))
-                    .is_lt()
-            }
-        };
-        if other_wins {
-            self.frozen = other.frozen.clone();
-        }
-        match (&mut self.profile, &other.profile) {
-            (Some(p), Some(op)) => p.merge(op),
-            (None, Some(op)) => self.profile = Some(op.clone()),
-            _ => {}
-        }
     }
 
-    /// Serialize as a `dra-topo-telemetry/v1` JSON document with the
-    /// `deterministic` / `profile` split (see the module docs).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"format\":");
-        jsonw::str(&mut out, NET_SNAPSHOT_FORMAT);
-        out.push_str(",\"cells_merged\":");
-        jsonw::uint(&mut out, self.cells_merged);
-        out.push_str(",\"deterministic\":{\"n_nodes\":");
-        jsonw::uint(&mut out, self.nodes.len() as u64);
-        out.push_str(",\"drop_causes\":[");
-        for (i, name) in self.drop_causes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            jsonw::str(&mut out, name);
-        }
-        out.push_str("],\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"transits\":");
-            jsonw::uint(&mut out, n.transits);
-            out.push_str(",\"covered\":");
-            jsonw::uint(&mut out, n.covered);
-            out.push_str(",\"forwards\":");
-            jsonw::uint(&mut out, n.forwards);
-            out.push_str(",\"delivered\":");
-            jsonw::uint(&mut out, n.delivered);
-            out.push_str(",\"actions\":");
-            jsonw::uint(&mut out, n.actions);
-            out.push_str(",\"drops\":[");
-            for (j, d) in n.drops.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                jsonw::uint(&mut out, *d);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"forensics\":[");
-        for (i, e) in self.forensics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"t\":");
-            jsonw::num(&mut out, e.t);
-            out.push_str(",\"kind\":");
-            jsonw::str(&mut out, e.kind.name());
+    pub(crate) fn to_json(&self) -> Json {
+        let node = |n: &NodeCounters| {
+            Json::obj(vec![
+                ("transits", Json::uint(n.transits)),
+                ("covered", Json::uint(n.covered)),
+                ("forwards", Json::uint(n.forwards)),
+                ("delivered", Json::uint(n.delivered)),
+                ("actions", Json::uint(n.actions)),
+                (
+                    "drops",
+                    Json::Arr(n.drops.iter().map(|&d| Json::uint(d)).collect()),
+                ),
+            ])
+        };
+        let forensic = |e: &ForensicEntry| {
+            let mut pairs = vec![
+                ("t", Json::Num(e.t)),
+                ("kind", Json::Str(e.kind.name().into())),
+            ];
             match e.kind {
                 ForensicKind::Action => {
-                    out.push_str(",\"label\":");
-                    jsonw::str(&mut out, &e.label);
-                    out.push_str(",\"drops_at\":[");
-                    for (j, d) in e.drops_at.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        jsonw::uint(&mut out, *d);
-                    }
-                    out.push(']');
+                    pairs.push(("label", Json::Str(e.label.clone())));
+                    let census = e.drops_at.iter().map(|&d| Json::uint(d)).collect();
+                    pairs.push(("drops_at", Json::Arr(census)));
                 }
                 ForensicKind::FlowDown => {
-                    out.push_str(",\"flow\":");
-                    jsonw::uint(&mut out, e.flow as u64);
-                    out.push_str(",\"cause\":");
-                    let idx = e.cause as usize;
-                    if idx < self.drop_causes.len() {
-                        jsonw::str(&mut out, self.drop_causes[idx]);
-                    } else {
-                        jsonw::uint(&mut out, e.cause as u64);
-                    }
+                    pairs.push(("flow", Json::uint(e.flow as u64)));
+                    let cause = match self.drop_causes.get(e.cause as usize) {
+                        Some(name) => Json::Str(name.to_string()),
+                        None => Json::uint(e.cause as u64),
+                    };
+                    pairs.push(("cause", cause));
                 }
-                ForensicKind::FlowUp => {
-                    out.push_str(",\"flow\":");
-                    jsonw::uint(&mut out, e.flow as u64);
-                }
+                ForensicKind::FlowUp => pairs.push(("flow", Json::uint(e.flow as u64))),
             }
-            out.push('}');
-        }
-        out.push_str("],\"spans\":{\"total\":");
-        jsonw::uint(&mut out, self.spans.len() as u64);
-        out.push_str(",\"truncated\":");
-        out.push_str(if self.spans.len() > SPANS_IN_JSON {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"items\":[");
-        for (i, s) in self.spans.iter().take(SPANS_IN_JSON).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"packet\":");
-            jsonw::uint(&mut out, s.packet);
-            out.push_str(",\"flow\":");
-            jsonw::uint(&mut out, s.flow as u64);
-            out.push_str(",\"node\":");
-            jsonw::uint(&mut out, s.node as u64);
-            out.push_str(",\"t0\":");
-            jsonw::num(&mut out, s.t0);
-            out.push_str(",\"t1\":");
-            jsonw::num(&mut out, s.t1);
-            out.push_str(",\"kind\":");
-            jsonw::str(&mut out, s.kind.name());
-            out.push_str(",\"aux\":");
-            jsonw::uint(&mut out, s.aux as u64);
-            out.push('}');
-        }
-        out.push_str("]},\"frozen\":");
-        match &self.frozen {
-            None => out.push_str("null"),
-            Some(a) => write_anomaly(&mut out, a),
-        }
-        out.push_str("},\"profile\":");
-        match &self.profile {
-            None => out.push_str("null"),
-            Some(p) => {
-                out.push_str("{\"runs\":");
-                jsonw::uint(&mut out, p.runs);
-                out.push_str(",\"threads\":");
-                jsonw::uint(&mut out, p.threads);
-                out.push_str(",\"windows\":");
-                jsonw::uint(&mut out, p.windows);
-                out.push_str(",\"nonempty_windows\":");
-                jsonw::uint(&mut out, p.nonempty_windows);
-                out.push_str(",\"cross_messages\":");
-                jsonw::uint(&mut out, p.cross_messages);
-                out.push_str(",\"wall_ns\":");
-                jsonw::uint(&mut out, p.wall_ns);
-                out.push_str(",\"barrier_wait_ns\":");
-                jsonw::uint(&mut out, p.barrier_wait_ns);
-                out.push_str(",\"window_max_events_sum\":");
-                jsonw::uint(&mut out, p.window_max_events_sum);
-                out.push_str(",\"lp_count\":");
-                jsonw::uint(&mut out, p.lp_events.len() as u64);
-                out.push_str(",\"events_total\":");
-                jsonw::uint(&mut out, p.events_total());
-                out.push_str(",\"lp_events_max\":");
-                jsonw::uint(&mut out, p.lp_events_max());
-                out.push_str(",\"load_imbalance\":");
-                jsonw::num(&mut out, p.load_imbalance());
-                out.push_str(",\"busy_windows_total\":");
-                jsonw::uint(&mut out, p.lp_busy_windows.iter().sum());
-                out.push_str(",\"lookahead_s\":{\"min\":");
-                let (lo, mean, hi) = if p.lookahead_lps == 0 {
-                    (0.0, 0.0, 0.0)
-                } else {
+            Json::obj(pairs)
+        };
+        let span = |s: &FlowSpan| {
+            Json::obj(vec![
+                ("packet", Json::uint(s.packet)),
+                ("flow", Json::uint(s.flow as u64)),
+                ("node", Json::uint(s.node as u64)),
+                ("t0", Json::Num(s.t0)),
+                ("t1", Json::Num(s.t1)),
+                ("kind", Json::Str(s.kind.name().into())),
+                ("aux", Json::uint(s.aux as u64)),
+            ])
+        };
+        let names = self.drop_causes.iter().map(|n| Json::Str(n.to_string()));
+        Json::obj(vec![
+            ("n_nodes", Json::uint(self.nodes.len() as u64)),
+            ("drop_causes", Json::Arr(names.collect())),
+            ("nodes", Json::Arr(self.nodes.iter().map(node).collect())),
+            (
+                "forensics",
+                Json::Arr(self.forensics.iter().map(forensic).collect()),
+            ),
+            (
+                "spans",
+                Json::obj(vec![
+                    ("total", Json::uint(self.spans.len() as u64)),
+                    ("truncated", Json::Bool(self.spans.len() > SPANS_IN_JSON)),
                     (
-                        p.lookahead_min_s,
-                        p.lookahead_sum_s / p.lookahead_lps as f64,
-                        p.lookahead_max_s,
-                    )
-                };
-                jsonw::num(&mut out, lo);
-                out.push_str(",\"mean\":");
-                jsonw::num(&mut out, mean);
-                out.push_str(",\"max\":");
-                jsonw::num(&mut out, hi);
-                out.push_str("},\"lp_events_truncated\":");
-                out.push_str(if p.lp_events.len() > LP_EVENTS_IN_JSON {
-                    "true"
-                } else {
-                    "false"
-                });
-                out.push_str(",\"lp_events\":[");
-                for (i, e) in p.lp_events.iter().take(LP_EVENTS_IN_JSON).enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    jsonw::uint(&mut out, *e);
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push('}');
-        out
+                        "items",
+                        Json::Arr(self.spans.iter().take(SPANS_IN_JSON).map(span).collect()),
+                    ),
+                ]),
+            ),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(packet: u64, node: u32, t0: f64) -> FlowSpan {
-        FlowSpan {
-            packet,
-            flow: 1,
-            node,
-            t0,
-            t1: t0 + 1e-6,
-            kind: SpanKind::Transit,
-            aux: 0,
-        }
-    }
-
-    fn entry(t: f64, flow: u32) -> ForensicEntry {
-        ForensicEntry {
-            t,
-            kind: ForensicKind::FlowDown,
-            flow,
-            cause: 2,
-            label: String::new(),
-            drops_at: [0; NET_DROP_CAUSES],
-        }
-    }
-
-    fn snap(node: u32, t: f64) -> NetScopeSnapshot {
-        let mut nodes = vec![NodeCounters::default(); (node + 1) as usize];
-        nodes[node as usize].transits = 10;
-        nodes[node as usize].drops[2] = 3;
-        NetScopeSnapshot {
-            cells_merged: 1,
-            drop_causes: vec!["a", "b", "c", "d", "e", "f", "g", "h"],
-            nodes,
-            forensics: vec![entry(t, node)],
-            spans: vec![span(node as u64, node, t)],
-            frozen: None,
-            profile: None,
-        }
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let (a, b, c) = (snap(0, 3.0), snap(2, 1.0), snap(1, 2.0));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut right = c.clone();
-        right.merge(&a);
-        right.merge(&b);
-        assert_eq!(left.to_json_string(), right.to_json_string());
-        assert_eq!(left.cells_merged, 3);
-        assert_eq!(left.nodes.len(), 3);
-        // Forensics sorted by time regardless of merge order.
-        let ts: Vec<f64> = left.forensics.iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn earliest_frozen_window_wins() {
-        let mut a = snap(0, 1.0);
-        let mut b = snap(1, 2.0);
-        a.frozen = Some(Anomaly {
-            reason: "late".into(),
-            t: 5.0,
-            events: vec![],
-        });
-        b.frozen = Some(Anomaly {
-            reason: "early".into(),
-            t: 1.0,
-            events: vec![],
-        });
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.frozen.as_ref().unwrap().reason, "early");
-        assert_eq!(ab.to_json_string(), ba.to_json_string());
-    }
+    use crate::Snapshot;
 
     #[test]
     fn profile_merges_by_summation() {
@@ -683,48 +502,61 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_splits_deterministic_and_profile() {
-        let mut s = snap(0, 1.0);
-        s.forensics.push(ForensicEntry {
-            t: 0.5,
-            kind: ForensicKind::Action,
-            flow: u32::MAX,
-            cause: u32::MAX,
-            label: "sru-kill node3/lc0".into(),
-            drops_at: [1, 0, 0, 0, 0, 0, 0, 0],
-        });
-        s.forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
-        s.profile = Some(EngineProfile {
-            runs: 1,
-            threads: 2,
-            windows: 4,
-            lp_events: vec![3, 1],
-            lp_busy_windows: vec![2, 1],
-            lookahead_min_s: 1e-6,
-            lookahead_max_s: 1e-6,
-            lookahead_sum_s: 2e-6,
-            lookahead_lps: 2,
-            ..EngineProfile::default()
-        });
-        let json = s.to_json_string();
-        assert!(json.starts_with("{\"format\":\"dra-topo-telemetry/v1\""));
-        assert!(json.contains("\"deterministic\":{\"n_nodes\":1"));
+    fn json_shape_puts_profile_last() {
+        let mut nodes = vec![NodeCounters::default()];
+        nodes[0].transits = 10;
+        let mut forensics = vec![
+            ForensicEntry {
+                t: 1.0,
+                kind: ForensicKind::FlowDown,
+                flow: 0,
+                cause: 2,
+                label: String::new(),
+                drops_at: [0; NET_DROP_CAUSES],
+            },
+            ForensicEntry {
+                t: 0.5,
+                kind: ForensicKind::Action,
+                flow: u32::MAX,
+                cause: u32::MAX,
+                label: "sru-kill node3/lc0".into(),
+                drops_at: [1, 0, 0, 0, 0, 0, 0, 0],
+            },
+        ];
+        forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
+        let mut s = Snapshot {
+            network: Some(NetScope {
+                drop_causes: vec!["a", "b", "c", "d", "e", "f", "g", "h"],
+                nodes,
+                forensics,
+                spans: Vec::new(),
+            }),
+            profile: Some(EngineProfile {
+                runs: 1,
+                threads: 2,
+                windows: 4,
+                lp_events: vec![3, 1],
+                lp_busy_windows: vec![2, 1],
+                lookahead_min_s: 1e-6,
+                lookahead_max_s: 1e-6,
+                lookahead_sum_s: 2e-6,
+                lookahead_lps: 2,
+                ..EngineProfile::default()
+            }),
+            ..Snapshot::default()
+        };
+        let json = s.to_json().to_string_compact();
+        assert!(json.contains("\"router\":null,\"network\":{\"n_nodes\":1"));
         assert!(json.contains("\"kind\":\"action\""));
         assert!(json.contains("\"label\":\"sru-kill node3/lc0\""));
         assert!(json.contains("\"kind\":\"flow_down\""));
         assert!(json.contains("\"cause\":\"c\""));
-        assert!(json.contains("\"frozen\":null"));
-        assert!(json.contains("\"profile\":{\"runs\":1"));
+        assert!(json.contains("\"anomaly\":null,\"profile\":{\"runs\":1"));
         assert!(json.contains("\"load_imbalance\":1.5"));
-        // The profile section comes after the deterministic one closes.
-        let det = json.find("\"deterministic\"").unwrap();
-        let prof = json.find("\"profile\"").unwrap();
-        assert!(det < prof);
-
-        let serial = NetScopeSnapshot {
-            profile: None,
-            ..snap(0, 1.0)
-        };
-        assert!(serial.to_json_string().ends_with("\"profile\":null}"));
+        s.profile = None;
+        assert!(s
+            .to_json()
+            .to_string_compact()
+            .ends_with("\"profile\":null}"));
     }
 }

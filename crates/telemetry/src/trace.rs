@@ -2,15 +2,19 @@
 //! into Perfetto (ui.perfetto.dev) or `chrome://tracing`.
 //!
 //! Sampled packets become complete ("X") spans — one per lifecycle
-//! phase — grouped by process id (the campaign maps pid to the cell
-//! index; standalone runs use the ingress linecard; network traces use
-//! the router id, one track per router) with the packet id as thread
-//! id, so a packet's phases stack on one timeline row. Drops and
-//! anomalies are instant ("i") events. Network traces additionally
-//! emit flow arrows ("s" start / "f" finish pairs sharing an `id`)
-//! linking a packet's spans across router tracks.
+//! phase — grouped by process id (router traces use the ingress
+//! linecard, or the dropping linecard for a drop marker; network
+//! traces use `cell × 4096 + router`, one track per router) with the
+//! packet id as thread id, so a packet's phases stack on one timeline
+//! row. Drops and anomalies are instant ("i") events. Network traces
+//! additionally emit flow arrows ("s" start / "f" finish pairs sharing
+//! an `id`) linking a packet's spans across router tracks.
+//!
+//! The writer streams over the [`crate::json`] primitives rather than
+//! building a value tree: a sweep's trace can hold millions of events.
 
-use crate::jsonw;
+use crate::json::{write_num, write_str};
+use std::fmt::Write as _;
 
 /// One Chrome trace event (subset: complete + instant + flow phases).
 #[derive(Debug, Clone)]
@@ -24,8 +28,7 @@ pub struct TraceEvent {
     pub ts_us: f64,
     /// Duration in microseconds (complete events only).
     pub dur_us: f64,
-    /// Process id lane (cell index under the campaign, else linecard
-    /// or router id).
+    /// Process id lane (linecard, or the network track of a router).
     pub pid: u32,
     /// Thread id lane (packet id truncated to 32 bits).
     pub tid: u32,
@@ -39,7 +42,7 @@ pub struct TraceEvent {
 ///
 /// Output is `{"traceEvents": [...], "displayTimeUnit": "ns"}`; event
 /// order is preserved, so callers control determinism by ordering the
-/// slice (the campaign sorts by cell index first).
+/// slice (the sweep envelope concatenates cells in index order).
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\"traceEvents\":[");
@@ -48,21 +51,20 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        jsonw::str(&mut out, ev.name);
+        write_str(&mut out, ev.name);
         out.push_str(",\"ph\":");
-        let ph = ev.ph.to_string();
-        jsonw::str(&mut out, &ph);
+        write_str(&mut out, ev.ph.encode_utf8(&mut [0; 4]));
         out.push_str(",\"ts\":");
-        jsonw::num(&mut out, ev.ts_us);
+        write_num(&mut out, ev.ts_us);
         if ev.ph == 'X' {
             out.push_str(",\"dur\":");
-            jsonw::num(&mut out, ev.dur_us);
+            write_num(&mut out, ev.dur_us);
         } else if ev.ph == 's' || ev.ph == 'f' {
             // Flow arrow: the id pairs start with finish; binding the
             // finish to its enclosing slice's end ("bp":"e") makes
             // Perfetto draw the arrow span-to-span.
-            out.push_str(",\"cat\":\"flow\",\"id\":");
-            jsonw::uint(&mut out, ev.id);
+            // Arrow ids reach 2^56: printed as exact integers.
+            write!(out, ",\"cat\":\"flow\",\"id\":{}", ev.id).expect("write to String");
             if ev.ph == 'f' {
                 out.push_str(",\"bp\":\"e\"");
             }
@@ -70,13 +72,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             // Thread-scoped instant: renders as a marker on the row.
             out.push_str(",\"s\":\"t\"");
         }
-        out.push_str(",\"pid\":");
-        jsonw::uint(&mut out, ev.pid as u64);
-        out.push_str(",\"tid\":");
-        jsonw::uint(&mut out, ev.tid as u64);
-        out.push_str(",\"args\":{\"packet\":");
-        jsonw::uint(&mut out, ev.packet);
-        out.push_str("}}");
+        write!(
+            out,
+            ",\"pid\":{},\"tid\":{},\"args\":{{\"packet\":{}}}}}",
+            ev.pid, ev.tid, ev.packet
+        )
+        .expect("write to String");
     }
     out.push_str("],\"displayTimeUnit\":\"ns\"}");
     out

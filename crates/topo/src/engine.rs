@@ -46,10 +46,10 @@ pub struct TopoRunOptions {
     pub out: Option<PathBuf>,
     /// Suppress progress output.
     pub quiet: bool,
-    /// Write the merged `dra-topo-telemetry/v1` network-scope snapshot
-    /// here (collection turns on iff this or `trace_out` is set). The
-    /// snapshot's `deterministic` section is byte-identical at any
-    /// `sim_threads`/`workers`; only its `profile` section is not.
+    /// Write the merged `dra-telemetry/v2` document, network scope
+    /// filled, here (collection turns on iff this or `trace_out` is
+    /// set). Every member but `profile` is byte-identical at any
+    /// `sim_threads`/`workers`.
     pub telemetry_out: Option<PathBuf>,
     /// Write the Chrome `trace_event` flow trace of the sampled
     /// packets here.
@@ -70,27 +70,13 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
 }
 
 /// Execute a topo sweep with the envelope's own options, each cell's
-/// network on `sim_threads` threads. Topo telemetry is network-scope
-/// and goes only to `telemetry_out`/`trace_out`: asking to embed it
-/// (`opts.telemetry`) is an [`std::io::ErrorKind::InvalidInput`] error.
+/// network on `sim_threads` threads.
 pub fn run_with(
     spec: &TopoSpec,
     opts: &RunOptions,
     sim_threads: usize,
 ) -> std::io::Result<TopoOutcome> {
-    if opts.telemetry {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "topo sweeps embed no telemetry; use a telemetry output file",
-        ));
-    }
-    let collect = opts.collects_telemetry();
-    sweep::run(
-        spec,
-        opts,
-        |i| run_cell(spec, i, sim_threads, collect),
-        |tele| write_telemetry(tele, opts),
-    )
+    sweep::run(spec, opts, |i| run_cell(spec, i, sim_threads))
 }
 
 /// Validate a `dra-topo/v1` document, including the network
@@ -98,47 +84,6 @@ pub fn run_with(
 /// error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
     sweep::validate::<TopoSpec>(text)
-}
-
-/// Merge the per-cell telemetry in cell-index order (so the snapshot
-/// is worker-count invariant) and write the requested exports.
-fn write_telemetry(tele: Vec<CellTele>, opts: &RunOptions) -> std::io::Result<Option<Json>> {
-    let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
-    let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
-    for boxed in tele.into_iter().flatten() {
-        let (s, t) = *boxed;
-        match &mut snap {
-            None => snap = Some(s),
-            Some(acc) => acc.merge(&s),
-        }
-        trace.extend(t);
-    }
-    if let Some(path) = &opts.telemetry_out {
-        let text = snap
-            .as_ref()
-            .map(dra_telemetry::NetScopeSnapshot::to_json_string)
-            .unwrap_or_else(|| dra_telemetry::NetScopeSnapshot::default().to_json_string());
-        sweep::write_atomic(path, &text)?;
-        if !opts.quiet {
-            println!(
-                "wrote telemetry snapshot {} ({} bytes)",
-                path.display(),
-                text.len()
-            );
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        let text = dra_telemetry::chrome_trace_json(&trace);
-        sweep::write_atomic(path, &text)?;
-        if !opts.quiet {
-            println!(
-                "wrote flow trace {} ({} events)",
-                path.display(),
-                trace.len()
-            );
-        }
-    }
-    Ok(None)
 }
 
 /// `k` indices spread evenly over `0..n` (deterministic fault-target
@@ -252,23 +197,10 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
     net
 }
 
-/// Network-scope sampling density for CLI-driven collection: every
-/// 64th packet gets hop-resolved flow spans (counters, forensics, and
-/// the profiler are unsampled — they see everything).
-const TELEMETRY_SAMPLE_EVERY: u64 = 64;
-
-/// One cell's collected telemetry: the merged snapshot of its
-/// replications plus their concatenated flow-trace events.
-type CellTele = Option<
-    Box<(
-        dra_telemetry::NetScopeSnapshot,
-        Vec<dra_telemetry::TraceEvent>,
-    )>,
->;
-
-/// Run every replication of one cell and reduce to its JSON record
-/// (plus, when `collect` is set, its telemetry).
-fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) -> (Json, CellTele) {
+/// Run every replication of one cell and reduce to its JSON record.
+/// When the sweep envelope armed this thread's telemetry hub, each
+/// replication also hands its network scope and flow trace to the hub.
+fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize) -> Json {
     let cell = &spec.cells[index];
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -279,22 +211,13 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
     let mut latency = Welford::new();
     let mut hops = Welford::new();
     let (mut n_nodes, mut n_links) = (0, 0);
-    let mut cell_tele: CellTele = None;
     for rep in 0..cell.replications {
         let mut net = build_network(cell, spec.master_seed, rep);
         net.cfg.sim_threads = sim_threads;
-        if collect {
-            // The hub (flight-recorder ring + anomaly freeze) is
-            // thread-local: arm it on whichever pool worker runs this
-            // cell. Telemetry observes without steering, so the
-            // artifact bytes do not change.
-            if !dra_telemetry::enabled() {
-                dra_telemetry::enable(dra_telemetry::Config {
-                    sample_every: TELEMETRY_SAMPLE_EVERY,
-                    ..dra_telemetry::Config::default()
-                });
-            }
-            net.enable_net_telemetry(TELEMETRY_SAMPLE_EVERY);
+        if let Some(every) = dra_telemetry::sample_every() {
+            // Telemetry observes without steering, so the artifact
+            // bytes do not change.
+            net.enable_net_telemetry(every);
         }
         n_nodes = net.topo.n_nodes();
         n_links = net.topo.n_links();
@@ -304,7 +227,7 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
             rep as u64,
             Stream::Simulation,
         );
-        let net = net.run(sim_seed, cell.horizon_s);
+        let mut net = net.run(sim_seed, cell.horizon_s);
         let s = &net.stats;
         assert!(s.conserved(), "{}: packet conservation violated", cell.id);
         injected += s.injected;
@@ -319,28 +242,16 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
             latency.push(s.latency.mean());
             hops.push(s.hops.mean());
         }
-        if collect {
-            // Distinct Perfetto pid/arrow namespaces per (cell, rep):
-            // pure functions of the indices, so the merged trace is
-            // worker- and sim-thread-invariant.
-            let mut net = net;
-            let report = net
-                .export_net_telemetry(
-                    cell.horizon_s,
-                    (index as u32) * 4096,
-                    ((index as u64 * 1024) + rep as u64) << 40,
-                )
-                .expect("collector was enabled above");
-            match &mut cell_tele {
-                None => cell_tele = Some(Box::new((report.snapshot, report.trace))),
-                Some(acc) => {
-                    acc.0.merge(&report.snapshot);
-                    acc.1.extend(report.trace);
-                }
-            }
+        // Distinct Perfetto pid/arrow namespaces per (cell, rep): pure
+        // functions of the indices, so the merged trace is worker- and
+        // sim-thread-invariant.
+        let pid_base = index as u32 * 4096;
+        let arrow_base = ((index as u64 * 1024) + rep as u64) << 40;
+        if let Some(report) = net.export_net_telemetry(cell.horizon_s, pid_base, arrow_base) {
+            dra_telemetry::absorb(&report.snapshot, report.trace);
         }
     }
-    let record = Json::obj(vec![
+    Json::obj(vec![
         ("cell", Json::Num(index as f64)),
         ("id", Json::Str(cell.id.clone())),
         ("arch", Json::Str(cell.arch.label().into())),
@@ -364,8 +275,7 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
         ("flow_availability", welford_json(&flow_avail)),
         ("latency_s", welford_json(&latency)),
         ("hops", welford_json(&hops)),
-    ]);
-    (record, cell_tele)
+    ])
 }
 
 #[cfg(test)]

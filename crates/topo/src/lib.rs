@@ -33,8 +33,9 @@
 //! * [`telemetry`] — network-scope observability, off unless a run
 //!   asks for it: per-router counters, hop-resolved flow spans with
 //!   Perfetto export, the fault-forensics ledger, and the engine
-//!   profiler, exported as a `dra-topo-telemetry/v1` snapshot whose
-//!   deterministic section is byte-identical at any `sim_threads`.
+//!   profiler, exported as the network scope of a `dra-telemetry/v2`
+//!   document that is byte-identical at any `sim_threads` (all but its
+//!   `profile` member).
 //!
 //! See `examples/network_resilience.rs` and `dra run resilience`
 //! (`cargo run --release -- help` lists every sweep flag).

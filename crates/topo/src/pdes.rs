@@ -924,7 +924,7 @@ pub(crate) fn run_partitioned(
 /// `in_flight` counts what is still pending. A ledger that lost or
 /// double-counted a packet fails [`NetStats::conserved`], which
 /// freezes the flight-recorder window (first violation wins; the
-/// frozen window surfaces in the exported snapshot).
+/// frozen window becomes the telemetry document's `anomaly`).
 fn merge_ledgers(ledgers: Vec<Ledger>, n_flows: usize) -> NetStats {
     let mut stats = NetStats::new(n_flows);
     let (mut sent, mut accepted) = (0u64, 0u64);

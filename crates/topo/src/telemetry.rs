@@ -1,14 +1,14 @@
 //! Network-scope observability for [`NetworkSim`] runs.
 //!
-//! This module is the producer side of
-//! [`dra_telemetry::NetScopeSnapshot`]: a collector per router group
-//! of the network engine (`LpTele`), folded into one per-run collector
-//! (`NetTele`), and an exporter that turns the
-//! collected raw points into the snapshot's deterministic sections —
-//! per-router counters, the fault-forensics ledger, hop-resolved flow
-//! spans — plus a Perfetto (Chrome `trace_event`) trace with one
-//! track per router and flow arrows linking a packet's spans across
-//! tracks.
+//! This module is the producer side of [`dra_telemetry::NetScope`]: a
+//! collector per router group of the network engine (`LpTele`), folded
+//! into one per-run collector (`NetTele`), and an exporter that turns
+//! the collected raw points into the network scope of a
+//! `dra-telemetry/v2` [`Snapshot`] — per-router counters, the
+//! fault-forensics ledger, hop-resolved flow spans — plus a Perfetto
+//! (Chrome `trace_event`) trace with one track per router and flow
+//! arrows linking a packet's spans across tracks. A sweep cell hands
+//! both to the telemetry hub with [`dra_telemetry::absorb`].
 //!
 //! ## How determinism is preserved at any `--sim-threads`
 //!
@@ -28,16 +28,16 @@
 //! Scripted-action forensic entries are derived from the scenario
 //! itself, not from runtime hooks, so they cannot depend on the
 //! partition. The one intentionally non-deterministic part — the
-//! engine profile — is kept in the snapshot's separate `profile`
-//! section (see the [`dra_telemetry::netscope`] module docs).
+//! engine profile — is the document's separate `profile` member (see
+//! the [`dra_telemetry::snapshot`](mod@dra_telemetry::snapshot) module docs).
 
 use crate::link::LinkOffer;
 use crate::net::{HopOutcome, NetAction, NetPacket, NetworkSim};
 use crate::stats::NetDropCause;
 use dra_router::components::ComponentKind;
 use dra_telemetry::{
-    is_sampled, EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot,
-    NodeCounters, SpanKind, TraceEvent, NET_DROP_CAUSES,
+    is_sampled, EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScope, NodeCounters,
+    Snapshot, SpanKind, TraceEvent, NET_DROP_CAUSES,
 };
 
 /// One packet termination: `(sim_time, packet, flow, code)` with
@@ -278,7 +278,7 @@ impl NetTele {
         self.sampled_chains.extend(group.chains);
     }
 
-    /// Build the deterministic snapshot sections and the Perfetto
+    /// Build the network scope, the engine profile and the Perfetto
     /// trace. `scenario` must be the run's time-ordered fault
     /// timeline; actions scheduled past `horizon_s` never fired and
     /// are excluded. `pid_base` offsets the per-router trace tracks
@@ -300,25 +300,28 @@ impl NetTele {
         let mut spans = std::mem::take(&mut self.col.points);
         spans.sort_unstable_by(FlowSpan::cmp_canonical);
         let trace = build_trace(&spans, pid_base, arrow_base);
-        let snapshot = NetScopeSnapshot {
-            cells_merged: 1,
-            drop_causes: NetDropCause::ALL.iter().map(|c| c.name()).collect(),
-            nodes: self.nodes,
-            forensics,
-            spans,
-            frozen: dra_telemetry::snapshot().and_then(|s| s.anomaly),
+        let snapshot = Snapshot {
+            network: Some(NetScope {
+                drop_causes: NetDropCause::ALL.iter().map(|c| c.name()).collect(),
+                nodes: self.nodes,
+                forensics,
+                spans,
+            }),
             profile: self.profile,
+            ..Snapshot::default()
         };
         NetTeleReport { snapshot, trace }
     }
 }
 
-/// One run's exported observability: the mergeable snapshot plus the
-/// Perfetto trace events (one track per router, flow arrows between).
+/// One run's exported observability: a mergeable document part plus
+/// the Perfetto trace events (one track per router, flow arrows
+/// between).
 #[derive(Debug)]
 pub struct NetTeleReport {
-    /// Deterministic sections + optional engine profile.
-    pub snapshot: NetScopeSnapshot,
+    /// Network scope + engine profile; `cells_merged` 0, since a run
+    /// is one replication of a cell.
+    pub snapshot: Snapshot,
     /// Chrome `trace_event` records, canonical order — serialize with
     /// [`dra_telemetry::chrome_trace_json`].
     pub trace: Vec<TraceEvent>,
@@ -595,7 +598,7 @@ mod tests {
         let mut done = net.run(7, HORIZON);
         let stats = done.stats.clone();
         let report = done.export_net_telemetry(HORIZON, 0, 0).expect("collector");
-        let snap = &report.snapshot;
+        let snap = report.snapshot.network.as_ref().expect("network scope");
         let delivered: u64 = snap.nodes.iter().map(|n| n.delivered).sum();
         assert_eq!(delivered, stats.delivered);
         for (i, _) in NetDropCause::ALL.iter().enumerate() {
@@ -703,7 +706,8 @@ mod tests {
         net.enable_net_telemetry(0); // counters + forensics only
         let mut done = net.run(3, 10e-3);
         let report = done.export_net_telemetry(10e-3, 0, 0).expect("collector");
-        let snap = report.snapshot;
+        assert_eq!(report.snapshot.cells_merged, 0);
+        let snap = report.snapshot.network.expect("network scope");
         let downs = snap
             .forensics
             .iter()
@@ -719,6 +723,5 @@ mod tests {
         // Transitions alternate by construction; sampling off means no
         // spans were collected.
         assert!(snap.spans.is_empty());
-        assert_eq!(snap.cells_merged, 1);
     }
 }

@@ -1,18 +1,20 @@
-//! Network-scope telemetry contracts.
+//! `dra-telemetry/v2` document contracts.
 //!
-//! * The snapshot's `deterministic` section and the whole flow trace
-//!   are byte-identical at `--sim-threads` 1 vs 2 vs 4 (one router
-//!   group vs several) — the same invariance the artifact itself
-//!   carries, extended to the observability outputs.
-//! * `NetScopeSnapshot::merge` is commutative and associative, so the
-//!   fold over per-group / per-cell partials is partition- and
+//! * Every member but `profile`, and the whole flow trace, is
+//!   byte-identical at `--sim-threads` 1 vs 2 vs 4 (one router group vs
+//!   several) — the same invariance the artifact itself carries,
+//!   extended to the observability outputs.
+//! * `Snapshot::merge` is commutative and associative over the whole
+//!   document (router scope, network scope, anomaly ties, profile), so
+//!   the fold over per-replication / per-cell parts is partition- and
 //!   order-invariant (proptest).
 
 use dra_campaign::json::{parse, Json};
+use dra_campaign::sweep::RunOptions;
 use dra_core::health::ArchKind;
 use dra_telemetry::{
-    EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
-    NET_DROP_CAUSES,
+    Anomaly, CompactHist, EngineProfile, Event, EventKind, FlowSpan, ForensicEntry, ForensicKind,
+    NetScope, NodeCounters, RouterScope, Snapshot, SpanKind, NET_DROP_CAUSES,
 };
 use dra_topo::engine::{self, TopoRunOptions};
 use dra_topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec, TopoSpec};
@@ -53,12 +55,13 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dra_net_tele_{}_{tag}.json", std::process::id()))
 }
 
-/// The snapshot text split at its non-deterministic `profile` section.
-fn deterministic_prefix(snapshot_json: &str) -> &str {
-    let cut = snapshot_json
-        .rfind(",\"profile\":")
-        .expect("snapshot has a profile section");
-    &snapshot_json[..cut]
+/// A `dra-telemetry/v2` document without its non-deterministic
+/// `profile` member.
+fn deterministic(mut doc: Json) -> Json {
+    if let Json::Obj(members) = &mut doc {
+        members.retain(|(k, _)| k != "profile");
+    }
+    doc
 }
 
 #[test]
@@ -83,25 +86,23 @@ fn deterministic_section_is_sim_thread_invariant() {
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         let _ = std::fs::remove_file(&snap_path);
         let _ = std::fs::remove_file(&trace_path);
-        (outcome.artifact_text, snap, trace)
+        (outcome.artifact_text, parse(&snap).unwrap(), trace)
     };
-    let (art1, snap1, trace1) = run_with(1);
-    let (art2, snap2, trace2) = run_with(2);
-    let (art4, snap4, trace4) = run_with(4);
+    let (art1, doc1, trace1) = run_with(1);
+    let (art2, doc2, trace2) = run_with(2);
+    let (art4, doc4, trace4) = run_with(4);
 
     // The artifact stays byte-identical with collection on.
     assert_eq!(art1, art2);
     assert_eq!(art1, art4);
-    // The deterministic snapshot section is engine-invariant...
-    assert_eq!(deterministic_prefix(&snap1), deterministic_prefix(&snap2));
-    assert_eq!(deterministic_prefix(&snap1), deterministic_prefix(&snap4));
+    // Everything but the profile is engine-invariant...
+    assert_eq!(deterministic(doc1.clone()), deterministic(doc2.clone()));
+    assert_eq!(deterministic(doc1.clone()), deterministic(doc4));
     // ...and the flow trace is derived from it alone, so it is too.
     assert_eq!(trace1, trace2);
     assert_eq!(trace1, trace4);
 
     // One engine: every run carries its profile, one entry per group.
-    let doc1 = parse(&snap1).unwrap();
-    let doc2 = parse(&snap2).unwrap();
     let groups = |doc: &Json| {
         let prof = doc.get("profile").expect("engine profile present");
         assert!(prof.get("barrier_wait_ns").and_then(Json::as_u64).is_some());
@@ -116,21 +117,23 @@ fn deterministic_section_is_sim_thread_invariant() {
         "sim-threads 2 is one group per core, up to two"
     );
 
-    // Snapshot shape: format tag, per-node counters, forensics with
-    // the scripted SRU kills, sampled spans.
+    // Document shape: format tag, one count per cell, no router scope,
+    // per-node counters, forensics with the scripted SRU kills.
     assert_eq!(
         doc1.get("format").and_then(Json::as_str),
-        Some("dra-topo-telemetry/v1")
+        Some("dra-telemetry/v2")
     );
-    let det = doc1.get("deterministic").unwrap();
-    assert_eq!(det.get("n_nodes").and_then(Json::as_u64), Some(9));
+    assert_eq!(doc1.get("cells_merged").and_then(Json::as_u64), Some(2));
+    assert_eq!(doc1.get("router"), Some(&Json::Null));
+    let net = doc1.get("network").unwrap();
+    assert_eq!(net.get("n_nodes").and_then(Json::as_u64), Some(9));
     assert_eq!(
-        det.get("drop_causes")
+        net.get("drop_causes")
             .and_then(Json::as_arr)
             .map(<[Json]>::len),
         Some(8)
     );
-    let forensics = det.get("forensics").and_then(Json::as_arr).unwrap();
+    let forensics = net.get("forensics").and_then(Json::as_arr).unwrap();
     assert!(
         forensics.iter().any(|e| e
             .get("label")
@@ -148,6 +151,56 @@ fn deterministic_section_is_sim_thread_invariant() {
             .is_empty(),
         "sampled packets produce trace events"
     );
+}
+
+#[test]
+fn sweep_leaves_the_hub_disarmed() {
+    // At one worker the pool runs cells on this thread: the envelope
+    // must disarm the hub after each one, or every later simulation on
+    // the thread keeps paying for (and recording into) it.
+    let snap_path = tmp("disarm");
+    engine::run(
+        &tiny_spec(),
+        &TopoRunOptions {
+            workers: Some(1),
+            quiet: true,
+            telemetry_out: Some(snap_path.clone()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let _ = std::fs::remove_file(&snap_path);
+    assert!(!dra_telemetry::enabled(), "hub left armed after the sweep");
+}
+
+#[test]
+fn embedded_network_scope_validates_and_leaves_records_alone() {
+    let spec = tiny_spec();
+    let opts = |telemetry| RunOptions {
+        workers: 2,
+        telemetry,
+        ..RunOptions::default()
+    };
+    let plain = engine::run_with(&spec, &opts(false), 1).unwrap();
+    let embedded = engine::run_with(&spec, &opts(true), 2).unwrap();
+    let (cells, flagged) = engine::validate_artifact(&embedded.artifact_text).unwrap();
+    assert_eq!((cells, flagged), (2, 0));
+    let mut doc = parse(&embedded.artifact_text).unwrap();
+    let Json::Obj(members) = &mut doc else {
+        panic!("artifact is an object")
+    };
+    let (key, section) = members.pop().unwrap();
+    assert_eq!(key, "telemetry");
+    assert!(
+        section.get("profile").is_none(),
+        "no wall-clock in an artifact"
+    );
+    assert_eq!(section.get("cells_merged").and_then(Json::as_u64), Some(2));
+    assert!(section
+        .get("network")
+        .and_then(|n| n.get("nodes"))
+        .is_some());
+    assert_eq!(doc.to_string_pretty(), plain.artifact_text);
 }
 
 // ---- merge algebra -------------------------------------------------
@@ -279,36 +332,105 @@ fn profile() -> impl Strategy<Value = Option<EngineProfile>> {
     )
 }
 
-fn snapshot() -> impl Strategy<Value = NetScopeSnapshot> {
-    (
-        1u64..3,
-        proptest::collection::vec(node_counters(), 0..9),
-        proptest::collection::vec(forensic(), 0..12),
-        proptest::collection::vec(span(), 0..24),
-        profile(),
+fn network() -> impl Strategy<Value = Option<NetScope>> {
+    proptest::option::of(
+        (
+            proptest::collection::vec(node_counters(), 0..9),
+            proptest::collection::vec(forensic(), 0..12),
+            proptest::collection::vec(span(), 0..24),
+        )
+            .prop_map(|(nodes, mut forensics, mut spans)| {
+                // Producers hand over canonically sorted records;
+                // generated scopes must honor the same precondition.
+                forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
+                spans.sort_unstable_by(FlowSpan::cmp_canonical);
+                NetScope {
+                    drop_causes: causes(),
+                    nodes,
+                    forensics,
+                    spans,
+                }
+            }),
     )
-        .prop_map(|(cells_merged, nodes, forensics, spans, profile)| {
-            let mut s = NetScopeSnapshot {
-                cells_merged,
-                drop_causes: causes(),
-                nodes,
-                forensics,
-                spans,
-                frozen: None,
-                profile,
-            };
-            // Producers hand over canonically sorted records; generated
-            // snapshots must honor the same precondition.
-            s.forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
-            s.spans.sort_unstable_by(FlowSpan::cmp_canonical);
-            s
-        })
 }
 
-fn merged(a: &NetScopeSnapshot, b: &NetScopeSnapshot) -> NetScopeSnapshot {
+fn router() -> impl Strategy<Value = Option<RouterScope>> {
+    proptest::option::of(
+        (
+            proptest::array::uniform8(0u64..1_000),
+            0u64..3,
+            0u64..2_000,
+            proptest::collection::vec(0u64..4_000, 0..6),
+        )
+            .prop_map(|(c, sim_ms, ring, latencies_ns)| {
+                let mut hist = CompactHist::new(1e-9, 1.0, 81);
+                for ns in latencies_ns {
+                    hist.record(ns as f64 * 1e-9);
+                }
+                RouterScope {
+                    sample_every: 64,
+                    sampled_packets: c[0],
+                    open_tracks: c[1] % 4,
+                    counters: vec![("des.events", c[2]), ("router.arrivals", c[3])],
+                    gauges: vec![
+                        ("des.sim_time", sim_ms as f64 * 1e-3),
+                        ("des.queue_len_peak", c[4] as f64),
+                    ],
+                    hists: vec![("latency.total", hist)],
+                    ring_appended: ring,
+                    ring_capacity: 1024,
+                }
+            }),
+    )
+}
+
+/// Few distinct times and reasons, so generated anomalies often tie on
+/// both and the merge must fall through to the event window.
+fn anomaly() -> impl Strategy<Value = Option<Anomaly>> {
+    proptest::option::of(
+        (
+            0u64..3,
+            0u8..2,
+            proptest::collection::vec((0u64..3, 0u32..2, 0u64..3), 0..3),
+        )
+            .prop_map(|(t, reason, events)| Anomaly {
+                reason: ["first eib-oversubscribed drop", "net: conservation"][reason as usize]
+                    .to_string(),
+                t: t as f64 * 1e-6,
+                events: events
+                    .into_iter()
+                    .map(|(et, a, packet)| Event {
+                        t: et as f64 * 1e-7,
+                        kind: EventKind::Drop,
+                        a,
+                        b: 0,
+                        packet: packet << 52,
+                    })
+                    .collect(),
+            }),
+    )
+}
+
+fn snapshot() -> impl Strategy<Value = Snapshot> {
+    (0u64..3, router(), network(), anomaly(), profile()).prop_map(
+        |(cells_merged, router, network, anomaly, profile)| Snapshot {
+            cells_merged,
+            router,
+            network,
+            anomaly,
+            profile,
+        },
+    )
+}
+
+fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
     let mut m = a.clone();
     m.merge(b);
     m
+}
+
+fn text(s: &Snapshot) -> String {
+    s.to_json().to_string_compact()
 }
 
 proptest! {
@@ -317,22 +439,46 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Merge is a commutative, associative fold: any partition of the
-    /// per-LP (or per-cell) partials, merged in any order, serializes
-    /// to the same bytes. `NET_DROP_CAUSES` pins the census width the
-    /// generated counters rely on.
+    /// Merge is a commutative, associative fold over the whole
+    /// document: any partition of the per-replication (or per-cell)
+    /// parts, merged in any order, serializes to the same bytes. It
+    /// adds counts, keeps gauge maxima, unions the network lists in
+    /// canonical order and keeps the anomaly that sorts first.
+    /// `NET_DROP_CAUSES` pins the census width the generated counters
+    /// rely on.
     #[test]
-    fn net_scope_merge_is_commutative_and_associative(
+    fn document_merge_is_commutative_and_associative(
         a in snapshot(),
         b in snapshot(),
         c in snapshot(),
     ) {
         prop_assert_eq!(NET_DROP_CAUSES, 8);
         let ab = merged(&a, &b);
-        let ba = merged(&b, &a);
-        prop_assert_eq!(ab.to_json_string(), ba.to_json_string(), "commutativity");
-        let ab_c = merged(&merged(&a, &b), &c);
+        prop_assert_eq!(text(&ab), text(&merged(&b, &a)), "commutativity");
+        let ab_c = merged(&ab, &c);
         let a_bc = merged(&a, &merged(&b, &c));
-        prop_assert_eq!(ab_c.to_json_string(), a_bc.to_json_string(), "associativity");
+        prop_assert_eq!(text(&ab_c), text(&a_bc), "associativity");
+
+        prop_assert_eq!(ab.cells_merged, a.cells_merged + b.cells_merged);
+        if let (Some(ra), Some(rb), Some(m)) = (&a.router, &b.router, &ab.router) {
+            prop_assert_eq!(m.counters[1].1, ra.counters[1].1 + rb.counters[1].1);
+            prop_assert_eq!(m.gauges[0].1, ra.gauges[0].1.max(rb.gauges[0].1));
+            prop_assert_eq!(m.hists[0].1.count(), ra.hists[0].1.count() + rb.hists[0].1.count());
+        }
+        if let Some(n) = &ab.network {
+            let longest = [&a, &b].iter().filter_map(|s| s.network.as_ref()).map(|n| n.nodes.len()).max();
+            prop_assert_eq!(Some(n.nodes.len()), longest);
+            prop_assert!(n.forensics.windows(2).all(|w| w[0].cmp_canonical(&w[1]).is_le()));
+            prop_assert!(n.spans.windows(2).all(|w| w[0].cmp_canonical(&w[1]).is_le()));
+        }
+        let first = [&a.anomaly, &b.anomaly]
+            .into_iter()
+            .flatten()
+            .min_by(|x, y| x.cmp_canonical(y));
+        prop_assert_eq!(
+            ab.anomaly.as_ref().map(|x| x.t),
+            first.map(|x| x.t),
+            "the earliest anomaly wins"
+        );
     }
 }

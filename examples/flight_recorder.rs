@@ -13,7 +13,7 @@
 //! flight-recorder ring — frozen at the first EIB-oversubscription
 //! drop if one occurs. It then writes a Chrome `trace_event` file
 //! (open it at <https://ui.perfetto.dev>) and prints the mergeable
-//! `dra-telemetry/v1` snapshot.
+//! `dra-telemetry/v2` document, whose router scope this run fills.
 //!
 //! Telemetry observes without steering: the simulation consumes the
 //! exact same random numbers and schedules the exact same events as a
@@ -60,9 +60,10 @@ fn main() {
     sim.model_mut().repair_lc_now(0, now);
     sim.run_until(40e-3);
 
-    let snap = tm::snapshot().expect("hub is enabled");
+    let doc = tm::snapshot().expect("hub is enabled");
     let trace = tm::take_trace_events();
     tm::disable();
+    let snap = doc.router.as_ref().expect("the router hooks fired");
 
     println!("counters:");
     for (name, v) in &snap.counters {
@@ -84,7 +85,7 @@ fn main() {
             );
         }
     }
-    match &snap.anomaly {
+    match &doc.anomaly {
         Some(a) => println!(
             "\nflight recorder tripped at t={:.6}s ({}): {} events frozen",
             a.t,
@@ -103,5 +104,8 @@ fn main() {
         trace.len()
     );
 
-    println!("\ndra-telemetry/v1 snapshot:\n{}", snap.to_json_string());
+    println!(
+        "\ndra-telemetry/v2 document:\n{}",
+        doc.to_json().to_string_pretty()
+    );
 }

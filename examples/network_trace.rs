@@ -20,14 +20,15 @@
 //!   with the cumulative drop census and per-flow availability
 //!   transitions,
 //! * a forced conservation-ledger violation demonstrating the
-//!   flight-recorder freeze riding in the snapshot, and
+//!   flight-recorder freeze riding in the document's `anomaly`, and
 //! * a second run on 2 sim threads to show the **engine profiler**
 //!   (per-group load, barrier stalls, lookahead distribution) in the
-//!   non-deterministic `profile` section.
+//!   document's non-deterministic `profile` member.
 //!
-//! Telemetry observes without steering: the deterministic snapshot
-//! section is byte-identical at any `--sim-threads`, and the
-//! simulation results are byte-identical with collection off.
+//! Everything lands in one `dra-telemetry/v2` document. Telemetry
+//! observes without steering: every member but `profile` is
+//! byte-identical at any `--sim-threads`, and the simulation results
+//! are byte-identical with collection off.
 
 use dra::core::health::ArchKind;
 use dra::router::components::ComponentKind;
@@ -129,7 +130,7 @@ fn main() {
     let report = net
         .export_net_telemetry(HORIZON_S, 0, 0)
         .expect("collector was enabled");
-    let snap = &report.snapshot;
+    let snap = report.snapshot.network.as_ref().expect("network scope");
 
     println!(
         "fat-tree(4): {} routers, 3 flows, SRU kill + link cut\n",
@@ -176,7 +177,11 @@ fn main() {
         }
     }
 
-    match &snap.frozen {
+    // The hub holds the frozen window; its document adds it to the
+    // network scope this run hands over.
+    tm::absorb(&report.snapshot, Vec::new());
+    let doc = tm::snapshot().expect("hub is enabled");
+    match &doc.anomaly {
         Some(a) => println!(
             "\nflight recorder frozen at t={:.6}s ({}): {} events",
             a.t,
@@ -192,13 +197,13 @@ fn main() {
         report.trace.len()
     );
 
-    // Parallel run: same deterministic section, plus the engine
-    // profiler in the non-deterministic `profile` section.
+    // Parallel run: same network scope, plus the engine profiler in the
+    // document's non-deterministic `profile` member.
     let mut par = build();
     par.cfg.sim_threads = 2;
     par.enable_net_telemetry(16);
     let mut par = par.run(2026, HORIZON_S);
-    let mut merged = report.snapshot;
+    let mut merged = doc;
     let preport = par
         .export_net_telemetry(HORIZON_S, 4096, 1 << 40)
         .expect("collector was enabled");
@@ -222,9 +227,9 @@ fn main() {
         );
     }
 
-    // Snapshots from different cells/runs merge associatively.
+    // Documents and parts from different cells/runs merge associatively.
     merged.merge(&preport.snapshot);
-    std::fs::write(&snap_path, merged.to_json_string()).expect("write snapshot");
-    println!("\nwrote merged dra-topo-telemetry/v1 snapshot to {snap_path}");
+    std::fs::write(&snap_path, merged.to_json().to_string_pretty()).expect("write snapshot");
+    println!("\nwrote merged dra-telemetry/v2 document to {snap_path}");
     tm::disable();
 }

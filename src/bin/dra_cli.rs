@@ -259,8 +259,7 @@ sweeps (names: dra list):
                [--cell-budget N] [--fresh] [--progress] [--csv] [--dry-run]
                [--replications R]        campaign specs only
                [--sim-threads N]         topo specs only
-               [--telemetry]             campaign specs only
-               [--telemetry-out PATH] [--trace-out PATH]
+               [--telemetry] [--telemetry-out PATH] [--trace-out PATH]
                                          campaign and topo specs
   dra check PATH
   dra list
@@ -279,8 +278,10 @@ analytic models and the single-router simulator:
 and resumes an interrupted run from its .partial.jsonl checkpoint; --fresh
 discards the checkpoint, --cell-budget N stops after N new cells. --dry-run
 prints the expanded grid without simulating. --progress adds a heartbeat on
-stderr. --telemetry embeds a dra-telemetry/v1 section in the artifact;
---telemetry-out and --trace-out write the telemetry snapshot and a
+stderr. Telemetry is one dra-telemetry/v2 document (router and network
+scopes, the frozen flight-recorder window, and the engine profile, the one
+member that is not deterministic): --telemetry embeds it without the
+profile in the artifact; --telemetry-out and --trace-out write it and a
 Perfetto-loadable Chrome trace to separate files, leaving the artifact
 byte-identical. --sim-threads N cuts each network into N router groups, one
 thread each; artifacts are byte-identical at every value.
@@ -442,7 +443,6 @@ mod tests {
         for line in [
             "faceoff --sim-threads 2",
             "resilience --replications 3",
-            "resilience --telemetry",
             "rareevent --replications 3",
             "rareevent --sim-threads 2",
             "rareevent --telemetry",
@@ -459,6 +459,7 @@ mod tests {
         for line in [
             "fig8 --replications 3 --telemetry",
             "scale2 --sim-threads 2 --trace-out t.json",
+            "resilience --telemetry",
             "smoke --fresh --cell-budget 1 --progress",
             "rareevent-quick --seed 9 --csv",
         ] {

@@ -107,7 +107,7 @@ impl Kind for RareCampaignSpec {
 
 impl Kind for TopoSpec {
     const NAMES: &'static [&'static str] = &dra::topo::registry::NAMES;
-    const INAPPLICABLE: &'static [&'static str] = &["--replications", "--telemetry"];
+    const INAPPLICABLE: &'static [&'static str] = &["--replications"];
 
     fn build(name: &str, quick: bool) -> Option<Self> {
         dra::topo::registry::spec_by_name(name, quick)
