@@ -14,11 +14,9 @@
 //!   8–256 ports (desynchronized pointers hit immediately, so it
 //!   measures queue/memory machinery);
 //! * **lookup** — longest-prefix-match throughput of the compiled
-//!   [`Dir248Fib`] (batched) against [`TrieFib`] (scalar, the
-//!   executable spec) on a 100k-route synthetic table, under a
-//!   uniform-random address stream and a skewed stream with the
-//!   locality real traffic has; each entry carries the in-artifact
-//!   `dir248_vs_trie` ratio;
+//!   [`Dir248Fib`] (batched, as the ingress path issues lookups) on a
+//!   100k-route synthetic table, under a uniform-random address stream
+//!   and a skewed stream with the locality real traffic has;
 //! * **ingress** — packets/second through the allocation-free ingress
 //!   pipeline: the batched LFE front end alone
 //!   ([`ArrivalTrain::pop`] per slot train), then the full SAR round
@@ -42,30 +40,34 @@
 //!   cells/second for one BDR + DRA faceoff cell (same seed, same
 //!   scripted SRU failure — the campaign grid's unit of work).
 //!
+//! Every row runs its workload `reps` times through one timing loop
+//! ([`timed`]) and reports the median per-rep rate.
+//!
 //! Usage:
 //!
 //! ```text
-//! bench-hotpath [--quick] [--telemetry] [--out PATH] [--baseline PATH]
+//! bench-hotpath [--quick] [--telemetry] [--out PATH]
 //! bench-hotpath --check PATH
 //! ```
 //!
-//! `--baseline` embeds a previous artifact and adds per-entry and
-//! minimum/p50/p99 speedup factors; `--check` validates an artifact's
-//! schema (used by CI's bench-smoke job) and exits non-zero on
-//! violations. `--telemetry` arms the telemetry hub before the
-//! network-of-routers row, so that row runs the live network collector
-//! and the end-to-end cell runs the router hooks, and embeds the one
-//! `dra-telemetry/v2` document (both scopes) in the artifact — those
-//! timings carry observation cost, so never compare a `--telemetry`
-//! artifact against a clean baseline.
+//! `--check` validates an artifact's schema (used by CI's bench-smoke
+//! job) and exits non-zero on violations. A rate in one artifact is
+//! not an A/B against another: compare two builds with interleaved
+//! runs of the repo benchmark (`benchmark/run.sh agree`).
+//!
+//! `--telemetry` arms the telemetry hub before the network-of-routers
+//! row, so that row runs the live network collector and the end-to-end
+//! cell runs the router hooks, and embeds the one `dra-telemetry/v2`
+//! document (both scopes) in the artifact — those timings carry
+//! observation cost, so never compare a `--telemetry` artifact against
+//! a clean one.
 
 use dra_campaign::json::{parse, Json};
 use dra_core::scenario::{Action, Scenario, ScriptedRouter};
 use dra_core::sim::{DraConfig, DraRouter};
-use dra_des::stats::LogHistogram;
 use dra_des::{Ctx, Model, Simulation};
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
-use dra_net::fib::{synthetic_routes, Dir248Fib, Fib, TrieFib};
+use dra_net::fib::{synthetic_routes, Dir248Fib, Fib};
 use dra_net::packet::{Packet, PacketId, PacketIdGen};
 use dra_net::protocol::ProtocolKind;
 use dra_net::sar::{segment_cells, Cell, Reassembler, CELL_PAYLOAD};
@@ -120,6 +122,47 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations counted so far; diff around a timed region.
 fn allocs_now() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+// ------------------------------------------------------------------- timing
+
+/// The measured region of one rep (see [`timed`]).
+#[derive(Default)]
+struct Lap(f64);
+
+impl Lap {
+    /// Run `f`, adding its wall-clock seconds to the lap.
+    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let out = f();
+        self.0 += t0.elapsed().as_secs_f64();
+        out
+    }
+}
+
+/// The one timing loop every row shares. Each of `reps` calls to
+/// `rep(i, lap)` does its own untimed set-up, runs the measured region
+/// under [`Lap::time`], and returns the work done there (the rate's
+/// numerator) with an output. Returns the last rep's output and the
+/// median per-rep rate — the middle rep, not the best, so one lucky rep
+/// cannot set a row.
+fn timed<T>(reps: u32, mut rep: impl FnMut(u32, &mut Lap) -> (u64, T)) -> (T, f64) {
+    let mut rates = Vec::with_capacity(reps as usize);
+    let mut last = None;
+    for i in 0..reps {
+        let mut lap = Lap::default();
+        let (work, out) = rep(i, &mut lap);
+        rates.push(work as f64 / lap.0.max(1e-9));
+        last = Some(out);
+    }
+    rates.sort_by(f64::total_cmp);
+    let mid = rates.len() / 2;
+    let median = if rates.len() % 2 == 1 {
+        rates[mid]
+    } else {
+        (rates[mid - 1] + rates[mid]) / 2.0
+    };
+    (last.expect("at least one rep"), median)
 }
 
 // ---------------------------------------------------------------- DES kernel
@@ -188,25 +231,21 @@ impl Model for Bimodal {
     }
 }
 
-/// Run one kernel workload `reps` times, keep the best rate.
+/// One kernel workload at its median rate over `reps`.
 fn kernel_entry<M, F>(name: &str, reps: u32, build: F) -> Json
 where
     M: Model,
     F: Fn() -> Simulation<M>,
 {
-    let mut best_rate = 0.0f64;
-    let mut events = 0u64;
-    for _ in 0..reps {
+    let (events, rate) = timed(reps, |_, lap| {
         let mut sim = build();
-        let t0 = Instant::now();
-        events = sim.run_to_completion();
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        best_rate = best_rate.max(events as f64 / dt);
-    }
+        let events = lap.time(|| sim.run_to_completion());
+        (events, events)
+    });
     Json::obj(vec![
         ("name", Json::Str(name.to_string())),
         ("events", Json::Num(events as f64)),
-        ("events_per_sec", Json::Num(best_rate)),
+        ("events_per_sec", Json::Num(rate)),
     ])
 }
 
@@ -315,28 +354,27 @@ fn islip_sweep(
     for &n in ports {
         let slots: u64 = (if quick { 400_000 } else { 4_000_000 } / n as u64).max(10_000);
         let per_voq = per_voq_of(n);
-        let mut best_rate = 0.0f64;
-        let mut cells = 0u64;
-        for _ in 0..reps {
+        let (cells, rate) = timed(reps, |_, lap| {
             let mut xb = Crossbar::new(n, per_voq as usize, 2, 5, 4);
             reload(&mut xb, n, per_voq);
-            cells = 0;
-            let t0 = Instant::now();
-            for _ in 0..slots {
-                if xb.is_empty() {
-                    reload(&mut xb, n, per_voq);
+            let cells = lap.time(|| {
+                let mut cells = 0u64;
+                for _ in 0..slots {
+                    if xb.is_empty() {
+                        reload(&mut xb, n, per_voq);
+                    }
+                    cells += xb.schedule_slot().len() as u64;
                 }
-                cells += xb.schedule_slot().len() as u64;
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            best_rate = best_rate.max(slots as f64 / dt);
-        }
+                cells
+            });
+            (slots, cells)
+        });
         let cells_per_slot = cells as f64 / slots as f64;
         entries.push(Json::obj(vec![
             ("ports", Json::Num(n as f64)),
             ("slots", Json::Num(slots as f64)),
-            ("slots_per_sec", Json::Num(best_rate)),
-            ("cells_per_sec", Json::Num(best_rate * cells_per_slot)),
+            ("slots_per_sec", Json::Num(rate)),
+            ("cells_per_sec", Json::Num(rate * cells_per_slot)),
         ]));
     }
     Json::Arr(entries)
@@ -381,21 +419,17 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// LPM throughput: the compiled DIR-24-8 table (batched lookups, as the
-/// ingress path issues them) against the path-compressed trie that is
-/// its executable spec. Both tables hold the same synthetic route mix;
-/// the hit counts are asserted equal, which also keeps the optimizer
-/// from deleting either loop.
+/// LPM throughput of the compiled DIR-24-8 table, with lookups batched
+/// as the ingress path issues them. The hit count is asserted nonzero,
+/// which also keeps the optimizer from deleting the loop.
 fn bench_lookup(quick: bool) -> Json {
     let n_routes = if quick { 20_000 } else { 100_000 };
     let passes = if quick { 4u32 } else { 64 };
     let reps = if quick { 1 } else { 3 };
     let routes = synthetic_routes(n_routes, 64, 0xF1B);
     let mut dir = Dir248Fib::new();
-    let mut trie = TrieFib::new();
     for &(p, nh) in &routes {
         dir.insert(p, nh);
-        trie.insert(p, nh);
     }
 
     const STREAM: usize = 1 << 16;
@@ -419,46 +453,24 @@ fn bench_lookup(quick: bool) -> Json {
         let lookups = STREAM as u64 * passes as u64;
         let mut out = vec![None; STREAM];
 
-        let mut dir_rate = 0.0f64;
-        let mut dir_hits = 0usize;
-        for _ in 0..reps {
-            let mut hits = 0usize;
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                dir.lookup_batch(&addrs, &mut out);
-                hits += out.iter().filter(|o| o.is_some()).count();
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            dir_hits = hits;
-            dir_rate = dir_rate.max(lookups as f64 / dt);
-        }
-
-        let mut trie_rate = 0.0f64;
-        let mut trie_hits = 0usize;
-        for _ in 0..reps {
-            let mut hits = 0usize;
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                for &a in &addrs {
-                    hits += usize::from(trie.lookup(a).is_some());
+        let (hits, rate) = timed(reps, |_, lap| {
+            let hits = lap.time(|| {
+                let mut hits = 0usize;
+                for _ in 0..passes {
+                    dir.lookup_batch(&addrs, &mut out);
+                    hits += out.iter().filter(|o| o.is_some()).count();
                 }
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            trie_hits = hits;
-            trie_rate = trie_rate.max(lookups as f64 / dt);
-        }
-        assert_eq!(
-            dir_hits, trie_hits,
-            "tables disagree on the {stream} stream"
-        );
+                hits
+            });
+            (lookups, hits)
+        });
+        assert!(hits > 0, "no lookup hit on the {stream} stream");
 
         entries.push(Json::obj(vec![
             ("stream", Json::Str(stream.to_string())),
             ("routes", Json::Num(n_routes as f64)),
             ("lookups", Json::Num(lookups as f64)),
-            ("dir248_per_sec", Json::Num(dir_rate)),
-            ("trie_per_sec", Json::Num(trie_rate)),
-            ("dir248_vs_trie", Json::Num(dir_rate / trie_rate)),
+            ("dir248_per_sec", Json::Num(rate)),
         ]));
     }
     Json::Arr(entries)
@@ -491,74 +503,71 @@ fn bench_ingress(quick: bool) -> Json {
 
     // Workload 1: ArrivalTrain::pop per slot train.
     {
-        let mut best = 0.0f64;
-        let mut routed = 0u64;
-        for rep in 0..reps {
+        let (routed, rate) = timed(reps, |rep, lap| {
             let mut gen = PoissonGen::new(0.6 * 10e9, &bases);
             let mut rng = SmallRng::seed_from_u64(0x1237 + rep as u64);
             let mut train = ArrivalTrain::new();
-            routed = 0;
-            let t0 = Instant::now();
-            for _ in 0..packets {
-                let (_, route) = train.pop(&mut gen, &mut rng, &fib);
-                routed += u64::from(route.is_some());
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            best = best.max(packets as f64 / dt);
-        }
+            let routed = lap.time(|| {
+                let mut routed = 0u64;
+                for _ in 0..packets {
+                    let (_, route) = train.pop(&mut gen, &mut rng, &fib);
+                    routed += u64::from(route.is_some());
+                }
+                routed
+            });
+            (packets, routed)
+        });
         assert!(routed > 0, "no arrival resolved a route");
         entries.push(Json::obj(vec![
             ("name", Json::Str("train_pop".to_string())),
             ("packets", Json::Num(packets as f64)),
-            ("packets_per_sec", Json::Num(best)),
+            ("packets_per_sec", Json::Num(rate)),
         ]));
     }
 
     // Workload 2: pop → Packet → segment_cells → Reassembler::push.
     {
         let sar_packets = packets / 4; // each packet fans out into cells
-        let mut best = (0.0f64, 0.0f64); // (packets/s, cells/s)
-        let mut completed = 0u64;
-        for rep in 0..reps {
+        let ((cells, completed), rate) = timed(reps, |rep, lap| {
             let mut gen = PoissonGen::new(0.6 * 10e9, &bases);
             let mut rng = SmallRng::seed_from_u64(0x5A5A + rep as u64);
             let mut train = ArrivalTrain::new();
             let mut ids = PacketIdGen::new();
             let mut reasm = Reassembler::new();
-            let mut now = 0.0f64;
-            let mut cells = 0u64;
-            completed = 0;
-            let t0 = Instant::now();
-            for _ in 0..sar_packets {
-                let (arrival, route) = train.pop(&mut gen, &mut rng, &fib);
-                now += arrival.dt;
-                let Some(egress) = route else { continue };
-                let packet = Packet::new(
-                    ids.next_id(),
-                    bases[0],
-                    arrival.dst,
-                    arrival.ip_bytes,
-                    ProtocolKind::Ethernet,
-                    now,
-                );
-                for cell in segment_cells(&packet, 0, egress) {
-                    cells += 1;
-                    if let Ok(Some(_)) = reasm.push(&cell, now) {
-                        completed += 1;
+            let out = lap.time(|| {
+                let mut now = 0.0f64;
+                let (mut cells, mut completed) = (0u64, 0u64);
+                for _ in 0..sar_packets {
+                    let (arrival, route) = train.pop(&mut gen, &mut rng, &fib);
+                    now += arrival.dt;
+                    let Some(egress) = route else { continue };
+                    let packet = Packet::new(
+                        ids.next_id(),
+                        bases[0],
+                        arrival.dst,
+                        arrival.ip_bytes,
+                        ProtocolKind::Ethernet,
+                        now,
+                    );
+                    for cell in segment_cells(&packet, 0, egress) {
+                        cells += 1;
+                        if let Ok(Some(_)) = reasm.push(&cell, now) {
+                            completed += 1;
+                        }
                     }
                 }
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            if sar_packets as f64 / dt > best.0 {
-                best = (sar_packets as f64 / dt, cells as f64 / dt);
-            }
-        }
+                (cells, completed)
+            });
+            (sar_packets, out)
+        });
         assert!(completed > 0, "no packet reassembled");
+        // Cells per packet of the last rep at the median packet rate.
+        let cells_per_packet = cells as f64 / sar_packets as f64;
         entries.push(Json::obj(vec![
             ("name", Json::Str("sar_roundtrip".to_string())),
             ("packets", Json::Num(sar_packets as f64)),
-            ("packets_per_sec", Json::Num(best.0)),
-            ("cells_per_sec", Json::Num(best.1)),
+            ("packets_per_sec", Json::Num(rate)),
+            ("cells_per_sec", Json::Num(rate * cells_per_packet)),
         ]));
     }
 
@@ -593,26 +602,25 @@ fn bench_topo(quick: bool) -> Json {
             seed: 7,
         };
         let passes = if quick { 4u32 } else { 32 };
-        let mut best = 0.0f64;
-        let mut routes_installed = 0u64;
-        for _ in 0..reps {
-            routes_installed = 0;
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                let topo = Topology::build(kind);
-                let tables = RouteTables::derive(&topo);
-                let fibs = compile_fibs(&topo, &tables);
-                routes_installed += fibs.iter().map(|f| f.len() as u64).sum::<u64>();
-                std::hint::black_box(&fibs);
-            }
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            best = best.max(routes_installed as f64 / dt);
-        }
+        let (routes_installed, rate) = timed(reps, |_, lap| {
+            let routes_installed = lap.time(|| {
+                let mut installed = 0u64;
+                for _ in 0..passes {
+                    let topo = Topology::build(kind);
+                    let tables = RouteTables::derive(&topo);
+                    let fibs = compile_fibs(&topo, &tables);
+                    installed += fibs.iter().map(|f| f.len() as u64).sum::<u64>();
+                    std::hint::black_box(&fibs);
+                }
+                installed
+            });
+            (routes_installed, routes_installed)
+        });
         assert!(routes_installed > 0, "no routes compiled");
         entries.push(Json::obj(vec![
             ("name", Json::Str("route_compile".to_string())),
             ("items", Json::Num(routes_installed as f64)),
-            ("rate_per_sec", Json::Num(best)),
+            ("rate_per_sec", Json::Num(rate)),
         ]));
     }
 
@@ -636,12 +644,11 @@ fn bench_topo(quick: bool) -> Json {
             replications: 1,
             seed_group: 0,
         };
-        let mut best = 0.0f64;
-        let mut best_ev = 0.0f64;
-        let mut delivered = 0u64;
-        let mut events = 0u64;
+        // Minimum allocations per event across reps: the first rep pays
+        // one-time pool and table warmup that later reps (and long
+        // sweeps) don't.
         let mut min_ape = f64::INFINITY;
-        for _ in 0..reps {
+        let ((delivered, events), rate) = timed(reps, |_, lap| {
             let mut net = build_network(&cell, 0xD8A_70B0, 0);
             // Under `--telemetry` this row measures the *live* network
             // scope (counters + sampled spans on every hop), so the
@@ -651,30 +658,27 @@ fn bench_topo(quick: bool) -> Json {
                 net.enable_net_telemetry(every);
             }
             let a0 = allocs_now();
-            let t0 = Instant::now();
-            let mut done = net.run(0xD8A_70B0, horizon);
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
+            let mut done = lap.time(|| net.run(0xD8A_70B0, horizon));
             let allocs = allocs_now() - a0;
             if let Some(report) = done.export_net_telemetry(horizon, 0, 0) {
                 dra_telemetry::absorb(&report.snapshot, report.trace);
             }
             let stats = &done.stats;
             assert!(stats.conserved(), "bench cell violated conservation");
-            delivered = stats.delivered;
-            events = done.events_processed();
-            best = best.max(delivered as f64 / dt);
-            best_ev = best_ev.max(events as f64 / dt);
-            // Minimum across reps: the first rep pays one-time pool
-            // and table warmup that later reps (and long sweeps) don't.
+            let events = done.events_processed();
             min_ape = min_ape.min(allocs as f64 / events.max(1) as f64);
-        }
+            (stats.delivered, (stats.delivered, events))
+        });
         assert!(delivered > 0, "bench cell delivered nothing");
         entries.push(Json::obj(vec![
             ("name", Json::Str("mesh_4x4_net".to_string())),
             ("items", Json::Num(delivered as f64)),
-            ("rate_per_sec", Json::Num(best)),
+            ("rate_per_sec", Json::Num(rate)),
             ("events", Json::Num(events as f64)),
-            ("events_per_sec", Json::Num(best_ev)),
+            (
+                "events_per_sec",
+                Json::Num(rate * events as f64 / delivered as f64),
+            ),
             ("allocs_per_event", Json::Num(min_ape)),
         ]));
     }
@@ -742,47 +746,25 @@ fn bench_pdes(quick: bool) -> Json {
         // One group; its event count is the shared denominator for
         // both rows' `events_per_sec` and `allocs_per_event` (both runs
         // do the same events, so the two rows stay comparable).
-        let mut one_rate = 0.0f64;
-        let mut one_ev_rate = 0.0f64;
-        let mut one_events = 0u64;
-        let mut one_ape = f64::INFINITY;
-        let mut one_last = None;
-        for _ in 0..reps {
-            let net = build_network(&cell, 0xD8A_70B0, 0);
-            let a0 = allocs_now();
-            let t0 = Instant::now();
-            let done = net.run(0xD8A_70B0, horizon);
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            let allocs = allocs_now() - a0;
-            one_events = done.events_processed();
-            let stats = done.stats;
-            assert!(stats.conserved(), "bench pdes cell not conserved");
-            one_rate = one_rate.max(stats.delivered as f64 / dt);
-            one_ev_rate = one_ev_rate.max(one_events as f64 / dt);
-            // Minimum across reps: the first rep pays one-time warmup.
-            one_ape = one_ape.min(allocs as f64 / one_events.max(1) as f64);
-            one_last = Some(stats);
-        }
-        let one = one_last.expect("reps >= 1");
-        let mut two_rate = 0.0f64;
-        let mut two_ev_rate = 0.0f64;
-        let mut two_ape = f64::INFINITY;
-        let mut two_last = None;
-        for _ in 0..reps {
-            let mut net = build_network(&cell, 0xD8A_70B0, 0);
-            net.cfg.sim_threads = requested_threads;
-            let a0 = allocs_now();
-            let t0 = Instant::now();
-            let done = net.run(0xD8A_70B0, horizon);
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            let allocs = allocs_now() - a0;
-            assert!(done.stats.conserved(), "bench pdes cell not conserved");
-            two_rate = two_rate.max(done.stats.delivered as f64 / dt);
-            two_ev_rate = two_ev_rate.max(one_events as f64 / dt);
-            two_ape = two_ape.min(allocs as f64 / one_events.max(1) as f64);
-            two_last = Some(done.stats);
-        }
-        let two = two_last.expect("reps >= 1");
+        // Allocations per event are the minimum over reps: the first
+        // rep pays one-time warmup.
+        let arm = |sim_threads: usize| {
+            let mut min_allocs = u64::MAX;
+            let ((stats, events), rate) = timed(reps, |_, lap| {
+                let mut net = build_network(&cell, 0xD8A_70B0, 0);
+                net.cfg.sim_threads = sim_threads;
+                let a0 = allocs_now();
+                let done = lap.time(|| net.run(0xD8A_70B0, horizon));
+                min_allocs = min_allocs.min(allocs_now() - a0);
+                let events = done.events_processed();
+                let stats = done.stats;
+                assert!(stats.conserved(), "bench pdes cell not conserved");
+                (stats.delivered, (stats, events))
+            });
+            (stats, events, rate, min_allocs)
+        };
+        let (one, one_events, one_rate, one_allocs) = arm(1);
+        let (two, _, two_rate, two_allocs) = arm(requested_threads);
         assert_eq!(one.injected, two.injected, "{name}: injected");
         assert_eq!(one.delivered, two.delivered, "{name}: delivered");
         assert_eq!(one.drops, two.drops, "{name}: drops");
@@ -792,6 +774,8 @@ fn bench_pdes(quick: bool) -> Json {
             "{name}: latency moments must be bit-identical"
         );
         assert!(one.delivered > 0, "{name}: delivered nothing");
+        let per_event = |allocs: u64| allocs as f64 / one_events.max(1) as f64;
+        let events_per_item = one_events as f64 / one.delivered as f64;
         entries.push(Json::obj(vec![
             ("name", Json::Str(name.to_string())),
             ("items", Json::Num(one.delivered as f64)),
@@ -803,10 +787,13 @@ fn bench_pdes(quick: bool) -> Json {
             ),
             ("speedup_vs_serial", Json::Num(two_rate / one_rate)),
             ("events", Json::Num(one_events as f64)),
-            ("events_per_sec", Json::Num(two_ev_rate)),
-            ("serial_events_per_sec", Json::Num(one_ev_rate)),
-            ("allocs_per_event", Json::Num(two_ape)),
-            ("serial_allocs_per_event", Json::Num(one_ape)),
+            ("events_per_sec", Json::Num(two_rate * events_per_item)),
+            (
+                "serial_events_per_sec",
+                Json::Num(one_rate * events_per_item),
+            ),
+            ("allocs_per_event", Json::Num(per_event(two_allocs))),
+            ("serial_allocs_per_event", Json::Num(per_event(one_allocs))),
         ]));
     }
     Json::Arr(entries)
@@ -971,33 +958,31 @@ fn bench_end_to_end(quick: bool) -> Json {
 }
 
 /// Time `reps` runs of `scenario` on fresh simulations from `build`
-/// (construction included) and report the best rates.
+/// (construction included) and report the median rates.
 fn end_to_end_entry<R: ScriptedRouter>(
     arch: &str,
     scenario: &Scenario,
-    reps: usize,
+    reps: u32,
     build: impl Fn() -> Simulation<R>,
 ) -> Json {
-    let mut best = (0.0f64, 0.0f64); // (events/s, cells/s)
-    let mut events = 0u64;
-    // Delivered-packet latency distribution of the cell; the run is
-    // deterministic per seed, so every rep produces the same histogram
-    // and keeping the last suffices.
-    let mut latency = dra_router::metrics::latency_histogram();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut sim = build();
-        scenario.run(&mut sim);
-        let ev = sim.events_processed();
-        let delivered_bytes = sim.model().metrics.total_delivered_bytes();
-        latency = sim.model().metrics.latency_hist_total();
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        events = ev;
-        let cells = delivered_bytes as f64 / CELL_PAYLOAD as f64;
-        if ev as f64 / dt > best.0 {
-            best = (ev as f64 / dt, cells / dt);
-        }
-    }
+    // The run is deterministic per seed, so every rep produces the same
+    // counts and latency histogram; the last rep's are reported.
+    let ((events, delivered_bytes, latency), rate) = timed(reps, |_, lap| {
+        let sim = lap.time(|| {
+            let mut sim = build();
+            scenario.run(&mut sim);
+            sim
+        });
+        let metrics = &sim.model().metrics;
+        let events = sim.events_processed();
+        let out = (
+            events,
+            metrics.total_delivered_bytes(),
+            metrics.latency_hist_total(),
+        );
+        (events, out)
+    });
+    let cells = delivered_bytes as f64 / CELL_PAYLOAD as f64;
     assert!(latency.count() > 0, "{arch} cell delivered no packets");
     // A quantile landing in the overflow bucket comes back as
     // +inf; clamp to the layout's upper bound so the artifact
@@ -1014,86 +999,11 @@ fn end_to_end_entry<R: ScriptedRouter>(
         ("arch", Json::Str(arch.to_string())),
         ("sim_seconds", Json::Num(scenario.horizon())),
         ("events", Json::Num(events as f64)),
-        ("events_per_sec", Json::Num(best.0)),
-        ("cells_per_sec", Json::Num(best.1)),
+        ("events_per_sec", Json::Num(rate)),
+        ("cells_per_sec", Json::Num(rate * cells / events as f64)),
         ("latency_p50_s", Json::Num(q(0.5))),
         ("latency_p99_s", Json::Num(q(0.99))),
     ])
-}
-
-// ------------------------------------------------------------------ speedup
-
-fn rate_of(entry: &Json, key: &str) -> Option<f64> {
-    entry.get(key).and_then(Json::as_f64)
-}
-
-/// Per-entry current/baseline ratios for one section, matched by `id`.
-fn section_speedups(current: &Json, baseline: &Json, id: &str, rate: &str) -> Vec<(String, f64)> {
-    let (Some(cur), Some(base)) = (current.as_arr(), baseline.as_arr()) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for c in cur {
-        let (Some(cid), Some(crate_)) = (c.get(id), rate_of(c, rate)) else {
-            continue;
-        };
-        let matched = base
-            .iter()
-            .find(|b| b.get(id) == Some(cid))
-            .and_then(|b| rate_of(b, rate));
-        if let Some(brate) = matched {
-            if brate > 0.0 {
-                let label = match cid {
-                    Json::Str(s) => s.clone(),
-                    Json::Num(x) => format!("{x}"),
-                    _ => continue,
-                };
-                out.push((label, crate_ / brate));
-            }
-        }
-    }
-    out
-}
-
-fn speedup_section(artifact: &Json, baseline: &Json) -> Json {
-    let mut pairs = Vec::new();
-    let mut push_min = |name: &str, ratios: &[(String, f64)]| {
-        if ratios.is_empty() {
-            return;
-        }
-        let entries: Vec<(String, Json)> = ratios
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Num(*v)))
-            .collect();
-        let min = ratios.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
-        // Bucketed p50/p99 of the per-entry ratios: the minimum alone
-        // is dominated by the noisiest workload, while the quantiles
-        // show whether the section as a whole moved. Ratios cluster
-        // around 1.0, so a wide log layout keeps them all in-range.
-        let mut hist = LogHistogram::new(1e-3, 1e3, 240);
-        for (_, v) in ratios {
-            hist.record(*v);
-        }
-        pairs.push((name.to_string(), Json::Obj(entries)));
-        pairs.push((format!("{name}_min"), Json::Num(min)));
-        pairs.push((format!("{name}_p50"), Json::Num(hist.quantile(0.5))));
-        pairs.push((format!("{name}_p99"), Json::Num(hist.quantile(0.99))));
-    };
-    for (section, id, rate) in [
-        ("des_kernel", "name", "events_per_sec"),
-        ("islip", "ports", "slots_per_sec"),
-        ("islip_saturated", "ports", "slots_per_sec"),
-        ("lookup", "stream", "dir248_per_sec"),
-        ("ingress", "name", "packets_per_sec"),
-        ("topo", "name", "rate_per_sec"),
-        ("pdes", "name", "rate_per_sec"),
-        ("end_to_end", "arch", "events_per_sec"),
-    ] {
-        if let (Some(c), Some(b)) = (artifact.get(section), baseline.get(section)) {
-            push_min(section, &section_speedups(c, b, id, rate));
-        }
-    }
-    Json::Obj(pairs)
 }
 
 // ----------------------------------------------------------------- checking
@@ -1139,19 +1049,22 @@ fn check(artifact: &Json) -> Result<(), String> {
     }
     // Likewise optional: artifacts predating the datapath rewrite
     // (BENCH_pr2/pr3.json) lack the lookup and ingress sections.
-    if artifact.get("lookup").is_some() {
+    // Artifacts before BENCH_pr20.json also timed the deleted trie FIB;
+    // when the first entry has its columns, every entry must.
+    if let Some(lookup) = artifact.get("lookup") {
         check_section(
             artifact,
             "lookup",
-            &[
-                "stream",
-                "routes",
-                "lookups",
-                "dir248_per_sec",
-                "trie_per_sec",
-                "dir248_vs_trie",
-            ],
+            &["stream", "routes", "lookups", "dir248_per_sec"],
         )?;
+        let has_trie_cols = lookup
+            .as_arr()
+            .and_then(|a| a.first())
+            .and_then(|e| e.get("trie_per_sec"))
+            .is_some();
+        if has_trie_cols {
+            check_section(artifact, "lookup", &["trie_per_sec", "dir248_vs_trie"])?;
+        }
     }
     if artifact.get("ingress").is_some() {
         check_section(artifact, "ingress", &["name", "packets", "packets_per_sec"])?;
@@ -1325,17 +1238,6 @@ fn main() {
     if let Some(section) = telemetry_section {
         if let Json::Obj(pairs) = &mut artifact {
             pairs.push(("telemetry".to_string(), section));
-        }
-    }
-
-    if let Some(path) = arg_value(&args, "--baseline") {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = parse(&text).unwrap_or_else(|e| panic!("{path}: bad JSON: {e:?}"));
-        let speedup = speedup_section(&artifact, &baseline);
-        if let Json::Obj(pairs) = &mut artifact {
-            pairs.push(("baseline".to_string(), baseline));
-            pairs.push(("speedup".to_string(), speedup));
         }
     }
 

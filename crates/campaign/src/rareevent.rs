@@ -144,15 +144,8 @@ impl Sweep for RareCampaignSpec {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.cells.is_empty() {
-            return Err(format!("campaign {:?} empty", self.name));
-        }
-        let mut ids = std::collections::HashSet::new();
         for (i, cell) in self.cells.iter().enumerate() {
             cell.validate(i)?;
-            if !ids.insert(cell.id.as_str()) {
-                return Err(format!("duplicate cell id {:?}", cell.id));
-            }
         }
         Ok(())
     }
@@ -492,7 +485,7 @@ mod tests {
     fn registry_builds_and_validates() {
         for name in NAMES {
             let spec = build(name, false).expect(name);
-            spec.validate().unwrap();
+            sweep::check_spec(&spec).unwrap();
             assert!(!spec.cells.is_empty());
         }
         assert!(

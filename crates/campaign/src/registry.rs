@@ -151,14 +151,14 @@ fn fig8(quick: bool) -> CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Sweep;
+    use crate::sweep::check_spec;
 
     #[test]
     fn every_entry_builds_and_validates() {
         for name in NAMES {
             for quick in [false, true] {
                 let spec = build(name, quick).expect(name);
-                spec.validate().unwrap();
+                check_spec(&spec).unwrap();
                 assert_eq!(spec.name, name);
                 assert!(!spec.cells.is_empty());
             }

@@ -244,15 +244,8 @@ impl Sweep for CampaignSpec {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if self.cells.is_empty() {
-            return Err(format!("campaign {:?} has no cells", self.name));
-        }
-        let mut ids = std::collections::HashSet::new();
         for (i, cell) in self.cells.iter().enumerate() {
             cell.validate(i)?;
-            if !ids.insert(cell.id.as_str()) {
-                return Err(format!("duplicate cell id {:?}", cell.id));
-            }
         }
         Ok(())
     }
@@ -378,7 +371,7 @@ mod tests {
         let mut spec = tiny_spec();
         let dup = spec.cells[0].clone();
         spec.cells.push(dup);
-        let err = spec.validate().unwrap_err();
+        let err = crate::sweep::check_spec(&spec).unwrap_err();
         assert!(err.contains("duplicate cell id"), "{err}");
     }
 }

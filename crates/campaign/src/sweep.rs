@@ -68,7 +68,9 @@ pub trait Sweep: Sync {
     /// Canonical JSON description of cell `i` (everything that affects
     /// its record, `"id"` included).
     fn cell_manifest(&self, i: usize) -> Json;
-    /// Reject a malformed spec (empty grid, duplicate ids, bad cells).
+    /// Reject a spec with a malformed cell. The grid rules every kind
+    /// shares (at least one cell, no id twice) are the envelope's own:
+    /// [`check_spec`] applies them before this.
     fn validate(&self) -> Result<(), String>;
     /// The kind's invariant on one finished (non-error) record, given
     /// the cell's manifest (see [`Sweep::cell_manifest`]): `Err` for a
@@ -209,7 +211,7 @@ pub struct Outcome {
 /// telemetry (see the module docs) neither resumes from nor writes a
 /// checkpoint, because a merged document must cover every cell.
 ///
-/// A spec that fails [`Sweep::validate`] is an
+/// A spec that fails [`check_spec`] is an
 /// [`io::ErrorKind::InvalidInput`] error, and so is a `cell_budget` on
 /// a run that collects telemetry (without a checkpoint a budgeted run
 /// could never finish). An assembled artifact that fails [`validate`]
@@ -219,8 +221,7 @@ pub fn run<S: Sweep>(
     opts: &RunOptions,
     run_cell: impl Fn(usize) -> Json + Sync,
 ) -> io::Result<Outcome> {
-    spec.validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    check_spec(spec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     if opts.cell_budget.is_some() && opts.collects_telemetry() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -410,6 +411,30 @@ fn observed(opts: &RunOptions, cell: impl FnOnce() -> Json) -> (Json, (Snapshot,
     (record, (doc, dra_telemetry::take_trace_events()))
 }
 
+/// Check a spec as [`run`] does before any cell runs: the grid rules
+/// every kind shares (at least one cell, no id twice), then
+/// [`Sweep::validate`].
+pub fn check_spec<S: Sweep>(spec: &S) -> Result<(), String> {
+    check_grid((0..spec.n_cells()).map(|i| spec.cell_id(i)))?;
+    spec.validate()
+}
+
+/// The grid rules every sweep kind shares: at least one cell, and no
+/// id twice. [`check_spec`] applies them to a spec, [`validate`] to an
+/// artifact's embedded manifest.
+fn check_grid<'a>(ids: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    let mut seen = std::collections::HashSet::new();
+    for id in ids {
+        if !seen.insert(id) {
+            return Err(format!("duplicate cell id {id:?}"));
+        }
+    }
+    if seen.is_empty() {
+        return Err("the grid has no cells".into());
+    }
+    Ok(())
+}
+
 fn append_line(f: &mut fs::File, record: &Json) -> io::Result<()> {
     writeln!(f, "{}", record.to_string_compact())?;
     f.flush()
@@ -497,7 +522,8 @@ pub fn welford_json(w: &Welford) -> Json {
 }
 
 /// Check an `S` artifact: format, digest against the embedded manifest,
-/// cell count, index order and ids against the manifest, then
+/// the manifest's grid (at least one cell, unique ids), cell count,
+/// index order and ids against the manifest, then
 /// [`Sweep::check_record`] on every finished record, and the shape of
 /// an embedded telemetry section. Returns `(cells, flagged)`, where
 /// `flagged` counts error cells plus records that failed their check.
@@ -522,6 +548,16 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
         .get("cells")
         .and_then(Json::as_arr)
         .ok_or("spec manifest has no cells")?;
+    let declared_ids = spec_cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            c.get("id")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("manifest cell {i}: missing id"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    check_grid(declared_ids.iter().copied()).map_err(|e| format!("spec manifest: {e}"))?;
     let cells = doc
         .get("cells")
         .and_then(Json::as_arr)
@@ -534,7 +570,9 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
         ));
     }
     let mut flagged = 0;
-    for (i, (cell, declared)) in cells.iter().zip(spec_cells).enumerate() {
+    for (i, ((cell, declared), &declared_id)) in
+        cells.iter().zip(spec_cells).zip(&declared_ids).enumerate()
+    {
         let idx = cell
             .get("cell")
             .and_then(Json::as_u64)
@@ -546,7 +584,7 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
             .get("id")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if declared.get("id").and_then(Json::as_str) != Some(id) {
+        if id != declared_id {
             return Err(format!("cell {i}: id {id:?} is not the manifest's"));
         }
         if cell.get("error").is_some()
@@ -614,5 +652,91 @@ mod tests {
     fn fnv1a_matches_the_reference_vectors() {
         assert_eq!(fnv1a_hex(""), "cbf29ce484222325");
         assert_eq!(fnv1a_hex("a"), "af63dc4c8601ec8c");
+    }
+
+    /// A grid of bare ids whose records always pass their check.
+    struct Ids(Vec<&'static str>);
+
+    impl Sweep for Ids {
+        const FORMAT: &'static str = "ids/v1";
+        fn name(&self) -> &str {
+            "ids"
+        }
+        fn description(&self) -> &str {
+            "bare ids"
+        }
+        fn master_seed(&self) -> u64 {
+            1
+        }
+        fn n_cells(&self) -> usize {
+            self.0.len()
+        }
+        fn cell_id(&self, i: usize) -> &str {
+            self.0[i]
+        }
+        fn cell_manifest(&self, i: usize) -> Json {
+            Json::obj(vec![("id", Json::Str(self.0[i].into()))])
+        }
+        fn validate(&self) -> Result<(), String> {
+            Ok(())
+        }
+        fn check_record(_: &Json, _: &Json) -> Result<bool, String> {
+            Ok(true)
+        }
+        fn grid_table(&self) -> Table {
+            (vec![], vec![])
+        }
+        fn result_table(_: &Json) -> Table {
+            (vec![], vec![])
+        }
+    }
+
+    /// A well-formed artifact for `ids` (correct digest, one record
+    /// per manifest cell), assembled without going through [`run`].
+    fn artifact(ids: Ids) -> String {
+        let records = (0..ids.n_cells())
+            .map(|i| {
+                Json::obj(vec![
+                    ("cell", Json::Num(i as f64)),
+                    ("id", Json::Str(ids.cell_id(i).into())),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("format", Json::Str(Ids::FORMAT.into())),
+            ("digest", Json::Str(ids.digest())),
+            ("spec", ids.manifest()),
+            ("cells", Json::Arr(records)),
+        ])
+        .to_string_pretty()
+    }
+
+    #[test]
+    fn validate_checks_the_manifest_grid() {
+        assert_eq!(validate::<Ids>(&artifact(Ids(vec!["a", "b"]))), Ok((2, 0)));
+        let err = validate::<Ids>(&artifact(Ids(vec![]))).unwrap_err();
+        assert!(err.contains("no cells"), "{err}");
+        let err = validate::<Ids>(&artifact(Ids(vec!["a", "b", "a"]))).unwrap_err();
+        assert!(err.contains("duplicate cell id \"a\""), "{err}");
+    }
+
+    #[test]
+    fn run_rejects_an_empty_grid_and_repeated_ids() {
+        let opts = RunOptions {
+            workers: 1,
+            ..RunOptions::default()
+        };
+        for ids in [vec![], vec!["a", "a"]] {
+            let err = run(&Ids(ids), &opts, |_| unreachable!("no cell may run")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        let record = |i: usize| {
+            Json::obj(vec![
+                ("cell", Json::Num(i as f64)),
+                ("id", Json::Str("a".into())),
+            ])
+        };
+        let done = run(&Ids(vec!["a"]), &opts, record).unwrap();
+        assert_eq!(done.completed, 1);
     }
 }

@@ -18,7 +18,7 @@
 use dra_des::random;
 use dra_router::components::FailureRates;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Repair-time distribution for availability estimation. The paper
 /// assumes a fixed repair time; its Markov model forces an
@@ -151,38 +151,41 @@ impl RepState {
     }
 }
 
-/// Allocation-free core of [`active_rates`]: fill `buf` with the
-/// active transitions and return how many were written. Shared with
-/// the rare-event estimators, which call this billions of times.
+/// Fill `ents`/`rates` with the active transitions of `s` (parallel
+/// stack buffers, so the rates feed [`random::weighted_index`]
+/// directly) and return how many were written. Allocation-free: the
+/// rare-event estimators call this billions of times.
 pub(crate) fn active_rates_into(
     s: &RepState,
     n: usize,
     m: usize,
     r: &FailureRates,
     mu: Option<f64>,
-    buf: &mut [(Entity, f64); 6],
+    ents: &mut [Entity; 6],
+    rates: &mut [f64; 6],
 ) -> usize {
     let mut k = 0;
+    let mut push = |e: Entity, rate: f64| {
+        ents[k] = e;
+        rates[k] = rate;
+        k += 1;
+    };
     let lcua_intact = !s.lcua_pdlu_failed && !s.lcua_pi_failed;
     if lcua_intact {
-        buf[k] = (Entity::LcuaPdlu, r.pdlu);
-        buf[k + 1] = (Entity::LcuaPi, r.pi_units);
-        k += 2;
+        push(Entity::LcuaPdlu, r.pdlu);
+        push(Entity::LcuaPi, r.pi_units);
     }
     if s.inter_pdlu_alive > 0 {
-        buf[k] = (
+        push(
             Entity::InterPdlu,
             s.inter_pdlu_alive as f64 * r.inter_pdlu(),
         );
-        k += 1;
     }
     if s.inter_pi_alive > 0 {
-        buf[k] = (Entity::InterPi, s.inter_pi_alive as f64 * r.inter_pi());
-        k += 1;
+        push(Entity::InterPi, s.inter_pi_alive as f64 * r.inter_pi());
     }
     if s.eib_ok {
-        buf[k] = (Entity::Eib, r.eib + r.bus_controller);
-        k += 1;
+        push(Entity::Eib, r.eib + r.bus_controller);
     }
     if let Some(mu) = mu {
         let degraded = !s.eib_ok
@@ -191,18 +194,10 @@ pub(crate) fn active_rates_into(
             || s.inter_pdlu_alive < m - 1
             || s.inter_pi_alive < n - 2;
         if degraded {
-            buf[k] = (Entity::Repair, mu);
-            k += 1;
+            push(Entity::Repair, mu);
         }
     }
     k
-}
-
-/// Active transition rates for the current state.
-fn active_rates(s: &RepState, cfg: &McConfig, mu: Option<f64>) -> Vec<(Entity, f64)> {
-    let mut buf = [(Entity::Repair, 0.0); 6];
-    let k = active_rates_into(s, cfg.n, cfg.m, &cfg.rates, mu, &mut buf);
-    buf[..k].to_vec()
 }
 
 pub(crate) fn apply(s: &mut RepState, e: Entity, n: usize, m: usize) {
@@ -216,17 +211,6 @@ pub(crate) fn apply(s: &mut RepState, e: Entity, n: usize, m: usize) {
     }
 }
 
-fn pick<R: Rng + ?Sized>(rng: &mut R, rates: &[(Entity, f64)], total: f64) -> Entity {
-    let mut x = rng.gen::<f64>() * total;
-    for &(e, r) in rates {
-        if x < r {
-            return e;
-        }
-        x -= r;
-    }
-    rates.last().expect("nonempty").0
-}
-
 /// Run the DRA Monte Carlo estimator.
 pub fn run_dra_mc(cfg: &McConfig, mode: McMode) -> McEstimate {
     assert!(cfg.n >= 3 && cfg.m >= 2 && cfg.m <= cfg.n);
@@ -234,6 +218,8 @@ pub fn run_dra_mc(cfg: &McConfig, mode: McMode) -> McEstimate {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut acc = dra_des::stats::Welford::new();
     let mut adverse = 0usize;
+    let mut ents = [Entity::Repair; 6];
+    let mut rates = [0.0; 6];
 
     for _ in 0..cfg.replications {
         match mode {
@@ -241,8 +227,10 @@ pub fn run_dra_mc(cfg: &McConfig, mode: McMode) -> McEstimate {
                 let mut s = RepState::fresh(cfg.m, cfg.n);
                 let mut t = 0.0;
                 let survived = loop {
-                    let rates = active_rates(&s, cfg, None);
-                    let total: f64 = rates.iter().map(|&(_, r)| r).sum();
+                    let k = active_rates_into(
+                        &s, cfg.n, cfg.m, &cfg.rates, None, &mut ents, &mut rates,
+                    );
+                    let total: f64 = rates[..k].iter().sum();
                     if total == 0.0 {
                         break true;
                     }
@@ -250,7 +238,7 @@ pub fn run_dra_mc(cfg: &McConfig, mode: McMode) -> McEstimate {
                     if t >= horizon_h {
                         break true;
                     }
-                    let e = pick(&mut rng, &rates, total);
+                    let e = ents[random::weighted_index(&mut rng, &rates[..k], total)];
                     apply(&mut s, e, cfg.n, cfg.m);
                     if !s.serviceable() {
                         break false;
@@ -300,9 +288,19 @@ fn availability_rep_exponential(
     let mut s = RepState::fresh(cfg.m, cfg.n);
     let mut t = 0.0;
     let mut up_time = 0.0;
+    let mut ents = [Entity::Repair; 6];
+    let mut rates = [0.0; 6];
     while t < horizon_h {
-        let rates = active_rates(&s, cfg, Some(mu));
-        let total: f64 = rates.iter().map(|&(_, r)| r).sum();
+        let k = active_rates_into(
+            &s,
+            cfg.n,
+            cfg.m,
+            &cfg.rates,
+            Some(mu),
+            &mut ents,
+            &mut rates,
+        );
+        let total: f64 = rates[..k].iter().sum();
         let dt = if total == 0.0 {
             horizon_h - t
         } else {
@@ -313,7 +311,7 @@ fn availability_rep_exponential(
         }
         t += dt;
         if t < horizon_h && total > 0.0 {
-            let e = pick(rng, &rates, total);
+            let e = ents[random::weighted_index(rng, &rates[..k], total)];
             apply(&mut s, e, cfg.n, cfg.m);
         }
     }
@@ -335,9 +333,12 @@ fn availability_rep_deterministic(
     let mut t = 0.0;
     let mut up_time = 0.0;
     let mut repair_at: Option<f64> = None;
+    let mut ents = [Entity::Repair; 6];
+    let mut rates = [0.0; 6];
     while t < horizon_h {
-        let rates = active_rates(&s, cfg, None); // failures only
-        let total: f64 = rates.iter().map(|&(_, r)| r).sum();
+        // Failures only: the repair clock is not part of the race.
+        let k = active_rates_into(&s, cfg.n, cfg.m, &cfg.rates, None, &mut ents, &mut rates);
+        let total: f64 = rates[..k].iter().sum();
         let dt_fail = if total == 0.0 {
             f64::INFINITY
         } else {
@@ -357,7 +358,7 @@ fn availability_rep_deterministic(
             s = RepState::fresh(cfg.m, cfg.n);
             repair_at = None;
         } else {
-            let e = pick(rng, &rates, total);
+            let e = ents[random::weighted_index(rng, &rates[..k], total)];
             apply(&mut s, e, cfg.n, cfg.m);
             if repair_at.is_none() {
                 repair_at = Some(t + repair_time);

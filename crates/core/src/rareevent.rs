@@ -43,8 +43,8 @@
 //! first-crossing cloning is exact — no re-crossing bookkeeping.
 //!
 //! Verification is built in: [`markov_oracle`] erects the exact CTMC
-//! over the identical state space (same `active_rates`/`apply` code the
-//! simulators step) and solves it with `dra-markov`, giving the ground
+//! over the identical state space (same `active_rates_into`/`apply` code
+//! the simulators step) and solves it with `dra-markov`, giving the ground
 //! truth the estimators must match within their reported CIs on small
 //! configurations.
 
@@ -52,6 +52,7 @@ use crate::montecarlo::{active_rates_into, apply, zero_event_upper_bound, Entity
 use dra_des::random::weighted_index;
 use dra_markov::{oracle, CtmcBuilder};
 use dra_router::components::FailureRates;
+use dra_telemetry::lifecycle::splitmix64;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -158,64 +159,6 @@ impl RareEstimate {
     }
 }
 
-/// A steady-state unavailability estimator over the DRA component
-/// failure model — the trait the splitting and likelihood-ratio
-/// estimators share, so campaign cells and benches can treat them
-/// uniformly.
-pub trait UnavailabilityEstimator {
-    /// Stable identifier for artifacts and bench rows.
-    fn name(&self) -> &'static str;
-    /// Run the estimator over `cfg.cycles` regenerative cycles.
-    fn run(&self, cfg: &RareConfig) -> RareEstimate;
-}
-
-/// Unbiased regenerative baseline (see [`RareMethod::BruteForce`]).
-pub struct BruteForceMc;
-
-/// Balanced-failure-biasing importance sampler.
-pub struct FailureBiasingIs {
-    /// Embedded probability mass given to failures (0 < bias < 1).
-    pub bias: f64,
-}
-
-/// RESTART-style multilevel splitting.
-pub struct ImportanceSplitting {
-    /// Clones per first upward level crossing.
-    pub clones: u32,
-}
-
-impl UnavailabilityEstimator for BruteForceMc {
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-    fn run(&self, cfg: &RareConfig) -> RareEstimate {
-        estimate(cfg, RareMethod::BruteForce)
-    }
-}
-
-impl UnavailabilityEstimator for FailureBiasingIs {
-    fn name(&self) -> &'static str {
-        "failure-biasing"
-    }
-    fn run(&self, cfg: &RareConfig) -> RareEstimate {
-        estimate(cfg, RareMethod::FailureBiasing { bias: self.bias })
-    }
-}
-
-impl UnavailabilityEstimator for ImportanceSplitting {
-    fn name(&self) -> &'static str {
-        "splitting"
-    }
-    fn run(&self, cfg: &RareConfig) -> RareEstimate {
-        estimate(
-            cfg,
-            RareMethod::Splitting {
-                clones: self.clones,
-            },
-        )
-    }
-}
-
 /// The splitting level: `2 − (minimum additional component failures
 /// until the system is down)`, clamped to the down level.
 ///
@@ -240,17 +183,6 @@ pub(crate) fn down_level(s: &RepState) -> u32 {
     } else {
         0
     }
-}
-
-/// SplitMix64 step — the same mixer the campaign seed derivation uses,
-/// re-implemented locally because `dra-core` sits below `dra-campaign`
-/// in the crate graph.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derive an independent child seed from a parent trajectory seed, the
@@ -350,12 +282,21 @@ fn biased_cycle(rng: &mut SmallRng, cfg: &RareConfig, bias: Option<f64>) -> Cycl
     let mut c = CycleTotals::default();
     let mut w = 1.0f64;
     let mut down_seen = false;
-    let mut buf = [(Entity::Repair, 0.0); 6];
+    let mut ents = [Entity::Repair; 6];
+    let mut rates = [0.0f64; 6];
     let mut q = [0.0f64; 6];
     loop {
-        let k = active_rates_into(&s, cfg.n, cfg.m, &cfg.rates, Some(cfg.mu), &mut buf);
+        let k = active_rates_into(
+            &s,
+            cfg.n,
+            cfg.m,
+            &cfg.rates,
+            Some(cfg.mu),
+            &mut ents,
+            &mut rates,
+        );
         debug_assert!(k > 0, "the repairable model has no absorbing state");
-        let total: f64 = buf[..k].iter().map(|&(_, r)| r).sum();
+        let total: f64 = rates[..k].iter().sum();
         // Conditional holding time: contribute the exact expectation.
         let sojourn = w / total;
         c.t += sojourn;
@@ -365,7 +306,7 @@ fn biased_cycle(rng: &mut SmallRng, cfg: &RareConfig, bias: Option<f64>) -> Cycl
             c.a += sojourn;
         }
         // Proposal distribution for the next jump.
-        let repair_at = buf[..k].iter().position(|&(e, _)| e == Entity::Repair);
+        let repair_at = ents[..k].iter().position(|&e| e == Entity::Repair);
         let biased = match (bias, repair_at, down_seen) {
             (Some(b), Some(rep), false) if k > 1 => {
                 let per_failure = b / (k - 1) as f64;
@@ -380,17 +321,14 @@ fn biased_cycle(rng: &mut SmallRng, cfg: &RareConfig, bias: Option<f64>) -> Cycl
             let idx = weighted_index(rng, &q[..k], 1.0);
             // Exact per-step likelihood ratio: true embedded probability
             // over proposal probability.
-            w *= (buf[idx].1 / total) / q[idx];
+            w *= (rates[idx] / total) / q[idx];
             idx
         } else {
-            for (slot, &(_, r)) in q[..k].iter_mut().zip(&buf[..k]) {
-                *slot = r;
-            }
-            weighted_index(rng, &q[..k], total)
+            weighted_index(rng, &rates[..k], total)
         };
         c.jumps += 1;
         assert!(c.jumps < MAX_JUMPS_PER_CYCLE, "runaway cycle");
-        let e = buf[idx].0;
+        let e = ents[idx];
         if e == Entity::Repair {
             return c;
         }
@@ -419,8 +357,8 @@ struct Traj {
 /// `cycle_seed`.
 fn splitting_cycle(cfg: &RareConfig, clones: u32, cycle_seed: u64) -> CycleTotals {
     let mut c = CycleTotals::default();
-    let mut buf = [(Entity::Repair, 0.0); 6];
-    let mut q = [0.0f64; 6];
+    let mut ents = [Entity::Repair; 6];
+    let mut rates = [0.0f64; 6];
     let mut stack: Vec<Traj> = vec![Traj {
         s: RepState::fresh(cfg.m, cfg.n),
         w: 1.0,
@@ -431,8 +369,16 @@ fn splitting_cycle(cfg: &RareConfig, clones: u32, cycle_seed: u64) -> CycleTotal
     while let Some(mut traj) = stack.pop() {
         let mut rng = SmallRng::seed_from_u64(traj.seed);
         loop {
-            let k = active_rates_into(&traj.s, cfg.n, cfg.m, &cfg.rates, Some(cfg.mu), &mut buf);
-            let total: f64 = buf[..k].iter().map(|&(_, r)| r).sum();
+            let k = active_rates_into(
+                &traj.s,
+                cfg.n,
+                cfg.m,
+                &cfg.rates,
+                Some(cfg.mu),
+                &mut ents,
+                &mut rates,
+            );
+            let total: f64 = rates[..k].iter().sum();
             let sojourn = traj.w / total;
             c.t += sojourn;
             if traj.down_seen {
@@ -440,13 +386,10 @@ fn splitting_cycle(cfg: &RareConfig, clones: u32, cycle_seed: u64) -> CycleTotal
             } else {
                 c.a += sojourn;
             }
-            for (slot, &(_, r)) in q[..k].iter_mut().zip(&buf[..k]) {
-                *slot = r;
-            }
-            let idx = weighted_index(&mut rng, &q[..k], total);
+            let idx = weighted_index(&mut rng, &rates[..k], total);
             c.jumps += 1;
             assert!(c.jumps < MAX_JUMPS_PER_CYCLE, "runaway splitting cycle");
-            let e = buf[idx].0;
+            let e = ents[idx];
             if e == Entity::Repair {
                 break; // this trajectory's cycle ends
             }
@@ -529,8 +472,8 @@ pub struct RareOracle {
 }
 
 /// Build the exact CTMC by breadth-first enumeration of the reachable
-/// [`RepState`] space — driven by the *same* `active_rates`/`apply`
-/// code the estimators step, so the oracle and the simulation cannot
+/// repairable-model state space — driven by the *same*
+/// `active_rates_into`/`apply` code the estimators step, so the oracle and the simulation cannot
 /// drift apart — and solve it with `dra-markov`.
 ///
 /// State counts stay small (≈ `3·m·(n−1)·2`), so dense LU is instant
@@ -540,12 +483,13 @@ pub fn markov_oracle(n: usize, m: usize, rates: &FailureRates, mu: f64) -> RareO
     let fresh = RepState::fresh(m, n);
     let mut states = vec![fresh];
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut buf = [(Entity::Repair, 0.0); 6];
+    let mut ents = [Entity::Repair; 6];
+    let mut out = [0.0f64; 6];
     let mut i = 0;
     while i < states.len() {
         let s = states[i];
-        let k = active_rates_into(&s, n, m, rates, Some(mu), &mut buf);
-        for &(e, r) in &buf[..k] {
+        let k = active_rates_into(&s, n, m, rates, Some(mu), &mut ents, &mut out);
+        for (&e, &r) in ents[..k].iter().zip(&out[..k]) {
             let mut target = s;
             apply(&mut target, e, n, m);
             let j = match states.iter().position(|&t| t == target) {
@@ -770,31 +714,6 @@ mod tests {
                 d.jumps,
                 "{}: different seed should change the walk",
                 method.name()
-            );
-        }
-    }
-
-    #[test]
-    fn trait_objects_dispatch_to_the_same_numbers() {
-        let c = cfg(3, 2, FailureRates::PAPER, 3_000, 0xAB);
-        let boxed: Vec<(Box<dyn UnavailabilityEstimator>, RareMethod)> = vec![
-            (Box::new(BruteForceMc), RareMethod::BruteForce),
-            (
-                Box::new(FailureBiasingIs { bias: 0.4 }),
-                RareMethod::FailureBiasing { bias: 0.4 },
-            ),
-            (
-                Box::new(ImportanceSplitting { clones: 10 }),
-                RareMethod::Splitting { clones: 10 },
-            ),
-        ];
-        for (est, method) in boxed {
-            assert_eq!(est.name(), method.name());
-            let via_trait = est.run(&c);
-            let direct = estimate(&c, method);
-            assert_eq!(
-                via_trait.unavailability.to_bits(),
-                direct.unavailability.to_bits()
             );
         }
     }

@@ -1,13 +1,11 @@
 //! Longest-prefix-match forwarding tables (the LFE's core data
 //! structure).
 //!
-//! Three implementations behind the [`Fib`] trait:
+//! Two implementations behind the [`Fib`] trait:
 //!
 //! * [`LinearFib`] — the obviously-correct reference: a flat list
-//!   scanned for the longest covering prefix. Used as the oracle in
-//!   property tests and for tiny tables.
-//! * [`TrieFib`] — a binary trie, one bit per level. Updates are O(32);
-//!   retained as an executable spec of LPM semantics.
+//!   scanned for the longest covering prefix. The oracle every
+//!   property test checks the compiled table against.
 //! * [`Dir248Fib`] — a DIR-24-8-style compiled table: one flat
 //!   2^24-entry array indexed by the top 24 address bits plus 256-entry
 //!   spill blocks for /25–/32 routes. One or two loads per lookup, a
@@ -24,9 +22,9 @@ use std::collections::HashMap;
 /// A longest-prefix-match table mapping prefixes to next hops.
 ///
 /// ```
-/// use dra_net::fib::{Fib, TrieFib};
+/// use dra_net::fib::{Fib, LinearFib};
 ///
-/// let mut fib = TrieFib::new();
+/// let mut fib = LinearFib::new();
 /// fib.insert("10.0.0.0/8".parse().unwrap(), 1);
 /// fib.insert("10.1.0.0/16".parse().unwrap(), 2);
 ///
@@ -97,95 +95,6 @@ impl Fib for LinearFib {
 
     fn len(&self) -> usize {
         self.routes.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TrieFib
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct TrieNode {
-    children: [Option<Box<TrieNode>>; 2],
-    next_hop: Option<u16>,
-}
-
-impl TrieNode {
-    fn is_leafless(&self) -> bool {
-        self.next_hop.is_none() && self.children[0].is_none() && self.children[1].is_none()
-    }
-}
-
-/// Binary (unibit) trie FIB.
-#[derive(Debug, Default)]
-pub struct TrieFib {
-    root: TrieNode,
-    len: usize,
-}
-
-impl TrieFib {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Remove along the bit path, pruning empty branches on the way out.
-    fn remove_rec(node: &mut TrieNode, prefix: Ipv4Prefix, depth: u8) -> Option<u16> {
-        if depth == prefix.len() {
-            return node.next_hop.take();
-        }
-        let bit = prefix.addr().bit(depth) as usize;
-        let child = node.children[bit].as_mut()?;
-        let removed = Self::remove_rec(child, prefix, depth + 1);
-        if removed.is_some() && child.is_leafless() {
-            node.children[bit] = None;
-        }
-        removed
-    }
-}
-
-impl Fib for TrieFib {
-    fn insert(&mut self, prefix: Ipv4Prefix, next_hop: u16) -> Option<u16> {
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let bit = prefix.addr().bit(depth) as usize;
-            node = node.children[bit].get_or_insert_with(Default::default);
-        }
-        let old = node.next_hop.replace(next_hop);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    fn remove(&mut self, prefix: Ipv4Prefix) -> Option<u16> {
-        let removed = Self::remove_rec(&mut self.root, prefix, 0);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    fn lookup(&self, addr: Ipv4Addr) -> Option<u16> {
-        let mut best = self.root.next_hop;
-        let mut node = &self.root;
-        for depth in 0..32 {
-            let bit = addr.bit(depth) as usize;
-            match &node.children[bit] {
-                Some(child) => {
-                    node = child;
-                    if node.next_hop.is_some() {
-                        best = node.next_hop;
-                    }
-                }
-                None => break,
-            }
-        }
-        best
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -323,8 +232,8 @@ impl Dir248Fib {
     /// Bytes committed to the compiled table: the base array, the
     /// spill arena (live + free-listed blocks), the short-route table,
     /// and an estimate of the store's footprint. The accounting mirrors
-    /// the fabric arena's budget discipline; spill growth is capped by
-    /// [`DIR248_SPILL_BUDGET_BLOCKS`].
+    /// the fabric arena's budget discipline; spill growth is capped at
+    /// 2^16 blocks (64 MiB).
     pub fn memory_bytes(&self) -> usize {
         self.base.len() * std::mem::size_of::<u32>()
             + self.spill.capacity() * std::mem::size_of::<SpillBlock>()
@@ -651,22 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn trie_scenario() {
-        scenario(&mut TrieFib::new());
-    }
-
-    #[test]
     fn dir248_scenario() {
         scenario(&mut Dir248Fib::new());
     }
 
     #[test]
     fn host_routes_work() {
-        for fib in [
-            &mut TrieFib::new() as &mut dyn Fib,
-            &mut LinearFib::new(),
-            &mut Dir248Fib::new(),
-        ] {
+        for fib in [&mut LinearFib::new() as &mut dyn Fib, &mut Dir248Fib::new()] {
             fib.insert(pfx("1.2.3.4/32"), 5);
             assert_eq!(fib.lookup(ip("1.2.3.4")), Some(5));
             assert_eq!(fib.lookup(ip("1.2.3.5")), None);
@@ -675,11 +575,7 @@ mod tests {
 
     #[test]
     fn sibling_prefixes_do_not_interfere() {
-        for fib in [
-            &mut TrieFib::new() as &mut dyn Fib,
-            &mut LinearFib::new(),
-            &mut Dir248Fib::new(),
-        ] {
+        for fib in [&mut LinearFib::new() as &mut dyn Fib, &mut Dir248Fib::new()] {
             fib.insert(pfx("128.0.0.0/1"), 1);
             fib.insert(pfx("0.0.0.0/1"), 2);
             assert_eq!(fib.lookup(ip("200.0.0.1")), Some(1));
@@ -763,15 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn trie_prunes_on_remove() {
-        let mut fib = TrieFib::new();
-        fib.insert(pfx("10.20.30.0/24"), 1);
-        fib.remove(pfx("10.20.30.0/24"));
-        // Root must be leafless again (no dangling chain of nodes).
-        assert!(fib.root.is_leafless());
-    }
-
-    #[test]
     fn synthetic_routes_shape() {
         let routes = synthetic_routes(1000, 16, 42);
         assert_eq!(routes.len(), 1000);
@@ -790,63 +677,52 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn tries_agree_with_linear_reference(
+        fn dir248_agrees_with_linear_reference(
             routes in proptest::collection::vec((prefix_strategy(), 0u16..8), 1..80),
             probes in proptest::collection::vec(any::<u32>(), 32),
         ) {
             let mut lin = LinearFib::new();
-            let mut trie = TrieFib::new();
             let mut dir = Dir248Fib::new();
             for &(p, nh) in &routes {
                 lin.insert(p, nh);
-                trie.insert(p, nh);
                 dir.insert(p, nh);
             }
-            prop_assert_eq!(lin.len(), trie.len());
             prop_assert_eq!(lin.len(), dir.len());
             for &a in &probes {
                 let addr = Ipv4Addr(a);
                 let expect = lin.lookup(addr);
-                prop_assert_eq!(trie.lookup(addr), expect, "trie mismatch at {}", addr);
                 prop_assert_eq!(dir.lookup(addr), expect, "dir248 mismatch at {}", addr);
             }
             // Probe the route addresses themselves (guaranteed hits).
             for &(p, _) in &routes {
                 let expect = lin.lookup(p.addr());
-                prop_assert_eq!(trie.lookup(p.addr()), expect);
                 prop_assert_eq!(dir.lookup(p.addr()), expect);
             }
         }
 
         #[test]
-        fn removal_keeps_implementations_in_agreement(
+        fn removal_keeps_dir248_in_agreement(
             routes in proptest::collection::vec((prefix_strategy(), 0u16..8), 1..40),
             remove_mask in proptest::collection::vec(any::<bool>(), 40),
             probes in proptest::collection::vec(any::<u32>(), 16),
         ) {
             let mut lin = LinearFib::new();
-            let mut trie = TrieFib::new();
             let mut dir = Dir248Fib::new();
             for &(p, nh) in &routes {
                 lin.insert(p, nh);
-                trie.insert(p, nh);
                 dir.insert(p, nh);
             }
             for (i, &(p, _)) in routes.iter().enumerate() {
                 if remove_mask[i % remove_mask.len()] {
                     let a = lin.remove(p);
-                    let b = trie.remove(p);
                     let d = dir.remove(p);
-                    prop_assert_eq!(a, b);
                     prop_assert_eq!(a, d);
                 }
             }
-            prop_assert_eq!(lin.len(), trie.len());
             prop_assert_eq!(lin.len(), dir.len());
             for &a in &probes {
                 let addr = Ipv4Addr(a);
                 let expect = lin.lookup(addr);
-                prop_assert_eq!(trie.lookup(addr), expect);
                 prop_assert_eq!(dir.lookup(addr), expect);
             }
         }

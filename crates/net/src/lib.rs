@@ -5,8 +5,8 @@
 //! * [`addr`] — IPv4 addresses and prefixes with the arithmetic the
 //!   FIBs need.
 //! * [`fib`] — longest-prefix-match forwarding tables behind one
-//!   trait: the compiled DIR-24-8 table plus the trie and linear
-//!   references it is tested against.
+//!   trait: the compiled DIR-24-8 table plus the linear reference it
+//!   is tested against.
 //!   The LFE (local forwarding engine) of every linecard holds one, and
 //!   DRA's lookup-offload path (REQ_L/REP_L) performs the same lookup
 //!   on a remote linecard.
@@ -35,6 +35,6 @@ pub mod trace;
 pub mod traffic;
 
 pub use addr::{Ipv4Addr, Ipv4Prefix};
-pub use fib::{Dir248Fib, Fib, TrieFib};
+pub use fib::{Dir248Fib, Fib};
 pub use packet::{Packet, PacketId, PortId};
 pub use protocol::{ProtocolEngine, ProtocolKind};

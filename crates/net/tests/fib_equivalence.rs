@@ -1,12 +1,12 @@
-//! Three-way FIB equivalence under churn.
+//! FIB equivalence under churn.
 //!
-//! `LinearFib` is the executable oracle; `TrieFib` and `Dir248Fib`
-//! must agree with it — on lookups *and* on the return
+//! `LinearFib` is the executable oracle; `Dir248Fib` must agree with
+//! it — on lookups *and* on the return
 //! values of every insert/remove — under arbitrary interleavings of
 //! operations. The in-module proptests in `fib.rs` cover the
 //! insert-everything-then-probe shape; this harness covers the harder
 //! shape, where removes and lookups land between inserts and the
-//! incremental update paths (trie node pruning, DIR-24-8 spill-block
+//! incremental update paths (DIR-24-8 ancestor backfill and spill-block
 //! collapse) run mid-stream.
 //!
 //! The prefix pool is deliberately adversarial for `Dir248Fib`:
@@ -16,7 +16,7 @@
 //! spill range and includes /0 (default-route shadowing).
 
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
-use dra_net::fib::{Dir248Fib, Fib, LinearFib, TrieFib};
+use dra_net::fib::{Dir248Fib, Fib, LinearFib};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -62,13 +62,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn churn_keeps_every_impl_in_agreement(
+    fn churn_keeps_dir248_in_agreement(
         pool in pool_strategy(),
         ops in ops_strategy(),
         probes in proptest::collection::vec(any::<u32>(), 24),
     ) {
         let mut lin = LinearFib::new();
-        let mut trie = TrieFib::new();
         let mut dir = Dir248Fib::new();
 
         for op in &ops {
@@ -76,29 +75,25 @@ proptest! {
                 Op::Insert(raw, nh) => {
                     let p = pool[raw % pool.len()];
                     let expect = lin.insert(p, nh);
-                    prop_assert_eq!(trie.insert(p, nh), expect, "trie insert {}", p);
                     prop_assert_eq!(dir.insert(p, nh), expect, "dir248 insert {}", p);
                 }
                 Op::Remove(raw) => {
                     let p = pool[raw % pool.len()];
                     let expect = lin.remove(p);
-                    prop_assert_eq!(trie.remove(p), expect, "trie remove {}", p);
                     prop_assert_eq!(dir.remove(p), expect, "dir248 remove {}", p);
                 }
                 Op::Lookup(a) => {
                     let addr = Ipv4Addr(a);
                     let expect = lin.lookup(addr);
-                    prop_assert_eq!(trie.lookup(addr), expect, "trie lookup {}", addr);
                     prop_assert_eq!(dir.lookup(addr), expect, "dir248 lookup {}", addr);
                 }
             }
-            prop_assert_eq!(lin.len(), trie.len());
             prop_assert_eq!(lin.len(), dir.len());
         }
 
         // Final sweep: pooled prefixes (guaranteed interesting), their
         // broadcast neighbours (last-host edge of any spill block), and
-        // arbitrary probes — scalar on all three, then one batched pass
+        // arbitrary probes — scalar on both, then one batched pass
         // on the compiled table to pin lookup_batch == lookup.
         let mut sweep: Vec<Ipv4Addr> = Vec::new();
         for p in &pool {
@@ -111,7 +106,6 @@ proptest! {
         dir.lookup_batch(&sweep, &mut batched);
         for (&addr, &got) in sweep.iter().zip(&batched) {
             let expect = lin.lookup(addr);
-            prop_assert_eq!(trie.lookup(addr), expect, "trie sweep {}", addr);
             prop_assert_eq!(dir.lookup(addr), expect, "dir248 sweep {}", addr);
             prop_assert_eq!(got, expect, "dir248 batched sweep {}", addr);
         }
@@ -123,10 +117,9 @@ proptest! {
 #[test]
 fn default_route_shadowing_and_spill_collapse() {
     let mut lin = LinearFib::new();
-    let mut trie = TrieFib::new();
     let mut dir = Dir248Fib::new();
 
-    let all: [&mut dyn Fib; 3] = [&mut lin, &mut trie, &mut dir];
+    let all: [&mut dyn Fib; 2] = [&mut lin, &mut dir];
     let script: &[(&str, &str, u16)] = &[
         ("insert", "0.0.0.0/0", 1),     // default route
         ("insert", "10.1.2.0/24", 2),   // base-table route
@@ -164,5 +157,5 @@ fn default_route_shadowing_and_spill_collapse() {
     }
     // Only the default route remains.
     assert_eq!(fibs[0].len(), 1);
-    assert_eq!(fibs[2].lookup("10.1.2.130".parse().unwrap()), Some(1));
+    assert_eq!(fibs[1].lookup("10.1.2.130".parse().unwrap()), Some(1));
 }

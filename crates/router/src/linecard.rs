@@ -25,7 +25,7 @@ pub struct Linecard {
     /// The protocol-dependent logic (PDLU model).
     pub engine: Box<dyn ProtocolEngine>,
     /// The local forwarding table (the compiled DIR-24-8 form the
-    /// hardware LFE would run; `TrieFib` remains its executable spec).
+    /// hardware LFE would run; `LinearFib` is its executable spec).
     pub fib: Dir248Fib,
     /// Unit health. `components.piu` aggregates the ports: it reads
     /// `Failed` only when *every* PIU is down (see `fail_piu_port`).

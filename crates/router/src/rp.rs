@@ -160,7 +160,7 @@ pub fn poll_health(linecards: &[Linecard]) -> Vec<(u16, LcComponents)> {
 mod tests {
     use super::*;
     use dra_net::addr::Ipv4Addr;
-    use dra_net::fib::TrieFib;
+    use dra_net::fib::LinearFib;
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -185,7 +185,7 @@ mod tests {
     fn incremental_sync_applies_the_tail() {
         let mut rp = RouteProcessor::new();
         rp.announce(pfx("10.0.0.0/8"), 1);
-        let mut fib = TrieFib::new();
+        let mut fib = LinearFib::new();
         let v1 = rp.sync_fib(&mut fib, 0);
         assert_eq!(v1, 1);
         assert_eq!(fib.lookup(Ipv4Addr::from_octets(10, 1, 1, 1)), Some(1));
@@ -203,7 +203,7 @@ mod tests {
     fn sync_at_current_version_is_a_noop() {
         let mut rp = RouteProcessor::new();
         rp.announce(pfx("10.0.0.0/8"), 1);
-        let mut fib = TrieFib::new();
+        let mut fib = LinearFib::new();
         let v = rp.sync_fib(&mut fib, 0);
         let before = fib.len();
         assert_eq!(rp.sync_fib(&mut fib, v), v);
@@ -221,7 +221,7 @@ mod tests {
         }
         rp.compact_log(5);
         // A card at version 2 is behind the log base (15): full sync.
-        let mut fib = TrieFib::new();
+        let mut fib = LinearFib::new();
         let v = rp.sync_fib(&mut fib, 2);
         assert_eq!(v, 20);
         assert_eq!(fib.len(), 20);
@@ -238,7 +238,7 @@ mod tests {
         // Two cards: one syncing after every change, one once at the
         // end via full download; their FIBs must answer identically.
         let mut rp = RouteProcessor::new();
-        let mut hot = TrieFib::new();
+        let mut hot = LinearFib::new();
         let mut hot_v = 0;
         let mut s = 0x5EED_u64;
         let mut next = move || {
@@ -257,7 +257,7 @@ mod tests {
             }
             hot_v = rp.sync_fib(&mut hot, hot_v);
         }
-        let mut cold = TrieFib::new();
+        let mut cold = LinearFib::new();
         rp.sync_fib(&mut cold, 0);
         assert_eq!(hot.len(), cold.len());
         for octet in 0..32u8 {

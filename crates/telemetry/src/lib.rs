@@ -42,7 +42,7 @@ pub mod recorder;
 pub mod snapshot;
 pub mod trace;
 
-pub use hist::CompactHist;
+pub use hist::LogHistogram;
 pub use lifecycle::{is_sampled, sample_hash};
 pub use netscope::{
     EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScope, NodeCounters, SpanKind,
@@ -187,7 +187,7 @@ struct Hub {
     sample_every: u64,
     counters: Vec<u64>,
     gauges: Vec<f64>,
-    hists: Vec<CompactHist>,
+    hists: Vec<LogHistogram>,
     extra_counter_names: Vec<&'static str>,
     ring: Ring,
     tracker: Tracker,
@@ -208,7 +208,7 @@ impl Hub {
             counters: vec![0; COUNTER_NAMES.len()],
             gauges: vec![0.0; GAUGE_NAMES.len()],
             hists: (0..HIST_NAMES.len())
-                .map(|_| CompactHist::new(HIST_LO, HIST_HI, HIST_BUCKETS))
+                .map(|_| LogHistogram::new(HIST_LO, HIST_HI, HIST_BUCKETS))
                 .collect(),
             extra_counter_names: Vec::new(),
             ring: Ring::new(cfg.ring_capacity),

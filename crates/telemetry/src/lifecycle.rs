@@ -1,9 +1,10 @@
 //! Deterministic 1-in-N packet lifecycle sampling.
 //!
 //! Whether a packet is sampled is a pure function of its id: one
-//! SplitMix64 step (the same mixer `dra-campaign` builds its seed
-//! derivation from — constants pinned by test) hashed against the
-//! sampling modulus. No RNG stream is consumed and no event is
+//! [`splitmix64`] step (the workspace's one copy of the mixer;
+//! `dra-campaign`'s seed derivation and the rare-event clone seeds use
+//! it too — constants pinned by test) hashed against the sampling
+//! modulus. No RNG stream is consumed and no event is
 //! scheduled, so enabling sampling cannot perturb a simulation —
 //! that is the determinism contract behind "`results/faceoff.json`
 //! stays byte-identical with telemetry on".
@@ -16,8 +17,7 @@
 
 use std::collections::HashMap;
 
-/// One SplitMix64 output step — bit-identical to
-/// `dra_campaign::seed::splitmix64` (pinned by `sampler_constants`).
+/// One SplitMix64 output step (constants pinned by `sampler_constants`).
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -21,7 +21,7 @@
 //! network lists, and one total order on anomalies — so the merged
 //! document never depends on merge order or on which worker ran a cell.
 
-use crate::hist::CompactHist;
+use crate::hist::LogHistogram;
 use crate::json::Json;
 use crate::netscope::{EngineProfile, NetScope};
 use crate::recorder::Event;
@@ -98,7 +98,7 @@ pub struct RouterScope {
     /// Registry gauges, registration order (merged by max).
     pub gauges: Vec<(&'static str, f64)>,
     /// Registry histograms, registration order.
-    pub hists: Vec<(&'static str, CompactHist)>,
+    pub hists: Vec<(&'static str, LogHistogram)>,
     /// Total events appended to the flight recorder.
     pub ring_appended: u64,
     /// Flight-recorder capacity.
@@ -130,7 +130,7 @@ impl RouterScope {
     }
 
     fn to_json(&self) -> Json {
-        let hist = |h: &CompactHist| {
+        let hist = |h: &LogHistogram| {
             let mut pairs = vec![
                 ("count", Json::uint(h.count())),
                 ("underflow", Json::uint(h.underflow())),
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn json_has_versioned_format_and_scopes() {
-        let mut h = CompactHist::new(1e-9, 1.0, 90);
+        let mut h = LogHistogram::new(1e-9, 1.0, 90);
         h.record(1e-5);
         let snap = Snapshot {
             cells_merged: 1,

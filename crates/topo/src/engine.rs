@@ -289,6 +289,18 @@ mod tests {
     use dra_campaign::sweep::{checkpoint_path, CHECKPOINT_FORMAT};
     use dra_core::health::ArchKind;
 
+    #[test]
+    fn an_empty_spec_is_invalid_input() {
+        let spec = TopoSpec {
+            name: "empty".into(),
+            description: "no cells".into(),
+            master_seed: 1,
+            cells: vec![],
+        };
+        let err = run(&spec, &TopoRunOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
     fn tiny_spec() -> TopoSpec {
         let cell = |id: &str, arch, group| TopoCellSpec {
             id: id.into(),

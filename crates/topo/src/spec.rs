@@ -220,14 +220,8 @@ impl Sweep for TopoSpec {
         self.cells[i].manifest()
     }
 
-    /// Rejects duplicate cell ids and degenerate cell parameters.
+    /// Rejects degenerate cell parameters.
     fn validate(&self) -> Result<(), String> {
-        let mut ids: Vec<&str> = self.cells.iter().map(|c| c.id.as_str()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        if ids.len() != self.cells.len() {
-            return Err("duplicate cell ids".into());
-        }
         for c in &self.cells {
             let id = &c.id;
             if !(c.horizon_s > 0.0 && c.horizon_s.is_finite()) {
@@ -481,14 +475,13 @@ mod tests {
 
     #[test]
     fn duplicate_ids_rejected() {
-        let err = TopoSpec {
+        let spec = TopoSpec {
             name: "t".into(),
             description: "d".into(),
             master_seed: 1,
             cells: vec![cell("a"), cell("a")],
-        }
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("duplicate cell ids"), "{err}");
+        };
+        let err = dra_campaign::sweep::check_spec(&spec).unwrap_err();
+        assert!(err.contains("duplicate cell id"), "{err}");
     }
 }

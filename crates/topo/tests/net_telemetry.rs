@@ -13,7 +13,7 @@ use dra_campaign::json::{parse, Json};
 use dra_campaign::sweep::RunOptions;
 use dra_core::health::ArchKind;
 use dra_telemetry::{
-    Anomaly, CompactHist, EngineProfile, Event, EventKind, FlowSpan, ForensicEntry, ForensicKind,
+    Anomaly, EngineProfile, Event, EventKind, FlowSpan, ForensicEntry, ForensicKind, LogHistogram,
     NetScope, NodeCounters, RouterScope, Snapshot, SpanKind, NET_DROP_CAUSES,
 };
 use dra_topo::engine::{self, TopoRunOptions};
@@ -363,7 +363,7 @@ fn router() -> impl Strategy<Value = Option<RouterScope>> {
             proptest::collection::vec(0u64..4_000, 0..6),
         )
             .prop_map(|(c, sim_ms, ring, latencies_ns)| {
-                let mut hist = CompactHist::new(1e-9, 1.0, 81);
+                let mut hist = LogHistogram::new(1e-9, 1.0, 81);
                 for ns in latencies_ns {
                     hist.record(ns as f64 * 1e-9);
                 }

@@ -4,7 +4,7 @@
 //! archiving an experiment's exact input.
 
 use dra::net::addr::Ipv4Addr;
-use dra::net::fib::{Fib, TrieFib};
+use dra::net::fib::{Fib, LinearFib};
 use dra::net::packet::{Packet, PacketId};
 use dra::net::protocol::ProtocolKind;
 use dra::net::sar::{cells_for, segment};
@@ -25,7 +25,7 @@ fn archived_trace_reproduces_downstream_decisions() {
 
     // Route the replayed trace through a FIB and segment it; every
     // decision must match the original run.
-    let mut fib = TrieFib::new();
+    let mut fib = LinearFib::new();
     for lc in 1..=3u16 {
         fib.insert(format!("10.{lc}.0.0/16").parse().unwrap(), lc);
     }
