@@ -17,10 +17,11 @@
 //! are field reads, and [`NodeHealth::advance_to`] is a cursor step
 //! over the attached fault timeline.
 //!
-//! The full simulators wrapped by
-//! [`RouterHandle`](crate::handle::RouterHandle) remain the reference:
-//! `dra-topo`'s `health_differential` test replays the same timelines
-//! through both and compares every answer.
+//! The full simulators ([`DraRouter`](crate::sim::DraRouter) and
+//! `dra_router::bdr::BdrRouter`) remain the reference: `dra-topo`'s
+//! `health_differential` test wraps them in a steppable `RouterHandle`
+//! (its own support code), replays the same timelines through both and
+//! compares every answer.
 
 use crate::coverage::{lc_serviceable_with, LcView};
 use crate::scenario::{Action, Scenario};

@@ -29,16 +29,12 @@
 //! * [`health`] — a router as its health state: per-linecard unit
 //!   health and cached serviceability driven by a fault timeline, the
 //!   per-node state of the network-of-routers layer (`dra-topo`).
-//! * [`handle`] — a steppable per-router simulation handle (lazy time
-//!   advance, fault-schedule injection, serviceability queries): the
-//!   full-simulation reference [`health`] is tested against.
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod coverage;
 pub mod eib;
-pub mod handle;
 pub mod health;
 pub mod montecarlo;
 pub mod rareevent;
@@ -47,6 +43,5 @@ pub mod sim;
 
 pub use coverage::{CoveragePlanner, CoverageRoute, LcView};
 pub use eib::bandwidth::promised_bandwidth;
-pub use handle::RouterHandle;
 pub use health::{ArchKind, NodeHealth};
 pub use sim::{DraConfig, DraRouter};

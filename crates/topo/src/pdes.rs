@@ -107,7 +107,9 @@ use crate::topology::Topology;
 use dra_core::health::NodeHealth;
 use dra_core::scenario::Action;
 use dra_des::calendar::CalendarQueue;
-use dra_des::pdes::{effective_threads, run_windows, LogicalProcess, Outbox, PdesProfile};
+use dra_des::pdes::{
+    effective_threads, run_windows, LogicalProcess, Outbox, PdesProfile, CACHE_ISOLATION,
+};
 use dra_des::random::exponential;
 use dra_net::fib::Dir248Fib;
 use rand::rngs::SmallRng;
@@ -326,6 +328,12 @@ impl Ledger {
 /// A contiguous group of routers as one logical process: the
 /// group-local slice of [`NetworkSim`] plus a private calendar queue
 /// and provenance arena.
+///
+/// Aligned to [`CACHE_ISOLATION`] bytes: adjacent groups in the run's
+/// slice advance on different threads, and each writes its own queue
+/// registers, arena length and event counter on every event, so no two
+/// groups may share a cache line (the rule in `dra_des::pdes`).
+#[repr(align(128))]
 struct GroupLp<'a> {
     /// First router id of the group.
     base: u32,
@@ -360,6 +368,8 @@ struct GroupLp<'a> {
     /// [`LogicalProcess::events_processed`].
     events: u64,
 }
+
+const _: () = assert!(std::mem::align_of::<GroupLp<'static>>() >= CACHE_ISOLATION);
 
 impl GroupLp<'_> {
     /// The next key of `node` (see the module docs).

@@ -8,7 +8,9 @@
 //! and the fabric flag must agree at every change point and at random
 //! probe times in between.
 
-use dra_core::handle::RouterHandle;
+#[path = "support/router_handle.rs"]
+mod router_handle;
+
 use dra_core::health::{ArchKind, NodeHealth};
 use dra_core::scenario::{Action, Scenario};
 use dra_net::protocol::ProtocolKind;
@@ -19,8 +21,10 @@ use dra_topo::registry::spec_by_name;
 use dra_topo::{NetAction, TopoCellSpec, TopoFaultSpec, TopologyKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use router_handle::RouterHandle;
 
 fn assert_agree(h: &NodeHealth, r: &RouterHandle, t: f64, ctx: &str) {
+    assert_eq!(h.arch(), r.arch(), "{ctx}");
     assert_eq!(h.n_lcs(), r.n_lcs(), "{ctx}");
     assert_eq!(h.pending_actions(), r.pending_actions(), "{ctx} @ {t}");
     for lc in 0..h.n_lcs() as u16 {
