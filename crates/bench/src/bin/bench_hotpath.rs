@@ -577,11 +577,12 @@ fn bench_ingress(quick: bool) -> Json {
 // --------------------------------------------------------------------- topo
 
 /// The network-of-routers layer, measured at its two cost centers:
-/// `route_compile` is the per-replication setup every topo-sweep cell
-/// pays (build BA(64), BFS route derivation, compile one DIR-24-8 FIB
-/// per node), and `mesh_4x4_net` is wall-clock end-to-end packets per
-/// second through a healthy 4×4-mesh network of 16 routers — the
-/// sweep's unit of work.
+/// `route_compile` is the forwarding set-up a topo sweep pays once per
+/// distinct topology, and `build_network` once per network built
+/// outside a sweep (build BA(64), BFS route derivation, compile one
+/// DIR-24-8 FIB per node), and `mesh_4x4_net` is wall-clock end-to-end
+/// packets per second through a healthy 4×4-mesh network of 16
+/// routers — the sweep's unit of work.
 fn bench_topo(quick: bool) -> Json {
     use dra_core::health::ArchKind;
     use dra_topo::engine::build_network;

@@ -242,7 +242,7 @@ pub fn run(spec: &RareCampaignSpec, opts: &RunOptions) -> std::io::Result<Outcom
             "rare-event sweeps collect no telemetry",
         ));
     }
-    sweep::run(spec, opts, |i| run_cell(spec, i))
+    sweep::run(spec, opts, |_| |i| run_cell(spec, i))
 }
 
 /// `Num` for finite values, `Null` otherwise (a brute-force cell at

@@ -207,19 +207,25 @@ pub struct Outcome {
 /// Execute a sweep and assemble, validate and (with `opts.out`)
 /// atomically write its artifact.
 ///
-/// `run_cell(i)` computes cell `i`'s record. A run that collects
-/// telemetry (see the module docs) neither resumes from nor writes a
-/// checkpoint, because a merged document must cover every cell.
+/// `plan(pending)` is called once, with the indices of the cells this
+/// invocation computes (ascending: the grid less the checkpointed
+/// cells, cut to any cell budget), and returns the function that
+/// computes cell `i`'s record. A kind sizes per-invocation state from
+/// `pending` — state shared by several cells, engine widths — so a
+/// resumed or budgeted run plans for the cells it actually runs. A run
+/// that collects telemetry (see the module docs) neither resumes from
+/// nor writes a checkpoint, because a merged document must cover every
+/// cell.
 ///
 /// A spec that fails [`check_spec`] is an
 /// [`io::ErrorKind::InvalidInput`] error, and so is a `cell_budget` on
 /// a run that collects telemetry (without a checkpoint a budgeted run
 /// could never finish). An assembled artifact that fails [`validate`]
 /// is [`io::ErrorKind::InvalidData`].
-pub fn run<S: Sweep>(
+pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
     spec: &S,
     opts: &RunOptions,
-    run_cell: impl Fn(usize) -> Json + Sync,
+    plan: impl FnOnce(&[usize]) -> C,
 ) -> io::Result<Outcome> {
     check_spec(spec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     if opts.cell_budget.is_some() && opts.collects_telemetry() {
@@ -284,6 +290,7 @@ pub fn run<S: Sweep>(
         }
     };
 
+    let run_cell = plan(&pending);
     let heartbeat_done = AtomicUsize::new(0);
     let heartbeat_start = Instant::now();
     let outcomes = WorkerPool::new(opts.workers).try_map(pending.clone(), |&i| {
@@ -727,7 +734,10 @@ mod tests {
             ..RunOptions::default()
         };
         for ids in [vec![], vec!["a", "a"]] {
-            let err = run(&Ids(ids), &opts, |_| unreachable!("no cell may run")).unwrap_err();
+            let err = run(&Ids(ids), &opts, |_| -> fn(usize) -> Json {
+                unreachable!("no cell may be planned")
+            })
+            .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
         let record = |i: usize| {
@@ -736,7 +746,11 @@ mod tests {
                 ("id", Json::Str("a".into())),
             ])
         };
-        let done = run(&Ids(vec!["a"]), &opts, record).unwrap();
+        let done = run(&Ids(vec!["a"]), &opts, |pending| {
+            assert_eq!(pending, [0]);
+            record
+        })
+        .unwrap();
         assert_eq!(done.completed, 1);
     }
 }

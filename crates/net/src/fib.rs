@@ -18,6 +18,7 @@
 
 use crate::addr::{Ipv4Addr, Ipv4Prefix};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A longest-prefix-match table mapping prefixes to next hops.
 ///
@@ -128,6 +129,43 @@ fn dir_encode(next_hop: u16, plen: u8) -> u32 {
     DIR_VALID | ((plen as u32) << DIR_PLEN_SHIFT) | next_hop as u32
 }
 
+/// The route store's hasher: the `u32` address and `u8` length that a
+/// prefix hashes as, packed into one `u64` (40 bits, so distinct
+/// prefixes never share an input) and finished by the workspace's
+/// SplitMix64 step. The store is only probed, never iterated, so the
+/// hasher cannot change any lookup or insert/remove result; it only
+/// replaces SipHash's per-probe cost. Every route table in the
+/// workspace is built by the program itself, so there is no flooding
+/// adversary to resist.
+#[derive(Default)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.0 = self.0 << 8 | v as u64;
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = self.0 << 32 | v as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut state = self.0;
+        dra_telemetry::lifecycle::splitmix64(&mut state)
+    }
+}
+
+type RouteStore = HashMap<Ipv4Prefix, u16, BuildHasherDefault<PrefixHasher>>;
+
 #[inline]
 fn dir_plen(entry: u32) -> u8 {
     ((entry >> DIR_PLEN_SHIFT) & 0x3F) as u8
@@ -184,8 +222,9 @@ pub struct Dir248Fib {
     spill: Vec<SpillBlock>,
     spill_free: Vec<u32>,
     /// Authoritative route set: replacement detection, `len()`, and
-    /// the ancestor probes that make removal incremental.
-    store: HashMap<Ipv4Prefix, u16>,
+    /// the ancestor probes that make removal incremental. Probed,
+    /// never iterated (see [`PrefixHasher`]).
+    store: RouteStore,
     /// Bumped on every successful mutation; lets callers that cache
     /// batched lookup results detect route churn.
     generation: u64,
@@ -211,12 +250,19 @@ impl Dir248Fib {
     /// Empty table. The 64 MiB base array is requested zeroed, so the
     /// kernel lends zero pages until a /24 is actually written.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Empty table whose route store holds `routes` routes without
+    /// rehashing. Lookups and update results are those of
+    /// [`Dir248Fib::new`]; only the store's growth steps are skipped.
+    pub fn with_capacity(routes: usize) -> Self {
         Dir248Fib {
             base: vec![0u32; 1 << 24],
             short8: Box::new([0u32; 256]),
             spill: Vec::new(),
             spill_free: Vec::new(),
-            store: HashMap::new(),
+            store: RouteStore::with_capacity_and_hasher(routes, Default::default()),
             generation: 0,
         }
     }
@@ -565,6 +611,11 @@ mod tests {
     }
 
     #[test]
+    fn dir248_presized_scenario() {
+        scenario(&mut Dir248Fib::with_capacity(3));
+    }
+
+    #[test]
     fn host_routes_work() {
         for fib in [&mut LinearFib::new() as &mut dyn Fib, &mut Dir248Fib::new()] {
             fib.insert(pfx("1.2.3.4/32"), 5);
@@ -697,6 +748,31 @@ mod tests {
             for &(p, _) in &routes {
                 let expect = lin.lookup(p.addr());
                 prop_assert_eq!(dir.lookup(p.addr()), expect);
+            }
+        }
+
+        #[test]
+        fn a_presized_dir248_answers_like_a_default_one(
+            routes in proptest::collection::vec((prefix_strategy(), 0u16..8), 1..80),
+            remove_mask in proptest::collection::vec(any::<bool>(), 80),
+            probes in proptest::collection::vec(any::<u32>(), 32),
+            capacity in 0usize..160,
+        ) {
+            let mut plain = Dir248Fib::new();
+            let mut sized = Dir248Fib::with_capacity(capacity);
+            for &(p, nh) in &routes {
+                prop_assert_eq!(plain.insert(p, nh), sized.insert(p, nh));
+                prop_assert_eq!(plain.len(), sized.len());
+            }
+            for (i, &(p, _)) in routes.iter().enumerate() {
+                if remove_mask[i % remove_mask.len()] {
+                    prop_assert_eq!(plain.remove(p), sized.remove(p));
+                }
+            }
+            prop_assert_eq!(plain.len(), sized.len());
+            let route_addrs = routes.iter().map(|(p, _)| p.addr());
+            for addr in probes.iter().map(|&a| Ipv4Addr(a)).chain(route_addrs) {
+                prop_assert_eq!(plain.lookup(addr), sized.lookup(addr));
             }
         }
 

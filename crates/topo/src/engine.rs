@@ -7,12 +7,17 @@
 //! [`crate::seeds::node_seed`] inside each cell — so the artifact is
 //! byte-identical at every worker count and every `sim_threads` (the
 //! CI `topo-smoke` job pins workers 1 vs 4 and sim-threads 1 vs 2 vs 4).
+//!
+//! A sweep compiles each topology's forwarding state (routes and
+//! per-node FIBs) once and shares it read-only across the cells and
+//! replications on that topology; forwarding is a pure function of the
+//! graph, so sharing is unobservable in the artifact.
 
-use crate::net::{Flow, NetAction, NetConfig, NetScenario, NetworkSim};
+use crate::net::{Flow, Forwarding, NetAction, NetConfig, NetScenario, NetworkSim};
 use crate::seeds::{node_seed, NodeSeedStream};
 use crate::spec::{TopoCellSpec, TopoFaultSpec, TopoSpec};
 use crate::stats::NetDropCause;
-use crate::topology::Topology;
+use crate::topology::{Topology, TopologyKind};
 use dra_campaign::json::Json;
 use dra_campaign::pool::default_workers;
 use dra_campaign::seed::{derive_seed, Stream};
@@ -25,6 +30,8 @@ use dra_router::faults::{FaultGranularity, FaultInjector};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Result of a sweep (`artifact_text` is the document as written).
 pub type TopoOutcome = sweep::Outcome;
@@ -72,19 +79,126 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
 
 /// Execute a topo sweep with the envelope's own options, each cell's
 /// network on up to `sim_threads` threads: the width is cut so the
-/// cells in flight never run more engine threads than the host has
-/// cores ([`sweep_engine_threads`]), which the artifact cannot see.
-/// The cut counts the whole grid, not just the cells a resumed run
-/// still has pending, so a resume with fewer pending cells than
-/// workers may run narrower than the cores allow.
+/// cells this invocation runs never put more engine threads in flight
+/// than the host has cores ([`sweep_engine_threads`]), which the
+/// artifact cannot see. Forwarding state is compiled once per topology
+/// for the invocation and shared by its cells on that topology.
 pub fn run_with(
     spec: &TopoSpec,
     opts: &RunOptions,
     sim_threads: usize,
 ) -> std::io::Result<TopoOutcome> {
-    let sim_threads =
-        sweep_engine_threads(sim_threads, opts.workers, spec.cells.len(), host_cores());
-    sweep::run(spec, opts, |i| run_cell(spec, i, sim_threads))
+    sweep::run(spec, opts, |pending| {
+        let width = sweep_engine_threads(sim_threads, opts.workers, pending.len(), host_cores());
+        let shared = SharedForwarding::new(spec, pending);
+        move |i| run_shared_cell(spec, i, width, &shared)
+    })
+}
+
+/// The forwarding state of one sweep invocation: one slot per distinct
+/// topology among its pending cells.
+///
+/// A slot compiles on first use with its lock held, so a second worker
+/// on the same topology waits for that compile instead of repeating
+/// it, and it empties when the last pending cell of its topology
+/// finishes (panicked or not). The sweep therefore holds only the
+/// topologies its unfinished cells use, and nothing outlives it: a
+/// later sweep compiles afresh. (A `OnceLock` would serve the first
+/// half, but cannot be emptied through the shared reference the
+/// workers hold.)
+struct SharedForwarding {
+    slots: Vec<ForwardingSlot>,
+}
+
+struct ForwardingSlot {
+    kind: TopologyKind,
+    forwarding: Mutex<Option<Arc<Forwarding>>>,
+    /// Pending cells of this topology that have not finished.
+    cells_left: AtomicUsize,
+    /// Compiles this slot has run.
+    #[cfg(test)]
+    compiles: AtomicUsize,
+}
+
+impl SharedForwarding {
+    /// Slots for the `pending` cells of `spec`.
+    fn new(spec: &TopoSpec, pending: &[usize]) -> SharedForwarding {
+        let mut slots: Vec<ForwardingSlot> = Vec::new();
+        for &i in pending {
+            let kind = spec.cells[i].topology;
+            match slots.iter_mut().find(|s| s.kind == kind) {
+                Some(slot) => *slot.cells_left.get_mut() += 1,
+                None => slots.push(ForwardingSlot {
+                    kind,
+                    forwarding: Mutex::new(None),
+                    cells_left: AtomicUsize::new(1),
+                    #[cfg(test)]
+                    compiles: AtomicUsize::new(0),
+                }),
+            }
+        }
+        SharedForwarding { slots }
+    }
+
+    fn slot(&self, kind: TopologyKind) -> &ForwardingSlot {
+        self.slots
+            .iter()
+            .find(|s| s.kind == kind)
+            .expect("the topology has pending cells in this sweep")
+    }
+
+    /// `topo`'s forwarding state, compiled unless an earlier cell on
+    /// the same topology already did.
+    fn get(&self, topo: &Topology) -> Arc<Forwarding> {
+        let slot = self.slot(topo.kind);
+        // A compile that panicked left the slot empty, so the next
+        // cell simply compiles (and fails) the same way.
+        let mut held = slot
+            .forwarding
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(held.get_or_insert_with(|| {
+            #[cfg(test)]
+            slot.compiles.fetch_add(1, Ordering::Relaxed);
+            Arc::new(Forwarding::compile(topo))
+        }))
+    }
+
+    /// Count one cell on `kind` finished; the last one empties the
+    /// slot.
+    fn finish(&self, kind: TopologyKind) {
+        let slot = self.slot(kind);
+        // Relaxed: the lock guards the slot's contents, and a cell's
+        // networks hold their own `Arc`s; the count only picks which
+        // cell empties the slot.
+        if slot.cells_left.fetch_sub(1, Ordering::Relaxed) == 1 {
+            *slot
+                .forwarding
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
+}
+
+/// [`run_cell`] on the sweep's shared forwarding state, counting the
+/// cell finished however it ends.
+fn run_shared_cell(
+    spec: &TopoSpec,
+    index: usize,
+    sim_threads: usize,
+    shared: &SharedForwarding,
+) -> Json {
+    struct Finish<'a>(&'a SharedForwarding, TopologyKind);
+    impl Drop for Finish<'_> {
+        fn drop(&mut self) {
+            self.0.finish(self.1);
+        }
+    }
+    let cell = &spec.cells[index];
+    let _finish = Finish(shared, cell.topology);
+    run_cell(spec, index, sim_threads, |rep| {
+        network_on(cell, spec.master_seed, rep, |topo| shared.get(topo))
+    })
 }
 
 /// Validate a `dra-topo/v1` document, including the network
@@ -107,10 +221,25 @@ pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
 }
 
 /// Build the fully-wired network for one `(cell, replication)` —
-/// topology, flows, fault timelines — ready for
+/// topology, forwarding, flows, fault timelines — ready for
 /// [`NetworkSim::run`]. Public so examples, benches, and the
-/// invariant tests exercise exactly the engine's construction path.
+/// invariant tests exercise exactly the engine's construction path;
+/// outside a sweep there is nothing to share, so the forwarding state
+/// is compiled afresh.
 pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) -> NetworkSim {
+    network_on(cell, master_seed, replication, |topo| {
+        Arc::new(Forwarding::compile(topo))
+    })
+}
+
+/// [`build_network`] with the cell topology's forwarding state taken
+/// from `forwarding`.
+fn network_on(
+    cell: &TopoCellSpec,
+    master_seed: u64,
+    replication: u32,
+    forwarding: impl FnOnce(&Topology) -> Arc<Forwarding>,
+) -> NetworkSim {
     let sim_seed = derive_seed(
         master_seed,
         cell.seed_group,
@@ -149,7 +278,8 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
         });
     }
     let n_nodes = topo.n_nodes();
-    let mut net = NetworkSim::new(topo, cell.arch, cfg, flows);
+    let forwarding = forwarding(&topo);
+    let mut net = NetworkSim::with_forwarding(topo, forwarding, cell.arch, cfg, flows);
     match cell.faults {
         TopoFaultSpec::None => {}
         TopoFaultSpec::FailRouters { k, at_s } => {
@@ -205,10 +335,16 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
     net
 }
 
-/// Run every replication of one cell and reduce to its JSON record.
-/// When the sweep envelope armed this thread's telemetry hub, each
-/// replication also hands its network scope and flow trace to the hub.
-fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize) -> Json {
+/// Run every replication of one cell, each on the network
+/// `network(rep)` builds, and reduce to its JSON record. When the sweep
+/// envelope armed this thread's telemetry hub, each replication also
+/// hands its network scope and flow trace to the hub.
+fn run_cell(
+    spec: &TopoSpec,
+    index: usize,
+    sim_threads: usize,
+    network: impl Fn(u32) -> NetworkSim,
+) -> Json {
     let cell = &spec.cells[index];
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -220,7 +356,7 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize) -> Json {
     let mut hops = Welford::new();
     let (mut n_nodes, mut n_links) = (0, 0);
     for rep in 0..cell.replications {
-        let mut net = build_network(cell, spec.master_seed, rep);
+        let mut net = network(rep);
         net.cfg.sim_threads = sim_threads;
         if let Some(every) = dra_telemetry::sample_every() {
             // Telemetry observes without steering, so the artifact
@@ -335,6 +471,121 @@ mod tests {
                 cell("dra/mesh/r2", ArchKind::Dra, 0),
             ],
         }
+    }
+
+    /// `tiny_spec` widened to two topologies, each with its BDR/DRA
+    /// twins: cells 0-1 on a 3x3 mesh, cells 2-3 on a 3x4 mesh.
+    fn two_topology_spec() -> TopoSpec {
+        let mut spec = tiny_spec();
+        let wider = spec.cells.iter().map(|c| TopoCellSpec {
+            id: c.id.replace("mesh", "mesh3x4"),
+            topology: TopologyKind::Mesh2D { rows: 3, cols: 4 },
+            seed_group: 1,
+            ..c.clone()
+        });
+        spec.cells = spec.cells.iter().cloned().chain(wider).collect();
+        spec
+    }
+
+    fn quiet(workers: usize) -> RunOptions {
+        RunOptions {
+            workers,
+            quiet: true,
+            ..RunOptions::default()
+        }
+    }
+
+    #[test]
+    fn shared_forwarding_is_unobservable_and_compiled_once_per_topology() {
+        let spec = two_topology_spec();
+        let all: Vec<usize> = (0..spec.cells.len()).collect();
+        // The reference: every replication compiles its own forwarding.
+        let fresh = sweep::run(&spec, &quiet(1), |_| {
+            |i| {
+                run_cell(&spec, i, 1, |rep| {
+                    build_network(&spec.cells[i], spec.master_seed, rep)
+                })
+            }
+        })
+        .unwrap()
+        .artifact_text;
+        for workers in [1, 2] {
+            let shared = SharedForwarding::new(&spec, &all);
+            let text = sweep::run(&spec, &quiet(workers), |_| {
+                |i| run_shared_cell(&spec, i, 1, &shared)
+            })
+            .unwrap()
+            .artifact_text;
+            assert_eq!(text, fresh, "workers = {workers}");
+            assert_eq!(shared.slots.len(), 2, "one slot per topology");
+            for slot in &shared.slots {
+                assert_eq!(
+                    slot.compiles.load(Ordering::Relaxed),
+                    1,
+                    "{}: 2 cells x 2 replications, one compile",
+                    slot.kind.label()
+                );
+                assert!(slot.forwarding.lock().unwrap().is_none(), "released");
+            }
+            let swept = run_with(&spec, &quiet(workers), 1).unwrap().artifact_text;
+            assert_eq!(swept, fresh, "run_with, workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn cells_on_one_topology_share_one_forwarding() {
+        let spec = two_topology_spec();
+        let all: Vec<usize> = (0..spec.cells.len()).collect();
+        let shared = SharedForwarding::new(&spec, &all);
+        let net = |i: usize, rep| {
+            network_on(&spec.cells[i], spec.master_seed, rep, |topo| {
+                shared.get(topo)
+            })
+        };
+        let (bdr, dra, other) = (net(0, 0), net(1, 1), net(2, 0));
+        assert!(Arc::ptr_eq(&bdr.forwarding, &dra.forwarding));
+        assert!(!Arc::ptr_eq(&bdr.forwarding, &other.forwarding));
+        // The two 3x4 cells are still pending: finishing both 3x3
+        // cells empties only the 3x3 slot.
+        let (small, wide) = (spec.cells[0].topology, spec.cells[2].topology);
+        let held = |kind| shared.slot(kind).forwarding.lock().unwrap().is_some();
+        shared.finish(small);
+        assert!(held(small));
+        shared.finish(small);
+        assert!(!held(small));
+        assert!(held(wide));
+    }
+
+    #[test]
+    fn a_sweep_resumed_between_cells_of_one_topology_is_identical() {
+        let spec = two_topology_spec();
+        let dir = std::env::temp_dir().join(format!("dra-topo-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = |out: &str, cell_budget| RunOptions {
+            out: Some(dir.join(out)),
+            cell_budget,
+            ..quiet(1)
+        };
+        let full = run_with(&spec, &opts("full.json", None), 1).unwrap();
+        // Cut after cell 0: cell 1, on the same topology, is next.
+        let cut = run_with(&spec, &opts("resumed.json", Some(1)), 1).unwrap();
+        assert_eq!((cut.completed, cut.remaining), (1, 3));
+        let resumed = run_with(&spec, &opts("resumed.json", None), 1).unwrap();
+        assert_eq!(resumed.resumed, 1);
+        assert_eq!(resumed.artifact_text, full.artifact_text);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("resumed.json")).unwrap(),
+            full.artifact_text
+        );
+        // The resumed run counts only its pending cells, so the 3x3
+        // slot empties after cell 1, not after a cell 0 that never runs.
+        let shared = SharedForwarding::new(&spec, &[1, 2, 3]);
+        let topo = Topology::build(spec.cells[1].topology);
+        shared.get(&topo);
+        shared.finish(topo.kind);
+        assert!(shared.slot(topo.kind).forwarding.lock().unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

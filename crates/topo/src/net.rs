@@ -29,12 +29,13 @@
 use crate::link::{LinkArena, LinkConfig};
 use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
-use crate::topology::Topology;
+use crate::topology::{Topology, TopologyKind};
 use dra_core::health::{ArchKind, NodeHealth};
 use dra_core::scenario::{Action, Scenario};
 use dra_net::fib::{Dir248Fib, Fib};
 use dra_router::bdr::BdrConfig;
 use dra_router::components::ComponentKind;
+use std::sync::Arc;
 
 /// One end-to-end flow: Poisson packet arrivals from `src`'s host
 /// port to `dst`'s host port.
@@ -277,6 +278,57 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
     }
 }
 
+/// A topology's forwarding state: the min-hop routes compiled into one
+/// [`Dir248Fib`] per node, and the routed diameter that sets every
+/// packet's hop budget.
+///
+/// It is a pure function of the graph — the architecture, faults,
+/// flows and seeds of a network never touch it — so every network on
+/// one topology can share one value read-only behind an [`Arc`]: a
+/// topo sweep compiles it once per topology, and a run's router groups
+/// borrow slices of it.
+#[derive(Debug)]
+pub(crate) struct Forwarding {
+    /// The topology the routes were derived from.
+    kind: TopologyKind,
+    /// Per-node FIBs, indexed by node id.
+    fibs: Vec<Dir248Fib>,
+    /// Every packet's starting TTL: the routed diameter, so only a
+    /// routing bug can exhaust it.
+    hop_budget: u8,
+}
+
+impl Forwarding {
+    /// Derive `topo`'s routes and compile them.
+    ///
+    /// # Panics
+    /// Panics when the routed diameter exceeds [`MAX_DIAMETER`], the
+    /// most hops a packet's `u8` hop fields can count.
+    pub(crate) fn compile(topo: &Topology) -> Forwarding {
+        let routes = RouteTables::derive(topo);
+        assert!(
+            routes.diameter <= MAX_DIAMETER,
+            "routed diameter {} exceeds the {MAX_DIAMETER}-hop budget of the packet's u8 hop fields",
+            routes.diameter
+        );
+        Forwarding {
+            kind: topo.kind,
+            fibs: compile_fibs(topo, &routes),
+            hop_budget: routes.diameter as u8,
+        }
+    }
+
+    /// Per-node FIBs, indexed by node id.
+    pub(crate) fn fibs(&self) -> &[Dir248Fib] {
+        &self.fibs
+    }
+
+    /// The routed diameter, in links: every packet's hop budget.
+    pub(crate) fn hop_budget(&self) -> u8 {
+        self.hop_budget
+    }
+}
+
 /// The simulated network.
 ///
 /// Interior fields are `pub(crate)` so [`crate::pdes`] can split a
@@ -284,8 +336,8 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
 pub struct NetworkSim {
     /// The graph.
     pub topo: Topology,
-    /// Per-node topology-derived FIBs.
-    pub(crate) fibs: Vec<Dir248Fib>,
+    /// Routes and FIBs, shared read-only with every network on `topo`.
+    pub(crate) forwarding: Arc<Forwarding>,
     /// Per-node router health.
     pub(crate) nodes: Vec<NodeHealth>,
     /// Every directed link, flat, indexed by `(node, port)`.
@@ -300,9 +352,6 @@ pub struct NetworkSim {
     pub(crate) compiled: Vec<CompiledNetAction>,
     /// Model parameters.
     pub cfg: NetConfig,
-    /// Every packet's starting TTL: the routed diameter, so only a
-    /// routing bug can exhaust it.
-    pub(crate) hop_budget: u8,
     /// Composed metrics.
     pub stats: NetStats,
     /// Events the last [`NetworkSim::run`] processed.
@@ -314,24 +363,40 @@ pub struct NetworkSim {
 }
 
 impl NetworkSim {
-    /// Build a network of healthy `arch` routers on `topo`.
+    /// Build a network of healthy `arch` routers on `topo`, compiling
+    /// its routes and FIBs afresh.
     ///
     /// Each node's router gets `degree + 1` linecards (one per link
     /// plus the host port, minimum 3), shaped otherwise by
     /// [`BdrConfig::default`].
     pub fn new(topo: Topology, arch: ArchKind, cfg: NetConfig, flows: Vec<Flow>) -> NetworkSim {
+        let forwarding = Arc::new(Forwarding::compile(&topo));
+        Self::with_forwarding(topo, forwarding, arch, cfg, flows)
+    }
+
+    /// [`NetworkSim::new`] on forwarding state already compiled for
+    /// `topo` (and possibly shared with other networks on it).
+    ///
+    /// # Panics
+    /// Panics when `forwarding` was compiled for another topology.
+    pub(crate) fn with_forwarding(
+        topo: Topology,
+        forwarding: Arc<Forwarding>,
+        arch: ArchKind,
+        cfg: NetConfig,
+        flows: Vec<Flow>,
+    ) -> NetworkSim {
+        assert!(
+            forwarding.kind == topo.kind && forwarding.fibs.len() == topo.n_nodes(),
+            "forwarding compiled for {}, not for {}",
+            forwarding.kind.label(),
+            topo.kind.label()
+        );
         for f in &flows {
             assert!(f.src != f.dst, "flow src == dst");
             assert!((f.src as usize) < topo.n_nodes() && (f.dst as usize) < topo.n_nodes());
             assert!(f.rate_pps > 0.0);
         }
-        let routes = RouteTables::derive(&topo);
-        assert!(
-            routes.diameter <= MAX_DIAMETER,
-            "routed diameter {} exceeds the {MAX_DIAMETER}-hop budget of the packet's u8 hop fields",
-            routes.diameter
-        );
-        let fibs = compile_fibs(&topo, &routes);
         let mut base = BdrConfig::default();
         let nodes = (0..topo.n_nodes() as u32)
             .map(|n| {
@@ -344,7 +409,7 @@ impl NetworkSim {
         let covered_busy = vec![0.0; topo.n_nodes()];
         NetworkSim {
             topo,
-            fibs,
+            forwarding,
             nodes,
             links,
             covered_busy,
@@ -352,7 +417,6 @@ impl NetworkSim {
             scenario: Vec::new(),
             compiled: Vec::new(),
             cfg,
-            hop_budget: routes.diameter as u8,
             stats: NetStats::new(n_flows),
             events: 0,
             tele: None,

@@ -69,7 +69,7 @@ impl Serial {
         let outcome = hop(
             node,
             &mut net.nodes[node as usize],
-            &net.fibs[node as usize],
+            &net.forwarding.fibs()[node as usize],
             &mut net.covered_busy[node as usize],
             &net.cfg,
             ctx.now(),
@@ -117,7 +117,7 @@ impl Model for Serial {
                     injected_at: ctx.now(),
                     flow,
                     dst: f.dst as u16,
-                    ttl: self.net.hop_budget,
+                    ttl: self.net.forwarding.hop_budget(),
                     hops: 0,
                 };
                 self.next_pkt_id += 1;

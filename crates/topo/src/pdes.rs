@@ -4,13 +4,15 @@
 //!
 //! ## Decomposition
 //!
-//! Everything a packet touches at one hop is owned by one router: its
+//! Everything a packet touches at one hop belongs to one router: its
 //! [`NodeHealth`], FIB, EIB coverage budget, and the *outgoing*
-//! directions of its links. A group owns that state for a contiguous
-//! router-id range. The only interaction between routers is a
-//! `Forward` → link → `Transit`-at-peer handoff. When the peer is in
-//! the same group, the handoff is a local `Transit`; otherwise it is a
-//! cross message, merged at the next window barrier. The link
+//! directions of its links. A group owns the mutable part of that
+//! state for a contiguous router-id range and borrows the range's FIBs
+//! from the network's shared, read-only forwarding state. The only
+//! interaction between routers is a `Forward` → link →
+//! `Transit`-at-peer handoff. When the peer is in the same group, the
+//! handoff is a local `Transit`; otherwise it is a cross message,
+//! merged at the next window barrier. The link
 //! model charges at least that link's propagation latency on every
 //! handoff, so the conservative lookahead is the **minimum latency
 //! over every attached link** ([`LinkArena::min_latency`]); messages
@@ -344,7 +346,8 @@ struct GroupLp<'a> {
     id: u32,
     cfg: NetConfig,
     routers: Vec<NodeHealth>,
-    fibs: Vec<Dir248Fib>,
+    /// The group's routers' FIBs, borrowed from the shared forwarding.
+    fibs: &'a [Dir248Fib],
     /// Outgoing directed links, indexed by `(router - base, port)`.
     links: LinkArena,
     covered_busy: Vec<f64>,
@@ -727,7 +730,7 @@ pub(crate) fn run_partitioned(
     );
     let NetworkSim {
         topo,
-        fibs,
+        forwarding,
         nodes,
         links,
         covered_busy,
@@ -735,11 +738,11 @@ pub(crate) fn run_partitioned(
         scenario,
         compiled,
         cfg,
-        hop_budget,
         stats: _,
         events: _,
         mut tele,
     } = net;
+    let hop_budget = forwarding.hop_budget();
     let n_groups = starts.len();
     let end_of = |g: usize| starts.get(g + 1).map_or(n_nodes, |&s| s as usize);
     let mut group_of = vec![0u32; n_nodes];
@@ -775,7 +778,6 @@ pub(crate) fn run_partitioned(
     }
     let sample_every = tele.as_ref().map(|t| t.sample_every());
     let mut nodes = nodes.into_iter();
-    let mut fibs = fibs.into_iter();
     let mut per_node_links = links.into_per_node().into_iter();
     let mut covered_busy = covered_busy.into_iter();
     let mut lps: Vec<GroupLp> = (0..n_groups)
@@ -788,7 +790,7 @@ pub(crate) fn run_partitioned(
                 id: g as u32,
                 cfg,
                 routers: nodes.by_ref().take(len).collect(),
-                fibs: fibs.by_ref().take(len).collect(),
+                fibs: &forwarding.fibs()[starts[g] as usize..end_of(g)],
                 links: LinkArena::from_per_node(per_node_links.by_ref().take(len)),
                 covered_busy: covered_busy.by_ref().take(len).collect(),
                 emitted: vec![0; len],
@@ -883,7 +885,6 @@ pub(crate) fn run_partitioned(
 
     // Reassemble: state concatenates in group order, the ledgers merge.
     let mut nodes = Vec::with_capacity(n_nodes);
-    let mut fibs = Vec::with_capacity(n_nodes);
     let mut per_node_links = Vec::with_capacity(n_nodes);
     let mut covered_busy = Vec::with_capacity(n_nodes);
     let mut ledgers = Vec::with_capacity(n_groups);
@@ -907,14 +908,13 @@ pub(crate) fn run_partitioned(
         events += lp.events;
         ledgers.push(lp.ledger);
         nodes.extend(lp.routers);
-        fibs.extend(lp.fibs);
         per_node_links.extend(lp.links.into_per_node());
         covered_busy.extend(lp.covered_busy);
     }
     let stats = merge_ledgers(ledgers, flows.len());
     NetworkSim {
         topo,
-        fibs,
+        forwarding,
         nodes,
         links: LinkArena::from_per_node(per_node_links.into_iter()),
         covered_busy,
@@ -922,7 +922,6 @@ pub(crate) fn run_partitioned(
         scenario,
         compiled,
         cfg,
-        hop_budget,
         stats,
         events,
         tele,

@@ -113,7 +113,7 @@ pub fn compile_fibs(topo: &Topology, routes: &RouteTables) -> Vec<Dir248Fib> {
     let n = topo.n_nodes();
     (0..n)
         .map(|node| {
-            let mut fib = Dir248Fib::new();
+            let mut fib = Dir248Fib::with_capacity(n);
             for dst in 0..n {
                 fib.insert(node_prefix(dst as u32), routes.next_port[node][dst]);
             }
@@ -175,16 +175,37 @@ mod tests {
 
     #[test]
     fn fibs_agree_with_tables() {
-        let topo = Topology::build(TopologyKind::Mesh2D { rows: 3, cols: 3 });
-        let routes = RouteTables::derive(&topo);
-        let fibs = compile_fibs(&topo, &routes);
-        for (node, fib) in fibs.iter().enumerate() {
-            assert_eq!(fib.len(), topo.n_nodes());
-            for dst in 0..topo.n_nodes() as u32 {
-                assert_eq!(
-                    fib.lookup(node_addr(dst, 42)),
-                    Some(routes.next_port[node][dst as usize]),
-                );
+        // Every topology a registry sweep names, fat-tree(4) through
+        // mesh-32x32 and BA-512, plus the 3x3 mesh of the unit tests.
+        let mut kinds = vec![TopologyKind::Mesh2D { rows: 3, cols: 3 }];
+        for name in crate::registry::NAMES {
+            for quick in [false, true] {
+                let spec = crate::registry::spec_by_name(name, quick).unwrap();
+                for cell in spec.cells {
+                    if !kinds.contains(&cell.topology) {
+                        kinds.push(cell.topology);
+                    }
+                }
+            }
+        }
+        for want in ["fat-tree-k4", "mesh-32x32", "ba-n512-m2"] {
+            assert!(kinds.iter().any(|k| k.label() == want), "{want}");
+        }
+        for kind in kinds {
+            let topo = Topology::build(kind);
+            let routes = RouteTables::derive(&topo);
+            let fibs = compile_fibs(&topo, &routes);
+            assert_eq!(fibs.len(), topo.n_nodes());
+            for (node, fib) in fibs.iter().enumerate() {
+                assert_eq!(fib.len(), topo.n_nodes(), "{}", kind.label());
+                for dst in 0..topo.n_nodes() as u32 {
+                    assert_eq!(
+                        fib.lookup(node_addr(dst, node as u64)),
+                        Some(routes.next_port[node][dst as usize]),
+                        "{}: node {node} -> {dst}",
+                        kind.label()
+                    );
+                }
             }
         }
     }

@@ -247,7 +247,7 @@ impl Sweep for TopoSpec {
             }
             if let TopologyKind::Mesh2D { rows, cols } = c.topology {
                 // The one family whose diameter grows linearly with N;
-                // `NetworkSim::new` checks every topology's routes.
+                // `Forwarding::compile` checks every topology's routes.
                 let diameter = (rows as u64 + cols as u64).saturating_sub(2);
                 if diameter > MAX_DIAMETER as u64 {
                     return Err(format!(
