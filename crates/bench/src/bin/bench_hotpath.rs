@@ -25,11 +25,6 @@
 //!   the topology → BFS → compiled-FIB setup path on BA(64), and
 //!   delivered packets/second through a healthy 4×4-mesh
 //!   co-simulation (the topo sweep's unit of work);
-//! * **pdes** — the network engine ([`dra_topo::pdes`]) at two router
-//!   groups vs one on 64- and 128-router networks: delivered
-//!   packets/second at `sim_threads` 2 and 1 with a bit-identity
-//!   assertion between the two, plus the speedup ratio (the reference
-//!   host has two cores, so two groups is its widest useful width);
 //! * **rareevent** — wall-clock cost of reaching a target relative
 //!   confidence interval on the steady-state unavailability at the
 //!   paper's **real** (uninflated) failure rates, for the
@@ -687,119 +682,6 @@ fn bench_topo(quick: bool) -> Json {
     Json::Arr(entries)
 }
 
-// --------------------------------------------------------------------- pdes
-
-/// The network engine at two router groups against one, on the scale
-/// sweep's workloads (64- and 128-router networks). Each entry runs
-/// the identical cell at `sim_threads` 1 and 2, asserts the final
-/// counters and latency moments agree bit-for-bit, and reports
-/// delivered end-to-end packets per wall-clock second for both plus
-/// the ratio. The `serial_*` columns (names kept for artifact
-/// compatibility) are the one-group run. The engine clamps the group
-/// count to the host's cores, and the `threads` column records the
-/// count it actually ran on; on the two-core reference host two
-/// groups is the widest useful width, so no speedup beyond 2× can
-/// show here.
-fn bench_pdes(quick: bool) -> Json {
-    use dra_core::health::ArchKind;
-    use dra_des::pdes::effective_threads;
-    use dra_topo::engine::build_network;
-    use dra_topo::link::LinkConfig;
-    use dra_topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};
-    use dra_topo::topology::TopologyKind;
-
-    let reps = if quick { 1 } else { 3 };
-    let requested_threads = 2usize;
-    let horizon = if quick { 4e-3 } else { 12e-3 };
-    let cases: &[(&str, TopologyKind)] = if quick {
-        &[("mesh_8x8", TopologyKind::Mesh2D { rows: 8, cols: 8 })]
-    } else {
-        &[
-            ("mesh_8x8", TopologyKind::Mesh2D { rows: 8, cols: 8 }),
-            (
-                "ba_128",
-                TopologyKind::BarabasiAlbert {
-                    n: 128,
-                    m: 2,
-                    seed: 11,
-                },
-            ),
-        ]
-    };
-    let mut entries = Vec::new();
-    for &(name, topology) in cases {
-        let cell = TopoCellSpec {
-            id: format!("bench/{name}"),
-            arch: ArchKind::Dra,
-            topology,
-            link: LinkConfig::default(),
-            flows: FlowSpec {
-                n_flows: if quick { 24 } else { 48 },
-                rate_pps: 40_000.0,
-                packet_bytes: 700,
-            },
-            faults: TopoFaultSpec::None,
-            horizon_s: horizon,
-            drain_s: horizon * 0.25,
-            replications: 1,
-            seed_group: 0,
-        };
-        // One group; its event count is the shared denominator for
-        // both rows' `events_per_sec` and `allocs_per_event` (both runs
-        // do the same events, so the two rows stay comparable).
-        // Allocations per event are the minimum over reps: the first
-        // rep pays one-time warmup.
-        let arm = |sim_threads: usize| {
-            let mut min_allocs = u64::MAX;
-            let ((stats, events), rate) = timed(reps, |_, lap| {
-                let mut net = build_network(&cell, 0xD8A_70B0, 0);
-                net.cfg.sim_threads = sim_threads;
-                let a0 = allocs_now();
-                let done = lap.time(|| net.run(0xD8A_70B0, horizon));
-                min_allocs = min_allocs.min(allocs_now() - a0);
-                let events = done.events_processed();
-                let stats = done.stats;
-                assert!(stats.conserved(), "bench pdes cell not conserved");
-                (stats.delivered, (stats, events))
-            });
-            (stats, events, rate, min_allocs)
-        };
-        let (one, one_events, one_rate, one_allocs) = arm(1);
-        let (two, _, two_rate, two_allocs) = arm(requested_threads);
-        assert_eq!(one.injected, two.injected, "{name}: injected");
-        assert_eq!(one.delivered, two.delivered, "{name}: delivered");
-        assert_eq!(one.drops, two.drops, "{name}: drops");
-        assert_eq!(
-            one.latency.mean().to_bits(),
-            two.latency.mean().to_bits(),
-            "{name}: latency moments must be bit-identical"
-        );
-        assert!(one.delivered > 0, "{name}: delivered nothing");
-        let per_event = |allocs: u64| allocs as f64 / one_events.max(1) as f64;
-        let events_per_item = one_events as f64 / one.delivered as f64;
-        entries.push(Json::obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("items", Json::Num(one.delivered as f64)),
-            ("rate_per_sec", Json::Num(two_rate)),
-            ("serial_per_sec", Json::Num(one_rate)),
-            (
-                "threads",
-                Json::Num(effective_threads(requested_threads, topology.n_nodes()) as f64),
-            ),
-            ("speedup_vs_serial", Json::Num(two_rate / one_rate)),
-            ("events", Json::Num(one_events as f64)),
-            ("events_per_sec", Json::Num(two_rate * events_per_item)),
-            (
-                "serial_events_per_sec",
-                Json::Num(one_rate * events_per_item),
-            ),
-            ("allocs_per_event", Json::Num(per_event(two_allocs))),
-            ("serial_allocs_per_event", Json::Num(per_event(one_allocs))),
-        ]));
-    }
-    Json::Arr(entries)
-}
-
 // ---------------------------------------------------------------- rareevent
 
 /// Wall-clock-to-target-relative-CI for the rare-event estimators at
@@ -1075,8 +957,9 @@ fn check(artifact: &Json) -> Result<(), String> {
     if artifact.get("topo").is_some() {
         check_section(artifact, "topo", &["name", "items", "rate_per_sec"])?;
     }
-    // Optional: artifacts predating the parallel network engine lack
-    // the pdes section.
+    // Optional: only artifacts from while the network engine could
+    // run several router groups (BENCH_pr8..pr20.json) carry the pdes
+    // section; the harness no longer writes it.
     if let Some(pdes) = artifact.get("pdes") {
         check_section(
             artifact,
@@ -1214,8 +1097,6 @@ fn main() {
         dra_telemetry::enable(dra_telemetry::Config::default());
     }
     let topo = bench_topo(quick);
-    eprintln!("bench-hotpath: parallel network engine ...");
-    let pdes = bench_pdes(quick);
     eprintln!("bench-hotpath: rare-event estimators ...");
     let rare = bench_rareevent(quick);
     eprintln!("bench-hotpath: end-to-end faceoff cell ...");
@@ -1232,7 +1113,6 @@ fn main() {
         ("lookup", lookup),
         ("ingress", ingress),
         ("topo", topo),
-        ("pdes", pdes),
         ("rareevent", rare),
         ("end_to_end", e2e),
     ]);

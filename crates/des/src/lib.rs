@@ -9,10 +9,6 @@
 //! * [`calendar`] — the calendar-queue scheduler under the kernel:
 //!   O(1) amortized enqueue/dequeue with the same total order a binary
 //!   heap over `(time, seq)` would produce.
-//! * [`pdes`] — conservative parallel execution for models that
-//!   decompose into logical processes with a static lookahead:
-//!   barrier windows, deterministic cross-LP merge, byte-identical
-//!   results at every thread count.
 //! * [`random`] — inverse-transform samplers (exponential, Pareto,
 //!   discrete empirical, …) over any [`rand::Rng`], so no extra
 //!   distribution crates are needed.
@@ -23,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod calendar;
-pub mod pdes;
 pub mod queueing;
 pub mod random;
 pub mod sim;

@@ -7,10 +7,9 @@
 //! document's non-deterministic `profile` member.
 //!
 //! Everything in a [`NetScope`] is derived from sim-time ordered data
-//! and is byte-identical at any `--sim-threads` and any worker count.
-//! Its lists merge by concatenate-then-canonical-sort (a multiset
-//! union) and its counters by addition. The engine profile (wall-clock,
-//! barrier stalls, per-LP load) is not deterministic.
+//! and is byte-identical at any worker count. Its lists merge by
+//! concatenate-then-canonical-sort (a multiset union) and its counters
+//! by addition. The engine profile (wall-clock) is not deterministic.
 
 use crate::json::Json;
 
@@ -176,168 +175,36 @@ impl ForensicEntry {
     }
 }
 
-/// Engine profile: wall-clock and load measurements from the
-/// network engine. **Non-deterministic** — lives only in the
-/// document's `profile` member.
-#[derive(Debug, Clone, PartialEq)]
+/// Engine profile: the network engine's wall-clock and event count.
+/// **Non-deterministic** — lives only in the document's `profile`
+/// member.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineProfile {
-    /// Parallel runs folded into this profile.
+    /// Network runs folded into this profile.
     pub runs: u64,
-    /// Worker threads (max across runs).
-    pub threads: u64,
-    /// Barrier windows executed (sum across runs).
-    pub windows: u64,
-    /// Cross-LP messages exchanged (sum).
-    pub cross_messages: u64,
-    /// Wall-clock spent inside the windowed engine, nanoseconds (sum).
+    /// Wall-clock spent inside the engine's event loop, nanoseconds
+    /// (sum).
     pub wall_ns: u64,
-    /// Wall-clock all threads spent stalled at barriers, ns (sum).
-    pub barrier_wait_ns: u64,
-    /// Windows in which at least one LP processed an event (sum).
-    pub nonempty_windows: u64,
-    /// Sum over windows of the busiest LP's event count — the serial
-    /// critical path under perfect balance.
-    pub window_max_events_sum: u64,
-    /// Events processed per LP (pairwise-added; shorter runs extend
-    /// with zeros, so positions only align within one topology).
-    pub lp_events: Vec<u64>,
-    /// Windows in which each LP processed at least one event.
-    pub lp_busy_windows: Vec<u64>,
-    /// Smallest per-LP lookahead seen, seconds.
-    pub lookahead_min_s: f64,
-    /// Largest per-LP lookahead seen, seconds.
-    pub lookahead_max_s: f64,
-    /// Sum of per-LP lookaheads (mean = sum / lps).
-    pub lookahead_sum_s: f64,
-    /// LP-lookahead samples behind the min/max/sum.
-    pub lookahead_lps: u64,
-}
-
-impl Default for EngineProfile {
-    fn default() -> Self {
-        EngineProfile {
-            runs: 0,
-            threads: 0,
-            windows: 0,
-            cross_messages: 0,
-            wall_ns: 0,
-            barrier_wait_ns: 0,
-            nonempty_windows: 0,
-            window_max_events_sum: 0,
-            lp_events: Vec::new(),
-            lp_busy_windows: Vec::new(),
-            lookahead_min_s: f64::INFINITY,
-            lookahead_max_s: 0.0,
-            lookahead_sum_s: 0.0,
-            lookahead_lps: 0,
-        }
-    }
-}
-
-fn add_extend(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
+    /// Events processed (sum).
+    pub events: u64,
 }
 
 impl EngineProfile {
     /// Fold another run's profile into this one.
     pub fn merge(&mut self, o: &EngineProfile) {
         self.runs += o.runs;
-        self.threads = self.threads.max(o.threads);
-        self.windows += o.windows;
-        self.cross_messages += o.cross_messages;
         self.wall_ns += o.wall_ns;
-        self.barrier_wait_ns += o.barrier_wait_ns;
-        self.nonempty_windows += o.nonempty_windows;
-        self.window_max_events_sum += o.window_max_events_sum;
-        add_extend(&mut self.lp_events, &o.lp_events);
-        add_extend(&mut self.lp_busy_windows, &o.lp_busy_windows);
-        self.lookahead_min_s = self.lookahead_min_s.min(o.lookahead_min_s);
-        self.lookahead_max_s = self.lookahead_max_s.max(o.lookahead_max_s);
-        self.lookahead_sum_s += o.lookahead_sum_s;
-        self.lookahead_lps += o.lookahead_lps;
+        self.events += o.events;
     }
 
-    /// Total events processed across all LPs.
-    pub fn events_total(&self) -> u64 {
-        self.lp_events.iter().sum()
-    }
-
-    /// Busiest LP's event count.
-    pub fn lp_events_max(&self) -> u64 {
-        self.lp_events.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Load imbalance: max LP events over mean LP events (1.0 =
-    /// perfectly balanced; 0.0 when no events were processed).
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.lp_events.len() as f64;
-        let total = self.events_total() as f64;
-        if n == 0.0 || total == 0.0 {
-            return 0.0;
-        }
-        self.lp_events_max() as f64 / (total / n)
-    }
-}
-
-impl EngineProfile {
     pub(crate) fn to_json(&self) -> Json {
-        let (lo, mean, hi) = if self.lookahead_lps == 0 {
-            (0.0, 0.0, 0.0)
-        } else {
-            (
-                self.lookahead_min_s,
-                self.lookahead_sum_s / self.lookahead_lps as f64,
-                self.lookahead_max_s,
-            )
-        };
-        let lp_events = self.lp_events.iter().take(LP_EVENTS_IN_JSON);
         Json::obj(vec![
             ("runs", Json::uint(self.runs)),
-            ("threads", Json::uint(self.threads)),
-            ("windows", Json::uint(self.windows)),
-            ("nonempty_windows", Json::uint(self.nonempty_windows)),
-            ("cross_messages", Json::uint(self.cross_messages)),
             ("wall_ns", Json::uint(self.wall_ns)),
-            ("barrier_wait_ns", Json::uint(self.barrier_wait_ns)),
-            (
-                "window_max_events_sum",
-                Json::uint(self.window_max_events_sum),
-            ),
-            ("lp_count", Json::uint(self.lp_events.len() as u64)),
-            ("events_total", Json::uint(self.events_total())),
-            ("lp_events_max", Json::uint(self.lp_events_max())),
-            ("load_imbalance", Json::Num(self.load_imbalance())),
-            (
-                "busy_windows_total",
-                Json::uint(self.lp_busy_windows.iter().sum()),
-            ),
-            (
-                "lookahead_s",
-                Json::obj(vec![
-                    ("min", Json::Num(lo)),
-                    ("mean", Json::Num(mean)),
-                    ("max", Json::Num(hi)),
-                ]),
-            ),
-            (
-                "lp_events_truncated",
-                Json::Bool(self.lp_events.len() > LP_EVENTS_IN_JSON),
-            ),
-            (
-                "lp_events",
-                Json::Arr(lp_events.map(|&e| Json::uint(e)).collect()),
-            ),
+            ("events", Json::uint(self.events)),
         ])
     }
 }
-
-/// Per-LP event counts serialized into JSON before truncation.
-const LP_EVENTS_IN_JSON: usize = 256;
 
 /// Flow spans serialized into JSON before truncation (the full list
 /// stays available in the struct and feeds the Perfetto exporter).
@@ -467,38 +334,22 @@ mod tests {
     fn profile_merges_by_summation() {
         let mut p = EngineProfile {
             runs: 1,
-            threads: 2,
-            windows: 10,
-            lp_events: vec![5, 3],
-            lp_busy_windows: vec![4, 2],
-            lookahead_min_s: 1e-6,
-            lookahead_max_s: 2e-6,
-            lookahead_sum_s: 3e-6,
-            lookahead_lps: 2,
-            ..EngineProfile::default()
+            wall_ns: 10,
+            events: 5,
         };
-        let q = EngineProfile {
-            runs: 1,
-            threads: 4,
-            windows: 7,
-            lp_events: vec![1, 1, 8],
-            lp_busy_windows: vec![1, 1, 7],
-            lookahead_min_s: 5e-7,
-            lookahead_max_s: 1e-6,
-            lookahead_sum_s: 2e-6,
-            lookahead_lps: 3,
-            ..EngineProfile::default()
-        };
-        p.merge(&q);
-        assert_eq!(p.runs, 2);
-        assert_eq!(p.threads, 4);
-        assert_eq!(p.windows, 17);
-        assert_eq!(p.lp_events, vec![6, 4, 8]);
-        assert_eq!(p.events_total(), 18);
-        assert_eq!(p.lp_events_max(), 8);
-        assert!((p.load_imbalance() - 8.0 / 6.0).abs() < 1e-12);
-        assert_eq!(p.lookahead_min_s, 5e-7);
-        assert_eq!(p.lookahead_max_s, 2e-6);
+        p.merge(&EngineProfile {
+            runs: 2,
+            wall_ns: 7,
+            events: 9,
+        });
+        assert_eq!(
+            p,
+            EngineProfile {
+                runs: 3,
+                wall_ns: 17,
+                events: 14,
+            }
+        );
     }
 
     #[test]
@@ -533,15 +384,8 @@ mod tests {
             }),
             profile: Some(EngineProfile {
                 runs: 1,
-                threads: 2,
-                windows: 4,
-                lp_events: vec![3, 1],
-                lp_busy_windows: vec![2, 1],
-                lookahead_min_s: 1e-6,
-                lookahead_max_s: 1e-6,
-                lookahead_sum_s: 2e-6,
-                lookahead_lps: 2,
-                ..EngineProfile::default()
+                wall_ns: 900,
+                events: 4,
             }),
             ..Snapshot::default()
         };
@@ -552,7 +396,7 @@ mod tests {
         assert!(json.contains("\"kind\":\"flow_down\""));
         assert!(json.contains("\"cause\":\"c\""));
         assert!(json.contains("\"anomaly\":null,\"profile\":{\"runs\":1"));
-        assert!(json.contains("\"load_imbalance\":1.5"));
+        assert!(json.ends_with("\"profile\":{\"runs\":1,\"wall_ns\":900,\"events\":4}}"));
         s.profile = None;
         assert!(s
             .to_json()

@@ -8,12 +8,11 @@
 //!                gauges, hists, recorder } | null,
 //!   "network": { n_nodes, drop_causes, nodes, forensics, spans } | null,
 //!   "anomaly": { reason, t, events_truncated, events } | null,
-//!   "profile": { runs, threads, windows, … } | null }
+//!   "profile": { runs, wall_ns, events } | null }
 //! ```
 //!
 //! Every member but `profile` is deterministic: a pure function of the
-//! cells merged, byte-identical at any worker count and any
-//! `--sim-threads`. `profile` holds wall-clock measurements and comes
+//! cells merged, byte-identical at any worker count. `profile` holds wall-clock measurements and comes
 //! last, so consumers drop one member to compare documents.
 //!
 //! [`Snapshot::merge`] is commutative and associative — counter adds,

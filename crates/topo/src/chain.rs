@@ -4,7 +4,7 @@
 //! A serial DES kernel breaks exact `f64` time ties by scheduling
 //! sequence; the network engine recovers that order from event
 //! *provenance* — the chain of ancestor pop times, compared most
-//! recent first (see the [`crate::pdes`] module docs). Carrying that
+//! recent first (see the [`crate::kernel`] module docs). Carrying that
 //! chain as a `Vec<f64>` per packet costs one heap allocation plus a
 //! clone-and-push **per hop per packet**, which dominated the
 //! engine's per-event overhead.
@@ -20,7 +20,7 @@
 //! that as hitting [`NIL`] first.
 //!
 //! Memory stays bounded by **epoch-based recycling**: between event
-//! batches the owning group asks the arena to compact, copying only the
+//! batches the kernel asks the arena to compact, copying only the
 //! paths reachable from still-pending events into a fresh epoch and
 //! rewriting their handles. Copying paths *by value* is semantically
 //! free — chains are compared by value, never by identity — so losing
@@ -118,9 +118,7 @@ impl ChainArena {
         }
     }
 
-    /// Append the chain's pop times, most recent first, onto `out`
-    /// (the wire/storage form: what [`ChainArena::intern_recent_first`]
-    /// reads back and what [`chain_cmp_recent_first`] compares).
+    /// Append the chain's pop times, most recent first, onto `out`.
     pub fn serialize_into(&self, mut h: u32, out: &mut Vec<f64>) {
         while h != NIL {
             let n = self.nodes[h as usize];
@@ -129,18 +127,8 @@ impl ChainArena {
         }
     }
 
-    /// Intern a most-recent-first pop-time sequence (the form
-    /// [`ChainArena::serialize_into`] emits) as a fresh chain.
-    pub fn intern_recent_first(&mut self, times: &[f64]) -> u32 {
-        let mut h = NIL;
-        for &t in times.iter().rev() {
-            h = self.extend(h, t);
-        }
-        h
-    }
-
     /// True when enough garbage may have accumulated that the owner
-    /// should run a compaction epoch (cheap to call every barrier).
+    /// should run a compaction epoch (cheap to call every batch).
     pub fn should_compact(&self) -> bool {
         self.nodes.len() >= self.next_compact.max(MIN_COMPACT)
     }
@@ -182,7 +170,7 @@ impl ChainArena {
     /// arena, the old epoch's storage is retained (empty) for the next
     /// epoch, and the compaction threshold adapts to the live size so
     /// a large steady-state population is not recompacted every
-    /// barrier.
+    /// batch.
     pub fn finish_compact(&mut self) {
         std::mem::swap(&mut self.nodes, &mut self.scratch);
         self.next_compact = (self.nodes.len() * 4).max(MIN_COMPACT);
@@ -196,18 +184,6 @@ impl ChainArena {
 /// back to shorter-first when one chain's provenance runs out.
 pub fn chain_cmp_ref(a: &[f64], b: &[f64]) -> Ordering {
     for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        match x.total_cmp(y) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    a.len().cmp(&b.len())
-}
-
-/// [`chain_cmp_ref`] for chains stored most-recent-first (the
-/// serialized form): same order, no reversal.
-pub fn chain_cmp_recent_first(a: &[f64], b: &[f64]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
         match x.total_cmp(y) {
             Ordering::Equal => {}
             o => return o,
@@ -254,14 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn serialize_and_intern_round_trip() {
+    fn serialize_lists_pop_times_most_recent_first() {
         let mut arena = ChainArena::new();
         let h = intern_oldest_first(&mut arena, &[1.0, 2.0, 3.0]);
         let mut wire = Vec::new();
         arena.serialize_into(h, &mut wire);
         assert_eq!(wire, vec![3.0, 2.0, 1.0], "most recent first");
-        let h2 = arena.intern_recent_first(&wire);
-        assert_eq!(arena.cmp(h, h2), Ordering::Equal);
     }
 
     #[test]

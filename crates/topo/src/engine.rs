@@ -5,8 +5,8 @@
 //! Per-cell seeds derive from `(master_seed, seed_group, replication,
 //! stream)` via SplitMix64 — with the extra per-node coordinate of
 //! [`crate::seeds::node_seed`] inside each cell — so the artifact is
-//! byte-identical at every worker count and every `sim_threads` (the
-//! CI `topo-smoke` job pins workers 1 vs 4 and sim-threads 1 vs 2 vs 4).
+//! byte-identical at every worker count (the CI `topo-smoke` job pins
+//! workers 1 vs 4).
 //!
 //! A sweep compiles each topology's forwarding state (routes and
 //! per-node FIBs) once and shares it read-only across the cells and
@@ -23,7 +23,6 @@ use dra_campaign::pool::default_workers;
 use dra_campaign::seed::{derive_seed, Stream};
 use dra_campaign::sweep::{self, welford_json, RunOptions};
 use dra_core::scenario::FaultProcess;
-use dra_des::pdes::{host_cores, sweep_engine_threads};
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
 use dra_router::faults::{FaultGranularity, FaultInjector};
@@ -45,9 +44,10 @@ const FLOW_TAG: u64 = 0xF10D_0000_0000_0001;
 pub struct TopoRunOptions {
     /// Worker threads (None = one per CPU).
     pub workers: Option<usize>,
-    /// Router groups (one thread each) for each cell's network
-    /// simulation (None = 1). Any value produces byte-identical
-    /// artifacts (see [`NetConfig::sim_threads`]).
+    /// Ignored: each cell's network runs as one router group on one
+    /// thread. Kept only because the repository benchmark still sets
+    /// it, until a change that reopens `benchmark/` (ROADMAP item 6)
+    /// deletes it, like [`NetConfig::sim_threads`].
     pub sim_threads: Option<usize>,
     /// Artifact path (None = don't write, return text only). When set,
     /// finished cells checkpoint next to it and a re-run resumes.
@@ -57,7 +57,7 @@ pub struct TopoRunOptions {
     /// Write the merged `dra-telemetry/v2` document, network scope
     /// filled, here (collection turns on iff this or `trace_out` is
     /// set). Every member but `profile` is byte-identical at any
-    /// `sim_threads`/`workers`.
+    /// `workers`.
     pub telemetry_out: Option<PathBuf>,
     /// Write the Chrome `trace_event` flow trace of the sampled
     /// packets here.
@@ -74,24 +74,16 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
         trace_out: opts.trace_out.clone(),
         ..RunOptions::default()
     };
-    run_with(spec, &run_opts, opts.sim_threads.unwrap_or(1))
+    run_with(spec, &run_opts)
 }
 
-/// Execute a topo sweep with the envelope's own options, each cell's
-/// network on up to `sim_threads` threads: the width is cut so the
-/// cells this invocation runs never put more engine threads in flight
-/// than the host has cores ([`sweep_engine_threads`]), which the
-/// artifact cannot see. Forwarding state is compiled once per topology
-/// for the invocation and shared by its cells on that topology.
-pub fn run_with(
-    spec: &TopoSpec,
-    opts: &RunOptions,
-    sim_threads: usize,
-) -> std::io::Result<TopoOutcome> {
+/// Execute a topo sweep with the envelope's own options. Forwarding
+/// state is compiled once per topology for the invocation and shared
+/// by its cells on that topology.
+pub fn run_with(spec: &TopoSpec, opts: &RunOptions) -> std::io::Result<TopoOutcome> {
     sweep::run(spec, opts, |pending| {
-        let width = sweep_engine_threads(sim_threads, opts.workers, pending.len(), host_cores());
         let shared = SharedForwarding::new(spec, pending);
-        move |i| run_shared_cell(spec, i, width, &shared)
+        move |i| run_shared_cell(spec, i, &shared)
     })
 }
 
@@ -182,12 +174,7 @@ impl SharedForwarding {
 
 /// [`run_cell`] on the sweep's shared forwarding state, counting the
 /// cell finished however it ends.
-fn run_shared_cell(
-    spec: &TopoSpec,
-    index: usize,
-    sim_threads: usize,
-    shared: &SharedForwarding,
-) -> Json {
+fn run_shared_cell(spec: &TopoSpec, index: usize, shared: &SharedForwarding) -> Json {
     struct Finish<'a>(&'a SharedForwarding, TopologyKind);
     impl Drop for Finish<'_> {
         fn drop(&mut self) {
@@ -196,7 +183,7 @@ fn run_shared_cell(
     }
     let cell = &spec.cells[index];
     let _finish = Finish(shared, cell.topology);
-    run_cell(spec, index, sim_threads, |rep| {
+    run_cell(spec, index, |rep| {
         network_on(cell, spec.master_seed, rep, |topo| shared.get(topo))
     })
 }
@@ -339,12 +326,7 @@ fn network_on(
 /// `network(rep)` builds, and reduce to its JSON record. When the sweep
 /// envelope armed this thread's telemetry hub, each replication also
 /// hands its network scope and flow trace to the hub.
-fn run_cell(
-    spec: &TopoSpec,
-    index: usize,
-    sim_threads: usize,
-    network: impl Fn(u32) -> NetworkSim,
-) -> Json {
+fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) -> Json {
     let cell = &spec.cells[index];
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -357,7 +339,6 @@ fn run_cell(
     let (mut n_nodes, mut n_links) = (0, 0);
     for rep in 0..cell.replications {
         let mut net = network(rep);
-        net.cfg.sim_threads = sim_threads;
         if let Some(every) = dra_telemetry::sample_every() {
             // Telemetry observes without steering, so the artifact
             // bytes do not change.
@@ -387,8 +368,8 @@ fn run_cell(
             hops.push(s.hops.mean());
         }
         // Distinct Perfetto pid/arrow namespaces per (cell, rep): pure
-        // functions of the indices, so the merged trace is worker- and
-        // sim-thread-invariant.
+        // functions of the indices, so the merged trace is
+        // worker-invariant.
         let pid_base = index as u32 * 4096;
         let arrow_base = ((index as u64 * 1024) + rep as u64) << 40;
         if let Some(report) = net.export_net_telemetry(cell.horizon_s, pid_base, arrow_base) {
@@ -502,7 +483,7 @@ mod tests {
         // The reference: every replication compiles its own forwarding.
         let fresh = sweep::run(&spec, &quiet(1), |_| {
             |i| {
-                run_cell(&spec, i, 1, |rep| {
+                run_cell(&spec, i, |rep| {
                     build_network(&spec.cells[i], spec.master_seed, rep)
                 })
             }
@@ -512,7 +493,7 @@ mod tests {
         for workers in [1, 2] {
             let shared = SharedForwarding::new(&spec, &all);
             let text = sweep::run(&spec, &quiet(workers), |_| {
-                |i| run_shared_cell(&spec, i, 1, &shared)
+                |i| run_shared_cell(&spec, i, &shared)
             })
             .unwrap()
             .artifact_text;
@@ -527,7 +508,7 @@ mod tests {
                 );
                 assert!(slot.forwarding.lock().unwrap().is_none(), "released");
             }
-            let swept = run_with(&spec, &quiet(workers), 1).unwrap().artifact_text;
+            let swept = run_with(&spec, &quiet(workers)).unwrap().artifact_text;
             assert_eq!(swept, fresh, "run_with, workers = {workers}");
         }
     }
@@ -567,11 +548,11 @@ mod tests {
             cell_budget,
             ..quiet(1)
         };
-        let full = run_with(&spec, &opts("full.json", None), 1).unwrap();
+        let full = run_with(&spec, &opts("full.json", None)).unwrap();
         // Cut after cell 0: cell 1, on the same topology, is next.
-        let cut = run_with(&spec, &opts("resumed.json", Some(1)), 1).unwrap();
+        let cut = run_with(&spec, &opts("resumed.json", Some(1))).unwrap();
         assert_eq!((cut.completed, cut.remaining), (1, 3));
-        let resumed = run_with(&spec, &opts("resumed.json", None), 1).unwrap();
+        let resumed = run_with(&spec, &opts("resumed.json", None)).unwrap();
         assert_eq!(resumed.resumed, 1);
         assert_eq!(resumed.artifact_text, full.artifact_text);
         assert_eq!(
@@ -596,7 +577,6 @@ mod tests {
                 &spec,
                 &TopoRunOptions {
                     workers: Some(w),
-                    sim_threads: None,
                     out: None,
                     quiet: true,
                     ..Default::default()
@@ -619,7 +599,6 @@ mod tests {
             &spec,
             &TopoRunOptions {
                 workers: Some(1),
-                sim_threads: None,
                 out: None,
                 quiet: true,
                 ..Default::default()
@@ -658,7 +637,6 @@ mod tests {
                 &spec,
                 &TopoRunOptions {
                     workers: Some(workers),
-                    sim_threads: None,
                     out: None,
                     quiet: true,
                     ..Default::default()
@@ -682,39 +660,6 @@ mod tests {
             let (n, errors) = validate_artifact(&out.artifact_text).unwrap();
             assert_eq!((n, errors), (2, 1));
         }
-    }
-
-    #[test]
-    fn artifact_is_sim_thread_invariant() {
-        // One worker, so the sweep clamp leaves the width to the engine
-        // and sim-threads 2 and 4 really cut the network into groups
-        // (worker-count invariance is the test above).
-        let spec = tiny_spec();
-        let run_with = |t| {
-            run(
-                &spec,
-                &TopoRunOptions {
-                    workers: Some(1),
-                    sim_threads: Some(t),
-                    out: None,
-                    quiet: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .artifact_text
-        };
-        let one_group = run_with(1);
-        assert_eq!(
-            one_group,
-            run_with(2),
-            "artifact must be byte-identical at --sim-threads 2"
-        );
-        assert_eq!(
-            one_group,
-            run_with(4),
-            "artifact must be byte-identical at --sim-threads 4"
-        );
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //!   [`NodeHealth`](dra_core::health::NodeHealth) and stepped lazily
 //!   along its fault timeline; multi-hop flows and composed drop
 //!   accounting.
-//! * [`pdes`] — the network engine: contiguous router groups as
-//!   logical processes on conservative barrier windows (lookahead =
-//!   the minimum attached link latency), one event order for every
-//!   partition, so any group count (`NetConfig::sim_threads`) gives the
-//!   same bytes. One group is the single-thread case.
+//! * [`kernel`] — the network engine: one calendar queue per run,
+//!   with one total event order (time, provenance chain, source
+//!   router, per-router emission count) and a counted conservation
+//!   ledger.
 //! * [`chain`] — the interned parent-pointer provenance arena behind
 //!   the engine's tie ordering (zero allocations per hop).
 //! * [`stats`] — network metrics: packet conservation, end-to-end
@@ -34,7 +33,7 @@
 //!   asks for it: per-router counters, hop-resolved flow spans with
 //!   Perfetto export, the fault-forensics ledger, and the engine
 //!   profiler, exported as the network scope of a `dra-telemetry/v2`
-//!   document that is byte-identical at any `sim_threads` (all but its
+//!   document that is byte-identical at any worker count (all but its
 //!   `profile` member).
 //!
 //! See `examples/network_resilience.rs` and `dra run resilience`
@@ -44,11 +43,11 @@
 
 pub mod chain;
 pub mod engine;
+pub mod kernel;
 pub mod link;
 pub mod net;
 #[cfg(test)]
 mod oracle;
-pub mod pdes;
 pub mod registry;
 pub mod routes;
 pub mod seeds;

@@ -1,7 +1,7 @@
 //! The network-of-routers DES model.
 //!
 //! [`NetworkSim`] simulates N BDR or DRA routers — each held as its
-//! [`NodeHealth`] — on the conservative DES engine of [`crate::pdes`].
+//! [`NodeHealth`] — on the network engine of [`crate::kernel`].
 //! End-to-end packets hop router → link → router: at every transit the
 //! owning router's fault timeline is stepped to "now", its current
 //! linecard serviceability consulted (so faults in a router's private
@@ -23,8 +23,7 @@
 //! Determinism: the only RNG draws are flow inter-arrival times on the
 //! network simulation's own seeded RNG; router health is pure state
 //! driven by fault timelines fixed before the run. One seed ⇒ one
-//! event history, run by one engine ([`crate::pdes`]) at any
-//! [`NetConfig::sim_threads`].
+//! event history, run by one engine ([`crate::kernel`]).
 
 use crate::link::{LinkArena, LinkConfig};
 use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
@@ -66,13 +65,10 @@ pub struct NetConfig {
     /// Flow injection stops at this time (the remainder of the
     /// horizon drains the network).
     pub traffic_stop_s: f64,
-    /// Router groups for [`NetworkSim::run`], one thread each: the
-    /// network splits into this many equal contiguous id ranges
-    /// (clamped to the router count and the host's cores), each a
-    /// logical process of the windowed engine ([`crate::pdes`]). 1 (the
-    /// default) is one group: no cross messages, one window to the
-    /// horizon. The artifact contract: every value produces the same
-    /// bytes.
+    /// Ignored: a network runs as one router group on one thread
+    /// ([`crate::kernel`]). Kept only because the repository benchmark
+    /// still sets it, until a change that reopens `benchmark/`
+    /// (ROADMAP item 6) deletes it.
     pub sim_threads: usize,
 }
 
@@ -285,8 +281,7 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
 /// It is a pure function of the graph — the architecture, faults,
 /// flows and seeds of a network never touch it — so every network on
 /// one topology can share one value read-only behind an [`Arc`]: a
-/// topo sweep compiles it once per topology, and a run's router groups
-/// borrow slices of it.
+/// topo sweep compiles it once per topology.
 #[derive(Debug)]
 pub(crate) struct Forwarding {
     /// The topology the routes were derived from.
@@ -331,8 +326,8 @@ impl Forwarding {
 
 /// The simulated network.
 ///
-/// Interior fields are `pub(crate)` so [`crate::pdes`] can split a
-/// built network into router groups and reassemble it.
+/// Interior fields are `pub(crate)` so [`crate::kernel`] can run a
+/// built network in place.
 pub struct NetworkSim {
     /// The graph.
     pub topo: Topology,
@@ -440,10 +435,7 @@ impl NetworkSim {
     }
 
     /// Override the propagation latency of the cable between `a` and
-    /// `b` (both directions). The parallel engine's window width
-    /// adapts to the minimum attached latency, so slowing some links
-    /// down never affects conservative safety; speeding links up
-    /// tightens the windows automatically.
+    /// `b` (both directions).
     pub fn set_link_latency(&mut self, a: u32, b: u32, latency_s: f64) {
         assert!(
             latency_s.is_finite() && latency_s > 0.0,
@@ -506,11 +498,10 @@ impl NetworkSim {
         }
     }
 
-    /// Run the network to `horizon` on the router-group engine
-    /// ([`crate::pdes`]) with [`NetConfig::sim_threads`] groups. Every
-    /// group count produces the same final state bytes.
+    /// Run the network to `horizon` on the network engine
+    /// ([`crate::kernel`]).
     pub fn run(self, seed: u64, horizon: f64) -> NetworkSim {
-        crate::pdes::run(self, seed, horizon)
+        crate::kernel::run(self, seed, horizon)
     }
 
     fn port_between(&self, a: u32, b: u32) -> u16 {

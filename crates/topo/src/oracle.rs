@@ -1,7 +1,7 @@
 //! The serial reference model: one network as one [`dra_des`] model on
 //! one clock, breaking exact time ties by scheduling sequence. Test
-//! code only — it is the oracle the router-group engine
-//! ([`crate::pdes`]) is pinned against, not a way to run a network.
+//! code only — it is the oracle the network engine
+//! ([`crate::kernel`]) is pinned against, not a way to run a network.
 
 use crate::link::LinkOffer;
 use crate::net::{hop, CompiledNetAction, HopOutcome, NetPacket, NetworkSim};

@@ -117,11 +117,9 @@ pub fn smoke() -> TopoSpec {
     s
 }
 
-/// The parallel-engine scaling sweep: the composed-reliability
-/// question at N = 64, 128, and 256 routers — the sizes where one
-/// router group becomes the bottleneck and `--sim-threads` earns its
-/// keep. Healthy and 4-degraded twins per topology; byte-identical
-/// at every thread count (CI pins 1 vs 2 vs 4 on the quick variant).
+/// The scaling sweep: the composed-reliability question at N = 64,
+/// 128, and 256 routers. Healthy and 4-degraded twins per topology;
+/// byte-identical at every worker count.
 pub fn scale(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[TopologyKind::Mesh2D { rows: 8, cols: 8 }]
@@ -156,8 +154,8 @@ pub fn scale(quick: bool) -> TopoSpec {
 /// The second scaling tier, unlocked by the interned-provenance /
 /// zero-alloc engine overhaul: N ≥ 512 routers (32×32 mesh and
 /// BA(512)), healthy and 4-degraded twins per topology. The quick
-/// variant runs one BA(512) healthy pair, sized for the CI
-/// `topo-smoke` job's sim-threads 1-vs-2-vs-4 byte-identity check.
+/// variant runs one BA(512) healthy pair, sized for a quick CI or
+/// local check.
 pub fn scale2(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[TopologyKind::BarabasiAlbert {

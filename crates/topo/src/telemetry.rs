@@ -1,8 +1,7 @@
 //! Network-scope observability for [`NetworkSim`] runs.
 //!
 //! This module is the producer side of [`dra_telemetry::NetScope`]: a
-//! collector per router group of the network engine (`LpTele`), folded
-//! into one per-run collector (`NetTele`), and an exporter that turns
+//! per-run collector (`NetTele`) and an exporter that turns
 //! the collected raw points into the network scope of a
 //! `dra-telemetry/v2` [`Snapshot`] — per-router counters, the
 //! fault-forensics ledger, hop-resolved flow spans — plus a Perfetto
@@ -10,14 +9,13 @@
 //! arrows linking a packet's spans across tracks. A sweep cell hands
 //! both to the telemetry hub with [`dra_telemetry::absorb`].
 //!
-//! ## How determinism is preserved at any `--sim-threads`
+//! ## How determinism is preserved
 //!
 //! The collector records *facts with sim-time stamps*, never
 //! collection-order artifacts:
 //!
-//! * per-node counters — each router's events are the same in every
-//!   partition (the total order of [`crate::pdes`]), so per-node sums
-//!   are too;
+//! * per-node counters — each router's events follow the total order
+//!   of [`crate::kernel`], so per-node sums do too;
 //! * packet **outcome points** `(t, packet, flow, code)` for every
 //!   terminated packet — the forensics ledger (flow up/down
 //!   transitions, per-action drop census) is *derived at export* from
@@ -26,8 +24,7 @@
 //!   canonically sorted at export.
 //!
 //! Scripted-action forensic entries are derived from the scenario
-//! itself, not from runtime hooks, so they cannot depend on the
-//! partition. The one intentionally non-deterministic part — the
+//! itself, not from runtime hooks. The one intentionally non-deterministic part — the
 //! engine profile — is the document's separate `profile` member (see
 //! the [`dra_telemetry::snapshot`](mod@dra_telemetry::snapshot) module docs).
 
@@ -44,14 +41,14 @@ use dra_telemetry::{
 /// `code` 0 = delivered, `cause_index + 1` = dropped.
 pub(crate) type Outcome = (f64, u64, u32, u8);
 
-/// Preallocated outcome capacity of a run, shared by its groups:
-/// terminations up to this count do not grow the vectors, keeping the
+/// Preallocated outcome capacity of a run: terminations up to this
+/// count do not grow the vector, keeping the
 /// steady-state hot path allocation-free for the workloads the
 /// no-alloc tests pin (growth beyond is amortized doubling, not
 /// per-event allocation).
 const OUTCOMES_PREALLOC: usize = 65_536;
 
-/// The event collector of one router group (see [`LpTele`]).
+/// The event collector of one run (see [`NetTele`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Collect {
     /// Lifecycle sampling modulus for hop points (0 = spans off).
@@ -63,10 +60,10 @@ pub(crate) struct Collect {
 }
 
 impl Collect {
-    fn new(sample_every: u64, prealloc: usize) -> Collect {
+    fn new(sample_every: u64) -> Collect {
         Collect {
             sample_every,
-            outcomes: Vec::with_capacity(prealloc),
+            outcomes: Vec::with_capacity(OUTCOMES_PREALLOC),
             points: Vec::new(),
         }
     }
@@ -206,47 +203,19 @@ impl Collect {
     }
 }
 
-/// Per-group collector: one per router group of the network engine,
-/// folded into the run's [`NetTele`] in group order after the run.
-#[derive(Debug)]
-pub(crate) struct LpTele {
-    /// Counters of the group's routers, by `router - base`.
-    pub(crate) nc: Vec<NodeCounters>,
-    /// This group's raw points.
-    pub(crate) col: Collect,
-    /// Provenance chains (pop times, most recent first) of sampled
-    /// packets delivered in this group — the cross-check that exported
-    /// span timelines equal the interned chains.
-    pub(crate) chains: Vec<(u64, Vec<f64>)>,
-}
-
-impl LpTele {
-    /// A collector for a group of `n_routers` out of `n_groups`
-    /// (which share the outcome preallocation).
-    pub(crate) fn new(sample_every: u64, n_routers: usize, n_groups: usize) -> LpTele {
-        LpTele {
-            nc: vec![NodeCounters::default(); n_routers],
-            col: Collect::new(
-                sample_every,
-                (OUTCOMES_PREALLOC / n_groups.max(1)).max(1024),
-            ),
-            chains: Vec::new(),
-        }
-    }
-}
-
 /// Per-run network-scope collector, installed on a [`NetworkSim`] by
 /// [`NetworkSim::enable_net_telemetry`].
 #[derive(Debug)]
 pub(crate) struct NetTele {
     /// Per-node counters, indexed by node id.
     pub(crate) nodes: Vec<NodeCounters>,
-    /// Raw points, folded from the per-group collectors.
+    /// Raw points.
     pub(crate) col: Collect,
     /// Engine profile of the run.
     pub(crate) profile: Option<EngineProfile>,
-    /// Sampled delivered packets' provenance chains (feeds the
-    /// span/chain equivalence test).
+    /// Provenance chains (pop times, most recent first) of sampled
+    /// delivered packets — the cross-check that exported span
+    /// timelines equal the interned chains.
     pub(crate) sampled_chains: Vec<(u64, Vec<f64>)>,
 }
 
@@ -254,28 +223,10 @@ impl NetTele {
     pub(crate) fn new(n_nodes: usize, sample_every: u64) -> NetTele {
         NetTele {
             nodes: vec![NodeCounters::default(); n_nodes],
-            col: Collect::new(sample_every, 0),
+            col: Collect::new(sample_every),
             profile: None,
             sampled_chains: Vec::new(),
         }
-    }
-
-    #[inline]
-    pub(crate) fn sample_every(&self) -> u64 {
-        self.col.sample_every
-    }
-
-    /// Fold the collector of the group whose first router is `base`
-    /// (called in group order after the run — the fold order is fixed,
-    /// and the export sorts canonically anyway, so the merged bytes
-    /// cannot depend on the partition).
-    pub(crate) fn fold_group(&mut self, base: usize, group: LpTele) {
-        for (acc, nc) in self.nodes[base..].iter_mut().zip(&group.nc) {
-            acc.add(nc);
-        }
-        self.col.outcomes.extend(group.col.outcomes);
-        self.col.points.extend(group.col.points);
-        self.sampled_chains.extend(group.chains);
     }
 
     /// Build the network scope, the engine profile and the Perfetto
@@ -533,7 +484,7 @@ impl NetworkSim {
     /// forensics ledger and the engine profile are collected
     /// regardless). Collection observes the simulation and never
     /// steers it: results stay byte-identical with the collector on or
-    /// off, at any `sim_threads`.
+    /// off.
     pub fn enable_net_telemetry(&mut self, sample_every: u64) {
         self.tele = Some(Box::new(NetTele::new(self.topo.n_nodes(), sample_every)));
     }
@@ -565,11 +516,10 @@ mod tests {
     use crate::topology::{Topology, TopologyKind};
     use dra_core::health::ArchKind;
 
-    fn mesh_net(sim_threads: usize) -> NetworkSim {
+    fn mesh_net() -> NetworkSim {
         let topo = Topology::build(TopologyKind::Mesh2D { rows: 3, cols: 3 });
         let cfg = NetConfig {
             traffic_stop_s: 6e-3,
-            sim_threads,
             ..NetConfig::default()
         };
         let flows = vec![
@@ -593,7 +543,7 @@ mod tests {
 
     #[test]
     fn export_agrees_with_stats() {
-        let mut net = mesh_net(1);
+        let mut net = mesh_net();
         net.enable_net_telemetry(1); // sample every packet
         let mut done = net.run(7, HORIZON);
         let stats = done.stats.clone();
@@ -634,20 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spans_match_provenance_chains() {
-        for threads in [1, 2] {
-            spans_match_provenance_chains(threads);
-        }
-    }
-
-    fn spans_match_provenance_chains(threads: usize) {
-        let mut net = mesh_net(threads);
+    fn spans_match_provenance_chains() {
+        let mut net = mesh_net();
         net.enable_net_telemetry(1);
         let mut done = net.run(7, HORIZON);
         let tele = done.tele.as_ref().expect("collector survives the run");
         assert!(
             !tele.sampled_chains.is_empty(),
-            "run at {threads} thread(s) recorded no sampled chains"
+            "run recorded no sampled chains"
         );
         for (pkt, chain) in &tele.sampled_chains {
             // The packet's transit/link span starts, oldest first,
@@ -671,16 +615,13 @@ mod tests {
                 "packet {pkt:#x}: span starts disagree with provenance chain"
             );
         }
-        // The engine profile comes back, one entry per group.
+        // The engine profile comes back and counts the run's events.
+        let events = done.events_processed();
         let report = done.export_net_telemetry(HORIZON, 0, 0).expect("collector");
         let profile = report.snapshot.profile.expect("engine profile");
         assert_eq!(profile.runs, 1);
-        assert_eq!(
-            profile.lp_events.len(),
-            dra_des::pdes::effective_threads(threads, 9)
-        );
-        assert!(profile.events_total() > 0);
-        assert!(profile.lookahead_min_s > 0.0);
+        assert!(events > 0);
+        assert_eq!(profile.events, events);
     }
 
     #[test]

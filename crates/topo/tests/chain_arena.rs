@@ -4,7 +4,7 @@
 //! independent bottoms), and epoch recycling never aliases a live
 //! chain.
 
-use dra_topo::chain::{chain_cmp_recent_first, chain_cmp_ref, ChainArena, NIL};
+use dra_topo::chain::{chain_cmp_ref, ChainArena, NIL};
 use proptest::prelude::*;
 
 /// A random forest: node `i` picks a parent among nodes `0..i` (or
@@ -61,7 +61,8 @@ fn build(f: &Forest) -> (ChainArena, Vec<u32>, Vec<Vec<f64>>) {
 
 proptest! {
     /// Arena comparison == reference comparison, every pair, both
-    /// orientations, plus the serialized (most-recent-first) form.
+    /// orientations; the serialized form is the chain most recent
+    /// first.
     #[test]
     fn arena_cmp_matches_vec_reference(f in forest()) {
         let (arena, handles, vecs) = build(&f);
@@ -79,28 +80,6 @@ proptest! {
             for j in 0..handles.len() {
                 let want = chain_cmp_ref(&vecs[i], &vecs[j]);
                 prop_assert_eq!(arena.cmp(handles[i], handles[j]), want);
-                prop_assert_eq!(chain_cmp_recent_first(&wires[i], &wires[j]), want);
-            }
-        }
-    }
-
-    /// Re-interning a serialized chain (the cross-LP handoff) compares
-    /// Equal against its source and preserves order against everything
-    /// else — interning is transparent to the tie-break.
-    #[test]
-    fn reintern_is_order_transparent(f in forest()) {
-        let (mut arena, handles, vecs) = build(&f);
-        let mut wire = Vec::new();
-        for i in 0..handles.len() {
-            wire.clear();
-            arena.serialize_into(handles[i], &mut wire);
-            let again = arena.intern_recent_first(&wire);
-            prop_assert_eq!(arena.cmp(handles[i], again), std::cmp::Ordering::Equal);
-            for j in 0..handles.len() {
-                prop_assert_eq!(
-                    arena.cmp(again, handles[j]),
-                    chain_cmp_ref(&vecs[i], &vecs[j])
-                );
             }
         }
     }
@@ -118,14 +97,14 @@ proptest! {
             .filter(|(i, _)| *keep_mask.get(*i).unwrap_or(&true))
             .map(|(_, &h)| h)
             .collect();
-        let before: Vec<Vec<f64>> = live
-            .iter()
-            .map(|&h| {
-                let mut w = Vec::new();
-                arena.serialize_into(h, &mut w);
-                w
-            })
-            .collect();
+        let serialize = |arena: &ChainArena, h: u32| {
+            let mut w = Vec::new();
+            arena.serialize_into(h, &mut w);
+            w
+        };
+        let before: Vec<Vec<f64>> = live.iter().map(|&h| serialize(&arena, h)).collect();
+        // The reference comparator takes chains oldest first.
+        let oldest_first = |w: &[f64]| w.iter().rev().copied().collect::<Vec<f64>>();
         arena.begin_compact();
         let live: Vec<u32> = live.iter().map(|&h| arena.relocate(h)).collect();
         arena.finish_compact();
@@ -137,13 +116,11 @@ proptest! {
             arena.extend(h, -0.5);
         }
         for (i, &h) in live.iter().enumerate() {
-            let mut after = Vec::new();
-            arena.serialize_into(h, &mut after);
-            prop_assert_eq!(&after, &before[i], "live chain mutated by recycling");
+            prop_assert_eq!(&serialize(&arena, h), &before[i], "live chain mutated by recycling");
             for (j, &g) in live.iter().enumerate() {
                 prop_assert_eq!(
                     arena.cmp(h, g),
-                    chain_cmp_recent_first(&before[i], &before[j])
+                    chain_cmp_ref(&oldest_first(&before[i]), &oldest_first(&before[j]))
                 );
             }
         }

@@ -1,13 +1,12 @@
 //! Proof that the network engine's steady-state per-hop event path
-//! stays off the heap, at one router group and at two.
+//! stays off the heap, with telemetry collection off and on.
 //!
 //! The engine builds and tears down its run inside one call, so it is
 //! measured by *run-length difference*: the allocations of a long run
 //! minus those of a half-length run are (construction and teardown
 //! cancelling) the cost of the extra steady-state simulated time —
 //! which must be essentially zero per hop. Provenance-chain interning,
-//! arrival staging, cross-group payload sidecars, and arena recycling
-//! all live inside that window.
+//! arrival staging and arena recycling all live inside that window.
 //!
 //! Everything shares one `#[test]`: `#[global_allocator]` is
 //! per-binary and the counter is global, so concurrent tests would
@@ -49,11 +48,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn mesh_net(sim_threads: usize, traffic_stop_s: f64) -> NetworkSim {
+fn mesh_net(traffic_stop_s: f64) -> NetworkSim {
     let topo = Topology::build(TopologyKind::Mesh2D { rows: 4, cols: 4 });
     let cfg = NetConfig {
         traffic_stop_s,
-        sim_threads,
         ..NetConfig::default()
     };
     let flows = vec![
@@ -89,11 +87,11 @@ fn total_hops(net: &NetworkSim) -> f64 {
 }
 
 /// Assert the extra allocations of a 35 ms run over a 20 ms run stay
-/// far below one per hop, at `groups` router groups, with the
-/// network-scope collector installed when `telemetry` is set.
-fn assert_steady_state_allocation_free(groups: usize, telemetry: bool) {
+/// far below one per hop, with the network-scope collector installed
+/// when `telemetry` is set.
+fn assert_steady_state_allocation_free(telemetry: bool) {
     let run = |horizon: f64| {
-        let mut net = mesh_net(groups, horizon - 5e-3);
+        let mut net = mesh_net(horizon - 5e-3);
         if telemetry {
             net.enable_net_telemetry(0);
         }
@@ -104,7 +102,7 @@ fn assert_steady_state_allocation_free(groups: usize, telemetry: bool) {
             total_hops(&done),
         )
     };
-    // Construction, precompute, thread spawn, and the final merge are
+    // Construction, precompute and the final ledger count are
     // identical between the two measured runs; the difference isolates
     // the extra steady-state events. The short run goes first, twice,
     // so the thread-local arrival-precompute pool reaches its
@@ -113,15 +111,14 @@ fn assert_steady_state_allocation_free(groups: usize, telemetry: bool) {
     let (short_allocs, short_hops) = run(20e-3);
     let (long_allocs, long_hops) = run(35e-3);
     let extra_hops = long_hops - short_hops;
-    let ctx = format!("{groups} group(s), telemetry {telemetry}");
+    let ctx = format!("telemetry {telemetry}");
     assert!(
         extra_hops > 10_000.0,
         "{ctx}: window too small ({extra_hops} extra hops)"
     );
     let extra_allocs = long_allocs.saturating_sub(short_allocs);
     // The longer run may legitimately allocate a handful more times —
-    // doubling of the delivery ledgers, chain stores and outcome
-    // vectors, a larger merge-sort scratch buffer — but nothing
+    // doubling of the queue, arena and outcome vectors — but nothing
     // proportional to hops. One alloc per ~100 hops would already be a
     // regression; the bound leaves an order of magnitude of headroom
     // below the old clone-per-hop behavior (≥ 2 allocs per hop).
@@ -134,9 +131,7 @@ fn assert_steady_state_allocation_free(groups: usize, telemetry: bool) {
 
 #[test]
 fn steady_state_network_simulation_is_allocation_free() {
-    for groups in [1, 2] {
-        assert_steady_state_allocation_free(groups, false);
-    }
+    assert_steady_state_allocation_free(false);
     // Hub armed + collector on, sampling off: the hot path still never
     // allocates. Counters increment in place, ring events overwrite a
     // preallocated buffer, and outcome points land in storage reserved
@@ -146,8 +141,6 @@ fn steady_state_network_simulation_is_allocation_free() {
         sample_every: 0,
         ..dra_telemetry::Config::default()
     });
-    for groups in [1, 2] {
-        assert_steady_state_allocation_free(groups, true);
-    }
+    assert_steady_state_allocation_free(true);
     dra_telemetry::disable();
 }

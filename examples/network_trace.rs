@@ -21,14 +21,14 @@
 //!   transitions,
 //! * a forced conservation-ledger violation demonstrating the
 //!   flight-recorder freeze riding in the document's `anomaly`, and
-//! * a second run on 2 sim threads to show the **engine profiler**
-//!   (per-group load, barrier stalls, lookahead distribution) in the
-//!   document's non-deterministic `profile` member.
+//! * a second replication (another seed) merged into the same
+//!   document, with the **engine profile** (runs, wall-clock, events)
+//!   in its non-deterministic `profile` member.
 //!
 //! Everything lands in one `dra-telemetry/v2` document. Telemetry
-//! observes without steering: every member but `profile` is
-//! byte-identical at any `--sim-threads`, and the simulation results
-//! are byte-identical with collection off.
+//! observes without steering: every member but `profile` is a pure
+//! function of the runs, and the simulation results are
+//! byte-identical with collection off.
 
 use dra::core::health::ArchKind;
 use dra::router::components::ComponentKind;
@@ -112,7 +112,7 @@ fn main() {
         ..tm::Config::default()
     });
 
-    // Serial run: counters, sampled flow spans, forensics ledger.
+    // First run: counters, sampled flow spans, forensics ledger.
     let mut net = build();
     net.enable_net_telemetry(16);
     let mut net = net.run(2026, HORIZON_S);
@@ -197,38 +197,26 @@ fn main() {
         report.trace.len()
     );
 
-    // Parallel run: same network scope, plus the engine profiler in the
-    // document's non-deterministic `profile` member.
-    let mut par = build();
-    par.cfg.sim_threads = 2;
-    par.enable_net_telemetry(16);
-    let mut par = par.run(2026, HORIZON_S);
-    let mut merged = doc;
-    let preport = par
+    // A second replication on another seed: its network scope and
+    // engine profile fold into the same document.
+    let mut rep = build();
+    rep.enable_net_telemetry(16);
+    let mut rep = rep.run(2027, HORIZON_S);
+    let rreport = rep
         .export_net_telemetry(HORIZON_S, 4096, 1 << 40)
         .expect("collector was enabled");
-    if let Some(p) = &preport.snapshot.profile {
-        println!(
-            "\nengine profiler ({} threads): {} windows ({} busy), {} cross msgs",
-            p.threads, p.windows, p.nonempty_windows, p.cross_messages
-        );
-        println!(
-            "  wall {:.3} ms, barrier stall {:.3} ms, load imbalance {:.2}x",
-            p.wall_ns as f64 / 1e6,
-            p.barrier_wait_ns as f64 / 1e6,
-            p.load_imbalance()
-        );
-        println!("  per-group events: {:?}", p.lp_events);
-        println!(
-            "  lookahead: min {:.1} us / mean {:.1} us / max {:.1} us",
-            p.lookahead_min_s * 1e6,
-            p.lookahead_sum_s / p.lookahead_lps.max(1) as f64 * 1e6,
-            p.lookahead_max_s * 1e6
-        );
-    }
 
     // Documents and parts from different cells/runs merge associatively.
-    merged.merge(&preport.snapshot);
+    let mut merged = doc;
+    merged.merge(&rreport.snapshot);
+    if let Some(p) = &merged.profile {
+        println!(
+            "\nengine profile: {} runs, {} events in {:.3} ms of wall-clock",
+            p.runs,
+            p.events,
+            p.wall_ns as f64 / 1e6
+        );
+    }
     std::fs::write(&snap_path, merged.to_json().to_string_pretty()).expect("write snapshot");
     println!("\nwrote merged dra-telemetry/v2 document to {snap_path}");
     tm::disable();

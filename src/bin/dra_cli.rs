@@ -258,7 +258,6 @@ sweeps (names: dra list):
   dra run SPEC [--quick] [--workers N] [--seed S] [--out PATH | --no-out]
                [--cell-budget N] [--fresh] [--progress] [--csv] [--dry-run]
                [--replications R]        campaign specs only
-               [--sim-threads N]         topo specs only
                [--telemetry] [--telemetry-out PATH] [--trace-out PATH]
                                          campaign and topo specs
   dra check PATH
@@ -283,8 +282,7 @@ scopes, the frozen flight-recorder window, and the engine profile, the one
 member that is not deterministic): --telemetry embeds it without the
 profile in the artifact; --telemetry-out and --trace-out write it and a
 Perfetto-loadable Chrome trace to separate files, leaving the artifact
-byte-identical. --sim-threads N cuts each network into N router groups, one
-thread each; artifacts are byte-identical at every value.
+byte-identical. Artifacts are byte-identical at every --workers count.
 `dra check` exits 1 on an invalid artifact or any flagged cell.";
 
 /// A subcommand body; `Err` is a usage error.
@@ -405,6 +403,12 @@ mod tests {
     fn parse_rejects_bad_numbers() {
         let a = args("mttf", "--n lots");
         assert!(a.get::<usize>("--n", 0).is_err());
+        // A sweep needs at least one worker.
+        for spec in ["smoke", "faceoff", "rareevent-quick"] {
+            let err = check_run(&format!("{spec} --workers 0")).unwrap_err();
+            assert!(err.contains("--workers"), "{err}");
+            assert_eq!(check_run(&format!("{spec} --workers 1")), Ok(()));
+        }
     }
 
     #[test]
@@ -419,6 +423,12 @@ mod tests {
         }
         assert!(parse_for("run", "faceoff --trace t.json").is_err());
         assert!(parse_for("nope", "").is_err());
+        // One router group runs every network: no kind takes the old
+        // engine-width flag.
+        for spec in ["faceoff", "rareevent", "scale"] {
+            let gone = parse_for("run", &format!("{spec} --sim-threads 2")).unwrap_err();
+            assert!(gone.contains("unknown flag"), "{gone}");
+        }
     }
 
     #[test]
@@ -441,10 +451,8 @@ mod tests {
     #[test]
     fn flags_a_kind_has_no_use_for_are_errors() {
         for line in [
-            "faceoff --sim-threads 2",
             "resilience --replications 3",
             "rareevent --replications 3",
-            "rareevent --sim-threads 2",
             "rareevent --telemetry",
             "rareevent --telemetry-out t.json",
             "rareevent --trace-out t.json",
@@ -458,7 +466,7 @@ mod tests {
         }
         for line in [
             "fig8 --replications 3 --telemetry",
-            "scale2 --sim-threads 2 --trace-out t.json",
+            "scale2 --workers 1 --trace-out t.json",
             "resilience --telemetry",
             "smoke --fresh --cell-budget 1 --progress",
             "rareevent-quick --seed 9 --csv",

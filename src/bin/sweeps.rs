@@ -32,7 +32,6 @@ pub const RUN: Grammar = Grammar {
         "--workers",
         "--seed",
         "--replications",
-        "--sim-threads",
         "--out",
         "--cell-budget",
         "--telemetry-out",
@@ -50,13 +49,13 @@ trait Kind: Sweep + Sized {
     fn build(name: &str, quick: bool) -> Option<Self>;
     /// Apply `--seed`, and `--replications` where it applies.
     fn tune(&mut self, args: &Args) -> Result<(), String>;
-    /// Run the sweep, each cell's simulation on `sim_threads` threads.
-    fn execute(&self, opts: &RunOptions, sim_threads: usize) -> io::Result<Outcome>;
+    /// Run the sweep.
+    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome>;
 }
 
 impl Kind for CampaignSpec {
     const NAMES: &'static [&'static str] = &registry::NAMES;
-    const INAPPLICABLE: &'static [&'static str] = &["--sim-threads"];
+    const INAPPLICABLE: &'static [&'static str] = &[];
 
     fn build(name: &str, quick: bool) -> Option<Self> {
         registry::build(name, quick)
@@ -74,7 +73,7 @@ impl Kind for CampaignSpec {
         Ok(())
     }
 
-    fn execute(&self, opts: &RunOptions, _sim_threads: usize) -> io::Result<Outcome> {
+    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
         dra::campaign::run(self, opts)
     }
 }
@@ -82,7 +81,6 @@ impl Kind for CampaignSpec {
 impl Kind for RareCampaignSpec {
     const NAMES: &'static [&'static str] = &rareevent::NAMES;
     const INAPPLICABLE: &'static [&'static str] = &[
-        "--sim-threads",
         "--replications",
         "--telemetry",
         "--telemetry-out",
@@ -100,7 +98,7 @@ impl Kind for RareCampaignSpec {
         Ok(())
     }
 
-    fn execute(&self, opts: &RunOptions, _sim_threads: usize) -> io::Result<Outcome> {
+    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
         rareevent::run(self, opts)
     }
 }
@@ -120,8 +118,8 @@ impl Kind for TopoSpec {
         Ok(())
     }
 
-    fn execute(&self, opts: &RunOptions, sim_threads: usize) -> io::Result<Outcome> {
-        dra::topo::run_with(self, opts, sim_threads)
+    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
+        dra::topo::run_with(self, opts)
     }
 }
 
@@ -156,7 +154,7 @@ const KINDS: [Entry; 3] = [
 ];
 
 /// The kind registering `SPEC`, once the flags are known to apply to
-/// it and not to contradict each other.
+/// it, to hold usable values and not to contradict each other.
 pub fn check_flags(args: &Args) -> Result<&'static Entry, String> {
     let name = args.operand(0);
     let entry = KINDS
@@ -167,6 +165,9 @@ pub fn check_flags(args: &Args) -> Result<&'static Entry, String> {
         entry.inapplicable,
         &format!("does not apply to {name}, a {} sweep", entry.format),
     )?;
+    if args.value::<usize>("--workers")? == Some(0) {
+        return Err("--workers must be at least 1".into());
+    }
     if args.given("--out") && args.switch("--no-out") {
         return Err("--out and --no-out conflict".into());
     }
@@ -204,7 +205,6 @@ fn run_kind<K: Kind>(args: &Args) -> Result<ExitCode, String> {
         telemetry_out: args.value("--telemetry-out")?,
         trace_out: args.value("--trace-out")?,
     };
-    let sim_threads = args.get("--sim-threads", 1)?;
     if args.switch("--dry-run") {
         let (headers, rows) = spec.grid_table();
         print_table(
@@ -228,7 +228,7 @@ fn run_kind<K: Kind>(args: &Args) -> Result<ExitCode, String> {
         spec.digest(),
         opts.workers
     );
-    let outcome = match spec.execute(&opts, sim_threads) {
+    let outcome = match spec.execute(&opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sweep failed: {e}");
