@@ -311,20 +311,14 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Visit every queued item mutably, in unspecified order, without
-    /// disturbing keys or queue structure. The parallel network engine
-    /// uses this at window barriers to rewrite the provenance-arena
-    /// handles held by pending events when the arena compacts; any
-    /// mutation that left the `(time, seq)` order-relevant state of
-    /// the *item* inconsistent with its key is the caller's problem —
-    /// keys themselves are not touched.
-    pub fn for_each_item_mut(&mut self, mut f: impl FnMut(&mut T)) {
-        if let Some(s) = &mut self.stage {
-            f(&mut s.item);
+    /// Visit every queued item, in unspecified order.
+    pub fn for_each_item(&self, mut f: impl FnMut(&T)) {
+        if let Some(s) = &self.stage {
+            f(&s.item);
         }
-        for bucket in &mut self.buckets {
-            for e in bucket.iter_mut() {
-                f(&mut e.item);
+        for bucket in &self.buckets {
+            for e in bucket {
+                f(&e.item);
             }
         }
     }
@@ -627,21 +621,18 @@ mod tests {
     }
 
     #[test]
-    fn for_each_item_mut_visits_everything_and_preserves_order() {
+    fn for_each_item_visits_everything_and_preserves_order() {
         let mut q = CalendarQueue::new();
         // One staged event plus enough bucketed ones to force resizes.
         for s in 0..300u64 {
             q.push(s as f64 * 0.25, s, s);
         }
         let mut seen = Vec::new();
-        q.for_each_item_mut(|v| {
-            seen.push(*v);
-            *v += 1000;
-        });
+        q.for_each_item(|v| seen.push(*v));
         seen.sort_unstable();
         assert_eq!(seen, (0..300).collect::<Vec<u64>>());
         for want in 0..300u64 {
-            assert_eq!(q.pop(), Some((want as f64 * 0.25, want, want + 1000)));
+            assert_eq!(q.pop(), Some((want as f64 * 0.25, want, want)));
         }
     }
 

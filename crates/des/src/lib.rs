@@ -19,7 +19,9 @@
 #![warn(missing_docs)]
 
 pub mod calendar;
-pub mod queueing;
+// Closed forms the kernel is tested against; no production caller.
+#[cfg(test)]
+mod queueing;
 pub mod random;
 pub mod sim;
 pub mod stats;

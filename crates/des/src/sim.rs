@@ -156,6 +156,12 @@ impl<M: Model> Simulation<M> {
         self.queue.len()
     }
 
+    /// Visit every pending event, in unspecified order (e.g. to count
+    /// what is still in flight at a horizon).
+    pub fn for_each_pending(&self, f: impl FnMut(&M::Event)) {
+        self.queue.for_each_item(f);
+    }
+
     /// Borrow the model (for reading metrics after/between runs).
     #[inline]
     pub fn model(&self) -> &M {
@@ -336,6 +342,9 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(sim.now(), 3.0);
         assert_eq!(sim.pending(), 1);
+        let mut left = Vec::new();
+        sim.for_each_pending(|&e| left.push(e));
+        assert_eq!(left, [2]);
         // Continue to the end.
         sim.run_until(10.0);
         assert_eq!(sim.model().seen.len(), 2);

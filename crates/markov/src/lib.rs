@@ -16,9 +16,6 @@
 //!   uniformized DTMC.
 //! * [`absorbing`] — mean time to absorption (MTTF) and absorption
 //!   probabilities for chains with absorbing failure states.
-//! * [`reward`] — state reward structures: instantaneous expected
-//!   reward (e.g. point availability), and probability mass over a
-//!   state predicate (e.g. reliability = mass outside the failed set).
 //! * [`oracle`] — one-call exact answers (steady-state mass of a state
 //!   set, mean hitting time of a state set) used as the ground truth
 //!   when validating rare-event estimators on small models.
@@ -31,7 +28,6 @@ pub mod absorbing;
 pub mod ctmc;
 pub mod oracle;
 pub mod phase;
-pub mod reward;
 pub mod steady;
 pub mod transient;
 

@@ -80,8 +80,8 @@ impl SpanKind {
     }
 }
 
-/// One hop-resolved segment of a sampled packet's life, reconstructed
-/// from the provenance chain / hop log.
+/// One hop-resolved segment of a sampled packet's life, recorded by
+/// the network engine's hop hooks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpan {
     /// Packet id.

@@ -1,5 +1,5 @@
-//! The network engine: one [`NetworkSim`] run to its horizon on one
-//! calendar queue.
+//! The network engine: a [`NetworkSim`] run as one [`dra_des`] model
+//! on one [`Simulation`] clock.
 //!
 //! Everything a packet touches at one hop belongs to one router: its
 //! [`NodeHealth`](dra_core::health::NodeHealth), FIB, EIB coverage
@@ -8,220 +8,93 @@
 //! `Transit`-at-peer handoff, which the link model charges at least
 //! that link's propagation latency.
 //!
-//! ## Arrivals
-//!
-//! The only RNG draws are flow inter-arrival times, and an arrival's
-//! time depends only on previous draws — never on packet forwarding.
-//! `precompute_arrivals_into` replays the draw order of a serial
-//! `FlowNext` event chain on the seeded RNG, turning the whole arrival
-//! timeline into data before the run starts (into buffers pooled
-//! across replications). The kernel keeps its arrivals sorted by key
-//! and holds exactly one of them, the next, in its queue; popping it
-//! pushes the following one. Staging is O(1) per arrival and keeps the
-//! queue bounded by the in-flight population, not the horizon.
-//!
 //! ## One total event order
 //!
-//! Every event carries a key `router << 40 | n`: the router that
-//! emitted it and that router's emission count. Scripted actions and
-//! arrivals take keys at setup (actions first, in scenario order, then
-//! arrivals, in injection order, at their target router); every other
-//! event takes the next key of the router whose event scheduled it.
-//! The kernel pops the events tied at one `f64` time as a batch and
-//! processes them in `(provenance chain, key)` order, so events run in
-//! the total order
-//!
-//! > `(time, provenance chain, source router, per-router emission seq)`.
-//!
-//! The provenance chain is what makes exact time ties meaningful. They
-//! are *structural*, not measure-zero: the EIB coverage budget is a
-//! fluid queue (`finish = covered_busy.max(now) + c`), so under backlog
-//! the completion times it hands out chain off `covered_busy` in fixed
+//! Events run in the DES kernel's order, `(time, schedule sequence)`:
+//! two events at the same `f64` instant run in the order they were
+//! scheduled. Exact time ties are *structural*, not measure-zero: the
+//! EIB coverage budget is a fluid queue
+//! (`finish = covered_busy.max(now) + c`), so under backlog the
+//! completion times it hands out chain off `covered_busy` in fixed
 //! increments, and the link model serializes `busy_until` the same
-//! way. Because both are *stateful*, the order of tied events changes
-//! which packet gets which delay. A chain lists the pop times of the
-//! events processed on a packet's behalf, most recent first; comparing
-//! chains reproduces the scheduling order of a serial DES kernel
-//! exactly (an event follows its scheduler, so tied events compare as
-//! their schedulers' pop times, recursively). The `#[cfg(test)]`
-//! serial oracle pins that. Two chains are equal only when they end at
-//! two roots (injections, scripted actions) with equal times; the key
-//! orders those.
+//! way. Because both are *stateful*, the order of
+//! tied events decides which packet gets which delay. The schedule
+//! sequence is a pure function of the inputs and the seed, so one seed
+//! gives one history; the engine tests pin that history's statistics,
+//! Welford bits included, on inputs chosen to be tie-heavy.
 //!
-//! ## Provenance arena
+//! ## Arrivals
 //!
-//! Each packet carries its chain as one `u32` handle into the kernel's
-//! [`ChainArena`] of `(pop_time, parent)` nodes, extended by one node
-//! per event popped on its behalf — no heap allocation per hop. Arena
-//! memory stays bounded by epoch compaction between same-time batches:
-//! once the arena crosses its threshold, the paths reachable from
-//! pending events are copied into a fresh epoch and their handles
-//! rewritten in place ([`CalendarQueue::for_each_item_mut`]).
+//! The only RNG draws are flow inter-arrival times, on the
+//! simulation's own seeded RNG. `Start` schedules the fault timeline
+//! and draws each flow's first arrival; each `Arrival` pop injects one
+//! packet and draws that flow's next. The model keeps every flow's
+//! next arrival time and queues only the earliest (ties in draw
+//! order), so arrivals pop in the order one queued event per flow
+//! would give them. A calendar holding one arrival instead of one per
+//! flow is measurably faster (DESIGN.md §3.3 has the numbers).
 //!
 //! ## Ledger
 //!
 //! Deliveries feed the latency/hops Welford moments in processing
-//! order, which is the total order. `in_flight` is *counted*, not
-//! derived: the packets in events still queued at the horizon. A
-//! packet lost or double-counted anywhere breaks
-//! [`NetStats::conserved`], and the run freezes the flight recorder
-//! when it does.
+//! order. `in_flight` is *counted*, not derived: the packet-carrying
+//! events still queued at the horizon. A packet lost or
+//! double-counted anywhere breaks [`NetStats::conserved`], and the
+//! run freezes the flight recorder when it does.
+//!
+//! ## Telemetry
+//!
+//! [`Simulation`] stamps the telemetry hub's clock with each event's
+//! time before its handler runs, so every flight-recorder event, and
+//! an `anomaly` a conservation failure freezes, carries the time of
+//! the event that recorded it.
 
-use crate::chain::{ChainArena, NIL};
 use crate::link::LinkOffer;
-use crate::net::{hop, CompiledNetAction, Flow, HopOutcome, NetPacket, NetworkSim};
+use crate::net::{hop, CompiledNetAction, HopOutcome, NetPacket, NetworkSim};
 use crate::stats::{NetDropCause, NetStats};
-use dra_core::scenario::Action;
-use dra_des::calendar::CalendarQueue;
 use dra_des::random::exponential;
-use dra_telemetry::EngineProfile;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::cell::RefCell;
+use dra_des::sim::{Ctx, Model, Simulation};
+use dra_telemetry::{EngineProfile, EventKind};
 use std::time::Instant;
 
-/// One precomputed packet injection.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    at: f64,
-    flow: u32,
-    id: u64,
-}
-
-/// Per-flow precompute scratch: (next fire time, insertion order, alive).
-type FlowPending = Vec<(f64, u64, bool)>;
-
-thread_local! {
-    /// Arrival-precompute workspace, pooled per worker thread so
-    /// campaign replications reuse the buffers instead of
-    /// reallocating the whole arrival timeline per cell × rep.
-    static PRECOMPUTE_POOL: RefCell<(Vec<Arrival>, FlowPending)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Replay a serial `FlowNext` chain's draw order into `out`.
-///
-/// A serial run draws one inter-arrival per flow at `t = 0` (in flow
-/// order), then one more at each `FlowNext` pop — unless it fires at
-/// or past `stop_s` (no draw, flow ends) or lands beyond `horizon`
-/// (never pops). `FlowNext` pops follow (time, sequence) order, which
-/// restricted to arrivals is "earliest pending time, insertion order
-/// on ties" — reproduced here with a scan (flow counts are small).
-/// Same RNG, same draw sequence, bit-identical timestamps and packet
-/// ids. `pending` is caller-owned scratch.
-fn precompute_arrivals_into(
-    flows: &[Flow],
-    stop_s: f64,
-    horizon: f64,
-    seed: u64,
-    out: &mut Vec<Arrival>,
-    pending: &mut FlowPending,
-) {
-    out.clear();
-    pending.clear();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut order = 0u64;
-    for f in flows {
-        let dt = exponential(&mut rng, f.rate_pps);
-        pending.push((dt, order, true));
-        order += 1;
-    }
-    let mut id = 0u64;
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, &(t, o, alive)) in pending.iter().enumerate() {
-            if alive && best.is_none_or(|b| (t, o) < (pending[b].0, pending[b].1)) {
-                best = Some(i);
-            }
-        }
-        let Some(i) = best else { break };
-        let t = pending[i].0;
-        if t > horizon {
-            break; // the minimum is already past the horizon
-        }
-        if t >= stop_s {
-            pending[i].2 = false; // injection window closed, no draw
-            continue;
-        }
-        let dt = exponential(&mut rng, flows[i].rate_pps);
-        pending[i] = (t + dt, order, true);
-        order += 1;
-        out.push(Arrival {
-            at: t,
-            flow: i as u32,
-            id,
-        });
-        id += 1;
-    }
-}
-
-/// Bits of an event key below the emitting router's id.
-const KEY_SHIFT: u32 = 40;
-
-/// A fault action localized to one router. A cable cut splits into one
-/// `Link` action per direction; each direction's state is only ever
-/// read by its owning router, so the split is unobservable.
+/// The event alphabet of a network run. `node` is the router the event
+/// happens at.
 #[derive(Debug, Clone)]
-enum LocalAct {
-    Router(Action),
-    Link { port: u16, up: bool },
-}
-
-/// The event alphabet of the kernel. `node` is the router the event
-/// happens at; `chain` is a handle into the kernel's [`ChainArena`].
-#[derive(Debug, Clone)]
-enum Event {
-    /// A staged arrival entering its source router's host port.
-    Inject {
-        pkt: NetPacket,
-        node: u32,
-        in_port: u16,
-    },
+enum NetEvent {
+    /// Schedule the fault timeline and every flow's first arrival.
+    Start,
+    /// The next arrival, of `flow`.
+    Arrival { flow: u32 },
+    /// A packet begins transit at `node`, having arrived on `in_port`.
     Transit {
         pkt: NetPacket,
         node: u32,
         in_port: u16,
-        chain: u32,
     },
+    /// A packet cleared `node`'s transit and enters the link at
+    /// `out_port`.
     Forward {
         pkt: NetPacket,
         node: u32,
         out_port: u16,
-        chain: u32,
     },
-    Deliver {
-        pkt: NetPacket,
-        node: u32,
-        chain: u32,
-    },
-    /// Scripted action `idx` (scenario index), localized to `node`.
-    Act { node: u32, idx: u32, act: LocalAct },
+    /// A packet reaches its destination's host port at `node`.
+    Deliver { pkt: NetPacket, node: u32 },
+    /// Apply scripted network action `idx` (scenario index).
+    Act { idx: u32 },
 }
 
-// The hot-path variants stay within 40 bytes (24-byte packet + router
-// + port + chain handle + discriminant).
-const _: () = assert!(std::mem::size_of::<Event>() <= 40);
+// The hot-path variants stay within 32 bytes (24-byte packet + router
+// + port + discriminant).
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 32);
 
-impl Event {
-    /// The event's provenance chain (arrivals and scripted actions are
-    /// roots: empty).
-    fn chain(&self) -> u32 {
-        match self {
-            Event::Transit { chain, .. }
-            | Event::Forward { chain, .. }
-            | Event::Deliver { chain, .. } => *chain,
-            Event::Inject { .. } | Event::Act { .. } => NIL,
-        }
-    }
-
-    /// Mutable handle access for arena-compaction relocation.
-    fn chain_mut(&mut self) -> Option<&mut u32> {
-        match self {
-            Event::Transit { chain, .. }
-            | Event::Forward { chain, .. }
-            | Event::Deliver { chain, .. } => Some(chain),
-            Event::Inject { .. } | Event::Act { .. } => None,
-        }
+impl NetEvent {
+    /// Does the event carry a packet (one the ledger counts in flight)?
+    fn carries_packet(&self) -> bool {
+        matches!(
+            self,
+            NetEvent::Transit { .. } | NetEvent::Forward { .. } | NetEvent::Deliver { .. }
+        )
     }
 }
 
@@ -258,75 +131,56 @@ impl Ledger {
     }
 }
 
-/// One network run: the network plus a private calendar queue and
-/// provenance arena.
-struct Kernel {
+/// A network under the engine.
+struct NetModel {
     net: NetworkSim,
-    /// Per-router emission counts: the low bits of every key.
-    emitted: Vec<u64>,
-    queue: CalendarQueue<Event>,
-    /// Arrivals `(time, key, packet)` sorted by `(time, key)`; the key
-    /// names the source router. `staged[next_staged - 1]` is the one
-    /// in the queue.
-    staged: Vec<(f64, u64, NetPacket)>,
-    next_staged: usize,
-    arena: ChainArena,
-    /// Same-time batch staging, reused across pops.
-    batch: Vec<(u64, Event)>,
     ledger: Ledger,
-    /// Events processed.
-    events: u64,
+    /// Per flow, `(time, draw)` of its next arrival: `time` is
+    /// infinite once the flow has ended, and `draw` numbers the
+    /// inter-arrival draws, ordering flows whose arrivals tie.
+    next_arrival: Vec<(f64, u64)>,
+    /// Inter-arrival draws so far.
+    draws: u64,
 }
 
-impl Kernel {
-    /// The next key of `node` (see the module docs).
-    #[inline]
-    fn key(&mut self, node: u32) -> u64 {
-        let n = &mut self.emitted[node as usize];
-        assert!(*n < 1 << KEY_SHIFT, "router {node} ran out of event keys");
-        let key = (node as u64) << KEY_SHIFT | *n;
-        *n += 1;
-        key
+impl NetModel {
+    /// Draw `flow`'s next arrival after `now`.
+    fn draw_arrival(&mut self, flow: usize, now: f64, ctx: &mut Ctx<'_, NetEvent>) {
+        let dt = exponential(ctx.rng(), self.net.flows[flow].rate_pps);
+        self.next_arrival[flow] = (now + dt, self.draws);
+        self.draws += 1;
     }
 
-    /// Push `event`, emitted by `node`, at `time`.
-    #[inline]
-    fn push(&mut self, time: f64, node: u32, event: Event) {
-        let key = self.key(node);
-        self.queue.push(time, key, event);
-    }
-
-    /// Move the next staged arrival into the queue.
-    fn stage_next(&mut self) {
-        if let Some(&(at, key, pkt)) = self.staged.get(self.next_staged) {
-            self.next_staged += 1;
-            let node = (key >> KEY_SHIFT) as u32;
-            let in_port = self.net.topo.host_port(node);
-            self.queue
-                .push(at, key, Event::Inject { pkt, node, in_port });
+    /// Queue the earliest next arrival over all flows, if any flow is
+    /// still live.
+    fn queue_arrival(&self, ctx: &mut Ctx<'_, NetEvent>) {
+        let earliest = self
+            .next_arrival
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        if let Some((flow, &(at, _))) = earliest.filter(|(_, a)| a.0.is_finite()) {
+            ctx.schedule_at(at, NetEvent::Arrival { flow: flow as u32 });
         }
     }
 
     /// Terminate a packet dropped at `node`.
     fn drop_at(&mut self, packet: u64, node: u32, cause: NetDropCause) {
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetDrop,
-            packet,
-            node,
-            cause.index() as u32,
-        );
+        dra_telemetry::event(EventKind::NetDrop, packet, node, cause.index() as u32);
         self.ledger.stats.drops[cause.index()] += 1;
     }
 
     /// One router transit: health checks, FIB lookup, coverage charge;
     /// schedules `Deliver` or `Forward`, or drops.
-    fn transit(&mut self, now: f64, mut pkt: NetPacket, node: u32, in_port: u16, chain: u32) {
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetTransit,
-            pkt.id,
-            node,
-            in_port as u32,
-        );
+    fn transit(
+        &mut self,
+        mut pkt: NetPacket,
+        node: u32,
+        in_port: u16,
+        ctx: &mut Ctx<'_, NetEvent>,
+    ) {
+        dra_telemetry::event(EventKind::NetTransit, pkt.id, node, in_port as u32);
+        let now = ctx.now();
         let i = node as usize;
         let net = &mut self.net;
         let outcome = hop(
@@ -347,28 +201,23 @@ impl Kernel {
         match outcome {
             HopOutcome::Drop(cause) => self.drop_at(pkt.id, node, cause),
             HopOutcome::Deliver { delay_s } => {
-                let chain = self.arena.extend(chain, now);
-                self.push(now + delay_s, node, Event::Deliver { pkt, node, chain });
+                ctx.schedule(delay_s, NetEvent::Deliver { pkt, node })
             }
-            HopOutcome::Forward { delay_s, out_port } => {
-                let chain = self.arena.extend(chain, now);
-                self.push(
-                    now + delay_s,
+            HopOutcome::Forward { delay_s, out_port } => ctx.schedule(
+                delay_s,
+                NetEvent::Forward {
+                    pkt,
                     node,
-                    Event::Forward {
-                        pkt,
-                        node,
-                        out_port,
-                        chain,
-                    },
-                );
-            }
+                    out_port,
+                },
+            ),
         }
     }
 
     /// Offer a packet to `node`'s link at `out_port`; hand it to the
     /// peer or drop it.
-    fn forward(&mut self, now: f64, pkt: NetPacket, node: u32, out_port: u16, chain: u32) {
+    fn forward(&mut self, pkt: NetPacket, node: u32, out_port: u16, ctx: &mut Ctx<'_, NetEvent>) {
+        let now = ctx.now();
         let net = &mut self.net;
         let offer =
             net.links
@@ -389,45 +238,25 @@ impl Kernel {
             LinkOffer::Congested => return self.drop_at(pkt.id, node, NetDropCause::LinkCongested),
             LinkOffer::Sent { delay_s } => delay_s,
         };
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetForward,
-            pkt.id,
-            node,
-            out_port as u32,
-        );
+        dra_telemetry::event(EventKind::NetForward, pkt.id, node, out_port as u32);
         let peer = net.topo.adj[node as usize][out_port as usize];
         let in_port = net.topo.rev_port[node as usize][out_port as usize];
-        // The peer's Transit descends from this pop.
-        let chain = self.arena.extend(chain, now);
-        self.push(
-            now + delay_s,
-            node,
-            Event::Transit {
+        ctx.schedule(
+            delay_s,
+            NetEvent::Transit {
                 pkt,
                 node: peer,
                 in_port,
-                chain,
             },
         );
     }
 
     /// A packet reaches its destination's host port at `node`.
-    fn deliver(&mut self, now: f64, pkt: NetPacket, node: u32, chain: u32) {
-        dra_telemetry::event(
-            dra_telemetry::EventKind::NetDeliver,
-            pkt.id,
-            node,
-            pkt.hops as u32,
-        );
+    fn deliver(&mut self, now: f64, pkt: NetPacket, node: u32) {
+        dra_telemetry::event(EventKind::NetDeliver, pkt.id, node, pkt.hops as u32);
         if let Some(t) = self.net.tele.as_deref_mut() {
             t.col
                 .delivered(&mut t.nodes[node as usize], now, node, &pkt);
-            if t.col.is_sampled(pkt.id) {
-                // Kept for the span-vs-provenance cross-check.
-                let mut times = Vec::new();
-                self.arena.serialize_into(chain, &mut times);
-                t.sampled_chains.push((pkt.id, times));
-            }
         }
         let s = &mut self.ledger.stats;
         s.delivered += 1;
@@ -436,206 +265,141 @@ impl Kernel {
         s.hops.push(pkt.hops as f64);
     }
 
-    /// Process one event popped at `now`.
-    fn handle(&mut self, now: f64, event: Event) {
-        self.events += 1;
-        match event {
-            Event::Inject { pkt, node, in_port } => {
-                self.ledger.stats.injected += 1;
-                self.ledger.stats.flow_injected[pkt.flow as usize] += 1;
-                self.transit(now, pkt, node, in_port, NIL);
+    /// Apply scripted action `idx` at `now`; a cable action touches
+    /// both of its endpoints.
+    fn act(&mut self, now: f64, idx: u32) {
+        let net = &mut self.net;
+        let mark = |node: u32| dra_telemetry::event(EventKind::NetAct, 0, node, idx);
+        match &net.compiled[idx as usize] {
+            CompiledNetAction::Router { node, action } => {
+                mark(*node);
+                let router = &mut net.nodes[*node as usize];
+                router.advance_to(now);
+                router.apply(action);
             }
-            Event::Transit {
-                pkt,
-                node,
-                in_port,
-                chain,
-            } => self.transit(now, pkt, node, in_port, chain),
-            Event::Forward {
-                pkt,
-                node,
-                out_port,
-                chain,
-            } => self.forward(now, pkt, node, out_port, chain),
-            Event::Deliver { pkt, node, chain } => self.deliver(now, pkt, node, chain),
-            Event::Act { node, idx, act } => {
-                dra_telemetry::event(dra_telemetry::EventKind::NetAct, 0, node, idx);
-                match act {
-                    LocalAct::Router(action) => {
-                        let router = &mut self.net.nodes[node as usize];
-                        router.advance_to(now);
-                        router.apply(&action);
-                    }
-                    LocalAct::Link { port, up } => self.net.links.at_mut(node, port).set_up(up),
-                }
+            &CompiledNetAction::Cable { a, pa, b, pb, up } => {
+                mark(a);
+                net.links.at_mut(a, pa).set_up(up);
+                mark(b);
+                net.links.at_mut(b, pb).set_up(up);
             }
         }
-    }
-
-    /// Compact the provenance arena: every live chain is reachable
-    /// from a pending queue event.
-    fn compact(&mut self) {
-        self.arena.begin_compact();
-        let arena = &mut self.arena;
-        self.queue.for_each_item_mut(|ev| {
-            if let Some(h) = ev.chain_mut() {
-                *h = arena.relocate(*h);
-            }
-        });
-        self.arena.finish_compact();
-    }
-
-    /// Process every event up to and including `horizon`.
-    fn advance(&mut self, horizon: f64) {
-        let mut batch = std::mem::take(&mut self.batch);
-        while let Some((now, key, event)) = self.queue.pop_at_or_before(horizon) {
-            // Drain every event tied at `now` and order the batch
-            // before any of them touches router, budget or link state.
-            // Processing only ever schedules strictly later events
-            // (every hop and link delay is positive), so the batch is
-            // closed once drained. A popped arrival stages the next
-            // one before the drain goes on, so an arrival tied at
-            // `now` joins the batch.
-            batch.clear();
-            let mut popped = Some((key, event));
-            while let Some((k, e)) = popped {
-                if matches!(e, Event::Inject { .. }) {
-                    self.stage_next();
-                }
-                batch.push((k, e));
-                popped = self.queue.pop_at_or_before(now).map(|(t, k, e)| {
-                    debug_assert_eq!(t, now, "queue returned an event before the popped minimum");
-                    (k, e)
-                });
-            }
-            if batch.len() > 1 {
-                // Keys are unique, so the order is total and the
-                // unstable sort (no scratch allocation) deterministic.
-                let arena = &self.arena;
-                batch.sort_unstable_by(|a, b| {
-                    arena.cmp(a.1.chain(), b.1.chain()).then(a.0.cmp(&b.0))
-                });
-            }
-            for (_, event) in batch.drain(..) {
-                self.handle(now, event);
-            }
-            if self.arena.should_compact() {
-                self.compact();
-            }
-        }
-        self.batch = batch;
     }
 }
 
-/// Run `net` to `horizon` (see the module docs).
-///
-/// # Panics
-/// Panics on a negative or non-finite horizon.
-pub(crate) fn run(net: NetworkSim, seed: u64, horizon: f64) -> NetworkSim {
-    assert!(
-        horizon.is_finite() && horizon >= 0.0,
-        "network run: bad horizon {horizon}"
-    );
-    let n_flows = net.flows.len();
-    let (mut arrivals, mut pending) = PRECOMPUTE_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        (std::mem::take(&mut pool.0), std::mem::take(&mut pool.1))
-    });
-    precompute_arrivals_into(
-        &net.flows,
-        net.cfg.traffic_stop_s,
-        horizon,
-        seed,
-        &mut arrivals,
-        &mut pending,
-    );
-    let mut k = Kernel {
-        emitted: vec![0; net.topo.n_nodes()],
-        queue: CalendarQueue::new(),
-        staged: Vec::with_capacity(arrivals.len()),
-        next_staged: 0,
-        arena: ChainArena::new(),
-        batch: Vec::new(),
-        ledger: Ledger::new(n_flows),
-        events: 0,
-        net,
-    };
+impl Model for NetModel {
+    type Event = NetEvent;
 
-    // Keys at setup: scripted actions in scenario order, then arrivals
-    // in injection order, each at its target router.
-    let scenario = std::mem::take(&mut k.net.scenario);
-    let compiled = std::mem::take(&mut k.net.compiled);
-    for (idx, ((at, _), act)) in scenario.iter().zip(&compiled).enumerate() {
-        let idx = idx as u32;
-        let mut push = |node: u32, act: LocalAct| k.push(*at, node, Event::Act { node, idx, act });
-        match act {
-            CompiledNetAction::Router { node, action } => {
-                push(*node, LocalAct::Router(action.clone()))
+    fn handle(&mut self, event: NetEvent, ctx: &mut Ctx<'_, NetEvent>) {
+        match event {
+            NetEvent::Start => {
+                for (idx, &(at, _)) in self.net.scenario.iter().enumerate() {
+                    ctx.schedule_at(at, NetEvent::Act { idx: idx as u32 });
+                }
+                for flow in 0..self.net.flows.len() {
+                    self.draw_arrival(flow, 0.0, ctx);
+                }
+                self.queue_arrival(ctx);
             }
-            CompiledNetAction::Cable { a, pa, b, pb, up } => {
-                push(*a, LocalAct::Link { port: *pa, up: *up });
-                push(*b, LocalAct::Link { port: *pb, up: *up });
+            NetEvent::Arrival { flow } => {
+                let now = ctx.now();
+                if now >= self.net.cfg.traffic_stop_s {
+                    // Injection window closed: the flow ends.
+                    self.next_arrival[flow as usize].0 = f64::INFINITY;
+                    return self.queue_arrival(ctx);
+                }
+                self.draw_arrival(flow as usize, now, ctx);
+                self.queue_arrival(ctx);
+                let f = self.net.flows[flow as usize];
+                let s = &mut self.ledger.stats;
+                let pkt = NetPacket {
+                    id: s.injected,
+                    injected_at: now,
+                    flow,
+                    dst: f.dst as u16,
+                    ttl: self.net.forwarding.hop_budget(),
+                    hops: 0,
+                };
+                s.injected += 1;
+                s.flow_injected[flow as usize] += 1;
+                let host = self.net.topo.host_port(f.src);
+                self.transit(pkt, f.src, host, ctx);
             }
+            NetEvent::Transit { pkt, node, in_port } => self.transit(pkt, node, in_port, ctx),
+            NetEvent::Forward {
+                pkt,
+                node,
+                out_port,
+            } => self.forward(pkt, node, out_port, ctx),
+            NetEvent::Deliver { pkt, node } => self.deliver(ctx.now(), pkt, node),
+            NetEvent::Act { idx } => self.act(ctx.now(), idx),
         }
     }
-    k.net.scenario = scenario;
-    k.net.compiled = compiled;
-    let hop_budget = k.net.forwarding.hop_budget();
-    for a in &arrivals {
-        let f = k.net.flows[a.flow as usize];
-        let key = k.key(f.src);
-        let pkt = NetPacket {
-            id: a.id,
-            injected_at: a.at,
-            flow: a.flow,
-            dst: f.dst as u16,
-            ttl: hop_budget,
-            hops: 0,
+}
+
+/// A network bound to a seed on its [`Simulation`] (see
+/// [`NetworkSim::simulation`]).
+pub struct NetRun {
+    sim: Simulation<NetModel>,
+    /// Wall-clock spent in [`NetRun::run_until`].
+    wall_ns: u64,
+}
+
+impl NetRun {
+    pub(crate) fn new(net: NetworkSim, seed: u64) -> NetRun {
+        let n_flows = net.flows.len();
+        let model = NetModel {
+            net,
+            ledger: Ledger::new(n_flows),
+            next_arrival: vec![(f64::INFINITY, 0); n_flows],
+            draws: 0,
         };
-        k.staged.push((a.at, key, pkt));
-    }
-    PRECOMPUTE_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        pool.0 = std::mem::take(&mut arrivals);
-        pool.1 = std::mem::take(&mut pending);
-    });
-    // Arrivals come in time order; the sort breaks exact time ties by
-    // key, the order the queue pops them in.
-    k.staged
-        .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    k.stage_next();
-
-    // With a collector installed, time the run (identical simulation
-    // result) into the non-deterministic `profile` section.
-    let start = Instant::now();
-    k.advance(horizon);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let events = k.events;
-    if let Some(t) = k.net.tele.as_deref_mut() {
-        t.profile = Some(EngineProfile {
-            runs: 1,
-            wall_ns,
-            events,
-        });
+        let mut sim = Simulation::new(model, seed);
+        sim.schedule(0.0, NetEvent::Start);
+        NetRun { sim, wall_ns: 0 }
     }
 
-    let Kernel {
-        mut net,
-        mut queue,
-        mut ledger,
-        ..
-    } = k;
-    queue.for_each_item_mut(|e| {
-        if matches!(
-            e,
-            Event::Transit { .. } | Event::Forward { .. } | Event::Deliver { .. }
-        ) {
-            ledger.pending += 1;
+    /// Process every event up to and including `horizon`; a later call
+    /// with a later horizon resumes the run.
+    ///
+    /// # Panics
+    /// Panics on a non-finite horizon or one before the current time.
+    pub fn run_until(&mut self, horizon: f64) {
+        let start = Instant::now();
+        self.sim.run_until(horizon);
+        self.wall_ns += start.elapsed().as_nanos() as u64;
+    }
+
+    /// Events processed so far (see [`NetworkSim::events_processed`]).
+    pub fn events_processed(&self) -> u64 {
+        self.sim.events_processed()
+    }
+
+    /// The network with its books closed: `in_flight` counted from the
+    /// packet-carrying events still queued, and, with a collector
+    /// installed, the run's engine profile.
+    pub fn into_model(self) -> NetworkSim {
+        let mut pending = 0;
+        self.sim
+            .for_each_pending(|e| pending += u64::from(e.carries_packet()));
+        let events = self.sim.events_processed();
+        let NetModel {
+            mut net,
+            mut ledger,
+            ..
+        } = self.sim.into_model();
+        ledger.pending = pending;
+        net.stats = ledger.settle();
+        net.events = events;
+        if let Some(t) = net.tele.as_deref_mut() {
+            t.profile = Some(EngineProfile {
+                runs: 1,
+                wall_ns: self.wall_ns,
+                events,
+            });
         }
-    });
-    net.stats = ledger.settle();
-    net.events = events;
-    net
+        net
+    }
 }
 
 #[cfg(test)]
@@ -643,79 +407,29 @@ mod tests {
     use super::*;
     use crate::engine::build_network;
     use crate::link::LinkConfig;
-    use crate::net::{NetAction, NetConfig, NetScenario};
-    use crate::oracle::run_serial;
+    use crate::net::{Flow, NetAction, NetConfig, NetScenario};
     use crate::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};
     use crate::topology::{Topology, TopologyKind};
     use dra_campaign::seed::{derive_seed, Stream};
     use dra_core::health::ArchKind;
-    use dra_des::stats::Welford;
+    use dra_telemetry::SpanKind;
 
-    fn precompute_arrivals(flows: &[Flow], stop_s: f64, horizon: f64, seed: u64) -> Vec<Arrival> {
-        let mut out = Vec::new();
-        let mut pending = Vec::new();
-        precompute_arrivals_into(flows, stop_s, horizon, seed, &mut out, &mut pending);
-        out
-    }
-
-    #[test]
-    fn arrival_precompute_matches_serial_draws() {
-        // The precompute's own invariants: times ordered, ids dense in
-        // time order, stop/horizon respected.
-        let flows = vec![
-            Flow {
-                src: 0,
-                dst: 1,
-                rate_pps: 50_000.0,
-            },
-            Flow {
-                src: 1,
-                dst: 0,
-                rate_pps: 20_000.0,
-            },
-        ];
-        let arr = precompute_arrivals(&flows, 8e-3, 10e-3, 42);
-        assert!(!arr.is_empty());
-        for w in arr.windows(2) {
-            assert!(w[0].at <= w[1].at, "arrivals out of time order");
-            assert_eq!(w[1].id, w[0].id + 1, "ids dense in injection order");
+    /// FNV-1a over every `NetStats` field, Welford bits included.
+    fn digest(s: &NetStats) -> u64 {
+        let mut words = vec![s.injected, s.delivered, s.in_flight];
+        words.extend(s.drops);
+        words.extend(&s.flow_injected);
+        words.extend(&s.flow_delivered);
+        for w in [&s.latency, &s.hops] {
+            words.push(w.count());
+            words.extend([w.mean(), w.variance(), w.min(), w.max()].map(f64::to_bits));
         }
-        assert!(arr.iter().all(|a| a.at < 8e-3), "stop time respected");
-        // Same seed, same stream — and buffer reuse changes nothing.
-        let mut again = Vec::with_capacity(1024);
-        let mut pending = Vec::with_capacity(8);
-        precompute_arrivals_into(&flows, 8e-3, 10e-3, 42, &mut again, &mut pending);
-        assert_eq!(arr.len(), again.len());
-        assert!(arr
+        words
             .iter()
-            .zip(&again)
-            .all(|(x, y)| x.at == y.at && x.flow == y.flow && x.id == y.id));
-    }
-
-    fn assert_welford_identical(a: &Welford, b: &Welford, what: &str, ctx: &str) {
-        assert_eq!(a.count(), b.count(), "{ctx}: {what} count");
-        for (x, y, field) in [
-            (a.mean(), b.mean(), "mean"),
-            (a.variance(), b.variance(), "variance"),
-            (a.min(), b.min(), "min"),
-            (a.max(), b.max(), "max"),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {what} {field} {x} vs {y}");
-        }
-    }
-
-    /// Every `NetStats` field, Welford bits included.
-    fn assert_stats_identical(a: &NetStats, b: &NetStats, ctx: &str) {
-        assert_eq!(a.injected, b.injected, "{ctx}: injected");
-        assert_eq!(a.delivered, b.delivered, "{ctx}: delivered");
-        assert_eq!(a.in_flight, b.in_flight, "{ctx}: in_flight");
-        assert_eq!(a.drops, b.drops, "{ctx}: drops");
-        assert_eq!(a.flow_injected, b.flow_injected, "{ctx}: flow_injected");
-        assert_eq!(a.flow_delivered, b.flow_delivered, "{ctx}: flow_delivered");
-        assert_welford_identical(&a.latency, &b.latency, "latency", ctx);
-        assert_welford_identical(&a.hops, &b.hops, "hops", ctx);
-        assert!(a.conserved(), "{ctx}: conservation (left)");
-        assert!(b.conserved(), "{ctx}: conservation (right)");
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
     }
 
     /// The fault surfaces the grid cases cover.
@@ -886,31 +600,149 @@ mod tests {
         }
     }
 
+    /// [`digest`] of each [`case`] run to `HORIZON` on seed 42, in case
+    /// order, as the previous engine computed them (that engine was
+    /// pinned in turn against a serial `dra_des` model).
+    const GRID_DIGESTS: [u64; 20] = [
+        0x8dc8_9460_dc78_69d9,
+        0x7aaa_eae8_2621_247d,
+        0xb6b0_706f_ed73_b033,
+        0x0e4c_bbbb_5fee_70b3,
+        0xa496_3430_9f52_1f5c,
+        0x8dc8_9460_dc78_69d9,
+        0x23d1_67da_4440_5ad9,
+        0xb6b0_706f_ed73_b033,
+        0x0448_e148_a71e_3d1c,
+        0xa496_3430_9f52_1f5c,
+        0xb7e6_5a11_0c00_d0d9,
+        0xb1fb_32d8_f0be_f8ea,
+        0x6ea8_a5d9_d780_30fc,
+        0x5848_2ebe_3860_03b9,
+        0xc5d8_aa30_4efe_7cf4,
+        0xb7e6_5a11_0c00_d0d9,
+        0xd2d3_bd1b_2049_b962,
+        0x6ea8_a5d9_d780_30fc,
+        0x9635_9e9f_08a8_85a4,
+        0xc5d8_aa30_4efe_7cf4,
+    ];
+
+    /// [`digest`] of each [`extra`] input, pinned the same way.
+    const EXTRA_DIGESTS: [u64; 5] = [
+        0xc96c_4b63_11d0_797a,
+        0x9d6b_50e9_df2d_2c6c,
+        0xe67c_0182_1818_3440,
+        0x6554_acf9_22af_cedb,
+        0x0c10_020e_06e3_c9f9,
+    ];
+
     #[test]
-    fn serial_oracle_matches_one_group() {
-        for i in 0..TOPOLOGIES.len() * ARCHS.len() * FAULTS.len() {
+    fn engine_matches_pinned_digests() {
+        for (i, want) in GRID_DIGESTS.into_iter().enumerate() {
             let (net, ctx) = case(i);
-            let oracle = run_serial(case(i).0, 42, HORIZON);
-            assert!(oracle.injected > 0, "{ctx}: degenerate case");
-            assert_stats_identical(&oracle, &run(net, 42, HORIZON).stats, &ctx);
+            let stats = net.run(42, HORIZON).stats;
+            assert!(stats.injected > 0, "{ctx}: degenerate case");
+            assert!(stats.conserved(), "{ctx}: conservation");
+            assert_eq!(digest(&stats), want, "{ctx}: {stats:?}");
         }
-        for i in 0..5 {
+        for (i, want) in EXTRA_DIGESTS.into_iter().enumerate() {
             let (ctx, net, seed, horizon) = extra(i);
-            let oracle = run_serial(extra(i).1, seed, horizon);
-            assert!(oracle.delivered > 100, "{ctx}: want real traffic");
-            assert_stats_identical(&oracle, &run(net, seed, horizon).stats, &ctx);
+            let stats = net.run(seed, horizon).stats;
+            assert!(stats.delivered > 100, "{ctx}: want real traffic");
+            assert!(stats.conserved(), "{ctx}: conservation");
+            assert_eq!(digest(&stats), want, "{ctx}: {stats:?}");
         }
     }
 
     #[test]
     fn in_flight_is_counted_not_derived() {
         // A horizon inside the traffic window leaves packets pending:
-        // the kernel counts them from its queue, the oracle by
-        // injections minus terminations.
+        // the engine counts them from its queue.
         let (net, _) = case(1);
-        let stats = run(net, 42, 3e-3).stats;
-        assert!(stats.in_flight > 0, "no packet pending at the horizon");
-        assert_stats_identical(&stats, &run_serial(case(1).0, 42, 3e-3), "cut");
+        let stats = net.run(42, 3e-3).stats;
+        assert_eq!(stats.in_flight, 6, "packets pending at the horizon");
+        assert!(stats.conserved());
+        assert_eq!(digest(&stats), 0xd7a7_8176_a495_e6ee, "{stats:?}");
+    }
+
+    #[test]
+    fn a_run_resumes_at_a_later_horizon() {
+        // Two horizons on one handle are one run: the queue, clock and
+        // RNG carry over.
+        let (net, _) = case(4);
+        let mut run = net.simulation(42);
+        run.run_until(4e-3);
+        let part = run.events_processed();
+        run.run_until(HORIZON);
+        assert!(0 < part && part < run.events_processed());
+        let stats = run.into_model().stats;
+        assert_eq!(digest(&stats), GRID_DIGESTS[4], "{stats:?}");
+    }
+
+    #[test]
+    fn ring_events_and_anomaly_carry_event_time() {
+        // The time of the run's last event, from an identical run
+        // stepped by hand with the hub off.
+        let mut twin = heterogeneous_latencies().simulation(11);
+        let mut last_event = 0.0;
+        while let Some(t) = twin.sim.step().filter(|&t| t <= HORIZON) {
+            last_event = t;
+        }
+        dra_telemetry::enable(dra_telemetry::Config {
+            ring_capacity: 1 << 16,
+            ..dra_telemetry::Config::default()
+        });
+        let mut net = heterogeneous_latencies();
+        net.enable_net_telemetry(1);
+        let mut run = net.simulation(11);
+        run.run_until(HORIZON);
+        // Lose one delivery from the books: settling must freeze the
+        // flight recorder at the last event's time.
+        run.sim.model_mut().ledger.stats.delivered -= 1;
+        let mut net = run.into_model();
+        assert!(!net.stats.conserved());
+        let doc = dra_telemetry::snapshot().expect("hub armed");
+        dra_telemetry::disable();
+        let anomaly = doc.anomaly.expect("conservation failure froze the ring");
+        let ring = doc.router.expect("the run drove the DES counters");
+        assert_eq!(
+            ring.ring_appended,
+            anomaly.events.len() as u64,
+            "the window holds the whole run"
+        );
+        let report = net.export_net_telemetry(HORIZON, 0, 0).expect("collector");
+        let spans = report.snapshot.network.expect("network scope").spans;
+        let span_at = |packet: u64, node: u32, t: f64, kinds: &[SpanKind]| {
+            spans.iter().any(|s| {
+                s.packet == packet && s.node == node && s.t0 == t && kinds.contains(&s.kind)
+            })
+        };
+        let mut last = 0.0;
+        for e in &anomaly.events {
+            assert!(e.t > 0.0 && e.t >= last, "{e:?} after t = {last}");
+            last = e.t;
+            let at_handler = match e.kind {
+                // A transit that drops records a drop span instead.
+                EventKind::NetTransit => {
+                    span_at(e.packet, e.a, e.t, &[SpanKind::Transit, SpanKind::Drop])
+                }
+                EventKind::NetForward => span_at(e.packet, e.a, e.t, &[SpanKind::Link]),
+                EventKind::NetDeliver => span_at(e.packet, e.a, e.t, &[SpanKind::Deliver]),
+                EventKind::NetDrop => span_at(e.packet, e.a, e.t, &[SpanKind::Drop]),
+                EventKind::NetAct => net.scenario()[e.b as usize].0 == e.t,
+                _ => false,
+            };
+            assert!(at_handler, "{e:?} is not stamped with its handler's time");
+        }
+        let acts = anomaly
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::NetAct);
+        assert_eq!(acts.count(), 2, "a cable cut marks both endpoints");
+        assert!(last_event > 0.0 && last_event >= last);
+        assert_eq!(
+            anomaly.t, last_event,
+            "the anomaly is stamped when the books close"
+        );
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //!   [`NodeHealth`](dra_core::health::NodeHealth) and stepped lazily
 //!   along its fault timeline; multi-hop flows and composed drop
 //!   accounting.
-//! * [`kernel`] — the network engine: one calendar queue per run,
-//!   with one total event order (time, provenance chain, source
-//!   router, per-router emission count) and a counted conservation
-//!   ledger.
-//! * [`chain`] — the interned parent-pointer provenance arena behind
-//!   the engine's tie ordering (zero allocations per hop).
+//! * [`kernel`] — the network engine: each run is one
+//!   [`dra_des`] model on one `Simulation`, with a counted
+//!   conservation ledger.
 //! * [`stats`] — network metrics: packet conservation, end-to-end
 //!   delivery ratio, per-flow availability.
 //! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping the
@@ -41,13 +38,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod engine;
 pub mod kernel;
 pub mod link;
 pub mod net;
-#[cfg(test)]
-mod oracle;
 pub mod registry;
 pub mod routes;
 pub mod seeds;

@@ -25,6 +25,7 @@
 //! driven by fault timelines fixed before the run. One seed ⇒ one
 //! event history, run by one engine ([`crate::kernel`]).
 
+pub use crate::kernel::NetRun;
 use crate::link::{LinkArena, LinkConfig};
 use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
@@ -478,67 +479,38 @@ impl NetworkSim {
     }
 
     /// Events the last [`run`](NetworkSim::run) processed (0 before
-    /// any run): packet transits, link offers, deliveries and the
-    /// per-router halves of scripted actions.
+    /// any run): its `Start`, every flow arrival, packet transit, link
+    /// offer and delivery, and each scripted action once (a cable
+    /// action touches both endpoints in one event).
     pub fn events_processed(&self) -> u64 {
         self.events
     }
 
-    /// Bind this network to `seed` behind the `run_until` /
-    /// `events_processed` / `into_model` shape of a DES
-    /// [`Simulation`](dra_des::sim::Simulation). The network has one
-    /// engine, [`NetworkSim::run`]; this handle exists so callers
-    /// written against the serial kernel's API (the benchmark's
-    /// per-layer replay) keep compiling, and it runs exactly once.
+    /// Bind this network to `seed` on a DES
+    /// [`Simulation`](dra_des::sim::Simulation) without running it:
+    /// the returned handle runs it with `run_until` (repeatable, to
+    /// later horizons), counts the same events as
+    /// [`NetworkSim::events_processed`], and closes the books in
+    /// `into_model`. [`NetworkSim::run`] is this with one horizon.
     pub fn simulation(self, seed: u64) -> NetRun {
-        NetRun {
-            net: Some(self),
-            seed,
-            ran: false,
-        }
+        NetRun::new(self, seed)
     }
 
     /// Run the network to `horizon` on the network engine
     /// ([`crate::kernel`]).
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite horizon.
     pub fn run(self, seed: u64, horizon: f64) -> NetworkSim {
-        crate::kernel::run(self, seed, horizon)
+        let mut run = self.simulation(seed);
+        run.run_until(horizon);
+        run.into_model()
     }
 
     fn port_between(&self, a: u32, b: u32) -> u16 {
         self.topo.adj[a as usize]
             .binary_search(&b)
             .unwrap_or_else(|_| panic!("no link {a}-{b}")) as u16
-    }
-}
-
-/// A network bound to a seed (see [`NetworkSim::simulation`]).
-pub struct NetRun {
-    /// `None` only while [`NetRun::run_until`] runs it.
-    net: Option<NetworkSim>,
-    seed: u64,
-    ran: bool,
-}
-
-impl NetRun {
-    /// Run the network to `horizon` with [`NetworkSim::run`].
-    ///
-    /// # Panics
-    /// Panics on a second call: a network run does not resume.
-    pub fn run_until(&mut self, horizon: f64) {
-        assert!(!self.ran, "NetRun::run_until: a network runs once");
-        let net = self.net.take().expect("network present");
-        self.net = Some(net.run(self.seed, horizon));
-        self.ran = true;
-    }
-
-    /// [`NetworkSim::events_processed`] of the run.
-    pub fn events_processed(&self) -> u64 {
-        self.net.as_ref().map_or(0, NetworkSim::events_processed)
-    }
-
-    /// The network, finished if [`NetRun::run_until`] ran.
-    pub fn into_model(self) -> NetworkSim {
-        self.net.expect("network present")
     }
 }
 
@@ -562,13 +534,12 @@ pub(crate) enum HopOutcome {
     },
 }
 
-/// The per-hop core of the network engine (and of the test-only serial
-/// oracle): step the router's health to `now`, run health checks and
-/// the FIB lookup, charge the EIB coverage budget, and decide the
-/// packet's fate. Mutates `pkt` (hop count, TTL) and the
-/// router/coverage state — the operation *order* here is load-bearing
-/// for byte-identical artifacts (e.g. the coverage budget is consumed
-/// before the TTL check).
+/// The per-hop core of the network engine: step the router's health
+/// to `now`, run health checks and the FIB lookup, charge the EIB
+/// coverage budget, and decide the packet's fate. Mutates `pkt` (hop
+/// count, TTL) and the router/coverage state — the operation *order*
+/// here is load-bearing for byte-identical artifacts (e.g. the
+/// coverage budget is consumed before the TTL check).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hop(
     node: u32,

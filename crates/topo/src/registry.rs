@@ -151,8 +151,8 @@ pub fn scale(quick: bool) -> TopoSpec {
     )
 }
 
-/// The second scaling tier, unlocked by the interned-provenance /
-/// zero-alloc engine overhaul: N ≥ 512 routers (32×32 mesh and
+/// The second scaling tier, unlocked by the zero-alloc engine hot
+/// path: N ≥ 512 routers (32×32 mesh and
 /// BA(512)), healthy and 4-degraded twins per topology. The quick
 /// variant runs one BA(512) healthy pair, sized for a quick CI or
 /// local check.

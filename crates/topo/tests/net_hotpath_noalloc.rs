@@ -5,8 +5,8 @@
 //! measured by *run-length difference*: the allocations of a long run
 //! minus those of a half-length run are (construction and teardown
 //! cancelling) the cost of the extra steady-state simulated time —
-//! which must be essentially zero per hop. Provenance-chain interning,
-//! arrival staging and arena recycling all live inside that window.
+//! which must be essentially zero per hop. Arrival scheduling and the
+//! calendar queue's event churn both live inside that window.
 //!
 //! Everything shares one `#[test]`: `#[global_allocator]` is
 //! per-binary and the counter is global, so concurrent tests would
@@ -102,11 +102,10 @@ fn assert_steady_state_allocation_free(telemetry: bool) {
             total_hops(&done),
         )
     };
-    // Construction, precompute and the final ledger count are
-    // identical between the two measured runs; the difference isolates
-    // the extra steady-state events. The short run goes first, twice,
-    // so the thread-local arrival-precompute pool reaches its
-    // high-water capacity before anything is measured.
+    // Construction and the final ledger count are identical between
+    // the two measured runs; the difference isolates the extra
+    // steady-state events. The short run goes first, twice, so any
+    // first-run set-up is out of the way before anything is measured.
     run(20e-3);
     let (short_allocs, short_hops) = run(20e-3);
     let (long_allocs, long_hops) = run(35e-3);

@@ -112,14 +112,36 @@ fn deterministic_section_is_worker_invariant() {
         assert!(count("events") > Some(0));
     }
 
-    // Document shape: format tag, one count per cell, no router scope,
-    // per-node counters, forensics with the scripted SRU kills.
+    // Document shape: format tag, one count per cell, a router scope
+    // that counts only the network's DES events, per-node counters,
+    // forensics with the scripted SRU kills.
     assert_eq!(
         doc1.get("format").and_then(Json::as_str),
         Some("dra-telemetry/v2")
     );
     assert_eq!(doc1.get("cells_merged").and_then(Json::as_u64), Some(2));
-    assert_eq!(doc1.get("router"), Some(&Json::Null));
+    let Some(Json::Obj(counters)) = doc1.get("router").and_then(|r| r.get("counters")) else {
+        panic!("router scope with counters")
+    };
+    for (name, value) in counters {
+        if !name.starts_with("des.") {
+            assert_eq!(
+                value.as_u64(),
+                Some(0),
+                "{name}: a network cell drives no router"
+            );
+        }
+    }
+    let des_events = doc1
+        .get("router")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("des.events"))
+        .and_then(Json::as_u64);
+    let profile_events = doc1
+        .get("profile")
+        .and_then(|p| p.get("events"))
+        .and_then(Json::as_u64);
+    assert_eq!(des_events, profile_events, "one kernel counts every event");
     let net = doc1.get("network").unwrap();
     assert_eq!(net.get("n_nodes").and_then(Json::as_u64), Some(9));
     assert_eq!(
