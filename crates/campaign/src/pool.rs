@@ -33,11 +33,6 @@ impl WorkerPool {
         Self::new(default_workers())
     }
 
-    /// Number of worker threads this pool spawns.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Map `inputs` through `f`, preserving input order in the output.
     ///
     /// # Panics

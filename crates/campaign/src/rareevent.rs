@@ -150,9 +150,12 @@ impl Sweep for RareCampaignSpec {
         Ok(())
     }
 
-    /// Both unavailabilities are probabilities; the record is flagged
-    /// when the estimate's CI misses the exact Markov answer.
-    fn check_record(record: &Json, _cell: &Json) -> Result<bool, String> {
+    /// The record names its cell's method, and both unavailabilities
+    /// are probabilities; the record is flagged when the estimate's CI
+    /// misses the exact Markov answer.
+    fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
+        let kind = cell.get("method").and_then(|m| m.get("kind"));
+        sweep::check_declared(record, "method", kind.and_then(Json::as_str))?;
         let u = record
             .get("estimate")
             .and_then(|e| e.get("unavailability"))

@@ -14,7 +14,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::Sweep;
+use crate::sweep::{check_declared, Sweep};
 use dra_core::scenario::{Action, FaultProcess, Scenario};
 use dra_router::bdr::BdrConfig;
 
@@ -250,12 +250,14 @@ impl Sweep for CampaignSpec {
         Ok(())
     }
 
-    /// A [`crate::engine`] record's `delivery.mean` is a byte-delivery
-    /// ratio over the cell's measurement window. With the window at 0
-    /// nothing is offered before it, so the ratio lies in `[0, 1]`. A
-    /// later window can deliver bytes offered before it opened, so
-    /// there the record can only prove the ratio non-negative.
+    /// A [`crate::engine`] record carries its cell's `arch`, and its
+    /// `delivery.mean` is a byte-delivery ratio over the cell's
+    /// measurement window. With the window at 0 nothing is offered
+    /// before it, so the ratio lies in `[0, 1]`. A later window can
+    /// deliver bytes offered before it opened, so there the record can
+    /// only prove the ratio non-negative.
     fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
+        check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
         let mean = record
             .get("delivery")
             .and_then(|d| d.get("mean"))

@@ -528,6 +528,16 @@ pub fn welford_json(w: &Welford) -> Json {
     ])
 }
 
+/// `Err` unless the record's string `key` equals `declared`, the value
+/// the cell's manifest gives it ([`Sweep::check_record`] helper).
+pub fn check_declared(record: &Json, key: &str, declared: Option<&str>) -> Result<(), String> {
+    let declared = declared.ok_or_else(|| format!("manifest cell missing {key}"))?;
+    match record.get(key).and_then(Json::as_str) {
+        Some(got) if got == declared => Ok(()),
+        got => Err(format!("{key} {got:?} is not the manifest's {declared:?}")),
+    }
+}
+
 /// Check an `S` artifact: format, digest against the embedded manifest,
 /// the manifest's grid (at least one cell, unique ids), cell count,
 /// index order and ids against the manifest, then

@@ -231,7 +231,10 @@ mod tests {
 
     #[test]
     fn transient_availability_approaches_steady_state() {
-        let p = DraParams::with_repair(5, 3, MU_3H);
+        let p = DraParams {
+            repair: Some(MU_3H),
+            ..DraParams::new(5, 3)
+        };
         let model = dra_model(&p);
         let pi0 = model.chain.point_mass(model.start).unwrap();
         let pi_t = dra_markov::transient::transient(

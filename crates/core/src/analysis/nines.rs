@@ -102,22 +102,6 @@ pub fn format_nines_interval(iv: &NinesInterval) -> String {
     format!("{} [{}, {hi}]", one(iv.point), one(iv.lo))
 }
 
-/// Annual downtime (minutes/year) for an unavailability estimate with
-/// CI: `(conservative, point, optimistic)` — the optimistic edge clamps
-/// at zero.
-pub fn annual_downtime_minutes_interval(unavailability: f64, ci_half: f64) -> (f64, f64, f64) {
-    assert!(
-        unavailability >= 0.0 && ci_half >= 0.0,
-        "bad estimate ({unavailability} ± {ci_half})"
-    );
-    let minutes = |u: f64| u * 365.25 * 24.0 * 60.0;
-    (
-        minutes(unavailability + ci_half),
-        minutes(unavailability),
-        minutes((unavailability - ci_half).max(0.0)),
-    )
-}
-
 /// Expected downtime per year (minutes) at a given availability — the
 /// unit operators actually budget in ("five nines = 5.26 min/yr").
 pub fn annual_downtime_minutes(availability: f64) -> f64 {
@@ -221,14 +205,6 @@ mod tests {
         assert_eq!(iv.lo.0, 6, "conservative edge from the bound");
         assert!(iv.hi.is_none(), "no optimistic edge without events");
         assert!(format_nines_interval(&iv).ends_with("∞]"));
-    }
-
-    #[test]
-    fn downtime_interval_orders_and_clamps() {
-        let (worst, point, best) = annual_downtime_minutes_interval(1e-5, 2e-5);
-        assert!(worst > point);
-        assert_eq!(best, 0.0, "CI through zero clamps to no downtime");
-        assert!((point - annual_downtime_minutes(1.0 - 1e-5)).abs() < 1e-9);
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! answered by searching the forward models of this module's siblings.
 
 use super::availability::dra_availability;
-use super::nines::{nines, nines_interval, NinesInterval};
+use super::nines::nines;
 use super::reliability::DraParams;
-use crate::rareevent::{estimate, RareConfig, RareEstimate, RareMethod};
-use dra_router::components::FailureRates;
 
 /// Smallest same-protocol population `M` (2 ≤ M ≤ N) achieving at
 /// least `target_nines` of availability at the given repair rate, or
@@ -14,13 +12,6 @@ use dra_router::components::FailureRates;
 pub fn min_m_for_availability(n: usize, mu: f64, target_nines: usize) -> Option<usize> {
     assert!(n >= 3 && mu > 0.0 && target_nines >= 1);
     (2..=n).find(|&m| nines(dra_availability(&DraParams::new(n, m), mu)).0 >= target_nines)
-}
-
-/// Smallest router size `N` (with everything same-protocol, `M = N`)
-/// achieving `target_nines`, searched up to `n_max`.
-pub fn min_n_for_availability(mu: f64, target_nines: usize, n_max: usize) -> Option<usize> {
-    assert!(mu > 0.0 && target_nines >= 1 && n_max >= 3);
-    (3..=n_max).find(|&n| nines(dra_availability(&DraParams::new(n, n), mu)).0 >= target_nines)
 }
 
 /// Slowest admissible repair (largest mean repair time, hours) that
@@ -50,62 +41,6 @@ pub fn max_repair_hours_for_availability(n: usize, m: usize, target_nines: usize
     Some(lo)
 }
 
-/// A planner answer backed by a rare-event *estimate* rather than the
-/// exact model: the chosen parameter plus the estimate and its nines
-/// interval, so the caller can see how much confidence the simulation
-/// budget actually bought.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannedEstimate {
-    /// The parameter value the planner settled on (e.g. `M`).
-    pub value: usize,
-    /// The rare-event estimate that justified it.
-    pub estimate: RareEstimate,
-    /// Nines of the estimate with CI propagated.
-    pub interval: NinesInterval,
-}
-
-/// Smallest same-protocol population `M` (2 ≤ M ≤ N) whose estimated
-/// availability reaches `target_nines` at the given failure rates and
-/// repair rate — judged **conservatively** on the lower CI edge
-/// (`1 − (U + ci)`, or the zero-event bound when nothing was observed),
-/// so the answer is robust to the estimator's remaining noise.
-///
-/// This is the realistic-rates twin of [`min_m_for_availability`]: the
-/// exact query needs the Markov model to stay tractable, while this one
-/// runs the balanced-failure-biasing estimator ([`crate::rareevent`])
-/// and therefore accepts *any* rates — in particular the paper's real
-/// ones, where brute-force Monte Carlo sees nothing.
-pub fn min_m_for_availability_estimated(
-    n: usize,
-    rates: &FailureRates,
-    mu: f64,
-    target_nines: usize,
-    cycles: usize,
-    seed: u64,
-) -> Option<PlannedEstimate> {
-    assert!(n >= 3 && mu > 0.0 && target_nines >= 1);
-    for m in 2..=n {
-        let cfg = RareConfig {
-            n,
-            m,
-            rates: *rates,
-            mu,
-            cycles,
-            seed,
-        };
-        let est = estimate(&cfg, RareMethod::FailureBiasing { bias: 0.5 });
-        let conservative_avail = (1.0 - est.upper_bound()).max(0.0);
-        if nines(conservative_avail).0 >= target_nines {
-            return Some(PlannedEstimate {
-                value: m,
-                estimate: est,
-                interval: nines_interval(est.unavailability, est.ci_half),
-            });
-        }
-    }
-    None
-}
-
 /// Largest uniform load `L` at which `N` cards can absorb `x_tolerated`
 /// simultaneous failures at full service (the closed form behind the
 /// `capacity_planning` example): spare `(N−x)(1−L)c` must cover the
@@ -129,15 +64,6 @@ mod tests {
         assert_eq!(min_m_for_availability(9, 1.0 / 3.0, 9), Some(3));
         // Ten nines are out of reach at this repair speed.
         assert_eq!(min_m_for_availability(9, 1.0 / 3.0, 10), None);
-    }
-
-    #[test]
-    fn min_n_is_monotone_in_target() {
-        let mu = 1.0 / 3.0;
-        let n8 = min_n_for_availability(mu, 8, 12).expect("eight nines reachable");
-        let n9 = min_n_for_availability(mu, 9, 12).expect("nine nines reachable");
-        assert!(n8 <= n9);
-        assert!(n8 >= 3);
     }
 
     #[test]
@@ -179,33 +105,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn estimated_min_m_matches_the_exact_oracle_answer() {
-        // At the paper's real rates the estimated planner must land on
-        // the same M as an exact search over the component-level
-        // oracle, and its conservative interval must actually clear
-        // the target.
-        use crate::rareevent::markov_oracle;
-        let (n, mu, target) = (9usize, 1.0 / 3.0, 8usize);
-        let rates = FailureRates::PAPER;
-        let exact_m = (2..=n)
-            .find(|&m| nines(1.0 - markov_oracle(n, m, &rates, mu).unavailability).0 >= target)
-            .expect("target reachable exactly");
-        let planned = min_m_for_availability_estimated(n, &rates, mu, target, 40_000, 0x9A11)
-            .expect("target reachable by estimate");
-        assert_eq!(planned.value, exact_m);
-        assert!(planned.interval.lo.0 >= target);
-        assert!(planned.estimate.unavailability > 0.0);
-    }
-
-    #[test]
-    fn estimated_min_m_unreachable_target_returns_none() {
-        // Twelve nines at 12-hour repair is out of reach for N=3 — the
-        // estimated planner must say so rather than hallucinate.
-        let rates = FailureRates::PAPER;
-        assert!(min_m_for_availability_estimated(3, &rates, 1.0 / 12.0, 12, 5_000, 7).is_none());
     }
 
     #[test]

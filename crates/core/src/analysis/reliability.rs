@@ -88,14 +88,6 @@ impl DraParams {
             repair: None,
         }
     }
-
-    /// Same, with a repair rate (availability model).
-    pub fn with_repair(n: usize, m: usize, mu: f64) -> Self {
-        DraParams {
-            repair: Some(mu),
-            ..Self::new(n, m)
-        }
-    }
 }
 
 /// A built DRA dependability model.

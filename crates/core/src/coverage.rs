@@ -130,16 +130,6 @@ pub struct CoverageRoute {
 
 impl CoverageRoute {
     /// Does this plan use the EIB data lines at all?
-    pub fn uses_eib_data(&self) -> bool {
-        matches!(
-            self.ingress,
-            IngressRoute::PdluCover { .. } | IngressRoute::SruCover { .. }
-        ) || matches!(
-            self.egress,
-            EgressRoute::PdluDirect | EgressRoute::PdluViaInter { .. } | EgressRoute::SruCover
-        )
-    }
-
     /// The first blocking cause, if the plan cannot deliver.
     pub fn blocked_by(&self) -> Option<DropCause> {
         if let IngressRoute::Blocked(c) = self.ingress {
@@ -391,7 +381,6 @@ mod tests {
         let route = planner().plan(&lcs, 0, 3);
         assert_eq!(route.ingress, IngressRoute::Normal);
         assert_eq!(route.egress, EgressRoute::Normal);
-        assert!(!route.uses_eib_data());
         assert_eq!(route.blocked_by(), None);
     }
 
@@ -589,17 +578,6 @@ mod tests {
         let mut lcs = eth6();
         fail(&mut lcs, 3, ComponentKind::Lfe);
         assert_eq!(planner().plan_egress(&lcs, 0, 3), EgressRoute::Normal);
-    }
-
-    #[test]
-    fn uses_eib_data_reflects_route() {
-        let mut lcs = eth6();
-        fail(&mut lcs, 0, ComponentKind::Lfe);
-        let r = planner().plan(&lcs, 0, 3);
-        assert!(!r.uses_eib_data(), "remote lookup rides control lines only");
-        fail(&mut lcs, 0, ComponentKind::Sru);
-        let r = planner().plan(&lcs, 0, 3);
-        assert!(r.uses_eib_data());
     }
 
     #[test]

@@ -1,137 +1,16 @@
-//! The EIB control lines: the three-tier control packets and a
-//! CSMA/CD channel model.
+//! The EIB control lines: a CSMA/CD channel model.
 //!
 //! The paper (§4) assigns the control lines three jobs: arbitrating
 //! access to the data lines (REQ_D / REP_D / REL_D), carrying lookup
 //! traffic for failed LFEs (REQ_L / REP_L — replies ride in control
 //! packets because they are smaller than the data-line setup would
 //! cost), and disseminating fault/protocol information (the processing
-//! tier's parameters).
+//! tier's parameters). The simulator times those packets, not their
+//! fields: every control packet is [`CsmaChannel::PACKET_BYTES`] on
+//! the wire.
 
-use dra_net::addr::Ipv4Addr;
-use dra_net::protocol::ProtocolKind;
-use dra_router::components::ComponentKind;
 use rand::Rng;
 use std::collections::HashSet;
-
-/// Communication-tier packet type (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommType {
-    /// Request to transfer data over the EIB.
-    ReqD,
-    /// Acceptance of an REQ_D by a willing, able LC.
-    RepD,
-    /// Request for a remote IP lookup (failed LFE).
-    ReqL,
-    /// Lookup reply, result embedded in the control packet.
-    RepL,
-    /// Release of a logical path (end of stream / resource shortage).
-    RelD,
-}
-
-/// Processing-tier parameters (§4). All optional; which are present
-/// depends on the communication type.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProcParams {
-    /// Requested transmission rate (bits/second) — REQ_D.
-    pub data_rate_bps: Option<f64>,
-    /// Protocol implemented by the initiating LC — used to find a
-    /// same-protocol LC_inter for PDLU coverage.
-    pub protocol: Option<ProtocolKind>,
-    /// Which unit failed — tells helpers whether to expect packets
-    /// (PDLU coverage, possibly via LC_inter) or cells (SRU coverage).
-    pub faulty_component: Option<ComponentKind>,
-    /// Address to look up — REQ_L.
-    pub lookup_addr: Option<Ipv4Addr>,
-    /// Lookup result (egress LC) — REP_L.
-    pub lookup_result: Option<u16>,
-    /// ID being released — REL_D (drives the arbiter's compaction).
-    pub released_id: Option<u32>,
-}
-
-/// A three-tier EIB control packet.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlPacket {
-    /// Addressing tier: the initiating LC.
-    pub init: u16,
-    /// Addressing tier: the receiving LC (`None` = broadcast, as for
-    /// REQ_D solicitations and REL_D announcements).
-    pub rec: Option<u16>,
-    /// Communication tier.
-    pub comm: CommType,
-    /// Processing tier.
-    pub proc: ProcParams,
-}
-
-impl ControlPacket {
-    /// Broadcast REQ_D soliciting a covering LC.
-    pub fn req_d(init: u16, rate_bps: f64, protocol: ProtocolKind, faulty: ComponentKind) -> Self {
-        ControlPacket {
-            init,
-            rec: None,
-            comm: CommType::ReqD,
-            proc: ProcParams {
-                data_rate_bps: Some(rate_bps),
-                protocol: Some(protocol),
-                faulty_component: Some(faulty),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// REP_D acceptance from `helper` back to `init`.
-    pub fn rep_d(helper: u16, init: u16) -> Self {
-        ControlPacket {
-            init: helper,
-            rec: Some(init),
-            comm: CommType::RepD,
-            proc: Default::default(),
-        }
-    }
-
-    /// REQ_L remote-lookup request.
-    pub fn req_l(init: u16, addr: Ipv4Addr) -> Self {
-        ControlPacket {
-            init,
-            rec: None,
-            comm: CommType::ReqL,
-            proc: ProcParams {
-                lookup_addr: Some(addr),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// REP_L lookup reply carrying the egress LC.
-    pub fn rep_l(helper: u16, init: u16, egress: u16) -> Self {
-        ControlPacket {
-            init: helper,
-            rec: Some(init),
-            comm: CommType::RepL,
-            proc: ProcParams {
-                lookup_result: Some(egress),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// Broadcast REL_D announcing the release of logical path `id`.
-    pub fn rel_d(init: u16, id: u32) -> Self {
-        ControlPacket {
-            init,
-            rec: None,
-            comm: CommType::RelD,
-            proc: ProcParams {
-                released_id: Some(id),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// Wire size of a control packet in bytes (fixed format: the three
-    /// tiers fit comfortably in one small frame).
-    pub const WIRE_BYTES: u32 = 32;
-}
 
 /// Result of attempting to transmit on the CSMA/CD control lines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,12 +61,16 @@ pub struct CsmaChannel {
 }
 
 impl CsmaChannel {
-    /// A channel clocking `ControlPacket::WIRE_BYTES` at `rate_bps`
+    /// Wire size of a control packet in bytes (fixed format: the three
+    /// tiers fit comfortably in one small frame).
+    pub const PACKET_BYTES: u32 = 32;
+
+    /// A channel clocking [`CsmaChannel::PACKET_BYTES`] at `rate_bps`
     /// with the given propagation delay.
     pub fn new(rate_bps: f64, prop_delay_s: f64) -> Self {
         assert!(rate_bps > 0.0 && prop_delay_s >= 0.0);
         CsmaChannel {
-            packet_time_s: ControlPacket::WIRE_BYTES as f64 * 8.0 / rate_bps,
+            packet_time_s: Self::PACKET_BYTES as f64 * 8.0 / rate_bps,
             prop_delay_s,
             slot_s: (2.0 * prop_delay_s).max(1e-9),
             busy_until: 0.0,
@@ -197,11 +80,6 @@ impl CsmaChannel {
             garbled: HashSet::new(),
             collisions: 0,
         }
-    }
-
-    /// Serialization time of one control packet.
-    pub fn packet_time(&self) -> f64 {
-        self.packet_time_s
     }
 
     /// Collisions observed so far.
@@ -275,35 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn packet_constructors_set_tiers() {
-        let req = ControlPacket::req_d(3, 1.5e9, ProtocolKind::Atm, ComponentKind::Sru);
-        assert_eq!(req.init, 3);
-        assert_eq!(req.rec, None, "REQ_D broadcasts");
-        assert_eq!(req.comm, CommType::ReqD);
-        assert_eq!(req.proc.data_rate_bps, Some(1.5e9));
-        assert_eq!(req.proc.protocol, Some(ProtocolKind::Atm));
-        assert_eq!(req.proc.faulty_component, Some(ComponentKind::Sru));
-
-        let rep = ControlPacket::rep_d(1, 3);
-        assert_eq!((rep.init, rep.rec), (1, Some(3)));
-
-        let ql = ControlPacket::req_l(2, Ipv4Addr(7));
-        assert_eq!(ql.proc.lookup_addr, Some(Ipv4Addr(7)));
-
-        let rl = ControlPacket::rep_l(4, 2, 5);
-        assert_eq!(rl.proc.lookup_result, Some(5));
-
-        let rel = ControlPacket::rel_d(0, 2);
-        assert_eq!(rel.proc.released_id, Some(2));
-        assert_eq!(rel.rec, None, "REL_D broadcasts");
-    }
-
-    #[test]
     fn idle_channel_transmits_successfully() {
         let mut ch = channel();
         match ch.attempt(1.0) {
             TxResult::Started { tx, done_at } => {
-                assert!((done_at - (1.0 + ch.packet_time())).abs() < 1e-15);
+                // 32 bytes at 1 Gbps.
+                assert!((done_at - (1.0 + 256e-9)).abs() < 1e-15);
                 assert!(ch.complete(tx), "uncontended tx must succeed");
             }
             other => panic!("expected Started, got {other:?}"),

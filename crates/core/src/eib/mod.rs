@@ -8,11 +8,9 @@
 //! controller.
 
 pub mod arbiter;
-pub mod bandwidth;
 pub mod control;
 pub mod datalines;
 
 pub use arbiter::TdmArbiter;
-pub use bandwidth::promised_bandwidth;
-pub use control::{CommType, ControlPacket, CsmaChannel, ProcParams, TxResult};
+pub use control::{CsmaChannel, TxResult};
 pub use datalines::DataLines;

@@ -4,10 +4,9 @@
 //! Architecture** (Mandviwalla & Tzeng, ICPP 2004) — plus its
 //! dependability and performance analyses:
 //!
-//! * [`eib`] — the Enhanced Internal Bus: three-tier control packets,
-//!   a CSMA/CD control channel, the distributed round-robin TDM data
-//!   arbiter of §4 (Ctr_id / Ctr_r / Ctr_β), and the `B_prom`
-//!   bandwidth-allocation rule.
+//! * [`eib`] — the Enhanced Internal Bus: a CSMA/CD control channel
+//!   and the distributed round-robin TDM data arbiter of §4
+//!   (Ctr_id / Ctr_r / Ctr_β).
 //! * [`coverage`] — the fault-coverage planner implementing the §3.2
 //!   fault model: Case 1 (fabric, absorbed by plane redundancy),
 //!   Case 2 (ingress PIU/PDLU/SRU/LFE failures) and Case 3 (egress
@@ -42,6 +41,5 @@ pub mod scenario;
 pub mod sim;
 
 pub use coverage::{CoveragePlanner, CoverageRoute, LcView};
-pub use eib::bandwidth::promised_bandwidth;
 pub use health::{ArchKind, NodeHealth};
 pub use sim::{DraConfig, DraRouter};

@@ -87,19 +87,6 @@ pub struct McEstimate {
     pub zero_event_upper: Option<f64>,
 }
 
-impl McEstimate {
-    /// Conservative 95% upper bound on the adverse probability
-    /// (unreliability / unavailability): the half-width-implied bound
-    /// when events were observed, the rule-of-three bound when none
-    /// were.
-    pub fn adverse_upper_bound(&self) -> f64 {
-        match self.zero_event_upper {
-            Some(u) => u,
-            None => (1.0 - self.mean + self.ci_half).max(0.0),
-        }
-    }
-}
-
 /// Exact Clopper–Pearson 95% upper bound on an event probability after
 /// observing **zero** events in `n` trials: `1 − 0.05^{1/n}` (≈ `3/n`
 /// for large `n` — the "rule of three").
@@ -633,7 +620,6 @@ mod tests {
         assert!((ub - zero_event_upper_bound(1000)).abs() < 1e-15);
         // Rule-of-three limit: ≈ 3/n.
         assert!((ub - 3.0 / 1000.0).abs() < 3e-4, "bound {ub}");
-        assert_eq!(est.adverse_upper_bound(), ub);
 
         // Availability mode at paper rates over a short window: same.
         let est_a = run_dra_mc(
@@ -651,7 +637,6 @@ mod tests {
         let est2 = run_dra_mc(&c2, McMode::Reliability { horizon_h: 40.0 });
         assert!(est2.zero_event_upper.is_none());
         assert!(est2.ci_half > 0.0);
-        assert!(est2.adverse_upper_bound() >= 1.0 - est2.mean);
     }
 
     #[test]

@@ -553,16 +553,15 @@ mod tests {
     #[test]
     fn route_actions_update_the_rib() {
         use dra_net::addr::Ipv4Addr;
+        use dra_net::fib::Fib;
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, 1, 128, 0), 17);
         let s = Scenario::new(2e-3)
             .at(0.5e-3, Action::AnnounceRoute(p, 2))
             .at(1.5e-3, Action::WithdrawRoute(p));
         let mut dra = dra_sim(3, 0.15, 11);
         s.run(&mut dra);
-        assert_eq!(
-            dra.model().rp.route_count(),
-            3,
-            "announce+withdraw nets out"
-        );
+        for lc in &dra.model().linecards {
+            assert_eq!(lc.fib.len(), 3, "announce+withdraw nets out");
+        }
     }
 }

@@ -1373,16 +1373,24 @@ mod tests {
     #[test]
     fn route_churn_in_service() {
         use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
+        use dra_net::fib::Fib;
+        let fib_sizes = |sim: &Simulation<DraRouter>| -> Vec<usize> {
+            sim.model()
+                .linecards
+                .iter()
+                .map(|lc| lc.fib.len())
+                .collect()
+        };
         let mut sim = DraRouter::simulation(config(4, 0.2), 81);
         sim.run_until(0.5e-3);
         // Announce a more-specific override steering 10.1.128.0/17 to
         // LC3 instead of LC1; traffic keeps flowing.
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, 1, 128, 0), 17);
         sim.model_mut().announce_route(p, 3);
-        assert_eq!(sim.model().rp.route_count(), 5);
+        assert_eq!(fib_sizes(&sim), vec![5; 4]);
         sim.run_until(1.5e-3);
         sim.model_mut().withdraw_route(p);
-        assert_eq!(sim.model().rp.route_count(), 4);
+        assert_eq!(fib_sizes(&sim), vec![4; 4]);
         sim.run_until(2.5e-3);
         let m = &sim.model().metrics;
         assert!(m.byte_delivery_ratio() > 0.98);

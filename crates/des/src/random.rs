@@ -22,48 +22,11 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Sample a bounded Pareto on `[lo, hi]` with shape `alpha`.
-///
-/// Used for heavy-tailed packet-size and burst-length draws.
-#[inline]
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
-    assert!(
-        alpha > 0.0 && lo > 0.0 && hi > lo,
-        "bounded_pareto: bad params"
-    );
-    let u: f64 = rng.gen();
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    // Inverse CDF of the bounded Pareto.
-    (-(u * ha - u * la - ha) / (ha * la))
-        .powf(-1.0 / alpha)
-        .clamp(lo, hi)
-}
-
-/// Sample uniformly from `[lo, hi)`.
-#[inline]
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    assert!(hi > lo, "uniform: empty range");
-    rng.gen_range(lo..hi)
-}
-
 /// Bernoulli trial with probability `p`.
 #[inline]
 pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     assert!((0.0..=1.0).contains(&p), "coin: p out of range");
     rng.gen::<f64>() < p
-}
-
-/// Sample a geometric count (number of failures before first success)
-/// with success probability `p` in (0, 1].
-#[inline]
-pub fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric: bad p {p}");
-    if p == 1.0 {
-        return 0;
-    }
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    (u.ln() / (1.0 - p).ln()).floor() as u64
 }
 
 /// Draw an index from `weights` proportionally, given their
@@ -141,16 +104,6 @@ impl<T: Clone> Discrete<T> {
         let idx = self.cumulative.partition_point(|&c| c <= x);
         &self.items[idx.min(self.items.len() - 1)]
     }
-
-    /// Number of distinct items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the distribution has no items (never constructed so).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -199,48 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_stays_in_range() {
+    fn coin_hits_its_probability() {
         let mut r = rng();
-        for _ in 0..10_000 {
-            let x = bounded_pareto(&mut r, 1.2, 40.0, 1500.0);
-            assert!((40.0..=1500.0).contains(&x), "out of range: {x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_skews_low() {
-        // With alpha > 0 most mass is near lo: median well below midpoint.
-        let mut r = rng();
-        let mut v: Vec<f64> = (0..10_001)
-            .map(|_| bounded_pareto(&mut r, 1.2, 40.0, 1500.0))
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = v[v.len() / 2];
-        assert!(median < (40.0 + 1500.0) / 2.0, "median {median}");
-    }
-
-    #[test]
-    fn uniform_and_coin() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            let x = uniform(&mut r, 2.0, 3.0);
-            assert!((2.0..3.0).contains(&x));
-        }
         let heads = (0..100_000).filter(|_| coin(&mut r, 0.3)).count();
         let p = heads as f64 / 100_000.0;
         assert!((p - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut r = rng();
-        let p = 0.2;
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| geometric(&mut r, p)).sum();
-        let mean = sum as f64 / n as f64;
-        // Mean of failures-before-success geometric is (1-p)/p = 4.
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-        assert_eq!(geometric(&mut r, 1.0), 0);
     }
 
     #[test]
@@ -307,8 +223,6 @@ mod tests {
     #[test]
     fn discrete_single_item() {
         let d = Discrete::new(&[(7u8, 0.5)]).unwrap();
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty());
         assert_eq!(*d.sample(&mut rng()), 7);
     }
 }

@@ -11,10 +11,16 @@
 //!   what makes runs reproducible across platforms: `f64` ties are
 //!   broken deterministically.
 //! * The queue itself is a [`CalendarQueue`] — O(1) amortized
-//!   push/pop against the O(log n) of the binary heap it replaced,
-//!   with the identical `(time, seq)` pop order, so traces (and the
-//!   campaign artifacts built from them) are byte-for-byte unchanged
-//!   across the swap.
+//!   push/pop against the O(log n) of a binary heap, with the
+//!   identical `(time, seq)` pop order, so traces (and the campaign
+//!   artifacts built from them) are byte-for-byte unchanged across a
+//!   swap. The asymptotics only pay on deep queues. In an A/B at
+//!   `--workers 1`, swapping the calendar for a binary heap sped up
+//!   the shallow-queue runs — `faceoff` 17.9 → 15.7 s, `resilience`
+//!   1.08 → 0.97 s — but slowed `scale2`, whose queues are deepest
+//!   (mean 563 events at pop), from 0.77 to 0.95 s; a 4-ary heap lost
+//!   there too (0.75 → 0.86 s). The calendar stays so that no
+//!   workload regresses.
 //! * Handlers receive a [`Ctx`], which lets them read the clock, draw
 //!   random numbers, schedule further events, and request a stop. New
 //!   events go straight into the calendar (the `Ctx` borrows it), so
@@ -150,12 +156,6 @@ impl<M: Model> Simulation<M> {
         self.events_processed
     }
 
-    /// Number of events currently pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Visit every pending event, in unspecified order (e.g. to count
     /// what is still in flight at a horizon).
     pub fn for_each_pending(&self, f: impl FnMut(&M::Event)) {
@@ -191,25 +191,32 @@ impl<M: Model> Simulation<M> {
         self.queue.push(self.now + delay, seq, event);
     }
 
-    /// Deliver the next event, if any. Returns its timestamp.
-    pub fn step(&mut self) -> Option<f64> {
-        if self.stop {
-            return None;
-        }
-        let (time, _seq, event) = self.queue.pop()?;
+    /// Hand a popped event to the model: advance the clock, count the
+    /// event, report it to telemetry and run its handler.
+    #[inline]
+    fn deliver(&mut self, time: f64, event: M::Event) {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.events_processed += 1;
-        dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
+        dra_telemetry::des_event(time, self.queue.len(), self.queue.bucket_count());
         let mut ctx = Ctx {
-            now: self.now,
+            now: time,
             seq: &mut self.seq,
             queue: &mut self.queue,
             rng: &mut self.rng,
             stop: &mut self.stop,
         };
         self.model.handle(event, &mut ctx);
-        Some(self.now)
+    }
+
+    /// Deliver the next event, if any. Returns its timestamp.
+    pub fn step(&mut self) -> Option<f64> {
+        if self.stop {
+            return None;
+        }
+        let (time, _seq, event) = self.queue.pop()?;
+        self.deliver(time, event);
+        Some(time)
     }
 
     /// Run until the queue empties, `horizon` is reached, or a handler
@@ -227,18 +234,7 @@ impl<M: Model> Simulation<M> {
             let Some((time, _seq, event)) = self.queue.pop_at_or_before(horizon) else {
                 break;
             };
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_processed += 1;
-            dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
-            let mut ctx = Ctx {
-                now: self.now,
-                seq: &mut self.seq,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stop: &mut self.stop,
-            };
-            self.model.handle(event, &mut ctx);
+            self.deliver(time, event);
         }
         if !self.stop {
             self.now = horizon;
@@ -251,11 +247,6 @@ impl<M: Model> Simulation<M> {
         let start = self.events_processed;
         while !self.stop && self.step().is_some() {}
         self.events_processed - start
-    }
-
-    /// True when a handler has requested a stop.
-    pub fn stopped(&self) -> bool {
-        self.stop
     }
 }
 
@@ -341,7 +332,6 @@ mod tests {
         let n = sim.run_until(3.0);
         assert_eq!(n, 1);
         assert_eq!(sim.now(), 3.0);
-        assert_eq!(sim.pending(), 1);
         let mut left = Vec::new();
         sim.for_each_pending(|&e| left.push(e));
         assert_eq!(left, [2]);
@@ -365,7 +355,6 @@ mod tests {
         sim.run_to_completion();
         let events: Vec<u32> = sim.model().seen.iter().map(|&(_, e)| e).collect();
         assert_eq!(events, vec![1, 2, 3]);
-        assert!(sim.stopped());
         // Further stepping does nothing.
         assert!(sim.step().is_none());
     }

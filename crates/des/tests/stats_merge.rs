@@ -1,11 +1,10 @@
-//! Sharded-equals-sequential properties for the mergeable statistics.
+//! Sharded-equals-sequential property for the mergeable histogram.
 //!
-//! Campaign workers accumulate per-shard `LogHistogram` /
-//! `TimeWeighted` state and merge at the end; these properties pin
-//! that a merge of shards is indistinguishable from one accumulator
-//! that saw everything in order.
+//! Telemetry documents merge per-cell `LogHistogram`s; this property
+//! pins that a merge of shards is indistinguishable from one
+//! accumulator that saw everything in order.
 
-use dra_des::stats::{LogHistogram, TimeWeighted};
+use dra_des::stats::LogHistogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -56,65 +55,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// A time-weighted accumulator split at an arbitrary update (with
-    /// an optional idle gap before the second shard starts, bridged at
-    /// the held value) must merge back to the sequential integral.
-    #[test]
-    fn time_weighted_merge_equals_sequential(
-        v0 in -100.0f64..100.0,
-        updates in proptest::collection::vec((0.0f64..10.0, -100.0f64..100.0), 0..100),
-        split in any::<u32>(),
-        gap in 0.0f64..5.0,
-        tail in 0.0f64..5.0,
-    ) {
-        let k = if updates.is_empty() { 0 } else { split as usize % updates.len() };
-
-        // Absolute update times: shard B's window opens `gap` after
-        // shard A's last update, so the signal holds its value across
-        // the seam — exactly what the piecewise-constant model means.
-        let mut t = 0.0;
-        let mut abs: Vec<(f64, f64)> = Vec::new();
-        let mut v_at_split = v0;
-        for (i, &(dt, v)) in updates.iter().enumerate() {
-            t += dt;
-            if i == k {
-                t += gap;
-            }
-            abs.push((t, v));
-            if i < k {
-                v_at_split = v;
-            }
-        }
-        let t_split = if k == 0 {
-            gap
-        } else {
-            abs[k - 1].0 + gap
-        };
-        let t_end = abs.last().map_or(t_split, |&(t, _)| t) + tail;
-
-        let mut sequential = TimeWeighted::new(0.0, v0);
-        for &(t, v) in &abs {
-            sequential.update(t, v);
-        }
-
-        let mut shard_a = TimeWeighted::new(0.0, v0);
-        for &(t, v) in &abs[..k] {
-            shard_a.update(t, v);
-        }
-        let mut shard_b = TimeWeighted::new(t_split, v_at_split);
-        for &(t, v) in &abs[k..] {
-            shard_b.update(t, v);
-        }
-        shard_a.merge(&shard_b);
-
-        prop_assert_eq!(shard_a.current(), sequential.current());
-        let merged_avg = shard_a.average(t_end);
-        let expected_avg = sequential.average(t_end);
-        prop_assert!(
-            (merged_avg - expected_avg).abs() <= 1e-9 * expected_avg.abs().max(1.0),
-            "average diverged: merged={} sequential={}", merged_avg, expected_avg
-        );
     }
 }

@@ -40,7 +40,8 @@ impl DenseMatrix {
     /// Build a matrix from a row-major slice of data.
     ///
     /// Returns a `DimensionMismatch` error when `data.len() != rows*cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "from_rows",
@@ -263,11 +264,6 @@ pub struct LuDecomposition {
 }
 
 impl LuDecomposition {
-    /// Order of the factorized matrix.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Solve `A x = b` using the stored factors.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.n;

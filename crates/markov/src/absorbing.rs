@@ -1,5 +1,4 @@
-//! Absorbing-state analysis: mean time to absorption and absorption
-//! probabilities.
+//! Absorbing-state analysis: mean time to absorption.
 //!
 //! Reliability models (the paper's Figure 5) have absorbing failure
 //! states; the mean time to absorption from the initial state is the
@@ -20,10 +19,6 @@ pub struct AbsorbingAnalysis {
     /// `mtta[k]` = expected time to absorption starting from
     /// `transient[k]`.
     pub mtta: Vec<f64>,
-    /// `absorb_prob[k][a]` = probability that, starting from
-    /// `transient[k]`, the chain is eventually absorbed in
-    /// `absorbing[a]`.
-    pub absorb_prob: Vec<Vec<f64>>,
 }
 
 impl AbsorbingAnalysis {
@@ -37,20 +32,12 @@ impl AbsorbingAnalysis {
             .position(|&t| t == s)
             .map(|k| self.mtta[k])
     }
-
-    /// Probability of eventual absorption in `target` starting from `s`.
-    pub fn absorption_probability(&self, s: StateId, target: StateId) -> Option<f64> {
-        let k = self.transient.iter().position(|&t| t == s)?;
-        let a = self.absorbing.iter().position(|&t| t == target)?;
-        Some(self.absorb_prob[k][a])
-    }
 }
 
 /// Analyse the absorbing structure of `chain`.
 ///
-/// Solves `Q_TT τ = −1` for the mean times and `Q_TT B = −R` for the
-/// absorption probabilities, where `Q_TT` is the generator restricted
-/// to transient states and `R` the transient→absorbing rate block.
+/// Solves `Q_TT τ = −1` for the mean times, where `Q_TT` is the
+/// generator restricted to transient states.
 ///
 /// Errors with [`MarkovError::BadStructure`] when the chain has no
 /// absorbing state, or when some transient state cannot reach any
@@ -78,7 +65,6 @@ pub fn analyze(chain: &Ctmc) -> Result<AbsorbingAnalysis> {
             transient,
             absorbing,
             mtta: Vec::new(),
-            absorb_prob: Vec::new(),
         });
     }
 
@@ -88,20 +74,12 @@ pub fn analyze(chain: &Ctmc) -> Result<AbsorbingAnalysis> {
         t_index[s.index()] = k;
     }
     let nt = transient.len();
-    let na = absorbing.len();
-    let mut a_index = vec![usize::MAX; chain.n_states()];
-    for (k, &s) in absorbing.iter().enumerate() {
-        a_index[s.index()] = k;
-    }
 
     let q = chain.generator();
     let mut qtt = DenseMatrix::zeros(nt, nt);
-    let mut r = DenseMatrix::zeros(nt, na);
     for (k, &s) in transient.iter().enumerate() {
         for (c, v) in q.row_entries(s.index()) {
-            if is_absorbing[c] {
-                r.add_to(k, a_index[c], v);
-            } else {
+            if !is_absorbing[c] {
                 qtt.add_to(k, t_index[c], v);
             }
         }
@@ -123,21 +101,10 @@ pub fn analyze(chain: &Ctmc) -> Result<AbsorbingAnalysis> {
         });
     }
 
-    // Q_TT b_a = -r_a column by column.
-    let mut absorb_prob = vec![vec![0.0; na]; nt];
-    for a in 0..na {
-        let rhs: Vec<f64> = (0..nt).map(|k| -r.get(k, a)).collect();
-        let col = lu.solve(&rhs)?;
-        for k in 0..nt {
-            absorb_prob[k][a] = col[k].clamp(0.0, 1.0);
-        }
-    }
-
     Ok(AbsorbingAnalysis {
         transient,
         absorbing,
         mtta,
-        absorb_prob,
     })
 }
 
@@ -157,7 +124,6 @@ mod tests {
         assert_eq!(a.transient, vec![up]);
         assert_eq!(a.absorbing, vec![dead]);
         assert!((a.mtta_from(up).unwrap() - 50_000.0).abs() < 1e-6);
-        assert!((a.absorption_probability(up, dead).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -176,8 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn competing_absorption_probabilities() {
-        // From s, race to A (rate 3) vs B (rate 1): P(A) = 3/4.
+    fn competing_absorptions_mtta_is_the_inverse_total_rate() {
+        // From s, race to A (rate 3) vs B (rate 1).
         let mut b = CtmcBuilder::new();
         let s = b.state("s").unwrap();
         let a_st = b.state("A").unwrap();
@@ -186,9 +152,7 @@ mod tests {
         b.rate(s, b_st, 1.0).unwrap();
         let c = b.build().unwrap();
         let an = analyze(&c).unwrap();
-        assert!((an.absorption_probability(s, a_st).unwrap() - 0.75).abs() < 1e-12);
-        assert!((an.absorption_probability(s, b_st).unwrap() - 0.25).abs() < 1e-12);
-        // MTTA is 1/(total rate).
+        assert_eq!(an.absorbing, vec![a_st, b_st]);
         assert!((an.mtta_from(s).unwrap() - 0.25).abs() < 1e-12);
     }
 

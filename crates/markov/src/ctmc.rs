@@ -189,11 +189,6 @@ impl CtmcBuilder {
         Ok(())
     }
 
-    /// Number of states added so far.
-    pub fn n_states(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Finalize into an immutable chain.
     pub fn build(self) -> Result<Ctmc, MarkovError> {
         let n = self.labels.len();
@@ -316,38 +311,6 @@ impl Ctmc {
             });
         }
         Ok(())
-    }
-
-    /// Render the chain as a Graphviz digraph (`dot -Tsvg …`), states
-    /// labeled, edges annotated with rates — handy for eyeballing a
-    /// model against the paper's Figure 5.
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{name}\" {{");
-        let _ = writeln!(out, "  rankdir=LR; node [shape=ellipse];");
-        for s in self.states() {
-            let shape = if self.exit_rate(s) == 0.0 {
-                " shape=doublecircle"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "  s{} [label=\"{}\"{shape}];",
-                s.index(),
-                self.label(s)
-            );
-        }
-        for s in self.states() {
-            for (c, rate) in self.generator.row_entries(s.index()) {
-                if c != s.index() && rate > 0.0 {
-                    let _ = writeln!(out, "  s{} -> s{c} [label=\"{rate:.2e}\"];", s.index());
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// The uniformized DTMC `P = I + Q/Λ` for a rate `Λ ≥ max exit rate`.
@@ -505,28 +468,6 @@ mod tests {
         let (c, _, _) = two_state();
         assert!(c.uniformized(1.0).is_err());
         assert!(c.uniformized(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn dot_export_contains_states_and_rates() {
-        let (c, _, _) = two_state();
-        let dot = c.to_dot("demo");
-        assert!(dot.starts_with("digraph \"demo\""));
-        assert!(dot.contains("label=\"up\""));
-        assert!(dot.contains("label=\"down\""));
-        assert!(dot.contains("s0 -> s1"));
-        assert!(dot.contains("5.00e-1")); // 0.5 failure rate
-        assert!(dot.ends_with("}\n"));
-        // No absorbing state here, so no doublecircle.
-        assert!(!dot.contains("doublecircle"));
-
-        // Absorbing states render distinctly.
-        let mut b = CtmcBuilder::new();
-        let a = b.state("a").unwrap();
-        let f = b.state("f").unwrap();
-        b.rate(a, f, 1.0).unwrap();
-        let dot = b.build().unwrap().to_dot("abs");
-        assert!(dot.contains("doublecircle"));
     }
 
     #[test]

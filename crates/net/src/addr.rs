@@ -27,16 +27,6 @@ impl Ipv4Addr {
             self.0 as u8,
         ]
     }
-
-    /// The `n`-th bit counted from the most significant (bit 0).
-    ///
-    /// # Panics
-    /// Panics when `n >= 32`.
-    #[inline]
-    pub fn bit(self, n: u8) -> bool {
-        assert!(n < 32, "bit index out of range");
-        (self.0 >> (31 - n)) & 1 == 1
-    }
 }
 
 impl fmt::Display for Ipv4Addr {
@@ -97,14 +87,6 @@ impl Ipv4Prefix {
         }
     }
 
-    /// The default route `0.0.0.0/0`.
-    pub const fn default_route() -> Self {
-        Ipv4Prefix {
-            addr: Ipv4Addr(0),
-            len: 0,
-        }
-    }
-
     /// Network mask for a given length.
     #[inline]
     pub fn mask(len: u8) -> u32 {
@@ -123,28 +105,17 @@ impl Ipv4Prefix {
 
     /// Mask length.
     // `len` here is a mask length, not a container size; an `is_empty`
-    // would be meaningless (see `is_default` for the /0 case).
+    // would be meaningless.
     #[allow(clippy::len_without_is_empty)]
     #[inline]
     pub fn len(self) -> u8 {
         self.len
     }
 
-    /// True for the zero-length default route.
-    #[inline]
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix cover `addr`?
     #[inline]
     pub fn contains(self, addr: Ipv4Addr) -> bool {
         (addr.0 & Self::mask(self.len)) == self.addr.0
-    }
-
-    /// Does this prefix cover (is it a supernet of, or equal to) `other`?
-    pub fn covers(self, other: Ipv4Prefix) -> bool {
-        self.len <= other.len && self.contains(other.addr)
     }
 }
 
@@ -188,20 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_indexing_msb_first() {
-        let a = Ipv4Addr(0x8000_0001);
-        assert!(a.bit(0));
-        assert!(!a.bit(1));
-        assert!(a.bit(31));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bit_index_bounds() {
-        Ipv4Addr(0).bit(32);
-    }
-
-    #[test]
     fn prefix_canonicalizes() {
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, 1, 2, 3), 8);
         assert_eq!(p.addr(), Ipv4Addr::from_octets(10, 0, 0, 0));
@@ -214,17 +171,8 @@ mod tests {
         let p: Ipv4Prefix = "192.168.0.0/16".parse().unwrap();
         assert!(p.contains("192.168.255.1".parse().unwrap()));
         assert!(!p.contains("192.169.0.1".parse().unwrap()));
-        assert!(Ipv4Prefix::default_route().contains("1.2.3.4".parse().unwrap()));
-    }
-
-    #[test]
-    fn prefix_covers() {
-        let p8: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        let p16: Ipv4Prefix = "10.5.0.0/16".parse().unwrap();
-        assert!(p8.covers(p16));
-        assert!(!p16.covers(p8));
-        assert!(p8.covers(p8));
-        assert!(Ipv4Prefix::default_route().covers(p8));
+        let default: Ipv4Prefix = "0.0.0.0/0".parse().unwrap();
+        assert!(default.contains("1.2.3.4".parse().unwrap()));
     }
 
     #[test]
@@ -245,7 +193,6 @@ mod tests {
     fn display_prefix() {
         let p: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
         assert_eq!(p.to_string(), "172.16.0.0/12");
-        assert!(p.len() == 12 && !p.is_default());
-        assert!(Ipv4Prefix::default_route().is_default());
+        assert_eq!(p.len(), 12);
     }
 }

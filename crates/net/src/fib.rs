@@ -289,7 +289,8 @@ impl Dir248Fib {
     }
 
     /// Spill blocks currently expanded (live, not free-listed).
-    pub fn spill_blocks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn spill_blocks(&self) -> usize {
         self.spill.len() - self.spill_free.len()
     }
 
@@ -587,7 +588,7 @@ mod tests {
         assert_eq!(fib.lookup(ip("10.1.9.9")), Some(7));
 
         // Default route catches everything.
-        fib.insert(Ipv4Prefix::default_route(), 9);
+        fib.insert(Ipv4Prefix::new(Ipv4Addr(0), 0), 9);
         assert_eq!(fib.lookup(ip("11.0.0.1")), Some(9));
         assert_eq!(fib.lookup(ip("10.1.2.3")), Some(3));
 
@@ -595,7 +596,7 @@ mod tests {
         assert_eq!(fib.remove(pfx("10.1.2.0/24")), Some(3));
         assert_eq!(fib.lookup(ip("10.1.2.3")), Some(7));
         assert_eq!(fib.remove(pfx("10.1.2.0/24")), None);
-        assert_eq!(fib.remove(Ipv4Prefix::default_route()), Some(9));
+        assert_eq!(fib.remove(Ipv4Prefix::new(Ipv4Addr(0), 0)), Some(9));
         assert_eq!(fib.lookup(ip("11.0.0.1")), None);
         assert_eq!(fib.len(), 2);
     }
@@ -690,7 +691,7 @@ mod tests {
         for (p, nh) in synthetic_routes(5000, 16, 7) {
             fib.insert(p, nh);
         }
-        fib.insert(Ipv4Prefix::default_route(), 15);
+        fib.insert(Ipv4Prefix::new(Ipv4Addr(0), 0), 15);
         // A mix of covered and uncovered addresses, length not a
         // multiple of the unrolled lane width.
         let mut state = 0x1234_5678_9abc_def0u64;

@@ -18,11 +18,8 @@
 //!   [`protocol::ProtocolEngine`] trait.
 //! * [`sar`] — segmentation and reassembly into fixed-size cells for
 //!   the crossbar fabric (ATM-like 48-byte payloads).
-//! * [`traffic`] — open-loop traffic generators: Poisson with a
-//!   trimodal packet-size mix, CBR, bursty on-off, and synthetic trace
-//!   replay.
-//! * [`trace`] — CSV serialization of traces, so an experiment's exact
-//!   input can be pinned and replayed bit-identically.
+//! * [`traffic`] — the open-loop Poisson source with a trimodal
+//!   packet-size mix that feeds every chassis ingress port.
 
 #![warn(missing_docs)]
 
@@ -31,7 +28,6 @@ pub mod fib;
 pub mod packet;
 pub mod protocol;
 pub mod sar;
-pub mod trace;
 pub mod traffic;
 
 pub use addr::{Ipv4Addr, Ipv4Prefix};

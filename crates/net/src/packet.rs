@@ -58,13 +58,6 @@ impl Packet {
             arrived_at,
         }
     }
-
-    /// Serialization time of this packet at `rate_bps` (seconds).
-    #[inline]
-    pub fn wire_time(&self, rate_bps: f64) -> f64 {
-        debug_assert!(rate_bps > 0.0);
-        self.ip_bytes as f64 * 8.0 / rate_bps
-    }
 }
 
 /// Monotone packet-id allocator.
@@ -120,15 +113,6 @@ mod tests {
             0.0,
         );
         assert_eq!(p.ip_bytes, Packet::MAX_BYTES);
-    }
-
-    #[test]
-    fn wire_time_scales_with_rate() {
-        let p = Packet::new(PacketId(0), addr(1), addr(2), 1000, ProtocolKind::Pos, 0.0);
-        let t10g = p.wire_time(10e9);
-        let t1g = p.wire_time(1e9);
-        assert!((t10g - 8e-7).abs() < 1e-15);
-        assert!((t1g / t10g - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -45,14 +45,6 @@ pub struct Cell {
     pub payload_bytes: u32,
 }
 
-impl Cell {
-    /// Is this the last cell of its packet?
-    #[inline]
-    pub fn is_last(&self) -> bool {
-        self.seq + 1 == self.total
-    }
-}
-
 /// Number of cells needed for a packet of `ip_bytes`.
 #[inline]
 pub fn cells_for(ip_bytes: u32) -> u16 {
@@ -184,7 +176,7 @@ impl Slot {
 /// Tolerates arbitrary interleaving across packets and out-of-order
 /// cells within a packet. Stale partial packets (whose remaining cells
 /// were dropped upstream, e.g. by a failed linecard) are reclaimed by
-/// [`Reassembler::purge_older_than`].
+/// [`Reassembler::purge_collect`].
 ///
 /// Internally an open-addressed slot table: steady-state `push` does
 /// no allocation (slots recycle through a freelist, the bitmap is
@@ -389,25 +381,8 @@ impl Reassembler {
         }
     }
 
-    /// Drop partial packets first seen before `cutoff`; returns how many
-    /// were reclaimed (counted as reassembly-timeout losses).
-    pub fn purge_older_than(&mut self, cutoff: f64) -> usize {
-        let mut purged = 0;
-        for bucket in 0..self.index.len() {
-            let id = self.index[bucket];
-            if id == EMPTY || id == TOMBSTONE {
-                continue;
-            }
-            if self.slots[id as usize].first_seen_at < cutoff {
-                self.release(bucket);
-                purged += 1;
-            }
-        }
-        purged
-    }
-
-    /// Like [`Reassembler::purge_older_than`] but returns the purged
-    /// `(src_lc, packet_id)` keys so the caller can reconcile its own
+    /// Drop partial packets first seen before `cutoff` and return their
+    /// `(src_lc, packet_id)` keys, so the caller can reconcile its own
     /// in-flight bookkeeping.
     pub fn purge_collect(&mut self, cutoff: f64) -> Vec<(u16, PacketId)> {
         let mut stale = Vec::new();
@@ -461,8 +436,6 @@ mod tests {
         assert_eq!(cells.iter().map(|c| c.payload_bytes).sum::<u32>(), 100);
         assert_eq!(cells[0].payload_bytes, 48);
         assert_eq!(cells[2].payload_bytes, 4);
-        assert!(cells[2].is_last());
-        assert!(!cells[0].is_last());
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.seq as usize, i);
             assert_eq!(c.total, 3);
@@ -554,17 +527,6 @@ mod tests {
         bad.seq = bad.total;
         let mut r = Reassembler::new();
         assert_eq!(r.push(&bad, 0.0), Err(ReassemblyError::SeqOutOfRange));
-    }
-
-    #[test]
-    fn purge_reclaims_stale_partials() {
-        let pa = packet(1, 100);
-        let pb = packet(2, 100);
-        let mut r = Reassembler::new();
-        r.push(&segment(&pa, 0, 1)[0], 1.0).unwrap();
-        r.push(&segment(&pb, 0, 1)[0], 5.0).unwrap();
-        assert_eq!(r.purge_older_than(2.0), 1);
-        assert_eq!(r.in_flight(), 1);
     }
 
     #[test]

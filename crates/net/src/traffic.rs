@@ -1,21 +1,17 @@
-//! Open-loop traffic generators.
+//! The open-loop traffic source.
 //!
 //! The paper's performance analysis depends on one traffic parameter:
-//! the mean link utilization `L` (15%–70%, citing its reference \[3\]). These
-//! generators produce packet arrival processes with a controllable mean
-//! load so the simulator can sweep the same axis; the bursty and trace
-//! generators exist to show DRA's behaviour is not an artifact of
-//! Poisson smoothness.
+//! the mean link utilization `L` (15%–70%, citing its reference \[3\]).
+//! [`PoissonGen`] produces a packet arrival process with a controllable
+//! mean load so the simulator can sweep the same axis.
 
 use crate::addr::Ipv4Addr;
-use crate::packet::{Packet, PacketIdGen};
-use crate::protocol::ProtocolKind;
 use dra_des::random::{self, Discrete};
 use rand::Rng;
 
 /// The next packet to inject: wait `dt` seconds, then `packet` arrives.
 ///
-/// `Copy`: 16 bytes of plain data, so generators and the ingress
+/// `Copy`: 16 bytes of plain data, so the generator and the ingress
 /// lookup trains hand arrivals around by value without cloning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
@@ -25,17 +21,6 @@ pub struct Arrival {
     pub ip_bytes: u32,
     /// Destination address to look up.
     pub dst: Ipv4Addr,
-}
-
-/// A source of packet arrivals for one ingress port.
-pub trait TrafficGen: std::fmt::Debug + Send {
-    /// Draw the next arrival.
-    fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Arrival
-    where
-        Self: Sized;
-
-    /// The generator's configured mean offered load in bits/second.
-    fn mean_load_bps(&self) -> f64;
 }
 
 /// The classic trimodal Internet packet-size mix (IMIX-like):
@@ -63,7 +48,6 @@ fn random_dst<R: Rng + ?Sized>(rng: &mut R, space: &Discrete<Ipv4Addr>) -> Ipv4A
 pub struct PoissonGen {
     /// Packet arrival rate (packets/second) derived from the load.
     rate_pps: f64,
-    load_bps: f64,
     sizes: Discrete<u32>,
     dsts: Discrete<Ipv4Addr>,
 }
@@ -80,230 +64,18 @@ impl PoissonGen {
             .expect("nonempty");
         PoissonGen {
             rate_pps,
-            load_bps,
             sizes,
             dsts,
         }
     }
-}
 
-impl TrafficGen for PoissonGen {
-    fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Arrival {
+    /// Draw the next arrival.
+    pub fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Arrival {
         Arrival {
             dt: random::exponential(rng, self.rate_pps),
             ip_bytes: *self.sizes.sample(rng),
             dst: random_dst(rng, &self.dsts),
         }
-    }
-
-    fn mean_load_bps(&self) -> f64 {
-        self.load_bps
-    }
-}
-
-/// Constant-bit-rate arrivals: fixed size, fixed spacing.
-#[derive(Debug)]
-pub struct CbrGen {
-    period: f64,
-    bytes: u32,
-    load_bps: f64,
-    dsts: Discrete<Ipv4Addr>,
-}
-
-impl CbrGen {
-    /// CBR at `load_bps` using packets of `bytes`.
-    pub fn new(load_bps: f64, bytes: u32, dst_bases: &[Ipv4Addr]) -> Self {
-        assert!(load_bps > 0.0 && bytes > 0);
-        assert!(!dst_bases.is_empty());
-        let period = bytes as f64 * 8.0 / load_bps;
-        let dsts = Discrete::new(&dst_bases.iter().map(|&a| (a, 1.0)).collect::<Vec<_>>())
-            .expect("nonempty");
-        CbrGen {
-            period,
-            bytes,
-            load_bps,
-            dsts,
-        }
-    }
-}
-
-impl TrafficGen for CbrGen {
-    fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Arrival {
-        Arrival {
-            dt: self.period,
-            ip_bytes: self.bytes,
-            dst: random_dst(rng, &self.dsts),
-        }
-    }
-
-    fn mean_load_bps(&self) -> f64 {
-        self.load_bps
-    }
-}
-
-/// Markov-modulated on-off source: exponential ON and OFF sojourns;
-/// while ON, Poisson arrivals at the peak rate. Mean load is
-/// `peak · on/(on+off)`.
-#[derive(Debug)]
-pub struct OnOffGen {
-    peak_pps: f64,
-    mean_on_s: f64,
-    mean_off_s: f64,
-    load_bps: f64,
-    sizes: Discrete<u32>,
-    dsts: Discrete<Ipv4Addr>,
-    /// Remaining time in the current ON period (0 = currently OFF).
-    on_remaining: f64,
-}
-
-impl OnOffGen {
-    /// A bursty source with the given mean load and burstiness
-    /// (`peak_factor` = peak/mean rate, > 1).
-    pub fn new(load_bps: f64, peak_factor: f64, mean_on_s: f64, dst_bases: &[Ipv4Addr]) -> Self {
-        assert!(load_bps > 0.0 && peak_factor > 1.0 && mean_on_s > 0.0);
-        assert!(!dst_bases.is_empty());
-        let duty = 1.0 / peak_factor;
-        let mean_off_s = mean_on_s * (1.0 - duty) / duty;
-        let peak_bps = load_bps * peak_factor;
-        let peak_pps = peak_bps / (imix_mean_bytes() * 8.0);
-        let dsts = Discrete::new(&dst_bases.iter().map(|&a| (a, 1.0)).collect::<Vec<_>>())
-            .expect("nonempty");
-        OnOffGen {
-            peak_pps,
-            mean_on_s,
-            mean_off_s,
-            load_bps,
-            sizes: imix_sizes(),
-            dsts,
-            on_remaining: 0.0,
-        }
-    }
-}
-
-impl TrafficGen for OnOffGen {
-    fn next_arrival<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Arrival {
-        let mut dt = 0.0;
-        loop {
-            if self.on_remaining <= 0.0 {
-                // In an OFF period: wait it out, then start a burst.
-                dt += random::exponential(rng, 1.0 / self.mean_off_s);
-                self.on_remaining = random::exponential(rng, 1.0 / self.mean_on_s);
-            }
-            let gap = random::exponential(rng, self.peak_pps);
-            if gap <= self.on_remaining {
-                self.on_remaining -= gap;
-                dt += gap;
-                return Arrival {
-                    dt,
-                    ip_bytes: *self.sizes.sample(rng),
-                    dst: random_dst(rng, &self.dsts),
-                };
-            }
-            // Burst ended before the next arrival: burn the remainder.
-            dt += self.on_remaining;
-            self.on_remaining = 0.0;
-        }
-    }
-
-    fn mean_load_bps(&self) -> f64 {
-        self.load_bps
-    }
-}
-
-/// Replays a fixed synthetic trace cyclically — the substitution for
-/// production traces the paper's authors didn't publish. Generate one
-/// with [`synthesize_trace`] and replay it for exactly repeatable
-/// cross-architecture comparisons (BDR vs DRA see byte-identical input).
-#[derive(Debug, Clone)]
-pub struct TraceGen {
-    trace: Vec<Arrival>,
-    pos: usize,
-    load_bps: f64,
-}
-
-impl TraceGen {
-    /// Wrap a pre-generated trace.
-    pub fn new(trace: Vec<Arrival>) -> Option<Self> {
-        if trace.is_empty() {
-            return None;
-        }
-        let total_bits: f64 = trace.iter().map(|a| a.ip_bytes as f64 * 8.0).sum();
-        let total_time: f64 = trace.iter().map(|a| a.dt).sum();
-        if total_time <= 0.0 {
-            return None;
-        }
-        Some(TraceGen {
-            trace,
-            pos: 0,
-            load_bps: total_bits / total_time,
-        })
-    }
-
-    /// Length of the underlying trace.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// True when the trace is empty (never constructed so).
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-}
-
-impl TrafficGen for TraceGen {
-    fn next_arrival<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> Arrival {
-        let a = self.trace[self.pos];
-        self.pos = (self.pos + 1) % self.trace.len();
-        a
-    }
-
-    fn mean_load_bps(&self) -> f64 {
-        self.load_bps
-    }
-}
-
-/// Produce a reusable synthetic trace of `n` arrivals at `load_bps`
-/// from a seeded Poisson/IMIX source.
-pub fn synthesize_trace(
-    n: usize,
-    load_bps: f64,
-    dst_bases: &[Ipv4Addr],
-    seed: u64,
-) -> Vec<Arrival> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let mut gen = PoissonGen::new(load_bps, dst_bases);
-    (0..n).map(|_| gen.next_arrival(&mut rng)).collect()
-}
-
-/// Helper that stamps arrivals into [`Packet`]s.
-#[derive(Debug)]
-pub struct PacketFactory {
-    ids: PacketIdGen,
-    src: Ipv4Addr,
-    protocol: ProtocolKind,
-}
-
-impl PacketFactory {
-    /// Packets from `src` over links of the given protocol.
-    pub fn new(src: Ipv4Addr, protocol: ProtocolKind) -> Self {
-        PacketFactory {
-            ids: PacketIdGen::new(),
-            src,
-            protocol,
-        }
-    }
-
-    /// Materialize an [`Arrival`] as a [`Packet`] arriving `now`.
-    pub fn make(&mut self, arrival: &Arrival, now: f64) -> Packet {
-        Packet::new(
-            self.ids.next_id(),
-            self.src,
-            arrival.dst,
-            arrival.ip_bytes,
-            self.protocol,
-            now,
-        )
     }
 }
 
@@ -320,7 +92,7 @@ mod tests {
         ]
     }
 
-    fn measure_load<G: TrafficGen>(gen: &mut G, n: usize, seed: u64) -> f64 {
+    fn measure_load(gen: &mut PoissonGen, n: usize, seed: u64) -> f64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut bits = 0.0;
         let mut time = 0.0;
@@ -341,66 +113,6 @@ mod tests {
             (measured / target - 1.0).abs() < 0.03,
             "measured {measured:.3e} vs target {target:.3e}"
         );
-        assert_eq!(gen.mean_load_bps(), target);
-    }
-
-    #[test]
-    fn cbr_is_exactly_periodic() {
-        let mut gen = CbrGen::new(1e9, 1000, &bases());
-        let mut rng = SmallRng::seed_from_u64(1);
-        let a = gen.next_arrival(&mut rng);
-        let b = gen.next_arrival(&mut rng);
-        assert_eq!(a.dt, b.dt);
-        assert_eq!(a.ip_bytes, 1000);
-        assert!((a.dt - 8e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn onoff_hits_target_load_and_is_bursty() {
-        let target = 2e9;
-        // Short bursts (~30 packets each) so the load estimate averages
-        // over thousands of on/off cycles.
-        let mut gen = OnOffGen::new(target, 4.0, 1e-5, &bases());
-        let measured = measure_load(&mut gen, 300_000, 11);
-        assert!(
-            (measured / target - 1.0).abs() < 0.05,
-            "measured {measured:.3e} vs target {target:.3e}"
-        );
-        // Burstiness: squared coefficient of variation of gaps must
-        // exceed Poisson's (which is 1).
-        let mut rng = SmallRng::seed_from_u64(13);
-        let gaps: Vec<f64> = (0..100_000)
-            .map(|_| gen.next_arrival(&mut rng).dt)
-            .collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
-        let scv = var / (mean * mean);
-        assert!(scv > 1.2, "on-off gaps not bursty enough: scv={scv}");
-    }
-
-    #[test]
-    fn trace_replay_is_exact_and_cyclic() {
-        let trace = synthesize_trace(50, 1e9, &bases(), 99);
-        let mut gen = TraceGen::new(trace.clone()).unwrap();
-        let mut rng = SmallRng::seed_from_u64(0);
-        for a in &trace {
-            assert_eq!(&gen.next_arrival(&mut rng), a);
-        }
-        // Wraps around.
-        assert_eq!(&gen.next_arrival(&mut rng), &trace[0]);
-        assert_eq!(gen.len(), 50);
-        assert!(!gen.is_empty());
-    }
-
-    #[test]
-    fn trace_rejects_degenerate_input() {
-        assert!(TraceGen::new(vec![]).is_none());
-        let zero_time = vec![Arrival {
-            dt: 0.0,
-            ip_bytes: 100,
-            dst: Ipv4Addr(0),
-        }];
-        assert!(TraceGen::new(zero_time).is_none());
     }
 
     #[test]
@@ -411,23 +123,6 @@ mod tests {
         let sum: u64 = (0..n).map(|_| *sizes.sample(&mut rng) as u64).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean / imix_mean_bytes() - 1.0).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn packet_factory_stamps_metadata() {
-        let mut f = PacketFactory::new(Ipv4Addr(42), ProtocolKind::Atm);
-        let arrival = Arrival {
-            dt: 0.0,
-            ip_bytes: 576,
-            dst: Ipv4Addr(7),
-        };
-        let p1 = f.make(&arrival, 1.5);
-        let p2 = f.make(&arrival, 2.5);
-        assert_ne!(p1.id, p2.id);
-        assert_eq!(p1.src, Ipv4Addr(42));
-        assert_eq!(p1.dst, Ipv4Addr(7));
-        assert_eq!(p1.ingress_protocol, ProtocolKind::Atm);
-        assert_eq!(p1.arrived_at, 1.5);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl CellArena {
         self.len() == 0
     }
 
-    /// Slab slots existing right now (resident + free).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Admit a cell; returns its handle.
     #[inline]
     pub fn alloc(&mut self, cell: Cell) -> CellHandle {
@@ -134,15 +129,15 @@ mod tests {
         let mut a = CellArena::with_capacity(4);
         let handles: Vec<CellHandle> = (0..10).map(|k| a.alloc(cell(k))).collect();
         assert_eq!(a.len(), 10);
-        assert_eq!(a.slot_count(), 10, "slab grew to the high-water mark");
         for (k, &h) in handles.iter().enumerate() {
             assert_eq!(a.take(h).packet, PacketId(k as u64));
         }
         assert!(a.is_empty());
         let reused: Vec<CellHandle> = (100..110).map(|k| a.alloc(cell(k))).collect();
-        assert_eq!(a.slot_count(), 10, "recycled slots, no slab growth");
-        // LIFO freelist: the last-freed slot is handed out first.
-        assert_eq!(reused[0], *handles.last().unwrap());
+        // LIFO freelist: the freed slots come back last-freed first,
+        // and no new slot is grown.
+        let lifo: Vec<CellHandle> = handles.iter().rev().copied().collect();
+        assert_eq!(reused, lifo, "recycled slots, no slab growth");
         for (k, &h) in reused.iter().enumerate() {
             assert_eq!(a.get(h).packet, PacketId(100 + k as u64));
         }

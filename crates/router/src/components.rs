@@ -33,15 +33,6 @@ impl ComponentKind {
         ComponentKind::Lfe,
         ComponentKind::BusController,
     ];
-
-    /// Is this unit protocol-independent (PI in the paper's terms)?
-    ///
-    /// The paper's Markov model groups SRU and LFE as the "PI units";
-    /// PIU is excluded from the analysis (assumed fault-free, since a
-    /// PIU failure simply disconnects the external link).
-    pub fn is_pi_unit(self) -> bool {
-        matches!(self, ComponentKind::Sru | ComponentKind::Lfe)
-    }
 }
 
 impl fmt::Display for ComponentKind {
@@ -257,15 +248,6 @@ mod tests {
         assert!(!c.operational_standalone());
         c.repair_all();
         assert!(c.operational_standalone() && c.all_healthy());
-    }
-
-    #[test]
-    fn pi_unit_classification() {
-        assert!(ComponentKind::Sru.is_pi_unit());
-        assert!(ComponentKind::Lfe.is_pi_unit());
-        assert!(!ComponentKind::Pdlu.is_pi_unit());
-        assert!(!ComponentKind::Piu.is_pi_unit());
-        assert!(!ComponentKind::BusController.is_pi_unit());
     }
 
     #[test]

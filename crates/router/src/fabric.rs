@@ -235,11 +235,6 @@ impl Crossbar {
         }
     }
 
-    /// Number of ports.
-    pub fn n_ports(&self) -> usize {
-        self.n_ports
-    }
-
     #[inline]
     fn voq_idx(&self, input: usize, output: usize) -> usize {
         input * self.n_ports + output
@@ -312,7 +307,7 @@ impl Crossbar {
     ///
     /// The cell is handed back as `Err` when it cannot be accepted —
     /// either its VOQ is full or it is addressed outside the fabric
-    /// (`src_lc`/`dst_lc` ≥ [`Crossbar::n_ports`]). Misaddressed cells
+    /// (`src_lc`/`dst_lc` ≥ the port count). Misaddressed cells
     /// follow the overflow contract rather than panicking so a corrupt
     /// header injected by a fault scenario degrades into a countable
     /// drop instead of tearing down the whole simulation.

@@ -17,7 +17,7 @@
 
 use dra_net::addr::Ipv4Addr;
 use dra_net::fib::Dir248Fib;
-use dra_net::traffic::{Arrival, TrafficGen};
+use dra_net::traffic::{Arrival, PoissonGen};
 use rand::Rng;
 
 /// Arrivals pre-drawn (and destinations batch-resolved) per train.
@@ -61,9 +61,9 @@ impl ArrivalTrain {
     /// refilling the train from `gen`/`rng` when exhausted and
     /// re-batching the unconsumed tail if `fib` changed since the
     /// train's lookups were resolved.
-    pub fn pop<G: TrafficGen, R: Rng>(
+    pub fn pop<R: Rng>(
         &mut self,
-        gen: &mut G,
+        gen: &mut PoissonGen,
         rng: &mut R,
         fib: &Dir248Fib,
     ) -> (Arrival, Option<u16>) {
@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use dra_net::addr::Ipv4Prefix;
     use dra_net::fib::Fib;
-    use dra_net::traffic::PoissonGen;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -117,14 +117,6 @@ impl LogHistogram {
         self.overflow += other.overflow;
         self.total += other.total;
     }
-
-    /// Reset all counts, keeping the bucket layout.
-    pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.underflow = 0;
-        self.overflow = 0;
-        self.total = 0;
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +151,8 @@ mod tests {
         assert_eq!(h.count(), 3);
         // Quantile 1.0 with overflow present reports +inf.
         assert!(h.quantile(1.0).is_infinite());
-        // Clearing empties every rail; an empty histogram has no
-        // quantiles.
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.underflow() + h.overflow(), 0);
-        assert!(h.quantile(0.5).is_nan());
+        // An empty histogram has no quantiles.
+        assert!(LogHistogram::new(1.0, 10.0, 4).quantile(0.5).is_nan());
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub struct Config {
     pub ring_capacity: usize,
     /// Collect Chrome trace events for sampled packets.
     pub collect_trace: bool,
-    /// Hard cap on buffered trace events (excess is counted, not kept).
+    /// Hard cap on buffered trace events (the excess is discarded).
     pub trace_limit: usize,
 }
 
@@ -188,7 +188,6 @@ struct Hub {
     counters: Vec<u64>,
     gauges: Vec<f64>,
     hists: Vec<LogHistogram>,
-    extra_counter_names: Vec<&'static str>,
     ring: Ring,
     tracker: Tracker,
     anomaly: Option<Anomaly>,
@@ -197,7 +196,6 @@ struct Hub {
     collect_trace: bool,
     trace: Vec<TraceEvent>,
     trace_limit: usize,
-    trace_dropped: u64,
 }
 
 impl Hub {
@@ -210,7 +208,6 @@ impl Hub {
             hists: (0..HIST_NAMES.len())
                 .map(|_| LogHistogram::new(HIST_LO, HIST_HI, HIST_BUCKETS))
                 .collect(),
-            extra_counter_names: Vec::new(),
             ring: Ring::new(cfg.ring_capacity),
             tracker: Tracker::default(),
             anomaly: None,
@@ -218,23 +215,12 @@ impl Hub {
             collect_trace: cfg.collect_trace,
             trace: Vec::new(),
             trace_limit: cfg.trace_limit,
-            trace_dropped: 0,
-        }
-    }
-
-    fn counter_name(&self, i: usize) -> &'static str {
-        if i < COUNTER_NAMES.len() {
-            COUNTER_NAMES[i]
-        } else {
-            self.extra_counter_names[i - COUNTER_NAMES.len()]
         }
     }
 
     fn push_trace(&mut self, ev: TraceEvent) {
         if self.trace.len() < self.trace_limit {
             self.trace.push(ev);
-        } else {
-            self.trace_dropped += 1;
         }
     }
 }
@@ -313,43 +299,10 @@ fn with_live_hub<R>(f: impl FnOnce(&mut Hub) -> R) -> Option<R> {
     HUB.with(|cell| cell.borrow_mut().as_mut().map(f))
 }
 
-/// Register an additional counter (e.g. a bench-specific one).
-/// Telemetry must be enabled; ids stay valid until [`disable`].
-pub fn register_counter(name: &'static str) -> Option<CounterId> {
-    with_hub(|h| {
-        h.extra_counter_names.push(name);
-        h.counters.push(0);
-        CounterId((h.counters.len() - 1) as u32)
-    })
-}
-
 /// Add `n` to a counter — a single indexed add on the hot path.
 #[inline]
 pub fn counter_add(id: CounterId, n: u64) {
     with_hub(|h| h.counters[id.0 as usize] += n);
-}
-
-/// Set a gauge to `v`.
-#[inline]
-pub fn gauge_set(id: GaugeId, v: f64) {
-    with_hub(|h| h.gauges[id.0 as usize] = v);
-}
-
-/// Raise a gauge to `v` if `v` is larger (peak tracking).
-#[inline]
-pub fn gauge_max(id: GaugeId, v: f64) {
-    with_hub(|h| {
-        let g = &mut h.gauges[id.0 as usize];
-        if v > *g {
-            *g = v;
-        }
-    });
-}
-
-/// Record `x` into a histogram.
-#[inline]
-pub fn hist_record(id: HistId, x: f64) {
-    with_hub(|h| h.hists[id.0 as usize].record(x));
 }
 
 /// The DES executive reports each delivered event here: advances the
@@ -570,16 +523,6 @@ pub fn anomaly(reason: &'static str) {
     });
 }
 
-/// Has the anomaly trigger tripped?
-pub fn anomaly_tripped() -> bool {
-    with_hub(|h| h.anomaly.is_some()).unwrap_or(false)
-}
-
-/// On-demand flight-recorder dump (None when disabled).
-pub fn ring_dump() -> Option<String> {
-    with_hub(|h| h.ring.dump())
-}
-
 /// The lifecycle sampling modulus of this thread's hub (None when
 /// disabled): a network cell samples its flow spans at the same rate.
 pub fn sample_every() -> Option<u64> {
@@ -610,11 +553,10 @@ pub fn snapshot() -> Option<Snapshot> {
             sample_every: h.sample_every,
             sampled_packets: h.tracker.sampled(),
             open_tracks: h.tracker.open() as u64,
-            counters: h
-                .counters
+            counters: COUNTER_NAMES
                 .iter()
-                .enumerate()
-                .map(|(i, &v)| (h.counter_name(i), v))
+                .copied()
+                .zip(h.counters.clone())
                 .collect(),
             gauges: GAUGE_NAMES.iter().copied().zip(h.gauges.clone()).collect(),
             hists: HIST_NAMES.iter().copied().zip(h.hists.clone()).collect(),
@@ -636,11 +578,6 @@ pub fn snapshot() -> Option<Snapshot> {
 /// when trace collection is off).
 pub fn take_trace_events() -> Vec<TraceEvent> {
     with_hub(|h| std::mem::take(&mut h.trace)).unwrap_or_default()
-}
-
-/// Trace events discarded after the buffer hit its cap.
-pub fn trace_dropped() -> u64 {
-    with_hub(|h| h.trace_dropped).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -707,7 +644,7 @@ mod tests {
             des_event(i as f64, 0, 0);
             event(EventKind::Arrival, i, 0, 0);
         }
-        assert!(!anomaly_tripped());
+        assert!(snapshot().unwrap().anomaly.is_none());
         packet_dropped(19, 6, 0, "eib-oversubscribed");
         anomaly("first eib-oversubscribed drop");
         anomaly("second call must not overwrite");
@@ -717,16 +654,6 @@ mod tests {
         // Window = ring capacity (8): the drop plus the 7 most recent.
         assert_eq!(a.events.len(), 8);
         assert_eq!(a.events.last().unwrap().kind, EventKind::Drop);
-        disable();
-    }
-
-    #[test]
-    fn registered_counters_appear_in_snapshot() {
-        enable(fresh(false));
-        let id = register_counter("bench.iterations").unwrap();
-        counter_add(id, 7);
-        let snap = snapshot().unwrap().router.unwrap();
-        assert_eq!(*snap.counters.last().unwrap(), ("bench.iterations", 7));
         disable();
     }
 

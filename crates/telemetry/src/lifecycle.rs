@@ -159,12 +159,6 @@ impl Tracker {
     pub fn open(&self) -> usize {
         self.map.len()
     }
-
-    /// Forget all state.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.sampled = 0;
-    }
 }
 
 #[cfg(test)]

@@ -147,13 +147,6 @@ impl Ring {
         self.buf[split..].iter().chain(self.buf[..split].iter())
     }
 
-    /// Forget everything (capacity is kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
-        self.appended = 0;
-    }
-
     /// Human-readable dump of the retained window, oldest first — the
     /// format printed on panic and by on-demand dumps.
     pub fn dump(&self) -> String {
@@ -216,7 +209,5 @@ mod tests {
         let kept: Vec<u64> = r.recent().map(|e| e.packet).collect();
         assert_eq!(kept, vec![7]);
         assert!(r.dump().contains("arrival"));
-        r.clear();
-        assert!(r.is_empty());
     }
 }

@@ -9,10 +9,9 @@
 //! that keeps per-link state to three scalars.
 //!
 //! Propagation latency lives **per directed link** (seeded uniformly
-//! from [`LinkConfig::latency_s`], overridable via
-//! [`NetworkSim::set_link_latency`](crate::net::NetworkSim::set_link_latency)),
-//! so heterogeneous topologies — a slow WAN edge on a fast mesh — are
-//! expressible.
+//! from [`LinkConfig::latency_s`]; the engine's tests override single
+//! cables), so heterogeneous topologies — a slow WAN edge on a fast
+//! mesh — are expressible.
 
 /// Link parameters (uniform across a topology).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -151,11 +151,6 @@ impl NetScenario {
         self
     }
 
-    /// The scripted events, in insertion order.
-    pub fn events(&self) -> &[(f64, NetAction)] {
-        &self.events
-    }
-
     fn ordered(&self) -> Vec<(f64, NetAction)> {
         let mut ev = self.events.clone();
         ev.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
@@ -436,14 +431,19 @@ impl NetworkSim {
     }
 
     /// Override the propagation latency of the cable between `a` and
-    /// `b` (both directions).
-    pub fn set_link_latency(&mut self, a: u32, b: u32, latency_s: f64) {
+    /// `b` (both directions): the engine pins run heterogeneous links.
+    #[cfg(test)]
+    pub(crate) fn set_link_latency(&mut self, a: u32, b: u32, latency_s: f64) {
         assert!(
             latency_s.is_finite() && latency_s > 0.0,
             "link latency must be positive and finite, got {latency_s}"
         );
-        let pab = self.port_between(a, b);
-        let pba = self.port_between(b, a);
+        let port_between = |a: u32, b: u32| {
+            self.topo.adj[a as usize]
+                .binary_search(&b)
+                .unwrap_or_else(|_| panic!("no link {a}-{b}")) as u16
+        };
+        let (pab, pba) = (port_between(a, b), port_between(b, a));
         self.links.at_mut(a, pab).latency_s = latency_s;
         self.links.at_mut(b, pba).latency_s = latency_s;
     }
@@ -473,11 +473,6 @@ impl NetworkSim {
         &self.scenario
     }
 
-    /// The flows driving this network.
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
-    }
-
     /// Events the last [`run`](NetworkSim::run) processed (0 before
     /// any run): its `Start`, every flow arrival, packet transit, link
     /// offer and delivery, and each scripted action once (a cable
@@ -505,12 +500,6 @@ impl NetworkSim {
         let mut run = self.simulation(seed);
         run.run_until(horizon);
         run.into_model()
-    }
-
-    fn port_between(&self, a: u32, b: u32) -> u16 {
-        self.topo.adj[a as usize]
-            .binary_search(&b)
-            .unwrap_or_else(|_| panic!("no link {a}-{b}")) as u16
     }
 }
 

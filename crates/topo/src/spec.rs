@@ -20,7 +20,7 @@ use crate::stats::NetDropCause;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
 use dra_campaign::report::Table;
-use dra_campaign::sweep::Sweep;
+use dra_campaign::sweep::{check_declared, Sweep};
 use dra_core::health::ArchKind;
 
 /// Network-level fault model of one cell.
@@ -277,11 +277,13 @@ impl Sweep for TopoSpec {
         Ok(())
     }
 
-    /// Network packet conservation (`injected = delivered + dropped +
-    /// in_flight`), a delivery ratio in `[0, 1]`, and no packet over
-    /// its hop budget: the budget is the routed diameter and routes
-    /// are loop-free min-hop, so a `ttl_exceeded` drop is a routing bug.
-    fn check_record(record: &Json, _cell: &Json) -> Result<bool, String> {
+    /// The cell's `arch`, network packet conservation (`injected =
+    /// delivered + dropped + in_flight`), a delivery ratio in `[0, 1]`,
+    /// and no packet over its hop budget: the budget is the routed
+    /// diameter and routes are loop-free min-hop, so a `ttl_exceeded`
+    /// drop is a routing bug.
+    fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
+        check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
         let num = |key: &str| -> Result<u64, String> {
             record
                 .get(key)
@@ -304,7 +306,7 @@ impl Sweep for TopoSpec {
             .get("delivery_ratio")
             .and_then(|d| d.get("mean"))
             .and_then(Json::as_f64)
-            .unwrap_or(1.0);
+            .ok_or("missing delivery_ratio.mean")?;
         if !(0.0..=1.0).contains(&ratio) {
             return Err(format!("delivery ratio {ratio} outside [0,1]"));
         }
@@ -461,15 +463,19 @@ mod tests {
     #[test]
     fn a_ttl_drop_fails_the_record_check() {
         let record = |ttl: f64| {
+            let ratio = Json::obj(vec![("mean", Json::Num(1.0 - ttl / 10.0))]);
             Json::obj(vec![
+                ("arch", Json::Str("dra".into())),
                 ("injected", Json::Num(10.0)),
                 ("delivered", Json::Num(10.0 - ttl)),
                 ("in_flight", Json::Num(0.0)),
                 ("drops", Json::obj(vec![("ttl_exceeded", Json::Num(ttl))])),
+                ("delivery_ratio", ratio),
             ])
         };
-        assert_eq!(TopoSpec::check_record(&record(0.0), &Json::Null), Ok(true));
-        let err = TopoSpec::check_record(&record(3.0), &Json::Null).unwrap_err();
+        let cell = Json::obj(vec![("arch", Json::Str("dra".into()))]);
+        assert_eq!(TopoSpec::check_record(&record(0.0), &cell), Ok(true));
+        let err = TopoSpec::check_record(&record(3.0), &cell).unwrap_err();
         assert!(err.contains("3 packets exceeded"), "{err}");
     }
 

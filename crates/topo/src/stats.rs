@@ -111,28 +111,6 @@ impl NetStats {
         }
     }
 
-    /// Record an injection for `flow`.
-    pub fn inject(&mut self, flow: u32) {
-        self.injected += 1;
-        self.in_flight += 1;
-        self.flow_injected[flow as usize] += 1;
-    }
-
-    /// Record a delivery for `flow`.
-    pub fn deliver(&mut self, flow: u32, latency_s: f64, hops: u32) {
-        self.delivered += 1;
-        self.in_flight -= 1;
-        self.flow_delivered[flow as usize] += 1;
-        self.latency.push(latency_s);
-        self.hops.push(hops as f64);
-    }
-
-    /// Record a drop.
-    pub fn drop_packet(&mut self, cause: NetDropCause) {
-        self.drops[cause.index()] += 1;
-        self.in_flight -= 1;
-    }
-
     /// Total drops across causes.
     pub fn dropped_total(&self) -> u64 {
         self.drops.iter().sum()
@@ -181,44 +159,49 @@ mod tests {
         assert_eq!(NetDropCause::ALL[7].name(), "ttl_exceeded");
     }
 
+    /// Stats with per-flow `(injected, delivered)` counts, `dropped`
+    /// link-down drops and `in_flight` packets.
+    fn stats(flows: &[(u64, u64)], dropped: u64, in_flight: u64) -> NetStats {
+        let mut s = NetStats::new(flows.len());
+        for (f, &(inj, del)) in flows.iter().enumerate() {
+            s.flow_injected[f] = inj;
+            s.flow_delivered[f] = del;
+        }
+        s.injected = s.flow_injected.iter().sum();
+        s.delivered = s.flow_delivered.iter().sum();
+        s.drops[NetDropCause::LinkDown.index()] = dropped;
+        s.in_flight = in_flight;
+        s
+    }
+
     #[test]
     fn conservation_accounting() {
-        let mut s = NetStats::new(2);
-        s.inject(0);
-        s.inject(1);
-        s.inject(1);
-        assert_eq!(s.in_flight, 3);
-        s.deliver(0, 1e-4, 3);
-        s.drop_packet(NetDropCause::LinkCongested);
+        // Flow 0 fully delivered; flow 1 delivered 0 of 2: one drop,
+        // one still in flight.
+        let s = stats(&[(1, 1), (2, 0)], 1, 1);
         assert!(s.conserved());
         assert_eq!(s.dropped_total(), 1);
         assert_eq!(s.delivery_ratio(), 1.0 / 3.0);
-        // Flow 0 fully delivered; flow 1 delivered 0 of 2.
         assert_eq!(s.flow_availability(0.99), 0.5);
-        s.deliver(1, 2e-4, 4);
-        assert!(s.conserved());
-        assert_eq!(s.in_flight, 0);
+        // A packet lost, or counted twice.
+        assert!(!stats(&[(1, 1), (2, 0)], 1, 0).conserved());
+        assert!(!stats(&[(1, 1), (2, 0)], 2, 1).conserved());
+        assert_eq!(NetStats::new(0).delivery_ratio(), 1.0);
     }
 
     #[test]
     fn flow_availability_threshold_edges() {
-        let mut s = NetStats::new(3);
-        s.inject(0); // flow 0: 1 injected, 0 delivered
-        s.inject(1);
-        s.inject(1);
-        s.deliver(1, 1e-4, 2); // flow 1: 2 injected, 1 delivered
-        s.drop_packet(NetDropCause::NoRoute);
-        s.drop_packet(NetDropCause::NoRoute);
-        // flow 2: injected nothing — always counts as available.
+        // Flow 0: 0 of 1 delivered; flow 1: 1 of 2; flow 2 injected
+        // nothing — always counts as available.
+        let s = stats(&[(1, 0), (2, 1), (0, 0)], 2, 0);
         // Threshold 0.0: `del >= 0` holds for every flow, even flow 0
         // with zero deliveries.
         assert_eq!(s.flow_availability(0.0), 1.0);
         // Threshold 1.0: only fully-delivered (or idle) flows count.
         // Flow 0 (0 of 1) and flow 1 (1 of 2) both miss; flow 2 idles.
         assert_eq!(s.flow_availability(1.0), 1.0 / 3.0);
-        s.inject(1);
-        s.deliver(1, 1e-4, 2);
-        // Flow 1 is now 2 of 3 — still short of 1.0 but over 0.5.
+        // Flow 1 at 2 of 3 — still short of 1.0 but over 0.5.
+        let s = stats(&[(1, 0), (3, 2), (0, 0)], 2, 0);
         assert_eq!(s.flow_availability(1.0), 1.0 / 3.0);
         assert_eq!(s.flow_availability(0.5), 2.0 / 3.0);
         // No flows at all: vacuously available.

@@ -1,14 +1,10 @@
 //! A readable walkthrough of the §4 EIB protocol, exercising the
-//! control packets, the CSMA/CD channel, the TDM arbiter, and the
-//! slot-level data lines together — the full life of two concurrent
-//! coverage streams, as the paper narrates it.
+//! CSMA/CD control channel and the slot-level data lines together —
+//! the full life of two concurrent coverage streams, as the paper
+//! narrates it.
 
-use dra::core::eib::control::{CommType, ControlPacket, CsmaChannel, TxResult};
+use dra::core::eib::control::{CsmaChannel, TxResult};
 use dra::core::eib::datalines::{DataLines, Transfer};
-use dra::core::eib::promised_bandwidth;
-use dra::net::addr::Ipv4Addr;
-use dra::net::protocol::ProtocolKind;
-use dra::router::components::ComponentKind;
 
 /// Helper: push one control packet through the (idle) channel.
 fn send(ch: &mut CsmaChannel, at: f64) -> f64 {
@@ -30,29 +26,18 @@ fn forward_path_stream_lifecycle() {
     let mut t = 0.0;
 
     // --- LP setup for LC0's stream (forward path) ---------------------
-    let req = ControlPacket::req_d(0, 1.5e9, ProtocolKind::Ethernet, ComponentKind::Sru);
-    assert_eq!(req.comm, CommType::ReqD);
-    assert_eq!(req.rec, None, "REQ_D is a broadcast solicitation");
-    assert_eq!(req.proc.faulty_component, Some(ComponentKind::Sru));
-    t = send(&mut control, t);
-
-    let rep = ControlPacket::rep_d(2, 0);
-    assert_eq!((rep.init, rep.rec), (2, Some(0)));
-    t = send(&mut control, t);
+    t = send(&mut control, t); // REQ_D: LC0 solicits a cover
+    t = send(&mut control, t); // REP_D: LC2 accepts
 
     let id0 = data.establish(0);
     assert_eq!(id0, 1, "first LP takes ID 1");
 
     // --- A remote lookup interleaves on the control lines -------------
-    let ql = ControlPacket::req_l(3, Ipv4Addr::from_octets(10, 1, 0, 9));
-    assert_eq!(ql.comm, CommType::ReqL);
-    t = send(&mut control, t);
-    let rl = ControlPacket::rep_l(1, 3, 1);
-    assert_eq!(rl.proc.lookup_result, Some(1));
-    t = send(&mut control, t);
+    t = send(&mut control, t); // REQ_L from LC3
+    t = send(&mut control, t); // REP_L carrying the egress LC
 
     // --- A second data stream joins (LC1's PDLU covered by LC2) -------
-    send(&mut control, t); // its REQ_D
+    t = send(&mut control, t); // its REQ_D
     let id1 = data.establish(1);
     assert_eq!(id1, 2);
 
@@ -74,8 +59,7 @@ fn forward_path_stream_lifecycle() {
     assert_eq!(lc0_bytes, lc1_bytes, "equal requests, equal turns");
 
     // --- Release: REL_D announces the ID; survivors compact -----------
-    let rel = ControlPacket::rel_d(0, id0);
-    assert_eq!(rel.proc.released_id, Some(id0));
+    send(&mut control, t); // REL_D
     data.release(0);
     assert!(!data.has_lp(0));
     assert!(data.has_lp(1));
@@ -91,21 +75,6 @@ fn forward_path_stream_lifecycle() {
     let done = data.run_until(data.now() + 1e-5);
     assert_eq!(done.len(), 1);
     assert_eq!(control.collisions(), 0, "this walkthrough stayed orderly");
-}
-
-#[test]
-fn oversubscribed_setup_scales_promises() {
-    // Three faulty cards request 6+6+6 Gbps on a 12 Gbps data bus: the
-    // processing tier's data-rate parameter drives the B_prom rule.
-    let requests = [6e9, 6e9, 6e9];
-    let promises = promised_bandwidth(&requests, 12e9);
-    for p in &promises {
-        assert!((p - 4e9).abs() < 1.0);
-    }
-    // The paper: "all the requesting LC's scale back their
-    // transmission rates accordingly by dropping packets".
-    let total: f64 = promises.iter().sum();
-    assert!(total <= 12e9 + 1.0);
 }
 
 #[test]

@@ -52,8 +52,8 @@ fn fib_implementations_agree_under_the_router_route_layout() {
         lin.insert(p, lc);
         dir.insert(p, lc);
     }
-    lin.insert(Ipv4Prefix::default_route(), 99);
-    dir.insert(Ipv4Prefix::default_route(), 99);
+    lin.insert(Ipv4Prefix::new(Ipv4Addr(0), 0), 99);
+    dir.insert(Ipv4Prefix::new(Ipv4Addr(0), 0), 99);
     lin.insert("10.3.0.7/32".parse().unwrap(), 55);
     dir.insert("10.3.0.7/32".parse().unwrap(), 55);
 

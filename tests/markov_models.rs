@@ -48,7 +48,10 @@ fn uniformization_and_rk45_agree_on_the_dra_model() {
 
 #[test]
 fn steady_state_methods_agree_on_the_availability_model() {
-    let model = dra_model(&DraParams::with_repair(6, 3, 1.0 / 3.0));
+    let model = dra_model(&DraParams {
+        repair: Some(1.0 / 3.0),
+        ..DraParams::new(6, 3)
+    });
     let lu = steady_state(&model.chain, SteadyMethod::DirectLu).unwrap();
     let gs = steady_state(&model.chain, SteadyMethod::GaussSeidel).unwrap();
     let pw = steady_state(&model.chain, SteadyMethod::Power).unwrap();
