@@ -8,8 +8,8 @@
 //! byte-identical at every worker count (the CI `topo-smoke` job pins
 //! workers 1 vs 4).
 //!
-//! A sweep compiles each topology's forwarding state (routes and
-//! per-node FIBs) once and shares it read-only across the cells and
+//! A sweep compiles each topology's forwarding state (destination FIB
+//! and next-hop table) once and shares it read-only across the cells and
 //! replications on that topology; forwarding is a pure function of the
 //! graph, so sharing is unobservable in the artifact.
 

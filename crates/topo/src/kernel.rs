@@ -1,9 +1,10 @@
 //! The network engine: a [`NetworkSim`] run as one [`dra_des`] model
 //! on one [`Simulation`] clock.
 //!
-//! Everything a packet touches at one hop belongs to one router: its
-//! [`NodeHealth`](dra_core::health::NodeHealth), FIB, EIB coverage
-//! budget, and the *outgoing* directions of its links. The only
+//! Everything a packet touches at one hop belongs to one router, or is
+//! read-only: its [`NodeHealth`](dra_core::health::NodeHealth), EIB
+//! coverage budget and the *outgoing* directions of its links, and the
+//! topology's shared forwarding state. The only
 //! interaction between routers is a `Forward` → link →
 //! `Transit`-at-peer handoff, which the link model charges at least
 //! that link's propagation latency.
@@ -170,7 +171,7 @@ impl NetModel {
         self.ledger.stats.drops[cause.index()] += 1;
     }
 
-    /// One router transit: health checks, FIB lookup, coverage charge;
+    /// One router transit: health checks, forwarding lookup, coverage charge;
     /// schedules `Deliver` or `Forward`, or drops.
     fn transit(
         &mut self,
@@ -186,7 +187,7 @@ impl NetModel {
         let outcome = hop(
             node,
             &mut net.nodes[i],
-            &net.forwarding.fibs()[i],
+            &net.forwarding,
             &mut net.covered_busy[i],
             &net.cfg,
             now,

@@ -7,9 +7,11 @@
 //!
 //! * [`topology`] — fat-tree(k), 2-D mesh, and Barabási–Albert
 //!   generators with deterministic port numbering.
-//! * [`routes`] — min-hop routes (BFS, lowest-id tie-break) compiled
-//!   into one production [`Dir248Fib`](dra_net::fib::Dir248Fib) per
-//!   node.
+//! * [`routes`] — min-hop routes (BFS, lowest-id tie-break) in one
+//!   flat next-hop table per topology, and the one production
+//!   [`Dir248Fib`](dra_net::fib::Dir248Fib) that maps each node's
+//!   prefix to its id: a transit is one prefix lookup plus one table
+//!   load.
 //! * [`link`] — fixed-latency, fluid-FIFO serialization links with
 //!   backlog tail drop and whole-cable failures.
 //! * [`net`] — the network model: N BDR/DRA routers, each held as its

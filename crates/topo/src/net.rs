@@ -5,9 +5,9 @@
 //! End-to-end packets hop router → link → router: at every transit the
 //! owning router's fault timeline is stepped to "now", its current
 //! linecard serviceability consulted (so faults in a router's private
-//! timeline shape network forwarding), the node's topology-derived
-//! DIR-24-8 FIB resolves the egress port, and the link model charges
-//! serialization + propagation.
+//! timeline shape network forwarding), the topology's DIR-24-8
+//! destination FIB and next-hop table resolve the egress port, and the
+//! link model charges serialization + propagation.
 //!
 //! Fault surfaces, composed exactly as the single-router layer defines
 //! them:
@@ -32,6 +32,7 @@ use crate::stats::{NetDropCause, NetStats};
 use crate::topology::{Topology, TopologyKind};
 use dra_core::health::{ArchKind, NodeHealth};
 use dra_core::scenario::{Action, Scenario};
+use dra_net::addr::Ipv4Addr;
 use dra_net::fib::{Dir248Fib, Fib};
 use dra_router::bdr::BdrConfig;
 use dra_router::components::ComponentKind;
@@ -270,9 +271,10 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
     }
 }
 
-/// A topology's forwarding state: the min-hop routes compiled into one
-/// [`Dir248Fib`] per node, and the routed diameter that sets every
-/// packet's hop budget.
+/// A topology's forwarding state: one destination [`Dir248Fib`] that
+/// maps each node's prefix to its id, the min-hop next-hop table
+/// indexed by `(node, destination id)`, and the routed diameter that
+/// sets every packet's hop budget.
 ///
 /// It is a pure function of the graph — the architecture, faults,
 /// flows and seeds of a network never touch it — so every network on
@@ -282,8 +284,10 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
 pub(crate) struct Forwarding {
     /// The topology the routes were derived from.
     kind: TopologyKind,
-    /// Per-node FIBs, indexed by node id.
-    fibs: Vec<Dir248Fib>,
+    /// Every node's /24 prefix → that node's id.
+    dest: Dir248Fib,
+    /// Egress port per `(node, destination id)`.
+    routes: RouteTables,
     /// Every packet's starting TTL: the routed diameter, so only a
     /// routing bug can exhaust it.
     hop_budget: u8,
@@ -304,14 +308,20 @@ impl Forwarding {
         );
         Forwarding {
             kind: topo.kind,
-            fibs: compile_fibs(topo, &routes),
+            dest: compile_fibs(topo, &routes),
             hop_budget: routes.diameter as u8,
+            routes,
         }
     }
 
-    /// Per-node FIBs, indexed by node id.
-    pub(crate) fn fibs(&self) -> &[Dir248Fib] {
-        &self.fibs
+    /// Egress port of `node` toward the node whose prefix covers
+    /// `addr`: one longest-prefix match for the destination id, then
+    /// one next-hop table load. `None` when no node's prefix covers
+    /// `addr`.
+    #[inline]
+    pub(crate) fn egress(&self, node: u32, addr: Ipv4Addr) -> Option<u16> {
+        let dst = self.dest.lookup(addr)?;
+        Some(self.routes.port(node, dst as u32))
     }
 
     /// The routed diameter, in links: every packet's hop budget.
@@ -327,7 +337,8 @@ impl Forwarding {
 pub struct NetworkSim {
     /// The graph.
     pub topo: Topology,
-    /// Routes and FIBs, shared read-only with every network on `topo`.
+    /// Destination FIB and next hops, shared read-only with every
+    /// network on `topo`.
     pub(crate) forwarding: Arc<Forwarding>,
     /// Per-node router health.
     pub(crate) nodes: Vec<NodeHealth>,
@@ -355,7 +366,7 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Build a network of healthy `arch` routers on `topo`, compiling
-    /// its routes and FIBs afresh.
+    /// its forwarding state afresh.
     ///
     /// Each node's router gets `degree + 1` linecards (one per link
     /// plus the host port, minimum 3), shaped otherwise by
@@ -378,7 +389,7 @@ impl NetworkSim {
         flows: Vec<Flow>,
     ) -> NetworkSim {
         assert!(
-            forwarding.kind == topo.kind && forwarding.fibs.len() == topo.n_nodes(),
+            forwarding.kind == topo.kind && forwarding.routes.n_nodes() == topo.n_nodes(),
             "forwarding compiled for {}, not for {}",
             forwarding.kind.label(),
             topo.kind.label()
@@ -524,7 +535,7 @@ pub(crate) enum HopOutcome {
 }
 
 /// The per-hop core of the network engine: step the router's health
-/// to `now`, run health checks and the FIB lookup, charge the EIB
+/// to `now`, run health checks and the forwarding lookup, charge the EIB
 /// coverage budget, and decide the packet's fate. Mutates `pkt` (hop
 /// count, TTL) and the router/coverage state — the operation *order*
 /// here is load-bearing for byte-identical artifacts (e.g. the
@@ -533,7 +544,7 @@ pub(crate) enum HopOutcome {
 pub(crate) fn hop(
     node: u32,
     router: &mut NodeHealth,
-    fib: &Dir248Fib,
+    forwarding: &Forwarding,
     covered_busy: &mut f64,
     cfg: &NetConfig,
     now: f64,
@@ -545,7 +556,7 @@ pub(crate) fn hop(
     if !router.lc_serviceable(in_port) {
         return HopOutcome::Drop(NetDropCause::IngressDown);
     }
-    let Some(out_port) = fib.lookup(node_addr(pkt.dst as u32, pkt.id)) else {
+    let Some(out_port) = forwarding.egress(node, node_addr(pkt.dst as u32, pkt.id)) else {
         return HopOutcome::Drop(NetDropCause::NoRoute);
     };
     if !router.lc_serviceable(out_port) {

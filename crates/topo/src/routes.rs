@@ -1,16 +1,21 @@
-//! Topology-derived routing: shortest paths compiled into per-node
-//! DIR-24-8 FIBs.
+//! Topology-derived routing: shortest paths and the one destination
+//! FIB that resolves them.
 //!
 //! Every node `i` owns the /24 prefix `10.(i >> 8).(i & 255).0/24`.
 //! Routes are min-hop with a **lowest-neighbor-id tie-break**, computed
 //! by one BFS per destination — a pure function of the graph, so every
-//! run (and every worker) derives the identical forwarding state. The
-//! next-hop tables are then compiled into one [`Dir248Fib`] per node:
-//! the same flat lookup structure the single-router ingress path uses,
-//! so network-level forwarding exercises the production FIB code. The
-//! base array of an untouched DIR-24-8 is copy-on-write zero pages, so
-//! N per-node instances cost resident memory only for the prefixes
-//! actually inserted.
+//! run (and every worker) derives the identical forwarding state.
+//!
+//! Every router of a topology holds the same prefix set and routes
+//! never change during a run, so routers differ only in the egress
+//! port they pick per destination. Forwarding is therefore split in
+//! two: one production [`Dir248Fib`] per topology maps each node's
+//! prefix to that node's id (the same flat lookup structure the
+//! single-router ingress path uses), and a flat destination-major
+//! next-hop table ([`RouteTables`]) maps `(node, destination id)` to
+//! the egress port. A topology costs one 64 MiB base array, mostly
+//! copy-on-write zero pages, plus N² × 2 bytes of next hops (2 MiB at
+//! N = 1,024), instead of N base arrays.
 
 use crate::topology::Topology;
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
@@ -34,12 +39,15 @@ pub fn node_addr(node: u32, host: u64) -> Ipv4Addr {
 /// hop count covers the routers visited, one more than the links.
 pub const MAX_DIAMETER: u32 = u8::MAX as u32 - 1;
 
-/// Dense next-hop tables: `next_port[n][d]` is the egress port of
-/// node `n` for traffic to node `d` (`n`'s host port when `n == d`).
+/// Dense next-hop table, destination-major: the egress port of every
+/// node toward every destination (the node's host port when the two
+/// are equal).
 #[derive(Debug, Clone)]
 pub struct RouteTables {
-    /// Per-node, per-destination egress ports.
-    pub next_port: Vec<Vec<u16>>,
+    /// `by_dst[dst * n + node]`: egress port of `node` toward `dst`.
+    by_dst: Vec<u16>,
+    /// Node count `n`.
+    n: usize,
     /// Longest min-hop path between any two nodes, in links.
     pub diameter: u32,
 }
@@ -47,49 +55,61 @@ pub struct RouteTables {
 impl RouteTables {
     /// Derive min-hop routes for `topo` (BFS per destination,
     /// lowest-id tie-break).
+    ///
+    /// # Panics
+    /// Panics when the graph is disconnected.
     pub fn derive(topo: &Topology) -> RouteTables {
         let n = topo.n_nodes();
-        let mut next_port = vec![vec![0u16; n]; n];
-        let mut dist = vec![0u32; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut by_dst = vec![0u16; n * n];
+        let mut dist = vec![u32::MAX; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
         let mut diameter = 0;
-        for dst in 0..n as u32 {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[dst as usize] = 0;
+        for (dst, ports) in by_dst.chunks_exact_mut(n.max(1)).enumerate() {
+            dist.fill(u32::MAX);
+            dist[dst] = 0;
             queue.clear();
-            queue.push_back(dst);
-            while let Some(v) = queue.pop_front() {
+            queue.push(dst as u32);
+            let mut head = 0;
+            while let Some(&v) = queue.get(head) {
+                head += 1;
                 for &w in &topo.adj[v as usize] {
                     if dist[w as usize] == u32::MAX {
                         dist[w as usize] = dist[v as usize] + 1;
-                        queue.push_back(w);
+                        queue.push(w);
                     }
                 }
             }
-            diameter = diameter.max(dist.iter().copied().max().unwrap_or(0));
-            for node in 0..n as u32 {
-                if node == dst {
-                    next_port[node as usize][dst as usize] = topo.host_port(node);
-                    continue;
-                }
-                assert!(dist[node as usize] != u32::MAX, "unreachable node");
-                // Sorted adjacency + strict `<` ⇒ lowest-id tie-break.
-                let mut best: Option<(u32, u16)> = None;
-                for (p, &nb) in topo.adj[node as usize].iter().enumerate() {
-                    let d = dist[nb as usize];
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, p as u16));
-                    }
-                }
-                let (bd, bp) = best.expect("connected graph");
-                debug_assert_eq!(bd, dist[node as usize] - 1, "min-hop step");
-                next_port[node as usize][dst as usize] = bp;
+            assert_eq!(queue.len(), n, "unreachable node");
+            // BFS dequeues in distance order: the last node is farthest.
+            diameter = diameter.max(dist[queue[n - 1] as usize]);
+            for (node, port) in ports.iter_mut().enumerate() {
+                *port = if node == dst {
+                    topo.host_port(node as u32)
+                } else {
+                    // Sorted adjacency, first match ⇒ lowest-id tie-break.
+                    let closer = topo.adj[node]
+                        .iter()
+                        .position(|&nb| dist[nb as usize] + 1 == dist[node]);
+                    closer.expect("a BFS-reached node has a neighbor one hop closer") as u16
+                };
             }
         }
         RouteTables {
-            next_port,
+            by_dst,
+            n,
             diameter,
         }
+    }
+
+    /// Egress port of `node` toward `dst`.
+    #[inline]
+    pub(crate) fn port(&self, node: u32, dst: u32) -> u16 {
+        self.by_dst[dst as usize * self.n + node as usize]
+    }
+
+    /// Nodes the routes were derived for.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.n
     }
 
     /// Hop count from `src` to `dst` following the tables (for tests
@@ -98,7 +118,7 @@ impl RouteTables {
         let mut at = src;
         let mut hops = 0;
         while at != dst {
-            let p = self.next_port[at as usize][dst as usize];
+            let p = self.port(at, dst);
             at = topo.adj[at as usize][p as usize];
             hops += 1;
             assert!(hops <= topo.n_nodes(), "routing loop {src}->{dst}");
@@ -107,25 +127,30 @@ impl RouteTables {
     }
 }
 
-/// Compile the route tables into one DIR-24-8 FIB per node: prefix of
-/// every destination node → egress port.
-pub fn compile_fibs(topo: &Topology, routes: &RouteTables) -> Vec<Dir248Fib> {
+/// Compile `topo`'s destination FIB: every node's prefix
+/// ([`node_prefix`]) → that node's id. Paired with the next-hop table
+/// `routes` it resolves every node's forwarding, so a topology needs
+/// one FIB, not one per node.
+///
+/// # Panics
+/// Panics when `routes` was derived for a topology of another size.
+pub fn compile_fibs(topo: &Topology, routes: &RouteTables) -> Dir248Fib {
     let n = topo.n_nodes();
-    (0..n)
-        .map(|node| {
-            let mut fib = Dir248Fib::with_capacity(n);
-            for dst in 0..n {
-                fib.insert(node_prefix(dst as u32), routes.next_port[node][dst]);
-            }
-            fib
-        })
-        .collect()
+    assert_eq!(routes.n, n, "route tables derived for another topology");
+    let mut fib = Dir248Fib::with_capacity(n);
+    for dst in 0..n as u32 {
+        // `node_prefix` asserts `dst < 2¹⁶`, so the id fits the next hop.
+        fib.insert(node_prefix(dst), dst as u16);
+    }
+    fib
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Forwarding;
     use crate::topology::TopologyKind;
+    use dra_net::fib::LinearFib;
 
     #[test]
     fn prefixes_are_disjoint_per_node() {
@@ -173,8 +198,44 @@ mod tests {
         }
     }
 
+    /// Per-node reference FIBs: every destination's prefix → the
+    /// egress port an independent BFS picks (smallest distance, lowest
+    /// port on ties).
+    fn reference_fibs(topo: &Topology) -> Vec<LinearFib> {
+        let n = topo.n_nodes();
+        let mut fibs = vec![LinearFib::new(); n];
+        for dst in 0..n {
+            let mut dist = vec![usize::MAX; n];
+            dist[dst] = 0;
+            let mut frontier = vec![dst];
+            while !frontier.is_empty() {
+                let mut next = Vec::new();
+                for v in frontier {
+                    for &w in &topo.adj[v] {
+                        if dist[w as usize] == usize::MAX {
+                            dist[w as usize] = dist[v] + 1;
+                            next.push(w as usize);
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            for (node, fib) in fibs.iter_mut().enumerate() {
+                let port = if node == dst {
+                    topo.host_port(node as u32)
+                } else {
+                    let nearest = (0..topo.adj[node].len())
+                        .min_by_key(|&p| (dist[topo.adj[node][p] as usize], p));
+                    nearest.expect("connected graph") as u16
+                };
+                fib.insert(node_prefix(dst as u32), port);
+            }
+        }
+        fibs
+    }
+
     #[test]
-    fn fibs_agree_with_tables() {
+    fn forwarding_agrees_with_per_node_reference_fibs() {
         // Every topology a registry sweep names, fat-tree(4) through
         // mesh-32x32 and BA-512, plus the 3x3 mesh of the unit tests.
         let mut kinds = vec![TopologyKind::Mesh2D { rows: 3, cols: 3 }];
@@ -193,18 +254,27 @@ mod tests {
         }
         for kind in kinds {
             let topo = Topology::build(kind);
-            let routes = RouteTables::derive(&topo);
-            let fibs = compile_fibs(&topo, &routes);
-            assert_eq!(fibs.len(), topo.n_nodes());
-            for (node, fib) in fibs.iter().enumerate() {
-                assert_eq!(fib.len(), topo.n_nodes(), "{}", kind.label());
-                for dst in 0..topo.n_nodes() as u32 {
+            let forwarding = Forwarding::compile(&topo);
+            let n = topo.n_nodes() as u32;
+            // Addresses no node's prefix covers: the next node id's
+            // /24, and one outside 10.0.0.0/8.
+            let unrouted = [node_addr(n, 1), Ipv4Addr(11 << 24 | 1)];
+            for (node, fib) in reference_fibs(&topo).iter().enumerate() {
+                let node = node as u32;
+                assert_eq!(fib.len(), n as usize, "{}", kind.label());
+                for dst in 0..n {
+                    let addr = node_addr(dst, node as u64);
+                    let want = fib.lookup(addr);
+                    assert!(want.is_some());
                     assert_eq!(
-                        fib.lookup(node_addr(dst, node as u64)),
-                        Some(routes.next_port[node][dst as usize]),
+                        forwarding.egress(node, addr),
+                        want,
                         "{}: node {node} -> {dst}",
                         kind.label()
                     );
+                }
+                for addr in unrouted {
+                    assert_eq!(forwarding.egress(node, addr), None, "{}", kind.label());
                 }
             }
         }

@@ -132,6 +132,27 @@ pub struct TopoCellSpec {
     pub seed_group: u64,
 }
 
+/// The topology a cell manifest's `topology` object declares (the
+/// inverse of [`TopoCellSpec`]'s manifest rendering).
+fn topology_from_manifest(t: &Json) -> Option<TopologyKind> {
+    let num = |key: &str| t.get(key).and_then(Json::as_u64);
+    match t.get("kind").and_then(Json::as_str)? {
+        "fat_tree" => Some(TopologyKind::FatTree {
+            k: num("k")?.try_into().ok()?,
+        }),
+        "mesh2d" => Some(TopologyKind::Mesh2D {
+            rows: num("rows")?.try_into().ok()?,
+            cols: num("cols")?.try_into().ok()?,
+        }),
+        "barabasi_albert" => Some(TopologyKind::BarabasiAlbert {
+            n: num("n")?.try_into().ok()?,
+            m: num("m")?.try_into().ok()?,
+            seed: num("seed")?,
+        }),
+        _ => None,
+    }
+}
+
 impl TopoCellSpec {
     fn manifest(&self) -> Json {
         let t = match self.topology {
@@ -277,13 +298,16 @@ impl Sweep for TopoSpec {
         Ok(())
     }
 
-    /// The cell's `arch`, network packet conservation (`injected =
+    /// The cell's `arch` and `topology` (its manifest rendered to a
+    /// label), network packet conservation (`injected =
     /// delivered + dropped + in_flight`), a delivery ratio in `[0, 1]`,
     /// and no packet over its hop budget: the budget is the routed
     /// diameter and routes are loop-free min-hop, so a `ttl_exceeded`
     /// drop is a routing bug.
     fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
         check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
+        let topology = cell.get("topology").and_then(topology_from_manifest);
+        check_declared(record, "topology", topology.map(|t| t.label()).as_deref())?;
         let num = |key: &str| -> Result<u64, String> {
             record
                 .get(key)
@@ -466,6 +490,7 @@ mod tests {
             let ratio = Json::obj(vec![("mean", Json::Num(1.0 - ttl / 10.0))]);
             Json::obj(vec![
                 ("arch", Json::Str("dra".into())),
+                ("topology", Json::Str("fat-tree-k4".into())),
                 ("injected", Json::Num(10.0)),
                 ("delivered", Json::Num(10.0 - ttl)),
                 ("in_flight", Json::Num(0.0)),
@@ -473,7 +498,16 @@ mod tests {
                 ("delivery_ratio", ratio),
             ])
         };
-        let cell = Json::obj(vec![("arch", Json::Str("dra".into()))]);
+        let cell = Json::obj(vec![
+            ("arch", Json::Str("dra".into())),
+            (
+                "topology",
+                Json::obj(vec![
+                    ("kind", Json::Str("fat_tree".into())),
+                    ("k", Json::Num(4.0)),
+                ]),
+            ),
+        ]);
         assert_eq!(TopoSpec::check_record(&record(0.0), &cell), Ok(true));
         let err = TopoSpec::check_record(&record(3.0), &cell).unwrap_err();
         assert!(err.contains("3 packets exceeded"), "{err}");

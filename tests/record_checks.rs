@@ -55,7 +55,11 @@ fn campaign_records_are_checked_against_their_cells() {
 fn topo_records_are_checked_against_their_cells() {
     rejects_edits::<TopoSpec>(
         "topo_resilience",
-        &[("arch", "nonsense"), ("delivery_ratio", "x")],
+        &[
+            ("arch", "nonsense"),
+            ("topology", "mesh-9x9"),
+            ("delivery_ratio", "x"),
+        ],
     );
 }
 
