@@ -363,9 +363,12 @@ mod tests {
         let text = run(&spec(1, 1), &RunOptions::default())
             .unwrap()
             .artifact_text;
-        let at = text.find("\"mean\": ").unwrap() + "\"mean\": ".len();
-        let end = at + text[at..].find([',', '\n']).unwrap();
-        let edited = format!("{}1.5{}", &text[..at], &text[end..]);
+        // A well-formed statistic at 1.5 throughout, so only the
+        // window rule can reject it.
+        let at = text.find("\"delivery\": {").unwrap();
+        let end = at + text[at..].find('}').unwrap() + 1;
+        let stat = r#""delivery": {"n": 1, "mean": 1.5, "ci95": 0, "min": 1.5, "max": 1.5}"#;
+        let edited = format!("{}{stat}{}", &text[..at], &text[end..]);
         let err = validate_artifact(&edited).unwrap_err();
         assert!(err.contains("delivery.mean 1.5 above 1"), "{err}");
     }

@@ -57,6 +57,5 @@ pub mod sweep;
 pub use dra_telemetry::json;
 
 pub use engine::{run, CampaignOutcome, RunOptions};
-pub use pool::{parallel_map, WorkerPool};
 pub use spec::{Arch, CampaignSpec, CellSpec, ScenarioTemplate};
 pub use sweep::Sweep;

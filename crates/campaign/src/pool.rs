@@ -16,20 +16,20 @@ use std::sync::Mutex;
 
 /// A fixed-size scoped worker pool.
 #[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     workers: usize,
 }
 
 impl WorkerPool {
     /// Pool with exactly `workers` threads (clamped to ≥ 1).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         WorkerPool {
             workers: workers.max(1),
         }
     }
 
     /// Pool sized to the machine (`available_parallelism`, min 1).
-    pub fn auto() -> Self {
+    pub(crate) fn auto() -> Self {
         Self::new(default_workers())
     }
 
@@ -38,7 +38,7 @@ impl WorkerPool {
     /// # Panics
     /// Propagates the first panic raised by `f` (see [`Self::try_map`]
     /// for the isolating variant).
-    pub fn map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<O>
+    pub(crate) fn map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<O>
     where
         I: Send,
         O: Send,
@@ -56,7 +56,7 @@ impl WorkerPool {
     /// Map with per-item panic isolation: a panic in `f` becomes an
     /// `Err(ItemPanic)` for that item only; the remaining items still
     /// run to completion.
-    pub fn try_map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<Result<O, ItemPanic>>
+    pub(crate) fn try_map<I, O, F>(&self, inputs: Vec<I>, f: F) -> Vec<Result<O, ItemPanic>>
     where
         I: Send,
         O: Send,
@@ -122,7 +122,7 @@ fn run_item<I, O, F: Fn(&I) -> O>(f: &F, input: &I, index: usize) -> Result<O, I
 
 /// A captured panic from one work item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ItemPanic {
+pub(crate) struct ItemPanic {
     /// Position of the panicked item in the *input* vector. `try_map`
     /// already returns results in input order, but a caller that keys
     /// records by item identity must use this — not the result slot it

@@ -69,7 +69,7 @@ impl RareCellSpec {
     }
 
     /// Canonical JSON description (everything that affects results).
-    pub fn manifest(&self) -> Json {
+    pub(crate) fn manifest(&self) -> Json {
         let r = &self.rates;
         let method = match self.method {
             RareMethod::BruteForce => Json::obj(vec![("kind", Json::Str("brute-force".into()))]),

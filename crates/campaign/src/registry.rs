@@ -95,11 +95,11 @@ pub fn fig8_grid(quick: bool) -> (&'static [f64], &'static [usize]) {
 }
 
 /// Warmup before the SRU failures (and the measurement-window start).
-pub const FIG8_WARMUP_S: f64 = 2e-3;
+pub(crate) const FIG8_WARMUP_S: f64 = 2e-3;
 /// Simulated horizon of each fig8 cell.
-pub const FIG8_HORIZON_S: f64 = 8e-3;
+pub(crate) const FIG8_HORIZON_S: f64 = 8e-3;
 /// Linecard count of the fig8 grid.
-pub const FIG8_N_LCS: usize = 6;
+pub(crate) const FIG8_N_LCS: usize = 6;
 
 /// The deterministic grid behind `dra repro validate` part 2: fail the
 /// SRUs of the first `x` of 6 cards at warmup, measure the

@@ -14,7 +14,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use crate::sweep::{check_declared, Sweep};
+use crate::sweep::{check_declared, check_stat, Sweep};
 use dra_core::scenario::{Action, FaultProcess, Scenario};
 use dra_router::bdr::BdrConfig;
 
@@ -29,7 +29,7 @@ pub enum Arch {
 
 impl Arch {
     /// Stable lowercase name used in ids and artifacts.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Arch::Bdr => "bdr",
             Arch::Dra => "dra",
@@ -107,7 +107,7 @@ impl CellSpec {
     }
 
     /// Canonical JSON description (everything that affects results).
-    pub fn manifest(&self) -> Json {
+    pub(crate) fn manifest(&self) -> Json {
         let cfg = &self.config;
         let protocols: Vec<Json> = (0..cfg.n_lcs)
             .map(|lc| Json::Str(format!("{:?}", cfg.protocol_of(lc)).to_lowercase()))
@@ -250,7 +250,8 @@ impl Sweep for CampaignSpec {
         Ok(())
     }
 
-    /// A [`crate::engine`] record carries its cell's `arch`, and its
+    /// A [`crate::engine`] record carries its cell's `arch` and
+    /// well-formed replication statistics ([`check_stat`]), and its
     /// `delivery.mean` is a byte-delivery ratio over the cell's
     /// measurement window. With the window at 0 nothing is offered
     /// before it, so the ratio lies in `[0, 1]`. A later window can
@@ -258,6 +259,13 @@ impl Sweep for CampaignSpec {
     /// only prove the ratio non-negative.
     fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
         check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
+        let replications = cell
+            .get("replications")
+            .and_then(Json::as_u64)
+            .ok_or("manifest cell missing replications")?;
+        for key in ["delivery", "latency_s", "availability"] {
+            check_stat(record, key, replications)?;
+        }
         let mean = record
             .get("delivery")
             .and_then(|d| d.get("mean"))

@@ -179,7 +179,7 @@ impl Default for RunOptions {
 
 impl RunOptions {
     /// Whether this run collects telemetry (any telemetry output set).
-    pub fn collects_telemetry(&self) -> bool {
+    pub(crate) fn collects_telemetry(&self) -> bool {
         self.telemetry || self.telemetry_out.is_some() || self.trace_out.is_some()
     }
 }
@@ -491,7 +491,7 @@ fn load_checkpoint(path: &Path, digest: &str, quiet: bool) -> io::Result<BTreeMa
 
 /// Write `text` to `path` through a synced temp file and a rename, so
 /// readers see either the old file or the complete new one.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir)?;
@@ -526,6 +526,44 @@ pub fn welford_json(w: &Welford) -> Json {
         ("min", Json::Num(w.min())),
         ("max", Json::Num(w.max())),
     ])
+}
+
+/// `Err` unless the record's `key` is a statistic as [`welford_json`]
+/// writes it over at most `replications` samples: an integer `n`, and
+/// when `n > 0` finite `mean`, `ci95`, `min` and `max` with
+/// `min ≤ mean ≤ max` and `ci95 ≥ 0` (just `{n}` when `n` is 0)
+/// ([`Sweep::check_record`] helper).
+pub fn check_stat(record: &Json, key: &str, replications: u64) -> Result<(), String> {
+    let Some(Json::Obj(stat)) = record.get(key) else {
+        return Err(format!("{key} is not a statistic object"));
+    };
+    let field = |name: &str| stat.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let n = field("n")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{key}.n is not a count"))?;
+    if n > replications {
+        return Err(format!("{key}.n {n} exceeds {replications} replications"));
+    }
+    if n == 0 {
+        return match stat.len() {
+            1 => Ok(()),
+            _ => Err(format!("{key} has values but no samples")),
+        };
+    }
+    let num = |name: &str| {
+        field(name)
+            .and_then(Json::as_f64)
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("{key}.{name} is not a finite number"))
+    };
+    let (mean, ci95, min, max) = (num("mean")?, num("ci95")?, num("min")?, num("max")?);
+    if !(min <= mean && mean <= max) {
+        return Err(format!("{key}: mean {mean} outside [min {min}, max {max}]"));
+    }
+    if ci95 < 0.0 {
+        return Err(format!("{key}.ci95 {ci95} is negative"));
+    }
+    Ok(())
 }
 
 /// `Err` unless the record's string `key` equals `declared`, the value

@@ -52,35 +52,6 @@ pub fn dra_availability_erlang(params: &DraParams, mu: f64, k: usize) -> f64 {
     1.0 - dra_markov::phase::mass_on(&images, model.failed, &pi)
 }
 
-/// Mean time between failures and mean down time for the DRA
-/// availability model: `MTBF = P(operational) / (flow into F)` and
-/// `MDT = P(F) / (flow into F)` at stationarity (both in hours).
-///
-/// These are the operator-facing decomposition of the availability
-/// number: `A = MTBF / (MTBF + MDT)` by construction.
-pub fn dra_mtbf_mdt(params: &DraParams, mu: f64) -> (f64, f64) {
-    assert!(mu > 0.0);
-    let p = DraParams {
-        repair: Some(mu),
-        ..*params
-    };
-    let model = dra_model(&p);
-    let pi = steady_state(&model.chain, SteadyMethod::DirectLu).expect("irreducible");
-    let f = model.failed.index();
-    // Stationary probability flow into F.
-    let mut flow_in = 0.0;
-    for s in model.chain.states() {
-        if s.index() == f {
-            continue;
-        }
-        let rate = model.chain.generator().get(s.index(), f);
-        flow_in += pi[s.index()] * rate;
-    }
-    assert!(flow_in > 0.0, "no failure flow; model degenerate");
-    let p_f = pi[f];
-    ((1.0 - p_f) / flow_in, p_f / flow_in)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,30 +147,6 @@ mod tests {
         // ToF lets healthy-LC_UA states die, visibly worse but same
         // order of magnitude.
         assert!(tof <= ext);
-    }
-
-    #[test]
-    fn mtbf_mdt_decomposition_is_consistent() {
-        let p = DraParams::new(5, 3);
-        let (mtbf, mdt) = dra_mtbf_mdt(&p, MU_3H);
-        let a = dra_availability(&p, MU_3H);
-        // A = MTBF/(MTBF+MDT) by construction.
-        assert!(
-            (a - mtbf / (mtbf + mdt)).abs() < 1e-12,
-            "decomposition broken: A={a}, MTBF={mtbf}, MDT={mdt}"
-        );
-        // DRA needs several failures (or the bus) to go down: MTBF far
-        // exceeds BDR's 1/lambda = 50 000 h.
-        assert!(mtbf > 1e6, "MTBF {mtbf}");
-        // Mean down time is on the order of the repair time.
-        assert!(mdt > 0.1 && mdt < 10.0, "MDT {mdt}");
-    }
-
-    #[test]
-    fn mtbf_grows_with_redundancy() {
-        let (small, _) = dra_mtbf_mdt(&DraParams::new(3, 2), MU_3H);
-        let (big, _) = dra_mtbf_mdt(&DraParams::new(9, 4), MU_3H);
-        assert!(big > small, "{big} vs {small}");
     }
 
     #[test]

@@ -15,10 +15,3 @@ pub mod nines;
 pub mod planner;
 pub mod reliability;
 pub mod sensitivity;
-
-pub use availability::{bdr_availability, dra_availability};
-pub use degradation::{b_faulty_fraction, DegradationParams};
-pub use nines::{format_nines, nines};
-pub use reliability::{
-    bdr_reliability_model, dra_model, reliability_curve, DraModel, DraParams, ZoneInterBound,
-};

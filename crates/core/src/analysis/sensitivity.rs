@@ -31,16 +31,6 @@ pub enum RateParam {
 }
 
 impl RateParam {
-    /// All parameters, in reporting order.
-    pub const ALL: [RateParam; 6] = [
-        RateParam::LcuaPdlu,
-        RateParam::LcuaPi,
-        RateParam::InterPdlu,
-        RateParam::InterPi,
-        RateParam::BusController,
-        RateParam::Eib,
-    ];
-
     /// Human-readable name matching the paper's symbols.
     pub fn name(self) -> &'static str {
         match self {
@@ -63,7 +53,7 @@ impl RateParam {
 /// their *role* in the model can be distinguished — perturbing
 /// `InterPdlu` changes covering capacity without changing LC_UA's own
 /// failure behaviour, which the model encodes via λ_PD.
-pub fn perturbed(rates: &FailureRates, param: RateParam, factor: f64) -> FailureRates {
+pub(crate) fn perturbed(rates: &FailureRates, param: RateParam, factor: f64) -> FailureRates {
     let mut r = *rates;
     match param {
         RateParam::LcuaPdlu => r.pdlu *= factor,
@@ -140,13 +130,23 @@ pub fn sensitivity_report(params: &DraParams, mu: f64, t: f64, h: f64) -> Vec<Se
 mod tests {
     use super::*;
 
+    /// Every parameter.
+    const ALL: [RateParam; 6] = [
+        RateParam::LcuaPdlu,
+        RateParam::LcuaPi,
+        RateParam::InterPdlu,
+        RateParam::InterPi,
+        RateParam::BusController,
+        RateParam::Eib,
+    ];
+
     fn report(n: usize, m: usize) -> Vec<Sensitivity> {
         sensitivity_report(&DraParams::new(n, m), 1.0 / 3.0, 40_000.0, 0.05)
     }
 
     #[test]
     fn perturbation_keeps_rates_consistent() {
-        for param in RateParam::ALL {
+        for param in ALL {
             let r = perturbed(&FailureRates::PAPER, param, 1.3);
             assert!(r.is_consistent(), "{param:?} broke consistency");
         }
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         use std::collections::HashSet;
-        let names: HashSet<&str> = RateParam::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), RateParam::ALL.len());
+        let names: HashSet<&str> = ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(names.len(), ALL.len());
     }
 }

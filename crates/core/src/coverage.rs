@@ -71,7 +71,7 @@ pub enum IngressRoute {
 /// How traffic destined for a (possibly faulty) LC_out is delivered —
 /// the paper's Case 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EgressRoute {
+pub(crate) enum EgressRoute {
     /// LC_out healthy: fabric → SRU reassembly → PDLU → PIU.
     Normal,
     /// Delivery impossible; drop with this cause.
@@ -121,7 +121,7 @@ pub struct CoveragePlanner {
 
 /// A complete per-packet decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverageRoute {
+pub(crate) struct CoverageRoute {
     /// Case-2 decision for the ingress side.
     pub ingress: IngressRoute,
     /// Case-3 decision for the egress side.
@@ -131,7 +131,7 @@ pub struct CoverageRoute {
 impl CoverageRoute {
     /// Does this plan use the EIB data lines at all?
     /// The first blocking cause, if the plan cannot deliver.
-    pub fn blocked_by(&self) -> Option<DropCause> {
+    pub(crate) fn blocked_by(&self) -> Option<DropCause> {
         if let IngressRoute::Blocked(c) = self.ingress {
             return Some(c);
         }
@@ -177,7 +177,7 @@ impl CoveragePlanner {
     ///
     /// The paper's Case 2 allows "any healthy LC" to help — including
     /// LC_out itself (the N−2 helper pool of §5 is an analysis
-    /// simplification, honoured by [`lc_serviceable`]'s `exclude_out`
+    /// simplification, honoured by `lc_serviceable_with`'s `exclude_out`
     /// but not imposed on the packet path).
     pub fn plan_ingress(&self, lcs: &[LcView], ingress: u16, _egress: u16) -> IngressRoute {
         let me = &lcs[ingress as usize];
@@ -227,7 +227,7 @@ impl CoveragePlanner {
 
     /// Case-3 decision for traffic leaving at `egress`, entering at
     /// `ingress`.
-    pub fn plan_egress(&self, lcs: &[LcView], ingress: u16, egress: u16) -> EgressRoute {
+    pub(crate) fn plan_egress(&self, lcs: &[LcView], ingress: u16, egress: u16) -> EgressRoute {
         let out = &lcs[egress as usize];
         let c = out.components;
         if c.piu == Health::Failed {
@@ -269,7 +269,7 @@ impl CoveragePlanner {
     }
 
     /// Full decision for a flow `ingress → egress`.
-    pub fn plan(&self, lcs: &[LcView], ingress: u16, egress: u16) -> CoverageRoute {
+    pub(crate) fn plan(&self, lcs: &[LcView], ingress: u16, egress: u16) -> CoverageRoute {
         CoverageRoute {
             ingress: self.plan_ingress(lcs, ingress, egress),
             egress: self.plan_egress(lcs, ingress, egress),
@@ -293,20 +293,12 @@ impl CoveragePlanner {
 /// runs its SRU/LFE; an LFE helper needs only its LFE). Keeping both
 /// lets the reproduction quantify how optimistic the paper's counting
 /// is (it is second-order at the paper's rates).
-pub fn lc_serviceable(
-    lcs: &[LcView],
-    lc_ua: u16,
-    exclude_out: Option<u16>,
-    eib_healthy: bool,
-) -> bool {
-    lc_serviceable_with(|i| lcs[i], lcs.len(), lc_ua, exclude_out, eib_healthy)
-}
-
-/// [`lc_serviceable`] over an indexed view accessor instead of a
-/// materialized slice. This is the per-hop form: the network engine
-/// health-checks every transit, so the predicate must read views in
-/// place rather than `collect()` a `Vec<LcView>` per call.
-pub fn lc_serviceable_with(
+///
+/// Views are read through the indexed accessor `lc_at` over `n_lcs`
+/// cards, not a materialized slice: the network engine health-checks
+/// every transit, so the predicate must read views in place rather
+/// than `collect()` a `Vec<LcView>` per call.
+pub(crate) fn lc_serviceable_with(
     lc_at: impl Fn(usize) -> LcView,
     n_lcs: usize,
     lc_ua: u16,
@@ -352,6 +344,11 @@ pub fn lc_serviceable_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`lc_serviceable_with`] over a slice of views.
+    fn lc_serviceable(lcs: &[LcView], lc_ua: u16, exclude_out: Option<u16>, eib: bool) -> bool {
+        lc_serviceable_with(|i| lcs[i], lcs.len(), lc_ua, exclude_out, eib)
+    }
     use dra_router::components::ComponentKind;
 
     const GBPS: f64 = 1e9;

@@ -23,7 +23,7 @@
 
 /// Distributed TDM arbiter state for the EIB data lines.
 #[derive(Debug, Clone)]
-pub struct TdmArbiter {
+pub(crate) struct TdmArbiter {
     /// `ids[lc]` is `Some(Ctr_id)` while that LC holds a logical path.
     ids: Vec<Option<u32>>,
     /// Number of active logical paths (`Ctr_β`).
@@ -34,7 +34,7 @@ pub struct TdmArbiter {
 
 impl TdmArbiter {
     /// An arbiter for a router with `n_lcs` linecards, no LPs active.
-    pub fn new(n_lcs: usize) -> Self {
+    pub(crate) fn new(n_lcs: usize) -> Self {
         TdmArbiter {
             ids: vec![None; n_lcs],
             beta: 0,
@@ -42,13 +42,8 @@ impl TdmArbiter {
         }
     }
 
-    /// Number of active logical paths (`Ctr_β`).
-    pub fn beta(&self) -> u32 {
-        self.beta
-    }
-
     /// The assigned ID (`Ctr_id`) of a linecard's LP, if it has one.
-    pub fn id_of(&self, lc: usize) -> Option<u32> {
+    pub(crate) fn id_of(&self, lc: usize) -> Option<u32> {
         self.ids[lc]
     }
 
@@ -57,7 +52,7 @@ impl TdmArbiter {
     /// # Panics
     /// Panics if `lc` already holds an LP — the protocol requires a
     /// release first (an LC has a single REQ_D outstanding at a time).
-    pub fn establish(&mut self, lc: usize) -> u32 {
+    pub(crate) fn establish(&mut self, lc: usize) -> u32 {
         assert!(self.ids[lc].is_none(), "LC {lc} already holds an LP");
         self.beta += 1;
         let id = self.beta;
@@ -76,7 +71,7 @@ impl TdmArbiter {
     ///
     /// # Panics
     /// Panics if `lc` holds no LP.
-    pub fn release(&mut self, lc: usize) {
+    pub(crate) fn release(&mut self, lc: usize) {
         let id_o = self.ids[lc].take().expect("release without an LP");
         self.beta -= 1;
         for id in self.ids.iter_mut().flatten() {
@@ -93,7 +88,7 @@ impl TdmArbiter {
     /// Whose turn is it to use the data lines?
     ///
     /// Returns `None` when no LP is active.
-    pub fn whose_turn(&self) -> Option<usize> {
+    pub(crate) fn whose_turn(&self) -> Option<usize> {
         if self.beta == 0 {
             return None;
         }
@@ -102,7 +97,7 @@ impl TdmArbiter {
 
     /// The current holder finished transmitting (lowers `L_t`):
     /// advance the countdown; on reaching zero, `L_p` reloads it to β.
-    pub fn finish_turn(&mut self) {
+    pub(crate) fn finish_turn(&mut self) {
         if self.beta == 0 {
             return;
         }
@@ -112,10 +107,11 @@ impl TdmArbiter {
         }
     }
 
-    /// Check the arbiter's structural invariants (used by tests and
-    /// debug assertions in the simulator): IDs are exactly `1..=β`
-    /// with no duplicates, and the countdown is within range.
-    pub fn invariants_hold(&self) -> bool {
+    /// Check the arbiter's structural invariants (the tests' oracle):
+    /// IDs are exactly `1..=β` with no duplicates, and the countdown is
+    /// within range.
+    #[cfg(test)]
+    pub(crate) fn invariants_hold(&self) -> bool {
         let mut ids: Vec<u32> = self.ids.iter().flatten().copied().collect();
         ids.sort_unstable();
         let expect: Vec<u32> = (1..=self.beta).collect();
@@ -131,7 +127,7 @@ mod tests {
     fn empty_arbiter_has_no_turn() {
         let a = TdmArbiter::new(4);
         assert_eq!(a.whose_turn(), None);
-        assert_eq!(a.beta(), 0);
+        assert_eq!(a.beta, 0);
         assert!(a.invariants_hold());
     }
 
@@ -202,7 +198,7 @@ mod tests {
         a.establish(1); // id 2
         a.establish(2); // id 3
         a.release(1); // id 2 leaves
-        assert_eq!(a.beta(), 2);
+        assert_eq!(a.beta, 2);
         assert_eq!(a.id_of(0), Some(1));
         assert_eq!(a.id_of(2), Some(2), "id 3 compacts to 2");
         assert!(a.invariants_hold());
@@ -234,7 +230,7 @@ mod tests {
         let mut a = TdmArbiter::new(2);
         a.establish(1);
         a.release(1);
-        assert_eq!(a.beta(), 0);
+        assert_eq!(a.beta, 0);
         assert_eq!(a.whose_turn(), None);
         a.finish_turn(); // no-op when idle
         assert!(a.invariants_hold());
@@ -293,7 +289,7 @@ mod tests {
                 _ => a.finish_turn(),
             }
             assert!(a.invariants_hold(), "invariants broken: {a:?}");
-            if a.beta() > 0 {
+            if a.beta > 0 {
                 assert!(a.whose_turn().is_some(), "active arbiter lost its turn");
             }
         }

@@ -6,7 +6,7 @@
 //! packets because they are smaller than the data-line setup would
 //! cost), and disseminating fault/protocol information (the processing
 //! tier's parameters). The simulator times those packets, not their
-//! fields: every control packet is [`CsmaChannel::PACKET_BYTES`] on
+//! fields: every control packet is `CsmaChannel::PACKET_BYTES` on
 //! the wire.
 
 use rand::Rng;
@@ -63,9 +63,9 @@ pub struct CsmaChannel {
 impl CsmaChannel {
     /// Wire size of a control packet in bytes (fixed format: the three
     /// tiers fit comfortably in one small frame).
-    pub const PACKET_BYTES: u32 = 32;
+    pub(crate) const PACKET_BYTES: u32 = 32;
 
-    /// A channel clocking [`CsmaChannel::PACKET_BYTES`] at `rate_bps`
+    /// A channel clocking `CsmaChannel::PACKET_BYTES` at `rate_bps`
     /// with the given propagation delay.
     pub fn new(rate_bps: f64, prop_delay_s: f64) -> Self {
         assert!(rate_bps > 0.0 && prop_delay_s >= 0.0);

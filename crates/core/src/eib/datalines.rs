@@ -40,7 +40,7 @@ pub struct Completion {
 ///   length packets whole, one of the paper's stated advantages — so a
 ///   turn ends early rather than fragment).
 /// * An LP with an empty queue passes its turn instantly.
-/// * Establish/release drive the shared [`TdmArbiter`], so ID
+/// * Establish/release drive the shared `TdmArbiter`, so ID
 ///   compaction and the newest-first reload order are exactly §4's.
 #[derive(Debug)]
 pub struct DataLines {
@@ -73,8 +73,10 @@ impl DataLines {
     }
 
     /// Set (or clear) an LP's turn quantum, making its long-run share
-    /// proportional to its posted requirement relative to the others'.
-    pub fn set_turn_quantum(&mut self, lp: usize, bytes: Option<u32>) {
+    /// proportional to its posted requirement relative to the others'
+    /// (only the weighted-share tests post one).
+    #[cfg(test)]
+    pub(crate) fn set_turn_quantum(&mut self, lp: usize, bytes: Option<u32>) {
         assert!(bytes.is_none_or(|b| b > 0), "quantum must be positive");
         self.weights[lp] = bytes;
     }
@@ -116,13 +118,8 @@ impl DataLines {
         self.queues[lp].push_back(transfer);
     }
 
-    /// Pending transfers on one LP.
-    pub fn queue_len(&self, lp: usize) -> usize {
-        self.queues[lp].len()
-    }
-
     /// Any work pending anywhere?
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queues.iter().all(|q| q.is_empty())
     }
 
@@ -275,7 +272,7 @@ mod tests {
         let done = b.run_until(0.1e-6);
         assert!(done.is_empty());
         assert_eq!(b.now(), 0.1e-6);
-        assert_eq!(b.queue_len(0), 1);
+        assert_eq!(b.queues[0].len(), 1);
         // Extending the horizon finishes it.
         let done = b.run_until(1.0e-6);
         assert_eq!(done.len(), 1);

@@ -10,7 +10,3 @@
 pub mod arbiter;
 pub mod control;
 pub mod datalines;
-
-pub use arbiter::TdmArbiter;
-pub use control::{CsmaChannel, TxResult};
-pub use datalines::DataLines;

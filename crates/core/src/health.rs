@@ -13,7 +13,7 @@
 //! flags recomputed whenever an action applies. The rules are the
 //! single-router simulators' own: BDR needs a card standalone-healthy
 //! ([`LcComponents::operational_standalone`]); DRA also accepts cards
-//! the §3.2 coverage rules rescue ([`lc_serviceable_with`]). Queries
+//! the §3.2 coverage rules rescue (`lc_serviceable_with`). Queries
 //! are field reads, and [`NodeHealth::advance_to`] is a cursor step
 //! over the attached fault timeline.
 //!

@@ -39,7 +39,3 @@ pub mod montecarlo;
 pub mod rareevent;
 pub mod scenario;
 pub mod sim;
-
-pub use coverage::{CoveragePlanner, CoverageRoute, LcView};
-pub use health::{ArchKind, NodeHealth};
-pub use sim::{DraConfig, DraRouter};

@@ -6,7 +6,7 @@
 //! models track: LC_UA's PDLU and PI units, the `M−1` intermediate
 //! PDLUs, the `N−2` intermediate PI-unit groups, and the EIB /
 //! LC_UA-bus-controller pair. Serviceability uses the same rules as
-//! [`crate::coverage::lc_serviceable`], specialized to the model's
+//! `coverage::lc_serviceable_with`, specialized to the model's
 //! assumptions (LC_UA fails at PDLU or PI units, not both; LC_out is
 //! fault-free and excluded from the helper pool).
 //!
@@ -90,7 +90,7 @@ pub struct McEstimate {
 /// Exact Clopper–Pearson 95% upper bound on an event probability after
 /// observing **zero** events in `n` trials: `1 − 0.05^{1/n}` (≈ `3/n`
 /// for large `n` — the "rule of three").
-pub fn zero_event_upper_bound(n: usize) -> f64 {
+pub(crate) fn zero_event_upper_bound(n: usize) -> f64 {
     assert!(n > 0, "zero_event_upper_bound: no trials");
     1.0 - 0.05_f64.powf(1.0 / n as f64)
 }

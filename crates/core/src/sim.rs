@@ -133,7 +133,7 @@ pub enum Stage {
 /// Longest possible plan: ingress coverage contributes at most two
 /// stages (remote lookup or EIB hop + processing) and egress coverage
 /// at most four (fabric + LC_inter + EIB hop + egress).
-pub const MAX_STAGES: usize = 6;
+pub(crate) const MAX_STAGES: usize = 6;
 
 /// A packet's full stage plan, inline and `Copy` — events carry it by
 /// value instead of heap-allocating a `Vec<Stage>` per packet.
@@ -160,7 +160,7 @@ impl StagePlan {
     }
 
     /// The planned stages, in execution order.
-    pub fn as_slice(&self) -> &[Stage] {
+    pub(crate) fn as_slice(&self) -> &[Stage] {
         &self.stages[..self.len as usize]
     }
 }
@@ -206,7 +206,7 @@ impl PathKind {
     ];
 
     /// Dense index for metric arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             PathKind::Normal => 0,
             PathKind::RemoteLookup => 1,
@@ -557,8 +557,7 @@ impl DraRouter {
     }
 
     fn drop(&mut self, meta: &FlowMeta, cause: DropCause) {
-        self.chassis
-            .drop_packet(meta.id, meta.ingress, meta.ip_bytes, cause);
+        self.chassis.drop_packet(meta.id, meta.ingress, cause);
         // The paper's B_prom scale-back realized as drops is the
         // anomaly the flight recorder is armed for: freeze the event
         // window at the first occurrence.
@@ -1043,9 +1042,7 @@ impl Model for DraRouter {
             DraEvent::Chassis(ChassisEvent::PurgeReassembly) => {
                 let in_fabric = &mut self.in_fabric;
                 self.chassis.purge(ctx, |packet| {
-                    in_fabric
-                        .remove(&packet)
-                        .map(|(meta, _, _)| (meta.ingress, meta.ip_bytes))
+                    in_fabric.remove(&packet).map(|(meta, _, _)| meta.ingress)
                 });
             }
             DraEvent::StageStart { meta, stages, idx } => self.run_stage(meta, stages, idx, ctx),

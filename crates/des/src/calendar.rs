@@ -137,21 +137,15 @@ impl<T> CalendarQueue<T> {
 
     /// Number of queued events.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when nothing is queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Calendar buckets currently in use (the logical count; physical
     /// storage may exceed this after a shrink). Exposed for telemetry:
     /// resizes under load show up as a growing bucket count.
     #[inline]
-    pub fn bucket_count(&self) -> usize {
+    pub(crate) fn bucket_count(&self) -> usize {
         self.mask + 1
     }
 
@@ -224,7 +218,7 @@ impl<T> CalendarQueue<T> {
     /// Remove and return the minimum-keyed event if its time is
     /// `<= horizon`; otherwise leave the queue untouched (and cache
     /// the found minimum so the next call is O(1)).
-    pub fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64, T)> {
+    pub(crate) fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -267,7 +261,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Visit every queued item, in unspecified order.
-    pub fn for_each_item(&self, mut f: impl FnMut(&T)) {
+    pub(crate) fn for_each_item(&self, mut f: impl FnMut(&T)) {
         for bucket in &self.buckets {
             for e in bucket {
                 f(&e.item);
@@ -275,8 +269,10 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Time of the minimum-keyed event without removing it.
-    pub fn min_time(&mut self) -> Option<f64> {
+    /// Time of the minimum-keyed event without removing it (the
+    /// tests compare it with a reference heap).
+    #[cfg(test)]
+    pub(crate) fn min_time(&mut self) -> Option<f64> {
         if self.len == 0 {
             return None;
         }
@@ -458,7 +454,7 @@ mod tests {
             assert_eq!(q.pop(), Some((want.0, want.1, want)));
         }
         assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -590,5 +586,104 @@ mod tests {
     fn rejects_nan_time() {
         let mut q = CalendarQueue::new();
         q.push(f64::NAN, 0, ());
+    }
+
+    /// The determinism contract of the scheduler swap, checked by
+    /// property: over arbitrary interleavings of schedules and steps, the
+    /// calendar queue must deliver exactly the `(time, seq)` sequence a
+    /// reference binary heap would — including equal-time ties, bounded
+    /// pops against a horizon, and pushes below the current cursor.
+    mod heap_order {
+        use super::super::CalendarQueue;
+        use proptest::prelude::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// Reference min-queue over `(time, seq)`. Times are non-negative and
+        /// finite, so the IEEE bit pattern orders exactly like the float.
+        #[derive(Default)]
+        struct RefHeap {
+            heap: BinaryHeap<Reverse<(u64, u64)>>,
+        }
+
+        impl RefHeap {
+            fn push(&mut self, time: f64, seq: u64) {
+                self.heap.push(Reverse((time.to_bits(), seq)));
+            }
+            fn pop(&mut self) -> Option<(f64, u64)> {
+                self.heap
+                    .pop()
+                    .map(|Reverse((bits, seq))| (f64::from_bits(bits), seq))
+            }
+            fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
+                match self.heap.peek() {
+                    Some(&Reverse((bits, _))) if f64::from_bits(bits) <= horizon => self.pop(),
+                    _ => None,
+                }
+            }
+        }
+
+        /// Decode a generated `(regime, raw)` pair into an event time. The
+        /// regimes deliberately cover the shapes that stress different parts
+        /// of the calendar: coarse grids full of exact ties, dense sub-bucket
+        /// clusters, and far-future stragglers whole calendar years away.
+        fn time_of(regime: u32, raw: u32) -> f64 {
+            match regime % 4 {
+                0 => (raw % 8) as f64 * 0.5,       // tie-heavy coarse grid
+                1 => raw as f64 * 1e-6,            // dense cluster
+                2 => 1e7 + (raw % 1000) as f64,    // far-future stragglers
+                _ => raw as f64 / u32::MAX as f64, // arbitrary fractions
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Identical `(time, seq)` delivery for every interleaving of
+            /// schedule/step/bounded-step, then a full drain.
+            #[test]
+            fn calendar_delivers_heap_order(
+                ops in proptest::collection::vec((0u8..10, 0u32..4, any::<u32>()), 1..400),
+            ) {
+                let mut cal = CalendarQueue::new();
+                let mut reference = RefHeap::default();
+                let mut seq = 0u64;
+
+                for (kind, regime, raw) in ops {
+                    match kind {
+                        // Weighted toward pushes so queues actually grow
+                        // through resize thresholds.
+                        0..=5 => {
+                            let t = time_of(regime, raw);
+                            cal.push(t, seq, seq);
+                            reference.push(t, seq);
+                            seq += 1;
+                        }
+                        6..=8 => {
+                            let got = cal.pop().map(|(t, s, _)| (t, s));
+                            prop_assert_eq!(got, reference.pop());
+                        }
+                        _ => {
+                            let horizon = time_of(regime, raw);
+                            let got = cal.pop_at_or_before(horizon).map(|(t, s, _)| (t, s));
+                            prop_assert_eq!(got, reference.pop_at_or_before(horizon));
+                            prop_assert_eq!(cal.min_time(), reference.heap.peek()
+                                .map(|&Reverse((bits, _))| f64::from_bits(bits)));
+                        }
+                    }
+                    prop_assert_eq!(cal.len(), reference.heap.len());
+                }
+                // Full drain must agree to the last event.
+                loop {
+                    let got = cal.pop().map(|(t, s, _)| (t, s));
+                    let want = reference.pop();
+                    prop_assert_eq!(got, want);
+                    if want.is_none() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(cal.len(), 0);
+            }
+        }
     }
 }

@@ -17,13 +17,13 @@ fn check(lambda: f64, mu: f64) -> f64 {
 }
 
 /// M/M/1 mean number in system: `ρ / (1 − ρ)`.
-pub fn mm1_mean_in_system(lambda: f64, mu: f64) -> f64 {
+pub(crate) fn mm1_mean_in_system(lambda: f64, mu: f64) -> f64 {
     let rho = check(lambda, mu);
     rho / (1.0 - rho)
 }
 
 /// M/M/1 mean time in system (waiting + service): `1 / (μ − λ)`.
-pub fn mm1_mean_sojourn(lambda: f64, mu: f64) -> f64 {
+pub(crate) fn mm1_mean_sojourn(lambda: f64, mu: f64) -> f64 {
     check(lambda, mu);
     1.0 / (mu - lambda)
 }
@@ -31,7 +31,7 @@ pub fn mm1_mean_sojourn(lambda: f64, mu: f64) -> f64 {
 /// M/G/1 mean *waiting* time by Pollaczek–Khinchine:
 /// `W = λ·E[S²] / (2(1 − ρ))`, with `E[S²]` the second moment of the
 /// service time.
-pub fn mg1_mean_wait(lambda: f64, mean_service: f64, second_moment_service: f64) -> f64 {
+pub(crate) fn mg1_mean_wait(lambda: f64, mean_service: f64, second_moment_service: f64) -> f64 {
     assert!(mean_service > 0.0 && second_moment_service >= mean_service * mean_service);
     let rho = check(lambda, 1.0 / mean_service);
     lambda * second_moment_service / (2.0 * (1.0 - rho))
@@ -39,7 +39,7 @@ pub fn mg1_mean_wait(lambda: f64, mean_service: f64, second_moment_service: f64)
 
 /// M/D/1 mean waiting time (deterministic service `d`):
 /// `W = ρ·d / (2(1 − ρ))`.
-pub fn md1_mean_wait(lambda: f64, service: f64) -> f64 {
+pub(crate) fn md1_mean_wait(lambda: f64, service: f64) -> f64 {
     let rho = check(lambda, 1.0 / service);
     rho * service / (2.0 * (1.0 - rho))
 }
@@ -106,8 +106,12 @@ mod tests {
         fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
             match ev {
                 Ev::Arrival => {
-                    let in_system = self.waiting.len() as u64 + u64::from(self.busy);
-                    if self.served + in_system < self.to_serve {
+                    // Arrivals so far, this one included: the last of
+                    // `to_serve` schedules no successor, so the run ends
+                    // when the queue drains.
+                    let arrived =
+                        self.served + self.waiting.len() as u64 + u64::from(self.busy) + 1;
+                    if arrived < self.to_serve {
                         let gap = random::exponential(ctx.rng(), self.arrival_rate);
                         ctx.schedule(gap, Ev::Arrival);
                     }
@@ -127,9 +131,6 @@ mod tests {
                         ctx.schedule(s, Ev::Departure);
                     } else {
                         self.busy = false;
-                        if self.served >= self.to_serve {
-                            ctx.request_stop();
-                        }
                     }
                 }
             }

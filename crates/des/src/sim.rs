@@ -22,9 +22,9 @@
 //!   there too (0.75 → 0.86 s). The calendar stays so that no
 //!   workload regresses.
 //! * Handlers receive a [`Ctx`], which lets them read the clock, draw
-//!   random numbers, schedule further events, and request a stop. New
-//!   events go straight into the calendar (the `Ctx` borrows it), so
-//!   there is no per-event buffer allocation.
+//!   random numbers and schedule further events. New events go
+//!   straight into the calendar (the `Ctx` borrows it), so there is no
+//!   per-event buffer allocation.
 
 use crate::calendar::CalendarQueue;
 use rand::rngs::SmallRng;
@@ -39,13 +39,12 @@ pub trait Model {
     fn handle(&mut self, event: Self::Event, ctx: &mut Ctx<'_, Self::Event>);
 }
 
-/// Handler-side view of the simulation: clock, RNG, scheduling, stop.
+/// Handler-side view of the simulation: clock, RNG, scheduling.
 pub struct Ctx<'a, E> {
     now: f64,
     seq: &'a mut u64,
     queue: &'a mut CalendarQueue<E>,
     rng: &'a mut SmallRng,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Ctx<'a, E> {
@@ -89,11 +88,6 @@ impl<'a, E> Ctx<'a, E> {
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
-
-    /// Ask the kernel to stop after this handler returns.
-    pub fn request_stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// The simulation executive: owns the model, the clock, the queue, and
@@ -126,7 +120,6 @@ pub struct Simulation<M: Model> {
     now: f64,
     seq: u64,
     rng: SmallRng,
-    stop: bool,
     events_processed: u64,
 }
 
@@ -139,7 +132,6 @@ impl<M: Model> Simulation<M> {
             now: 0.0,
             seq: 0,
             rng: SmallRng::seed_from_u64(seed),
-            stop: false,
             events_processed: 0,
         }
     }
@@ -204,48 +196,39 @@ impl<M: Model> Simulation<M> {
             seq: &mut self.seq,
             queue: &mut self.queue,
             rng: &mut self.rng,
-            stop: &mut self.stop,
         };
         self.model.handle(event, &mut ctx);
     }
 
     /// Deliver the next event, if any. Returns its timestamp.
     pub fn step(&mut self) -> Option<f64> {
-        if self.stop {
-            return None;
-        }
         let (time, _seq, event) = self.queue.pop()?;
         self.deliver(time, event);
         Some(time)
     }
 
-    /// Run until the queue empties, `horizon` is reached, or a handler
-    /// requests a stop. Events stamped after `horizon` stay queued and
-    /// the clock is advanced exactly to `horizon`.
+    /// Run until the queue empties or `horizon` is reached. Events
+    /// stamped after `horizon` stay queued and the clock is advanced
+    /// exactly to `horizon`.
     ///
     /// Returns the number of events delivered by this call.
     pub fn run_until(&mut self, horizon: f64) -> u64 {
         assert!(horizon.is_finite() && horizon >= self.now);
         let start = self.events_processed;
-        while !self.stop {
-            // A single bounded pop both finds the head and removes it
-            // when in range — no separate peek pass, and a miss caches
-            // the found minimum so the next call stays O(1).
-            let Some((time, _seq, event)) = self.queue.pop_at_or_before(horizon) else {
-                break;
-            };
+        // A single bounded pop both finds the head and removes it when
+        // in range — no separate peek pass, and a miss caches the found
+        // minimum so the next call stays O(1).
+        while let Some((time, _seq, event)) = self.queue.pop_at_or_before(horizon) {
             self.deliver(time, event);
         }
-        if !self.stop {
-            self.now = horizon;
-        }
+        self.now = horizon;
         self.events_processed - start
     }
 
-    /// Run until no events remain or a handler stops the simulation.
+    /// Run until no events remain.
     pub fn run_to_completion(&mut self) -> u64 {
         let start = self.events_processed;
-        while !self.stop && self.step().is_some() {}
+        while self.step().is_some() {}
         self.events_processed - start
     }
 }
@@ -258,19 +241,12 @@ mod tests {
     struct Recorder {
         seen: Vec<(f64, u32)>,
         chain: bool,
-        stop_at: Option<u32>,
     }
 
     impl Model for Recorder {
         type Event = u32;
         fn handle(&mut self, event: u32, ctx: &mut Ctx<'_, u32>) {
             self.seen.push((ctx.now(), event));
-            if let Some(s) = self.stop_at {
-                if event == s {
-                    ctx.request_stop();
-                    return;
-                }
-            }
             if self.chain && event < 5 {
                 ctx.schedule(1.0, event + 1);
             }
@@ -281,7 +257,6 @@ mod tests {
         Recorder {
             seen: Vec::new(),
             chain: false,
-            stop_at: None,
         }
     }
 
@@ -312,7 +287,6 @@ mod tests {
             Recorder {
                 seen: Vec::new(),
                 chain: true,
-                stop_at: None,
             },
             1,
         );
@@ -339,24 +313,6 @@ mod tests {
         sim.run_until(10.0);
         assert_eq!(sim.model().seen.len(), 2);
         assert_eq!(sim.now(), 10.0);
-    }
-
-    #[test]
-    fn stop_request_halts_immediately() {
-        let mut sim = Simulation::new(
-            Recorder {
-                seen: Vec::new(),
-                chain: true,
-                stop_at: Some(3),
-            },
-            1,
-        );
-        sim.schedule(0.0, 1);
-        sim.run_to_completion();
-        let events: Vec<u32> = sim.model().seen.iter().map(|&(_, e)| e).collect();
-        assert_eq!(events, vec![1, 2, 3]);
-        // Further stepping does nothing.
-        assert!(sim.step().is_none());
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Welford {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -146,18 +146,13 @@ impl Welford2 {
         self.n
     }
 
-    /// Sample mean of the first coordinate.
-    pub fn mean_x(&self) -> f64 {
-        self.mean_x
-    }
-
     /// Sample mean of the second coordinate.
     pub fn mean_y(&self) -> f64 {
         self.mean_y
     }
 
     /// Unbiased sample variance of the first coordinate.
-    pub fn var_x(&self) -> f64 {
+    pub(crate) fn var_x(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -166,7 +161,7 @@ impl Welford2 {
     }
 
     /// Unbiased sample variance of the second coordinate.
-    pub fn var_y(&self) -> f64 {
+    pub(crate) fn var_y(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -175,7 +170,7 @@ impl Welford2 {
     }
 
     /// Unbiased sample covariance.
-    pub fn covariance(&self) -> f64 {
+    pub(crate) fn covariance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -298,7 +293,7 @@ mod tests {
             .map(|(x, y)| (x - mx) * (y - my))
             .sum::<f64>()
             / 4.0;
-        assert!((w.mean_x() - mx).abs() < 1e-12);
+        assert!((w.mean_x - mx).abs() < 1e-12);
         assert!((w.mean_y() - my).abs() < 1e-12);
         assert!((w.covariance() - cov).abs() < 1e-12);
         assert!((w.ratio() - mx / my).abs() < 1e-12);

@@ -29,7 +29,7 @@ impl DenseMatrix {
     }
 
     /// Create an identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -54,19 +54,19 @@ impl DenseMatrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// True when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -75,7 +75,7 @@ impl DenseMatrix {
     /// # Panics
     /// Panics when the index is out of bounds.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c]
     }
@@ -99,26 +99,21 @@ impl DenseMatrix {
 
     /// Borrow a row as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow a row as a slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// The raw row-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Matrix–vector product `A x`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    /// Matrix–vector product `A x` (reference for the solver tests).
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "matvec",
@@ -127,7 +122,7 @@ impl DenseMatrix {
             });
         }
         Ok((0..self.rows)
-            .map(|r| vector::dot(self.row(r), x))
+            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
             .collect())
     }
 
@@ -153,7 +148,7 @@ impl DenseMatrix {
     }
 
     /// Dense matrix product `A B`.
-    pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
+    pub(crate) fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
                 op: "matmul",
@@ -175,8 +170,9 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> DenseMatrix {
+    /// Transposed copy (reference for the `vecmat` tests).
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -203,7 +199,6 @@ impl DenseMatrix {
         let n = self.rows;
         let mut lu = self.data.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for col in 0..n {
             // Find the pivot: the largest magnitude entry in this column
@@ -225,7 +220,6 @@ impl DenseMatrix {
                     lu.swap(col * n + c, pivot_row * n + c);
                 }
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let diag = lu[col * n + col];
             for r in (col + 1)..n {
@@ -238,7 +232,7 @@ impl DenseMatrix {
                 }
             }
         }
-        Ok(LuDecomposition { n, lu, perm, sign })
+        Ok(LuDecomposition { n, lu, perm })
     }
 
     /// Solve `A x = b` via LU factorization.
@@ -247,12 +241,12 @@ impl DenseMatrix {
     }
 
     /// Maximum absolute element, used as a cheap magnitude estimate.
-    pub fn max_abs(&self) -> f64 {
+    pub(crate) fn max_abs(&self) -> f64 {
         vector::norm_inf(&self.data)
     }
 }
 
-/// The result of `P A = L U` factorization; solves and determinants.
+/// The result of `P A = L U` factorization.
 #[derive(Debug, Clone)]
 pub struct LuDecomposition {
     n: usize,
@@ -260,7 +254,6 @@ pub struct LuDecomposition {
     lu: Vec<f64>,
     /// Row permutation: `perm[i]` is the original row now living at row `i`.
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuDecomposition {
@@ -292,15 +285,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.n {
-            d *= self.lu[i * self.n + i];
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +297,7 @@ mod tests {
         let z = DenseMatrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!((0..2).all(|r| z.row(r).iter().all(|&v| v == 0.0)));
 
         let i = DenseMatrix::identity(3);
         assert_eq!(i.get(0, 0), 1.0);
@@ -390,15 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_matches_hand_computation() {
-        let a = DenseMatrix::from_rows(2, 2, vec![3.0, 1.0, 4.0, 2.0]).unwrap();
-        assert!((a.lu().unwrap().det() - 2.0).abs() < 1e-12);
-        // Permutation sign: swapping rows flips the determinant.
-        let b = DenseMatrix::from_rows(2, 2, vec![4.0, 2.0, 3.0, 1.0]).unwrap();
-        assert!((b.lu().unwrap().det() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn solve_rejects_wrong_rhs_length() {
         let a = DenseMatrix::identity(3);
         assert!(a.solve(&[1.0, 2.0]).is_err());
@@ -424,15 +399,6 @@ mod tests {
             for (l, r) in ax.iter().zip(&b) {
                 prop_assert!((l - r).abs() < 1e-8, "residual too large: {} vs {}", l, r);
             }
-        }
-
-        #[test]
-        fn det_of_product_is_product_of_dets(a in diag_dominant(4), b in diag_dominant(4)) {
-            let da = a.lu().unwrap().det();
-            let db = b.lu().unwrap().det();
-            let dab = a.matmul(&b).unwrap().lu().unwrap().det();
-            let scale = da.abs().max(db.abs()).max(1.0);
-            prop_assert!((dab - da * db).abs() / (scale * scale) < 1e-6);
         }
 
         #[test]

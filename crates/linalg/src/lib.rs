@@ -9,7 +9,7 @@
 //! * [`CsrMatrix`] / [`CooBuilder`] — compressed-sparse-row matrices
 //!   for generator matrices and the uniformized DTMC, where each state
 //!   has only a handful of outgoing transitions.
-//! * [`iterative`] — Jacobi, Gauss–Seidel, and power iteration for
+//! * [`iterative`] — Gauss–Seidel and power iteration for
 //!   steady-state distributions on larger chains.
 //! * [`vector`] — the handful of BLAS-1 style kernels everything else
 //!   is built from.
@@ -36,11 +36,11 @@ pub use expm::expm;
 pub use sparse::{CooBuilder, CsrMatrix};
 
 /// Convenience result alias used across the crate.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;
 
 /// Absolute tolerance used by default across solvers and tests.
 ///
 /// Chosen so that availability figures with nine significant nines are
 /// still resolved: the solvers iterate to well below the last digit the
 /// paper reports.
-pub const DEFAULT_TOL: f64 = 1e-12;
+pub(crate) const DEFAULT_TOL: f64 = 1e-12;

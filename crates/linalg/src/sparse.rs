@@ -49,16 +49,6 @@ impl CooBuilder {
         Ok(())
     }
 
-    /// Number of (possibly duplicate) triplets accumulated so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no triplets have been added.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Finish building: sort, merge duplicates, and compress to CSR.
     pub fn build(mut self) -> CsrMatrix {
         self.entries.sort_unstable_by_key(|a| (a.0, a.1));
@@ -107,37 +97,15 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// An empty (all-zero) matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -167,8 +135,10 @@ impl CsrMatrix {
             .unwrap_or(0.0)
     }
 
-    /// Sparse matrix–vector product `y = A x`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    /// Sparse matrix–vector product `y = A x` (reference for the
+    /// solver tests).
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "csr matvec",
@@ -176,35 +146,15 @@ impl CsrMatrix {
                 rhs: (x.len(), 1),
             });
         }
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
-        Ok(y)
+        Ok((0..self.rows)
+            .map(|r| self.row_entries(r).map(|(c, v)| v * x[c]).sum())
+            .collect())
     }
 
-    /// `matvec` into a caller-provided buffer (the uniformization hot loop
-    /// reuses its buffers to avoid per-iteration allocation).
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "csr matvec_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            y[r] = acc;
-        }
-        Ok(())
-    }
-
-    /// Row-vector product `y = x^T A` (probability-vector propagation).
-    pub fn vecmat(&self, x: &[f64]) -> Result<Vec<f64>> {
+    /// Row-vector product `y = x^T A` (the tests' allocating form of
+    /// [`CsrMatrix::vecmat_into`]).
+    #[cfg(test)]
+    pub(crate) fn vecmat(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 op: "csr vecmat",
@@ -240,8 +190,10 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Transpose into a new CSR matrix.
-    pub fn transpose(&self) -> CsrMatrix {
+    /// Transpose into a new CSR matrix (reference for the `vecmat`
+    /// tests).
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> CsrMatrix {
         let mut builder = CooBuilder::new(self.cols, self.rows);
         for r in 0..self.rows {
             for (c, v) in self.row_entries(r) {
@@ -252,8 +204,9 @@ impl CsrMatrix {
         builder.build()
     }
 
-    /// Densify; intended for tests and small systems handed to LU.
-    pub fn to_dense(&self) -> crate::DenseMatrix {
+    /// Densify (the dense reference in the solver tests).
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> crate::DenseMatrix {
         let mut d = crate::DenseMatrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             for (c, v) in self.row_entries(r) {
@@ -263,27 +216,12 @@ impl CsrMatrix {
         d
     }
 
-    /// Scale every stored value by `alpha` in place.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.values {
-            *v *= alpha;
-        }
-    }
-
     /// Sum of each row, returned as a vector. For a CTMC generator this
     /// must be (numerically) zero for every row — a key model invariant.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.rows)
             .map(|r| self.row_entries(r).map(|(_, v)| v).sum())
             .collect()
-    }
-
-    /// Maximum absolute diagonal entry; for a generator matrix this is
-    /// the uniformization rate lower bound.
-    pub fn max_abs_diag(&self) -> f64 {
-        (0..self.rows.min(self.cols))
-            .map(|i| self.get(i, i).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -328,7 +266,6 @@ mod tests {
     fn zero_pushes_are_dropped() {
         let mut b = CooBuilder::new(2, 2);
         b.push(0, 1, 0.0).unwrap();
-        assert!(b.is_empty());
         assert_eq!(b.build().nnz(), 0);
     }
 
@@ -360,14 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_noop_for_matvec() {
-        let i = CsrMatrix::identity(4);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(i.matvec(&x).unwrap(), x.to_vec());
-        assert_eq!(i.vecmat(&x).unwrap(), x.to_vec());
-    }
-
-    #[test]
     fn transpose_swaps_entries() {
         let m = sample();
         let t = m.transpose();
@@ -382,21 +311,13 @@ mod tests {
         assert!(m.matvec(&[1.0]).is_err());
         assert!(m.vecmat(&[1.0]).is_err());
         let mut y = vec![0.0; 2];
-        assert!(m.matvec_into(&[1.0, 2.0, 3.0], &mut y).is_err());
+        assert!(m.vecmat_into(&[1.0, 2.0, 3.0], &mut y).is_err());
     }
 
     #[test]
-    fn row_sums_and_diag() {
+    fn row_sums_add_each_row() {
         let m = sample();
         assert_eq!(m.row_sums(), vec![3.0, 3.0, 9.0]);
-        assert_eq!(m.max_abs_diag(), 1.0);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut m = sample();
-        m.scale(2.0);
-        assert_eq!(m.get(0, 2), 4.0);
     }
 
     prop_compose! {

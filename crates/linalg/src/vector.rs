@@ -5,18 +5,6 @@
 //! the hot loops easy for LLVM to vectorize (plain slice iteration, no
 //! bounds-checked indexing in the inner loops).
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-/// Panics in debug builds if the lengths differ; in release builds the
-/// shorter length wins (standard `zip` semantics), which is never what
-/// a caller wants, hence the debug assertion.
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
 /// `y += alpha * x` (the classic axpy kernel).
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -34,21 +22,9 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Max (L-infinity) norm.
 #[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
+pub(crate) fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
@@ -78,7 +54,7 @@ pub fn normalize_l1(x: &mut [f64]) -> bool {
 
 /// True when every component is finite.
 #[inline]
-pub fn all_finite(x: &[f64]) -> bool {
+pub(crate) fn all_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
 }
 
@@ -86,12 +62,6 @@ pub fn all_finite(x: &[f64]) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn dot_basic() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(dot(&[], &[]), 0.0);
-    }
 
     #[test]
     fn axpy_basic() {
@@ -109,10 +79,8 @@ mod tests {
 
     #[test]
     fn norms_basic() {
-        let x = [3.0, -4.0];
-        assert!((norm2(&x) - 5.0).abs() < 1e-15);
-        assert_eq!(norm1(&x), 7.0);
-        assert_eq!(norm_inf(&x), 4.0);
+        assert_eq!(norm_inf(&[3.0, -4.0]), 4.0);
+        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -145,40 +113,12 @@ mod tests {
         assert!(!all_finite(&[f64::NAN]));
     }
 
-    fn vec_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
-        proptest::collection::vec(-1e3..1e3_f64, n)
-    }
-
     proptest! {
-        #[test]
-        fn dot_commutes(x in vec_strategy(16), y in vec_strategy(16)) {
-            prop_assert!((dot(&x, &y) - dot(&y, &x)).abs() < 1e-9);
-        }
-
-        #[test]
-        fn dot_bilinear(x in vec_strategy(8), y in vec_strategy(8), a in -10.0..10.0_f64) {
-            let ax: Vec<f64> = x.iter().map(|v| a * v).collect();
-            prop_assert!((dot(&ax, &y) - a * dot(&x, &y)).abs() < 1e-6);
-        }
-
-        #[test]
-        fn triangle_inequality(x in vec_strategy(8), y in vec_strategy(8)) {
-            let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-            prop_assert!(norm2(&sum) <= norm2(&x) + norm2(&y) + 1e-9);
-        }
-
         #[test]
         fn normalize_l1_sums_to_one(mut x in proptest::collection::vec(0.001..1e3_f64, 1..32)) {
             prop_assert!(normalize_l1(&mut x));
             let s: f64 = x.iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-12);
-        }
-
-        #[test]
-        fn norm_ordering(x in vec_strategy(8)) {
-            // ||x||_inf <= ||x||_2 <= ||x||_1 for any vector.
-            prop_assert!(norm_inf(&x) <= norm2(&x) + 1e-9);
-            prop_assert!(norm2(&x) <= norm1(&x) + 1e-9);
         }
     }
 }

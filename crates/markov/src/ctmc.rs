@@ -209,7 +209,6 @@ impl CtmcBuilder {
         let generator = coo.build();
         Ok(Ctmc {
             labels: self.labels,
-            by_label: self.by_label,
             generator,
             exit_rates: exit,
         })
@@ -220,10 +219,9 @@ impl CtmcBuilder {
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     labels: Vec<String>,
-    by_label: HashMap<String, usize>,
     /// Infinitesimal generator Q (row sums zero).
     generator: CsrMatrix,
-    /// Exit rate of each state (= −Q[i][i]).
+    /// Exit rate of each state (= −Q\[i\]\[i\]).
     exit_rates: Vec<f64>,
 }
 
@@ -247,18 +245,13 @@ impl Ctmc {
     }
 
     /// Largest exit rate over all states (the uniformization lower bound).
-    pub fn max_exit_rate(&self) -> f64 {
+    pub(crate) fn max_exit_rate(&self) -> f64 {
         self.exit_rates.iter().fold(0.0_f64, |m, &v| m.max(v))
     }
 
     /// Label of a state.
     pub fn label(&self, s: StateId) -> &str {
         &self.labels[s.0]
-    }
-
-    /// Look a state up by its label.
-    pub fn find(&self, label: &str) -> Option<StateId> {
-        self.by_label.get(label).copied().map(StateId)
     }
 
     /// All states in index order.
@@ -293,7 +286,7 @@ impl Ctmc {
     }
 
     /// Validate that `pi0` is a distribution over this chain's states.
-    pub fn check_distribution(&self, pi0: &[f64]) -> Result<(), MarkovError> {
+    pub(crate) fn check_distribution(&self, pi0: &[f64]) -> Result<(), MarkovError> {
         if pi0.len() != self.n_states() {
             return Err(MarkovError::InvalidDistribution {
                 reason: "length mismatch",
@@ -318,7 +311,7 @@ impl Ctmc {
     /// The returned matrix is row-stochastic. Passing `lambda` strictly
     /// above the max exit rate guarantees aperiodicity (every state gets
     /// a self-loop), which [`crate::steady`]'s power iteration relies on.
-    pub fn uniformized(&self, lambda: f64) -> Result<CsrMatrix, MarkovError> {
+    pub(crate) fn uniformized(&self, lambda: f64) -> Result<CsrMatrix, MarkovError> {
         let max_exit = self.max_exit_rate();
         if !lambda.is_finite() || lambda < max_exit || lambda <= 0.0 {
             return Err(MarkovError::InvalidRate {
@@ -362,8 +355,7 @@ mod tests {
         let (c, up, down) = two_state();
         assert_eq!(c.n_states(), 2);
         assert_eq!(c.label(up), "up");
-        assert_eq!(c.find("down"), Some(down));
-        assert_eq!(c.find("nope"), None);
+        assert_eq!(c.label(down), "down");
         assert_eq!(c.exit_rate(up), 0.5);
         assert_eq!(c.exit_rate(down), 2.0);
         assert_eq!(c.max_exit_rate(), 2.0);

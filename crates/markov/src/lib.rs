@@ -10,7 +10,8 @@
 //! * [`transient`] — transient state probabilities π(t) by
 //!   **uniformization** (the workhorse; numerically robust for stiff
 //!   dependability models) and by an adaptive **RK45** ODE integrator
-//!   (used to cross-validate uniformization in tests and benches).
+//!   (used to cross-validate uniformization in tests; a third,
+//!   matrix-exponential reference exists only in the tests).
 //! * [`steady`] — steady-state distribution by dense LU on the balance
 //!   equations, by Gauss–Seidel, or by power iteration on the
 //!   uniformized DTMC.
@@ -31,10 +32,9 @@ pub mod phase;
 pub mod steady;
 pub mod transient;
 
-pub use absorbing::AbsorbingAnalysis;
-pub use ctmc::{Ctmc, CtmcBuilder, MarkovError, StateId};
-pub use steady::SteadyMethod;
+use ctmc::MarkovError;
+pub use ctmc::{Ctmc, CtmcBuilder, StateId};
 pub use transient::TransientOptions;
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, MarkovError>;
+pub(crate) type Result<T> = std::result::Result<T, MarkovError>;

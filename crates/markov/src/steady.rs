@@ -210,7 +210,7 @@ mod tests {
     fn steady_state_agrees_with_long_horizon_transient() {
         let c = repairable(0.05, 0.4);
         let pi_ss = steady_state(&c, SteadyMethod::DirectLu).unwrap();
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         let pi_t =
             crate::transient::transient(&c, &pi0, 1_000.0, crate::TransientOptions::default())
                 .unwrap();
@@ -224,7 +224,8 @@ mod tests {
         // pi Q must be (numerically) zero.
         let c = repairable(0.3, 0.9);
         let pi = steady_state(&c, SteadyMethod::DirectLu).unwrap();
-        let flow = c.generator().vecmat(&pi).unwrap();
+        let mut flow = vec![0.0; pi.len()];
+        c.generator().vecmat_into(&pi, &mut flow).unwrap();
         for v in flow {
             assert!(v.abs() < 1e-12);
         }
@@ -251,7 +252,8 @@ mod tests {
                 // If rounding let LU "solve" it, the result must at least
                 // be a valid distribution satisfying piQ=0 — verify rather
                 // than accept silently.
-                let flow = chain.generator().vecmat(&pi).unwrap();
+                let mut flow = vec![0.0; pi.len()];
+                chain.generator().vecmat_into(&pi, &mut flow).unwrap();
                 assert!(
                     flow.iter().all(|v| v.abs() < 1e-8),
                     "non-stationary output accepted"

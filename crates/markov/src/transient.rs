@@ -332,15 +332,19 @@ pub fn transient_rk45(chain: &Ctmc, pi0: &[f64], t: f64, opts: OdeOptions) -> Re
 /// The third independent transient method (after uniformization and
 /// RK45) — it shares no numerical machinery with either. Densifies the
 /// generator, so it is only suitable for small chains (the paper's
-/// models qualify comfortably).
-pub fn transient_expm(chain: &Ctmc, pi0: &[f64], t: f64) -> Result<Vec<f64>> {
+/// models qualify comfortably). The tests' reference for the other two.
+#[cfg(test)]
+pub(crate) fn transient_expm(chain: &Ctmc, pi0: &[f64], t: f64) -> Result<Vec<f64>> {
     chain.check_distribution(pi0)?;
     if !t.is_finite() || t < 0.0 {
         return Err(MarkovError::InvalidTime { t });
     }
-    let mut qt = chain.generator().to_dense();
-    for r in 0..qt.rows() {
-        vector::scale(t, qt.row_mut(r));
+    let n = chain.n_states();
+    let mut qt = dra_linalg::DenseMatrix::zeros(n, n);
+    for r in 0..n {
+        for (c, q) in chain.generator().row_entries(r) {
+            qt.set(r, c, q * t);
+        }
     }
     let p = dra_linalg::expm(&qt)?;
     let mut pi = p.vecmat(pi0)?;
@@ -388,7 +392,7 @@ mod tests {
     fn uniformization_matches_closed_form() {
         let (l, m) = (0.3, 1.5);
         let c = repairable(l, m);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         for &t in &[0.0, 0.1, 1.0, 5.0, 50.0] {
             let pi = transient(&c, &pi0, t, TransientOptions::default()).unwrap();
             let expect = closed_form_avail(l, m, t);
@@ -405,7 +409,7 @@ mod tests {
         // Paper-like rates: failures ~1e-5/h, repair 1/3 per hour, 60 kh.
         let (l, m) = (2e-5, 1.0 / 3.0);
         let c = repairable(l, m);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         let pi = transient(&c, &pi0, 60_000.0, TransientOptions::default()).unwrap();
         let expect = closed_form_avail(l, m, 60_000.0);
         assert!((pi[0] - expect).abs() < 1e-9, "got {} want {expect}", pi[0]);
@@ -428,7 +432,7 @@ mod tests {
     #[test]
     fn transient_many_is_consistent_with_single_calls() {
         let c = repairable(0.2, 1.0);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         let times = [0.5, 1.0, 2.0, 8.0];
         let many = transient_many(&c, &pi0, &times, TransientOptions::default()).unwrap();
         for (i, &t) in times.iter().enumerate() {
@@ -440,7 +444,7 @@ mod tests {
     #[test]
     fn transient_rejects_bad_inputs() {
         let c = repairable(0.2, 1.0);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         assert!(transient(&c, &pi0, -1.0, TransientOptions::default()).is_err());
         assert!(transient(&c, &pi0, f64::NAN, TransientOptions::default()).is_err());
         assert!(transient(&c, &[1.0], 1.0, TransientOptions::default()).is_err());
@@ -464,7 +468,7 @@ mod tests {
     #[test]
     fn result_is_a_distribution() {
         let c = repairable(0.7, 0.9);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         for &t in &[0.3, 3.0, 30.0, 300.0] {
             let pi = transient(&c, &pi0, t, TransientOptions::default()).unwrap();
             let sum: f64 = pi.iter().sum();
@@ -477,7 +481,7 @@ mod tests {
     fn rk45_matches_closed_form() {
         let (l, m) = (0.3, 1.5);
         let c = repairable(l, m);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         for &t in &[0.1, 1.0, 10.0] {
             let pi = transient_rk45(&c, &pi0, t, OdeOptions::default()).unwrap();
             let expect = closed_form_avail(l, m, t);
@@ -517,7 +521,7 @@ mod tests {
     #[test]
     fn rk45_t_zero_is_identity() {
         let c = repairable(0.5, 0.5);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         assert_eq!(
             transient_rk45(&c, &pi0, 0.0, OdeOptions::default()).unwrap(),
             pi0
@@ -528,7 +532,7 @@ mod tests {
     fn expm_matches_closed_form() {
         let (l, m) = (0.3, 1.5);
         let c = repairable(l, m);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         for &t in &[0.0, 0.5, 3.0, 20.0] {
             let pi = transient_expm(&c, &pi0, t).unwrap();
             let expect = closed_form_avail(l, m, t);
@@ -569,7 +573,7 @@ mod tests {
     #[test]
     fn expm_rejects_bad_time() {
         let c = repairable(0.5, 0.5);
-        let pi0 = c.point_mass(c.find("up").unwrap()).unwrap();
+        let pi0 = c.point_mass(c.state_by_index(0).unwrap()).unwrap();
         assert!(transient_expm(&c, &pi0, -1.0).is_err());
         assert!(transient_expm(&c, &pi0, f64::NAN).is_err());
     }

@@ -19,7 +19,7 @@ impl Ipv4Addr {
     }
 
     /// The four octets, most significant first.
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,
@@ -89,7 +89,7 @@ impl Ipv4Prefix {
 
     /// Network mask for a given length.
     #[inline]
-    pub fn mask(len: u8) -> u32 {
+    pub(crate) fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {

@@ -280,7 +280,7 @@ impl Dir248Fib {
     /// and an estimate of the store's footprint. The accounting mirrors
     /// the fabric arena's budget discipline; spill growth is capped at
     /// 2^16 blocks (64 MiB).
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.base.len() * std::mem::size_of::<u32>()
             + self.spill.capacity() * std::mem::size_of::<SpillBlock>()
             + self.spill_free.capacity() * std::mem::size_of::<u32>()

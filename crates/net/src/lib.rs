@@ -29,8 +29,3 @@ pub mod packet;
 pub mod protocol;
 pub mod sar;
 pub mod traffic;
-
-pub use addr::{Ipv4Addr, Ipv4Prefix};
-pub use fib::{Dir248Fib, Fib};
-pub use packet::{Packet, PacketId, PortId};
-pub use protocol::{ProtocolEngine, ProtocolKind};

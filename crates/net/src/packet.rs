@@ -12,10 +12,6 @@ use crate::protocol::ProtocolKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
-/// A linecard port index (linecard-local).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PortId(pub u16);
-
 /// One IP packet in flight through the router.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
@@ -36,9 +32,9 @@ pub struct Packet {
 
 impl Packet {
     /// Minimum legal IP packet the simulators generate (a bare header).
-    pub const MIN_BYTES: u32 = 20;
+    pub(crate) const MIN_BYTES: u32 = 20;
     /// Largest packet the generators produce (standard Ethernet MTU).
-    pub const MAX_BYTES: u32 = 1500;
+    pub(crate) const MAX_BYTES: u32 = 1500;
 
     /// Construct a packet, clamping the size into the legal range.
     pub fn new(

@@ -78,7 +78,7 @@ impl CostModel {
 
 /// IEEE 802.3 engine: 14B header + 4B FCS, 64B minimum frame.
 #[derive(Debug, Clone, Copy)]
-pub struct EthernetEngine {
+pub(crate) struct EthernetEngine {
     cost: CostModel,
 }
 
@@ -108,7 +108,7 @@ impl ProtocolEngine for EthernetEngine {
 
 /// Packet-over-SONET engine: PPP in HDLC-like framing, 9B overhead.
 #[derive(Debug, Clone, Copy)]
-pub struct PosEngine {
+pub(crate) struct PosEngine {
     cost: CostModel,
 }
 
@@ -139,7 +139,7 @@ impl ProtocolEngine for PosEngine {
 /// ATM/AAL5 engine: 8B trailer, padding to a 48B multiple, 5B header
 /// per 53B cell.
 #[derive(Debug, Clone, Copy)]
-pub struct AtmEngine {
+pub(crate) struct AtmEngine {
     cost: CostModel,
 }
 

@@ -21,7 +21,7 @@ use crate::packet::{Packet, PacketId};
 /// Payload bytes per fabric cell.
 pub const CELL_PAYLOAD: u32 = 48;
 /// Header bytes per fabric cell.
-pub const CELL_HEADER: u32 = 5;
+pub(crate) const CELL_HEADER: u32 = 5;
 /// Total cell size on the fabric.
 pub const CELL_BYTES: u32 = CELL_PAYLOAD + CELL_HEADER;
 

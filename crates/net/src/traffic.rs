@@ -25,12 +25,12 @@ pub struct Arrival {
 
 /// The classic trimodal Internet packet-size mix (IMIX-like):
 /// 40 B (58%), 576 B (33%), 1500 B (9%).
-pub fn imix_sizes() -> Discrete<u32> {
+pub(crate) fn imix_sizes() -> Discrete<u32> {
     Discrete::new(&[(40u32, 0.58), (576, 0.33), (1500, 0.09)]).expect("static weights valid")
 }
 
 /// Mean size in bytes of the [`imix_sizes`] mix.
-pub fn imix_mean_bytes() -> f64 {
+pub(crate) fn imix_mean_bytes() -> f64 {
     40.0 * 0.58 + 576.0 * 0.33 + 1500.0 * 0.09
 }
 

@@ -4,7 +4,7 @@
 //! slot when cells live inline in the VOQ deques: enqueue copies it
 //! in, the matched dequeue copies it out, and the caller copies it
 //! again to release the fabric borrow. The arena stores each admitted
-//! cell exactly once and hands out 4-byte [`CellHandle`]s; the
+//! cell exactly once and hands out 4-byte `CellHandle`s; the
 //! grant/accept/transfer machinery then shuffles handles, and the cell
 //! itself is read back only when it actually leaves the fabric.
 //!
@@ -24,12 +24,12 @@ use dra_net::sar::Cell;
 /// issuer, and its slot contract (every returned handle is taken
 /// exactly once) keeps that from arising.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellHandle(u32);
+pub(crate) struct CellHandle(u32);
 
 impl CellHandle {
     /// The slab index this handle refers to.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -40,33 +40,23 @@ impl CellHandle {
 /// the high-water mark), `take` copies the cell out and pushes the
 /// slot back. Both are O(1); steady state performs no allocation.
 #[derive(Debug)]
-pub struct CellArena {
+pub(crate) struct CellArena {
     slots: Vec<Cell>,
     free: Vec<u32>,
 }
 
 impl CellArena {
     /// An arena with room for `capacity` cells before any slab growth.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         CellArena {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
         }
     }
 
-    /// Cells currently resident.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// True when no cell is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Admit a cell; returns its handle.
     #[inline]
-    pub fn alloc(&mut self, cell: Cell) -> CellHandle {
+    pub(crate) fn alloc(&mut self, cell: Cell) -> CellHandle {
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = cell;
@@ -82,13 +72,13 @@ impl CellArena {
 
     /// Read a resident cell.
     #[inline]
-    pub fn get(&self, h: CellHandle) -> &Cell {
+    pub(crate) fn get(&self, h: CellHandle) -> &Cell {
         &self.slots[h.index()]
     }
 
     /// Remove a cell, recycling its slot.
     #[inline]
-    pub fn take(&mut self, h: CellHandle) -> Cell {
+    pub(crate) fn take(&mut self, h: CellHandle) -> Cell {
         let cell = self.slots[h.index()];
         self.free.push(h.0);
         cell
@@ -99,6 +89,11 @@ impl CellArena {
 mod tests {
     use super::*;
     use dra_net::packet::PacketId;
+
+    /// Cells resident in `a`.
+    fn resident(a: &CellArena) -> usize {
+        a.slots.len() - a.free.len()
+    }
 
     fn cell(id: u64) -> Cell {
         Cell {
@@ -115,10 +110,10 @@ mod tests {
     fn alloc_take_roundtrip() {
         let mut a = CellArena::with_capacity(4);
         let h = a.alloc(cell(7));
-        assert_eq!(a.len(), 1);
+        assert_eq!(resident(&a), 1);
         assert_eq!(a.get(h).packet, PacketId(7));
         assert_eq!(a.take(h).packet, PacketId(7));
-        assert!(a.is_empty());
+        assert_eq!(resident(&a), 0);
     }
 
     #[test]
@@ -128,11 +123,11 @@ mod tests {
         // growing the slab further.
         let mut a = CellArena::with_capacity(4);
         let handles: Vec<CellHandle> = (0..10).map(|k| a.alloc(cell(k))).collect();
-        assert_eq!(a.len(), 10);
+        assert_eq!(resident(&a), 10);
         for (k, &h) in handles.iter().enumerate() {
             assert_eq!(a.take(h).packet, PacketId(k as u64));
         }
-        assert!(a.is_empty());
+        assert_eq!(resident(&a), 0);
         let reused: Vec<CellHandle> = (100..110).map(|k| a.alloc(cell(k))).collect();
         // LIFO freelist: the freed slots come back last-freed first,
         // and no new slot is grown.

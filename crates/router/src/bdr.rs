@@ -82,7 +82,7 @@ impl BdrConfig {
     }
 
     /// The `/16` prefix owned by (routed to) linecard `lc`.
-    pub fn prefix_of(lc: usize) -> Ipv4Prefix {
+    pub(crate) fn prefix_of(lc: usize) -> Ipv4Prefix {
         Ipv4Prefix::new(Ipv4Addr::from_octets(10, lc as u8, 0, 0), 16)
     }
 
@@ -132,7 +132,6 @@ impl From<ChassisEvent> for BdrEvent {
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     arrived_at: f64,
-    ip_bytes: u32,
     ingress: u16,
 }
 
@@ -235,9 +234,7 @@ impl BdrRouter {
                 let delay = self.chassis.linecards[lc as usize].ingress_delay(&packet);
                 ctx.schedule(delay, BdrEvent::IngressDone { lc, packet, egress });
             }
-            Err(cause) => self
-                .chassis
-                .drop_packet(packet.id, lc, packet.ip_bytes, cause),
+            Err(cause) => self.chassis.drop_packet(packet.id, lc, cause),
         }
     }
 
@@ -253,7 +250,6 @@ impl BdrRouter {
                 packet.id,
                 InFlight {
                     arrived_at: packet.arrived_at,
-                    ip_bytes: packet.ip_bytes,
                     ingress: lc,
                 },
             );
@@ -268,7 +264,7 @@ impl BdrRouter {
                     return; // stranded overflow remnant
                 };
                 if !chassis.lc_operational(egress) {
-                    chassis.drop_packet(packet, meta.ingress, ip_bytes, DropCause::EgressDown);
+                    chassis.drop_packet(packet, meta.ingress, DropCause::EgressDown);
                     return;
                 }
                 let delay = chassis.linecards[egress as usize].egress_delay(ip_bytes);
@@ -297,9 +293,7 @@ impl Model for BdrRouter {
             BdrEvent::Chassis(ChassisEvent::PurgeReassembly) => {
                 let in_flight = &mut self.in_flight;
                 self.chassis.purge(ctx, |packet| {
-                    in_flight
-                        .remove(&packet)
-                        .map(|meta| (meta.ingress, meta.ip_bytes))
+                    in_flight.remove(&packet).map(|meta| meta.ingress)
                 });
             }
             BdrEvent::IngressDone { lc, packet, egress } => {

@@ -209,8 +209,8 @@ impl Chassis {
 
     /// Count a dropped packet against its ingress card.
     #[inline]
-    pub fn drop_packet(&mut self, packet: PacketId, ingress: u16, ip_bytes: u32, cause: DropCause) {
-        self.metrics.lcs[ingress as usize].drop_packet(cause, ip_bytes);
+    pub fn drop_packet(&mut self, packet: PacketId, ingress: u16, cause: DropCause) {
+        self.metrics.lcs[ingress as usize].drop_packet(cause);
         note_drop(packet, cause, ingress);
     }
 
@@ -295,7 +295,7 @@ impl Chassis {
                 lc as u32,
                 packet.ip_bytes,
             );
-            tm::track_arrival(packet.id.0, lc as u32, packet.ip_bytes);
+            tm::track_arrival(packet.id.0, lc as u32);
             if let Some(egress) = route {
                 tm::event(
                     tm::EventKind::FibLookup,
@@ -324,7 +324,7 @@ impl Chassis {
         let overflowed =
             segment_cells(packet, src, dst).any(|cell| self.fabric.enqueue(cell).is_err());
         if overflowed {
-            self.drop_packet(packet.id, ingress, packet.ip_bytes, DropCause::VoqOverflow);
+            self.drop_packet(packet.id, ingress, DropCause::VoqOverflow);
         } else if dra_telemetry::enabled() {
             use dra_telemetry as tm;
             tm::counter_add(
@@ -416,18 +416,18 @@ impl Chassis {
 
     /// Reassembly garbage collection: reclaim every partial older than
     /// the timeout, charging a `ReassemblyTimeout` drop for each one
-    /// `unpark` still holds (as `(ingress, ip_bytes)`), then re-arm.
+    /// `unpark` still holds (as its ingress card), then re-arm.
     pub fn purge<E: From<ChassisEvent>>(
         &mut self,
         ctx: &mut Ctx<'_, E>,
-        mut unpark: impl FnMut(PacketId) -> Option<(u16, u32)>,
+        mut unpark: impl FnMut(PacketId) -> Option<u16>,
     ) {
         let cutoff = ctx.now() - self.config.reassembly_timeout_s;
         for lc in 0..self.config.n_lcs {
             let stale = self.linecards[lc].reassembler.purge_collect(cutoff);
             for (_, packet) in stale {
-                if let Some((ingress, ip_bytes)) = unpark(packet) {
-                    self.drop_packet(packet, ingress, ip_bytes, DropCause::ReassemblyTimeout);
+                if let Some(ingress) = unpark(packet) {
+                    self.drop_packet(packet, ingress, DropCause::ReassemblyTimeout);
                 }
             }
         }

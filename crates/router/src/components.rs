@@ -79,7 +79,7 @@ impl LcComponents {
     }
 
     /// Health of one unit.
-    pub fn get(&self, kind: ComponentKind) -> Health {
+    pub(crate) fn get(&self, kind: ComponentKind) -> Health {
         match kind {
             ComponentKind::Piu => self.piu,
             ComponentKind::Pdlu => self.pdlu,
@@ -106,7 +106,7 @@ impl LcComponents {
     }
 
     /// Units currently failed.
-    pub fn failed_units(&self) -> Vec<ComponentKind> {
+    pub(crate) fn failed_units(&self) -> Vec<ComponentKind> {
         ComponentKind::ALL
             .into_iter()
             .filter(|&k| self.get(k) == Health::Failed)

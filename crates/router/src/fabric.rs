@@ -18,10 +18,10 @@
 //! words instead of an O(n) pointer walk — O(n·⌈n/64⌉) per iteration
 //! with branch-free inner loops, which is what lets 128- and 256-port
 //! faceoffs stay simulation-bound rather than arbitration-bound.
-//! Cells live in a [`CellArena`]; the VOQs, the matcher, and
-//! [`Crossbar::schedule_slot_handles`] shuffle 4-byte [`CellHandle`]s,
+//! Cells live in a `CellArena`; the VOQs, the matcher, and
+//! `Crossbar::schedule_slot_handles` shuffle 4-byte `CellHandle`s,
 //! and a cell is only copied again when it leaves the fabric through
-//! [`Crossbar::take_cell`].
+//! `Crossbar::take_cell`.
 //!
 //! **Determinism contract**: the bitmask arbiter produces the
 //! identical (time, seq) match order to the scalar reference
@@ -31,7 +31,7 @@
 //! pointer state. `tests/fabric_equivalence.rs` proves it by proptest
 //! over random request matrices and pointer states.
 
-pub use crate::arena::{CellArena, CellHandle};
+use crate::arena::{CellArena, CellHandle};
 use dra_net::sar::Cell;
 use std::collections::VecDeque;
 
@@ -330,19 +330,12 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Read a resident cell by handle (valid until
-    /// [`Crossbar::take_cell`]).
-    #[inline]
-    pub fn cell(&self, h: CellHandle) -> &Cell {
-        self.arena.get(h)
-    }
-
     /// Move a transferred cell out of the fabric, releasing its arena
     /// slot. Every handle produced by
     /// [`Crossbar::schedule_slot_handles`] must be taken exactly once;
     /// a handle left untaken keeps its slot resident.
     #[inline]
-    pub fn take_cell(&mut self, h: CellHandle) -> Cell {
+    pub(crate) fn take_cell(&mut self, h: CellHandle) -> Cell {
         self.arena.take(h)
     }
 
@@ -486,15 +479,14 @@ impl Crossbar {
 
     /// Run one slot of iSLIP matching and dequeue the matched cells,
     /// appending their handles to `out` (at most one per input and one
-    /// per output, in ascending input order). The caller reads each
-    /// winner through [`Crossbar::cell`] or claims it with
-    /// [`Crossbar::take_cell`].
+    /// per output, in ascending input order). The caller claims each
+    /// winner with [`Crossbar::take_cell`].
     ///
     /// Pointer updates follow the iSLIP rule: only first-iteration
     /// matches advance the round-robin pointers, which is what
     /// desynchronizes them under uniform load. The match order is
     /// bit-identical to the scalar reference (see the module docs).
-    pub fn schedule_slot_handles(&mut self, out: &mut Vec<CellHandle>) {
+    pub(crate) fn schedule_slot_handles(&mut self, out: &mut Vec<CellHandle>) {
         if !self.operational() || self.queued_cells == 0 {
             return;
         }
@@ -521,7 +513,7 @@ impl Crossbar {
     /// Run one slot of iSLIP matching and dequeue the matched cells.
     ///
     /// By-value convenience over
-    /// [`Crossbar::schedule_slot_handles`]: returns the cells
+    /// `Crossbar::schedule_slot_handles`: returns the cells
     /// transferred this slot as a borrow of a buffer the crossbar owns
     /// and reuses, so a slot allocates nothing. The view is valid
     /// until the next `schedule_slot` call; callers that need the
@@ -708,7 +700,7 @@ mod tests {
         let mut handles = Vec::new();
         xb.schedule_slot_handles(&mut handles);
         assert_eq!(handles.len(), 2);
-        let ids: Vec<u64> = handles.iter().map(|&h| xb.cell(h).packet.0).collect();
+        let ids: Vec<u64> = handles.iter().map(|&h| xb.arena.get(h).packet.0).collect();
         assert_eq!(ids, vec![7, 8], "ascending input order");
         for h in handles.drain(..) {
             let c = xb.take_cell(h);

@@ -21,7 +21,7 @@ use dra_net::traffic::{Arrival, PoissonGen};
 use rand::Rng;
 
 /// Arrivals pre-drawn (and destinations batch-resolved) per train.
-pub const LOOKUP_TRAIN: usize = 32;
+pub(crate) const LOOKUP_TRAIN: usize = 32;
 
 /// One linecard's pre-resolved arrival train.
 #[derive(Debug)]

@@ -46,12 +46,3 @@ pub mod ingress;
 pub mod linecard;
 pub mod metrics;
 pub mod rp;
-
-pub use arena::{CellArena, CellHandle};
-pub use bdr::{BdrConfig, BdrRouter};
-pub use chassis::{Chassis, ChassisEvent};
-pub use components::{ComponentKind, FailureRates, Health, LcComponents};
-pub use fabric::Crossbar;
-pub use ingress::{ArrivalTrain, LOOKUP_TRAIN};
-pub use linecard::Linecard;
-pub use metrics::{DropCause, LcMetrics, RouterMetrics};

@@ -10,9 +10,9 @@ use dra_net::sar::Reassembler;
 /// hardware TCAM/trie engine; only relative magnitudes matter.
 pub const LFE_LOOKUP_DELAY_S: f64 = 100e-9;
 /// Fixed PIU per-packet latency (seconds).
-pub const PIU_DELAY_S: f64 = 20e-9;
+pub(crate) const PIU_DELAY_S: f64 = 20e-9;
 /// SRU per-cell segmentation/reassembly latency (seconds).
-pub const SRU_PER_CELL_DELAY_S: f64 = 10e-9;
+pub(crate) const SRU_PER_CELL_DELAY_S: f64 = 10e-9;
 
 /// One linecard: identity, protocol engine (the PDLU), FIB (the LFE's
 /// table), component health, and egress reassembly state.
@@ -44,13 +44,13 @@ pub struct Linecard {
 }
 
 impl Linecard {
-    /// A healthy single-port linecard with an empty FIB.
-    pub fn new(id: u16, protocol: ProtocolKind, port_rate_bps: f64) -> Self {
-        Self::with_ports(id, protocol, port_rate_bps, 1)
-    }
-
     /// A healthy linecard with `ports` external ports.
-    pub fn with_ports(id: u16, protocol: ProtocolKind, port_rate_bps: f64, ports: u16) -> Self {
+    pub(crate) fn with_ports(
+        id: u16,
+        protocol: ProtocolKind,
+        port_rate_bps: f64,
+        ports: u16,
+    ) -> Self {
         assert!(port_rate_bps > 0.0 && ports > 0);
         Linecard {
             id,
@@ -67,7 +67,7 @@ impl Linecard {
 
     /// Fail one port's PIU; the aggregate `components.piu` flips to
     /// `Failed` once no port remains.
-    pub fn fail_piu_port(&mut self) {
+    pub(crate) fn fail_piu_port(&mut self) {
         if self.piu_failed_ports < self.ports {
             self.piu_failed_ports += 1;
         }
@@ -80,7 +80,7 @@ impl Linecard {
     }
 
     /// Fraction of the card's external links currently disconnected.
-    pub fn piu_loss_fraction(&self) -> f64 {
+    pub(crate) fn piu_loss_fraction(&self) -> f64 {
         self.piu_failed_ports as f64 / self.ports as f64
     }
 
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn construction_defaults() {
-        let lc = Linecard::new(3, ProtocolKind::Pos, 10e9);
+        let lc = Linecard::with_ports(3, ProtocolKind::Pos, 10e9, 1);
         assert_eq!(lc.id, 3);
         assert_eq!(lc.protocol, ProtocolKind::Pos);
         assert_eq!(lc.engine.kind(), ProtocolKind::Pos);
@@ -143,15 +143,15 @@ mod tests {
 
     #[test]
     fn ingress_delay_grows_with_packet_size() {
-        let lc = Linecard::new(0, ProtocolKind::Ethernet, 10e9);
+        let lc = Linecard::with_ports(0, ProtocolKind::Ethernet, 10e9, 1);
         assert!(lc.ingress_delay(&packet(1500)) > lc.ingress_delay(&packet(40)));
         assert!(lc.ingress_delay(&packet(40)) > 0.0);
     }
 
     #[test]
     fn egress_delay_dominated_by_wire_time_at_low_rate() {
-        let fast = Linecard::new(0, ProtocolKind::Ethernet, 10e9);
-        let slow = Linecard::new(1, ProtocolKind::Ethernet, 1e9);
+        let fast = Linecard::with_ports(0, ProtocolKind::Ethernet, 10e9, 1);
+        let slow = Linecard::with_ports(1, ProtocolKind::Ethernet, 1e9, 1);
         let d_fast = fast.egress_delay(1500);
         let d_slow = slow.egress_delay(1500);
         assert!(d_slow > d_fast);
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn component_health_is_settable() {
-        let mut lc = Linecard::new(0, ProtocolKind::Atm, 2.5e9);
+        let mut lc = Linecard::with_ports(0, ProtocolKind::Atm, 2.5e9, 1);
         lc.components.set(ComponentKind::Lfe, Health::Failed);
         assert!(!lc.components.operational_standalone());
     }
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn single_port_card_piu_failure_is_total() {
-        let mut lc = Linecard::new(0, ProtocolKind::Pos, 10e9);
+        let mut lc = Linecard::with_ports(0, ProtocolKind::Pos, 10e9, 1);
         lc.fail_piu_port();
         assert_eq!(lc.components.piu, Health::Failed);
         assert_eq!(lc.piu_loss_fraction(), 1.0);

@@ -7,11 +7,11 @@ use std::fmt;
 /// (per-linecard, per-path, and telemetry lifecycle decompositions),
 /// so shard histograms merge without re-bucketing: 100 ns .. 10 ms in
 /// 100 logarithmic buckets.
-pub const LATENCY_HIST_LO: f64 = 100e-9;
+pub(crate) const LATENCY_HIST_LO: f64 = 100e-9;
 /// Upper bound of the shared latency bucket layout.
 pub const LATENCY_HIST_HI: f64 = 10e-3;
 /// Bucket count of the shared latency bucket layout.
-pub const LATENCY_HIST_BUCKETS: usize = 100;
+pub(crate) const LATENCY_HIST_BUCKETS: usize = 100;
 
 /// A fresh histogram with the shared latency layout.
 pub fn latency_histogram() -> LogHistogram {
@@ -56,7 +56,7 @@ impl DropCause {
 
     /// Position of this cause in [`DropCause::ALL`] (also the stable
     /// index used by telemetry drop events and campaign artifacts).
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             DropCause::IngressDown => 0,
             DropCause::EgressDown => 1,
@@ -119,7 +119,6 @@ pub struct LcMetrics {
     pub ingress_delivered: u64,
     /// Drop counters indexed by [`DropCause`].
     drops: [u64; 8],
-    dropped_bytes: [u64; 8],
     /// End-to-end latency of delivered packets (seconds).
     pub latency: Welford,
     /// Bucketed latency distribution of the same deliveries, in the
@@ -132,7 +131,7 @@ pub struct LcMetrics {
 
 impl LcMetrics {
     /// Fresh counters starting at time zero, available.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LcMetrics {
             offered_packets: 0,
             offered_bytes: 0,
@@ -141,7 +140,6 @@ impl LcMetrics {
             covered_packets: 0,
             ingress_delivered: 0,
             drops: [0; 8],
-            dropped_bytes: [0; 8],
             latency: Welford::new(),
             latency_hist: latency_histogram(),
             availability: TimeWeighted::new(0.0, 1.0),
@@ -149,13 +147,13 @@ impl LcMetrics {
     }
 
     /// Record an offered packet.
-    pub fn offer(&mut self, bytes: u32) {
+    pub(crate) fn offer(&mut self, bytes: u32) {
         self.offered_packets += 1;
         self.offered_bytes += bytes as u64;
     }
 
     /// Record a delivery with its latency.
-    pub fn deliver(&mut self, bytes: u32, latency_s: f64) {
+    pub(crate) fn deliver(&mut self, bytes: u32, latency_s: f64) {
         self.delivered_packets += 1;
         self.delivered_bytes += bytes as u64;
         self.latency.push(latency_s);
@@ -163,19 +161,13 @@ impl LcMetrics {
     }
 
     /// Record a drop.
-    pub fn drop_packet(&mut self, cause: DropCause, bytes: u32) {
+    pub(crate) fn drop_packet(&mut self, cause: DropCause) {
         self.drops[cause.index()] += 1;
-        self.dropped_bytes[cause.index()] += bytes as u64;
     }
 
     /// Packets dropped for a given cause.
     pub fn drops(&self, cause: DropCause) -> u64 {
         self.drops[cause.index()]
-    }
-
-    /// Bytes dropped for a given cause.
-    pub fn dropped_bytes(&self, cause: DropCause) -> u64 {
-        self.dropped_bytes[cause.index()]
     }
 
     /// Total packets dropped, any cause.
@@ -189,15 +181,6 @@ impl LcMetrics {
             1.0
         } else {
             self.delivered_packets as f64 / self.offered_packets as f64
-        }
-    }
-
-    /// Delivered / offered byte ratio (goodput fraction).
-    pub fn byte_delivery_ratio(&self) -> f64 {
-        if self.offered_bytes == 0 {
-            1.0
-        } else {
-            self.delivered_bytes as f64 / self.offered_bytes as f64
         }
     }
 }
@@ -225,7 +208,7 @@ pub struct RouterMetrics {
 
 impl RouterMetrics {
     /// Metrics for `n` linecards.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         RouterMetrics {
             lcs: (0..n).map(|_| LcMetrics::new()).collect(),
             ..Default::default()
@@ -278,15 +261,13 @@ mod tests {
         m.offer(100);
         m.offer(200);
         m.deliver(100, 1e-5);
-        m.drop_packet(DropCause::VoqOverflow, 200);
+        m.drop_packet(DropCause::VoqOverflow);
         assert_eq!(m.offered_packets, 2);
         assert_eq!(m.offered_bytes, 300);
         assert_eq!(m.delivered_packets, 1);
         assert_eq!(m.drops(DropCause::VoqOverflow), 1);
-        assert_eq!(m.dropped_bytes(DropCause::VoqOverflow), 200);
         assert_eq!(m.total_drops(), 1);
         assert_eq!(m.delivery_ratio(), 0.5);
-        assert!((m.byte_delivery_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.latency.count(), 1);
     }
 
@@ -294,7 +275,6 @@ mod tests {
     fn empty_metrics_ratios_are_one() {
         let m = LcMetrics::new();
         assert_eq!(m.delivery_ratio(), 1.0);
-        assert_eq!(m.byte_delivery_ratio(), 1.0);
         assert_eq!(m.total_drops(), 0);
     }
 
@@ -304,7 +284,7 @@ mod tests {
         r.lcs[0].offer(100);
         r.lcs[0].deliver(100, 1e-6);
         r.lcs[1].offer(50);
-        r.lcs[1].drop_packet(DropCause::IngressDown, 50);
+        r.lcs[1].drop_packet(DropCause::IngressDown);
         assert_eq!(r.total_offered_bytes(), 150);
         assert_eq!(r.total_delivered_bytes(), 100);
         assert_eq!(r.total_drops(DropCause::IngressDown), 1);

@@ -19,22 +19,22 @@ pub struct RouteProcessor {
 
 impl RouteProcessor {
     /// An RP with an empty RIB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Announce a route; returns the replaced next hop, if any.
-    pub fn announce(&mut self, prefix: Ipv4Prefix, next_hop: u16) -> Option<u16> {
+    pub(crate) fn announce(&mut self, prefix: Ipv4Prefix, next_hop: u16) -> Option<u16> {
         self.rib.insert(prefix, next_hop)
     }
 
     /// Withdraw a route; returns its next hop if it existed.
-    pub fn withdraw(&mut self, prefix: Ipv4Prefix) -> Option<u16> {
+    pub(crate) fn withdraw(&mut self, prefix: Ipv4Prefix) -> Option<u16> {
         self.rib.remove(&prefix)
     }
 
     /// Full table download into a fresh FIB (startup).
-    pub fn distribute(&self, linecards: &mut [Linecard]) {
+    pub(crate) fn distribute(&self, linecards: &mut [Linecard]) {
         for lc in linecards {
             for (&p, &nh) in &self.rib {
                 lc.fib.insert(p, nh);
@@ -68,8 +68,8 @@ mod tests {
         rp.announce(pfx("10.0.0.0/16"), 0);
         rp.announce(pfx("10.1.0.0/16"), 1);
         let mut cards = vec![
-            Linecard::new(0, ProtocolKind::Ethernet, 10e9),
-            Linecard::new(1, ProtocolKind::Ethernet, 10e9),
+            Linecard::with_ports(0, ProtocolKind::Ethernet, 10e9, 1),
+            Linecard::with_ports(1, ProtocolKind::Ethernet, 10e9, 1),
         ];
         rp.distribute(&mut cards);
         for lc in &cards {

@@ -29,7 +29,7 @@ pub enum Json {
     /// Any number (campaign artifacts only emit finite values).
     Num(f64),
     /// An integer above 2^53, the largest an `f64` holds exactly (see
-    /// [`Json::uint`]).
+    /// `Json::uint`).
     Int(u64),
     /// String.
     Str(String),
@@ -47,7 +47,7 @@ impl Json {
 
     /// An unsigned integer, exact at any size: [`Json::Num`] up to
     /// 2^53, [`Json::Int`] above — the form [`parse`] gives it back in.
-    pub fn uint(x: u64) -> Json {
+    pub(crate) fn uint(x: u64) -> Json {
         if x <= 1 << 53 {
             Json::Num(x as f64)
         } else {

@@ -62,11 +62,11 @@ pub struct CounterId(pub u32);
 
 /// Handle to a registered gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(pub u32);
+pub(crate) struct GaugeId(pub u32);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(pub u32);
+pub(crate) struct HistId(pub u32);
 
 /// Well-known metric handles, pre-registered by [`enable`] so every
 /// hot-path update is a single indexed add.
@@ -74,9 +74,9 @@ pub mod ids {
     use super::{CounterId, GaugeId, HistId};
 
     /// DES events executed.
-    pub const DES_EVENTS: CounterId = CounterId(0);
+    pub(crate) const DES_EVENTS: CounterId = CounterId(0);
     /// DES events scheduled.
-    pub const DES_SCHEDULED: CounterId = CounterId(1);
+    pub(crate) const DES_SCHEDULED: CounterId = CounterId(1);
     /// Packets offered at ingress.
     pub const ARRIVALS: CounterId = CounterId(2);
     /// FIB lookups performed (batched lookups count per packet).
@@ -92,7 +92,7 @@ pub mod ids {
     /// Packets delivered.
     pub const DELIVERED: CounterId = CounterId(8);
     /// Packets dropped (all causes).
-    pub const DROPPED: CounterId = CounterId(9);
+    pub(crate) const DROPPED: CounterId = CounterId(9);
     /// Packets that took at least one EIB hop.
     pub const EIB_DETOURS: CounterId = CounterId(10);
     /// EIB control-line transmission attempts.
@@ -101,24 +101,24 @@ pub mod ids {
     pub const EIB_COLLISIONS: CounterId = CounterId(12);
 
     /// Latest sim-time seen (gauges merge by max).
-    pub const SIM_TIME: GaugeId = GaugeId(0);
+    pub(crate) const SIM_TIME: GaugeId = GaugeId(0);
     /// Peak DES queue length.
-    pub const QUEUE_LEN: GaugeId = GaugeId(1);
+    pub(crate) const QUEUE_LEN: GaugeId = GaugeId(1);
     /// Peak calendar-queue bucket count.
-    pub const CALENDAR_BUCKETS: GaugeId = GaugeId(2);
+    pub(crate) const CALENDAR_BUCKETS: GaugeId = GaugeId(2);
 
     /// Ingress processing + FIB lookup time.
-    pub const H_LOOKUP: HistId = HistId(0);
+    pub(crate) const H_LOOKUP: HistId = HistId(0);
     /// VOQ wait before the first fabric grant.
-    pub const H_VOQ_WAIT: HistId = HistId(1);
+    pub(crate) const H_VOQ_WAIT: HistId = HistId(1);
     /// First-to-last-cell crossbar time.
-    pub const H_SWITCHING: HistId = HistId(2);
+    pub(crate) const H_SWITCHING: HistId = HistId(2);
     /// Accumulated EIB occupancy.
-    pub const H_EIB: HistId = HistId(3);
+    pub(crate) const H_EIB: HistId = HistId(3);
     /// Last cell to delivery (reassembly + egress).
-    pub const H_REASSEMBLY: HistId = HistId(4);
+    pub(crate) const H_REASSEMBLY: HistId = HistId(4);
     /// End-to-end packet latency.
-    pub const H_TOTAL: HistId = HistId(5);
+    pub(crate) const H_TOTAL: HistId = HistId(5);
 }
 
 const COUNTER_NAMES: [&str; 13] = [
@@ -347,19 +347,13 @@ pub fn event(kind: EventKind, packet: u64, a: u32, b: u32) {
     });
 }
 
-/// Is this packet in the lifecycle sample? (false when disabled)
-#[inline]
-pub fn sampled(packet: u64) -> bool {
-    with_hub(|h| is_sampled(packet, h.sample_every)).unwrap_or(false)
-}
-
 /// Begin lifecycle tracking for a packet if it is sampled.
 #[inline]
-pub fn track_arrival(packet: u64, ingress: u32, ip_bytes: u32) {
+pub fn track_arrival(packet: u64, ingress: u32) {
     with_hub(|h| {
         if is_sampled(packet, h.sample_every) {
             let now = h.now;
-            h.tracker.begin(packet, ingress, ip_bytes, now);
+            h.tracker.begin(packet, ingress, now);
         }
     });
 }
@@ -600,7 +594,6 @@ mod tests {
         counter_add(ids::ARRIVALS, 1);
         event(EventKind::Arrival, 1, 0, 0);
         assert!(snapshot().is_none());
-        assert!(!sampled(0));
     }
 
     #[test]
@@ -608,7 +601,7 @@ mod tests {
         enable(fresh(true));
         des_event(1.0, 3, 4);
         counter_add(ids::ARRIVALS, 1);
-        track_arrival(42, 2, 1500);
+        track_arrival(42, 2);
         event(EventKind::Arrival, 42, 2, 1500);
         des_event(1.1, 2, 4);
         mark_lookup_done(42);

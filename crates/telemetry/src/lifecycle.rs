@@ -9,7 +9,7 @@
 //! that is the determinism contract behind "`results/faceoff.json`
 //! stays byte-identical with telemetry on".
 //!
-//! Sampled packets get a [`Track`] recording the sim-time at each
+//! Sampled packets get a `Track` recording the sim-time at each
 //! lifecycle boundary; on delivery the track resolves into a latency
 //! decomposition (lookup / VOQ wait / switching / EIB / reassembly)
 //! fed to the registry's histograms and, optionally, the Chrome trace
@@ -45,11 +45,9 @@ pub fn is_sampled(packet: u64, every: u64) -> bool {
 /// that were actually set (an EIB-only DRA packet never gets fabric
 /// marks, and vice versa).
 #[derive(Debug, Clone, Copy)]
-pub struct Track {
+pub(crate) struct Track {
     /// Ingress linecard (for trace pid/tid assignment).
     pub ingress: u32,
-    /// IP bytes (trace annotation).
-    pub ip_bytes: u32,
     /// Arrival time.
     pub arrived: f64,
     /// Ingress processing + FIB lookup finished.
@@ -67,10 +65,9 @@ pub struct Track {
 }
 
 impl Track {
-    fn new(ingress: u32, ip_bytes: u32, now: f64) -> Self {
+    fn new(ingress: u32, now: f64) -> Self {
         Track {
             ingress,
-            ip_bytes,
             arrived: now,
             lookup_done: f64::NAN,
             voq_enqueued: f64::NAN,
@@ -85,7 +82,7 @@ impl Track {
 /// The five phases a delivered packet's latency decomposes into, plus
 /// the end-to-end total. Index = histogram id in the registry.
 #[derive(Debug, Clone, Copy)]
-pub struct Decomposition {
+pub(crate) struct Decomposition {
     /// Ingress processing + FIB lookup.
     pub lookup: f64,
     /// Waiting in the VOQ for the first grant.
@@ -102,21 +99,21 @@ pub struct Decomposition {
 
 /// Per-worker tracker of in-flight sampled packets.
 #[derive(Debug, Default)]
-pub struct Tracker {
+pub(crate) struct Tracker {
     map: HashMap<u64, Track>,
     sampled: u64,
 }
 
 impl Tracker {
     /// Start tracking a sampled packet at its arrival.
-    pub fn begin(&mut self, packet: u64, ingress: u32, ip_bytes: u32, now: f64) {
+    pub(crate) fn begin(&mut self, packet: u64, ingress: u32, now: f64) {
         self.sampled += 1;
-        self.map.insert(packet, Track::new(ingress, ip_bytes, now));
+        self.map.insert(packet, Track::new(ingress, now));
     }
 
     /// Mutable access to a tracked packet (None when not sampled).
     #[inline]
-    pub fn get_mut(&mut self, packet: u64) -> Option<&mut Track> {
+    pub(crate) fn get_mut(&mut self, packet: u64) -> Option<&mut Track> {
         self.map.get_mut(&packet)
     }
 
@@ -125,7 +122,7 @@ impl Tracker {
     /// Unset marks contribute zero to their phase, so partial paths
     /// (EIB-only detours, single-cell packets) still decompose; the
     /// five components plus residual always sum to `total`.
-    pub fn finish(&mut self, packet: u64, now: f64) -> Option<(Track, Decomposition)> {
+    pub(crate) fn finish(&mut self, packet: u64, now: f64) -> Option<(Track, Decomposition)> {
         let track = self.map.remove(&packet)?;
         let span = |a: f64, b: f64| {
             if a.is_finite() && b.is_finite() && b > a {
@@ -146,17 +143,17 @@ impl Tracker {
     }
 
     /// Stop tracking a dropped packet.
-    pub fn drop_packet(&mut self, packet: u64) {
+    pub(crate) fn drop_packet(&mut self, packet: u64) {
         self.map.remove(&packet);
     }
 
     /// Sampled packets seen so far (including in-flight and dropped).
-    pub fn sampled(&self) -> u64 {
+    pub(crate) fn sampled(&self) -> u64 {
         self.sampled
     }
 
     /// Packets still being tracked.
-    pub fn open(&self) -> usize {
+    pub(crate) fn open(&self) -> usize {
         self.map.len()
     }
 }
@@ -188,7 +185,7 @@ mod tests {
     #[test]
     fn decomposition_sums_to_total() {
         let mut tr = Tracker::default();
-        tr.begin(42, 1, 1500, 1.0);
+        tr.begin(42, 1, 1.0);
         let t = tr.get_mut(42).unwrap();
         t.lookup_done = 1.1;
         t.voq_enqueued = 1.1;
@@ -208,7 +205,7 @@ mod tests {
     fn partial_paths_do_not_poison() {
         // EIB-only DRA packet: no fabric marks at all.
         let mut tr = Tracker::default();
-        tr.begin(7, 0, 40, 2.0);
+        tr.begin(7, 0, 2.0);
         tr.get_mut(7).unwrap().eib = 0.25;
         let (_, d) = tr.finish(7, 3.0).unwrap();
         assert_eq!(d.voq_wait, 0.0);
@@ -216,7 +213,7 @@ mod tests {
         assert_eq!(d.eib, 0.25);
         assert_eq!(d.total, 1.0);
         // Dropped packets just vanish.
-        tr.begin(8, 0, 40, 2.0);
+        tr.begin(8, 0, 2.0);
         tr.drop_packet(8);
         assert!(tr.finish(8, 9.9).is_none());
     }

@@ -37,7 +37,7 @@ pub struct NodeCounters {
 
 impl NodeCounters {
     /// Pairwise-add another node's counters into this one.
-    pub fn add(&mut self, o: &NodeCounters) {
+    pub(crate) fn add(&mut self, o: &NodeCounters) {
         self.transits += o.transits;
         self.covered += o.covered;
         self.forwards += o.forwards;
@@ -70,7 +70,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lowercase name used in exported JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Transit => "transit",
             SpanKind::Link => "link",
@@ -133,7 +133,7 @@ pub enum ForensicKind {
 
 impl ForensicKind {
     /// Stable lowercase name used in exported JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ForensicKind::Action => "action",
             ForensicKind::FlowDown => "flow_down",
@@ -191,7 +191,7 @@ pub struct EngineProfile {
 
 impl EngineProfile {
     /// Fold another run's profile into this one.
-    pub fn merge(&mut self, o: &EngineProfile) {
+    pub(crate) fn merge(&mut self, o: &EngineProfile) {
         self.runs += o.runs;
         self.wall_ns += o.wall_ns;
         self.events += o.events;

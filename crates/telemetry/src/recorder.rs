@@ -46,7 +46,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lowercase name used in dumps and exported JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::Arrival => "arrival",
             EventKind::FibLookup => "fib-lookup",
@@ -95,7 +95,7 @@ pub struct Ring {
 
 impl Ring {
     /// Ring holding the last `capacity` events (capacity ≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
         Ring {
             buf: Vec::with_capacity(cap),
@@ -107,7 +107,7 @@ impl Ring {
 
     /// Append one event, overwriting the oldest once full.
     #[inline]
-    pub fn push(&mut self, ev: Event) {
+    pub(crate) fn push(&mut self, ev: Event) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -118,27 +118,27 @@ impl Ring {
     }
 
     /// Total events ever appended (≥ `len`).
-    pub fn appended(&self) -> u64 {
+    pub(crate) fn appended(&self) -> u64 {
         self.appended
     }
 
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Maximum events held.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
     /// The retained window, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn recent(&self) -> impl Iterator<Item = &Event> {
         let split = if self.buf.len() < self.cap {
             0
         } else {
@@ -149,7 +149,7 @@ impl Ring {
 
     /// Human-readable dump of the retained window, oldest first — the
     /// format printed on panic and by on-demand dumps.
-    pub fn dump(&self) -> String {
+    pub(crate) fn dump(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         writeln!(

@@ -4,7 +4,7 @@
 //!
 //! Per-cell seeds derive from `(master_seed, seed_group, replication,
 //! stream)` via SplitMix64 — with the extra per-node coordinate of
-//! [`crate::seeds::node_seed`] inside each cell — so the artifact is
+//! `crate::seeds::node_seed` inside each cell — so the artifact is
 //! byte-identical at every worker count (the CI `topo-smoke` job pins
 //! workers 1 vs 4).
 //!
@@ -46,7 +46,7 @@ pub struct TopoRunOptions {
     pub workers: Option<usize>,
     /// Ignored: each cell's network runs as one router group on one
     /// thread. Kept only because the repository benchmark still sets
-    /// it, until a change that reopens `benchmark/` (ROADMAP item 6)
+    /// it, until a change that reopens `benchmark/` (ROADMAP item 12)
     /// deletes it, like [`NetConfig::sim_threads`].
     pub sim_threads: Option<usize>,
     /// Artifact path (None = don't write, return text only). When set,
@@ -201,7 +201,7 @@ pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
 /// [`Sweep::validate`](dra_campaign::sweep::Sweep::validate) on a
 /// [`TopoSpec`] rejects `FailRouters` with more routers than the
 /// topology has.
-pub fn spread_targets(n: usize, k: u32) -> Vec<u32> {
+pub(crate) fn spread_targets(n: usize, k: u32) -> Vec<u32> {
     (0..k as usize)
         .map(|i| (i * n / k as usize) as u32)
         .collect()

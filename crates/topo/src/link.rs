@@ -38,7 +38,7 @@ impl Default for LinkConfig {
 
 /// Mutable state of one *directed* link.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkState {
+pub(crate) struct LinkState {
     /// Serialization queue drains at this absolute time.
     pub busy_until: f64,
     /// This direction's propagation latency, seconds.
@@ -55,7 +55,7 @@ impl Default for LinkState {
 
 /// Outcome of offering a packet to a directed link at time `now`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkOffer {
+pub(crate) enum LinkOffer {
     /// Accepted; arrives at the far end after `delay_s`.
     Sent {
         /// Queueing + serialization + propagation, from `now`.
@@ -69,7 +69,7 @@ pub enum LinkOffer {
 
 impl LinkState {
     /// An idle, up link with the given propagation latency.
-    pub fn new(latency_s: f64) -> Self {
+    pub(crate) fn new(latency_s: f64) -> Self {
         assert!(
             latency_s.is_finite() && latency_s > 0.0,
             "link latency must be positive and finite, got {latency_s}"
@@ -86,7 +86,7 @@ impl LinkState {
     /// cable was cut died with the cut, so a repaired link starts with
     /// an idle wire rather than delaying (or tail-dropping) its first
     /// packets against a stale pre-cut backlog.
-    pub fn set_up(&mut self, up: bool) {
+    pub(crate) fn set_up(&mut self, up: bool) {
         if up && !self.up {
             self.busy_until = 0.0;
         }
@@ -94,7 +94,7 @@ impl LinkState {
     }
 
     /// Offer `bytes` to this direction at `now` under `cfg`.
-    pub fn offer(&mut self, cfg: &LinkConfig, now: f64, bytes: u32) -> LinkOffer {
+    pub(crate) fn offer(&mut self, cfg: &LinkConfig, now: f64, bytes: u32) -> LinkOffer {
         if !self.up {
             return LinkOffer::Down;
         }
@@ -114,7 +114,7 @@ impl LinkState {
 /// `(node, port)` through a per-node offset table — one contiguous
 /// allocation instead of N inner `Vec`s.
 #[derive(Debug, Clone)]
-pub struct LinkArena {
+pub(crate) struct LinkArena {
     states: Vec<LinkState>,
     /// `offsets[n]..offsets[n+1]` is node `n`'s port range.
     offsets: Vec<u32>,
@@ -123,7 +123,7 @@ pub struct LinkArena {
 impl LinkArena {
     /// Build from per-node degrees, all links idle and up at
     /// `latency_s`.
-    pub fn from_degrees(degrees: impl Iterator<Item = usize>, latency_s: f64) -> LinkArena {
+    pub(crate) fn from_degrees(degrees: impl Iterator<Item = usize>, latency_s: f64) -> LinkArena {
         let mut offsets = vec![0u32];
         let mut total = 0u32;
         for d in degrees {
@@ -136,26 +136,10 @@ impl LinkArena {
         }
     }
 
-    /// Directed link out of `node` via `port`.
-    #[inline]
-    pub fn at(&self, node: u32, port: u16) -> &LinkState {
-        &self.states[self.offsets[node as usize] as usize + port as usize]
-    }
-
     /// Mutable access to the directed link out of `node` via `port`.
     #[inline]
-    pub fn at_mut(&mut self, node: u32, port: u16) -> &mut LinkState {
+    pub(crate) fn at_mut(&mut self, node: u32, port: u16) -> &mut LinkState {
         &mut self.states[self.offsets[node as usize] as usize + port as usize]
-    }
-
-    /// Total directed links.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when no links exist.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 }
 
@@ -232,12 +216,12 @@ mod tests {
     #[test]
     fn arena_indexes_by_node_and_port() {
         let mut arena = LinkArena::from_degrees([2usize, 3, 1].into_iter(), 10e-6);
-        assert_eq!(arena.len(), 6);
+        assert_eq!(arena.states.len(), 6);
         arena.at_mut(1, 2).set_up(false);
         arena.at_mut(2, 0).latency_s = 99e-6;
-        assert!(!arena.at(1, 2).up);
-        assert!(arena.at(0, 0).up && arena.at(1, 1).up);
-        assert_eq!(arena.at(2, 0).latency_s, 99e-6);
-        assert_eq!(arena.at(1, 1).latency_s, 10e-6);
+        assert!(!arena.at_mut(1, 2).up);
+        assert!(arena.at_mut(0, 0).up && arena.at_mut(1, 1).up);
+        assert_eq!(arena.at_mut(2, 0).latency_s, 99e-6);
+        assert_eq!(arena.at_mut(1, 1).latency_s, 10e-6);
     }
 }

@@ -25,7 +25,7 @@
 //! driven by fault timelines fixed before the run. One seed ⇒ one
 //! event history, run by one engine ([`crate::kernel`]).
 
-pub use crate::kernel::NetRun;
+use crate::kernel::NetRun;
 use crate::link::{LinkArena, LinkConfig};
 use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
@@ -70,7 +70,7 @@ pub struct NetConfig {
     /// Ignored: a network runs as one router group on one thread
     /// ([`crate::kernel`]). Kept only because the repository benchmark
     /// still sets it, until a change that reopens `benchmark/`
-    /// (ROADMAP item 6) deletes it.
+    /// (ROADMAP item 12) deletes it.
     pub sim_threads: usize,
 }
 
@@ -165,7 +165,7 @@ impl NetScenario {
 /// one stays within half a cache line (the static asserts below pin
 /// the event payload budget).
 #[derive(Debug, Clone, Copy)]
-pub struct NetPacket {
+pub(crate) struct NetPacket {
     /// Injection-order id (also salts the destination host address).
     pub id: u64,
     /// Injection timestamp.
@@ -466,7 +466,7 @@ impl NetworkSim {
     /// # Panics
     /// Panics when `node` does not exist or an action names a linecard
     /// the node does not have.
-    pub fn set_node_fault_schedule(&mut self, node: u32, timeline: &Scenario) {
+    pub(crate) fn set_node_fault_schedule(&mut self, node: u32, timeline: &Scenario) {
         for (_, action) in timeline.events() {
             check_router_action(&self.topo, node, action);
         }

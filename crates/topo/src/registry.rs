@@ -70,7 +70,7 @@ fn grid(
 /// The headline composed-reliability sweep: DRA vs BDR end-to-end
 /// delivery ratio and flow availability as a function of concurrently
 /// degraded routers, on fat-tree(4), 4×4 mesh, and BA(64).
-pub fn resilience(quick: bool) -> TopoSpec {
+pub(crate) fn resilience(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[
             TopologyKind::FatTree { k: 4 },
@@ -111,7 +111,7 @@ pub fn resilience(quick: bool) -> TopoSpec {
 /// The CI smoke sweep: fat-tree(4) + 4×4 mesh, healthy and 2-degraded,
 /// sized to finish in seconds (used by the `topo-smoke` job's
 /// workers-1-vs-4 byte-identity check).
-pub fn smoke() -> TopoSpec {
+pub(crate) fn smoke() -> TopoSpec {
     let mut s = resilience(true);
     s.name = "smoke".into();
     s
@@ -120,7 +120,7 @@ pub fn smoke() -> TopoSpec {
 /// The scaling sweep: the composed-reliability question at N = 64,
 /// 128, and 256 routers. Healthy and 4-degraded twins per topology;
 /// byte-identical at every worker count.
-pub fn scale(quick: bool) -> TopoSpec {
+pub(crate) fn scale(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[TopologyKind::Mesh2D { rows: 8, cols: 8 }]
     } else {

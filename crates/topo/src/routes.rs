@@ -22,7 +22,7 @@ use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
 use dra_net::fib::{Dir248Fib, Fib};
 
 /// The /24 prefix owned by `node` (valid for node ids < 2¹⁶).
-pub fn node_prefix(node: u32) -> Ipv4Prefix {
+pub(crate) fn node_prefix(node: u32) -> Ipv4Prefix {
     assert!(node < 1 << 16, "node id exceeds the 10.x.y/24 plan");
     Ipv4Prefix::new(
         Ipv4Addr((10 << 24) | ((node >> 8) << 16) | ((node & 0xff) << 8)),
@@ -31,13 +31,13 @@ pub fn node_prefix(node: u32) -> Ipv4Prefix {
 }
 
 /// A host address inside `node`'s prefix (low byte from `host`).
-pub fn node_addr(node: u32, host: u64) -> Ipv4Addr {
+pub(crate) fn node_addr(node: u32, host: u64) -> Ipv4Addr {
     Ipv4Addr(node_prefix(node).addr().0 | (host as u32 & 0xff))
 }
 
 /// The longest routed path, in links, a packet can travel: its `u8`
 /// hop count covers the routers visited, one more than the links.
-pub const MAX_DIAMETER: u32 = u8::MAX as u32 - 1;
+pub(crate) const MAX_DIAMETER: u32 = u8::MAX as u32 - 1;
 
 /// Dense next-hop table, destination-major: the egress port of every
 /// node toward every destination (the node's host port when the two
@@ -70,29 +70,27 @@ impl RouteTables {
             queue.clear();
             queue.push(dst as u32);
             let mut head = 0;
+            ports[dst] = topo.host_port(dst as u32);
             while let Some(&v) = queue.get(head) {
                 head += 1;
-                for &w in &topo.adj[v as usize] {
-                    if dist[w as usize] == u32::MAX {
-                        dist[w as usize] = dist[v as usize] + 1;
-                        queue.push(w);
+                let next = dist[v as usize] + 1;
+                for (&w, &back) in topo.adj[v as usize].iter().zip(&topo.rev_port[v as usize]) {
+                    let w = w as usize;
+                    // `back` is `v`'s index in `w`'s sorted adjacency,
+                    // so the smallest one over the previous level is
+                    // the lowest-id neighbour one hop closer.
+                    if dist[w] == u32::MAX {
+                        dist[w] = next;
+                        ports[w] = back;
+                        queue.push(w as u32);
+                    } else if dist[w] == next {
+                        ports[w] = ports[w].min(back);
                     }
                 }
             }
             assert_eq!(queue.len(), n, "unreachable node");
             // BFS dequeues in distance order: the last node is farthest.
             diameter = diameter.max(dist[queue[n - 1] as usize]);
-            for (node, port) in ports.iter_mut().enumerate() {
-                *port = if node == dst {
-                    topo.host_port(node as u32)
-                } else {
-                    // Sorted adjacency, first match ⇒ lowest-id tie-break.
-                    let closer = topo.adj[node]
-                        .iter()
-                        .position(|&nb| dist[nb as usize] + 1 == dist[node]);
-                    closer.expect("a BFS-reached node has a neighbor one hop closer") as u16
-                };
-            }
         }
         RouteTables {
             by_dst,
@@ -112,9 +110,10 @@ impl RouteTables {
         self.n
     }
 
-    /// Hop count from `src` to `dst` following the tables (for tests
-    /// and latency sanity bounds).
-    pub fn hops(&self, topo: &Topology, src: u32, dst: u32) -> usize {
+    /// Hop count from `src` to `dst` following the tables (the route
+    /// tests' oracle).
+    #[cfg(test)]
+    pub(crate) fn hops(&self, topo: &Topology, src: u32, dst: u32) -> usize {
         let mut at = src;
         let mut hops = 0;
         while at != dst {
@@ -128,7 +127,7 @@ impl RouteTables {
 }
 
 /// Compile `topo`'s destination FIB: every node's prefix
-/// ([`node_prefix`]) → that node's id. Paired with the next-hop table
+/// (`node_prefix`) → that node's id. Paired with the next-hop table
 /// `routes` it resolves every node's forwarding, so a topology needs
 /// one FIB, not one per node.
 ///

@@ -12,7 +12,7 @@
 //! stream *i* is `mix(sᵢ + k·γ)` for draw k. Two streams can only
 //! collide within their first D draws if their derived starting states
 //! differ by less than D multiples of γ — a ~2⁻⁵⁰ event for D = 10⁴
-//! under the avalanche mixing of [`node_seed`], and a *fixed* property
+//! under the avalanche mixing of `node_seed`, and a *fixed* property
 //! of the released constants (the proptest in
 //! `crates/topo/tests/proptest_seeds.rs` pins it).
 
@@ -24,7 +24,7 @@ const NODE_DOMAIN: u64 = 0x7090_40DE;
 
 /// Derive the seed of node `node`'s private stream from a cell-level
 /// base seed (itself produced by [`dra_campaign::seed::derive_seed`]).
-pub fn node_seed(base: u64, node: u64) -> u64 {
+pub(crate) fn node_seed(base: u64, node: u64) -> u64 {
     let mut s = base ^ NODE_DOMAIN.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let _ = splitmix64(&mut s);
     s ^= node.wrapping_add(1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -32,7 +32,7 @@ pub fn node_seed(base: u64, node: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// The SplitMix64 stream rooted at [`node_seed`]`(base, node)`.
+/// The SplitMix64 stream rooted at `node_seed``(base, node)`.
 #[derive(Debug, Clone)]
 pub struct NodeSeedStream {
     state: u64,

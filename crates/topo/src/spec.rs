@@ -20,7 +20,7 @@ use crate::stats::NetDropCause;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
 use dra_campaign::report::Table;
-use dra_campaign::sweep::{check_declared, Sweep};
+use dra_campaign::sweep::{check_declared, check_stat, Sweep};
 use dra_core::health::ArchKind;
 
 /// Network-level fault model of one cell.
@@ -299,7 +299,8 @@ impl Sweep for TopoSpec {
     }
 
     /// The cell's `arch` and `topology` (its manifest rendered to a
-    /// label), network packet conservation (`injected =
+    /// label), well-formed replication statistics ([`check_stat`]),
+    /// network packet conservation (`injected =
     /// delivered + dropped + in_flight`), a delivery ratio in `[0, 1]`,
     /// and no packet over its hop budget: the budget is the routed
     /// diameter and routes are loop-free min-hop, so a `ttl_exceeded`
@@ -308,6 +309,13 @@ impl Sweep for TopoSpec {
         check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
         let topology = cell.get("topology").and_then(topology_from_manifest);
         check_declared(record, "topology", topology.map(|t| t.label()).as_deref())?;
+        let replications = cell
+            .get("replications")
+            .and_then(Json::as_u64)
+            .ok_or("manifest cell missing replications")?;
+        for key in ["delivery_ratio", "flow_availability", "latency_s", "hops"] {
+            check_stat(record, key, replications)?;
+        }
         let num = |key: &str| -> Result<u64, String> {
             record
                 .get(key)
@@ -486,8 +494,17 @@ mod tests {
 
     #[test]
     fn a_ttl_drop_fails_the_record_check() {
+        // One replication's statistic: every value `v`.
+        let stat = |v: f64| {
+            Json::obj(vec![
+                ("n", Json::Num(1.0)),
+                ("mean", Json::Num(v)),
+                ("ci95", Json::Num(0.0)),
+                ("min", Json::Num(v)),
+                ("max", Json::Num(v)),
+            ])
+        };
         let record = |ttl: f64| {
-            let ratio = Json::obj(vec![("mean", Json::Num(1.0 - ttl / 10.0))]);
             Json::obj(vec![
                 ("arch", Json::Str("dra".into())),
                 ("topology", Json::Str("fat-tree-k4".into())),
@@ -495,11 +512,15 @@ mod tests {
                 ("delivered", Json::Num(10.0 - ttl)),
                 ("in_flight", Json::Num(0.0)),
                 ("drops", Json::obj(vec![("ttl_exceeded", Json::Num(ttl))])),
-                ("delivery_ratio", ratio),
+                ("delivery_ratio", stat(1.0 - ttl / 10.0)),
+                ("flow_availability", stat(1.0)),
+                ("latency_s", stat(1e-5)),
+                ("hops", stat(2.0)),
             ])
         };
         let cell = Json::obj(vec![
             ("arch", Json::Str("dra".into())),
+            ("replications", Json::Num(1.0)),
             (
                 "topology",
                 Json::obj(vec![

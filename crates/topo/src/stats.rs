@@ -98,7 +98,7 @@ pub struct NetStats {
 
 impl NetStats {
     /// Zeroed stats for `n_flows` flows.
-    pub fn new(n_flows: usize) -> Self {
+    pub(crate) fn new(n_flows: usize) -> Self {
         NetStats {
             injected: 0,
             delivered: 0,

@@ -59,7 +59,7 @@ impl TopologyKind {
 
     /// Number of router nodes the topology will have (closed form, no
     /// graph built).
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         match *self {
             TopologyKind::FatTree { k } => 5 * (k as usize).pow(2) / 4,
             TopologyKind::Mesh2D { rows, cols } => rows as usize * cols as usize,
@@ -137,23 +137,23 @@ impl Topology {
     }
 
     /// Number of undirected links.
-    pub fn n_links(&self) -> usize {
+    pub(crate) fn n_links(&self) -> usize {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Link degree of `node` (host port excluded).
-    pub fn degree(&self, node: u32) -> usize {
+    pub(crate) fn degree(&self, node: u32) -> usize {
         self.adj[node as usize].len()
     }
 
     /// The port (= linecard) where flows enter/leave `node`.
-    pub fn host_port(&self, node: u32) -> u16 {
+    pub(crate) fn host_port(&self, node: u32) -> u16 {
         self.degree(node) as u16
     }
 
     /// Linecards a router at `node` needs: one per link, one for the
     /// host side, and at least 3 (the DRA coverage model's minimum).
-    pub fn n_lcs(&self, node: u32) -> usize {
+    pub(crate) fn n_lcs(&self, node: u32) -> usize {
         (self.degree(node) + 1).max(3)
     }
 

@@ -1,6 +1,14 @@
-//! Guard against regrowth of the public surface: every `pub fn` in the
-//! production sources must have a production caller, or sit on the
-//! keep-list below with its reason.
+//! The half of the public surface the compiler cannot guard.
+//!
+//! Items in `crates/*/src` are crate-private unless something outside
+//! their crate's `src/` names them (CONTRIBUTING.md), so rustc's
+//! dead-code lint already fails the build when a crate-private item
+//! loses its last caller. What rustc cannot see is whether a `pub`
+//! item still has a *production* caller in another crate: a `pub fn`
+//! whose only outside callers are tests compiles warning-free. This
+//! scan checks that: every `pub fn` in the production sources must have
+//! a production caller, or sit on the keep-list below, which names the
+//! test in another target that calls it.
 //!
 //! Production sources are `crates/*/src`, `src/` and `examples/`; code
 //! in `benchmark/src` also counts as a caller. Each file is read up to
@@ -9,54 +17,47 @@
 //! `use` declarations are skipped. A name is unreferenced when its
 //! identifier occurs no more often than it is defined. The scan is by
 //! name, so a function that shares its name with a called one (`new`,
-//! `len`) passes unseen.
+//! `len`, or a module of the same name) passes unseen.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Public functions no production path calls, kept on purpose.
+/// Public functions no production path calls, each kept for the test
+/// in another target that calls it.
 const KEEP: &[(&str, &str)] = &[
-    ("det", "linalg solver kept for the Markov solvers; LU tests"),
-    (
-        "dra_mtbf_mdt",
-        "EXPERIMENTS reports the MTBF/MDT decomposition",
-    ),
-    (
-        "invariants_hold",
-        "the slot-level EIB arbiter's property tests",
-    ),
-    (
-        "jacobi",
-        "linalg solver kept for the Markov solvers; vs Gauss-Seidel",
-    ),
-    ("max_abs_diag", "linalg solver kept for the Markov solvers"),
-    (
-        "matvec",
-        "reference: tests check solves by multiplying back",
-    ),
-    ("min_time", "the calendar proptest compares it with a heap"),
-    ("norm1", "linalg solver kept for the Markov solvers"),
-    ("norm2", "linalg solver kept for the Markov solvers"),
     (
         "pending_actions",
-        "health_differential pins NodeHealth to it",
+        "crates/topo/tests/health_differential.rs pins NodeHealth to it",
     ),
-    ("pointers", "the scalar-crossbar differential"),
-    ("request_stop", "the inline-successor engine builds on it"),
-    ("row_sums", "tests check every generator row sums to zero"),
-    ("segment", "reference: tests compare segment_cells with it"),
-    ("set_pointers", "the scalar-crossbar differential"),
-    ("set_turn_quantum", "the slot-level EIB data lines' tests"),
     (
-        "transient_expm",
-        "reference: tests compare it with uniformization",
+        "pointers",
+        "tests/fabric_equivalence.rs: the scalar-crossbar differential",
+    ),
+    (
+        "row_sums",
+        "tests/markov_models.rs: every generator row sums to zero",
+    ),
+    (
+        "segment",
+        "tests/end_to_end.rs compares segment_cells with it",
+    ),
+    (
+        "set_pointers",
+        "tests/fabric_equivalence.rs: the scalar-crossbar differential",
     ),
     (
         "transient_rk45",
-        "reference: tests compare it with uniformization",
+        "tests/markov_models.rs compares it with uniformization",
     ),
-    ("voq_len", "the scalar-crossbar differential"),
+    (
+        "vecmat",
+        "dra-markov's transient_expm test reference multiplies by it",
+    ),
+    (
+        "voq_len",
+        "tests/fabric_comparison.rs reads VOQ depths through it",
+    ),
 ];
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
