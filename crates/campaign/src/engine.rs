@@ -8,9 +8,10 @@
 //! byte-identical at any worker count and across interrupt/resume.
 
 use crate::json::Json;
+use crate::record::{declared, same, Fields, Record, Schema, Stat};
 use crate::seed::{derive_seed, Stream};
 use crate::spec::{Arch, CampaignSpec, ScenarioTemplate};
-use crate::sweep::{self, welford_json};
+use crate::sweep;
 use dra_core::scenario::Scenario;
 use dra_core::sim::{DraConfig, DraRouter};
 use dra_des::stats::Welford;
@@ -29,11 +30,91 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
 /// Validate a `dra-campaign/v1` artifact, as `dra check` does. Returns
 /// `(cells, error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
-    sweep::validate::<CampaignSpec>(text)
+    sweep::validate::<crate::spec::CellSpec>(text)
 }
 
-/// Run every replication of one cell and reduce to its JSON record.
-fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
+/// A `dra-campaign/v1` cell record: counts are summed over
+/// replications, and `latency_s` has a sample only for replications
+/// that delivered a packet.
+#[derive(Debug, Default)]
+pub struct CampaignRecord {
+    arch: String,
+    replications: u64,
+    /// Windowed byte-delivery ratio, one sample per replication.
+    pub delivery: Stat,
+    latency_s: Stat,
+    availability: Stat,
+    drops: [u64; 8],
+    eib: [u64; 4],
+    /// Bytes offered inside the window, per linecard.
+    pub offered_bytes: Vec<u64>,
+    /// Bytes delivered inside the window, per linecard.
+    pub delivered_bytes: Vec<u64>,
+}
+
+impl Schema for CampaignRecord {
+    fn fields(&mut self, f: &mut Fields) {
+        f.field("arch", &mut self.arch);
+        f.field("replications", &mut self.replications);
+        f.field("delivery", &mut self.delivery);
+        f.field("latency_s", &mut self.latency_s);
+        f.field("availability", &mut self.availability);
+        let causes = DropCause::ALL.map(DropCause::name);
+        f.counts("drops", &causes, &mut self.drops);
+        let eib = ["packets", "bytes", "control_packets", "collisions"];
+        f.counts("eib", &eib, &mut self.eib);
+        f.object("window", |f| {
+            f.field("offered_bytes", &mut self.offered_bytes);
+            f.field("delivered_bytes", &mut self.delivered_bytes);
+        });
+    }
+}
+
+impl Record for CampaignRecord {
+    const HEADERS: &'static [&'static str] = &[
+        "cell", "id", "arch", "reps", "delivery", "ci95", "drops", "eib pkts",
+    ];
+    const INDEX_COLUMN: bool = true;
+
+    fn row(&self) -> Vec<String> {
+        vec![
+            self.arch.clone(),
+            self.replications.to_string(),
+            format!("{:.2}%", self.delivery.mean * 100.0),
+            format!("±{:.2}%", self.delivery.ci95 * 100.0),
+            self.drops.iter().sum::<u64>().to_string(),
+            self.eib[0].to_string(),
+        ]
+    }
+
+    /// The cell's `arch` and replications, a delivery and an
+    /// availability sample per replication, availabilities in `[0, 1]`
+    /// and a window byte count per linecard. `delivery` is a byte ratio
+    /// over the measurement window: with the window at 0 it lies in
+    /// `[0, 1]`, but a later window can deliver bytes offered before it
+    /// opened.
+    fn check(&self, cell: &Json) -> Result<bool, String> {
+        same("arch", &self.arch, &declared(cell, "arch")?)?;
+        let reps = declared(cell, "replications")?;
+        same("replications", &self.replications, &reps)?;
+        self.delivery.check("delivery", reps, true)?;
+        self.latency_s.check("latency_s", reps, false)?;
+        self.availability.check("availability", reps, true)?;
+        self.availability.unit("availability")?;
+        let lcs: u64 = declared(cell, "config.n_lcs")?;
+        for bytes in [&self.offered_bytes, &self.delivered_bytes] {
+            same("window linecards", &(bytes.len() as u64), &lcs)?;
+        }
+        let mean = self.delivery.mean;
+        if declared::<f64>(cell, "measure_from_s")? == 0.0 && mean > 1.0 {
+            return Err(format!("delivery.mean {mean} above 1 with no window"));
+        }
+        Ok(true)
+    }
+}
+
+/// Run every replication of one cell and reduce to its record.
+fn run_cell(spec: &CampaignSpec, index: usize) -> CampaignRecord {
     let cell = &spec.cells[index];
     let horizon = cell.scenario.horizon_s();
     let n = cell.config.n_lcs;
@@ -41,10 +122,13 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
     let mut delivery = Welford::new();
     let mut latency = Welford::new();
     let mut availability = Welford::new();
-    let mut drops = [0u64; 8];
-    let mut win_offered = vec![0u64; n];
-    let mut win_delivered = vec![0u64; n];
-    let (mut eib_packets, mut eib_bytes, mut eib_control, mut eib_collisions) = (0u64, 0, 0, 0);
+    let mut record = CampaignRecord {
+        arch: cell.arch.name().to_string(),
+        replications: cell.replications as u64,
+        offered_bytes: vec![0; n],
+        delivered_bytes: vec![0; n],
+        ..CampaignRecord::default()
+    };
 
     for rep in 0..cell.replications {
         let sim_seed = derive_seed(
@@ -85,11 +169,11 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
 
         delivery.push(window.window_byte_delivery_ratio());
         for lc in 0..n {
-            win_offered[lc] += window.window_offered_bytes(lc);
-            win_delivered[lc] += window.window_delivered_bytes(lc);
+            record.offered_bytes[lc] += window.window_offered_bytes(lc);
+            record.delivered_bytes[lc] += window.window_delivered_bytes(lc);
         }
         for (slot, cause) in DropCause::ALL.iter().enumerate() {
-            drops[slot] += metrics.total_drops(*cause);
+            record.drops[slot] += metrics.total_drops(*cause);
         }
         // Packet-weighted mean latency across the router.
         let (mut lat_sum, mut lat_n) = (0.0, 0u64);
@@ -103,50 +187,15 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> Json {
             latency.push(lat_sum / lat_n as f64);
         }
         availability.push(avail_sum / n as f64);
-        eib_packets += metrics.eib_packets;
-        eib_bytes += metrics.eib_bytes;
-        eib_control += metrics.eib_control_packets;
-        eib_collisions += metrics.eib_collisions;
+        record.eib[0] += metrics.eib_packets;
+        record.eib[1] += metrics.eib_bytes;
+        record.eib[2] += metrics.eib_control_packets;
+        record.eib[3] += metrics.eib_collisions;
     }
-
-    let drop_pairs: Vec<(String, Json)> = DropCause::ALL
-        .iter()
-        .enumerate()
-        .map(|(slot, cause)| (cause.to_string(), Json::Num(drops[slot] as f64)))
-        .collect();
-
-    Json::obj(vec![
-        ("cell", Json::Num(index as f64)),
-        ("id", Json::Str(cell.id.clone())),
-        ("arch", Json::Str(cell.arch.name().to_string())),
-        ("replications", Json::Num(cell.replications as f64)),
-        ("delivery", welford_json(&delivery)),
-        ("latency_s", welford_json(&latency)),
-        ("availability", welford_json(&availability)),
-        ("drops", Json::Obj(drop_pairs)),
-        (
-            "eib",
-            Json::obj(vec![
-                ("packets", Json::Num(eib_packets as f64)),
-                ("bytes", Json::Num(eib_bytes as f64)),
-                ("control_packets", Json::Num(eib_control as f64)),
-                ("collisions", Json::Num(eib_collisions as f64)),
-            ]),
-        ),
-        (
-            "window",
-            Json::obj(vec![
-                (
-                    "offered_bytes",
-                    Json::Arr(win_offered.iter().map(|&b| Json::Num(b as f64)).collect()),
-                ),
-                (
-                    "delivered_bytes",
-                    Json::Arr(win_delivered.iter().map(|&b| Json::Num(b as f64)).collect()),
-                ),
-            ]),
-        ),
-    ])
+    record.delivery = Stat::from(&delivery);
+    record.latency_s = Stat::from(&latency);
+    record.availability = Stat::from(&availability);
+    record
 }
 
 #[cfg(test)]

@@ -18,15 +18,20 @@
 //! * [`pool`] — the workspace's worker pool (scoped threads, shared
 //!   work queue, per-item panic isolation) and [`pool::parallel_map`].
 //! * [`sweep`] — the envelope every sweep kind shares: the [`Sweep`]
-//!   trait (manifest, FNV-1a digest, per-record check), the run loop
+//!   trait on a kind's cell type and the [`sweep::Grid`] spec (manifest,
+//!   FNV-1a digest), the run loop
 //!   (pool, error cells, index-ordered assembly, `.partial.jsonl`
 //!   checkpoint/resume, validate-before-write, atomic write, per-cell
 //!   telemetry collection), and the artifact validator behind
 //!   `dra check`. Interrupted sweeps resume by skipping checkpointed
 //!   cells — and still produce byte-identical artifacts.
+//! * [`record`] — typed cell records: one field list per record type
+//!   writes it and reads it back, the shared replication statistic
+//!   [`record::Stat`], and the one result table.
 //! * [`engine`] — the packet campaign's cells: aggregates per-cell
 //!   stats ([`dra_des::stats::Welford`] delivery CI, drop-cause
-//!   breakdown, EIB counters, windowed per-LC bytes).
+//!   breakdown, EIB counters, windowed per-LC bytes) into an
+//!   [`engine::CampaignRecord`].
 //! * [`registry`] — built-in specs (`faceoff`, `fig8`) with `--quick`
 //!   CI reductions.
 //! * [`rareevent`] — a second campaign kind: grids of
@@ -46,6 +51,7 @@
 pub mod engine;
 pub mod pool;
 pub mod rareevent;
+pub mod record;
 pub mod registry;
 pub mod report;
 pub mod seed;

@@ -2,7 +2,7 @@
 //! [`dra_core::rareevent`] estimator runs with a built-in exact-Markov
 //! cross-check per cell.
 //!
-//! A [`RareCampaignSpec`] is a [`Sweep`] like
+//! A [`RareCampaignSpec`] is a [`Grid`] of [`Sweep`] cells like
 //! [`crate::spec::CampaignSpec`], so it runs through the same
 //! [`crate::sweep`] envelope (worker pool, checkpoint/resume, digest,
 //! validated atomic artifact). Cells draw their RNG seed from
@@ -19,9 +19,9 @@
 //! CI misses truth, no external baseline needed.
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::record::{declared, same, Fields, Record, Schema};
 use crate::seed::{derive_seed, Stream};
-use crate::sweep::{self, Outcome, RunOptions, Sweep};
+use crate::sweep::{self, Grid, Outcome, RunOptions, Sweep};
 use dra_core::analysis::nines::{format_nines_interval, nines_interval};
 use dra_core::rareevent::{estimate, markov_oracle, RareConfig, RareMethod};
 use dra_router::components::FailureRates;
@@ -46,7 +46,15 @@ pub struct RareCellSpec {
     pub method: RareMethod,
 }
 
-impl RareCellSpec {
+impl Sweep for RareCellSpec {
+    const FORMAT: &'static str = "dra-rareevent/v1";
+    type Record = RareRecord;
+    const GRID_HEADERS: &'static [&'static str] = &["id", "method", "n", "m", "mu/h", "cycles"];
+
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn validate(&self, index: usize) -> Result<(), String> {
         let fault = if self.n < 3 {
             "n < 3"
@@ -68,8 +76,7 @@ impl RareCellSpec {
         Err(format!("cell {index}: {fault}"))
     }
 
-    /// Canonical JSON description (everything that affects results).
-    pub(crate) fn manifest(&self) -> Json {
+    fn manifest(&self) -> Json {
         let r = &self.rates;
         let method = match self.method {
             RareMethod::BruteForce => Json::obj(vec![("kind", Json::Str("brute-force".into()))]),
@@ -101,136 +108,100 @@ impl RareCellSpec {
             ("method", method),
         ])
     }
+
+    fn grid_row(&self) -> Vec<String> {
+        vec![
+            self.id.clone(),
+            self.method.name().into(),
+            format!("{}", self.n),
+            format!("{}", self.m),
+            format!("{:.3}", self.mu),
+            format!("{}", self.cycles),
+        ]
+    }
 }
 
 /// A full rare-event campaign.
-#[derive(Debug, Clone)]
-pub struct RareCampaignSpec {
-    /// Campaign name (also the default artifact file stem).
-    pub name: String,
-    /// One-line description for the artifact manifest.
-    pub description: String,
-    /// Master seed; every cell's RNG stream derives from it.
-    pub master_seed: u64,
-    /// The grid.
-    pub cells: Vec<RareCellSpec>,
+pub type RareCampaignSpec = Grid<RareCellSpec>;
+
+/// A `dra-rareevent/v1` cell record: the estimate, and the exact
+/// Markov answer it is checked against. An estimate that is not finite
+/// is `None`, and `zero_event_upper` is present exactly when no down
+/// event was seen (`gamma` is 0).
+#[derive(Debug, Default)]
+pub struct RareRecord {
+    method: String,
+    unavailability: f64,
+    ci95: f64,
+    rel_ci: Option<f64>,
+    nines: String,
+    gamma: f64,
+    mean_cycle_h: f64,
+    mttf_h: Option<f64>,
+    mttf_ci95: Option<f64>,
+    cycles: u64,
+    jumps: u64,
+    zero_event_upper: Option<f64>,
+    states: u64,
+    exact_unavailability: f64,
+    exact_mttf_h: f64,
+    within_ci: bool,
+    mttf_within_ci: Option<bool>,
 }
 
-impl Sweep for RareCampaignSpec {
-    const FORMAT: &'static str = "dra-rareevent/v1";
+impl Schema for RareRecord {
+    fn fields(&mut self, f: &mut Fields) {
+        f.field("method", &mut self.method);
+        f.object("estimate", |f| {
+            f.field("unavailability", &mut self.unavailability);
+            f.field("ci95", &mut self.ci95);
+            f.field("rel_ci", &mut self.rel_ci);
+            f.field("nines", &mut self.nines);
+            f.field("gamma", &mut self.gamma);
+            f.field("mean_cycle_h", &mut self.mean_cycle_h);
+            f.field("mttf_h", &mut self.mttf_h);
+            f.field("mttf_ci95", &mut self.mttf_ci95);
+            f.field("cycles", &mut self.cycles);
+            f.field("jumps", &mut self.jumps);
+            f.optional("zero_event_upper", &mut self.zero_event_upper);
+        });
+        f.object("markov", |f| {
+            f.field("states", &mut self.states);
+            f.field("unavailability", &mut self.exact_unavailability);
+            f.field("mttf_h", &mut self.exact_mttf_h);
+            f.field("within_ci", &mut self.within_ci);
+            f.field("mttf_within_ci", &mut self.mttf_within_ci);
+        });
+    }
+}
 
-    fn name(&self) -> &str {
-        &self.name
+impl Record for RareRecord {
+    const HEADERS: &'static [&'static str] = &["cell", "U", "ci95", "nines", "exact U", "in CI"];
+
+    fn row(&self) -> Vec<String> {
+        vec![
+            format!("{:.3e}", self.unavailability),
+            format!("{:.3e}", self.ci95),
+            self.nines.clone(),
+            format!("{:.3e}", self.exact_unavailability),
+            if self.within_ci { "yes" } else { "MISS" }.into(),
+        ]
     }
 
-    fn description(&self) -> &str {
-        &self.description
-    }
-
-    fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    fn n_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn cell_id(&self, i: usize) -> &str {
-        &self.cells[i].id
-    }
-
-    fn cell_manifest(&self, i: usize) -> Json {
-        self.cells[i].manifest()
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i)?;
+    /// The record names its cell's method, both unavailabilities are
+    /// probabilities, and a zero-event bound comes exactly with a zero
+    /// `gamma`; the record is flagged when the estimate's CI misses the
+    /// exact Markov answer.
+    fn check(&self, cell: &Json) -> Result<bool, String> {
+        same("method", &self.method, &declared(cell, "method.kind")?)?;
+        let (u, exact) = (self.unavailability, self.exact_unavailability);
+        if !((0.0..=1.0).contains(&u) && (0.0..=1.0).contains(&exact)) {
+            return Err(format!("unavailability {u} or exact {exact} outside [0,1]"));
         }
-        Ok(())
-    }
-
-    /// The record names its cell's method, and both unavailabilities
-    /// are probabilities; the record is flagged when the estimate's CI
-    /// misses the exact Markov answer.
-    fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
-        let kind = cell.get("method").and_then(|m| m.get("kind"));
-        sweep::check_declared(record, "method", kind.and_then(Json::as_str))?;
-        let u = record
-            .get("estimate")
-            .and_then(|e| e.get("unavailability"))
-            .and_then(Json::as_f64)
-            .ok_or("missing estimate.unavailability")?;
-        if !(0.0..=1.0).contains(&u) {
-            return Err(format!("unavailability {u} outside [0,1]"));
+        if self.zero_event_upper.is_some() != (self.gamma == 0.0) {
+            return Err("estimate.zero_event_upper is present iff gamma is 0".into());
         }
-        let exact = record
-            .get("markov")
-            .and_then(|m| m.get("unavailability"))
-            .and_then(Json::as_f64)
-            .ok_or("missing markov.unavailability")?;
-        if !(0.0..=1.0).contains(&exact) {
-            return Err("exact unavailability out of range".into());
-        }
-        match record.get("markov").and_then(|m| m.get("within_ci")) {
-            Some(Json::Bool(covered)) => Ok(*covered),
-            _ => Err("missing markov.within_ci".into()),
-        }
-    }
-
-    fn grid_table(&self) -> Table {
-        let rows = self
-            .cells
-            .iter()
-            .map(|cell| {
-                vec![
-                    cell.id.clone(),
-                    cell.method.name().into(),
-                    format!("{}", cell.n),
-                    format!("{}", cell.m),
-                    format!("{:.3}", cell.mu),
-                    format!("{}", cell.cycles),
-                ]
-            })
-            .collect();
-        (vec!["id", "method", "n", "m", "mu/h", "cycles"], rows)
-    }
-
-    fn result_table(artifact: &Json) -> Table {
-        let cells = artifact.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
-        let fmt = |v: Option<&Json>| match v.and_then(Json::as_f64) {
-            Some(x) => format!("{x:.3e}"),
-            None => "-".into(),
-        };
-        let rows = cells
-            .iter()
-            .map(|c| {
-                if let Some(err) = c.get("error").and_then(Json::as_str) {
-                    let id = c.get("id").and_then(Json::as_str).unwrap_or("?");
-                    let mut row = vec![id.to_string(), format!("ERROR: {err}")];
-                    row.resize(6, String::new());
-                    return row;
-                }
-                let est = c.get("estimate");
-                let mk = c.get("markov");
-                vec![
-                    c.get("id").and_then(Json::as_str).unwrap_or("?").into(),
-                    fmt(est.and_then(|e| e.get("unavailability"))),
-                    fmt(est.and_then(|e| e.get("ci95"))),
-                    est.and_then(|e| e.get("nines"))
-                        .and_then(Json::as_str)
-                        .unwrap_or("-")
-                        .into(),
-                    fmt(mk.and_then(|m| m.get("unavailability"))),
-                    match mk.and_then(|m| m.get("within_ci")) {
-                        Some(Json::Bool(true)) => "yes".into(),
-                        Some(Json::Bool(false)) => "MISS".into(),
-                        _ => "-".into(),
-                    },
-                ]
-            })
-            .collect();
-        (vec!["cell", "U", "ci95", "nines", "exact U", "in CI"], rows)
+        Ok(self.within_ci)
     }
 }
 
@@ -248,18 +219,8 @@ pub fn run(spec: &RareCampaignSpec, opts: &RunOptions) -> std::io::Result<Outcom
     sweep::run(spec, opts, |_| |i| run_cell(spec, i))
 }
 
-/// `Num` for finite values, `Null` otherwise (a brute-force cell at
-/// paper rates legitimately reports an infinite MTTF).
-fn fin(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num(v)
-    } else {
-        Json::Null
-    }
-}
-
 /// Run one cell: estimator + exact oracle + coverage verdicts.
-fn run_cell(spec: &RareCampaignSpec, index: usize) -> Json {
+fn run_cell(spec: &RareCampaignSpec, index: usize) -> RareRecord {
     let cell = &spec.cells[index];
     let seed = derive_seed(spec.master_seed, index as u64, 0, Stream::Simulation);
     let cfg = RareConfig {
@@ -286,45 +247,32 @@ fn run_cell(spec: &RareCampaignSpec, index: usize) -> Json {
         .is_finite()
         .then(|| (oracle.mttf_h - est.mttf_h).abs() <= est.mttf_ci_half);
 
+    // A brute-force cell at paper rates legitimately reports an
+    // infinite MTTF: the record holds `None` for a value not finite.
+    let fin = |v: f64| v.is_finite().then_some(v);
     let iv = nines_interval(
         est.unavailability,
         est.zero_event_upper.unwrap_or(est.ci_half),
     );
-    let mut est_fields = vec![
-        ("unavailability", Json::Num(est.unavailability)),
-        ("ci95", Json::Num(est.ci_half)),
-        ("rel_ci", fin(est.rel_ci())),
-        ("nines", Json::Str(format_nines_interval(&iv))),
-        ("gamma", Json::Num(est.gamma)),
-        ("mean_cycle_h", Json::Num(est.mean_cycle_h)),
-        ("mttf_h", fin(est.mttf_h)),
-        ("mttf_ci95", fin(est.mttf_ci_half)),
-        ("cycles", Json::Num(est.cycles as f64)),
-        ("jumps", Json::Num(est.jumps as f64)),
-    ];
-    if let Some(u) = est.zero_event_upper {
-        est_fields.push(("zero_event_upper", Json::Num(u)));
+    RareRecord {
+        method: cell.method.name().into(),
+        unavailability: est.unavailability,
+        ci95: est.ci_half,
+        rel_ci: fin(est.rel_ci()),
+        nines: format_nines_interval(&iv),
+        gamma: est.gamma,
+        mean_cycle_h: est.mean_cycle_h,
+        mttf_h: fin(est.mttf_h),
+        mttf_ci95: fin(est.mttf_ci_half),
+        cycles: est.cycles as u64,
+        jumps: est.jumps,
+        zero_event_upper: est.zero_event_upper,
+        states: oracle.states as u64,
+        exact_unavailability: oracle.unavailability,
+        exact_mttf_h: oracle.mttf_h,
+        within_ci,
+        mttf_within_ci,
     }
-
-    Json::obj(vec![
-        ("cell", Json::Num(index as f64)),
-        ("id", Json::Str(cell.id.clone())),
-        ("method", Json::Str(cell.method.name().into())),
-        ("estimate", Json::obj(est_fields)),
-        (
-            "markov",
-            Json::obj(vec![
-                ("states", Json::Num(oracle.states as f64)),
-                ("unavailability", Json::Num(oracle.unavailability)),
-                ("mttf_h", Json::Num(oracle.mttf_h)),
-                ("within_ci", Json::Bool(within_ci)),
-                (
-                    "mttf_within_ci",
-                    mttf_within_ci.map(Json::Bool).unwrap_or(Json::Null),
-                ),
-            ]),
-        ),
-    ])
 }
 
 /// Names [`build`] accepts.
@@ -438,7 +386,7 @@ mod tests {
         let out = run(&tiny_spec(), &RunOptions::default()).unwrap();
         assert_eq!(out.failed, 0);
         let text = out.artifact_text;
-        let (cells, misses) = sweep::validate::<RareCampaignSpec>(&text).unwrap();
+        let (cells, misses) = sweep::validate::<RareCellSpec>(&text).unwrap();
         assert_eq!(cells, 3);
         assert_eq!(misses, 0, "a CI missed the exact answer:\n{text}");
     }
@@ -500,7 +448,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_wrong_format() {
-        let validate = sweep::validate::<RareCampaignSpec>;
+        let validate = sweep::validate::<RareCellSpec>;
         assert!(validate("{\"format\":\"dra-campaign/v1\"}").is_err());
         assert!(validate("nope").is_err());
     }

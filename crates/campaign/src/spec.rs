@@ -8,13 +8,12 @@
 //! `(master_seed, seed_group, replication)` via [`crate::seed`], so a
 //! spec pins its results bit-for-bit regardless of worker count.
 //!
-//! The spec is a [`Sweep`]: its canonical JSON *manifest* and FNV-1a
+//! The spec is a [`Grid`] of [`Sweep`] cells: its canonical JSON *manifest* and FNV-1a
 //! digest stamp checkpoints and artifacts, so a resume against an
 //! edited spec is rejected instead of producing a franken-artifact.
 
 use crate::json::Json;
-use crate::report::Table;
-use crate::sweep::{check_declared, check_stat, Sweep};
+use crate::sweep::{Grid, Sweep};
 use dra_core::scenario::{Action, FaultProcess, Scenario};
 use dra_router::bdr::BdrConfig;
 
@@ -91,7 +90,16 @@ pub struct CellSpec {
     pub seed_group: u64,
 }
 
-impl CellSpec {
+impl Sweep for CellSpec {
+    const FORMAT: &'static str = "dra-campaign/v1";
+    type Record = crate::engine::CampaignRecord;
+    const GRID_HEADERS: &'static [&'static str] =
+        &["id", "arch", "lcs", "load", "scenario", "reps", "group"];
+
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn validate(&self, index: usize) -> Result<(), String> {
         if self.replications < 1 {
             return Err(format!("cell {index}: replications < 1"));
@@ -106,8 +114,7 @@ impl CellSpec {
         Ok(())
     }
 
-    /// Canonical JSON description (everything that affects results).
-    pub(crate) fn manifest(&self) -> Json {
+    fn manifest(&self) -> Json {
         let cfg = &self.config;
         let protocols: Vec<Json> = (0..cfg.n_lcs)
             .map(|lc| Json::Str(format!("{:?}", cfg.protocol_of(lc)).to_lowercase()))
@@ -142,6 +149,24 @@ impl CellSpec {
             ),
             ("scenario", scenario_manifest(&self.scenario)),
         ])
+    }
+
+    fn grid_row(&self) -> Vec<String> {
+        let scenario = match &self.scenario {
+            ScenarioTemplate::Explicit(s) => {
+                format!("explicit ({} actions, {}s)", s.len(), s.horizon())
+            }
+            ScenarioTemplate::Sampled { horizon_s, .. } => format!("sampled ({horizon_s}s)"),
+        };
+        vec![
+            self.id.clone(),
+            self.arch.name().into(),
+            format!("{}", self.config.n_lcs),
+            format!("{:.2}", self.config.load),
+            scenario,
+            format!("{}", self.replications),
+            format!("{}", self.seed_group),
+        ]
     }
 }
 
@@ -204,122 +229,7 @@ fn describe_action(a: &Action) -> String {
 }
 
 /// A full experiment campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    /// Campaign name (also the default artifact file stem).
-    pub name: String,
-    /// One-line description for the artifact manifest.
-    pub description: String,
-    /// Master seed; every RNG stream in the campaign derives from it.
-    pub master_seed: u64,
-    /// The grid.
-    pub cells: Vec<CellSpec>,
-}
-
-impl Sweep for CampaignSpec {
-    const FORMAT: &'static str = "dra-campaign/v1";
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn description(&self) -> &str {
-        &self.description
-    }
-
-    fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    fn n_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn cell_id(&self, i: usize) -> &str {
-        &self.cells[i].id
-    }
-
-    fn cell_manifest(&self, i: usize) -> Json {
-        self.cells[i].manifest()
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i)?;
-        }
-        Ok(())
-    }
-
-    /// A [`crate::engine`] record carries its cell's `arch` and
-    /// well-formed replication statistics ([`check_stat`]), and its
-    /// `delivery.mean` is a byte-delivery ratio over the cell's
-    /// measurement window. With the window at 0 nothing is offered
-    /// before it, so the ratio lies in `[0, 1]`. A later window can
-    /// deliver bytes offered before it opened, so there the record can
-    /// only prove the ratio non-negative.
-    fn check_record(record: &Json, cell: &Json) -> Result<bool, String> {
-        check_declared(record, "arch", cell.get("arch").and_then(Json::as_str))?;
-        let replications = cell
-            .get("replications")
-            .and_then(Json::as_u64)
-            .ok_or("manifest cell missing replications")?;
-        for key in ["delivery", "latency_s", "availability"] {
-            check_stat(record, key, replications)?;
-        }
-        let mean = record
-            .get("delivery")
-            .and_then(|d| d.get("mean"))
-            .and_then(Json::as_f64)
-            .ok_or("missing delivery.mean")?;
-        let measure_from = cell
-            .get("measure_from_s")
-            .and_then(Json::as_f64)
-            .ok_or("manifest cell missing measure_from_s")?;
-        if mean < 0.0 {
-            return Err(format!("delivery.mean {mean} is negative"));
-        }
-        if measure_from == 0.0 && mean > 1.0 {
-            return Err(format!(
-                "delivery.mean {mean} above 1 with nothing offered before the window"
-            ));
-        }
-        Ok(true)
-    }
-
-    fn grid_table(&self) -> Table {
-        let rows = self
-            .cells
-            .iter()
-            .map(|cell| {
-                let scenario = match &cell.scenario {
-                    ScenarioTemplate::Explicit(s) => {
-                        format!("explicit ({} actions, {}s)", s.len(), s.horizon())
-                    }
-                    ScenarioTemplate::Sampled { horizon_s, .. } => {
-                        format!("sampled ({horizon_s}s)")
-                    }
-                };
-                vec![
-                    cell.id.clone(),
-                    cell.arch.name().into(),
-                    format!("{}", cell.config.n_lcs),
-                    format!("{:.2}", cell.config.load),
-                    scenario,
-                    format!("{}", cell.replications),
-                    format!("{}", cell.seed_group),
-                ]
-            })
-            .collect();
-        (
-            vec!["id", "arch", "lcs", "load", "scenario", "reps", "group"],
-            rows,
-        )
-    }
-
-    fn result_table(artifact: &Json) -> Table {
-        crate::report::artifact_table(artifact)
-    }
-}
+pub type CampaignSpec = Grid<CellSpec>;
 
 #[cfg(test)]
 mod tests {

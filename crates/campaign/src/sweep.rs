@@ -2,10 +2,11 @@
 //! format and envelope check shared by every sweep kind (packet
 //! campaigns, rare-event campaigns, topo sweeps).
 //!
-//! A sweep kind implements [`Sweep`] on its spec type: a named grid of
-//! cells plus a master seed, a canonical JSON manifest per cell, and
-//! the invariant every finished record must satisfy. [`run`] executes
-//! any such grid and [`validate`] checks any such artifact:
+//! A sweep kind implements [`Sweep`] on its cell type: a canonical JSON
+//! manifest per cell and the [`Record`] a finished cell produces, which
+//! carries its own rules. Its spec is a [`Grid`] of those cells plus a
+//! master seed. [`run`] executes any such grid and [`validate`] checks
+//! any such artifact:
 //!
 //! ```text
 //! { "format": <Sweep::FORMAT>, "digest": <16 hex>,
@@ -36,14 +37,12 @@
 
 use crate::json::{parse, Json};
 use crate::pool::WorkerPool;
-use crate::report::Table;
-use dra_des::stats::Welford;
+use crate::record::{declared, read, same, write, Cell, Record};
 use dra_telemetry::{Snapshot, TraceEvent};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -51,62 +50,63 @@ use std::time::Instant;
 /// The checkpoint format identifier (first line of every checkpoint).
 pub const CHECKPOINT_FORMAT: &str = "dra-campaign-checkpoint/v1";
 
-/// A grid of independent cells that renders to one versioned artifact.
+/// A sweep spec: a named grid of cells that renders to one versioned
+/// artifact.
+#[derive(Debug, Clone)]
+pub struct Grid<S> {
+    /// Sweep name (also the default artifact file stem).
+    pub name: String,
+    /// One-line description for the manifest.
+    pub description: String,
+    /// Master seed; every RNG stream of the sweep derives from it.
+    pub master_seed: u64,
+    /// The grid.
+    pub cells: Vec<S>,
+}
+
+/// A sweep kind, implemented on its cell type.
 pub trait Sweep: Sync {
     /// Artifact format identifier; bump when the record layout changes.
     const FORMAT: &'static str;
-    /// Sweep name (also the default artifact file stem).
-    fn name(&self) -> &str;
-    /// One-line description for the manifest.
-    fn description(&self) -> &str;
-    /// Master seed every cell's RNG streams derive from.
-    fn master_seed(&self) -> u64;
-    /// Number of cells in the grid.
-    fn n_cells(&self) -> usize;
-    /// Id of cell `i`, unique within the sweep.
-    fn cell_id(&self, i: usize) -> &str;
-    /// Canonical JSON description of cell `i` (everything that affects
-    /// its record, `"id"` included).
-    fn cell_manifest(&self, i: usize) -> Json;
-    /// Reject a spec with a malformed cell. The grid rules every kind
-    /// shares (at least one cell, no id twice) are the envelope's own:
-    /// [`check_spec`] applies them before this.
-    fn validate(&self) -> Result<(), String>;
-    /// The kind's invariant on one finished (non-error) record, given
-    /// the cell's manifest (see [`Sweep::cell_manifest`]): `Err` for a
-    /// malformed record, `Ok(false)` for a well-formed record that
-    /// fails its check (e.g. a CI that misses the exact answer).
-    fn check_record(record: &Json, cell: &Json) -> Result<bool, String>;
-    /// The expanded grid, one row per cell: what a dry run prints
-    /// instead of simulating.
-    fn grid_table(&self) -> Table;
-    /// A finished artifact's records, one row per cell.
-    fn result_table(artifact: &Json) -> Table;
+    /// What a finished cell produces: its fields, table row and rules.
+    type Record: Record;
+    /// Dry-run table headers, one per [`Sweep::grid_row`] column.
+    const GRID_HEADERS: &'static [&'static str];
+    /// Prefix of the default artifact file stem.
+    const STEM_PREFIX: &'static str = "";
+    /// Cell id, unique within the sweep.
+    fn id(&self) -> &str;
+    /// Canonical JSON description (everything that affects the cell's
+    /// record, `"id"` included).
+    fn manifest(&self) -> Json;
+    /// Reject a malformed cell (`index` is its position). [`check_spec`]
+    /// applies the grid rules every kind shares first.
+    fn validate(&self, index: usize) -> Result<(), String>;
+    /// The cell's row in the expanded grid a dry run prints.
+    fn grid_row(&self) -> Vec<String>;
+}
 
+impl<S: Sweep> Grid<S> {
     /// File stem of the default artifact path, `results/<stem>.json`.
-    fn artifact_stem(&self) -> String {
-        self.name().to_string()
+    pub fn artifact_stem(&self) -> String {
+        format!("{}{}", S::STEM_PREFIX, self.name)
     }
 
     /// Canonical manifest: name, description, seed, and every cell.
-    fn manifest(&self) -> Json {
+    pub fn manifest(&self) -> Json {
         // A JSON number is an f64, exact for integers only up to 2^53:
         // larger seeds are written as decimal strings, so two seeds
         // never share a manifest (and a digest).
-        let seed = self.master_seed();
-        let seed = if seed > 1 << 53 {
-            Json::Str(seed.to_string())
-        } else {
-            Json::Num(seed as f64)
+        let seed = match self.master_seed {
+            seed if seed > 1 << 53 => Json::Str(seed.to_string()),
+            seed => Json::Num(seed as f64),
         };
+        let cells = self.cells.iter().map(S::manifest).collect();
         Json::obj(vec![
-            ("name", Json::Str(self.name().into())),
-            ("description", Json::Str(self.description().into())),
+            ("name", Json::Str(self.name.clone())),
+            ("description", Json::Str(self.description.clone())),
             ("master_seed", seed),
-            (
-                "cells",
-                Json::Arr((0..self.n_cells()).map(|i| self.cell_manifest(i)).collect()),
-            ),
+            ("cells", Json::Arr(cells)),
         ])
     }
 
@@ -114,7 +114,7 @@ pub trait Sweep: Sync {
     /// into checkpoints and artifacts: a resume whose digest differs
     /// from the checkpoint's runs a different experiment and starts
     /// over, and `dra check` recomputes it from the embedded manifest.
-    fn digest(&self) -> String {
+    pub fn digest(&self) -> String {
         fnv1a_hex(&self.manifest().to_string_compact())
     }
 }
@@ -185,7 +185,7 @@ impl RunOptions {
 }
 
 /// What one sweep invocation accomplished.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Outcome {
     /// The complete artifact, present only when every cell finished.
     pub artifact: Option<Json>,
@@ -210,9 +210,10 @@ pub struct Outcome {
 /// `plan(pending)` is called once, with the indices of the cells this
 /// invocation computes (ascending: the grid less the checkpointed
 /// cells, cut to any cell budget), and returns the function that
-/// computes cell `i`'s record. A kind sizes per-invocation state from
-/// `pending` — state shared by several cells, engine widths — so a
-/// resumed or budgeted run plans for the cells it actually runs. A run
+/// computes cell `i`'s record, which the envelope serializes. A kind
+/// sizes per-invocation state from `pending` — state shared by several
+/// cells, engine widths — so a resumed or budgeted run plans for the
+/// cells it actually runs. A run
 /// that collects telemetry (see the module docs) neither resumes from
 /// nor writes a checkpoint, because a merged document must cover every
 /// cell.
@@ -222,8 +223,8 @@ pub struct Outcome {
 /// a run that collects telemetry (without a checkpoint a budgeted run
 /// could never finish). An assembled artifact that fails [`validate`]
 /// is [`io::ErrorKind::InvalidData`].
-pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
-    spec: &S,
+pub fn run<S: Sweep, C: Fn(usize) -> S::Record + Sync>(
+    spec: &Grid<S>,
     opts: &RunOptions,
     plan: impl FnOnce(&[usize]) -> C,
 ) -> io::Result<Outcome> {
@@ -248,11 +249,11 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
         if opts.fresh {
             let _ = fs::remove_file(path);
         } else {
-            done = load_checkpoint(path, &digest, opts.quiet)?;
+            done = load_checkpoint::<S>(path, &digest, &manifest, opts.quiet)?;
         }
     }
     let resumed = done.len();
-    let mut pending: Vec<usize> = (0..spec.n_cells())
+    let mut pending: Vec<usize> = (0..spec.cells.len())
         .filter(|i| !done.contains_key(i))
         .collect();
     let total_pending = pending.len();
@@ -271,7 +272,7 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
                 let mut f = fs::File::create(path)?;
                 let header = Json::obj(vec![
                     ("format", Json::Str(CHECKPOINT_FORMAT.into())),
-                    ("sweep", Json::Str(spec.name().into())),
+                    ("sweep", Json::Str(spec.name.clone())),
                     ("digest", Json::Str(digest.clone())),
                 ]);
                 append_line(&mut f, &header)?;
@@ -295,9 +296,10 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
     let heartbeat_start = Instant::now();
     let outcomes = WorkerPool::new(opts.workers).try_map(pending.clone(), |&i| {
         let (record, tele) = observed(opts, || run_cell(i));
+        let record = cell_json(spec, i, record, None);
         checkpoint(&record).expect("checkpoint write");
         if !opts.quiet {
-            eprintln!("  cell {i} ({}) done", spec.cell_id(i));
+            eprintln!("  cell {i} ({}) done", spec.cells[i].id());
         }
         if opts.progress {
             let n = heartbeat_done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -305,7 +307,7 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
             let eta = elapsed / n as f64 * (pending.len() - n) as f64;
             eprintln!(
                 "[{}] {n}/{} cells, {elapsed:.1}s elapsed, eta {eta:.1}s",
-                spec.name(),
+                spec.name,
                 pending.len()
             );
         }
@@ -329,27 +331,21 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
                 // the index the panic carries, not by result position.
                 failed += 1;
                 let i = pending[p.index];
-                let record = Json::obj(vec![
-                    ("cell", Json::Num(i as f64)),
-                    ("id", Json::Str(spec.cell_id(i).into())),
-                    ("error", Json::Str(p.message)),
-                ]);
+                let record = cell_json(spec, i, S::Record::default(), Some(p.message));
                 checkpoint(&record)?;
                 done.insert(i, record);
             }
         }
     }
 
-    let remaining = spec.n_cells() - done.len();
+    let remaining = spec.cells.len() - done.len();
     if remaining > 0 {
         return Ok(Outcome {
-            artifact: None,
-            artifact_text: String::new(),
-            artifact_path: None,
             completed: total_pending - remaining,
             resumed,
             remaining,
             failed,
+            ..Outcome::default()
         });
     }
 
@@ -395,9 +391,26 @@ pub fn run<S: Sweep, C: Fn(usize) -> Json + Sync>(
     })
 }
 
+/// An artifact's `cells` array.
+fn cells(artifact: &Json) -> Result<&[Json], String> {
+    let cells = artifact.get("cells").and_then(Json::as_arr);
+    cells.ok_or_else(|| "missing cells array".into())
+}
+
+/// Cell `i`'s artifact entry.
+fn cell_json<S: Sweep>(spec: &Grid<S>, i: usize, record: S::Record, error: Option<String>) -> Json {
+    let (index, id) = (i as u64, spec.cells[i].id().to_string());
+    write(&mut Cell {
+        index,
+        id,
+        error,
+        record,
+    })
+}
+
 /// Run one cell, on a fresh hub when the run collects telemetry; its
 /// document and trace events are empty otherwise.
-fn observed(opts: &RunOptions, cell: impl FnOnce() -> Json) -> (Json, (Snapshot, Vec<TraceEvent>)) {
+fn observed<R>(opts: &RunOptions, cell: impl FnOnce() -> R) -> (R, (Snapshot, Vec<TraceEvent>)) {
     if !opts.collects_telemetry() {
         return (cell(), Default::default());
     }
@@ -420,10 +433,11 @@ fn observed(opts: &RunOptions, cell: impl FnOnce() -> Json) -> (Json, (Snapshot,
 
 /// Check a spec as [`run`] does before any cell runs: the grid rules
 /// every kind shares (at least one cell, no id twice), then
-/// [`Sweep::validate`].
-pub fn check_spec<S: Sweep>(spec: &S) -> Result<(), String> {
-    check_grid((0..spec.n_cells()).map(|i| spec.cell_id(i)))?;
-    spec.validate()
+/// [`Sweep::validate`] on every cell.
+pub fn check_spec<S: Sweep>(spec: &Grid<S>) -> Result<(), String> {
+    check_grid(spec.cells.iter().map(S::id))?;
+    let mut cells = spec.cells.iter().enumerate();
+    cells.try_for_each(|(i, cell)| cell.validate(i))
 }
 
 /// The grid rules every sweep kind shares: at least one cell, and no
@@ -454,7 +468,16 @@ pub fn checkpoint_path(artifact: &Path) -> PathBuf {
     artifact.with_file_name(name)
 }
 
-fn load_checkpoint(path: &Path, digest: &str, quiet: bool) -> io::Result<BTreeMap<usize, Json>> {
+/// The records of the checkpoint at `path` that belong to the sweep
+/// whose `digest` and `manifest` are given. A line is kept only when it
+/// passes [`check_cell`] at its index, so a torn, foreign or malformed
+/// line is simply re-run.
+fn load_checkpoint<S: Sweep>(
+    path: &Path,
+    digest: &str,
+    manifest: &Json,
+    quiet: bool,
+) -> io::Result<BTreeMap<usize, Json>> {
     let mut done = BTreeMap::new();
     let text = match fs::read_to_string(path) {
         Ok(t) => t,
@@ -477,13 +500,14 @@ fn load_checkpoint(path: &Path, digest: &str, quiet: bool) -> io::Result<BTreeMa
         }
         return Ok(done);
     }
-    for line in lines {
-        // A truncated last line (crash mid-write) parses as an error
-        // and is simply re-run.
-        if let Ok(record) = parse(line) {
-            if let Some(idx) = record.get("cell").and_then(Json::as_u64) {
-                done.insert(idx as usize, record);
-            }
+    let cells = manifest.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
+    for record in lines.filter_map(|line| parse(line).ok()) {
+        let Some(i) = record.get("cell").and_then(Json::as_u64) else {
+            continue;
+        };
+        let i = i as usize;
+        if i < cells.len() && check_cell::<S>(i, &record, &cells[i]).is_ok() {
+            done.insert(i, record);
         }
     }
     Ok(done)
@@ -508,79 +532,10 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// A replication statistic as `{n, mean, ci95, min, max}` (just `{n}`
-/// when empty; `ci95` is 0 below two samples).
-pub fn welford_json(w: &Welford) -> Json {
-    if w.count() == 0 {
-        return Json::obj(vec![("n", Json::Num(0.0))]);
-    }
-    let ci = if w.count() >= 2 {
-        w.ci_half_width(1.96)
-    } else {
-        0.0
-    };
-    Json::obj(vec![
-        ("n", Json::Num(w.count() as f64)),
-        ("mean", Json::Num(w.mean())),
-        ("ci95", Json::Num(ci)),
-        ("min", Json::Num(w.min())),
-        ("max", Json::Num(w.max())),
-    ])
-}
-
-/// `Err` unless the record's `key` is a statistic as [`welford_json`]
-/// writes it over at most `replications` samples: an integer `n`, and
-/// when `n > 0` finite `mean`, `ci95`, `min` and `max` with
-/// `min ≤ mean ≤ max` and `ci95 ≥ 0` (just `{n}` when `n` is 0)
-/// ([`Sweep::check_record`] helper).
-pub fn check_stat(record: &Json, key: &str, replications: u64) -> Result<(), String> {
-    let Some(Json::Obj(stat)) = record.get(key) else {
-        return Err(format!("{key} is not a statistic object"));
-    };
-    let field = |name: &str| stat.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let n = field("n")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key}.n is not a count"))?;
-    if n > replications {
-        return Err(format!("{key}.n {n} exceeds {replications} replications"));
-    }
-    if n == 0 {
-        return match stat.len() {
-            1 => Ok(()),
-            _ => Err(format!("{key} has values but no samples")),
-        };
-    }
-    let num = |name: &str| {
-        field(name)
-            .and_then(Json::as_f64)
-            .filter(|x| x.is_finite())
-            .ok_or_else(|| format!("{key}.{name} is not a finite number"))
-    };
-    let (mean, ci95, min, max) = (num("mean")?, num("ci95")?, num("min")?, num("max")?);
-    if !(min <= mean && mean <= max) {
-        return Err(format!("{key}: mean {mean} outside [min {min}, max {max}]"));
-    }
-    if ci95 < 0.0 {
-        return Err(format!("{key}.ci95 {ci95} is negative"));
-    }
-    Ok(())
-}
-
-/// `Err` unless the record's string `key` equals `declared`, the value
-/// the cell's manifest gives it ([`Sweep::check_record`] helper).
-pub fn check_declared(record: &Json, key: &str, declared: Option<&str>) -> Result<(), String> {
-    let declared = declared.ok_or_else(|| format!("manifest cell missing {key}"))?;
-    match record.get(key).and_then(Json::as_str) {
-        Some(got) if got == declared => Ok(()),
-        got => Err(format!("{key} {got:?} is not the manifest's {declared:?}")),
-    }
-}
-
 /// Check an `S` artifact: format, digest against the embedded manifest,
 /// the manifest's grid (at least one cell, unique ids), cell count,
-/// index order and ids against the manifest, then
-/// [`Sweep::check_record`] on every finished record, and the shape of
-/// an embedded telemetry section. Returns `(cells, flagged)`, where
+/// then [`check_cell`] on every cell, and the shape of an embedded
+/// telemetry section. Returns `(cells, flagged)`, where
 /// `flagged` counts error cells plus records that failed their check.
 pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
     let doc = parse(text).map_err(|e| e.to_string())?;
@@ -588,10 +543,8 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
     if format != Some(S::FORMAT) {
         return Err(format!("format is {format:?}, expected {:?}", S::FORMAT));
     }
-    let digest = doc
-        .get("digest")
-        .and_then(Json::as_str)
-        .ok_or("missing digest")?;
+    let digest = doc.get("digest").and_then(Json::as_str);
+    let digest = digest.ok_or("missing digest")?;
     let spec = doc.get("spec").ok_or("missing spec manifest")?;
     let recomputed = fnv1a_hex(&spec.to_string_compact());
     if digest != recomputed {
@@ -599,24 +552,14 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
             "digest {digest} does not match the embedded spec manifest ({recomputed})"
         ));
     }
-    let spec_cells = spec
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("spec manifest has no cells")?;
-    let declared_ids = spec_cells
+    let spec_cells = spec.get("cells").and_then(Json::as_arr);
+    let spec_cells = spec_cells.ok_or("spec manifest has no cells")?;
+    let ids: Vec<String> = spec_cells
         .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            c.get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("manifest cell {i}: missing id"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    check_grid(declared_ids.iter().copied()).map_err(|e| format!("spec manifest: {e}"))?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
+        .map(|c| declared(c, "id"))
+        .collect::<Result<_, _>>()?;
+    check_grid(ids.iter().map(String::as_str)).map_err(|e| format!("spec manifest: {e}"))?;
+    let cells = cells(&doc)?;
     if cells.len() != spec_cells.len() {
         return Err(format!(
             "artifact has {} cells but the spec declares {}",
@@ -625,26 +568,8 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
         ));
     }
     let mut flagged = 0;
-    for (i, ((cell, declared), &declared_id)) in
-        cells.iter().zip(spec_cells).zip(&declared_ids).enumerate()
-    {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        let id = cell
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if id != declared_id {
-            return Err(format!("cell {i}: id {id:?} is not the manifest's"));
-        }
-        if cell.get("error").is_some()
-            || !S::check_record(cell, declared).map_err(|e| format!("cell {i}: {e}"))?
-        {
+    for (i, (cell, declared)) in cells.iter().zip(spec_cells).enumerate() {
+        if !check_cell::<S>(i, cell, declared).map_err(|e| format!("cell {i}: {e}"))? {
             flagged += 1;
         }
     }
@@ -668,29 +593,27 @@ pub fn validate<S: Sweep>(text: &str) -> Result<(usize, usize), String> {
     Ok((cells.len(), flagged))
 }
 
-/// `dra check PATH`: validate `text` (read from
-/// `path`) as an `S` artifact and print the verdict. Fails on an
-/// invalid artifact and on any flagged cell.
-pub fn check<S: Sweep>(path: &Path, text: &str) -> ExitCode {
-    match validate::<S>(text) {
-        Ok((cells, flagged)) => {
-            println!(
-                "{}: valid {} artifact, {cells} cells, {flagged} flagged \
-                 (error cells or failed record checks)",
-                path.display(),
-                S::FORMAT
-            );
-            if flagged > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("{}: INVALID artifact: {e}", path.display());
-            ExitCode::FAILURE
-        }
+/// The check [`validate`] runs on artifact cell `i`, given its
+/// manifest entry `manifest`: the cell must read as `{cell, id, error}`
+/// or as `{cell, id, ..S::Record}`, carry index `i` and the declared
+/// id, and a record must pass [`Record::check`]. `Ok(false)` flags an
+/// error cell or a record that fails its check.
+pub fn check_cell<S: Sweep>(i: usize, cell: &Json, manifest: &Json) -> Result<bool, String> {
+    let cell: Cell<S::Record> = read(cell, String::new())?;
+    same("cell", &cell.index, &(i as u64))?;
+    same("id", &cell.id, &declared(manifest, "id")?)?;
+    match cell.error {
+        None => cell.record.check(manifest),
+        Some(_) => Ok(false),
     }
+}
+
+/// An artifact's cells, typed (`Err` for a malformed cell).
+pub fn records<S: Sweep>(artifact: &Json) -> Result<Vec<Cell<S::Record>>, String> {
+    cells(artifact)?
+        .iter()
+        .map(|c| read(c, String::new()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -709,56 +632,67 @@ mod tests {
         assert_eq!(fnv1a_hex("a"), "af63dc4c8601ec8c");
     }
 
-    /// A grid of bare ids whose records always pass their check.
-    struct Ids(Vec<&'static str>);
+    /// A grid of bare ids whose empty records always pass their check.
+    struct Id(&'static str);
 
-    impl Sweep for Ids {
-        const FORMAT: &'static str = "ids/v1";
-        fn name(&self) -> &str {
-            "ids"
+    #[derive(Default)]
+    struct Empty;
+
+    impl crate::record::Schema for Empty {
+        fn fields(&mut self, _: &mut crate::record::Fields) {}
+    }
+
+    impl Record for Empty {
+        const HEADERS: &'static [&'static str] = &["id"];
+        fn row(&self) -> Vec<String> {
+            vec![]
         }
-        fn description(&self) -> &str {
-            "bare ids"
-        }
-        fn master_seed(&self) -> u64 {
-            1
-        }
-        fn n_cells(&self) -> usize {
-            self.0.len()
-        }
-        fn cell_id(&self, i: usize) -> &str {
-            self.0[i]
-        }
-        fn cell_manifest(&self, i: usize) -> Json {
-            Json::obj(vec![("id", Json::Str(self.0[i].into()))])
-        }
-        fn validate(&self) -> Result<(), String> {
-            Ok(())
-        }
-        fn check_record(_: &Json, _: &Json) -> Result<bool, String> {
+        fn check(&self, _: &Json) -> Result<bool, String> {
             Ok(true)
         }
-        fn grid_table(&self) -> Table {
-            (vec![], vec![])
+    }
+
+    impl Sweep for Id {
+        const FORMAT: &'static str = "ids/v1";
+        type Record = Empty;
+        const GRID_HEADERS: &'static [&'static str] = &["id"];
+        fn id(&self) -> &str {
+            self.0
         }
-        fn result_table(_: &Json) -> Table {
-            (vec![], vec![])
+        fn manifest(&self) -> Json {
+            Json::obj(vec![("id", Json::Str(self.0.into()))])
+        }
+        fn validate(&self, _: usize) -> Result<(), String> {
+            Ok(())
+        }
+        fn grid_row(&self) -> Vec<String> {
+            vec![self.0.into()]
+        }
+    }
+
+    /// A grid of bare ids whose empty records always pass their check.
+    fn ids(ids: &[&'static str]) -> Grid<Id> {
+        Grid {
+            name: "ids".into(),
+            description: "bare ids".into(),
+            master_seed: 1,
+            cells: ids.iter().map(|&id| Id(id)).collect(),
         }
     }
 
     /// A well-formed artifact for `ids` (correct digest, one record
     /// per manifest cell), assembled without going through [`run`].
-    fn artifact(ids: Ids) -> String {
-        let records = (0..ids.n_cells())
+    fn artifact(ids: Grid<Id>) -> String {
+        let records = (0..ids.cells.len())
             .map(|i| {
                 Json::obj(vec![
                     ("cell", Json::Num(i as f64)),
-                    ("id", Json::Str(ids.cell_id(i).into())),
+                    ("id", Json::Str(ids.cells[i].0.into())),
                 ])
             })
             .collect();
         Json::obj(vec![
-            ("format", Json::Str(Ids::FORMAT.into())),
+            ("format", Json::Str(Id::FORMAT.into())),
             ("digest", Json::Str(ids.digest())),
             ("spec", ids.manifest()),
             ("cells", Json::Arr(records)),
@@ -768,10 +702,10 @@ mod tests {
 
     #[test]
     fn validate_checks_the_manifest_grid() {
-        assert_eq!(validate::<Ids>(&artifact(Ids(vec!["a", "b"]))), Ok((2, 0)));
-        let err = validate::<Ids>(&artifact(Ids(vec![]))).unwrap_err();
+        assert_eq!(validate::<Id>(&artifact(ids(&["a", "b"]))), Ok((2, 0)));
+        let err = validate::<Id>(&artifact(ids(&[]))).unwrap_err();
         assert!(err.contains("no cells"), "{err}");
-        let err = validate::<Ids>(&artifact(Ids(vec!["a", "b", "a"]))).unwrap_err();
+        let err = validate::<Id>(&artifact(ids(&["a", "b", "a"]))).unwrap_err();
         assert!(err.contains("duplicate cell id \"a\""), "{err}");
     }
 
@@ -781,22 +715,16 @@ mod tests {
             workers: 1,
             ..RunOptions::default()
         };
-        for ids in [vec![], vec!["a", "a"]] {
-            let err = run(&Ids(ids), &opts, |_| -> fn(usize) -> Json {
+        for cells in [&[][..], &["a", "a"]] {
+            let err = run(&ids(cells), &opts, |_| -> fn(usize) -> Empty {
                 unreachable!("no cell may be planned")
             })
             .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
-        let record = |i: usize| {
-            Json::obj(vec![
-                ("cell", Json::Num(i as f64)),
-                ("id", Json::Str("a".into())),
-            ])
-        };
-        let done = run(&Ids(vec!["a"]), &opts, |pending| {
+        let done = run(&ids(&["a"]), &opts, |pending| {
             assert_eq!(pending, [0]);
-            record
+            |_| Empty
         })
         .unwrap();
         assert_eq!(done.completed, 1);

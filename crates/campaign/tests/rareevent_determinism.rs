@@ -7,8 +7,8 @@
 //! containing a splitting cell per config — is the fixture.
 
 use dra_campaign::json::{parse, Json};
-use dra_campaign::rareevent::{build, run, RareCampaignSpec};
-use dra_campaign::sweep::{self, checkpoint_path, RunOptions, Sweep, CHECKPOINT_FORMAT};
+use dra_campaign::rareevent::{build, run, RareCellSpec};
+use dra_campaign::sweep::{self, checkpoint_path, RunOptions, CHECKPOINT_FORMAT};
 use std::fs;
 
 #[test]
@@ -70,7 +70,7 @@ fn artifact_files_are_byte_identical_across_worker_counts() {
     let _ = fs::remove_dir_all(&dir);
 
     // And the file that came out is a valid, fully CI-covered artifact.
-    let (cells, misses) = sweep::validate::<RareCampaignSpec>(&text).expect("valid artifact");
+    let (cells, misses) = sweep::validate::<RareCellSpec>(&text).expect("valid artifact");
     assert_eq!(cells, spec.cells.len());
     assert_eq!(misses, 0, "an estimator CI missed the exact answer");
 }

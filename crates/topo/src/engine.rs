@@ -15,13 +15,14 @@
 
 use crate::net::{Flow, Forwarding, NetAction, NetConfig, NetScenario, NetworkSim};
 use crate::seeds::{node_seed, NodeSeedStream};
-use crate::spec::{TopoCellSpec, TopoFaultSpec, TopoSpec};
+use crate::spec::{topology_from_manifest, TopoCellSpec, TopoFaultSpec, TopoSpec};
 use crate::stats::NetDropCause;
 use crate::topology::{Topology, TopologyKind};
 use dra_campaign::json::Json;
 use dra_campaign::pool::default_workers;
+use dra_campaign::record::{declared, same, Fields, Record, Schema, Stat};
 use dra_campaign::seed::{derive_seed, Stream};
-use dra_campaign::sweep::{self, welford_json, RunOptions};
+use dra_campaign::sweep::{self, RunOptions};
 use dra_core::scenario::FaultProcess;
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
@@ -174,7 +175,7 @@ impl SharedForwarding {
 
 /// [`run_cell`] on the sweep's shared forwarding state, counting the
 /// cell finished however it ends.
-fn run_shared_cell(spec: &TopoSpec, index: usize, shared: &SharedForwarding) -> Json {
+fn run_shared_cell(spec: &TopoSpec, index: usize, shared: &SharedForwarding) -> TopoRecord {
     struct Finish<'a>(&'a SharedForwarding, TopologyKind);
     impl Drop for Finish<'_> {
         fn drop(&mut self) {
@@ -192,14 +193,14 @@ fn run_shared_cell(spec: &TopoSpec, index: usize, shared: &SharedForwarding) -> 
 /// packet-conservation invariant per cell. Returns `(cells,
 /// error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
-    sweep::validate::<TopoSpec>(text)
+    sweep::validate::<TopoCellSpec>(text)
 }
 
 /// `k` indices spread evenly over `0..n` (deterministic fault-target
 /// selection: same targets for both architectures of a twin pair).
 /// Distinct for every `k ≤ n`; larger `k` repeats targets, which is why
 /// [`Sweep::validate`](dra_campaign::sweep::Sweep::validate) on a
-/// [`TopoSpec`] rejects `FailRouters` with more routers than the
+/// [`TopoCellSpec`] rejects `FailRouters` with more routers than the
 /// topology has.
 pub(crate) fn spread_targets(n: usize, k: u32) -> Vec<u32> {
     (0..k as usize)
@@ -322,21 +323,112 @@ fn network_on(
     net
 }
 
+/// A `dra-topo/v1` cell record. Counts are summed over replications;
+/// `delivery_ratio` and `flow_availability` (the fraction of flows
+/// delivering at least 99%) have a sample per replication, `latency_s`
+/// and `hops` one per replication that delivered a packet.
+#[derive(Debug, Default)]
+pub struct TopoRecord {
+    arch: String,
+    topology: String,
+    nodes: u64,
+    links: u64,
+    replications: u64,
+    injected: u64,
+    delivered: u64,
+    in_flight: u64,
+    drops: [u64; 8],
+    delivery_ratio: Stat,
+    flow_availability: Stat,
+    latency_s: Stat,
+    hops: Stat,
+}
+
+impl Schema for TopoRecord {
+    fn fields(&mut self, f: &mut Fields) {
+        f.field("arch", &mut self.arch);
+        f.field("topology", &mut self.topology);
+        f.field("nodes", &mut self.nodes);
+        f.field("links", &mut self.links);
+        f.field("replications", &mut self.replications);
+        f.field("injected", &mut self.injected);
+        f.field("delivered", &mut self.delivered);
+        f.field("in_flight", &mut self.in_flight);
+        let causes = NetDropCause::ALL.map(NetDropCause::name);
+        f.counts("drops", &causes, &mut self.drops);
+        f.field("delivery_ratio", &mut self.delivery_ratio);
+        f.field("flow_availability", &mut self.flow_availability);
+        f.field("latency_s", &mut self.latency_s);
+        f.field("hops", &mut self.hops);
+    }
+}
+
+impl Record for TopoRecord {
+    const HEADERS: &'static [&'static str] =
+        &["id", "injected", "delivery", "flow_avail", "latency_us"];
+
+    fn row(&self) -> Vec<String> {
+        vec![
+            self.injected.to_string(),
+            format!("{:.6}", self.delivery_ratio.mean),
+            format!("{:.4}", self.flow_availability.mean),
+            match self.latency_s.n {
+                0 => String::new(),
+                _ => format!("{:.1}", self.latency_s.mean * 1e6),
+            },
+        ]
+    }
+
+    /// The cell's `arch`, `topology` (its manifest rendered to a label)
+    /// and replications; a delivery-ratio and a flow-availability sample
+    /// per replication, both in `[0, 1]`; network packet conservation
+    /// (`injected = delivered + dropped + in_flight`); and no packet
+    /// over its hop budget: the budget is the routed diameter and routes
+    /// are loop-free min-hop, so a `ttl_exceeded` drop is a routing bug.
+    fn check(&self, cell: &Json) -> Result<bool, String> {
+        same("arch", &self.arch, &declared(cell, "arch")?)?;
+        let topology = cell.get("topology").and_then(topology_from_manifest);
+        let topology = topology.ok_or("manifest cell has no valid topology")?;
+        same("topology", &self.topology, &topology.label())?;
+        let reps = declared(cell, "replications")?;
+        same("replications", &self.replications, &reps)?;
+        self.delivery_ratio.check("delivery_ratio", reps, true)?;
+        self.delivery_ratio.unit("delivery_ratio")?;
+        self.flow_availability
+            .check("flow_availability", reps, true)?;
+        self.flow_availability.unit("flow_availability")?;
+        self.latency_s.check("latency_s", reps, false)?;
+        self.hops.check("hops", reps, false)?;
+        let (inj, del, fly) = (self.injected, self.delivered, self.in_flight);
+        let dropped: u64 = self.drops.iter().sum();
+        if inj != del + dropped + fly {
+            return Err(format!(
+                "conservation violated: {inj} != {del} + {dropped} + {fly}"
+            ));
+        }
+        match self.drops[NetDropCause::TtlExceeded.index()] {
+            0 => Ok(true),
+            ttl => Err(format!("{ttl} packets exceeded the hop budget")),
+        }
+    }
+}
+
 /// Run every replication of one cell, each on the network
-/// `network(rep)` builds, and reduce to its JSON record. When the sweep
+/// `network(rep)` builds, and reduce to its record. When the sweep
 /// envelope armed this thread's telemetry hub, each replication also
 /// hands its network scope and flow trace to the hub.
-fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) -> Json {
+fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) -> TopoRecord {
     let cell = &spec.cells[index];
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut in_flight = 0u64;
-    let mut drops = [0u64; 8];
+    let mut record = TopoRecord {
+        arch: cell.arch.label().into(),
+        topology: cell.topology.label(),
+        replications: cell.replications.into(),
+        ..TopoRecord::default()
+    };
     let mut delivery = Welford::new();
     let mut flow_avail = Welford::new();
     let mut latency = Welford::new();
     let mut hops = Welford::new();
-    let (mut n_nodes, mut n_links) = (0, 0);
     for rep in 0..cell.replications {
         let mut net = network(rep);
         if let Some(every) = dra_telemetry::sample_every() {
@@ -344,8 +436,8 @@ fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) 
             // bytes do not change.
             net.enable_net_telemetry(every);
         }
-        n_nodes = net.topo.n_nodes();
-        n_links = net.topo.n_links();
+        record.nodes = net.topo.n_nodes() as u64;
+        record.links = net.topo.n_links() as u64;
         let sim_seed = derive_seed(
             spec.master_seed,
             cell.seed_group,
@@ -355,10 +447,10 @@ fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) 
         let mut net = net.run(sim_seed, cell.horizon_s);
         let s = &net.stats;
         assert!(s.conserved(), "{}: packet conservation violated", cell.id);
-        injected += s.injected;
-        delivered += s.delivered;
-        in_flight += s.in_flight;
-        for (acc, d) in drops.iter_mut().zip(s.drops) {
+        record.injected += s.injected;
+        record.delivered += s.delivered;
+        record.in_flight += s.in_flight;
+        for (acc, d) in record.drops.iter_mut().zip(s.drops) {
             *acc += d;
         }
         delivery.push(s.delivery_ratio());
@@ -376,31 +468,11 @@ fn run_cell(spec: &TopoSpec, index: usize, network: impl Fn(u32) -> NetworkSim) 
             dra_telemetry::absorb(&report.snapshot, report.trace);
         }
     }
-    Json::obj(vec![
-        ("cell", Json::Num(index as f64)),
-        ("id", Json::Str(cell.id.clone())),
-        ("arch", Json::Str(cell.arch.label().into())),
-        ("topology", Json::Str(cell.topology.label())),
-        ("nodes", Json::Num(n_nodes as f64)),
-        ("links", Json::Num(n_links as f64)),
-        ("replications", Json::Num(cell.replications as f64)),
-        ("injected", Json::Num(injected as f64)),
-        ("delivered", Json::Num(delivered as f64)),
-        ("in_flight", Json::Num(in_flight as f64)),
-        (
-            "drops",
-            Json::Obj(
-                NetDropCause::ALL
-                    .iter()
-                    .map(|c| (c.name().to_string(), Json::Num(drops[c.index()] as f64)))
-                    .collect(),
-            ),
-        ),
-        ("delivery_ratio", welford_json(&delivery)),
-        ("flow_availability", welford_json(&flow_avail)),
-        ("latency_s", welford_json(&latency)),
-        ("hops", welford_json(&hops)),
-    ])
+    record.delivery_ratio = Stat::from(&delivery);
+    record.flow_availability = Stat::from(&flow_avail);
+    record.latency_s = Stat::from(&latency);
+    record.hops = Stat::from(&hops);
+    record
 }
 
 #[cfg(test)]
@@ -410,7 +482,6 @@ mod tests {
     use crate::spec::FlowSpec;
     use crate::topology::TopologyKind;
     use dra_campaign::json::parse;
-    use dra_campaign::sweep::Sweep;
     use dra_campaign::sweep::{checkpoint_path, CHECKPOINT_FORMAT};
     use dra_core::health::ArchKind;
 
@@ -705,6 +776,49 @@ mod tests {
         );
         assert!(!checkpoint_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ttl_drop_fails_the_record_check() {
+        // One replication's statistic: every value `v`.
+        let stat = |v: f64| Stat {
+            n: 1,
+            mean: v,
+            ci95: 0.0,
+            min: v,
+            max: v,
+        };
+        let record = |ttl: u64| {
+            let mut drops = [0; 8];
+            drops[NetDropCause::TtlExceeded.index()] = ttl;
+            TopoRecord {
+                arch: "dra".into(),
+                topology: "fat-tree-k4".into(),
+                replications: 1,
+                injected: 10,
+                delivered: 10 - ttl,
+                drops,
+                delivery_ratio: stat(1.0 - ttl as f64 / 10.0),
+                flow_availability: stat(1.0),
+                latency_s: stat(1e-5),
+                hops: stat(2.0),
+                ..TopoRecord::default()
+            }
+        };
+        let cell = Json::obj(vec![
+            ("arch", Json::Str("dra".into())),
+            (
+                "topology",
+                Json::obj(vec![
+                    ("kind", Json::Str("fat_tree".into())),
+                    ("k", Json::Num(4.0)),
+                ]),
+            ),
+            ("replications", Json::Num(1.0)),
+        ]);
+        assert_eq!(record(0).check(&cell), Ok(true));
+        let err = record(3).check(&cell).unwrap_err();
+        assert!(err.contains("3 packets exceeded"), "{err}");
     }
 
     #[test]

@@ -13,17 +13,10 @@
 //! the paper could not run: its evaluation was Markov models only.
 
 use dra::campaign::engine::{run, RunOptions};
-use dra::campaign::json::Json;
-use dra::campaign::registry;
-use dra::campaign::report::{artifact_table, print_table};
-use dra::campaign::Sweep;
-
-fn cell_delivery(cell: &Json) -> f64 {
-    cell.get("delivery")
-        .and_then(|d| d.get("mean"))
-        .and_then(Json::as_f64)
-        .unwrap_or(f64::NAN)
-}
+use dra::campaign::record::result_table;
+use dra::campaign::report::print_table;
+use dra::campaign::sweep::records;
+use dra::campaign::{registry, CellSpec};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -39,7 +32,8 @@ fn main() {
 
     let outcome = run(&spec, &RunOptions::default()).expect("campaign runs");
     let artifact = outcome.artifact.expect("campaign completed");
-    let (headers, rows) = artifact_table(&artifact);
+    let cells = records::<CellSpec>(&artifact).expect("a validated artifact");
+    let (headers, rows) = result_table(&cells);
     print_table(
         "BDR vs DRA under identical sampled fault/repair schedules",
         &headers,
@@ -47,13 +41,9 @@ fn main() {
     );
 
     // Paired contrast: cells come in (BDR, DRA) pairs per load.
-    let cells = artifact
-        .get("cells")
-        .and_then(Json::as_arr)
-        .expect("artifact cells");
     println!();
     for (pair, &load) in cells.chunks(2).zip(registry::faceoff_loads(quick)) {
-        let (bdr, dra) = (cell_delivery(&pair[0]), cell_delivery(&pair[1]));
+        let (bdr, dra) = (pair[0].record.delivery.mean, pair[1].record.delivery.mean);
         println!(
             "  load {:>3.0}%: DRA recovers {:.2} points of delivery over BDR \
              ({:.2}% -> {:.2}%)",

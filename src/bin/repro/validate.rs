@@ -13,9 +13,10 @@
 //! Run with `--release` (the packet simulations move millions of
 //! events); add `--quick` for a reduced sweep.
 
-use dra::campaign::json::Json;
+use dra::campaign::engine::CampaignRecord;
 use dra::campaign::report::print_table;
-use dra::campaign::{registry, RunOptions};
+use dra::campaign::sweep::records;
+use dra::campaign::{registry, CellSpec, RunOptions};
 use dra::core::analysis::degradation::{b_faulty_fraction, DegradationParams};
 use dra::core::analysis::reliability::{dra_model, reliability_curve, DraParams, TprimeSemantics};
 use dra::core::montecarlo::{inflated_rates, run_bdr_mc, run_dra_mc, McConfig, McMode};
@@ -92,23 +93,13 @@ fn validate_markov_vs_mc(quick: bool) {
 /// Ingress delivery fraction of the first `x` (faulty) linecards over
 /// the post-failure window, read from a campaign cell's per-LC window
 /// counters.
-fn faulty_fraction(cell: &Json, x: usize) -> f64 {
-    let window = cell.get("window").expect("cell window");
-    let sum_first = |key: &str| -> f64 {
-        window
-            .get(key)
-            .and_then(Json::as_arr)
-            .expect("window array")[..x]
-            .iter()
-            .map(|v| v.as_f64().expect("byte count"))
-            .sum()
-    };
-    let offered = sum_first("offered_bytes");
-    let delivered = sum_first("delivered_bytes");
-    if offered == 0.0 {
+fn faulty_fraction(record: &CampaignRecord, x: usize) -> f64 {
+    let offered: u64 = record.offered_bytes[..x].iter().sum();
+    let delivered: u64 = record.delivered_bytes[..x].iter().sum();
+    if offered == 0 {
         1.0
     } else {
-        delivered / offered
+        delivered as f64 / offered as f64
     }
 }
 
@@ -118,10 +109,11 @@ fn validate_fig8(quick: bool) {
     let spec = registry::build("fig8", quick).expect("built-in fig8 spec");
     let outcome = dra::campaign::run(&spec, &RunOptions::default()).expect("fig8 campaign runs");
     let artifact = outcome.artifact.expect("campaign completed");
-    let cells = artifact
-        .get("cells")
-        .and_then(Json::as_arr)
-        .expect("artifact cells");
+    let cells: Vec<CampaignRecord> = records::<CellSpec>(&artifact)
+        .expect("a validated artifact")
+        .into_iter()
+        .map(|c| c.record)
+        .collect();
 
     let mut rows = Vec::new();
     for (li, &load) in loads.iter().enumerate() {

@@ -7,11 +7,12 @@
 
 use crate::args::{Args, Grammar};
 use dra::campaign::json::{parse, Json};
-use dra::campaign::rareevent::{self, RareCampaignSpec};
+use dra::campaign::rareevent::{self, RareCampaignSpec, RareCellSpec};
+use dra::campaign::record::result_table;
 use dra::campaign::report::{print_csv, print_table};
-use dra::campaign::sweep::{self, Outcome, RunOptions, Sweep};
-use dra::campaign::{pool, registry, CampaignSpec};
-use dra::topo::TopoSpec;
+use dra::campaign::sweep::{self, Grid, Outcome, RunOptions, Sweep};
+use dra::campaign::{pool, registry, CampaignSpec, CellSpec};
+use dra::topo::{TopoCellSpec, TopoSpec};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -46,39 +47,25 @@ trait Kind: Sweep + Sized {
     /// `dra run` flags this kind has no use for.
     const INAPPLICABLE: &'static [&'static str];
     /// The registry spec `name` (`quick` shrinks it for CI).
-    fn build(name: &str, quick: bool) -> Option<Self>;
-    /// Apply `--seed`, and `--replications` where it applies.
-    fn tune(&mut self, args: &Args) -> Result<(), String>;
+    const BUILD: fn(&str, bool) -> Option<Grid<Self>>;
     /// Run the sweep.
-    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome>;
+    const EXECUTE: fn(&Grid<Self>, &RunOptions) -> io::Result<Outcome>;
+    /// Apply `--replications` (only kinds that take the flag see it).
+    fn set_replications(&mut self, _: usize) {}
 }
 
-impl Kind for CampaignSpec {
+impl Kind for CellSpec {
     const NAMES: &'static [&'static str] = &registry::NAMES;
     const INAPPLICABLE: &'static [&'static str] = &[];
+    const BUILD: fn(&str, bool) -> Option<CampaignSpec> = registry::build;
+    const EXECUTE: fn(&CampaignSpec, &RunOptions) -> io::Result<Outcome> = dra::campaign::run;
 
-    fn build(name: &str, quick: bool) -> Option<Self> {
-        registry::build(name, quick)
-    }
-
-    fn tune(&mut self, args: &Args) -> Result<(), String> {
-        if let Some(seed) = args.value("--seed")? {
-            self.master_seed = seed;
-        }
-        if let Some(reps) = args.value("--replications")? {
-            for cell in &mut self.cells {
-                cell.replications = reps;
-            }
-        }
-        Ok(())
-    }
-
-    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
-        dra::campaign::run(self, opts)
+    fn set_replications(&mut self, replications: usize) {
+        self.replications = replications;
     }
 }
 
-impl Kind for RareCampaignSpec {
+impl Kind for RareCellSpec {
     const NAMES: &'static [&'static str] = &rareevent::NAMES;
     const INAPPLICABLE: &'static [&'static str] = &[
         "--replications",
@@ -86,41 +73,15 @@ impl Kind for RareCampaignSpec {
         "--telemetry-out",
         "--trace-out",
     ];
-
-    fn build(name: &str, quick: bool) -> Option<Self> {
-        rareevent::build(name, quick)
-    }
-
-    fn tune(&mut self, args: &Args) -> Result<(), String> {
-        if let Some(seed) = args.value("--seed")? {
-            self.master_seed = seed;
-        }
-        Ok(())
-    }
-
-    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
-        rareevent::run(self, opts)
-    }
+    const BUILD: fn(&str, bool) -> Option<RareCampaignSpec> = rareevent::build;
+    const EXECUTE: fn(&RareCampaignSpec, &RunOptions) -> io::Result<Outcome> = rareevent::run;
 }
 
-impl Kind for TopoSpec {
+impl Kind for TopoCellSpec {
     const NAMES: &'static [&'static str] = &dra::topo::registry::NAMES;
     const INAPPLICABLE: &'static [&'static str] = &["--replications"];
-
-    fn build(name: &str, quick: bool) -> Option<Self> {
-        dra::topo::registry::spec_by_name(name, quick)
-    }
-
-    fn tune(&mut self, args: &Args) -> Result<(), String> {
-        if let Some(seed) = args.value("--seed")? {
-            self.master_seed = seed;
-        }
-        Ok(())
-    }
-
-    fn execute(&self, opts: &RunOptions) -> io::Result<Outcome> {
-        dra::topo::run_with(self, opts)
-    }
+    const BUILD: fn(&str, bool) -> Option<TopoSpec> = dra::topo::registry::spec_by_name;
+    const EXECUTE: fn(&TopoSpec, &RunOptions) -> io::Result<Outcome> = dra::topo::run_with;
 }
 
 /// One sweep kind, as the registry holds it.
@@ -129,7 +90,7 @@ pub struct Entry {
     format: &'static str,
     inapplicable: &'static [&'static str],
     run: fn(&Args) -> Result<ExitCode, String>,
-    check: fn(&Path, &str) -> ExitCode,
+    check: fn(&str) -> Result<(usize, usize), String>,
     describe: fn(&str) -> Vec<String>,
 }
 
@@ -140,7 +101,7 @@ impl Entry {
             format: K::FORMAT,
             inapplicable: K::INAPPLICABLE,
             run: run_kind::<K>,
-            check: sweep::check::<K>,
+            check: sweep::validate::<K>,
             describe: describe::<K>,
         }
     }
@@ -148,9 +109,9 @@ impl Entry {
 
 /// Every sweep kind. Their registry names are disjoint.
 const KINDS: [Entry; 3] = [
-    Entry::of::<CampaignSpec>(),
-    Entry::of::<RareCampaignSpec>(),
-    Entry::of::<TopoSpec>(),
+    Entry::of::<CellSpec>(),
+    Entry::of::<RareCellSpec>(),
+    Entry::of::<TopoCellSpec>(),
 ];
 
 /// The kind registering `SPEC`, once the flags are known to apply to
@@ -186,8 +147,15 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn run_kind<K: Kind>(args: &Args) -> Result<ExitCode, String> {
-    let mut spec = K::build(args.operand(0), args.switch("--quick")).expect("registered name");
-    spec.tune(args)?;
+    let mut spec = (K::BUILD)(args.operand(0), args.switch("--quick")).expect("registered name");
+    if let Some(seed) = args.value("--seed")? {
+        spec.master_seed = seed;
+    }
+    if let Some(replications) = args.value("--replications")? {
+        spec.cells
+            .iter_mut()
+            .for_each(|c| c.set_replications(replications));
+    }
     let out = if args.switch("--no-out") {
         None
     } else {
@@ -206,29 +174,29 @@ fn run_kind<K: Kind>(args: &Args) -> Result<ExitCode, String> {
         trace_out: args.value("--trace-out")?,
     };
     if args.switch("--dry-run") {
-        let (headers, rows) = spec.grid_table();
+        let rows: Vec<_> = spec.cells.iter().map(K::grid_row).collect();
         print_table(
-            &format!("{} [{}] — dry run", spec.name(), spec.digest()),
-            &headers,
+            &format!("{} [{}] — dry run", spec.name, spec.digest()),
+            K::GRID_HEADERS,
             &rows,
         );
         println!(
             "{} cells, master seed {}; nothing simulated",
-            spec.n_cells(),
-            spec.master_seed()
+            spec.cells.len(),
+            spec.master_seed
         );
         return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "{} {:?}: {} cells, master seed {}, digest {}, {} workers",
         K::FORMAT,
-        spec.name(),
-        spec.n_cells(),
-        spec.master_seed(),
+        spec.name,
+        spec.cells.len(),
+        spec.master_seed,
         spec.digest(),
         opts.workers
     );
-    let outcome = match spec.execute(&opts) {
+    let outcome = match (K::EXECUTE)(&spec, &opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sweep failed: {e}");
@@ -243,11 +211,12 @@ fn run_kind<K: Kind>(args: &Args) -> Result<ExitCode, String> {
         eprintln!("cell budget exhausted; re-run to resume");
         return Ok(ExitCode::SUCCESS);
     };
-    let (headers, rows) = K::result_table(artifact);
+    let cells = sweep::records::<K>(artifact).expect("a validated artifact");
+    let (headers, rows) = result_table(&cells);
     if args.switch("--csv") {
         print_csv(&headers, &rows);
     } else {
-        print_table(spec.name(), &headers, &rows);
+        print_table(&spec.name, &headers, &rows);
     }
     if let Some(path) = &outcome.artifact_path {
         eprintln!("artifact: {}", path.display());
@@ -285,9 +254,23 @@ pub fn check(args: &Args) -> Result<ExitCode, String> {
     let Some(format) = doc.get("format").and_then(Json::as_str) else {
         return Ok(invalid("no format field".into()));
     };
-    Ok(match KINDS.iter().find(|k| k.format == format) {
-        Some(kind) => (kind.check)(path, &text),
-        None => invalid(format!("unknown format {format:?}")),
+    let Some(kind) = KINDS.iter().find(|k| k.format == format) else {
+        return Ok(invalid(format!("unknown format {format:?}")));
+    };
+    Ok(match (kind.check)(&text) {
+        Ok((cells, flagged)) => {
+            println!(
+                "{}: valid {format} artifact, {cells} cells, {flagged} flagged \
+                 (error cells or failed record checks)",
+                path.display()
+            );
+            if flagged > 0 {
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
+        Err(e) => invalid(e),
     })
 }
 
@@ -306,12 +289,12 @@ pub fn list(_: &Args) -> Result<ExitCode, String> {
 }
 
 fn describe<K: Kind>(name: &str) -> Vec<String> {
-    let spec = K::build(name, false).expect("registered name");
+    let spec = (K::BUILD)(name, false).expect("registered name");
     vec![
         name.to_string(),
         K::FORMAT.to_string(),
-        spec.n_cells().to_string(),
-        spec.description()
+        spec.cells.len().to_string(),
+        spec.description
             .split_whitespace()
             .collect::<Vec<_>>()
             .join(" "),

@@ -4,6 +4,7 @@
 //! run — the property that makes long campaigns safe to kill.
 
 use dra::campaign::engine::{run, validate_artifact, RunOptions};
+use dra::campaign::json::{parse, Json};
 use dra::campaign::registry;
 use dra::campaign::spec::CampaignSpec;
 use dra::campaign::sweep::checkpoint_path;
@@ -87,6 +88,58 @@ fn interrupted_campaign_resumes_to_identical_artifact() {
     let (cells, errors) = validate_artifact(&resumed_text).expect("valid artifact");
     assert_eq!((cells, errors), (spec.cells.len(), 0));
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint line is resumed only when it is a well-formed record of
+/// its cell: lines for cells past the grid, with another cell's id, or
+/// with a mistyped field are re-run, so the resumed artifact is still
+/// byte-identical to a fresh one.
+#[test]
+fn malformed_checkpoint_lines_are_rerun() {
+    let dir = temp_dir("junk");
+    let spec = quick_spec();
+    let opts = |out: &str, cell_budget| RunOptions {
+        workers: 1,
+        out: Some(dir.join(out)),
+        cell_budget,
+        ..RunOptions::default()
+    };
+    let fresh = run(&spec, &opts("fresh.json", None)).expect("fresh run");
+    let first = run(&spec, &opts("resumed.json", Some(1))).expect("budgeted run");
+    assert_eq!(first.completed, 1);
+
+    let doc = parse(&fresh.artifact_text).expect("artifact parses");
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells");
+    let edited = |i: usize, key: &str, value: Json| {
+        let mut record = cells[i].clone();
+        if let Json::Obj(members) = &mut record {
+            members.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
+        }
+        record.to_string_compact()
+    };
+    let junk = [
+        edited(0, "cell", Json::Num(999.0)),
+        edited(0, "cell", Json::Num(998.0)),
+        edited(1, "id", Json::Str(spec.cells[0].id.clone())),
+        edited(1, "replications", Json::Str("x".into())),
+    ];
+    let ckpt = checkpoint_path(&dir.join("resumed.json"));
+    let mut text = fs::read_to_string(&ckpt).expect("checkpoint");
+    for line in &junk {
+        text.push_str(line);
+        text.push('\n');
+    }
+    fs::write(&ckpt, text).expect("append junk");
+
+    let resumed = run(&spec, &opts("resumed.json", None)).expect("resumed run");
+    assert_eq!(resumed.resumed, 1, "only the real cell 0 line resumes");
+    assert_eq!(resumed.completed, spec.cells.len() - 1);
+    assert_eq!(resumed.remaining, 0);
+    assert_eq!(
+        fs::read_to_string(dir.join("resumed.json")).expect("resumed artifact"),
+        fresh.artifact_text
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -14,10 +14,10 @@
 //! in `benchmark/src` also counts as a caller. Each file is read up to
 //! its first line-start `#[cfg(test)]`; files declared as `#[cfg(test)]`
 //! modules, items marked `#[cfg(test)]`, comments, string literals and
-//! `use` declarations are skipped. A name is unreferenced when its
-//! identifier occurs no more often than it is defined. The scan is by
-//! name, so a function that shares its name with a called one (`new`,
-//! `len`, or a module of the same name) passes unseen.
+//! `use` and `mod` declarations are skipped. A name is unreferenced
+//! when its identifier occurs no more often than it is defined. The
+//! scan is by name, so a function that shares its name with a called
+//! one (`new`, `len`) passes unseen.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -26,6 +26,10 @@ use std::path::{Path, PathBuf};
 /// Public functions no production path calls, each kept for the test
 /// in another target that calls it.
 const KEEP: &[(&str, &str)] = &[
+    (
+        "expm",
+        "dra-markov's transient_expm test reference exponentiates with it",
+    ),
     (
         "pending_actions",
         "crates/topo/tests/health_differential.rs pins NodeHealth to it",
@@ -147,6 +151,10 @@ fn production_text(text: &str) -> String {
         }
         if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
             skip_use = true;
+        }
+        // A module declaration names a file, not a function.
+        if trimmed.ends_with(';') && trimmed.split_whitespace().any(|w| w == "mod") {
+            continue;
         }
         if skip_use {
             skip_use = !trimmed.ends_with(';');

@@ -1,14 +1,14 @@
 //! `dra check` reads every record against its manifest cell. The
 //! artifact digest covers only the spec, so a hand-edited record must
-//! fail its kind's `check_record`: each test edits one field of a
-//! record of a committed artifact and expects validation to reject
-//! it.
+//! fail to read as its kind's record or fail its `Record::check`: each
+//! test edits one field of a record of a committed artifact and
+//! expects validation to reject it.
 
 use dra::campaign::json::{parse, Json};
-use dra::campaign::rareevent::RareCampaignSpec;
-use dra::campaign::spec::CampaignSpec;
+use dra::campaign::rareevent::RareCellSpec;
+use dra::campaign::spec::CellSpec;
 use dra::campaign::sweep::{validate, Sweep};
-use dra::topo::spec::TopoSpec;
+use dra::topo::spec::TopoCellSpec;
 use std::fs;
 
 /// The committed artifact `results/<name>.json`.
@@ -68,12 +68,12 @@ fn rejects_edits<S: Sweep>(name: &str, edits: &[(&str, &str)]) {
 
 #[test]
 fn campaign_records_are_checked_against_their_cells() {
-    rejects_edits::<CampaignSpec>("faceoff", &[("arch", "nonsense")]);
+    rejects_edits::<CellSpec>("faceoff", &[("arch", "nonsense")]);
 }
 
 #[test]
 fn topo_records_are_checked_against_their_cells() {
-    rejects_edits::<TopoSpec>(
+    rejects_edits::<TopoCellSpec>(
         "topo_resilience",
         &[
             ("arch", "nonsense"),
@@ -85,7 +85,7 @@ fn topo_records_are_checked_against_their_cells() {
 
 #[test]
 fn rare_event_records_are_checked_against_their_cells() {
-    rejects_edits::<RareCampaignSpec>("rare_event", &[("method", "x")]);
+    rejects_edits::<RareCellSpec>("rare_event", &[("method", "x")]);
 }
 
 /// A replication statistic must be `{n}` or a finite `{n, mean, ci95,
@@ -120,7 +120,7 @@ fn replication_statistics_are_checked() {
         ),
     ];
     for (key, edited) in &edits {
-        let err = validate::<TopoSpec>(edited).expect_err(key);
+        let err = validate::<TopoCellSpec>(edited).expect_err(key);
         assert!(err.contains(key), "{key}: {err}");
     }
     let edits = [
@@ -134,7 +134,7 @@ fn replication_statistics_are_checked() {
         ),
     ];
     for (key, edited) in &edits {
-        let err = validate::<CampaignSpec>(edited).expect_err(key);
+        let err = validate::<CellSpec>(edited).expect_err(key);
         assert!(err.contains(key), "{key}: {err}");
     }
 }
