@@ -24,7 +24,7 @@ pub use crate::sweep::{Outcome as CampaignOutcome, RunOptions};
 
 /// Execute a campaign.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOutcome> {
-    sweep::run(spec, opts, |_| |i| run_cell(spec, i))
+    sweep::run(spec, opts, |i| run_cell(spec, i))
 }
 
 /// Validate a `dra-campaign/v1` artifact, as `dra check` does. Returns

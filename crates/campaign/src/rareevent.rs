@@ -216,7 +216,7 @@ pub fn run(spec: &RareCampaignSpec, opts: &RunOptions) -> std::io::Result<Outcom
             "rare-event sweeps collect no telemetry",
         ));
     }
-    sweep::run(spec, opts, |_| |i| run_cell(spec, i))
+    sweep::run(spec, opts, |i| run_cell(spec, i))
 }
 
 /// Run one cell: estimator + exact oracle + coverage verdicts.

@@ -207,26 +207,25 @@ pub struct Outcome {
 /// Execute a sweep and assemble, validate and (with `opts.out`)
 /// atomically write its artifact.
 ///
-/// `plan(pending)` is called once, with the indices of the cells this
-/// invocation computes (ascending: the grid less the checkpointed
-/// cells, cut to any cell budget), and returns the function that
-/// computes cell `i`'s record, which the envelope serializes. A kind
-/// sizes per-invocation state from `pending` — state shared by several
-/// cells, engine widths — so a resumed or budgeted run plans for the
-/// cells it actually runs. A run
-/// that collects telemetry (see the module docs) neither resumes from
-/// nor writes a checkpoint, because a merged document must cover every
-/// cell.
+/// `run_cell(i)` computes cell `i`'s record, which the envelope
+/// serializes; it is called once for each cell this invocation computes
+/// (the grid less the checkpointed cells, cut to any cell budget), from
+/// the worker threads. State a kind shares between cells (a topo
+/// sweep's forwarding tables) is filled lazily by the cells that use
+/// it, so a resumed or budgeted run builds only what its cells need. A
+/// run that collects telemetry (see the module docs) neither resumes
+/// from nor writes a checkpoint, because a merged document must cover
+/// every cell.
 ///
 /// A spec that fails [`check_spec`] is an
 /// [`io::ErrorKind::InvalidInput`] error, and so is a `cell_budget` on
 /// a run that collects telemetry (without a checkpoint a budgeted run
 /// could never finish). An assembled artifact that fails [`validate`]
 /// is [`io::ErrorKind::InvalidData`].
-pub fn run<S: Sweep, C: Fn(usize) -> S::Record + Sync>(
+pub fn run<S: Sweep>(
     spec: &Grid<S>,
     opts: &RunOptions,
-    plan: impl FnOnce(&[usize]) -> C,
+    run_cell: impl Fn(usize) -> S::Record + Sync,
 ) -> io::Result<Outcome> {
     check_spec(spec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     if opts.cell_budget.is_some() && opts.collects_telemetry() {
@@ -291,7 +290,6 @@ pub fn run<S: Sweep, C: Fn(usize) -> S::Record + Sync>(
         }
     };
 
-    let run_cell = plan(&pending);
     let heartbeat_done = AtomicUsize::new(0);
     let heartbeat_start = Instant::now();
     let outcomes = WorkerPool::new(opts.workers).try_map(pending.clone(), |&i| {
@@ -716,15 +714,15 @@ mod tests {
             ..RunOptions::default()
         };
         for cells in [&[][..], &["a", "a"]] {
-            let err = run(&ids(cells), &opts, |_| -> fn(usize) -> Empty {
-                unreachable!("no cell may be planned")
+            let err = run(&ids(cells), &opts, |_| -> Empty {
+                unreachable!("no cell may run")
             })
             .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
-        let done = run(&ids(&["a"]), &opts, |pending| {
-            assert_eq!(pending, [0]);
-            |_| Empty
+        let done = run(&ids(&["a"]), &opts, |i| {
+            assert_eq!(i, 0);
+            Empty
         })
         .unwrap();
         assert_eq!(done.completed, 1);

@@ -14,17 +14,18 @@
 //! single-router simulators' own: BDR needs a card standalone-healthy
 //! ([`LcComponents::operational_standalone`]); DRA also accepts cards
 //! the §3.2 coverage rules rescue (`lc_serviceable_with`). Queries
-//! are field reads, and [`NodeHealth::advance_to`] is a cursor step
-//! over the attached fault timeline.
+//! are field reads. The state holds no timeline: the network engine
+//! applies every fault, scripted or sampled, as a scheduled event
+//! through [`NodeHealth::apply`].
 //!
 //! The full simulators ([`DraRouter`](crate::sim::DraRouter) and
 //! `dra_router::bdr::BdrRouter`) remain the reference: `dra-topo`'s
 //! `health_differential` test wraps them in a steppable `RouterHandle`
-//! (its own support code), replays the same timelines through both and
-//! compares every answer.
+//! (its own support code), applies the same action sequences to both
+//! and compares every answer.
 
 use crate::coverage::{lc_serviceable_with, LcView};
-use crate::scenario::{Action, Scenario};
+use crate::scenario::Action;
 use dra_net::protocol::ProtocolKind;
 use dra_router::bdr::BdrConfig;
 use dra_router::components::{ComponentKind, Health, LcComponents};
@@ -60,7 +61,7 @@ struct LcHealth {
     covered: bool,
 }
 
-/// The health state of one router, driven by a fault timeline.
+/// The health state of one router, changed only by [`NodeHealth::apply`].
 #[derive(Debug, Clone)]
 pub struct NodeHealth {
     arch: ArchKind,
@@ -72,9 +73,6 @@ pub struct NodeHealth {
     eib_healthy: bool,
     planes_total: usize,
     planes_failed: usize,
-    /// Time-ordered fault actions; everything before `cursor` applied.
-    schedule: Vec<(f64, Action)>,
-    cursor: usize,
     applied: u64,
 }
 
@@ -82,8 +80,7 @@ impl NodeHealth {
     /// A fully healthy `arch` router shaped by `config`: its linecard
     /// count, per-card protocols and ports, and fabric plane count.
     /// Traffic and fault-injection settings are ignored — the state
-    /// changes only through [`apply`](Self::apply) and the attached
-    /// schedule.
+    /// changes only through [`apply`](Self::apply).
     pub fn new(arch: ArchKind, config: &BdrConfig) -> Self {
         assert!(config.ports_per_lc > 0, "linecards need a port");
         if arch == ArchKind::Dra {
@@ -106,8 +103,6 @@ impl NodeHealth {
             eib_healthy: true,
             planes_total: config.fabric_planes_total,
             planes_failed: 0,
-            schedule: Vec::new(),
-            cursor: 0,
             applied: 0,
         }
     }
@@ -122,47 +117,13 @@ impl NodeHealth {
         self.lcs.len()
     }
 
-    /// Fault actions applied so far (scheduled and injected).
+    /// Fault actions applied so far.
     pub fn events_processed(&self) -> u64 {
         self.applied
     }
 
-    /// Attach a fault timeline, replacing any previous one. Actions
-    /// apply in time order (ties in insertion order) as the state
-    /// advances; times already past apply on the next advance.
-    pub fn set_fault_schedule(&mut self, scenario: &Scenario) {
-        let mut ev: Vec<(f64, Action)> = scenario.events().to_vec();
-        ev.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        self.schedule = ev;
-        self.cursor = 0;
-    }
-
-    /// The attached timeline, time-ordered.
-    pub fn schedule(&self) -> &[(f64, Action)] {
-        &self.schedule
-    }
-
-    /// Remaining (not yet applied) scheduled actions.
-    pub fn pending_actions(&self) -> usize {
-        self.schedule.len() - self.cursor
-    }
-
-    /// Apply every scheduled action whose time is ≤ `t`.
-    #[inline]
-    pub fn advance_to(&mut self, t: f64) {
-        while let Some((at, action)) = self.schedule.get(self.cursor) {
-            if *at > t {
-                break;
-            }
-            let action = action.clone();
-            self.cursor += 1;
-            self.apply(&action);
-        }
-    }
-
-    /// Apply one action now (the hook for unscheduled faults). EIB
-    /// actions are no-ops on BDR, and route updates never change
-    /// health, as in `ScriptedRouter::apply`.
+    /// Apply one action now. EIB actions are no-ops on BDR, and route
+    /// updates never change health, as in `ScriptedRouter::apply`.
     pub fn apply(&mut self, action: &Action) {
         self.applied += 1;
         match *action {
@@ -265,21 +226,17 @@ mod tests {
     }
 
     #[test]
-    fn schedule_applies_at_exact_times() {
-        let sc = Scenario::new(1.0)
-            .at(0.75, Action::RepairLc(1))
-            .at(0.25, Action::FailComponent(1, ComponentKind::Sru));
+    fn actions_apply_in_sequence() {
+        let fail = Action::FailComponent(1, ComponentKind::Sru);
         for arch in [ArchKind::Bdr, ArchKind::Dra] {
             let mut h = health(arch, 4);
-            h.set_fault_schedule(&sc);
-            h.advance_to(0.2);
             assert!(h.lc_serviceable(1), "{arch:?}: healthy before failure");
-            h.advance_to(0.25);
+            h.apply(&fail);
             assert_eq!(h.lc_serviceable(1), arch == ArchKind::Dra, "{arch:?}");
             assert_eq!(h.lc_covered(1), arch == ArchKind::Dra, "{arch:?}");
-            h.advance_to(1.0);
+            h.apply(&Action::RepairLc(1));
             assert!(h.lc_serviceable(1) && !h.lc_covered(1), "{arch:?}");
-            assert_eq!((h.pending_actions(), h.events_processed()), (0, 2));
+            assert_eq!(h.events_processed(), 2);
         }
     }
 

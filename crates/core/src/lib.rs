@@ -26,8 +26,9 @@
 //!   one `Action` dispatch (`ScriptedRouter`) and the only way faults
 //!   reach a router simulation.
 //! * [`health`] — a router as its health state: per-linecard unit
-//!   health and cached serviceability driven by a fault timeline, the
-//!   per-node state of the network-of-routers layer (`dra-topo`).
+//!   health and cached serviceability, changed only by applied fault
+//!   actions: the per-node state of the network-of-routers layer
+//!   (`dra-topo`).
 
 #![warn(missing_docs)]
 

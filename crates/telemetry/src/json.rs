@@ -428,9 +428,13 @@ impl Parser<'_> {
         if let Ok(x) = text.parse::<u64>() {
             return Ok(Json::uint(x));
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        // `1e999` parses to infinity, which no JSON text can hold: a
+        // document that spells it is rejected here, not at re-render.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -483,6 +487,17 @@ mod tests {
         let v = parse("[1e3, -2.5E-2, {\"a\": [[]]}]").unwrap();
         assert_eq!(v.as_arr().unwrap()[0].as_f64(), Some(1000.0));
         assert_eq!(v.as_arr().unwrap()[1].as_f64(), Some(-0.025));
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected() {
+        // Each overflows to an infinity that `write_num` cannot render.
+        for bad in ["1e999", "-1e999", "[0, 2E+400]", "{\"seed\": 1e999}"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.reason, "number out of range", "{bad}");
+        }
+        // Underflow to zero is an ordinary (if inexact) number.
+        assert_eq!(parse("1e-999").unwrap(), Json::Num(0.0));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! workers 1 vs 4).
 //!
 //! A sweep compiles each topology's forwarding state (destination FIB
-//! and next-hop table) once and shares it read-only across the cells and
-//! replications on that topology; forwarding is a pure function of the
-//! graph, so sharing is unobservable in the artifact.
+//! and next-hop table) once, on first use, and shares it read-only
+//! across the cells and replications on that topology until the sweep
+//! ends; forwarding is a pure function of the graph, so sharing is
+//! unobservable in the artifact.
 
 use crate::net::{Flow, Forwarding, NetAction, NetConfig, NetScenario, NetworkSim};
 use crate::seeds::{node_seed, NodeSeedStream};
@@ -23,15 +24,14 @@ use dra_campaign::pool::default_workers;
 use dra_campaign::record::{declared, same, Fields, Record, Schema, Stat};
 use dra_campaign::seed::{derive_seed, Stream};
 use dra_campaign::sweep::{self, RunOptions};
-use dra_core::scenario::FaultProcess;
+use dra_core::scenario::{Action, FaultProcess};
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
 use dra_router::faults::{FaultGranularity, FaultInjector};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Result of a sweep (`artifact_text` is the document as written).
 pub type TopoOutcome = sweep::Outcome;
@@ -79,114 +79,51 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
 }
 
 /// Execute a topo sweep with the envelope's own options. Forwarding
-/// state is compiled once per topology for the invocation and shared
-/// by its cells on that topology.
+/// state is compiled once per topology for the invocation, by the first
+/// cell on it that runs, and shared by its cells on that topology.
 pub fn run_with(spec: &TopoSpec, opts: &RunOptions) -> std::io::Result<TopoOutcome> {
-    sweep::run(spec, opts, |pending| {
-        let shared = SharedForwarding::new(spec, pending);
-        move |i| run_shared_cell(spec, i, &shared)
+    let shared = SharedForwarding::new(spec);
+    sweep::run(spec, opts, |i| {
+        run_cell(spec, i, |rep| {
+            network_on(&spec.cells[i], spec.master_seed, rep, |topo| {
+                shared.get(topo)
+            })
+        })
     })
 }
 
-/// The forwarding state of one sweep invocation: one slot per distinct
-/// topology among its pending cells.
+/// The forwarding state of one sweep invocation: per distinct topology
+/// of the spec, a cell that the first network on it fills and that is
+/// held until the sweep ends.
 ///
-/// A slot compiles on first use with its lock held, so a second worker
-/// on the same topology waits for that compile instead of repeating
-/// it, and it empties when the last pending cell of its topology
-/// finishes (panicked or not). The sweep therefore holds only the
-/// topologies its unfinished cells use, and nothing outlives it: a
-/// later sweep compiles afresh. (A `OnceLock` would serve the first
-/// half, but cannot be emptied through the shared reference the
-/// workers hold.)
-struct SharedForwarding {
-    slots: Vec<ForwardingSlot>,
-}
-
-struct ForwardingSlot {
-    kind: TopologyKind,
-    forwarding: Mutex<Option<Arc<Forwarding>>>,
-    /// Pending cells of this topology that have not finished.
-    cells_left: AtomicUsize,
-    /// Compiles this slot has run.
-    #[cfg(test)]
-    compiles: AtomicUsize,
-}
+/// A second worker on the same topology waits for the first one's
+/// compile instead of repeating it, and a topology no running cell uses
+/// (a resumed or budgeted run) is never compiled. A compile that panics
+/// leaves its cell empty, so the next cell on that topology compiles
+/// (and fails) the same way.
+struct SharedForwarding(Vec<(TopologyKind, OnceLock<Arc<Forwarding>>)>);
 
 impl SharedForwarding {
-    /// Slots for the `pending` cells of `spec`.
-    fn new(spec: &TopoSpec, pending: &[usize]) -> SharedForwarding {
-        let mut slots: Vec<ForwardingSlot> = Vec::new();
-        for &i in pending {
-            let kind = spec.cells[i].topology;
-            match slots.iter_mut().find(|s| s.kind == kind) {
-                Some(slot) => *slot.cells_left.get_mut() += 1,
-                None => slots.push(ForwardingSlot {
-                    kind,
-                    forwarding: Mutex::new(None),
-                    cells_left: AtomicUsize::new(1),
-                    #[cfg(test)]
-                    compiles: AtomicUsize::new(0),
-                }),
+    fn new(spec: &TopoSpec) -> SharedForwarding {
+        let mut slots: Vec<(TopologyKind, OnceLock<Arc<Forwarding>>)> = Vec::new();
+        for cell in &spec.cells {
+            if slots.iter().all(|(kind, _)| *kind != cell.topology) {
+                slots.push((cell.topology, OnceLock::new()));
             }
         }
-        SharedForwarding { slots }
+        SharedForwarding(slots)
     }
 
-    fn slot(&self, kind: TopologyKind) -> &ForwardingSlot {
-        self.slots
-            .iter()
-            .find(|s| s.kind == kind)
-            .expect("the topology has pending cells in this sweep")
-    }
-
-    /// `topo`'s forwarding state, compiled unless an earlier cell on
+    /// `topo`'s forwarding state, compiled unless an earlier network on
     /// the same topology already did.
     fn get(&self, topo: &Topology) -> Arc<Forwarding> {
-        let slot = self.slot(topo.kind);
-        // A compile that panicked left the slot empty, so the next
-        // cell simply compiles (and fails) the same way.
-        let mut held = slot
-            .forwarding
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(held.get_or_insert_with(|| {
-            #[cfg(test)]
-            slot.compiles.fetch_add(1, Ordering::Relaxed);
-            Arc::new(Forwarding::compile(topo))
-        }))
+        let (_, slot) = self
+            .0
+            .iter()
+            .find(|(kind, _)| *kind == topo.kind)
+            .expect("the topology has cells in this sweep");
+        Arc::clone(slot.get_or_init(|| Arc::new(Forwarding::compile(topo))))
     }
-
-    /// Count one cell on `kind` finished; the last one empties the
-    /// slot.
-    fn finish(&self, kind: TopologyKind) {
-        let slot = self.slot(kind);
-        // Relaxed: the lock guards the slot's contents, and a cell's
-        // networks hold their own `Arc`s; the count only picks which
-        // cell empties the slot.
-        if slot.cells_left.fetch_sub(1, Ordering::Relaxed) == 1 {
-            *slot
-                .forwarding
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = None;
-        }
-    }
-}
-
-/// [`run_cell`] on the sweep's shared forwarding state, counting the
-/// cell finished however it ends.
-fn run_shared_cell(spec: &TopoSpec, index: usize, shared: &SharedForwarding) -> TopoRecord {
-    struct Finish<'a>(&'a SharedForwarding, TopologyKind);
-    impl Drop for Finish<'_> {
-        fn drop(&mut self) {
-            self.0.finish(self.1);
-        }
-    }
-    let cell = &spec.cells[index];
-    let _finish = Finish(shared, cell.topology);
-    run_cell(spec, index, |rep| {
-        network_on(cell, spec.master_seed, rep, |topo| shared.get(topo))
-    })
 }
 
 /// Validate a `dra-topo/v1` document, including the network
@@ -277,10 +214,9 @@ fn network_on(
                 for lc in (0..n_lcs).step_by(2) {
                     sc = sc.at(
                         at_s,
-                        NetAction::FailComponent {
+                        NetAction::Router {
                             node,
-                            lc,
-                            kind: ComponentKind::Sru,
+                            action: Action::FailComponent(lc, ComponentKind::Sru),
                         },
                     );
                 }
@@ -312,12 +248,20 @@ fn network_on(
                 delay_scale,
                 repair: true,
             };
+            // Each router's timeline from its private seed stream, all
+            // in one scenario: the stable time sort keeps each router's
+            // own tie order.
+            let mut sc = NetScenario::new();
             for node in 0..n_nodes as u32 {
                 let mut rng = SmallRng::seed_from_u64(node_seed(fault_seed, node as u64));
                 let n_lcs = net.node(node).n_lcs();
                 let timeline = process.sample(n_lcs, cell.horizon_s, &mut rng);
-                net.set_node_fault_schedule(node, &timeline);
+                for (at, action) in timeline.events() {
+                    let action = action.clone();
+                    sc = sc.at(*at, NetAction::Router { node, action });
+                }
             }
+            net.set_scenario(&sc);
         }
     }
     net
@@ -550,34 +494,41 @@ mod tests {
     #[test]
     fn shared_forwarding_is_unobservable_and_compiled_once_per_topology() {
         let spec = two_topology_spec();
-        let all: Vec<usize> = (0..spec.cells.len()).collect();
         // The reference: every replication compiles its own forwarding.
-        let fresh = sweep::run(&spec, &quiet(1), |_| {
-            |i| {
-                run_cell(&spec, i, |rep| {
-                    build_network(&spec.cells[i], spec.master_seed, rep)
-                })
-            }
+        let fresh = sweep::run(&spec, &quiet(1), |i| {
+            run_cell(&spec, i, |rep| {
+                build_network(&spec.cells[i], spec.master_seed, rep)
+            })
         })
         .unwrap()
         .artifact_text;
         for workers in [1, 2] {
-            let shared = SharedForwarding::new(&spec, &all);
-            let text = sweep::run(&spec, &quiet(workers), |_| {
-                |i| run_shared_cell(&spec, i, &shared)
+            let shared = SharedForwarding::new(&spec);
+            let used = std::sync::Mutex::new(Vec::new());
+            let text = sweep::run(&spec, &quiet(workers), |i| {
+                run_cell(&spec, i, |rep| {
+                    network_on(&spec.cells[i], spec.master_seed, rep, |topo| {
+                        let forwarding = shared.get(topo);
+                        used.lock().unwrap().push(Arc::clone(&forwarding));
+                        forwarding
+                    })
+                })
             })
             .unwrap()
             .artifact_text;
             assert_eq!(text, fresh, "workers = {workers}");
-            assert_eq!(shared.slots.len(), 2, "one slot per topology");
-            for slot in &shared.slots {
+            assert_eq!(shared.0.len(), 2, "one slot per topology");
+            let used = used.into_inner().unwrap();
+            assert_eq!(used.len(), 8, "4 cells x 2 replications");
+            for (kind, slot) in &shared.0 {
+                let held = slot.get().expect("held until the sweep ends");
+                let sharing = used.iter().filter(|f| Arc::ptr_eq(f, held)).count();
                 assert_eq!(
-                    slot.compiles.load(Ordering::Relaxed),
-                    1,
-                    "{}: 2 cells x 2 replications, one compile",
-                    slot.kind.label()
+                    sharing,
+                    4,
+                    "{}: one compile for 2 cells x 2 reps",
+                    kind.label()
                 );
-                assert!(slot.forwarding.lock().unwrap().is_none(), "released");
             }
             let swept = run_with(&spec, &quiet(workers)).unwrap().artifact_text;
             assert_eq!(swept, fresh, "run_with, workers = {workers}");
@@ -587,25 +538,37 @@ mod tests {
     #[test]
     fn cells_on_one_topology_share_one_forwarding() {
         let spec = two_topology_spec();
-        let all: Vec<usize> = (0..spec.cells.len()).collect();
-        let shared = SharedForwarding::new(&spec, &all);
+        let shared = SharedForwarding::new(&spec);
         let net = |i: usize, rep| {
             network_on(&spec.cells[i], spec.master_seed, rep, |topo| {
                 shared.get(topo)
             })
         };
-        let (bdr, dra, other) = (net(0, 0), net(1, 1), net(2, 0));
+        let (bdr, dra) = (net(0, 0), net(1, 1));
         assert!(Arc::ptr_eq(&bdr.forwarding, &dra.forwarding));
+        // A topology no cell has run on yet (a resumed or budgeted run
+        // may never reach it) is not compiled.
+        assert!(shared.0[1].1.get().is_none());
+        let other = net(2, 0);
         assert!(!Arc::ptr_eq(&bdr.forwarding, &other.forwarding));
-        // The two 3x4 cells are still pending: finishing both 3x3
-        // cells empties only the 3x3 slot.
-        let (small, wide) = (spec.cells[0].topology, spec.cells[2].topology);
-        let held = |kind| shared.slot(kind).forwarding.lock().unwrap().is_some();
-        shared.finish(small);
-        assert!(held(small));
-        shared.finish(small);
-        assert!(!held(small));
-        assert!(held(wide));
+    }
+
+    #[test]
+    fn a_panicking_compile_leaves_its_slot_empty_for_the_next_cell() {
+        // A 2x255 mesh's routed diameter (255 links) is past the
+        // packet's hop budget, so compiling its forwarding panics (a
+        // sweep's spec check rejects such a cell before any runs).
+        let mut spec = tiny_spec();
+        spec.cells[0].topology = TopologyKind::Mesh2D { rows: 2, cols: 255 };
+        let shared = SharedForwarding::new(&spec);
+        let topo = Topology::build(spec.cells[0].topology);
+        for attempt in 0..2 {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.get(&topo)))
+                .expect_err("the compile must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.contains("hop budget"), "attempt {attempt}: {msg}");
+            assert!(shared.0[0].1.get().is_none(), "attempt {attempt}");
+        }
     }
 
     #[test]
@@ -630,13 +593,6 @@ mod tests {
             std::fs::read_to_string(dir.join("resumed.json")).unwrap(),
             full.artifact_text
         );
-        // The resumed run counts only its pending cells, so the 3x3
-        // slot empties after cell 1, not after a cell 0 that never runs.
-        let shared = SharedForwarding::new(&spec, &[1, 2, 3]);
-        let topo = Topology::build(spec.cells[1].topology);
-        shared.get(&topo);
-        shared.finish(topo.kind);
-        assert!(shared.slot(topo.kind).forwarding.lock().unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,13 +27,24 @@
 //! ## Arrivals
 //!
 //! The only RNG draws are flow inter-arrival times, on the
-//! simulation's own seeded RNG. `Start` schedules the fault timeline
-//! and draws each flow's first arrival; each `Arrival` pop injects one
-//! packet and draws that flow's next. The model keeps every flow's
-//! next arrival time and queues only the earliest (ties in draw
-//! order), so arrivals pop in the order one queued event per flow
-//! would give them. A calendar holding one arrival instead of one per
+//! simulation's own seeded RNG. `Start` schedules the fault actions
+//! (below) and draws each flow's first arrival; each `Arrival` pop
+//! injects one packet and draws that flow's next. The model keeps
+//! every flow's next arrival time and queues only the earliest (ties
+//! in draw order), so arrivals pop in the order one queued event per
+//! flow would give them. A calendar holding one arrival instead of one per
 //! flow is measurably faster (DESIGN.md §3.3 has the numbers).
+//!
+//! ## Faults
+//!
+//! Every fault is one action of the network's scenario: scripted
+//! router and cable faults and sampled renewal timelines alike. `Start`
+//! schedules one `Act` per action before it draws any arrival, so an
+//! action at time `t` applies before every packet event at `t`, and
+//! actions tied in time apply in scenario order (a stable time sort, so
+//! each router keeps its own timeline's tie order). Only transits read
+//! router health, so a transit at `now` sees exactly the actions with
+//! `at ≤ now` applied.
 //!
 //! ## Ledger
 //!
@@ -62,7 +73,7 @@ use std::time::Instant;
 /// happens at.
 #[derive(Debug, Clone)]
 enum NetEvent {
-    /// Schedule the fault timeline and every flow's first arrival.
+    /// Schedule every scenario action and every flow's first arrival.
     Start,
     /// The next arrival, of `flow`.
     Arrival { flow: u32 },
@@ -81,7 +92,7 @@ enum NetEvent {
     },
     /// A packet reaches its destination's host port at `node`.
     Deliver { pkt: NetPacket, node: u32 },
-    /// Apply scripted network action `idx` (scenario index).
+    /// Apply network scenario action `idx`.
     Act { idx: u32 },
 }
 
@@ -186,7 +197,7 @@ impl NetModel {
         let net = &mut self.net;
         let outcome = hop(
             node,
-            &mut net.nodes[i],
+            &net.nodes[i],
             &net.forwarding,
             &mut net.covered_busy[i],
             &net.cfg,
@@ -266,17 +277,15 @@ impl NetModel {
         s.hops.push(pkt.hops as f64);
     }
 
-    /// Apply scripted action `idx` at `now`; a cable action touches
-    /// both of its endpoints.
-    fn act(&mut self, now: f64, idx: u32) {
+    /// Apply scenario action `idx`; a cable action touches both of its
+    /// endpoints.
+    fn act(&mut self, idx: u32) {
         let net = &mut self.net;
         let mark = |node: u32| dra_telemetry::event(EventKind::NetAct, 0, node, idx);
         match &net.compiled[idx as usize] {
             CompiledNetAction::Router { node, action } => {
                 mark(*node);
-                let router = &mut net.nodes[*node as usize];
-                router.advance_to(now);
-                router.apply(action);
+                net.nodes[*node as usize].apply(action);
             }
             &CompiledNetAction::Cable { a, pa, b, pb, up } => {
                 mark(a);
@@ -333,7 +342,7 @@ impl Model for NetModel {
                 out_port,
             } => self.forward(pkt, node, out_port, ctx),
             NetEvent::Deliver { pkt, node } => self.deliver(ctx.now(), pkt, node),
-            NetEvent::Act { idx } => self.act(ctx.now(), idx),
+            NetEvent::Act { idx } => self.act(idx),
         }
     }
 }
@@ -467,8 +476,8 @@ mod tests {
             Faults::None | Faults::CutThenRepair => TopoFaultSpec::None,
             Faults::Routers => TopoFaultSpec::FailRouters { k: 2, at_s: 2e-3 },
             Faults::Links => TopoFaultSpec::FailLinks { k: 3, at_s: 2e-3 },
-            // ~100 compressed fault-hours with hot-swap repair: the
-            // routers' private timelines under lazy advance.
+            // ~100 compressed fault-hours with hot-swap repair: every
+            // router's sampled timeline, applied as scenario actions.
             Faults::Renewal => TopoFaultSpec::Renewal {
                 delay_scale: 1e-4,
                 repair_h: 10.0,

@@ -15,9 +15,10 @@
 //! * [`link`] — fixed-latency, fluid-FIFO serialization links with
 //!   backlog tail drop and whole-cable failures.
 //! * [`net`] — the network model: N BDR/DRA routers, each held as its
-//!   [`NodeHealth`](dra_core::health::NodeHealth) and stepped lazily
-//!   along its fault timeline; multi-hop flows and composed drop
-//!   accounting.
+//!   [`NodeHealth`](dra_core::health::NodeHealth), one fault scenario
+//!   whose every action (scripted or sampled, router or cable) the
+//!   engine applies as a scheduled event; multi-hop flows and composed
+//!   drop accounting.
 //! * [`kernel`] — the network engine: each run is one
 //!   [`dra_des`] model on one `Simulation`, with a counted
 //!   conservation ledger.

@@ -3,11 +3,13 @@
 //! [`NetworkSim`] simulates N BDR or DRA routers — each held as its
 //! [`NodeHealth`] — on the network engine of [`crate::kernel`].
 //! End-to-end packets hop router → link → router: at every transit the
-//! owning router's fault timeline is stepped to "now", its current
-//! linecard serviceability consulted (so faults in a router's private
-//! timeline shape network forwarding), the topology's DIR-24-8
-//! destination FIB and next-hop table resolve the egress port, and the
-//! link model charges serialization + propagation.
+//! owning router's current linecard serviceability is consulted (so
+//! the faults applied to it so far shape network forwarding), the
+//! topology's DIR-24-8 destination FIB and next-hop table resolve the
+//! egress port, and the link model charges serialization +
+//! propagation. Every fault — scripted or sampled, on a router or a
+//! cable — is one [`NetAction`] of the network's [`NetScenario`],
+//! applied by its own scheduled event.
 //!
 //! Fault surfaces, composed exactly as the single-router layer defines
 //! them:
@@ -22,7 +24,7 @@
 //!
 //! Determinism: the only RNG draws are flow inter-arrival times on the
 //! network simulation's own seeded RNG; router health is pure state
-//! driven by fault timelines fixed before the run. One seed ⇒ one
+//! driven by a fault scenario fixed before the run. One seed ⇒ one
 //! event history, run by one engine ([`crate::kernel`]).
 
 use crate::kernel::NetRun;
@@ -31,11 +33,10 @@ use crate::routes::{compile_fibs, node_addr, RouteTables, MAX_DIAMETER};
 use crate::stats::{NetDropCause, NetStats};
 use crate::topology::{Topology, TopologyKind};
 use dra_core::health::{ArchKind, NodeHealth};
-use dra_core::scenario::{Action, Scenario};
+use dra_core::scenario::Action;
 use dra_net::addr::Ipv4Addr;
 use dra_net::fib::{Dir248Fib, Fib};
 use dra_router::bdr::BdrConfig;
-use dra_router::components::ComponentKind;
 use std::sync::Arc;
 
 /// One end-to-end flow: Poisson packet arrivals from `src`'s host
@@ -89,33 +90,15 @@ impl Default for NetConfig {
 }
 
 /// A network-level fault action.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetAction {
-    /// Fail one unit of one linecard of one router.
-    FailComponent {
+    /// Apply one single-router action to one router (EIB actions are
+    /// no-ops on BDR).
+    Router {
         /// Target router.
         node: u32,
-        /// Target linecard (port).
-        lc: u16,
-        /// Unit to fail.
-        kind: ComponentKind,
-    },
-    /// Hot-swap repair a linecard.
-    RepairLc {
-        /// Target router.
-        node: u32,
-        /// Target linecard.
-        lc: u16,
-    },
-    /// Fail a router's EIB (DRA only; no-op on BDR).
-    FailEib {
-        /// Target router.
-        node: u32,
-    },
-    /// Repair a router's EIB.
-    RepairEib {
-        /// Target router.
-        node: u32,
+        /// The action, with linecards numbered as the router's ports.
+        action: Action,
     },
     /// Cut the cable between `a` and `b` (both directions).
     FailLink {
@@ -190,7 +173,7 @@ const _: () = assert!(std::mem::size_of::<NetPacket>() == 24);
 /// stores instead of two `port_between` binary searches.
 #[derive(Debug, Clone)]
 pub(crate) enum CompiledNetAction {
-    /// Forwarded to one router's private timeline.
+    /// Applied to one router's health.
     Router {
         /// Target router.
         node: u32,
@@ -236,38 +219,30 @@ fn check_router_action(topo: &Topology, node: u32, action: &Action) {
 /// # Panics
 /// Panics when the action names a node, linecard or link the topology
 /// does not have.
-fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
+fn compile_net_action(topo: &Topology, action: &NetAction) -> CompiledNetAction {
     let port_between = |a: u32, b: u32| -> u16 {
         topo.adj
             .get(a as usize)
             .and_then(|adj| adj.binary_search(&b).ok())
             .unwrap_or_else(|| panic!("no link {a}-{b}")) as u16
     };
-    let router = |node: u32, action: Action| {
-        check_router_action(topo, node, &action);
-        CompiledNetAction::Router { node, action }
-    };
-    match action {
-        NetAction::FailComponent { node, lc, kind } => {
-            router(node, Action::FailComponent(lc, kind))
+    let (a, b, up) = match *action {
+        NetAction::Router { node, ref action } => {
+            check_router_action(topo, node, action);
+            return CompiledNetAction::Router {
+                node,
+                action: action.clone(),
+            };
         }
-        NetAction::RepairLc { node, lc } => router(node, Action::RepairLc(lc)),
-        NetAction::FailEib { node } => router(node, Action::FailEib),
-        NetAction::RepairEib { node } => router(node, Action::RepairEib),
-        NetAction::FailLink { a, b } => CompiledNetAction::Cable {
-            a,
-            pa: port_between(a, b),
-            b,
-            pb: port_between(b, a),
-            up: false,
-        },
-        NetAction::RepairLink { a, b } => CompiledNetAction::Cable {
-            a,
-            pa: port_between(a, b),
-            b,
-            pb: port_between(b, a),
-            up: true,
-        },
+        NetAction::FailLink { a, b } => (a, b, false),
+        NetAction::RepairLink { a, b } => (a, b, true),
+    };
+    CompiledNetAction::Cable {
+        a,
+        pa: port_between(a, b),
+        b,
+        pb: port_between(b, a),
+        up,
     }
 }
 
@@ -437,7 +412,7 @@ impl NetworkSim {
         self.compiled = self
             .scenario
             .iter()
-            .map(|&(_, a)| compile_net_action(&self.topo, a))
+            .map(|(_, a)| compile_net_action(&self.topo, a))
             .collect();
     }
 
@@ -459,20 +434,6 @@ impl NetworkSim {
         self.links.at_mut(b, pba).latency_s = latency_s;
     }
 
-    /// Attach a per-router fault timeline (e.g. sampled from a
-    /// [`FaultProcess`](dra_core::scenario::FaultProcess) on the
-    /// node's private seed stream) to `node`.
-    ///
-    /// # Panics
-    /// Panics when `node` does not exist or an action names a linecard
-    /// the node does not have.
-    pub(crate) fn set_node_fault_schedule(&mut self, node: u32, timeline: &Scenario) {
-        for (_, action) in timeline.events() {
-            check_router_action(&self.topo, node, action);
-        }
-        self.nodes[node as usize].set_fault_schedule(timeline);
-    }
-
     /// A node's router health.
     pub fn node(&self, node: u32) -> &NodeHealth {
         &self.nodes[node as usize]
@@ -486,8 +447,9 @@ impl NetworkSim {
 
     /// Events the last [`run`](NetworkSim::run) processed (0 before
     /// any run): its `Start`, every flow arrival, packet transit, link
-    /// offer and delivery, and each scripted action once (a cable
-    /// action touches both endpoints in one event).
+    /// offer and delivery, and each scenario action up to the horizon
+    /// once — scripted and sampled alike (a cable action touches both
+    /// endpoints in one event).
     pub fn events_processed(&self) -> u64 {
         self.events
     }
@@ -534,16 +496,16 @@ pub(crate) enum HopOutcome {
     },
 }
 
-/// The per-hop core of the network engine: step the router's health
-/// to `now`, run health checks and the forwarding lookup, charge the EIB
-/// coverage budget, and decide the packet's fate. Mutates `pkt` (hop
-/// count, TTL) and the router/coverage state — the operation *order*
+/// The per-hop core of the network engine: run the router's health
+/// checks and the forwarding lookup, charge the EIB coverage budget,
+/// and decide the packet's fate. Mutates `pkt` (hop count, TTL) and the
+/// coverage state — the operation *order*
 /// here is load-bearing for byte-identical artifacts (e.g. the
 /// coverage budget is consumed before the TTL check).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hop(
     node: u32,
-    router: &mut NodeHealth,
+    router: &NodeHealth,
     forwarding: &Forwarding,
     covered_busy: &mut f64,
     cfg: &NetConfig,
@@ -552,7 +514,6 @@ pub(crate) fn hop(
     in_port: u16,
 ) -> HopOutcome {
     pkt.hops = pkt.hops.saturating_add(1);
-    router.advance_to(now);
     if !router.lc_serviceable(in_port) {
         return HopOutcome::Drop(NetDropCause::IngressDown);
     }
@@ -595,6 +556,7 @@ pub(crate) fn hop(
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
+    use dra_router::components::ComponentKind;
 
     fn small_net(arch: ArchKind) -> NetworkSim {
         let topo = Topology::build(TopologyKind::Mesh2D { rows: 3, cols: 3 });
@@ -689,10 +651,9 @@ mod tests {
             for lc in (0..n_lcs).step_by(2) {
                 sc = sc.at(
                     1e-3,
-                    NetAction::FailComponent {
+                    NetAction::Router {
                         node: 1,
-                        lc,
-                        kind: ComponentKind::Sru,
+                        action: Action::FailComponent(lc, ComponentKind::Sru),
                     },
                 );
             }
@@ -777,55 +738,58 @@ mod tests {
     }
 
     #[test]
-    fn per_node_fault_schedules_inject() {
-        use dra_core::scenario::Scenario;
+    fn router_actions_inject() {
         let mut net = small_net(ArchKind::Bdr);
-        let timeline = Scenario::new(10e-3).at(
+        let host = net.topo.host_port(8);
+        net.set_scenario(&NetScenario::new().at(
             0.5e-3,
-            Action::FailComponent(net.topo.host_port(8), ComponentKind::Lfe),
-        );
-        net.set_node_fault_schedule(8, &timeline);
+            NetAction::Router {
+                node: 8,
+                action: Action::FailComponent(host, ComponentKind::Lfe),
+            },
+        ));
         let done = net.run(7, 10e-3);
         let s = &done.stats;
         assert!(s.conserved());
         // Flow 0's egress host port at node 8 is dead: egress drops.
         assert!(s.drops[NetDropCause::EgressDown.index()] > 0);
+        assert_eq!(done.node(8).events_processed(), 1);
+    }
+
+    /// The panic message `set_scenario` gives for a one-action
+    /// scenario applying `action` to `node`.
+    fn rejection(arch: ArchKind, node: u32, action: Action) -> String {
+        let sc = NetScenario::new().at(1e-3, NetAction::Router { node, action });
+        let mut net = small_net(arch);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.set_scenario(&sc)))
+            .expect_err("the scenario must be rejected");
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| format!("{:?}", err.downcast_ref::<&str>()))
     }
 
     #[test]
-    #[should_panic(expected = "no node 9 (network has 9 nodes)")]
     fn scenario_rejects_an_unknown_node() {
-        let sc = NetScenario::new().at(1e-3, NetAction::FailEib { node: 9 });
-        small_net(ArchKind::Dra).set_scenario(&sc);
+        for (node, want) in [
+            (9, "no node 9 (network has 9 nodes)"),
+            (12, "no node 12 (network has 9 nodes)"),
+        ] {
+            assert_eq!(rejection(ArchKind::Dra, node, Action::FailEib), want);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "node 4 has no lc 5 (5 linecards)")]
     fn scenario_rejects_an_unknown_linecard() {
-        // The mesh centre has four links plus the host port.
-        let sc = NetScenario::new().at(
-            1e-3,
-            NetAction::FailComponent {
-                node: 4,
-                lc: 5,
-                kind: ComponentKind::Sru,
-            },
+        // The mesh centre has four links plus the host port; a corner
+        // has two plus the host port.
+        let sru = Action::FailComponent(5, ComponentKind::Sru);
+        assert_eq!(
+            rejection(ArchKind::Bdr, 4, sru),
+            "node 4 has no lc 5 (5 linecards)"
         );
-        small_net(ArchKind::Bdr).set_scenario(&sc);
-    }
-
-    #[test]
-    #[should_panic(expected = "no node 12 (network has 9 nodes)")]
-    fn node_schedule_rejects_an_unknown_node() {
-        let timeline = Scenario::new(1e-2).at(1e-3, Action::FailEib);
-        small_net(ArchKind::Dra).set_node_fault_schedule(12, &timeline);
-    }
-
-    #[test]
-    #[should_panic(expected = "node 0 has no lc 3 (3 linecards)")]
-    fn node_schedule_rejects_an_unknown_linecard() {
-        // A mesh corner has two links plus the host port.
-        let timeline = Scenario::new(1e-2).at(1e-3, Action::RepairLc(3));
-        small_net(ArchKind::Dra).set_node_fault_schedule(0, &timeline);
+        assert_eq!(
+            rejection(ArchKind::Dra, 0, Action::RepairLc(3)),
+            "node 0 has no lc 3 (3 linecards)"
+        );
     }
 }

@@ -23,14 +23,17 @@
 //! * **hop points** (one [`FlowSpan`] each) for sampled packets only,
 //!   canonically sorted at export.
 //!
-//! Scripted-action forensic entries are derived from the scenario
-//! itself, not from runtime hooks. The one intentionally non-deterministic part — the
-//! engine profile — is the document's separate `profile` member (see
-//! the [`dra_telemetry::snapshot`](mod@dra_telemetry::snapshot) module docs).
+//! Action forensic entries and per-node action counts are derived from
+//! the scenario itself, not from runtime hooks: every fault, scripted
+//! or sampled, is a scenario action. The one intentionally
+//! non-deterministic part — the engine profile — is the document's
+//! separate `profile` member (see the
+//! [`dra_telemetry::snapshot`](mod@dra_telemetry::snapshot) module docs).
 
 use crate::link::LinkOffer;
 use crate::net::{HopOutcome, NetAction, NetPacket, NetworkSim};
 use crate::stats::NetDropCause;
+use dra_core::scenario::Action;
 use dra_router::components::ComponentKind;
 use dra_telemetry::{
     is_sampled, EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScope, NodeCounters,
@@ -273,10 +276,15 @@ pub struct NetTeleReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Human-readable label of one scripted action.
+/// Human-readable label of one scenario action.
 fn action_label(action: &NetAction) -> String {
+    let (node, action) = match *action {
+        NetAction::Router { node, ref action } => (node, action),
+        NetAction::FailLink { a, b } => return format!("fail-link {a}-{b}"),
+        NetAction::RepairLink { a, b } => return format!("repair-link {a}-{b}"),
+    };
     match *action {
-        NetAction::FailComponent { node, lc, kind } => {
+        Action::FailComponent(lc, kind) => {
             let unit = match kind {
                 ComponentKind::Piu => "piu",
                 ComponentKind::Pdlu => "pdlu",
@@ -286,15 +294,19 @@ fn action_label(action: &NetAction) -> String {
             };
             format!("fail-{unit} node{node}/lc{lc}")
         }
-        NetAction::RepairLc { node, lc } => format!("repair-lc node{node}/lc{lc}"),
-        NetAction::FailEib { node } => format!("fail-eib node{node}"),
-        NetAction::RepairEib { node } => format!("repair-eib node{node}"),
-        NetAction::FailLink { a, b } => format!("fail-link {a}-{b}"),
-        NetAction::RepairLink { a, b } => format!("repair-link {a}-{b}"),
+        Action::RepairLc(lc) => format!("repair-lc node{node}/lc{lc}"),
+        Action::FailEib => format!("fail-eib node{node}"),
+        Action::RepairEib => format!("repair-eib node{node}"),
+        Action::FailFabricPlane => format!("fail-fabric-plane node{node}"),
+        Action::RepairFabricPlane => format!("repair-fabric-plane node{node}"),
+        Action::AnnounceRoute(prefix, lc) => {
+            format!("announce-route node{node} {prefix} via lc{lc}")
+        }
+        Action::WithdrawRoute(prefix) => format!("withdraw-route node{node} {prefix}"),
     }
 }
 
-/// Credit scripted actions to the routers they touch (cables touch
+/// Credit scenario actions to the routers they touch (cables touch
 /// both endpoints). Derived from the scenario, not runtime hooks.
 fn apply_action_counters(
     nodes: &mut [NodeCounters],
@@ -306,10 +318,7 @@ fn apply_action_counters(
             continue;
         }
         match *action {
-            NetAction::FailComponent { node, .. }
-            | NetAction::RepairLc { node, .. }
-            | NetAction::FailEib { node }
-            | NetAction::RepairEib { node } => nodes[node as usize].actions += 1,
+            NetAction::Router { node, .. } => nodes[node as usize].actions += 1,
             NetAction::FailLink { a, b } | NetAction::RepairLink { a, b } => {
                 nodes[a as usize].actions += 1;
                 nodes[b as usize].actions += 1;
@@ -489,7 +498,7 @@ impl NetworkSim {
     /// `None` when no collector is installed. Call on the finished
     /// simulation returned by [`run`](NetworkSim::run).
     ///
-    /// `horizon_s` bounds which scripted actions are reported (those
+    /// `horizon_s` bounds which scenario actions are reported (those
     /// scheduled later never fired). `pid_base`/`arrow_base` offset
     /// Perfetto track ids and flow-arrow ids so traces from multiple
     /// cells/replications can be concatenated without collisions.

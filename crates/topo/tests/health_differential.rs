@@ -1,18 +1,17 @@
 //! Differential test: `NodeHealth` against the full-simulation
 //! `RouterHandle` it replaces in the network layer.
 //!
-//! Both are driven by identical call sequences — an attached fault
-//! timeline stepped with `advance_to`, plus injected actions applied
-//! at their times the way the network's scripted `Act` events apply
-//! them — and every linecard's `lc_serviceable` / `lc_covered` answer
-//! and the fabric flag must agree at every change point and at random
-//! probe times in between.
+//! Both are driven by identical call sequences — one action list
+//! applied in time order, the way the network's `Act` events apply a
+//! scenario's router actions — and every linecard's `lc_serviceable` /
+//! `lc_covered` answer and the fabric flag must agree after every
+//! action and at random probe times in between.
 
 #[path = "support/router_handle.rs"]
 mod router_handle;
 
 use dra_core::health::{ArchKind, NodeHealth};
-use dra_core::scenario::{Action, Scenario};
+use dra_core::scenario::Action;
 use dra_net::protocol::ProtocolKind;
 use dra_router::bdr::BdrConfig;
 use dra_router::components::ComponentKind;
@@ -26,7 +25,6 @@ use router_handle::RouterHandle;
 fn assert_agree(h: &NodeHealth, r: &RouterHandle, t: f64, ctx: &str) {
     assert_eq!(h.arch(), r.arch(), "{ctx}");
     assert_eq!(h.n_lcs(), r.n_lcs(), "{ctx}");
-    assert_eq!(h.pending_actions(), r.pending_actions(), "{ctx} @ {t}");
     for lc in 0..h.n_lcs() as u16 {
         assert_eq!(
             h.lc_serviceable(lc),
@@ -47,34 +45,24 @@ fn assert_agree(h: &NodeHealth, r: &RouterHandle, t: f64, ctx: &str) {
 }
 
 /// Drive `h` and a fresh `RouterHandle` built from `config` through
-/// `h`'s attached schedule plus the `injected` actions, comparing at
-/// every change point and at `probes` random times per gap between
-/// change points. Returns the number of actions applied.
+/// `actions`, applied in time order (ties in list order), comparing
+/// after every action and at `probes` random times per gap between
+/// action times. Returns the number of actions applied.
 fn drive(
     mut h: NodeHealth,
     config: &BdrConfig,
     horizon_s: f64,
-    injected: &[(f64, Action)],
+    actions: &[(f64, Action)],
     rng: &mut SmallRng,
     probes: usize,
     ctx: &str,
 ) -> u64 {
     let mut r = RouterHandle::quiescent(h.arch(), config.clone(), rng.gen());
-    let mut timeline = Scenario::new(horizon_s);
-    for (at, action) in h.schedule() {
-        timeline = timeline.at(*at, action.clone());
-    }
-    r.set_fault_schedule(&timeline);
     assert_agree(&h, &r, 0.0, ctx);
 
-    let mut injected = injected.to_vec();
-    injected.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut points: Vec<f64> = h
-        .schedule()
-        .iter()
-        .chain(&injected)
-        .map(|&(t, _)| t)
-        .collect();
+    let mut actions = actions.to_vec();
+    actions.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut points: Vec<f64> = actions.iter().map(|&(t, _)| t).collect();
     points.push(0.0);
     points.push(horizon_s);
     points.sort_by(f64::total_cmp);
@@ -89,26 +77,23 @@ fn drive(
 
     let mut next = 0;
     for t in queries {
-        while let Some((at, action)) = injected.get(next) {
+        while let Some((at, action)) = actions.get(next) {
             if *at > t {
                 break;
             }
-            h.advance_to(*at);
             r.advance_to(*at);
             h.apply(action);
             r.apply(action);
             assert_agree(&h, &r, *at, ctx);
             next += 1;
         }
-        h.advance_to(t);
         r.advance_to(t);
         assert_agree(&h, &r, t, ctx);
     }
-    assert_eq!(h.pending_actions(), 0, "{ctx}: schedule exhausted");
     assert_eq!(
         h.events_processed(),
-        (h.schedule().len() + injected.len()) as u64,
-        "{ctx}: every action counted once"
+        actions.len() as u64,
+        "{ctx}: every action applied once"
     );
     h.events_processed()
 }
@@ -160,15 +145,11 @@ fn scripted_actions_of_every_kind_agree() {
                     };
                     let ctx = format!("{arch:?} n_lcs={n_lcs} mix={mix} ports={ports_per_lc}");
                     let horizon_s = 0.05;
-                    let len = 3 * n_lcs + 24;
-                    let mut h = NodeHealth::new(arch, &config);
-                    let schedule = random_timeline(n_lcs, len, horizon_s, &mut rng)
-                        .into_iter()
-                        .fold(Scenario::new(horizon_s), |sc, (t, a)| sc.at(t, a));
-                    h.set_fault_schedule(&schedule);
-                    let injected = random_timeline(n_lcs, len, horizon_s, &mut rng);
-                    let applied = drive(h, &config, horizon_s, &injected, &mut rng, 1, &ctx);
-                    assert_eq!(applied, 2 * len as u64, "{ctx}");
+                    let len = 6 * n_lcs + 48;
+                    let h = NodeHealth::new(arch, &config);
+                    let actions = random_timeline(n_lcs, len, horizon_s, &mut rng);
+                    let applied = drive(h, &config, horizon_s, &actions, &mut rng, 1, &ctx);
+                    assert_eq!(applied, len as u64, "{ctx}");
                 }
             }
         }
@@ -184,21 +165,13 @@ fn touches_node_health(faults: TopoFaultSpec) -> bool {
     }
 }
 
-/// Every router action a network's scripted timeline sends to `node`.
+/// Every router action a network's scenario sends to `node`.
 fn scripted_for(scenario: &[(f64, NetAction)], node: u32) -> Vec<(f64, Action)> {
     scenario
         .iter()
-        .filter_map(|&(t, a)| {
-            let (n, action) = match a {
-                NetAction::FailComponent { node, lc, kind } => {
-                    (node, Action::FailComponent(lc, kind))
-                }
-                NetAction::RepairLc { node, lc } => (node, Action::RepairLc(lc)),
-                NetAction::FailEib { node } => (node, Action::FailEib),
-                NetAction::RepairEib { node } => (node, Action::RepairEib),
-                NetAction::FailLink { .. } | NetAction::RepairLink { .. } => return None,
-            };
-            (n == node).then_some((t, action))
+        .filter_map(|(t, a)| match a {
+            NetAction::Router { node: n, action } if *n == node => Some((*t, action.clone())),
+            _ => None,
         })
         .collect()
 }
@@ -227,8 +200,8 @@ fn check_cell(
     let mut applied = 0;
     for node in 0..n_nodes {
         let h = net.node(node).clone();
-        let injected = scripted_for(net.scenario(), node);
-        let has_actions = !h.schedule().is_empty() || !injected.is_empty();
+        let actions = scripted_for(net.scenario(), node);
+        let has_actions = !actions.is_empty();
         if !touches_node_health(cell.faults) {
             assert!(!has_actions, "{}: node {node} got router actions", cell.id);
         }
@@ -245,7 +218,7 @@ fn check_cell(
             ..BdrConfig::default()
         };
         let ctx = format!("{} seed {master_seed:#x} node {node}", cell.id);
-        applied += drive(h, &config, cell.horizon_s, &injected, rng, 2, &ctx);
+        applied += drive(h, &config, cell.horizon_s, &actions, rng, 2, &ctx);
     }
     (net.node(hub).n_lcs(), applied)
 }

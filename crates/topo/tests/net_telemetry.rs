@@ -19,6 +19,7 @@ use dra_topo::engine::{self, TopoRunOptions};
 use dra_topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec, TopoSpec};
 use dra_topo::stats::NetDropCause;
 use dra_topo::topology::TopologyKind;
+use dra_topo::NetAction;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -218,6 +219,67 @@ fn embedded_network_scope_validates_and_leaves_records_alone() {
         .and_then(|n| n.get("nodes"))
         .is_some());
     assert_eq!(doc.to_string_pretty(), plain.artifact_text);
+}
+
+#[test]
+fn a_renewal_cell_reports_every_fault_it_applied() {
+    // Compressed lifetimes and a long repair land several failures on
+    // each router's cards within the horizon.
+    let cell = TopoCellSpec {
+        id: "dra/mesh/renewal".into(),
+        faults: TopoFaultSpec::Renewal {
+            delay_scale: 1e-7,
+            repair_h: 20_000.0,
+        },
+        replications: 1,
+        ..tiny_spec().cells[1].clone()
+    };
+    let mut net = engine::build_network(&cell, 0x7E1E, 0);
+    net.enable_net_telemetry(1);
+    let mut net = net.run(7, cell.horizon_s);
+    let fired: Vec<(f64, NetAction)> = net
+        .scenario()
+        .iter()
+        .filter(|(at, _)| *at <= cell.horizon_s)
+        .cloned()
+        .collect();
+    // What the routers applied, counted by their own health state.
+    let n_nodes = net.topo.n_nodes() as u32;
+    let applied: Vec<u64> = (0..n_nodes)
+        .map(|n| net.node(n).events_processed())
+        .collect();
+    assert!(
+        applied.iter().sum::<u64>() >= n_nodes as u64,
+        "too few faults sampled: {applied:?}"
+    );
+    let report = net
+        .export_net_telemetry(cell.horizon_s, 0, 0)
+        .expect("collector installed");
+    let scope = report.snapshot.network.expect("network scope");
+    // Exactly one forensics `Action` entry per fired action.
+    let mut logged: Vec<f64> = scope
+        .forensics
+        .iter()
+        .filter(|e| e.kind == ForensicKind::Action)
+        .map(|e| e.t)
+        .collect();
+    let mut want: Vec<f64> = fired.iter().map(|(at, _)| *at).collect();
+    logged.sort_by(f64::total_cmp);
+    want.sort_by(f64::total_cmp);
+    assert_eq!(logged, want, "one forensics entry per fired action");
+    // The per-node `actions` counters sum to the fired actions, a cable
+    // counting at both endpoints, and each router's counter is what
+    // its health state applied.
+    let weight = |a: &NetAction| match a {
+        NetAction::FailLink { .. } | NetAction::RepairLink { .. } => 2,
+        _ => 1,
+    };
+    let counted: Vec<u64> = scope.nodes.iter().map(|n| n.actions).collect();
+    assert_eq!(
+        counted.iter().sum::<u64>(),
+        fired.iter().map(|(_, a)| weight(a)).sum::<u64>()
+    );
+    assert_eq!(counted, applied, "per-node actions against router health");
 }
 
 // ---- merge algebra -------------------------------------------------

@@ -31,6 +31,7 @@
 //! byte-identical with collection off.
 
 use dra::core::health::ArchKind;
+use dra::core::scenario::Action;
 use dra::router::components::ComponentKind;
 use dra::telemetry as tm;
 use dra::topo::{Flow, NetAction, NetConfig, NetScenario, NetworkSim, Topology, TopologyKind};
@@ -65,10 +66,9 @@ fn build() -> NetworkSim {
     let scenario = NetScenario::new()
         .at(
             2e-3,
-            NetAction::FailComponent {
+            NetAction::Router {
                 node: hosts[0],
-                lc: 0,
-                kind: ComponentKind::Sru,
+                action: Action::FailComponent(0, ComponentKind::Sru),
             },
         )
         .at(
@@ -80,9 +80,9 @@ fn build() -> NetworkSim {
         )
         .at(
             5e-3,
-            NetAction::RepairLc {
+            NetAction::Router {
                 node: hosts[0],
-                lc: 0,
+                action: Action::RepairLc(0),
             },
         )
         .at(

@@ -31,10 +31,6 @@ const KEEP: &[(&str, &str)] = &[
         "dra-markov's transient_expm test reference exponentiates with it",
     ),
     (
-        "pending_actions",
-        "crates/topo/tests/health_differential.rs pins NodeHealth to it",
-    ),
-    (
         "pointers",
         "tests/fabric_equivalence.rs: the scalar-crossbar differential",
     ),

@@ -88,6 +88,30 @@ fn rare_event_records_are_checked_against_their_cells() {
     rejects_edits::<RareCellSpec>("rare_event", &[("method", "x")]);
 }
 
+/// `text` with its manifest's master seed spelled `1e999`, a number
+/// that overflows `f64`.
+fn with_overflowing_seed(text: &str) -> String {
+    let key = "\"master_seed\": ";
+    let at = text.find(key).expect("a manifest master seed") + key.len();
+    let end = at + text[at..].find(',').expect("more manifest members");
+    format!("{}1e999{}", &text[..at], &text[end..])
+}
+
+/// An overflowing manifest number is an error, not a panic when the
+/// manifest is re-rendered for its digest.
+#[test]
+fn an_overflowing_manifest_number_is_an_error_for_every_kind() {
+    fn rejects<S: Sweep>(name: &str) {
+        let edited = with_overflowing_seed(&committed(name));
+        assert!(edited.contains("\"master_seed\": 1e999,"), "{name}");
+        let err = validate::<S>(&edited).expect_err(name);
+        assert!(err.contains("number out of range"), "{name}: {err}");
+    }
+    rejects::<CellSpec>("faceoff");
+    rejects::<RareCellSpec>("rare_event");
+    rejects::<TopoCellSpec>("topo_resilience");
+}
+
 /// A replication statistic must be `{n}` or a finite `{n, mean, ci95,
 /// min, max}` with `min <= mean <= max`, `ci95 >= 0` and `n` at most
 /// the cell's replications: each edit of a committed record breaks one
