@@ -8,14 +8,15 @@
 //! of a linecard (its health state, not its packet pipeline).
 //!
 //! [`NodeHealth`] is that state and nothing else: per linecard the
-//! unit health and failed-PIU-port count, the EIB flag and the failed
-//! fabric-plane count, plus per-linecard `serviceable` / `covered`
-//! flags recomputed whenever an action applies. The rules are the
-//! single-router simulators' own: BDR needs a card standalone-healthy
-//! ([`LcComponents::operational_standalone`]); DRA also accepts cards
-//! the §3.2 coverage rules rescue (`lc_serviceable_with`). Queries
-//! are field reads. The state holds no timeline: the network engine
-//! applies every fault, scripted or sampled, as a scheduled event
+//! unit and port health ([`CardHealth`], the chassis linecard's own
+//! fail/repair rule), the EIB flag and the failed fabric-plane count,
+//! plus per-linecard `serviceable` / `covered` flags recomputed
+//! whenever an action applies. The rules are the single-router
+//! simulators' own: BDR needs a card standalone-healthy
+//! ([`operational_standalone`]); DRA also accepts cards the §3.2
+//! coverage rules rescue (`lc_serviceable_with`). Queries are field
+//! reads. The state holds no timeline: the network engine applies
+//! every fault, scripted or sampled, as a scheduled event
 //! through [`NodeHealth::apply`].
 //!
 //! The full simulators ([`DraRouter`](crate::sim::DraRouter) and
@@ -23,12 +24,14 @@
 //! `health_differential` test wraps them in a steppable `RouterHandle`
 //! (its own support code), applies the same action sequences to both
 //! and compares every answer.
+//!
+//! [`operational_standalone`]: dra_router::components::LcComponents::operational_standalone
 
 use crate::coverage::{lc_serviceable_with, LcView};
 use crate::scenario::Action;
 use dra_net::protocol::ProtocolKind;
 use dra_router::bdr::BdrConfig;
-use dra_router::components::{ComponentKind, Health, LcComponents};
+use dra_router::components::CardHealth;
 
 /// Which router architecture a node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,11 +55,8 @@ impl ArchKind {
 /// One linecard's health plus its cached verdicts.
 #[derive(Debug, Clone, Copy)]
 struct LcHealth {
-    components: LcComponents,
+    health: CardHealth,
     protocol: ProtocolKind,
-    /// Ports whose PIU has failed (`components.piu` reads failed once
-    /// every port is gone, as in `Linecard::fail_piu_port`).
-    piu_failed_ports: u16,
     serviceable: bool,
     covered: bool,
 }
@@ -66,7 +66,6 @@ struct LcHealth {
 pub struct NodeHealth {
     arch: ArchKind,
     lcs: Vec<LcHealth>,
-    ports_per_lc: u16,
     /// Spare capacity each card lends (the planner's ψ); carried into
     /// the coverage views exactly as the DRA simulator builds them.
     spare_bps: f64,
@@ -82,15 +81,13 @@ impl NodeHealth {
     /// Traffic and fault-injection settings are ignored — the state
     /// changes only through [`apply`](Self::apply).
     pub fn new(arch: ArchKind, config: &BdrConfig) -> Self {
-        assert!(config.ports_per_lc > 0, "linecards need a port");
         if arch == ArchKind::Dra {
             assert!(config.n_lcs >= 3, "DRA needs N >= 3");
         }
         let lcs = (0..config.n_lcs)
             .map(|i| LcHealth {
-                components: LcComponents::healthy(),
+                health: CardHealth::healthy(config.ports_per_lc),
                 protocol: config.protocol_of(i),
-                piu_failed_ports: 0,
                 serviceable: true,
                 covered: false,
             })
@@ -98,7 +95,6 @@ impl NodeHealth {
         NodeHealth {
             arch,
             lcs,
-            ports_per_lc: config.ports_per_lc,
             spare_bps: config.port_rate_bps * (1.0 - config.load),
             eib_healthy: true,
             planes_total: config.fabric_planes_total,
@@ -127,22 +123,8 @@ impl NodeHealth {
     pub fn apply(&mut self, action: &Action) {
         self.applied += 1;
         match *action {
-            Action::FailComponent(lc, kind) => {
-                let card = &mut self.lcs[lc as usize];
-                if kind == ComponentKind::Piu {
-                    card.piu_failed_ports = (card.piu_failed_ports + 1).min(self.ports_per_lc);
-                    if card.piu_failed_ports == self.ports_per_lc {
-                        card.components.piu = Health::Failed;
-                    }
-                } else {
-                    card.components.set(kind, Health::Failed);
-                }
-            }
-            Action::RepairLc(lc) => {
-                let card = &mut self.lcs[lc as usize];
-                card.components.repair_all();
-                card.piu_failed_ports = 0;
-            }
+            Action::FailComponent(lc, kind) => self.lcs[lc as usize].health.fail(kind),
+            Action::RepairLc(lc) => self.lcs[lc as usize].health.repair_all(),
             Action::FailEib | Action::RepairEib if self.arch == ArchKind::Bdr => return,
             Action::FailEib => self.eib_healthy = false,
             Action::RepairEib => self.eib_healthy = true,
@@ -186,7 +168,7 @@ impl NodeHealth {
     fn refresh(&mut self) {
         let n = self.lcs.len();
         for i in 0..n {
-            let standalone = self.lcs[i].components.operational_standalone();
+            let standalone = self.lcs[i].health.components().operational_standalone();
             let serviceable = match self.arch {
                 ArchKind::Bdr => standalone,
                 ArchKind::Dra => {
@@ -194,7 +176,7 @@ impl NodeHealth {
                     lc_serviceable_with(
                         |j| LcView {
                             protocol: lcs[j].protocol,
-                            components: lcs[j].components,
+                            components: lcs[j].health.components(),
                             spare_bps,
                         },
                         n,
@@ -210,6 +192,10 @@ impl NodeHealth {
         }
     }
 }
+
+// The tests name unit kinds through `super::*`.
+#[cfg(test)]
+use dra_router::components::ComponentKind;
 
 #[cfg(test)]
 mod tests {

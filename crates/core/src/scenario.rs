@@ -33,9 +33,9 @@ pub enum Action {
     FailFabricPlane,
     /// Repair one switching-fabric plane.
     RepairFabricPlane,
-    /// Announce a route on every card.
+    /// Announce a route; every card forwards by it.
     AnnounceRoute(Ipv4Prefix, u16),
-    /// Withdraw a route everywhere.
+    /// Withdraw a route from every card.
     WithdrawRoute(Ipv4Prefix),
 }
 
@@ -554,14 +554,19 @@ mod tests {
     fn route_actions_update_the_rib() {
         use dra_net::addr::Ipv4Addr;
         use dra_net::fib::Fib;
+        // 10.1.128.0/17 overrides LC1's 10.1.0.0/16 with LC2.
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, 1, 128, 0), 17);
-        let s = Scenario::new(2e-3)
-            .at(0.5e-3, Action::AnnounceRoute(p, 2))
-            .at(1.5e-3, Action::WithdrawRoute(p));
+        let inside = Ipv4Addr::from_octets(10, 1, 200, 1);
         let mut dra = dra_sim(3, 0.15, 11);
-        s.run(&mut dra);
-        for lc in &dra.model().linecards {
-            assert_eq!(lc.fib.len(), 3, "announce+withdraw nets out");
-        }
+        Scenario::new(1e-3)
+            .at(0.5e-3, Action::AnnounceRoute(p, 2))
+            .run(&mut dra);
+        assert_eq!(dra.model().fib.len(), 4, "the announce adds one route");
+        assert_eq!(dra.model().fib.lookup(inside), Some(2));
+        Scenario::new(2e-3)
+            .at(1.5e-3, Action::WithdrawRoute(p))
+            .run(&mut dra);
+        assert_eq!(dra.model().fib.len(), 3, "announce+withdraw nets out");
+        assert_eq!(dra.model().fib.lookup(inside), Some(1));
     }
 }

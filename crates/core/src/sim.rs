@@ -400,7 +400,7 @@ impl DraRouter {
             .iter()
             .map(|lc| LcView {
                 protocol: lc.protocol,
-                components: lc.components,
+                components: lc.health.components(),
                 spare_bps: spare,
             })
             .collect()
@@ -409,14 +409,15 @@ impl DraRouter {
     /// Is `lc`'s service currently deliverable (directly or covered)?
     /// Uses ground-truth health (the metric, not any card's view).
     pub fn lc_serviceable(&self, lc: u16) -> bool {
-        // The per-hop form: reads linecard state in place instead of
-        // materializing a `Vec<LcView>` per health check (this is the
-        // network hot path — see dra-topo's `net_hotpath_noalloc`).
+        // Reads linecard state in place instead of materializing a
+        // `Vec<LcView>`. The network layer never calls this: it reads
+        // the verdicts `crate::health::NodeHealth` caches, and dra-topo's
+        // `health_differential` test checks those against this answer.
         let spare = self.chassis.config.port_rate_bps * (1.0 - self.chassis.config.load);
         crate::coverage::lc_serviceable_with(
             |i| LcView {
                 protocol: self.chassis.linecards[i].protocol,
-                components: self.chassis.linecards[i].components,
+                components: self.chassis.linecards[i].health.components(),
                 spare_bps: spare,
             },
             self.chassis.linecards.len(),
@@ -451,7 +452,7 @@ impl DraRouter {
     /// called *before* mutating the true state.
     fn note_change(&mut self, lc: u16, now: f64) {
         self.gossip[lc as usize] = GossipCell {
-            prev: self.chassis.linecards[lc as usize].components,
+            prev: self.chassis.linecards[lc as usize].health.components(),
             changed_at: now,
         };
     }
@@ -526,14 +527,14 @@ impl DraRouter {
     /// reads failed only when every port is gone.
     pub fn fail_component_now(&mut self, lc: u16, kind: ComponentKind, now: f64) {
         self.note_change(lc, now);
-        self.chassis.fail_unit(lc, kind);
+        self.chassis.linecards[lc as usize].health.fail(kind);
         self.on_health_change(now);
     }
 
     /// Deterministic repair scripting.
     pub fn repair_lc_now(&mut self, lc: u16, now: f64) {
         self.note_change(lc, now);
-        self.chassis.linecards[lc as usize].repair_all();
+        self.chassis.linecards[lc as usize].health.repair_all();
         self.lp_established.remove(&lc);
         self.lp_established.remove(&(lc | EGRESS_FLOW_OFFSET));
         self.on_health_change(now);
@@ -757,7 +758,7 @@ impl DraRouter {
                 // (gossip window) — a helper that just died can't help.
                 // An LC_inter (Case 3) additionally frames with its
                 // PDLU, which therefore must be alive.
-                let c = self.chassis.linecards[lc as usize].components;
+                let c = self.chassis.linecards[lc as usize].health.components();
                 let pdlu_needed = matches!(stage, Stage::InterProc { .. });
                 if !c.pi_units_healthy()
                     || c.bus_controller == Health::Failed
@@ -804,7 +805,7 @@ impl DraRouter {
                 // Ground truth checks against stale plans: a fabric →
                 // egress step requires the egress SRU+PDLU; an EIB →
                 // egress step bypasses them; the PIU is always needed.
-                let c = self.chassis.linecards[lc as usize].components;
+                let c = self.chassis.linecards[lc as usize].health.components();
                 let via_fabric = idx > 0 && matches!(stages[idx - 1], Stage::Fabric { .. });
                 let units_ok = if via_fabric {
                     c.sru == Health::Healthy && c.pdlu == Health::Healthy
@@ -1252,7 +1253,10 @@ mod tests {
         // Repair restores all ports.
         let now = sim.now();
         sim.model_mut().repair_lc_now(0, now);
-        assert_eq!(sim.model().linecards[0].piu_failed_ports, 0);
+        assert_eq!(
+            sim.model().linecards[0].health,
+            dra_router::components::CardHealth::healthy(4)
+        );
     }
 
     #[test]
@@ -1371,23 +1375,19 @@ mod tests {
     fn route_churn_in_service() {
         use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
         use dra_net::fib::Fib;
-        let fib_sizes = |sim: &Simulation<DraRouter>| -> Vec<usize> {
-            sim.model()
-                .linecards
-                .iter()
-                .map(|lc| lc.fib.len())
-                .collect()
-        };
         let mut sim = DraRouter::simulation(config(4, 0.2), 81);
         sim.run_until(0.5e-3);
         // Announce a more-specific override steering 10.1.128.0/17 to
         // LC3 instead of LC1; traffic keeps flowing.
         let p = Ipv4Prefix::new(Ipv4Addr::from_octets(10, 1, 128, 0), 17);
+        let inside = Ipv4Addr::from_octets(10, 1, 200, 1);
         sim.model_mut().announce_route(p, 3);
-        assert_eq!(fib_sizes(&sim), vec![5; 4]);
+        assert_eq!(sim.model().fib.len(), 5);
+        assert_eq!(sim.model().fib.lookup(inside), Some(3));
         sim.run_until(1.5e-3);
         sim.model_mut().withdraw_route(p);
-        assert_eq!(fib_sizes(&sim), vec![4; 4]);
+        assert_eq!(sim.model().fib.len(), 4);
+        assert_eq!(sim.model().fib.lookup(inside), Some(1));
         sim.run_until(2.5e-3);
         let m = &sim.model().metrics;
         assert!(m.byte_delivery_ratio() > 0.98);

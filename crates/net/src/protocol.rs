@@ -1,13 +1,15 @@
-//! L2 protocol engines — the software model of the paper's PDLU.
+//! L2 protocols — the software model of the paper's PDLU.
 //!
 //! DRA's key structural move is pulling all protocol-dependent work out
 //! of the PIU/SRU into a Protocol-Dependent Logic Unit realized as an
-//! FPGA/ASIC programmed per protocol. Here that unit is a
-//! [`ProtocolEngine`]: it knows its [`ProtocolKind`], its framing
-//! overhead, and how long (de)encapsulation takes. Two engines are
-//! interchangeable for coverage purposes **iff their kinds match** —
-//! exactly the paper's rule that a failed PDLU may only be covered by a
-//! healthy linecard implementing the same protocol.
+//! FPGA/ASIC programmed per protocol. Here that unit is its
+//! [`ProtocolKind`] and two costs read off it: framing overhead
+//! ([`ProtocolKind::wire_bytes`]) and how long (de)encapsulation takes
+//! ([`ProtocolKind::processing_delay`]). Two PDLUs are interchangeable
+//! for coverage purposes **iff their kinds match** — exactly the
+//! paper's rule that a failed PDLU may only be covered by a healthy
+//! linecard implementing the same protocol (`dra-core`'s coverage
+//! planner compares kinds directly).
 
 use std::fmt;
 
@@ -38,144 +40,33 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-/// The protocol-dependent logic of one linecard.
-///
-/// Implementations model only what the dependability and bandwidth
-/// analyses can observe: wire overhead and processing latency.
-pub trait ProtocolEngine: fmt::Debug + Send {
-    /// The protocol this engine implements.
-    fn kind(&self) -> ProtocolKind;
-
+impl ProtocolKind {
     /// Bytes on the wire for an IP packet of `ip_bytes`.
-    fn wire_bytes(&self, ip_bytes: u32) -> u32;
+    pub fn wire_bytes(self, ip_bytes: u32) -> u32 {
+        match self {
+            // 14B header + 4B FCS, padded to the 64B minimum frame.
+            ProtocolKind::Ethernet => (ip_bytes + 18).max(64),
+            // PPP in HDLC-like framing: flag + address + control +
+            // protocol + FCS ≈ 9 bytes.
+            ProtocolKind::Pos => ip_bytes + 9,
+            // AAL5: payload + 8B trailer, padded up to a multiple of
+            // 48, then the 53/48 cell tax.
+            ProtocolKind::Atm => (ip_bytes + 8).div_ceil(48) * 53,
+        }
+    }
 
     /// Seconds of PDLU processing to encapsulate or decapsulate a
-    /// packet of `ip_bytes` (fixed per-packet cost plus per-byte cost).
-    fn processing_delay(&self, ip_bytes: u32) -> f64;
-
-    /// Can this engine stand in for `other`? True exactly when the
-    /// protocol kinds match (the paper's PDLU-coverage rule).
-    fn can_cover(&self, other: ProtocolKind) -> bool {
-        self.kind() == other
-    }
-}
-
-/// Shared cost model: per-packet fixed latency plus per-byte latency.
-/// Values are representative of hardware line-speed engines; only their
-/// *relative* magnitudes matter to the simulation results.
-#[derive(Debug, Clone, Copy)]
-struct CostModel {
-    per_packet_s: f64,
-    per_byte_s: f64,
-}
-
-impl CostModel {
-    #[inline]
-    fn delay(&self, bytes: u32) -> f64 {
-        self.per_packet_s + self.per_byte_s * bytes as f64
-    }
-}
-
-/// IEEE 802.3 engine: 14B header + 4B FCS, 64B minimum frame.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EthernetEngine {
-    cost: CostModel,
-}
-
-impl Default for EthernetEngine {
-    fn default() -> Self {
-        EthernetEngine {
-            cost: CostModel {
-                per_packet_s: 50e-9,
-                per_byte_s: 0.1e-9,
-            },
-        }
-    }
-}
-
-impl ProtocolEngine for EthernetEngine {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Ethernet
-    }
-    fn wire_bytes(&self, ip_bytes: u32) -> u32 {
-        // 14B header + 4B FCS, padded to the 64B minimum frame.
-        (ip_bytes + 18).max(64)
-    }
-    fn processing_delay(&self, ip_bytes: u32) -> f64 {
-        self.cost.delay(ip_bytes)
-    }
-}
-
-/// Packet-over-SONET engine: PPP in HDLC-like framing, 9B overhead.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PosEngine {
-    cost: CostModel,
-}
-
-impl Default for PosEngine {
-    fn default() -> Self {
-        PosEngine {
-            cost: CostModel {
-                per_packet_s: 40e-9,
-                per_byte_s: 0.08e-9,
-            },
-        }
-    }
-}
-
-impl ProtocolEngine for PosEngine {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Pos
-    }
-    fn wire_bytes(&self, ip_bytes: u32) -> u32 {
-        // Flag + address + control + protocol + FCS ≈ 9 bytes.
-        ip_bytes + 9
-    }
-    fn processing_delay(&self, ip_bytes: u32) -> f64 {
-        self.cost.delay(ip_bytes)
-    }
-}
-
-/// ATM/AAL5 engine: 8B trailer, padding to a 48B multiple, 5B header
-/// per 53B cell.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AtmEngine {
-    cost: CostModel,
-}
-
-impl Default for AtmEngine {
-    fn default() -> Self {
-        AtmEngine {
-            cost: CostModel {
-                per_packet_s: 70e-9,
-                per_byte_s: 0.12e-9,
-            },
-        }
-    }
-}
-
-impl ProtocolEngine for AtmEngine {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Atm
-    }
-    fn wire_bytes(&self, ip_bytes: u32) -> u32 {
-        // AAL5: payload + 8B trailer, padded up to a multiple of 48,
-        // then 53/48 cell tax.
-        let aal5 = ip_bytes + 8;
-        let cells = aal5.div_ceil(48);
-        cells * 53
-    }
-    fn processing_delay(&self, ip_bytes: u32) -> f64 {
-        self.cost.delay(ip_bytes)
-    }
-}
-
-/// Construct the default engine for a protocol kind.
-pub fn engine_for(kind: ProtocolKind) -> Box<dyn ProtocolEngine> {
-    match kind {
-        ProtocolKind::Ethernet => Box::new(EthernetEngine::default()),
-        ProtocolKind::Pos => Box::new(PosEngine::default()),
-        ProtocolKind::Atm => Box::new(AtmEngine::default()),
+    /// packet of `ip_bytes`: a fixed per-packet cost plus a per-byte
+    /// cost. The values are representative of hardware line-speed
+    /// engines; only their *relative* magnitudes matter to the
+    /// simulation results.
+    pub fn processing_delay(self, ip_bytes: u32) -> f64 {
+        let (per_packet_s, per_byte_s) = match self {
+            ProtocolKind::Ethernet => (50e-9, 0.1e-9),
+            ProtocolKind::Pos => (40e-9, 0.08e-9),
+            ProtocolKind::Atm => (70e-9, 0.12e-9),
+        };
+        per_packet_s + per_byte_s * ip_bytes as f64
     }
 }
 
@@ -191,21 +82,21 @@ mod tests {
 
     #[test]
     fn ethernet_overhead_and_minimum_frame() {
-        let e = EthernetEngine::default();
+        let e = ProtocolKind::Ethernet;
         assert_eq!(e.wire_bytes(1500), 1518);
         assert_eq!(e.wire_bytes(20), 64, "small packets pad to 64B");
     }
 
     #[test]
     fn pos_overhead() {
-        let e = PosEngine::default();
+        let e = ProtocolKind::Pos;
         assert_eq!(e.wire_bytes(1500), 1509);
         assert_eq!(e.wire_bytes(20), 29);
     }
 
     #[test]
     fn atm_cell_tax() {
-        let e = AtmEngine::default();
+        let e = ProtocolKind::Atm;
         // 40B IP packet: +8 trailer = 48 -> 1 cell -> 53B.
         assert_eq!(e.wire_bytes(40), 53);
         // 41B: 49 -> 2 cells -> 106B.
@@ -215,29 +106,30 @@ mod tests {
     }
 
     #[test]
-    fn coverage_rule_is_same_kind_only() {
-        let eth = EthernetEngine::default();
-        assert!(eth.can_cover(ProtocolKind::Ethernet));
-        assert!(!eth.can_cover(ProtocolKind::Pos));
-        assert!(!eth.can_cover(ProtocolKind::Atm));
-    }
-
-    #[test]
     fn processing_delay_grows_with_size() {
         for kind in ProtocolKind::ALL {
-            let e = engine_for(kind);
-            assert_eq!(e.kind(), kind);
-            let small = e.processing_delay(40);
-            let large = e.processing_delay(1500);
+            let small = kind.processing_delay(40);
+            let large = kind.processing_delay(1500);
             assert!(large > small, "{kind}: delay must grow with size");
             assert!(small > 0.0);
         }
     }
 
     #[test]
-    fn engine_for_round_trips_kind() {
-        for kind in ProtocolKind::ALL {
-            assert_eq!(engine_for(kind).kind(), kind);
-        }
+    fn processing_delay_is_per_packet_plus_per_byte() {
+        // The constants, bit for bit: every latency artifact depends on them.
+        assert_eq!(ProtocolKind::Ethernet.processing_delay(0), 50e-9);
+        assert_eq!(
+            ProtocolKind::Ethernet.processing_delay(1500),
+            50e-9 + 0.1e-9 * 1500.0
+        );
+        assert_eq!(
+            ProtocolKind::Pos.processing_delay(1500),
+            40e-9 + 0.08e-9 * 1500.0
+        );
+        assert_eq!(
+            ProtocolKind::Atm.processing_delay(1500),
+            70e-9 + 0.12e-9 * 1500.0
+        );
     }
 }

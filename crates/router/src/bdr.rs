@@ -159,7 +159,7 @@ impl DerefMut for BdrRouter {
 }
 
 impl BdrRouter {
-    /// Build a router (linecards, FIBs, generators) from `config`.
+    /// Build a router (linecards, forwarding table, generators) from `config`.
     /// `seed` feeds the per-LC traffic RNG streams (the simulation's
     /// own RNG, seeded separately, covers arbitration and PIU coins).
     pub fn new(config: BdrConfig, seed: u64) -> Self {
@@ -181,13 +181,13 @@ impl BdrRouter {
     /// A PIU failure takes down *one port*; the aggregate PIU health
     /// reads failed only when every port is gone.
     pub fn fail_component_now(&mut self, lc: u16, kind: ComponentKind, now: f64) {
-        self.chassis.fail_unit(lc, kind);
+        self.chassis.linecards[lc as usize].health.fail(kind);
         self.refresh_availability(lc, now);
     }
 
     /// Repair a linecard immediately (deterministic fault scripting).
     pub fn repair_lc_now(&mut self, lc: u16, now: f64) {
-        self.chassis.linecards[lc as usize].repair_all();
+        self.chassis.linecards[lc as usize].health.repair_all();
         self.refresh_availability(lc, now);
     }
 

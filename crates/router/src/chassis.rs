@@ -1,6 +1,6 @@
 //! The router chassis both architectures are built on.
 //!
-//! BDR and DRA run the same linecards, route processor, traffic
+//! BDR and DRA run the same linecards, forwarding table, traffic
 //! sources and crossbar. They differ in two places only: the checks a
 //! packet must pass before it is switched (its *admission*), and what
 //! happens once its cells are reassembled. [`Chassis`] owns everything
@@ -21,15 +21,13 @@
 
 use crate::arena::CellHandle;
 use crate::bdr::BdrConfig;
-use crate::components::{ComponentKind, Health};
 use crate::fabric::Crossbar;
 use crate::ingress::ArrivalTrain;
 use crate::linecard::Linecard;
 use crate::metrics::{note_drop, DropCause, RouterMetrics};
-use crate::rp::RouteProcessor;
 use dra_des::Ctx;
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
-use dra_net::fib::Fib;
+use dra_net::fib::{Dir248Fib, Fib};
 use dra_net::packet::{Packet, PacketId, PacketIdGen};
 use dra_net::sar::{segment_cells, CELL_BYTES};
 use dra_net::traffic::PoissonGen;
@@ -52,7 +50,7 @@ pub enum ChassisEvent {
     PurgeReassembly,
 }
 
-/// Linecards, route processor, traffic sources and crossbar: the
+/// Linecards, forwarding table, traffic sources and crossbar: the
 /// datapath substrate shared by both architectures.
 #[derive(Debug)]
 pub struct Chassis {
@@ -64,8 +62,13 @@ pub struct Chassis {
     pub fabric: Crossbar,
     /// Collected metrics.
     pub metrics: RouterMetrics,
-    /// The route processor owning the master RIB.
-    pub rp: RouteProcessor,
+    /// The forwarding table every linecard's LFE reads (the compiled
+    /// DIR-24-8 form the hardware would run; `LinearFib` is its
+    /// executable spec). The paper's route processor downloads one
+    /// copy per card and updates them together, so the copies never
+    /// differ: the chassis keeps the one table they all equal. Its
+    /// route store is the router's route set.
+    pub fib: Dir248Fib,
     generators: Vec<PoissonGen>,
     /// Dedicated per-LC RNG streams for traffic, decoupled from the
     /// simulation RNG so two architectures (or two fault scripts) see
@@ -97,23 +100,21 @@ impl Chassis {
         );
         assert!(config.fabric_speedup >= 1.0);
 
-        let mut linecards: Vec<Linecard> = (0..config.n_lcs)
+        let linecards: Vec<Linecard> = (0..config.n_lcs)
             .map(|i| {
                 Linecard::with_ports(
-                    i as u16,
                     config.protocol_of(i),
                     config.port_rate_bps,
                     config.ports_per_lc,
                 )
             })
             .collect();
-        // Full mesh routing, distributed by the route processor as in
-        // Figure 1: every card learns every destination prefix.
-        let mut rp = RouteProcessor::new();
+        // Full mesh routing as in Figure 1: every card reaches every
+        // destination prefix.
+        let mut fib = Dir248Fib::new();
         for dst in 0..config.n_lcs {
-            rp.announce(BdrConfig::prefix_of(dst), dst as u16);
+            fib.insert(BdrConfig::prefix_of(dst), dst as u16);
         }
-        rp.distribute(&mut linecards);
         // Each card offers `load × rate` spread uniformly over the others.
         let generators = (0..config.n_lcs)
             .map(|i| {
@@ -148,7 +149,7 @@ impl Chassis {
             config,
             linecards,
             fabric,
-            rp,
+            fib,
             generators,
             traffic_rngs,
             id_gens,
@@ -164,38 +165,22 @@ impl Chassis {
     #[inline]
     pub fn lc_operational(&self, lc: u16) -> bool {
         self.linecards[lc as usize]
-            .components
+            .health
+            .components()
             .operational_standalone()
     }
 
-    /// Fail one unit of linecard `lc`. A PIU failure takes down *one
-    /// port*; the aggregate PIU health reads failed only when every
-    /// port is gone.
-    pub fn fail_unit(&mut self, lc: u16, kind: ComponentKind) {
-        let card = &mut self.linecards[lc as usize];
-        if kind == ComponentKind::Piu {
-            card.fail_piu_port();
-        } else {
-            card.components.set(kind, Health::Failed);
-        }
-    }
-
-    /// Announce a route at the RP and push it to every card's FIB
-    /// (an in-service route update; the paper's internal bus carries
-    /// exactly this traffic).
+    /// Announce a route in service: every linecard forwards by it from
+    /// the next lookup on (the paper's internal bus carries exactly
+    /// this update to every card). Arrival trains batched before it
+    /// re-resolve their unconsumed tail.
     pub fn announce_route(&mut self, prefix: Ipv4Prefix, next_hop: u16) {
-        self.rp.announce(prefix, next_hop);
-        for lc in &mut self.linecards {
-            lc.fib.insert(prefix, next_hop);
-        }
+        self.fib.insert(prefix, next_hop);
     }
 
-    /// Withdraw a route everywhere.
+    /// Withdraw a route from every linecard, in service.
     pub fn withdraw_route(&mut self, prefix: Ipv4Prefix) {
-        self.rp.withdraw(prefix);
-        for lc in &mut self.linecards {
-            lc.fib.remove(prefix);
-        }
+        self.fib.remove(prefix);
     }
 
     /// Does a packet at linecard `lc` ride one of its PIU-failed ports?
@@ -203,7 +188,7 @@ impl Chassis {
     /// links. Draws from `rng` only while some port is down.
     #[inline]
     pub fn port_down(&self, lc: u16, rng: &mut SmallRng) -> bool {
-        let loss = self.linecards[lc as usize].piu_loss_fraction();
+        let loss = self.linecards[lc as usize].health.piu_loss_fraction();
         loss > 0.0 && dra_des::random::coin(rng, loss)
     }
 
@@ -256,7 +241,7 @@ impl Chassis {
         self.trains[i].pop(
             &mut self.generators[i],
             &mut self.traffic_rngs[i],
-            &self.linecards[i].fib,
+            &self.fib,
         )
     }
 
@@ -435,5 +420,47 @@ impl Chassis {
             self.config.reassembly_timeout_s,
             ChassisEvent::PurgeReassembly.into(),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chassis(n_lcs: usize) -> Chassis {
+        Chassis::new(
+            BdrConfig {
+                n_lcs,
+                ..BdrConfig::default()
+            },
+            1,
+        )
+    }
+
+    #[test]
+    fn construction_installs_the_full_mesh_once() {
+        let c = chassis(4);
+        assert_eq!(c.fib.len(), 4, "one /16 per card, one table");
+        for dst in 0..4 {
+            let addr = BdrConfig::dst_base_of(dst);
+            assert_eq!(c.fib.lookup(addr), Some(dst as u16));
+        }
+        assert_eq!(c.fib.lookup(Ipv4Addr::from_octets(10, 4, 0, 1)), None);
+    }
+
+    #[test]
+    fn announce_and_withdraw_replace_the_one_route() {
+        let mut c = chassis(3);
+        let addr = Ipv4Addr::from_octets(10, 1, 2, 3);
+        // Re-announcing card 1's prefix replaces its next hop in place.
+        c.announce_route(BdrConfig::prefix_of(1), 2);
+        assert_eq!(c.fib.len(), 3);
+        assert_eq!(c.fib.lookup(addr), Some(2));
+        c.withdraw_route(BdrConfig::prefix_of(1));
+        assert_eq!(c.fib.len(), 2);
+        assert_eq!(c.fib.lookup(addr), None);
+        // The table reports what each update replaced.
+        assert_eq!(c.fib.insert(BdrConfig::prefix_of(1), 1), None);
+        assert_eq!(c.fib.remove(BdrConfig::prefix_of(1)), Some(1));
     }
 }

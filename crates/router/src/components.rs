@@ -101,7 +101,7 @@ impl LcComponents {
     }
 
     /// Repair everything (hot-swap replaces the whole card).
-    pub fn repair_all(&mut self) {
+    pub(crate) fn repair_all(&mut self) {
         *self = Self::healthy();
     }
 
@@ -133,6 +133,65 @@ impl LcComponents {
     /// Are the paper's "PI units" (SRU, LFE) all healthy?
     pub fn pi_units_healthy(&self) -> bool {
         self.sru == Health::Healthy && self.lfe == Health::Healthy
+    }
+}
+
+/// One linecard's unit health and its PIU ports: the fail and repair
+/// rule shared by the chassis's linecards and `dra-core`'s per-router
+/// health state.
+///
+/// A PIU failure takes down *one port* (the paper: "An LC may have one
+/// or multiple ports", each behind its own PIU); `components.piu` reads
+/// `Failed` only once every port is gone. Each dead PIU disconnects one
+/// external link — losing `failed/ports` of the card's traffic — which
+/// no coverage scheme can recover (§3.2, Case 2/3 PIU). A hot-swap
+/// repair restores every unit and every port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CardHealth {
+    components: LcComponents,
+    ports: u16,
+    piu_failed_ports: u16,
+}
+
+impl CardHealth {
+    /// A fully healthy card with `ports` external ports.
+    pub fn healthy(ports: u16) -> Self {
+        assert!(ports > 0, "linecards need a port");
+        CardHealth {
+            components: LcComponents::healthy(),
+            ports,
+            piu_failed_ports: 0,
+        }
+    }
+
+    /// Unit health; `piu` aggregates the ports.
+    #[inline]
+    pub fn components(&self) -> LcComponents {
+        self.components
+    }
+
+    /// Fail one unit: a PIU failure takes down one more port (failures
+    /// past the last port saturate), any other kind the unit itself.
+    pub fn fail(&mut self, kind: ComponentKind) {
+        if kind == ComponentKind::Piu {
+            self.piu_failed_ports = (self.piu_failed_ports + 1).min(self.ports);
+            if self.piu_failed_ports == self.ports {
+                self.components.piu = Health::Failed;
+            }
+        } else {
+            self.components.set(kind, Health::Failed);
+        }
+    }
+
+    /// Hot-swap repair: all units and all ports.
+    pub fn repair_all(&mut self) {
+        self.components.repair_all();
+        self.piu_failed_ports = 0;
+    }
+
+    /// Fraction of the card's external links currently disconnected.
+    pub(crate) fn piu_loss_fraction(&self) -> f64 {
+        self.piu_failed_ports as f64 / self.ports as f64
     }
 }
 
@@ -258,6 +317,34 @@ mod tests {
         assert!(c.pi_units_healthy());
         c.set(ComponentKind::Lfe, Health::Failed);
         assert!(!c.pi_units_healthy());
+    }
+
+    #[test]
+    fn per_port_piu_failures_aggregate() {
+        let mut card = CardHealth::healthy(4);
+        assert_eq!(card.piu_loss_fraction(), 0.0);
+        card.fail(ComponentKind::Piu);
+        assert_eq!(card.piu_loss_fraction(), 0.25);
+        assert_eq!(card.components.piu, Health::Healthy, "3 ports still up");
+        for _ in 0..3 {
+            card.fail(ComponentKind::Piu);
+        }
+        assert_eq!(card.piu_loss_fraction(), 1.0);
+        assert_eq!(card.components.piu, Health::Failed, "all ports gone");
+        // Extra failures saturate.
+        card.fail(ComponentKind::Piu);
+        assert_eq!(card.piu_failed_ports, 4);
+        // Hot swap restores everything.
+        card.repair_all();
+        assert_eq!(card, CardHealth::healthy(4));
+    }
+
+    #[test]
+    fn single_port_card_piu_failure_is_total() {
+        let mut card = CardHealth::healthy(1);
+        card.fail(ComponentKind::Piu);
+        assert_eq!(card.components.piu, Health::Failed);
+        assert_eq!(card.piu_loss_fraction(), 1.0);
     }
 
     #[test]

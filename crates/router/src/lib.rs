@@ -5,15 +5,16 @@
 //! machinery the DRA architecture reuses:
 //!
 //! * [`components`] — linecard functional units (PIU, PDLU, SRU, LFE,
-//!   bus controller), their health, and the paper's failure rates.
+//!   bus controller), their health, the per-port PIU fail and hot-swap
+//!   repair rule, and the paper's failure rates.
 //! * [`fabric`] — a cell-slotted crossbar with virtual output queues,
 //!   a bitmask iSLIP iterative scheduler over an indexed cell arena,
 //!   and redundant switching planes (the paper's Case-1 fault
 //!   tolerance).
 //! * [`arena`] — the fixed-slab cell store behind the fabric's
 //!   4-byte handles.
-//! * [`linecard`] — per-linecard state: protocol engine, FIB,
-//!   reassembler, port rate.
+//! * [`linecard`] — per-linecard state: protocol, unit and port
+//!   health, port rate, reassembler.
 //! * [`ingress`] — the LFE's batched lookup front end: per-linecard
 //!   arrival trains resolved against the compiled DIR-24-8 FIB in one
 //!   `lookup_batch` call, with generation-stamped invalidation under
@@ -23,12 +24,11 @@
 //! * [`faults`] — exponential component-failure and repair sampling
 //!   (hot-swap semantics: repair restores the whole linecard), which
 //!   the scripted fault timelines draw from.
-//! * [`rp`] — the route processor and the internal bus's maintenance
-//!   functions: versioned RIB with incremental FIB distribution, card
-//!   discovery, health polling.
 //! * [`chassis`] — the datapath substrate both architectures share:
-//!   construction, arrivals, the fabric-slot loop with reassembly, the
-//!   reassembly purge, and route updates.
+//!   construction, the one forwarding table every linecard's LFE reads
+//!   (the route processor's full-mesh routes plus in-service route
+//!   updates), arrivals, the fabric-slot loop with reassembly, and the
+//!   reassembly purge.
 //! * [`bdr`] — the BDR router model itself, a chassis plus BDR's
 //!   admission rule: under any linecard component failure, that
 //!   linecard's traffic is lost until repair — exactly the behaviour
@@ -45,4 +45,3 @@ pub mod faults;
 pub mod ingress;
 pub mod linecard;
 pub mod metrics;
-pub mod rp;

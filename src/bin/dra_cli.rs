@@ -27,7 +27,9 @@ use dra::core::analysis::nines::format_nines;
 use dra::core::analysis::reliability::{
     bdr_reliability_model, dra_model, reliability_curve, DraParams,
 };
+use dra::core::scenario::{Action, Scenario, ScriptedRouter};
 use dra::core::sim::{DraConfig, DraRouter};
+use dra::des::Simulation;
 use dra::router::bdr::{BdrConfig, BdrRouter};
 use dra::router::components::{ComponentKind, FailureRates};
 use dra::router::metrics::{DropCause, RouterMetrics};
@@ -196,60 +198,52 @@ fn cmd_simulate(args: &Args) -> Result<ExitCode, String> {
     let load: f64 = args.get("--load", 0.3)?;
     let horizon_ms: f64 = args.get("--horizon-ms", 5.0)?;
     let seed: u64 = args.get("--seed", 42)?;
-    let fails: Vec<(u16, ComponentKind, f64)> = args
+    let mut fails: Vec<(u16, ComponentKind, f64)> = args
         .value::<String>("--fail")?
         .map(|s| s.split(',').map(parse_fail).collect::<Result<_, _>>())
         .transpose()?
         .unwrap_or_default();
+    if !(horizon_ms > 0.0 && horizon_ms.is_finite()) {
+        return Err(format!("--horizon-ms: {horizon_ms} is not a positive time"));
+    }
     for &(lc, _, at) in &fails {
         if lc as usize >= n {
             return Err(format!("--fail: linecard {lc} out of range (N={n})"));
         }
-        if at < 0.0 || at > horizon_ms {
+        if !(0.0..=horizon_ms).contains(&at) {
             return Err(format!("--fail: time {at} ms outside the horizon"));
         }
     }
-    let horizon = horizon_ms * 1e-3;
     let base = BdrConfig {
         n_lcs: n,
         load,
         ..BdrConfig::default()
     };
 
-    // Run the scripted scenario: advance to each failure time in order.
-    let mut ordered = fails.clone();
-    ordered.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite times"));
-
+    // One timeline for either architecture, failures in time order.
+    fails.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("validated times"));
+    let mut script = Scenario::new(horizon_ms * 1e-3);
+    for (lc, kind, at_ms) in fails {
+        script = script.at(at_ms * 1e-3, Action::FailComponent(lc, kind));
+        println!("t={at_ms} ms: failed LC{lc} {kind}");
+    }
     if args.switch("--bdr") {
-        let mut sim = BdrRouter::simulation(base, seed);
-        for (lc, kind, at_ms) in ordered {
-            sim.run_until(at_ms * 1e-3);
-            let now = sim.now();
-            sim.model_mut().fail_component_now(lc, kind, now);
-            println!("t={at_ms} ms: failed LC{lc} {kind}");
-        }
-        sim.run_until(horizon);
-        println!("-- BDR --");
-        print_sim_report(&sim.model().metrics, horizon);
+        simulate(BdrRouter::simulation(base, seed), &script, "BDR");
     } else {
-        let mut sim = DraRouter::simulation(
-            DraConfig {
-                router: base,
-                ..Default::default()
-            },
-            seed,
-        );
-        for (lc, kind, at_ms) in ordered {
-            sim.run_until(at_ms * 1e-3);
-            let now = sim.now();
-            sim.model_mut().fail_component_now(lc, kind, now);
-            println!("t={at_ms} ms: failed LC{lc} {kind}");
-        }
-        sim.run_until(horizon);
-        println!("-- DRA --");
-        print_sim_report(&sim.model().metrics, horizon);
+        let config = DraConfig {
+            router: base,
+            ..Default::default()
+        };
+        simulate(DraRouter::simulation(config, seed), &script, "DRA");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Run `script` on `sim` and report the router's metrics.
+fn simulate<R: ScriptedRouter>(mut sim: Simulation<R>, script: &Scenario, label: &str) {
+    script.run(&mut sim);
+    println!("-- {label} --");
+    print_sim_report(&sim.model().metrics, script.horizon());
 }
 
 const USAGE: &str = "usage: dra <command> [args]
@@ -511,5 +505,8 @@ mod tests {
     fn simulate_validates_fail_specs() {
         assert!(cmd_simulate(&args("simulate", "--n 3 --fail 9:sru:1")).is_err());
         assert!(cmd_simulate(&args("simulate", "--n 3 --fail 0:sru:99")).is_err());
+        assert!(cmd_simulate(&args("simulate", "--n 3 --fail 0:sru:NaN")).is_err());
+        assert!(cmd_simulate(&args("simulate", "--n 3 --horizon-ms 0")).is_err());
+        assert!(cmd_simulate(&args("simulate", "--n 3 --horizon-ms inf")).is_err());
     }
 }

@@ -7,6 +7,7 @@
 //! latency of delivered packets.
 
 use dra::campaign::report::print_table;
+use dra::core::scenario::{Action, Scenario};
 use dra::core::sim::{DraConfig, DraRouter, PathKind};
 use dra::router::bdr::BdrConfig;
 use dra::router::components::ComponentKind;
@@ -23,16 +24,12 @@ fn simulate(load: f64) -> Vec<(PathKind, u64, f64, f64)> {
         },
         0xE7,
     );
-    sim.run_until(1e-3);
-    let now = sim.now();
     // Three distinct failure modes at once.
-    sim.model_mut()
-        .fail_component_now(0, ComponentKind::Lfe, now);
-    sim.model_mut()
-        .fail_component_now(1, ComponentKind::Sru, now);
-    sim.model_mut()
-        .fail_component_now(2, ComponentKind::Sru, now);
-    sim.run_until(6e-3);
+    Scenario::new(6e-3)
+        .at(1e-3, Action::FailComponent(0, ComponentKind::Lfe))
+        .at(1e-3, Action::FailComponent(1, ComponentKind::Sru))
+        .at(1e-3, Action::FailComponent(2, ComponentKind::Sru))
+        .run(&mut sim);
     PathKind::ALL
         .iter()
         .map(|&p| {

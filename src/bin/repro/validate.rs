@@ -20,6 +20,7 @@ use dra::campaign::{registry, CellSpec, RunOptions};
 use dra::core::analysis::degradation::{b_faulty_fraction, DegradationParams};
 use dra::core::analysis::reliability::{dra_model, reliability_curve, DraParams, TprimeSemantics};
 use dra::core::montecarlo::{inflated_rates, run_bdr_mc, run_dra_mc, McConfig, McMode};
+use dra::core::scenario::{Action, Scenario};
 use dra::core::sim::{DraConfig, DraRouter};
 use dra::router::bdr::BdrConfig;
 use dra::router::components::ComponentKind;
@@ -180,11 +181,9 @@ fn validate_protocol_mix() {
             },
             0xE6,
         );
-        sim.run_until(2e-3);
-        let now = sim.now();
-        sim.model_mut()
-            .fail_component_now(0, ComponentKind::Pdlu, now);
-        sim.run_until(6e-3);
+        Scenario::new(6e-3)
+            .at(2e-3, Action::FailComponent(0, ComponentKind::Pdlu))
+            .run(&mut sim);
         let m_out = &sim.model().metrics;
         let lc0 = &m_out.lcs[0];
         rows.push(vec![

@@ -8,7 +8,7 @@
 //! * [`linalg`] — dense/sparse linear algebra used by the Markov solvers.
 //! * [`markov`] — continuous-time Markov chain construction and solution.
 //! * [`des`] — discrete-event simulation kernel, RNG, and statistics.
-//! * [`net`] — packets, protocol engines, FIBs, SAR, traffic generators.
+//! * [`net`] — packets, L2 protocols, FIBs, SAR, traffic generators.
 //! * [`router`] — the BDR (basic distributed router) baseline simulator.
 //! * [`core`] — the DRA architecture itself plus the paper's
 //!   dependability and degradation analyses.

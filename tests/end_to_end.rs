@@ -74,10 +74,26 @@ fn fib_implementations_agree_under_the_router_route_layout() {
 
 #[test]
 fn protocol_engines_expose_the_pdlu_coverage_rule() {
-    use dra::net::protocol::engine_for;
-    for a in ProtocolKind::ALL {
-        for b in ProtocolKind::ALL {
-            assert_eq!(engine_for(a).can_cover(b), a == b);
+    // The paper's PDLU rule as the planner applies it: a card whose
+    // PDLU failed is covered only by a healthy peer of its protocol.
+    use dra::core::coverage::{CoveragePlanner, IngressRoute, LcView};
+    use dra::router::components::{ComponentKind, Health};
+    use dra::router::metrics::DropCause;
+    let planner = CoveragePlanner::new(true);
+    for failed in ProtocolKind::ALL {
+        for peer in ProtocolKind::ALL {
+            let mut lcs = vec![LcView::healthy(failed, 8e9), LcView::healthy(peer, 8e9)];
+            lcs[0].components.set(ComponentKind::Pdlu, Health::Failed);
+            let expect = if failed == peer {
+                IngressRoute::PdluCover { helper: 1 }
+            } else {
+                IngressRoute::Blocked(DropCause::NoCoverage)
+            };
+            assert_eq!(
+                planner.plan_ingress(&lcs, 0, 1),
+                expect,
+                "{failed} PDLU, {peer} peer"
+            );
         }
     }
 }
