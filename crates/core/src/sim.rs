@@ -26,7 +26,7 @@ use crate::coverage::{CoveragePlanner, EgressRoute, IngressRoute, LcView};
 use crate::eib::control::{CsmaChannel, TxResult};
 use dra_des::{Ctx, Model, Simulation};
 use dra_net::addr::Ipv4Addr;
-use dra_net::packet::{Packet, PacketId};
+use dra_net::packet::{Packet, PacketId, PacketMap};
 use dra_router::bdr::BdrConfig;
 use dra_router::chassis::{Chassis, ChassisEvent};
 use dra_router::components::{ComponentKind, Health};
@@ -301,13 +301,18 @@ pub struct DraRouter {
     pub eib_healthy: bool,
     control: CsmaChannel,
     /// Packets inside the fabric: resumed on reassembly completion.
-    in_fabric: HashMap<PacketId, (FlowMeta, StagePlan, usize)>,
+    in_fabric: PacketMap<(FlowMeta, StagePlan, usize)>,
     /// Per-flow data-line virtual finish time.
     eib_busy_until: HashMap<u16, f64>,
     /// Flows whose REQ_D/REP_D logical path is already set up.
     lp_established: std::collections::HashSet<u16>,
     /// Cached promised bandwidth per flow.
     b_prom: HashMap<u16, f64>,
+    /// The planner's snapshot of every linecard, refreshed on each
+    /// health change (all of which go through this type's fault
+    /// methods), so admitting a packet reads it instead of rebuilding
+    /// it.
+    views: Vec<LcView>,
     /// Gossip staleness: per-LC health as peers last saw it, with the
     /// change timestamp (see `EibConfig::gossip_delay_s`).
     gossip: Vec<GossipCell>,
@@ -315,7 +320,7 @@ pub struct DraRouter {
     /// Delivered-packet latency per [`PathKind`].
     latency_by_path: [dra_des::stats::Welford; 5],
     /// Latency distributions per [`PathKind`] (log buckets, 100 ns–10 ms).
-    latency_hist_by_path: Vec<dra_des::stats::LogHistogram>,
+    latency_hist_by_path: [dra_des::stats::LogHistogram; 5],
 }
 
 impl Deref for DraRouter {
@@ -358,15 +363,27 @@ impl DraRouter {
         let DraConfig { router, eib } = config;
         assert!(router.n_lcs >= 3, "DRA needs N >= 3");
         let n_lcs = router.n_lcs;
+        let spare = router.port_rate_bps * (1.0 - router.load);
+        let chassis = Chassis::new(router, seed);
+        let views = chassis
+            .linecards
+            .iter()
+            .map(|lc| LcView {
+                protocol: lc.protocol,
+                components: lc.health.components(),
+                spare_bps: spare,
+            })
+            .collect();
         DraRouter {
-            chassis: Chassis::new(router, seed),
+            chassis,
             eib_healthy: true,
             control: CsmaChannel::new(eib.control_rate_bps, eib.prop_delay_s),
             eib,
-            in_fabric: HashMap::new(),
+            in_fabric: PacketMap::default(),
             eib_busy_until: HashMap::new(),
             lp_established: std::collections::HashSet::new(),
             b_prom: HashMap::new(),
+            views,
             gossip: vec![
                 GossipCell {
                     prev: dra_router::components::LcComponents::healthy(),
@@ -379,9 +396,7 @@ impl DraRouter {
                 changed_at: f64::NEG_INFINITY,
             },
             latency_by_path: Default::default(),
-            latency_hist_by_path: (0..5)
-                .map(|_| dra_router::metrics::latency_histogram())
-                .collect(),
+            latency_hist_by_path: [(); 5].map(|_| dra_router::metrics::latency_histogram()),
         }
     }
 
@@ -392,18 +407,11 @@ impl DraRouter {
         sim
     }
 
-    /// The planner's snapshot of the router.
-    fn views(&self) -> Vec<LcView> {
-        let spare = self.chassis.config.port_rate_bps * (1.0 - self.chassis.config.load);
-        self.chassis
-            .linecards
-            .iter()
-            .map(|lc| LcView {
-                protocol: lc.protocol,
-                components: lc.health.components(),
-                spare_bps: spare,
-            })
-            .collect()
+    /// Bring the planner's snapshot up to the linecards' health.
+    fn refresh_views(&mut self) {
+        for (view, lc) in self.views.iter_mut().zip(&self.chassis.linecards) {
+            view.components = lc.health.components();
+        }
     }
 
     /// Is `lc`'s service currently deliverable (directly or covered)?
@@ -427,25 +435,21 @@ impl DraRouter {
         )
     }
 
-    /// The router as `origin` believes it to be at time `now`: its own
-    /// health is always current; peers' health (and the EIB's) is the
-    /// pre-change state until the gossip delay elapses.
-    fn views_for(&self, origin: u16, now: f64) -> (Vec<LcView>, bool) {
+    /// Turn the snapshot into the router as `origin` believes it to be
+    /// at `now`, or back: its own health is always current; a peer's
+    /// is its pre-change state until the gossip delay elapses. Swaps
+    /// each stale peer's view with its [`GossipCell::prev`], so a
+    /// second call with the same arguments restores both.
+    fn swap_stale_views(&mut self, origin: u16, now: f64) {
         let delay = self.eib.gossip_delay_s;
-        let mut views = self.views();
-        if delay > 0.0 {
-            for (i, view) in views.iter_mut().enumerate() {
-                if i as u16 != origin && now < self.gossip[i].changed_at + delay {
-                    view.components = self.gossip[i].prev;
-                }
+        if delay <= 0.0 {
+            return;
+        }
+        for (i, (view, cell)) in self.views.iter_mut().zip(&mut self.gossip).enumerate() {
+            if i as u16 != origin && now < cell.changed_at + delay {
+                std::mem::swap(&mut view.components, &mut cell.prev);
             }
         }
-        let eib_seen = if delay > 0.0 && now < self.gossip_eib.changed_at + delay {
-            self.gossip_eib.prev
-        } else {
-            self.eib_healthy
-        };
-        (views, eib_seen)
     }
 
     /// Record a health change for gossip staleness tracking. Must be
@@ -473,7 +477,7 @@ impl DraRouter {
     /// * all flows together are limited by the data-line capacity
     ///   `B_BUS`, shared proportionally (`B_prom`).
     fn recompute_bandwidth(&mut self) {
-        let views = self.views();
+        let views = &self.views;
         let r = &self.chassis.config;
         let covered: Vec<u16> = (0..r.n_lcs as u16)
             .filter(|&i| {
@@ -518,6 +522,7 @@ impl DraRouter {
     }
 
     fn on_health_change(&mut self, now: f64) {
+        self.refresh_views();
         self.recompute_bandwidth();
         self.refresh_availability(now);
     }
@@ -571,14 +576,20 @@ impl DraRouter {
     /// for `egress` — using what `ingress` *believes* the router looks
     /// like — or decide to drop it.
     fn plan_stages(
-        &self,
+        &mut self,
         ingress: u16,
         egress: u16,
         now: f64,
     ) -> Result<(StagePlan, PathKind), DropCause> {
-        let (views, eib_seen) = self.views_for(ingress, now);
-        let planner = CoveragePlanner::new(eib_seen);
-        let route = planner.plan(&views, ingress, egress);
+        let delay = self.eib.gossip_delay_s;
+        let eib_seen = if delay > 0.0 && now < self.gossip_eib.changed_at + delay {
+            self.gossip_eib.prev
+        } else {
+            self.eib_healthy
+        };
+        self.swap_stale_views(ingress, now);
+        let route = CoveragePlanner::new(eib_seen).plan(&self.views, ingress, egress);
+        self.swap_stale_views(ingress, now);
         if let Some(cause) = route.blocked_by() {
             return Err(cause);
         }
@@ -656,7 +667,7 @@ impl DraRouter {
     /// (§3.2); the coins draw from the simulation RNG only while ports
     /// are down.
     fn admit(
-        &self,
+        &mut self,
         lc: u16,
         route: Option<u16>,
         ctx: &mut Ctx<'_, DraEvent>,
@@ -695,14 +706,7 @@ impl DraRouter {
                     path,
                     ..meta
                 };
-                ctx.schedule(
-                    0.0,
-                    DraEvent::StageStart {
-                        meta,
-                        stages,
-                        idx: 0,
-                    },
-                );
+                self.start_stage(meta, stages, 0, 0.0, ctx);
             }
         }
     }
@@ -728,30 +732,54 @@ impl DraRouter {
         &self.latency_hist_by_path[path.index()]
     }
 
+    /// Start stage `idx` of a packet's plan `delay` from now, and each
+    /// stage after it that follows on a fixed delay. Every caller makes
+    /// this its last schedule call, so a stage runs inline whenever
+    /// [`Ctx::try_advance`] allows and is queued as a
+    /// [`DraEvent::StageStart`] otherwise.
+    fn start_stage(
+        &mut self,
+        meta: FlowMeta,
+        stages: StagePlan,
+        mut idx: usize,
+        mut delay: f64,
+        ctx: &mut Ctx<'_, DraEvent>,
+    ) {
+        loop {
+            if !ctx.try_advance(ctx.now() + delay) {
+                ctx.schedule(delay, DraEvent::StageStart { meta, stages, idx });
+                return;
+            }
+            match self.run_stage(meta, stages, idx, ctx) {
+                Some(next) => {
+                    idx += 1;
+                    delay = next;
+                }
+                None => return,
+            }
+        }
+    }
+
+    /// Run stage `idx` of a packet's plan. Returns the delay until the
+    /// next stage starts when that is all the stage leaves to do;
+    /// `None` when the packet finished, dropped, or waits on the fabric
+    /// or the control lines.
     fn run_stage(
         &mut self,
         meta: FlowMeta,
         stages: StagePlan,
         idx: usize,
         ctx: &mut Ctx<'_, DraEvent>,
-    ) {
+    ) -> Option<f64> {
         let Some(&stage) = stages.as_slice().get(idx) else {
             // Plan exhausted: the packet has left the router.
             self.finish(&meta, ctx.now());
-            return;
+            return None;
         };
         match stage {
             Stage::IngressProc { lc } => {
                 let p = self.as_packet(&meta);
-                let delay = self.chassis.linecards[lc as usize].ingress_delay(&p);
-                ctx.schedule(
-                    delay,
-                    DraEvent::StageStart {
-                        meta,
-                        stages,
-                        idx: idx + 1,
-                    },
-                );
+                Some(self.chassis.linecards[lc as usize].ingress_delay(&p))
             }
             Stage::HelperProc { lc } | Stage::InterProc { lc } => {
                 // Ground truth check: the plan may rest on a stale view
@@ -765,41 +793,35 @@ impl DraRouter {
                     || (pdlu_needed && c.pdlu == Health::Failed)
                 {
                     self.drop(&meta, DropCause::NoCoverage);
-                    return;
+                    return None;
                 }
                 let p = self.as_packet(&meta);
-                let delay = self.chassis.linecards[lc as usize].ingress_delay(&p);
-                ctx.schedule(
-                    delay,
-                    DraEvent::StageStart {
-                        meta,
-                        stages,
-                        idx: idx + 1,
-                    },
-                );
+                Some(self.chassis.linecards[lc as usize].ingress_delay(&p))
             }
             Stage::RemoteLookup { helper: _ } => {
                 // REQ_L + REP_L: two control packets.
                 self.control_attempt(meta, stages, idx, 2, 0, ctx);
+                None
             }
             Stage::EibHop { to: _, flow } => {
                 if !self.eib_healthy {
                     self.drop(&meta, DropCause::NoCoverage);
-                    return;
+                    return None;
                 }
                 // First use of a flow pays the LP setup handshake.
                 if !self.lp_established.contains(&flow) {
                     self.lp_established.insert(flow);
                     self.control_attempt(meta, stages, idx, 2, 0, ctx);
-                    return;
+                    return None;
                 }
-                self.eib_transfer(meta, stages, idx, ctx);
+                self.eib_transfer(meta, stages, idx, ctx)
             }
             Stage::Fabric { src, dst } => {
                 let p = self.as_packet(&meta);
                 if self.chassis.enqueue(&p, src, dst, meta.ingress, ctx) {
                     self.in_fabric.insert(meta.id, (meta, stages, idx + 1));
                 }
+                None
             }
             Stage::EgressProc { lc } => {
                 // Ground truth checks against stale plans: a fabric →
@@ -814,17 +836,9 @@ impl DraRouter {
                 };
                 if c.piu == Health::Failed || !units_ok {
                     self.drop(&meta, DropCause::EgressDown);
-                    return;
+                    return None;
                 }
-                let delay = self.chassis.linecards[lc as usize].egress_delay(meta.ip_bytes);
-                ctx.schedule(
-                    delay,
-                    DraEvent::StageStart {
-                        meta,
-                        stages,
-                        idx: idx + 1,
-                    },
-                );
+                Some(self.chassis.linecards[lc as usize].egress_delay(meta.ip_bytes))
             }
         }
     }
@@ -840,14 +854,15 @@ impl DraRouter {
         )
     }
 
-    /// EIB data-line transfer at the flow's promised rate.
+    /// EIB data-line transfer at the flow's promised rate. Returns the
+    /// delay until the next stage, or `None` when the packet is shed.
     fn eib_transfer(
         &mut self,
         meta: FlowMeta,
         stages: StagePlan,
         idx: usize,
         ctx: &mut Ctx<'_, DraEvent>,
-    ) {
+    ) -> Option<f64> {
         let Stage::EibHop { flow, .. } = stages[idx] else {
             unreachable!("eib_transfer on a non-EIB stage");
         };
@@ -864,7 +879,7 @@ impl DraRouter {
         if done - now > self.eib.max_backlog_s {
             // Promised bandwidth exceeded: shed the packet (§4).
             self.drop(&meta, DropCause::EibOversubscribed);
-            return;
+            return None;
         }
         *busy = done;
         self.chassis.metrics.eib_packets += 1;
@@ -880,14 +895,7 @@ impl DraRouter {
             );
             tm::mark_eib_hop(meta.id.0, start, done - start);
         }
-        ctx.schedule(
-            done - now,
-            DraEvent::StageStart {
-                meta,
-                stages,
-                idx: idx + 1,
-            },
-        );
+        Some(done - now)
     }
 
     /// Try to put a control packet on the CSMA/CD lines.
@@ -1000,22 +1008,14 @@ impl DraRouter {
             return;
         }
         // Transaction complete: resume the stage it was serving.
-        match stages[idx] {
-            Stage::RemoteLookup { .. } => {
-                ctx.schedule(
-                    0.0,
-                    DraEvent::StageStart {
-                        meta,
-                        stages,
-                        idx: idx + 1,
-                    },
-                );
-            }
-            Stage::EibHop { .. } => {
-                // LP handshake done; now the data transfer itself.
-                self.eib_transfer(meta, stages, idx, ctx);
-            }
+        let next = match stages[idx] {
+            Stage::RemoteLookup { .. } => Some(0.0),
+            // LP handshake done; now the data transfer itself.
+            Stage::EibHop { .. } => self.eib_transfer(meta, stages, idx, ctx),
             _ => unreachable!("control transaction on unexpected stage"),
+        };
+        if let Some(delay) = next {
+            self.start_stage(meta, stages, idx + 1, delay, ctx);
         }
     }
 
@@ -1046,7 +1046,11 @@ impl Model for DraRouter {
                     in_fabric.remove(&packet).map(|(meta, _, _)| meta.ingress)
                 });
             }
-            DraEvent::StageStart { meta, stages, idx } => self.run_stage(meta, stages, idx, ctx),
+            DraEvent::StageStart { meta, stages, idx } => {
+                if let Some(delay) = self.run_stage(meta, stages, idx, ctx) {
+                    self.start_stage(meta, stages, idx + 1, delay, ctx);
+                }
+            }
             DraEvent::ControlRetry {
                 meta,
                 stages,

@@ -15,33 +15,49 @@
 //! all bucket heads, so sparse far-future events (armed repair timers,
 //! say) cost one O(buckets) search instead of an unbounded walk.
 //!
-//! Two departures from the textbook structure, both load-bearing for
+//! Three departures from the textbook structure, all load-bearing for
 //! the router workloads:
 //!
 //! * **Min hint.** Whenever the global minimum is known (after a
 //!   resize, after popping an event whose bucket head shares its
-//!   virtual bucket, after a failed bounded pop, or when a push lands
-//!   below the current hint) it is cached, making the next pop O(1).
-//!   Chains that keep one event in flight and same-time event batches
-//!   — the two commonest simulator shapes — never re-scan.
-//! * **FIFO-friendly buckets.** Buckets sort ascending with the
-//!   minimum at the front: same-time events append at the back in
-//!   `seq` order and leave from the front, so a batch of N events at
-//!   one instant costs O(N), not the O(N²) a sorted-`Vec` insert at
-//!   the front would.
+//!   virtual bucket, after a failed bounded pop or `has_due_by` check,
+//!   or when a push lands below the current hint) it is cached, making
+//!   the next pop O(1). Chains that keep one event in flight and
+//!   same-time event batches — the two commonest simulator shapes —
+//!   never re-scan.
+//! * **O(1) at both ends of a bucket.** Buckets sort ascending with
+//!   the minimum at the front. A key above the back appends (same-time
+//!   events arrive in `seq` order and leave from the front, so a batch
+//!   of N events at one instant costs O(N)); a key below the front
+//!   prepends, which is where a near-term event lands when its bucket
+//!   already holds events a calendar year or more ahead. Only a key
+//!   strictly inside a bucket's range pays a binary search and a
+//!   shift.
+//! * **Width from the dequeue pace.** The bucket width is twice the
+//!   mean gap between consecutive pops since it was last set, measured
+//!   over at least 64 pops; before that (a queue that has only been
+//!   filled) it is twice Brown's trimmed mean of the population's
+//!   gaps, which ignores gaps more than twice the plain mean. The
+//!   population alone misleads in both ways a router simulation
+//!   stresses: one far timer (the 10 ms reassembly purge) stretched a
+//!   plain mean gap to 0.5–1.7 ms while `faceoff` pops an event every
+//!   ~10 ns, and self-rescheduling chains (slot trains, packet stages)
+//!   are never in the population long enough to be sampled. With all
+//!   near-term events in one bucket, 97.7% of `faceoff`'s pushes were
+//!   sorted inserts into deques 17–28 entries long.
 //!
 //! Bucket count doubles when occupancy exceeds two events per bucket
 //! and halves below one per four buckets (the wide hysteresis band
-//! keeps an oscillating population from thrashing resizes); each
-//! rebuild re-estimates the bucket width from the inter-event gaps of
-//! a bounded sample, so the calendar tracks the event density as a
-//! simulation moves between regimes (warmup, steady state, drain).
-//! Resizes reuse retained storage (a scratch buffer plus the physical
-//! bucket vector, which never shrinks) so a steady-state resize
-//! performs no heap allocation. The queues stay shallow but not tiny:
-//! the mean depth at pop is 32 events in `faceoff`, 41 in
-//! `resilience` and 563 in `scale2`, so a population that drains and
-//! refills crosses resize boundaries again and again.
+//! keeps an oscillating population from thrashing resizes). Each
+//! rebuild re-sets the width, and every 4,096 pops between rebuilds
+//! the pace is checked against it: a drift beyond a factor of two
+//! (a fault slows one card, traffic drains) re-files the events at the
+//! same bucket count. Resizes reuse retained storage (a scratch buffer
+//! plus the physical bucket vector, which never shrinks) so a
+//! steady-state resize performs no heap allocation. The queues stay
+//! shallow but not tiny: the mean depth at pop is 32 events in
+//! `faceoff`, 41 in `resilience` and 563 in `scale2`, so a population
+//! that drains and refills crosses resize boundaries again and again.
 
 use std::collections::VecDeque;
 
@@ -49,8 +65,14 @@ use std::collections::VecDeque;
 const MIN_BUCKETS: usize = 4;
 /// Most physical buckets the calendar will grow to.
 const MAX_BUCKETS: usize = 1 << 20;
-/// Head-sample size for the bucket-width estimate at resize time.
+/// Head-sample size for the population width estimate.
 const WIDTH_SAMPLE: usize = 64;
+/// Fewest pops the dequeue pace needs before it sets the width.
+const PACE_MIN_POPS: u64 = 64;
+/// Pops between checks that the width still fits the dequeue pace.
+const RECALIBRATE_POPS: u64 = 1 << 12;
+/// Bucket width in units of the mean gap between consecutive pops.
+const PACE_WIDTHS: f64 = 2.0;
 
 struct Entry<T> {
     /// Virtual bucket `⌊time/width⌋`, cached so the dequeue walk never
@@ -59,6 +81,33 @@ struct Entry<T> {
     time: f64,
     seq: u64,
     item: T,
+}
+
+/// The dequeue pace since the width was last set: the first and last
+/// popped times and the pops in between.
+#[derive(Clone, Copy, Default)]
+struct Pace {
+    first: f64,
+    last: f64,
+    pops: u64,
+}
+
+impl Pace {
+    #[inline]
+    fn note(&mut self, time: f64) {
+        if self.pops == 0 {
+            self.first = time;
+        }
+        self.last = time;
+        self.pops += 1;
+    }
+
+    /// The bucket width the pace asks for, once enough pops spread
+    /// over a positive span have been seen.
+    fn width(&self) -> Option<f64> {
+        (self.pops >= PACE_MIN_POPS && self.last > self.first)
+            .then(|| PACE_WIDTHS * (self.last - self.first) / (self.pops - 1) as f64)
+    }
 }
 
 /// Cached location of the global minimum event.
@@ -112,6 +161,7 @@ pub struct CalendarQueue<T> {
     /// Scratch buffer for resize re-filing, retained across resizes so
     /// a steady-state resize performs no heap allocation.
     resize_scratch: Vec<Entry<T>>,
+    pace: Pace,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -132,6 +182,7 @@ impl<T> CalendarQueue<T> {
             cur_vb: 0,
             hint: None,
             resize_scratch: Vec::new(),
+            pace: Pace::default(),
         }
     }
 
@@ -177,17 +228,7 @@ impl<T> CalendarQueue<T> {
             item,
         };
         let idx = vb as usize & self.mask;
-        let bucket = &mut self.buckets[idx];
-        let append = match bucket.back() {
-            None => true,
-            Some(b) => (b.time, b.seq) < (time, seq),
-        };
-        if append {
-            bucket.push_back(entry);
-        } else {
-            let at = bucket.partition_point(|e| (e.time, e.seq) < (time, seq));
-            bucket.insert(at, entry);
-        }
+        file_sorted(&mut self.buckets[idx], entry);
         self.len += 1;
         if vb < self.cur_vb {
             self.cur_vb = vb;
@@ -219,45 +260,72 @@ impl<T> CalendarQueue<T> {
     /// `<= horizon`; otherwise leave the queue untouched (and cache
     /// the found minimum so the next call is O(1)).
     pub(crate) fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64, T)> {
+        let h = self.find_min()?;
+        if h.time > horizon {
+            return None;
+        }
+        Some(self.take_front(h.bucket, h.vb))
+    }
+
+    /// Is some queued event due at or before `t`? Caches the minimum,
+    /// so the pop that usually follows is O(1).
+    #[inline]
+    pub(crate) fn has_due_by(&mut self, t: f64) -> bool {
+        self.find_min().is_some_and(|h| h.time <= t)
+    }
+
+    /// Locate the minimum-keyed event and cache it in the hint.
+    #[inline]
+    fn find_min(&mut self) -> Option<Hint> {
         if self.len == 0 {
             return None;
         }
-        if let Some(h) = self.hint {
-            if h.time > horizon {
-                return None;
-            }
-            return Some(self.take_front(h.bucket, h.vb));
+        if self.hint.is_none() {
+            self.hint = Some(self.scan_min());
         }
+        self.hint
+    }
+
+    /// Walk the virtual buckets from the cursor to the first one whose
+    /// front belongs to it; after a whole calendar year without a hit
+    /// the remaining events are sparse and far out, so fall back to a
+    /// direct scan of the bucket heads. Leaves the cursor on the found
+    /// minimum's virtual bucket.
+    fn scan_min(&mut self) -> Hint {
         let mut vb = self.cur_vb;
-        let mut scanned = 0usize;
-        loop {
+        for _ in 0..=self.mask {
             let idx = vb as usize & self.mask;
             if let Some(front) = self.buckets[idx].front() {
                 // The bucket front is its minimum; if it belongs to
                 // the virtual bucket under the cursor it is the global
                 // minimum (earlier events would have a smaller vb).
                 if front.vb == vb {
-                    if front.time > horizon {
-                        self.cur_vb = vb;
-                        self.hint = Some(Hint {
-                            bucket: idx,
-                            vb,
-                            time: front.time,
-                        });
-                        return None;
-                    }
-                    return Some(self.take_front(idx, vb));
+                    self.cur_vb = vb;
+                    return Hint {
+                        bucket: idx,
+                        vb,
+                        time: front.time,
+                    };
                 }
             }
             vb = vb.wrapping_add(1);
-            scanned += 1;
-            if scanned > self.mask {
-                // A whole calendar year without a hit: the remaining
-                // events are sparse and far out. Find the minimum by
-                // direct scan of the bucket heads.
-                return self.direct_pop(horizon);
+        }
+        let mut best: Option<(usize, &Entry<T>)> = None;
+        for (idx, b) in self.buckets.iter().enumerate() {
+            if let Some(f) = b.front() {
+                if best.is_none_or(|(_, e)| (f.time, f.seq) < (e.time, e.seq)) {
+                    best = Some((idx, f));
+                }
             }
         }
+        let (bucket, e) = best.expect("non-empty queue with empty buckets");
+        let hint = Hint {
+            bucket,
+            vb: e.vb,
+            time: e.time,
+        };
+        self.cur_vb = hint.vb;
+        hint
     }
 
     /// Visit every queued item, in unspecified order.
@@ -273,13 +341,7 @@ impl<T> CalendarQueue<T> {
     /// tests compare it with a reference heap).
     #[cfg(test)]
     pub(crate) fn min_time(&mut self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        // A bounded pop below every valid time never removes anything
-        // but always leaves the minimum cached in the hint.
-        let _ = self.pop_at_or_before(f64::NEG_INFINITY);
-        self.hint.map(|h| h.time)
+        self.find_min().map(|h| h.time)
     }
 
     fn take_front(&mut self, idx: usize, vb: u64) -> (f64, u64, T) {
@@ -304,37 +366,21 @@ impl<T> CalendarQueue<T> {
         // (e.g. a fabric slot's delivery batch draining each slot time)
         // does not thrash grow/shrink resizes — and their allocations —
         // at a steady rate.
+        self.pace.note(e.time);
         let n = self.mask + 1;
         if self.len < n / 4 && n > MIN_BUCKETS {
             self.resize(n / 2);
-        }
-        (e.time, e.seq, e.item)
-    }
-
-    fn direct_pop(&mut self, horizon: f64) -> Option<(f64, u64, T)> {
-        let mut best: Option<(usize, f64, u64, u64)> = None;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            if let Some(f) = b.front() {
-                let better = match best {
-                    None => true,
-                    Some((_, t, s, _)) => (f.time, f.seq) < (t, s),
-                };
-                if better {
-                    best = Some((idx, f.time, f.seq, f.vb));
-                }
+        } else if self.pace.pops >= RECALIBRATE_POPS {
+            // Between resizes the event density can drift a long way
+            // (a fault slows one card, traffic drains): re-file at the
+            // same size once the pace has moved off the width by more
+            // than a factor of two, else start a fresh pace window.
+            match self.pace.width() {
+                Some(w) if !(0.5..=2.0).contains(&(w / self.width)) => self.resize(n),
+                _ => self.pace = Pace::default(),
             }
         }
-        let (idx, time, _seq, vb) = best.expect("non-empty queue with empty buckets");
-        self.cur_vb = vb;
-        if time > horizon {
-            self.hint = Some(Hint {
-                bucket: idx,
-                vb,
-                time,
-            });
-            return None;
-        }
-        Some(self.take_front(idx, vb))
+        (e.time, e.seq, e.item)
     }
 
     /// Rebuild with `new_n` logical buckets, re-estimating the bucket
@@ -353,10 +399,11 @@ impl<T> CalendarQueue<T> {
         for b in &mut self.buckets {
             all.extend(b.drain(..));
         }
-        if let Some(w) = estimate_width(&all) {
+        if let Some(w) = self.pace.width().or_else(|| estimate_width(&all)) {
             self.width = w;
             self.inv_width = 1.0 / w;
         }
+        self.pace = Pace::default();
         if self.buckets.len() < new_n {
             self.buckets.resize_with(new_n, VecDeque::new);
         }
@@ -371,17 +418,7 @@ impl<T> CalendarQueue<T> {
         for mut e in all.drain(..) {
             e.vb = self.vb_of(e.time);
             let idx = e.vb as usize & self.mask;
-            let bucket = &mut self.buckets[idx];
-            let append = match bucket.back() {
-                None => true,
-                Some(b) => (b.time, b.seq) < (e.time, e.seq),
-            };
-            if append {
-                bucket.push_back(e);
-            } else {
-                let at = bucket.partition_point(|x| (x.time, x.seq) < (e.time, e.seq));
-                bucket.insert(at, e);
-            }
+            file_sorted(&mut self.buckets[idx], e);
         }
         self.hint = min.map(|(time, _)| {
             let vb = self.vb_of(time);
@@ -396,12 +433,39 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// Bucket width from the mean inter-event gap of a sample, or `None`
-/// when the population gives no signal (fewer than two events, or
-/// every sampled gap zero). The sample is the first `WIDTH_SAMPLE`
-/// entries in bucket-drain order — an arbitrary but representative
-/// slice of the population, chosen over a smallest-k selection so the
-/// estimate fits in a stack buffer and resize stays allocation-free.
+/// Insert `e` into a bucket kept sorted ascending by `(time, seq)`.
+/// The two commonest cases are O(1): a key above the back (same-time
+/// batches, chains moving forward) appends, and a key below the front
+/// (a near-term event landing in a bucket whose front is an event a
+/// calendar year or more ahead) prepends. Only a key strictly inside
+/// the bucket's range pays a binary search and a shift.
+#[inline]
+fn file_sorted<T>(bucket: &mut VecDeque<Entry<T>>, e: Entry<T>) {
+    let key = (e.time, e.seq);
+    match (bucket.front(), bucket.back()) {
+        (_, None) => bucket.push_back(e),
+        (_, Some(b)) if (b.time, b.seq) < key => bucket.push_back(e),
+        (Some(f), _) if key < (f.time, f.seq) => bucket.push_front(e),
+        _ => {
+            let at = bucket.partition_point(|x| (x.time, x.seq) < key);
+            bucket.insert(at, e);
+        }
+    }
+}
+
+/// Bucket width from the near-term spacing of a sample, or `None` when
+/// the population gives no signal (fewer than two events, or every
+/// sampled gap zero). The sample is the first `WIDTH_SAMPLE` entries
+/// in bucket-drain order — an arbitrary but representative slice of
+/// the population, chosen over a smallest-k selection so the estimate
+/// fits in a stack buffer and resize stays allocation-free.
+///
+/// The spacing is Brown's (1988) trimmed mean: the mean positive gap,
+/// recomputed over only the gaps at most twice that mean. A plain mean
+/// lets one far timer set the width: 63 events 20 ns apart beside a
+/// purge timer 10 ms out average a 160 µs gap, which files every
+/// near-term event into one bucket and turns each push into a sorted
+/// insert. Trimmed, the same sample gives 20 ns.
 fn estimate_width<T>(all: &[Entry<T>]) -> Option<f64> {
     if all.len() < 2 {
         return None;
@@ -413,20 +477,21 @@ fn estimate_width<T>(all: &[Entry<T>]) -> Option<f64> {
     }
     let times = &mut buf[..sample];
     times.sort_unstable_by(f64::total_cmp);
-    let mut sum = 0.0;
-    let mut n = 0u32;
-    for w in times.windows(2) {
-        let gap = w[1] - w[0];
-        if gap > 0.0 {
-            sum += gap;
-            n += 1;
+    let mean_gap_below = |limit: f64| {
+        let (mut sum, mut n) = (0.0, 0u32);
+        for w in times.windows(2) {
+            let gap = w[1] - w[0];
+            if gap > 0.0 && gap <= limit {
+                sum += gap;
+                n += 1;
+            }
         }
-    }
-    if n == 0 {
-        return None;
-    }
-    // Twice the mean head gap targets ~2 events per bucket.
-    Some((2.0 * sum / n as f64).max(f64::MIN_POSITIVE))
+        (n > 0).then(|| sum / n as f64)
+    };
+    let mean = mean_gap_below(f64::INFINITY)?;
+    let near = mean_gap_below(2.0 * mean).unwrap_or(mean);
+    // Twice the mean near-term gap targets ~2 events per bucket.
+    Some((2.0 * near).max(f64::MIN_POSITIVE))
 }
 
 #[cfg(test)]
@@ -579,6 +644,53 @@ mod tests {
         for want in 0..300u64 {
             assert_eq!(q.pop(), Some((want as f64 * 0.25, want, want)));
         }
+    }
+
+    #[test]
+    fn one_far_timer_does_not_set_the_bucket_width() {
+        // 63 near-term events 20 ns apart beside a purge timer 10 ms
+        // out. A plain mean gap (~160 µs, doubled) files all 63 into
+        // one bucket; the width must follow the near-term spacing.
+        let spacing = 20e-9;
+        let mut q = CalendarQueue::new();
+        q.push(10e-3, 0, 0);
+        for s in 1..64u64 {
+            q.push(s as f64 * spacing, s, s);
+        }
+        q.resize(q.bucket_count());
+        assert!(
+            q.width <= 10.0 * spacing,
+            "width {:.3e} s for a {spacing:.0e} s spacing",
+            q.width
+        );
+        for want in 1..64u64 {
+            assert_eq!(q.pop(), Some((want as f64 * spacing, want, want)));
+        }
+        assert_eq!(q.pop(), Some((10e-3, 0, 0)));
+    }
+
+    #[test]
+    fn width_follows_the_dequeue_pace() {
+        // Timers 1 ms apart and one event train that re-arms itself
+        // 10 ns ahead on every pop: the population's spacing says 1 ms,
+        // the pace at which events leave says 10 ns. The queue length
+        // never changes, so only the periodic check can move the width.
+        let pace = 10e-9;
+        let mut q = CalendarQueue::new();
+        for k in 1..32u64 {
+            q.push(k as f64 * 1e-3, k, k);
+        }
+        q.push(0.0, 0, 0);
+        for seq in 32..32 + 4 * RECALIBRATE_POPS {
+            let (t, _, item) = q.pop().unwrap();
+            assert_eq!(item, 0, "a timer left before the train");
+            q.push(t + pace, seq, 0);
+        }
+        assert!(
+            (pace..=10.0 * pace).contains(&q.width),
+            "width {:.3e} s for a {pace:.0e} s pace",
+            q.width
+        );
     }
 
     #[test]

@@ -10,21 +10,36 @@
 //!   instant are delivered in the order they were scheduled. This is
 //!   what makes runs reproducible across platforms: `f64` ties are
 //!   broken deterministically.
-//! * The queue itself is a [`CalendarQueue`] — O(1) amortized
-//!   push/pop against the O(log n) of a binary heap, with the
-//!   identical `(time, seq)` pop order, so traces (and the campaign
-//!   artifacts built from them) are byte-for-byte unchanged across a
-//!   swap. The asymptotics only pay on deep queues. In an A/B at
-//!   `--workers 1`, swapping the calendar for a binary heap sped up
-//!   the shallow-queue runs — `faceoff` 17.9 → 15.7 s, `resilience`
-//!   1.08 → 0.97 s — but slowed `scale2`, whose queues are deepest
-//!   (mean 563 events at pop), from 0.77 to 0.95 s; a 4-ary heap lost
-//!   there too (0.75 → 0.86 s). The calendar stays so that no
-//!   workload regresses.
+//! * The queue itself is a [`CalendarQueue`] with the identical
+//!   `(time, seq)` pop order a binary heap would give, so traces (and
+//!   the campaign artifacts built from them) do not depend on the
+//!   queue type. Binary and 4-ary heaps were measured against it and
+//!   lost on the deepest queues (`scale2`, mean depth 563 at pop):
+//!   0.77 → 0.95 s and 0.75 → 0.86 s at `--workers 1`. On shallow
+//!   queues the calendar's width must follow the pace at which events
+//!   leave, not a far timer's gap, or every near-term event shares one
+//!   bucket (see the `calendar` module).
 //! * Handlers receive a [`Ctx`], which lets them read the clock, draw
 //!   random numbers and schedule further events. New events go
 //!   straight into the calendar (the `Ctx` borrows it), so there is no
 //!   per-event buffer allocation.
+//! * **Inline successors.** A handler whose *last* schedule call would
+//!   queue the next event of its own chain (a fabric slot train, a
+//!   packet's next pipeline stage) may instead ask
+//!   [`Ctx::try_advance`] whether that event would be the very next
+//!   one delivered. If so, the handler moves its clock there and runs
+//!   the successor itself: the event never enters the calendar, yet
+//!   it takes its sequence number and counts as one delivered event
+//!   exactly as if it had, so event counts, RNG draws and every
+//!   artifact stay byte-identical. The successor must be the last
+//!   schedule call because anything scheduled after it would carry a
+//!   later sequence number than the inline event consumed.
+//! * **One step, one event.** [`Simulation::step`] delivers exactly one
+//!   logical event: its handler gets no horizon, so every
+//!   `try_advance` refuses and each successor is queued. Tests that
+//!   step a model by hand therefore observe every event boundary.
+//!   [`Simulation::run_until`] passes its horizon, and
+//!   [`Simulation::run_to_completion`] an unbounded one.
 
 use crate::calendar::CalendarQueue;
 use rand::rngs::SmallRng;
@@ -42,6 +57,11 @@ pub trait Model {
 /// Handler-side view of the simulation: clock, RNG, scheduling.
 pub struct Ctx<'a, E> {
     now: f64,
+    /// Latest time an inline successor may run at: the `run_until`
+    /// horizon, or `-∞` under [`Simulation::step`].
+    horizon: f64,
+    /// Successor events this handler ran inline.
+    advanced: u64,
     seq: &'a mut u64,
     queue: &'a mut CalendarQueue<E>,
     rng: &'a mut SmallRng,
@@ -81,6 +101,42 @@ impl<'a, E> Ctx<'a, E> {
         *self.seq += 1;
         dra_telemetry::des_scheduled();
         self.queue.push(at, seq, event);
+    }
+
+    /// Try to deliver the handler's successor event at time `t` inline.
+    ///
+    /// Succeeds only when `t` is within the run's horizon and no queued
+    /// event is due at or before `t` — a queued event tied at `t` was
+    /// scheduled earlier, so its lower sequence number goes first. On
+    /// success the clock moves to `t` and the successor counts as one
+    /// scheduled and one delivered event (taking the sequence number
+    /// it would have been queued under); the caller then runs the
+    /// successor's handling itself instead of scheduling it. On
+    /// failure nothing changes and the caller schedules as usual.
+    ///
+    /// Only a handler's **last** schedule call may be replaced this
+    /// way: an event scheduled after the successor would be queued
+    /// with a sequence number the inline event never had.
+    ///
+    /// # Panics
+    /// Panics if `t` is before now or non-finite, like
+    /// [`Ctx::schedule_at`].
+    #[inline]
+    pub fn try_advance(&mut self, t: f64) -> bool {
+        assert!(
+            t.is_finite() && t >= self.now,
+            "try_advance: time {t} is before now ({})",
+            self.now
+        );
+        if t > self.horizon || self.queue.has_due_by(t) {
+            return false;
+        }
+        *self.seq += 1;
+        self.now = t;
+        self.advanced += 1;
+        dra_telemetry::des_scheduled();
+        dra_telemetry::des_event(t, self.queue.len(), self.queue.bucket_count());
+        true
     }
 
     /// The simulation's random number generator.
@@ -184,26 +240,31 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Hand a popped event to the model: advance the clock, count the
-    /// event, report it to telemetry and run its handler.
+    /// event, report it to telemetry and run its handler, which may run
+    /// successors inline up to `horizon` (each counted as an event).
     #[inline]
-    fn deliver(&mut self, time: f64, event: M::Event) {
+    fn deliver(&mut self, time: f64, event: M::Event, horizon: f64) {
         debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
         self.events_processed += 1;
         dra_telemetry::des_event(time, self.queue.len(), self.queue.bucket_count());
         let mut ctx = Ctx {
             now: time,
+            horizon,
+            advanced: 0,
             seq: &mut self.seq,
             queue: &mut self.queue,
             rng: &mut self.rng,
         };
         self.model.handle(event, &mut ctx);
+        self.now = ctx.now;
+        self.events_processed += ctx.advanced;
     }
 
-    /// Deliver the next event, if any. Returns its timestamp.
+    /// Deliver exactly one event, if any, and return its timestamp.
+    /// No successor runs inline (see the module docs).
     pub fn step(&mut self) -> Option<f64> {
         let (time, _seq, event) = self.queue.pop()?;
-        self.deliver(time, event);
+        self.deliver(time, event, f64::NEG_INFINITY);
         Some(time)
     }
 
@@ -219,7 +280,7 @@ impl<M: Model> Simulation<M> {
         // in range — no separate peek pass, and a miss caches the found
         // minimum so the next call stays O(1).
         while let Some((time, _seq, event)) = self.queue.pop_at_or_before(horizon) {
-            self.deliver(time, event);
+            self.deliver(time, event, horizon);
         }
         self.now = horizon;
         self.events_processed - start
@@ -228,7 +289,9 @@ impl<M: Model> Simulation<M> {
     /// Run until no events remain.
     pub fn run_to_completion(&mut self) -> u64 {
         let start = self.events_processed;
-        while self.step().is_some() {}
+        while let Some((time, _seq, event)) = self.queue.pop() {
+            self.deliver(time, event, f64::INFINITY);
+        }
         self.events_processed - start
     }
 }
@@ -364,6 +427,127 @@ mod tests {
         sim.schedule(1.0, 0);
         sim.run_to_completion();
         assert_eq!(sim.now(), 7.5);
+    }
+
+    /// A chain of `len` events `gap` apart that runs each successor
+    /// inline when `inline` is set and the kernel allows it. Events
+    /// numbered 100 and up are standalone (no successor).
+    struct Chain {
+        gap: f64,
+        len: u32,
+        inline: bool,
+        seen: Vec<(f64, u32)>,
+        ran_inline: u32,
+    }
+
+    impl Model for Chain {
+        type Event = u32;
+        fn handle(&mut self, mut ev: u32, ctx: &mut Ctx<'_, u32>) {
+            loop {
+                self.seen.push((ctx.now(), ev));
+                if ev >= 100 || ev + 1 >= self.len {
+                    return;
+                }
+                ev += 1;
+                if self.inline && ctx.try_advance(ctx.now() + self.gap) {
+                    self.ran_inline += 1;
+                    continue;
+                }
+                ctx.schedule(self.gap, ev);
+                return;
+            }
+        }
+    }
+
+    fn chain(gap: f64, len: u32, inline: bool) -> Simulation<Chain> {
+        let model = Chain {
+            gap,
+            len,
+            inline,
+            seen: Vec::new(),
+            ran_inline: 0,
+        };
+        Simulation::new(model, 1)
+    }
+
+    #[test]
+    fn try_advance_refuses_beyond_the_run_horizon() {
+        let mut sim = chain(1.0, 6, true);
+        sim.schedule(0.0, 0);
+        assert_eq!(sim.run_until(2.5), 3);
+        assert_eq!(sim.model().seen, [(0.0, 0), (1.0, 1), (2.0, 2)]);
+        assert_eq!(sim.model().ran_inline, 2);
+        assert_eq!(sim.now(), 2.5);
+        // The successor past the horizon waits in the queue, where the
+        // next run finds it.
+        let mut left = Vec::new();
+        sim.for_each_pending(|&e| left.push(e));
+        assert_eq!(left, [3]);
+        assert_eq!(sim.run_until(10.0), 3);
+        assert_eq!(sim.model().seen.len(), 6);
+        assert_eq!(sim.model().ran_inline, 4);
+    }
+
+    #[test]
+    fn try_advance_yields_to_a_queued_event_tied_at_its_time() {
+        let mut sim = chain(1.0, 3, true);
+        // Scheduled first, so at t = 1 its lower sequence number beats
+        // the chain's successor.
+        sim.schedule(1.0, 100);
+        sim.schedule(0.0, 0);
+        sim.run_until(10.0);
+        let order: Vec<u32> = sim.model().seen.iter().map(|&(_, e)| e).collect();
+        assert_eq!(order, [0, 100, 1, 2]);
+        // Event 1 was queued; event 2 then ran inline behind it.
+        assert_eq!(sim.model().ran_inline, 1);
+    }
+
+    #[test]
+    fn step_delivers_exactly_one_logical_event() {
+        for gap in [0.0, 1.0] {
+            let mut sim = chain(gap, 4, true);
+            sim.schedule(0.0, 0);
+            for n in 1..=4u64 {
+                assert!(sim.step().is_some());
+                assert_eq!(sim.events_processed(), n, "gap {gap}");
+                assert_eq!(sim.model().seen.len() as u64, n, "gap {gap}");
+            }
+            assert_eq!(sim.step(), None);
+            assert_eq!(sim.model().ran_inline, 0);
+        }
+    }
+
+    #[test]
+    fn inline_successors_count_as_scheduled_and_delivered_events() {
+        let run = |inline: bool| {
+            dra_telemetry::enable(dra_telemetry::Config::default());
+            let mut sim = chain(0.5, 50, inline);
+            sim.schedule(0.0, 0);
+            sim.schedule(7.0, 100);
+            let delivered = sim.run_until(100.0);
+            let doc = dra_telemetry::snapshot().expect("telemetry on");
+            dra_telemetry::disable();
+            let counter = |name: &str| {
+                let router = doc.router.as_ref().expect("kernel hooks fired");
+                router.counters.iter().find(|c| c.0 == name).map(|c| c.1)
+            };
+            let counts = (
+                delivered,
+                sim.events_processed(),
+                counter("des.events"),
+                counter("des.scheduled"),
+            );
+            (counts, sim.into_model())
+        };
+        let (inline_counts, inline) = run(true);
+        let (queued_counts, queued) = run(false);
+        assert_eq!(inline_counts, (51, 51, Some(51), Some(51)));
+        assert_eq!(inline_counts, queued_counts);
+        assert_eq!(inline.seen, queued.seen);
+        // The chain ran inline except where the standalone event at
+        // t = 7 sat at the successor's time.
+        assert_eq!(inline.ran_inline, 48);
+        assert_eq!(queued.ran_inline, 0);
     }
 
     #[test]

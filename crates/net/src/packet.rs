@@ -7,10 +7,44 @@
 
 use crate::addr::Ipv4Addr;
 use crate::protocol::ProtocolKind;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Globally unique packet identity within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
+
+/// A map keyed by packet id under a fixed multiplicative hash: one
+/// multiply per lookup instead of SipHash's rounds. Ids are not
+/// attacker-chosen, and a fixed hash keeps any iteration order a pure
+/// function of the run (the routers only insert, look up and remove).
+pub type PacketMap<V> = HashMap<PacketId, V, BuildHasherDefault<PacketIdHasher>>;
+
+/// The [`PacketMap`] hasher: folds the high half of the id (the
+/// per-linecard range in the top bits) into the low half, then one
+/// Fibonacci multiply, whose high bits (hashbrown's control tag) and
+/// low bits (its bucket index) both vary with every input bit.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PacketIdHasher(u64);
+
+impl Hasher for PacketIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        let h = (id ^ (id >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+}
 
 /// One IP packet in flight through the router.
 #[derive(Debug, Clone, PartialEq)]

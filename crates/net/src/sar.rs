@@ -192,6 +192,9 @@ pub struct Reassembler {
     live: usize,
     /// TOMBSTONE buckets in `index` (cleared on rehash).
     tombstones: usize,
+    /// Live slot ids collected during a rehash, retained so a
+    /// steady-state rehash allocates nothing.
+    rehash_scratch: Vec<u32>,
 }
 
 impl Default for Reassembler {
@@ -222,6 +225,7 @@ impl Reassembler {
             free: Vec::new(),
             live: 0,
             tombstones: 0,
+            rehash_scratch: Vec::new(),
         }
     }
 
@@ -261,16 +265,30 @@ impl Reassembler {
         self.live -= 1;
     }
 
-    /// Grow (or just de-tombstone) the index and reinsert live slots.
-    fn rehash(&mut self, min_buckets: usize) {
-        let buckets = min_buckets.next_power_of_two().max(Self::INITIAL_BUCKETS);
-        let old = std::mem::replace(&mut self.index, vec![EMPTY; buckets]);
+    /// Clear the index's tombstones in place, doubling it first when
+    /// the live partials alone fill half of it, and reinsert the live
+    /// slots. Only live partials grow the index: tombstones left by
+    /// completed packets are swept at the same size, so a reassembler
+    /// that has completed a million packets is no larger than one that
+    /// has completed a hundred.
+    fn rehash(&mut self) {
+        let mut live = std::mem::take(&mut self.rehash_scratch);
+        live.clear();
+        live.extend(
+            self.index
+                .iter()
+                .copied()
+                .filter(|&id| id != EMPTY && id != TOMBSTONE),
+        );
+        let mut buckets = self.index.len();
+        if (self.live + 1) * 2 > buckets {
+            buckets *= 2;
+        }
+        self.index.clear();
+        self.index.resize(buckets, EMPTY);
         self.tombstones = 0;
         let mask = buckets - 1;
-        for id in old {
-            if id == EMPTY || id == TOMBSTONE {
-                continue;
-            }
+        for &id in &live {
             let s = &self.slots[id as usize];
             let mut pos = slot_hash(s.src_lc, s.packet) as usize & mask;
             while self.index[pos] != EMPTY {
@@ -278,13 +296,14 @@ impl Reassembler {
             }
             self.index[pos] = id;
         }
+        self.rehash_scratch = live;
     }
 
     /// Insert a fresh slot for `(src_lc, packet)`; returns its bucket.
     fn insert_slot(&mut self, src_lc: u16, packet: PacketId, total: u16, now: f64) -> usize {
         // Keep load factor (live + tombstones) under 3/4.
         if (self.live + self.tombstones + 1) * 4 > self.index.len() * 3 {
-            self.rehash(self.index.len() * 2);
+            self.rehash();
         }
         let overflow = if total > INLINE_CELLS {
             vec![0u64; total.div_ceil(64) as usize]
@@ -469,6 +488,28 @@ mod tests {
             }
         }
         assert_eq!(r.in_flight(), 0);
+    }
+
+    #[test]
+    fn index_size_follows_live_partials_not_completed_packets() {
+        // A million two-cell packets, at most one partial at a time:
+        // tombstones from completed packets must be swept at the same
+        // size instead of doubling the index (2^19 buckets before).
+        let mut r = Reassembler::new();
+        for id in 0..1_000_000u64 {
+            let p = packet(id, 96);
+            for c in segment_cells(&p, 0, 1) {
+                r.push(&c, 0.0).unwrap();
+            }
+            assert_eq!(r.in_flight(), 0);
+        }
+        assert!(r.index.len() <= 64, "index grew to {}", r.index.len());
+        // Live partials still grow it.
+        for id in 0..100u64 {
+            r.push(&segment(&packet(id, 96), 0, 1)[0], 0.0).unwrap();
+        }
+        assert_eq!(r.in_flight(), 100);
+        assert!(r.index.len() >= 128, "index {}", r.index.len());
     }
 
     #[test]

@@ -17,9 +17,8 @@ use crate::components::ComponentKind;
 use crate::metrics::DropCause;
 use dra_des::{Ctx, Model, Simulation};
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
-use dra_net::packet::{Packet, PacketId};
+use dra_net::packet::{Packet, PacketId, PacketMap};
 use dra_net::protocol::ProtocolKind;
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 /// Configuration for a BDR simulation.
@@ -141,7 +140,7 @@ struct InFlight {
 #[derive(Debug)]
 pub struct BdrRouter {
     chassis: Chassis,
-    in_flight: HashMap<PacketId, InFlight>,
+    in_flight: PacketMap<InFlight>,
 }
 
 impl Deref for BdrRouter {
@@ -165,7 +164,7 @@ impl BdrRouter {
     pub fn new(config: BdrConfig, seed: u64) -> Self {
         BdrRouter {
             chassis: Chassis::new(config, seed),
-            in_flight: HashMap::new(),
+            in_flight: PacketMap::default(),
         }
     }
 
@@ -231,8 +230,14 @@ impl BdrRouter {
         let (packet, route) = self.chassis.arrive(lc, ctx);
         match self.admit(lc, route, ctx) {
             Ok(egress) => {
+                // The ingress pipeline's end is this handler's last
+                // schedule call: run it inline when nothing comes first.
                 let delay = self.chassis.linecards[lc as usize].ingress_delay(&packet);
-                ctx.schedule(delay, BdrEvent::IngressDone { lc, packet, egress });
+                if ctx.try_advance(ctx.now() + delay) {
+                    self.handle_ingress_done(lc, packet, egress, ctx);
+                } else {
+                    ctx.schedule(delay, BdrEvent::IngressDone { lc, packet, egress });
+                }
             }
             Err(cause) => self.chassis.drop_packet(packet.id, lc, cause),
         }

@@ -18,6 +18,18 @@
 //! The chassis never draws from the simulation RNG itself except
 //! through [`Chassis::port_down`], which the routers call from their
 //! admission checks in their own fixed order.
+//!
+//! **Slot trains.** The next fabric slot is the last thing a slot
+//! schedules, so [`Chassis::fabric_slot`] runs it inline, as the next
+//! iteration of one handler call, whenever [`Ctx::try_advance`] finds
+//! nothing queued at or before it and it lies within the run's
+//! horizon. Each inline slot takes the sequence number and the event
+//! count its queued event would have, so the order above, and every
+//! byte it feeds, is the same whether a slot ran inline or was queued.
+//! A router's reassembly callback must therefore keep to the same
+//! rule: anything it schedules lands before the next slot's sequence
+//! number, and a slot never runs inline past an event the callback
+//! queued at or before it.
 
 use crate::arena::CellHandle;
 use crate::bdr::BdrConfig;
@@ -336,67 +348,86 @@ impl Chassis {
         }
     }
 
-    /// One fabric cell slot: switch the slot's cells (at the degraded
-    /// rate, by credit, when planes are down), push each into its
-    /// egress reassembler, and hand every completed packet to
-    /// `reassembled(chassis, ctx, egress, packet, ip_bytes)`.
+    /// A train of fabric cell slots. Each slot switches its cells (at
+    /// the degraded rate, by credit, when planes are down), pushes each
+    /// into its egress reassembler and hands every completed packet to
+    /// `reassembled(chassis, ctx, egress, packet, ip_bytes)`. While
+    /// cells remain, the next slot is the handler's last schedule call,
+    /// so it runs inline whenever [`Ctx::try_advance`] allows and is
+    /// queued otherwise.
     pub fn fabric_slot<E: From<ChassisEvent>>(
         &mut self,
         ctx: &mut Ctx<'_, E>,
         mut reassembled: impl FnMut(&mut Self, &mut Ctx<'_, E>, u16, PacketId, u32),
     ) {
         self.slot_scheduled = false;
-        if !self.fabric.operational() {
-            // Fabric dead: cells stay queued until planes are repaired.
-            // The slot train stops here, so any fractional credit must
-            // not survive to the restart — it would serve an
-            // above-capacity burst the moment planes come back.
-            self.capacity_credit = 0.0;
+        loop {
+            if !self.fabric.operational() {
+                // Fabric dead: cells stay queued until planes are
+                // repaired. The slot train stops here, so any fractional
+                // credit must not survive to the restart — it would
+                // serve an above-capacity burst the moment planes come
+                // back.
+                self.capacity_credit = 0.0;
+                return;
+            }
+            self.switch_slot(ctx, &mut reassembled);
+            if self.fabric.is_empty() {
+                // Queue drained: the slot train stops. Forfeit leftover
+                // fractional credit — banking it across the idle gap
+                // would let a degraded fabric open the next busy period
+                // with a burst above its capacity fraction.
+                self.capacity_credit = 0.0;
+                return;
+            }
+            if !ctx.try_advance(ctx.now() + self.slot_time_s) {
+                self.ensure_fabric_slot(ctx);
+                return;
+            }
+        }
+    }
+
+    /// One fabric cell slot of [`Chassis::fabric_slot`]'s train.
+    fn switch_slot<E: From<ChassisEvent>>(
+        &mut self,
+        ctx: &mut Ctx<'_, E>,
+        reassembled: &mut impl FnMut(&mut Self, &mut Ctx<'_, E>, u16, PacketId, u32),
+    ) {
+        self.capacity_credit += self.fabric.capacity_fraction();
+        if self.capacity_credit < 1.0 {
             return;
         }
-        self.capacity_credit += self.fabric.capacity_fraction();
-        if self.capacity_credit >= 1.0 {
-            self.capacity_credit -= 1.0;
-            let now = ctx.now();
-            // Collect the slot's winners as 4-byte handles, then take
-            // each cell out of the arena as it is delivered: delivery
-            // needs `&mut self` (metrics, reassembly, the caller's
-            // handler).
-            let mut slot = std::mem::take(&mut self.slot_handles);
-            self.fabric.schedule_slot_handles(&mut slot);
-            for &h in &slot {
-                let cell = self.fabric.take_cell(h);
-                let egress = cell.dst_lc;
-                if dra_telemetry::enabled() {
-                    use dra_telemetry as tm;
-                    tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
-                    tm::event(
-                        tm::EventKind::FabricTransit,
-                        cell.packet.0,
-                        cell.src_lc as u32,
-                        egress as u32,
-                    );
-                    tm::mark_cell_switched(cell.packet.0);
-                }
-                // A corrupted or duplicate cell (`Err`) is dropped
-                // silently; the purge reclaims the partial.
-                if let Ok(Some((packet, ip_bytes))) =
-                    self.linecards[egress as usize].reassembler.push(&cell, now)
-                {
-                    reassembled(self, ctx, egress, packet, ip_bytes);
-                }
+        self.capacity_credit -= 1.0;
+        let now = ctx.now();
+        // Collect the slot's winners as 4-byte handles, then take each
+        // cell out of the arena as it is delivered: delivery needs
+        // `&mut self` (metrics, reassembly, the caller's handler).
+        let mut slot = std::mem::take(&mut self.slot_handles);
+        self.fabric.schedule_slot_handles(&mut slot);
+        for &h in &slot {
+            let cell = self.fabric.take_cell(h);
+            let egress = cell.dst_lc;
+            if dra_telemetry::enabled() {
+                use dra_telemetry as tm;
+                tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
+                tm::event(
+                    tm::EventKind::FabricTransit,
+                    cell.packet.0,
+                    cell.src_lc as u32,
+                    egress as u32,
+                );
+                tm::mark_cell_switched(cell.packet.0);
             }
-            slot.clear();
-            self.slot_handles = slot;
+            // A corrupted or duplicate cell (`Err`) is dropped
+            // silently; the purge reclaims the partial.
+            if let Ok(Some((packet, ip_bytes))) =
+                self.linecards[egress as usize].reassembler.push(&cell, now)
+            {
+                reassembled(self, ctx, egress, packet, ip_bytes);
+            }
         }
-        self.ensure_fabric_slot(ctx);
-        if !self.slot_scheduled {
-            // Queue drained: the slot train stops. Forfeit leftover
-            // fractional credit — banking it across the idle gap would
-            // let a degraded fabric open the next busy period with a
-            // burst above its capacity fraction.
-            self.capacity_credit = 0.0;
-        }
+        slot.clear();
+        self.slot_handles = slot;
     }
 
     /// Reassembly garbage collection: reclaim every partial older than
