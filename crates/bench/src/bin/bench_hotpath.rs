@@ -352,13 +352,16 @@ fn islip_sweep(
         let (cells, rate) = timed(reps, |_, lap| {
             let mut xb = Crossbar::new(n, per_voq as usize, 2, 5, 4);
             reload(&mut xb, n, per_voq);
+            let mut out = Vec::with_capacity(n);
             let cells = lap.time(|| {
                 let mut cells = 0u64;
                 for _ in 0..slots {
                     if xb.is_empty() {
                         reload(&mut xb, n, per_voq);
                     }
-                    cells += xb.schedule_slot().len() as u64;
+                    out.clear();
+                    xb.schedule_slot(&mut out);
+                    cells += out.len() as u64;
                 }
                 cells
             });

@@ -31,7 +31,6 @@ use dra_router::bdr::BdrConfig;
 use dra_router::chassis::{Chassis, ChassisEvent};
 use dra_router::components::{ComponentKind, Health};
 use dra_router::metrics::DropCause;
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 /// EIB parameters.
@@ -83,6 +82,25 @@ pub struct DraConfig {
 /// *from* it); the two directions hold separate promised-bandwidth
 /// accounts, as only the ingress direction consumes helper capacity.
 const EGRESS_FLOW_OFFSET: u16 = 0x8000;
+
+/// One EIB flow's data-line account.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlowAccount {
+    /// Promised bandwidth, bit/s (0 while the flow's card needs no
+    /// coverage).
+    b_prom: f64,
+    /// Data-line virtual finish time (sim time starts at 0).
+    busy_until: f64,
+    /// Is the REQ_D/REP_D logical path already set up?
+    lp_established: bool,
+}
+
+/// The [`DraRouter::flows`] index of flow key `flow`: each linecard's
+/// ingress account, then its egress account.
+#[inline]
+fn flow_index(flow: u16) -> usize {
+    2 * (flow & !EGRESS_FLOW_OFFSET) as usize + usize::from(flow & EGRESS_FLOW_OFFSET != 0)
+}
 
 /// One step of a packet's (possibly coverage-detoured) journey.
 /// Public because it appears inside [`DraEvent`]; constructed only by
@@ -302,12 +320,8 @@ pub struct DraRouter {
     control: CsmaChannel,
     /// Packets inside the fabric: resumed on reassembly completion.
     in_fabric: PacketMap<(FlowMeta, StagePlan, usize)>,
-    /// Per-flow data-line virtual finish time.
-    eib_busy_until: HashMap<u16, f64>,
-    /// Flows whose REQ_D/REP_D logical path is already set up.
-    lp_established: std::collections::HashSet<u16>,
-    /// Cached promised bandwidth per flow.
-    b_prom: HashMap<u16, f64>,
+    /// EIB flow accounts, two per linecard, indexed by [`flow_index`].
+    flows: Vec<FlowAccount>,
     /// The planner's snapshot of every linecard, refreshed on each
     /// health change (all of which go through this type's fault
     /// methods), so admitting a packet reads it instead of rebuilding
@@ -380,9 +394,7 @@ impl DraRouter {
             control: CsmaChannel::new(eib.control_rate_bps, eib.prop_delay_s),
             eib,
             in_fabric: PacketMap::default(),
-            eib_busy_until: HashMap::new(),
-            lp_established: std::collections::HashSet::new(),
-            b_prom: HashMap::new(),
+            flows: vec![FlowAccount::default(); 2 * n_lcs],
             views,
             gossip: vec![
                 GossipCell {
@@ -488,7 +500,9 @@ impl DraRouter {
         let healthy = views.iter().filter(|v| v.components.all_healthy()).count();
         let spare_pool = healthy as f64 * r.port_rate_bps * (1.0 - r.load);
         let k = covered.len();
-        self.b_prom.clear();
+        for account in &mut self.flows {
+            account.b_prom = 0.0;
+        }
         if k == 0 {
             return;
         }
@@ -506,9 +520,9 @@ impl DraRouter {
         let spare_share = spare_pool / k as f64;
         let ing_rate = r.port_rate_bps.min(bus_share).min(spare_share);
         let egr_rate = r.port_rate_bps.min(bus_share);
-        for &flow in &covered {
-            self.b_prom.insert(flow, ing_rate);
-            self.b_prom.insert(flow | EGRESS_FLOW_OFFSET, egr_rate);
+        for &lc in &covered {
+            self.flows[flow_index(lc)].b_prom = ing_rate;
+            self.flows[flow_index(lc | EGRESS_FLOW_OFFSET)].b_prom = egr_rate;
         }
     }
 
@@ -540,8 +554,8 @@ impl DraRouter {
     pub fn repair_lc_now(&mut self, lc: u16, now: f64) {
         self.note_change(lc, now);
         self.chassis.linecards[lc as usize].health.repair_all();
-        self.lp_established.remove(&lc);
-        self.lp_established.remove(&(lc | EGRESS_FLOW_OFFSET));
+        self.flows[flow_index(lc)].lp_established = false;
+        self.flows[flow_index(lc | EGRESS_FLOW_OFFSET)].lp_established = false;
         self.on_health_change(now);
     }
 
@@ -809,8 +823,9 @@ impl DraRouter {
                     return None;
                 }
                 // First use of a flow pays the LP setup handshake.
-                if !self.lp_established.contains(&flow) {
-                    self.lp_established.insert(flow);
+                let account = &mut self.flows[flow_index(flow)];
+                if !account.lp_established {
+                    account.lp_established = true;
                     self.control_attempt(meta, stages, idx, 2, 0, ctx);
                     return None;
                 }
@@ -866,22 +881,23 @@ impl DraRouter {
         let Stage::EibHop { flow, .. } = stages[idx] else {
             unreachable!("eib_transfer on a non-EIB stage");
         };
-        let rate = match self.b_prom.get(&flow) {
-            Some(&r) if r > 0.0 => r,
+        let account = &mut self.flows[flow_index(flow)];
+        let rate = if account.b_prom > 0.0 {
+            account.b_prom
+        } else {
             // Health changed underneath us (e.g. repaired): fall back
             // to the full data-line rate.
-            _ => self.eib.data_rate_bps,
+            self.eib.data_rate_bps
         };
         let now = ctx.now();
-        let busy = self.eib_busy_until.entry(flow).or_insert(now);
-        let start = busy.max(now);
+        let start = account.busy_until.max(now);
         let done = start + meta.ip_bytes as f64 * 8.0 / rate;
         if done - now > self.eib.max_backlog_s {
             // Promised bandwidth exceeded: shed the packet (§4).
             self.drop(&meta, DropCause::EibOversubscribed);
             return None;
         }
-        *busy = done;
+        account.busy_until = done;
         self.chassis.metrics.eib_packets += 1;
         self.chassis.metrics.eib_bytes += meta.ip_bytes as u64;
         if dra_telemetry::enabled() {
@@ -1073,6 +1089,18 @@ impl Model for DraRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flow_keys_index_one_account_each() {
+        // Ingress key `lc` and egress key `lc | EGRESS_FLOW_OFFSET`
+        // fill `0..2n` without sharing an account.
+        let n = 16u16;
+        let mut indices: Vec<usize> = (0..n)
+            .flat_map(|lc| [flow_index(lc), flow_index(lc | EGRESS_FLOW_OFFSET)])
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..2 * n as usize).collect::<Vec<_>>());
+    }
 
     fn config(n: usize, load: f64) -> DraConfig {
         DraConfig {

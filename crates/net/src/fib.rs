@@ -116,12 +116,10 @@ const SHORT_MAX_LEN: u8 = 8;
 /// Routes up to this length live in the 2^24 base array.
 const BASE_MAX_LEN: u8 = 24;
 
-/// Spill-block budget: the same bounded-preallocation discipline the
-/// fabric applies to its 4M-cell arena. 2^16 blocks (one per /24 that
-/// holds a route longer than /24) caps spill memory at 64 MiB — far
-/// beyond any table the simulators or benches build, and hit only by a
-/// hostile workload, which should fail loudly rather than grow without
-/// bound.
+/// Spill-block budget: 2^16 blocks (one per /24 that holds a route
+/// longer than /24) caps spill memory at 64 MiB — far beyond any table
+/// the simulators or benches build, and hit only by a hostile
+/// workload, which should fail loudly rather than grow without bound.
 const DIR248_SPILL_BUDGET_BLOCKS: usize = 1 << 16;
 
 #[inline]
@@ -196,9 +194,8 @@ struct SpillBlock {
 ///   a spill block.
 /// * spill blocks — 256 entries indexed by the low byte, for /24s that
 ///   contain at least one route longer than /24. Blocks come from an
-///   indexed arena with a LIFO freelist (the fabric's cell-arena
-///   idiom) and collapse back to a direct entry when their last long
-///   route is withdrawn.
+///   indexed arena with a LIFO freelist and collapse back to a direct
+///   entry when their last long route is withdrawn.
 /// * `short8` — 256 entries indexed by the top byte for routes of
 ///   length 0–8, so a /0 or /1 route costs 256 writes instead of
 ///   millions of base-array writes. Base/spill entries always beat it
@@ -277,9 +274,8 @@ impl Dir248Fib {
 
     /// Bytes committed to the compiled table: the base array, the
     /// spill arena (live + free-listed blocks), the short-route table,
-    /// and an estimate of the store's footprint. The accounting mirrors
-    /// the fabric arena's budget discipline; spill growth is capped at
-    /// 2^16 blocks (64 MiB).
+    /// and an estimate of the store's footprint. Spill growth is capped
+    /// at 2^16 blocks (64 MiB).
     pub(crate) fn memory_bytes(&self) -> usize {
         self.base.len() * std::mem::size_of::<u32>()
             + self.spill.capacity() * std::mem::size_of::<SpillBlock>()

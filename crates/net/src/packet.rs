@@ -23,7 +23,10 @@ pub type PacketMap<V> = HashMap<PacketId, V, BuildHasherDefault<PacketIdHasher>>
 /// The [`PacketMap`] hasher: folds the high half of the id (the
 /// per-linecard range in the top bits) into the low half, then one
 /// Fibonacci multiply, whose high bits (hashbrown's control tag) and
-/// low bits (its bucket index) both vary with every input bit.
+/// low bits (its bucket index) both vary with every input bit. Each
+/// write folds into the state so far, so a compound key such as the
+/// reassembler's `(source linecard, id)` hashes every part; a lone id
+/// hashes exactly as above.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PacketIdHasher(u64);
 
@@ -34,14 +37,20 @@ impl Hasher for PacketIdHasher {
     }
 
     #[inline]
-    fn write_u64(&mut self, id: u64) {
-        let h = (id ^ (id >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn write_u64(&mut self, v: u64) {
+        let x = self.0 ^ v;
+        let h = (x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v as u64);
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
+            self.write_u64(b as u64);
         }
     }
 }

@@ -9,14 +9,16 @@
 //! small internal tag. Only metadata travels in the simulator; the cell
 //! count and byte overheads are what the fabric timing needs.
 //!
-//! The reassembler is allocation-free on the per-packet path: partial
-//! packets live in a slot arena recycled through a LIFO freelist, and
-//! the `(ingress, PacketId)` key maps to a slot through an
-//! open-addressed, power-of-two index table with tombstone deletion.
-//! Received-cell bitmaps are inline (`2 × u64`, enough for any packet
-//! the traffic models emit) with a heap spill only for totals > 128.
+//! The reassembler is allocation-free on the per-packet path once warm:
+//! partial packets live in a `HashMap` keyed by `(ingress, PacketId)`,
+//! which reuses its table as packets complete. Received-cell bitmaps
+//! are inline (`2 × u64`, enough for any packet the traffic models
+//! emit) with a heap spill only for totals > 128.
 
-use crate::packet::{Packet, PacketId};
+use crate::packet::{Packet, PacketId, PacketIdHasher};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Payload bytes per fabric cell.
 pub const CELL_PAYLOAD: u32 = 48;
@@ -27,8 +29,8 @@ pub const CELL_BYTES: u32 = CELL_PAYLOAD + CELL_HEADER;
 
 /// One fabric cell carrying a slice of a packet.
 ///
-/// `Copy`: a cell is 16 bytes of plain metadata, and the fabric's
-/// arena relies on moving cells out of slab slots by copy.
+/// `Copy`: a cell is plain metadata, and the fabric's VOQs and the
+/// chassis's slot buffer move cells by copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Source linecard index.
@@ -131,17 +133,9 @@ pub enum ReassemblyError {
 const INLINE_WORDS: usize = 2;
 const INLINE_CELLS: u16 = (INLINE_WORDS * 64) as u16;
 
-/// Index-table sentinel: bucket never used.
-const EMPTY: u32 = u32::MAX;
-/// Index-table sentinel: bucket vacated by a deletion (probing must
-/// continue past it, but inserts may reuse it).
-const TOMBSTONE: u32 = u32::MAX - 1;
-
-/// Per-packet reassembly state, recycled through the slot freelist.
+/// Per-packet reassembly state.
 #[derive(Debug)]
 struct Slot {
-    src_lc: u16,
-    packet: PacketId,
     total: u16,
     count: u16,
     bytes: u32,
@@ -155,6 +149,23 @@ struct Slot {
 }
 
 impl Slot {
+    /// A fresh partial of `total` cells, first seen at `now`.
+    fn new(total: u16, now: f64) -> Self {
+        let overflow = if total > INLINE_CELLS {
+            vec![0u64; total.div_ceil(64) as usize]
+        } else {
+            Vec::new()
+        };
+        Slot {
+            total,
+            count: 0,
+            bytes: 0,
+            first_seen_at: now,
+            received: [0; INLINE_WORDS],
+            overflow,
+        }
+    }
+
     /// Test-and-set the bit for `seq`; returns whether it was already set.
     #[inline]
     fn mark(&mut self, seq: u16) -> bool {
@@ -178,180 +189,24 @@ impl Slot {
 /// were dropped upstream, e.g. by a failed linecard) are reclaimed by
 /// [`Reassembler::purge_collect`].
 ///
-/// Internally an open-addressed slot table: steady-state `push` does
-/// no allocation (slots recycle through a freelist, the bitmap is
-/// inline) and completion/poison removal is O(1) via tombstones.
-#[derive(Debug)]
+/// Partial packets live in a `HashMap` under the fixed
+/// [`PacketIdHasher`], so steady-state `push` allocates nothing once
+/// the map has grown to the peak number of partials, and its order is
+/// a pure function of the run.
+#[derive(Debug, Default)]
 pub struct Reassembler {
-    /// Open-addressed bucket array of slot ids (power-of-two length).
-    index: Vec<u32>,
-    slots: Vec<Slot>,
-    /// LIFO freelist of vacated `slots` entries.
-    free: Vec<u32>,
-    /// Partial packets currently resident.
-    live: usize,
-    /// TOMBSTONE buckets in `index` (cleared on rehash).
-    tombstones: usize,
-    /// Live slot ids collected during a rehash, retained so a
-    /// steady-state rehash allocates nothing.
-    rehash_scratch: Vec<u32>,
-}
-
-impl Default for Reassembler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// SplitMix64 finalizer over the (src_lc, packet) key.
-#[inline]
-fn slot_hash(src_lc: u16, packet: PacketId) -> u64 {
-    let mut z = packet
-        .0
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(src_lc as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    partials: HashMap<(u16, PacketId), Slot, BuildHasherDefault<PacketIdHasher>>,
 }
 
 impl Reassembler {
-    const INITIAL_BUCKETS: usize = 16;
-
     /// Empty reassembler.
     pub fn new() -> Self {
-        Self {
-            index: vec![EMPTY; Self::INITIAL_BUCKETS],
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            tombstones: 0,
-            rehash_scratch: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of packets currently partially assembled.
     pub fn in_flight(&self) -> usize {
-        self.live
-    }
-
-    /// Locate the bucket holding `(src_lc, packet)`, if resident.
-    #[inline]
-    fn find(&self, src_lc: u16, packet: PacketId) -> Option<usize> {
-        let mask = self.index.len() - 1;
-        let mut pos = slot_hash(src_lc, packet) as usize & mask;
-        loop {
-            match self.index[pos] {
-                EMPTY => return None,
-                TOMBSTONE => {}
-                id => {
-                    let s = &self.slots[id as usize];
-                    if s.src_lc == src_lc && s.packet == packet {
-                        return Some(pos);
-                    }
-                }
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// Vacate `bucket`, returning its slot to the freelist.
-    #[inline]
-    fn release(&mut self, bucket: usize) {
-        let id = self.index[bucket];
-        debug_assert!(id != EMPTY && id != TOMBSTONE);
-        self.index[bucket] = TOMBSTONE;
-        self.tombstones += 1;
-        self.free.push(id);
-        self.live -= 1;
-    }
-
-    /// Clear the index's tombstones in place, doubling it first when
-    /// the live partials alone fill half of it, and reinsert the live
-    /// slots. Only live partials grow the index: tombstones left by
-    /// completed packets are swept at the same size, so a reassembler
-    /// that has completed a million packets is no larger than one that
-    /// has completed a hundred.
-    fn rehash(&mut self) {
-        let mut live = std::mem::take(&mut self.rehash_scratch);
-        live.clear();
-        live.extend(
-            self.index
-                .iter()
-                .copied()
-                .filter(|&id| id != EMPTY && id != TOMBSTONE),
-        );
-        let mut buckets = self.index.len();
-        if (self.live + 1) * 2 > buckets {
-            buckets *= 2;
-        }
-        self.index.clear();
-        self.index.resize(buckets, EMPTY);
-        self.tombstones = 0;
-        let mask = buckets - 1;
-        for &id in &live {
-            let s = &self.slots[id as usize];
-            let mut pos = slot_hash(s.src_lc, s.packet) as usize & mask;
-            while self.index[pos] != EMPTY {
-                pos = (pos + 1) & mask;
-            }
-            self.index[pos] = id;
-        }
-        self.rehash_scratch = live;
-    }
-
-    /// Insert a fresh slot for `(src_lc, packet)`; returns its bucket.
-    fn insert_slot(&mut self, src_lc: u16, packet: PacketId, total: u16, now: f64) -> usize {
-        // Keep load factor (live + tombstones) under 3/4.
-        if (self.live + self.tombstones + 1) * 4 > self.index.len() * 3 {
-            self.rehash();
-        }
-        let overflow = if total > INLINE_CELLS {
-            vec![0u64; total.div_ceil(64) as usize]
-        } else {
-            Vec::new()
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                let s = &mut self.slots[id as usize];
-                s.src_lc = src_lc;
-                s.packet = packet;
-                s.total = total;
-                s.count = 0;
-                s.bytes = 0;
-                s.first_seen_at = now;
-                s.received = [0; INLINE_WORDS];
-                s.overflow = overflow;
-                id
-            }
-            None => {
-                self.slots.push(Slot {
-                    src_lc,
-                    packet,
-                    total,
-                    count: 0,
-                    bytes: 0,
-                    first_seen_at: now,
-                    received: [0; INLINE_WORDS],
-                    overflow,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let mask = self.index.len() - 1;
-        let mut pos = slot_hash(src_lc, packet) as usize & mask;
-        loop {
-            match self.index[pos] {
-                EMPTY => break,
-                TOMBSTONE => {
-                    self.tombstones -= 1;
-                    break;
-                }
-                _ => pos = (pos + 1) & mask,
-            }
-        }
-        self.index[pos] = id;
-        self.live += 1;
-        pos
+        self.partials.len()
     }
 
     /// Accept one cell at simulation time `now`.
@@ -366,14 +221,14 @@ impl Reassembler {
         if cell.seq >= cell.total {
             return Err(ReassemblyError::SeqOutOfRange);
         }
-        let bucket = match self.find(cell.src_lc, cell.packet) {
-            Some(b) => b,
-            None => self.insert_slot(cell.src_lc, cell.packet, cell.total, now),
+        let mut entry = match self.partials.entry((cell.src_lc, cell.packet)) {
+            Entry::Occupied(e) => e,
+            Entry::Vacant(e) => e.insert_entry(Slot::new(cell.total, now)),
         };
-        let slot = &mut self.slots[self.index[bucket] as usize];
+        let slot = entry.get_mut();
         if slot.total != cell.total {
             // Totals disagree: drop the whole partial, it is poisoned.
-            self.release(bucket);
+            entry.remove();
             return Err(ReassemblyError::InconsistentTotal);
         }
         if slot.mark(cell.seq) {
@@ -381,41 +236,35 @@ impl Reassembler {
         }
         slot.count += 1;
         slot.bytes += cell.payload_bytes;
-        if slot.count == cell.total {
-            let bytes = slot.bytes;
-            self.release(bucket);
-            if dra_telemetry::enabled() {
-                use dra_telemetry as tm;
-                tm::counter_add(tm::ids::PACKETS_REASSEMBLED, 1);
-                tm::event(
-                    tm::EventKind::Reassembly,
-                    cell.packet.0,
-                    cell.src_lc as u32,
-                    bytes,
-                );
-            }
-            Ok(Some((cell.packet, bytes)))
-        } else {
-            Ok(None)
+        if slot.count < cell.total {
+            return Ok(None);
         }
+        let bytes = entry.remove().bytes;
+        if dra_telemetry::enabled() {
+            use dra_telemetry as tm;
+            tm::counter_add(tm::ids::PACKETS_REASSEMBLED, 1);
+            tm::event(
+                tm::EventKind::Reassembly,
+                cell.packet.0,
+                cell.src_lc as u32,
+                bytes,
+            );
+        }
+        Ok(Some((cell.packet, bytes)))
     }
 
     /// Drop partial packets first seen before `cutoff` and return their
-    /// `(src_lc, packet_id)` keys, so the caller can reconcile its own
-    /// in-flight bookkeeping.
+    /// `(src_lc, packet_id)` keys, in map order, so the caller can
+    /// reconcile its own in-flight bookkeeping.
     pub fn purge_collect(&mut self, cutoff: f64) -> Vec<(u16, PacketId)> {
         let mut stale = Vec::new();
-        for bucket in 0..self.index.len() {
-            let id = self.index[bucket];
-            if id == EMPTY || id == TOMBSTONE {
-                continue;
+        self.partials.retain(|&key, slot| {
+            let expired = slot.first_seen_at < cutoff;
+            if expired {
+                stale.push(key);
             }
-            let s = &self.slots[id as usize];
-            if s.first_seen_at < cutoff {
-                stale.push((s.src_lc, s.packet));
-                self.release(bucket);
-            }
-        }
+            !expired
+        });
         stale
     }
 }
@@ -493,8 +342,8 @@ mod tests {
     #[test]
     fn index_size_follows_live_partials_not_completed_packets() {
         // A million two-cell packets, at most one partial at a time:
-        // tombstones from completed packets must be swept at the same
-        // size instead of doubling the index (2^19 buckets before).
+        // the map's table must be reused as packets complete instead
+        // of growing with the packets it has seen.
         let mut r = Reassembler::new();
         for id in 0..1_000_000u64 {
             let p = packet(id, 96);
@@ -503,13 +352,15 @@ mod tests {
             }
             assert_eq!(r.in_flight(), 0);
         }
-        assert!(r.index.len() <= 64, "index grew to {}", r.index.len());
+        let cap = r.partials.capacity();
+        assert!(cap <= 64, "map grew to {cap}");
         // Live partials still grow it.
         for id in 0..100u64 {
             r.push(&segment(&packet(id, 96), 0, 1)[0], 0.0).unwrap();
         }
         assert_eq!(r.in_flight(), 100);
-        assert!(r.index.len() >= 128, "index {}", r.index.len());
+        let cap = r.partials.capacity();
+        assert!(cap >= 100, "map {cap}");
     }
 
     #[test]
@@ -586,20 +437,6 @@ mod tests {
         assert_eq!(stale, expect);
         assert_eq!(r.in_flight(), 3);
         assert_eq!(r.purge_collect(0.0), vec![]);
-    }
-
-    #[test]
-    fn slots_recycle_through_freelist() {
-        let mut r = Reassembler::new();
-        // Complete many single-cell packets; the arena should stay at
-        // one slot rather than growing per packet.
-        for id in 0..1000u64 {
-            let p = packet(id, 40);
-            let c = segment(&p, 0, 1);
-            assert_eq!(r.push(&c[0], 0.0).unwrap(), Some((PacketId(id), 40)));
-        }
-        assert_eq!(r.in_flight(), 0);
-        assert_eq!(r.slots.len(), 1, "completed slots must be reused");
     }
 
     #[test]

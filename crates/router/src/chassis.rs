@@ -31,7 +31,6 @@
 //! number, and a slot never runs inline past an event the callback
 //! queued at or before it.
 
-use crate::arena::CellHandle;
 use crate::bdr::BdrConfig;
 use crate::fabric::Crossbar;
 use crate::ingress::ArrivalTrain;
@@ -41,7 +40,7 @@ use dra_des::Ctx;
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
 use dra_net::fib::{Dir248Fib, Fib};
 use dra_net::packet::{Packet, PacketId, PacketIdGen};
-use dra_net::sar::{segment_cells, CELL_BYTES};
+use dra_net::sar::{segment_cells, Cell, CELL_BYTES};
 use dra_net::traffic::PoissonGen;
 use rand::rngs::SmallRng;
 
@@ -93,10 +92,11 @@ pub struct Chassis {
     slot_time_s: f64,
     slot_scheduled: bool,
     capacity_credit: f64,
-    /// Reused copy of the cells moved in the current fabric slot, so
-    /// delivery can run `&mut self` handlers while iterating without
-    /// holding the fabric's borrow (and without allocating per slot).
-    slot_handles: Vec<CellHandle>,
+    /// The cells moved in the current fabric slot, reused across
+    /// slots, so delivery can run `&mut self` handlers while iterating
+    /// without holding the fabric's borrow (and without allocating
+    /// per slot).
+    slot_cells: Vec<Cell>,
 }
 
 impl Chassis {
@@ -168,7 +168,7 @@ impl Chassis {
             slot_time_s,
             slot_scheduled: false,
             capacity_credit: 0.0,
-            slot_handles: Vec::new(),
+            slot_cells: Vec::new(),
         }
     }
 
@@ -399,13 +399,11 @@ impl Chassis {
         }
         self.capacity_credit -= 1.0;
         let now = ctx.now();
-        // Collect the slot's winners as 4-byte handles, then take each
-        // cell out of the arena as it is delivered: delivery needs
-        // `&mut self` (metrics, reassembly, the caller's handler).
-        let mut slot = std::mem::take(&mut self.slot_handles);
-        self.fabric.schedule_slot_handles(&mut slot);
-        for &h in &slot {
-            let cell = self.fabric.take_cell(h);
+        // Collect the slot's winners first: delivery needs `&mut self`
+        // (metrics, reassembly, the caller's handler).
+        let mut slot = std::mem::take(&mut self.slot_cells);
+        self.fabric.schedule_slot(&mut slot);
+        for cell in &slot {
             let egress = cell.dst_lc;
             if dra_telemetry::enabled() {
                 use dra_telemetry as tm;
@@ -421,13 +419,13 @@ impl Chassis {
             // A corrupted or duplicate cell (`Err`) is dropped
             // silently; the purge reclaims the partial.
             if let Ok(Some((packet, ip_bytes))) =
-                self.linecards[egress as usize].reassembler.push(&cell, now)
+                self.linecards[egress as usize].reassembler.push(cell, now)
             {
                 reassembled(self, ctx, egress, packet, ip_bytes);
             }
         }
         slot.clear();
-        self.slot_handles = slot;
+        self.slot_cells = slot;
     }
 
     /// Reassembly garbage collection: reclaim every partial older than

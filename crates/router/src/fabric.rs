@@ -18,10 +18,12 @@
 //! words instead of an O(n) pointer walk — O(n·⌈n/64⌉) per iteration
 //! with branch-free inner loops, which is what lets 128- and 256-port
 //! faceoffs stay simulation-bound rather than arbitration-bound.
-//! Cells live in a `CellArena`; the VOQs, the matcher, and
-//! `Crossbar::schedule_slot_handles` shuffle 4-byte `CellHandle`s,
-//! and a cell is only copied again when it leaves the fabric through
-//! `Crossbar::take_cell`.
+//! Cells (`Copy`) live by value in their VOQ deques; the matcher
+//! reads only the bitmaps, and [`Crossbar::schedule_slot`] pops each
+//! winner's head cell straight into the caller's buffer. A VOQ starts
+//! empty and grows on demand up to `voq_capacity`, keeping its buffer
+//! as it drains, so a fabric reserves nothing for queues it never
+//! fills and allocates nothing once every queue has seen its peak.
 //!
 //! **Determinism contract**: the bitmask arbiter produces the
 //! identical (time, seq) match order to the scalar reference
@@ -31,17 +33,8 @@
 //! pointer state. `tests/fabric_equivalence.rs` proves it by proptest
 //! over random request matrices and pointer states.
 
-use crate::arena::{CellArena, CellHandle};
 use dra_net::sar::Cell;
 use std::collections::VecDeque;
-
-/// Up-front reservation cap, in cells, across a fabric's VOQs and
-/// arena. Queues are pre-sized so steady state at production configs
-/// (e.g. 64 cards × 1024-cell VOQs) never reallocates, while
-/// pathological `n² × voq_capacity` products (benchmarks passing
-/// "effectively unbounded" capacities) stay clamped to this budget
-/// and grow amortized past it instead of reserving gigabytes.
-const PRESIZE_BUDGET_CELLS: usize = 1 << 22;
 
 #[inline]
 fn words_for(n: usize) -> usize {
@@ -156,9 +149,8 @@ pub struct Crossbar {
     n_ports: usize,
     /// u64 words per port bitmap: ⌈n_ports/64⌉.
     words: usize,
-    arena: CellArena,
-    /// Handle queues, input-major: `voq[input * n + output]`.
-    voq: Vec<VecDeque<CellHandle>>,
+    /// Cell queues, input-major: `voq[input * n + output]`.
+    voq: Vec<VecDeque<Cell>>,
     voq_capacity: usize,
     /// Per-output request bitmaps over inputs, output-major rows of
     /// `words` u64s: bit `i` of row `o` ⟺ VOQ (i, o) is non-empty.
@@ -183,9 +175,6 @@ pub struct Crossbar {
     granted_any: Vec<u64>,
     /// input -> output of the final matching.
     input_matched: Vec<usize>,
-    /// Cells moved in the most recent [`Crossbar::schedule_slot`];
-    /// that method returns a view into this buffer.
-    transferred: Vec<Cell>,
 }
 
 impl Crossbar {
@@ -205,18 +194,10 @@ impl Crossbar {
         assert!(n_ports > 0 && voq_capacity > 0 && iterations > 0);
         assert!(planes_total >= planes_required && planes_required > 0);
         let words = words_for(n_ports);
-        let presize = voq_capacity
-            .min((PRESIZE_BUDGET_CELLS / (n_ports * n_ports)).max(16))
-            .max(1);
         Crossbar {
             n_ports,
             words,
-            arena: CellArena::with_capacity(
-                (n_ports * n_ports * presize).min(PRESIZE_BUDGET_CELLS),
-            ),
-            voq: (0..n_ports * n_ports)
-                .map(|_| VecDeque::with_capacity(presize))
-                .collect(),
+            voq: (0..n_ports * n_ports).map(|_| VecDeque::new()).collect(),
             voq_capacity,
             requests: vec![0; n_ports * words],
             grant_ptr: vec![0; n_ports],
@@ -231,7 +212,6 @@ impl Crossbar {
             granted: vec![0; n_ports * words],
             granted_any: vec![0; words],
             input_matched: vec![usize::MAX; n_ports],
-            transferred: Vec::with_capacity(n_ports),
         }
     }
 
@@ -324,19 +304,9 @@ impl Crossbar {
             let row = dst * self.words;
             set_bit(&mut self.requests[row..row + self.words], src);
         }
-        let h = self.arena.alloc(cell);
-        self.voq[idx].push_back(h);
+        self.voq[idx].push_back(cell);
         self.queued_cells += 1;
         Ok(())
-    }
-
-    /// Move a transferred cell out of the fabric, releasing its arena
-    /// slot. Every handle produced by
-    /// [`Crossbar::schedule_slot_handles`] must be taken exactly once;
-    /// a handle left untaken keeps its slot resident.
-    #[inline]
-    pub(crate) fn take_cell(&mut self, h: CellHandle) -> Cell {
-        self.arena.take(h)
     }
 
     /// iSLIP matching for n ≤ 64: every bitmap is one machine word, so
@@ -466,27 +436,27 @@ impl Crossbar {
     /// Pop one matched VOQ head, keeping the request bitmap in sync
     /// with emptied queues.
     #[inline]
-    fn pop_matched(&mut self, input: usize, output: usize) -> CellHandle {
+    fn pop_matched(&mut self, input: usize, output: usize) -> Cell {
         let q = &mut self.voq[input * self.n_ports + output];
-        let h = q.pop_front().expect("matched VOQ is non-empty");
+        let cell = q.pop_front().expect("matched VOQ is non-empty");
         if q.is_empty() {
             let row = output * self.words;
             clear_bit(&mut self.requests[row..row + self.words], input);
         }
         self.queued_cells -= 1;
-        h
+        cell
     }
 
     /// Run one slot of iSLIP matching and dequeue the matched cells,
-    /// appending their handles to `out` (at most one per input and one
-    /// per output, in ascending input order). The caller claims each
-    /// winner with [`Crossbar::take_cell`].
+    /// appending them to `out` (at most one per input and one per
+    /// output, in ascending input order). `out` is the caller's, so a
+    /// caller that reuses it allocates nothing per slot.
     ///
     /// Pointer updates follow the iSLIP rule: only first-iteration
     /// matches advance the round-robin pointers, which is what
     /// desynchronizes them under uniform load. The match order is
     /// bit-identical to the scalar reference (see the module docs).
-    pub(crate) fn schedule_slot_handles(&mut self, out: &mut Vec<CellHandle>) {
+    pub fn schedule_slot(&mut self, out: &mut Vec<Cell>) {
         if !self.operational() || self.queued_cells == 0 {
             return;
         }
@@ -494,45 +464,20 @@ impl Crossbar {
         for input in 0..self.n_ports {
             let o = self.input_matched[input];
             if o != usize::MAX {
-                let h = self.pop_matched(input, o);
+                let cell = self.pop_matched(input, o);
                 if dra_telemetry::enabled() {
                     use dra_telemetry as tm;
                     tm::counter_add(tm::ids::ISLIP_GRANTS, 1);
                     tm::event(
                         tm::EventKind::IslipGrant,
-                        self.arena.get(h).packet.0,
+                        cell.packet.0,
                         input as u32,
                         o as u32,
                     );
                 }
-                out.push(h);
+                out.push(cell);
             }
         }
-    }
-
-    /// Run one slot of iSLIP matching and dequeue the matched cells.
-    ///
-    /// By-value convenience over
-    /// `Crossbar::schedule_slot_handles`: returns the cells
-    /// transferred this slot as a borrow of a buffer the crossbar owns
-    /// and reuses, so a slot allocates nothing. The view is valid
-    /// until the next `schedule_slot` call; callers that need the
-    /// cells across further `&mut` use copy them out first.
-    pub fn schedule_slot(&mut self) -> &[Cell] {
-        self.transferred.clear();
-        if !self.operational() || self.queued_cells == 0 {
-            return &self.transferred;
-        }
-        self.compute_matching();
-        for input in 0..self.n_ports {
-            let o = self.input_matched[input];
-            if o != usize::MAX {
-                let h = self.pop_matched(input, o);
-                let cell = self.arena.take(h);
-                self.transferred.push(cell);
-            }
-        }
-        &self.transferred
     }
 }
 
@@ -540,6 +485,13 @@ impl Crossbar {
 mod tests {
     use super::*;
     use dra_net::packet::PacketId;
+
+    /// The cells one [`Crossbar::schedule_slot`] moves.
+    fn slot(xb: &mut Crossbar) -> Vec<Cell> {
+        let mut out = Vec::new();
+        xb.schedule_slot(&mut out);
+        out
+    }
 
     fn cell(src: u16, dst: u16, id: u64, seq: u16, total: u16) -> Cell {
         Cell {
@@ -560,7 +512,7 @@ mod tests {
         }
         let mut seqs = Vec::new();
         while !xb.is_empty() {
-            for c in xb.schedule_slot() {
+            for c in slot(&mut xb) {
                 seqs.push(c.seq);
             }
         }
@@ -579,7 +531,7 @@ mod tests {
                 }
             }
         }
-        let matched = xb.schedule_slot();
+        let matched = slot(&mut xb);
         assert!(matched.len() <= 4);
         let mut ins: Vec<u16> = matched.iter().map(|c| c.src_lc).collect();
         let mut outs: Vec<u16> = matched.iter().map(|c| c.dst_lc).collect();
@@ -613,12 +565,12 @@ mod tests {
         }
         // Warmup.
         for _ in 0..n {
-            xb.schedule_slot();
+            slot(&mut xb);
         }
         let mut total = 0;
         let slots = 100;
         for _ in 0..slots {
-            total += xb.schedule_slot().len();
+            total += slot(&mut xb).len();
         }
         assert!(
             total >= slots * n * 95 / 100,
@@ -639,7 +591,7 @@ mod tests {
         let mut from0 = 0;
         let mut from1 = 0;
         for _ in 0..100 {
-            for c in xb.schedule_slot() {
+            for c in slot(&mut xb) {
                 match c.src_lc {
                     0 => from0 += 1,
                     1 => from1 += 1,
@@ -676,39 +628,45 @@ mod tests {
     }
 
     #[test]
-    fn slot_buffer_is_reused_across_slots() {
-        // The returned view is valid until the next slot; each call
-        // reflects only that slot's transfers.
-        let mut xb = Crossbar::new(2, 16, 1, 1, 1);
-        xb.enqueue(cell(0, 1, 1, 0, 2)).unwrap();
-        xb.enqueue(cell(0, 1, 1, 1, 2)).unwrap();
-        assert_eq!(xb.schedule_slot().len(), 1);
-        assert_eq!(xb.schedule_slot().len(), 1);
-        assert!(
-            xb.schedule_slot().is_empty(),
-            "drained fabric moves nothing"
-        );
-    }
-
-    #[test]
-    fn handle_api_reads_then_takes() {
-        // The handle API exposes each winner for inspection before the
-        // caller claims it, and claims release arena slots.
-        let mut xb = Crossbar::new(2, 16, 1, 1, 1);
-        xb.enqueue(cell(0, 1, 7, 0, 1)).unwrap();
-        xb.enqueue(cell(1, 0, 8, 0, 1)).unwrap();
-        let mut handles = Vec::new();
-        xb.schedule_slot_handles(&mut handles);
-        assert_eq!(handles.len(), 2);
-        let ids: Vec<u64> = handles.iter().map(|&h| xb.arena.get(h).packet.0).collect();
-        assert_eq!(ids, vec![7, 8], "ascending input order");
-        for h in handles.drain(..) {
-            let c = xb.take_cell(h);
-            assert!(c.packet.0 == 7 || c.packet.0 == 8);
+    fn each_moved_cell_counts_one_grant_and_one_ring_event() {
+        // The slot the chassis runs is the slot every test runs: with a
+        // hub enabled, each moved cell adds one `router.islip_grants`
+        // and one `islip-grant` event naming its packet and port pair.
+        use dra_telemetry as tm;
+        let mut xb = Crossbar::new(4, 16, 2, 1, 1);
+        for (src, dst, id) in [(0, 1, 10), (1, 1, 11), (2, 3, 12), (3, 0, 13), (3, 2, 14)] {
+            xb.enqueue(cell(src, dst, id, 0, 1)).unwrap();
         }
-        assert!(xb.is_empty());
-        xb.schedule_slot_handles(&mut handles);
-        assert!(handles.is_empty(), "drained fabric matches nothing");
+        tm::enable(tm::Config {
+            sample_every: 0,
+            ..tm::Config::default()
+        });
+        let moved = slot(&mut xb);
+        tm::anomaly("probe");
+        let doc = tm::snapshot().expect("hub enabled");
+        tm::disable();
+        assert!(!moved.is_empty());
+        let router = doc.router.expect("grants counted");
+        let grants = router
+            .counters
+            .iter()
+            .find(|(name, _)| *name == "router.islip_grants")
+            .map(|&(_, n)| n);
+        assert_eq!(grants, Some(moved.len() as u64));
+        assert_eq!(router.ring_appended, moved.len() as u64);
+        let events: Vec<(u64, u32, u32)> = doc
+            .anomaly
+            .expect("ring frozen")
+            .events
+            .iter()
+            .filter(|e| e.kind == tm::EventKind::IslipGrant)
+            .map(|e| (e.packet, e.a, e.b))
+            .collect();
+        let want: Vec<(u64, u32, u32)> = moved
+            .iter()
+            .map(|c| (c.packet.0, c.src_lc as u32, c.dst_lc as u32))
+            .collect();
+        assert_eq!(events, want);
     }
 
     #[test]
@@ -720,7 +678,7 @@ mod tests {
         let mut xb = Crossbar::new(3, 8, 1, 1, 1);
         for round in 0..3 {
             xb.enqueue(cell(2, 1, 100 + round, 0, 1)).unwrap();
-            let moved = xb.schedule_slot();
+            let moved = slot(&mut xb);
             assert_eq!(moved.len(), 1);
             assert_eq!(moved[0].packet.0, 100 + round);
             assert!(xb.is_empty());
@@ -741,7 +699,7 @@ mod tests {
         xb.fail_plane(); // all 5 down
         assert!(!xb.operational());
         assert_eq!(xb.capacity_fraction(), 0.0);
-        assert!(xb.schedule_slot().is_empty());
+        assert!(slot(&mut xb).is_empty());
         xb.repair_plane();
         assert!(xb.operational());
         assert_eq!(xb.planes_failed(), 4);
@@ -750,7 +708,7 @@ mod tests {
     #[test]
     fn empty_fabric_schedules_nothing() {
         let mut xb = Crossbar::new(4, 16, 2, 5, 4);
-        assert!(xb.schedule_slot().is_empty());
+        assert!(slot(&mut xb).is_empty());
         assert!(xb.is_empty());
     }
 
@@ -766,10 +724,10 @@ mod tests {
         let grant = vec![10; n]; // from 10: 64 comes before 0 (wrap)
         let accept = vec![0; n];
         xb.set_pointers(&grant, &accept);
-        let first = xb.schedule_slot().to_vec();
+        let first = slot(&mut xb);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].src_lc, 64, "circular order from 10 hits 64 first");
-        let second = xb.schedule_slot().to_vec();
+        let second = slot(&mut xb);
         assert_eq!(second[0].src_lc, 0);
         assert!(xb.is_empty());
     }

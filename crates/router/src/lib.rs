@@ -8,11 +8,8 @@
 //!   bus controller), their health, the per-port PIU fail and hot-swap
 //!   repair rule, and the paper's failure rates.
 //! * [`fabric`] — a cell-slotted crossbar with virtual output queues,
-//!   a bitmask iSLIP iterative scheduler over an indexed cell arena,
-//!   and redundant switching planes (the paper's Case-1 fault
-//!   tolerance).
-//! * [`arena`] — the fixed-slab cell store behind the fabric's
-//!   4-byte handles.
+//!   a bitmask iSLIP iterative scheduler, and redundant switching
+//!   planes (the paper's Case-1 fault tolerance).
 //! * [`linecard`] — per-linecard state: protocol, unit and port
 //!   health, port rate, reassembler.
 //! * [`ingress`] — the LFE's batched lookup front end: per-linecard
@@ -36,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bdr;
 pub mod chassis;
 pub mod components;

@@ -28,8 +28,11 @@ fn cells_survive_a_trip_through_the_fabric() {
     }
     let mut reassembler = Reassembler::new();
     let mut completed = None;
+    let mut moved = Vec::new();
     while !fabric.is_empty() {
-        for cell in fabric.schedule_slot() {
+        moved.clear();
+        fabric.schedule_slot(&mut moved);
+        for cell in &moved {
             assert_eq!(cell.dst_lc, 2);
             if let Ok(Some(done)) = reassembler.push(cell, 0.0) {
                 completed = Some(done);

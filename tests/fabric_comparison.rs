@@ -53,8 +53,9 @@ fn islip_matches_oq_throughput_under_uniform_saturation() {
     }
 
     let mut islip_slots = 0;
+    let mut moved = Vec::new();
     while !xb.is_empty() {
-        xb.schedule_slot();
+        xb.schedule_slot(&mut moved);
         islip_slots += 1;
         assert!(islip_slots < 10 * total, "iSLIP failed to drain");
     }
@@ -90,8 +91,11 @@ fn contended_input_stays_fully_utilized_and_fair() {
     let mut from0_to1 = 0;
     let mut from0_to2 = 0;
     let slots = 60;
+    let mut moved = Vec::new();
     for _ in 0..slots {
-        for c in xb.schedule_slot() {
+        moved.clear();
+        xb.schedule_slot(&mut moved);
+        for c in &moved {
             if c.src_lc == 0 {
                 match c.dst_lc {
                     1 => from0_to1 += 1,
@@ -128,8 +132,9 @@ fn oq_queue_depth_exceeds_voq_under_hotspot() {
             oq.enqueue(cell(i, 0, (i as u64) << 20 | k)).unwrap();
         }
     }
+    let mut moved = Vec::new();
     for _ in 0..50 {
-        xb.schedule_slot();
+        xb.schedule_slot(&mut moved);
         oq.schedule_slot();
     }
     let max_voq = (0..n as usize).map(|i| xb.voq_len(i, 0)).max().unwrap();

@@ -1,5 +1,5 @@
 //! The bitmask arbiter's determinism contract, exercised head to head:
-//! `Crossbar` (u64 word bitmaps + cell arena) must transfer the
+//! `Crossbar` (u64 word bitmaps over cell VOQs) must transfer the
 //! *identical* cell sequence and leave *identical* round-robin pointer
 //! state as `ScalarCrossbar` (the O(n²) reference in
 //! `tests/support/scalar_crossbar.rs`) for every
@@ -71,9 +71,11 @@ fn assert_equivalent(n: usize, iterations: usize, seed: u64) {
     assert_eq!(bitmask.queued_cells(), scalar.queued_cells());
 
     let mut slots = 0;
+    let mut got = Vec::new();
     while !scalar.is_empty() {
-        let got: Vec<Cell> = bitmask.schedule_slot().to_vec();
-        let want: Vec<Cell> = scalar.schedule_slot().to_vec();
+        got.clear();
+        bitmask.schedule_slot(&mut got);
+        let want = scalar.schedule_slot();
         assert_eq!(
             got, want,
             "slot {slots}: transferred cells diverge (n={n}, iters={iterations}, seed={seed})"
@@ -138,12 +140,11 @@ fn equivalent_under_uniform_saturation() {
             }
         }
         let mut slot = 0;
+        let mut got = Vec::new();
         while !scalar.is_empty() {
-            assert_eq!(
-                bitmask.schedule_slot(),
-                scalar.schedule_slot(),
-                "n={n} slot={slot}"
-            );
+            got.clear();
+            bitmask.schedule_slot(&mut got);
+            assert_eq!(got, scalar.schedule_slot(), "n={n} slot={slot}");
             assert_eq!(bitmask.pointers(), scalar.pointers(), "n={n} slot={slot}");
             slot += 1;
         }

@@ -5,7 +5,7 @@
 //! phase walks port indices with an O(n) round-robin pointer scan and
 //! every VOQ stores its cells by value. The production
 //! [`crate::fabric::Crossbar`] replaces those walks with u64 word
-//! bitmaps and an arena of cell handles, and is contractually bound to
+//! bitmaps over the same by-value VOQs, and is contractually bound to
 //! produce the *identical* (time, seq) match sequence — the
 //! equivalence proptest in `tests/fabric_equivalence.rs` drives both
 //! over random request matrices and pointer states and compares every
